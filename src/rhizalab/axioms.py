@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, sum_product
 from .errors import DimensionMismatch, MissingProduct
-from .exactlin import Vector, basis_vec, rational_str, vec_add, vec_is_zero, vec_sub
+from .exactlin import Matrix, Vector, basis_vec, rational_str, vec_add, vec_is_zero, vec_sub
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,36 @@ def _require_same_dim(*dims: int):
         raise DimensionMismatch(f"dimensions disagree: {dims}")
 
 
-def check_hom_anti_associative(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
-    """alpha(x)(yz) = -(xy)alpha(z) on all basis triples."""
-    _require_same_dim(mul.dim, alpha.dim)
-    n = mul.dim
-    violations = []
+def _column_violations(ident: str, mat: Matrix, prefix: tuple[int, ...] = ()):
+    """One violation per nonzero column u of ``mat``, at ``(*prefix, u + 1)``."""
+    for u in range(mat.cols):
+        resid = mat.column(u)
+        if not vec_is_zero(resid):
+            yield Violation(ident, (*prefix, u + 1), resid)
+
+
+def _anti_assoc_violations(first, outer, inner, mixed, alpha: LinearMap, prefix=()):
+    """Residual (x first y) outer alpha(z) + alpha(x) mixed (y inner z) on basis triples."""
+    n = alpha.dim
     for i in range(n):
         ai = alpha.image_of_basis(i)
         for j in range(n):
+            fij = first.entry(i, j)
             for k in range(n):
-                lhs = eval_product(mul, ai, mul.entry(j, k))
-                rhs = eval_product(mul, mul.entry(i, j), alpha.image_of_basis(k))
-                resid = vec_add(lhs, rhs)
+                resid = vec_add(
+                    eval_product(mixed, ai, inner.entry(j, k)),
+                    eval_product(outer, fij, alpha.image_of_basis(k)),
+                )
                 if not vec_is_zero(resid):
-                    violations.append(Violation("anti_assoc", (i + 1, j + 1, k + 1), resid))
-    return CheckReport.collect("hom_anti_associative", violations)
+                    yield Violation("anti_assoc", (*prefix, i + 1, j + 1, k + 1), resid)
+
+
+def check_hom_anti_associative(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
+    """alpha(x)(yz) = -(xy)alpha(z) on all basis triples."""
+    _require_same_dim(mul.dim, alpha.dim)
+    return CheckReport.collect(
+        "hom_anti_associative", _anti_assoc_violations(mul, mul, mul, mul, alpha)
+    )
 
 
 def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult") -> CheckReport:
@@ -113,52 +128,54 @@ def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult")
     return CheckReport.collect(f"multiplicativity[{name}]", violations)
 
 
-def _split_triple_violations(a: HomAlgebra, signed: bool) -> list[Violation]:
-    """The three coupled identities tying succ/prec to the twist.
+def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, alpha: LinearMap, sign):
+    """Yield (i, j, k, r1, r2, r3) over all basis triples for the three split identities.
 
-    ``signed=True`` is the anti-associative splitting (right sides carry a
-    minus), ``signed=False`` the associative one (no minus).  Residuals are
-    LHS - RHS with RHS as printed in the signed convention, i.e. for the
-    signed family the residual of req1 is (x*y) succ alpha(z) + alpha(x)
-    succ (y succ z).
+    With index-coupled products (lam, omega, lam.omega) the identities read
+
+    * r1: (x prec_omega y + x succ_lam y) succ_{lam.omega} alpha(z)
+      - sign alpha(x) succ_lam (y succ_omega z)
+    * r2: alpha(x) prec_{lam.omega} (y prec_omega z + y succ_lam z)
+      - sign (x prec_lam y) prec_omega alpha(z)
+    * r3: alpha(x) succ_lam (y prec_omega z) - sign (x succ_lam y) prec_omega alpha(z)
+
+    ``sign=-1`` is the anti-associative splitting, ``sign=1`` the associative
+    one; a plain algebra passes its one succ and one prec three times each.
     """
-    succ, prec, alpha = a.succ, a.prec, a.alpha
-    n = a.dim
-    sign = Fraction(-1) if signed else Fraction(1)
-    ids = ("req1", "req2", "req3") if signed else ("den1", "den2", "den3")
-    violations = []
+    combine = vec_add if sign < 0 else vec_sub
+    n = alpha.dim
     for i in range(n):
         ai = alpha.image_of_basis(i)
         for j in range(n):
-            sij = succ.entry(i, j)
-            pij = prec.entry(i, j)
-            star_ij = vec_add(sij, pij)
+            s_l_ij = succ_l.entry(i, j)
+            p_l_ij = prec_l.entry(i, j)
+            star_ij = vec_add(prec_o.entry(i, j), s_l_ij)
             for k in range(n):
                 ak = alpha.image_of_basis(k)
-                sjk = succ.entry(j, k)
-                pjk = prec.entry(j, k)
-                where = (i + 1, j + 1, k + 1)
-                # (x succ y + x prec y) succ alpha(z) = -/+ alpha(x) succ (y succ z)
-                r1 = vec_sub(
-                    eval_product(succ, star_ij, ak),
-                    [sign * c for c in eval_product(succ, ai, sjk)],
+                p_o_jk = prec_o.entry(j, k)
+                r1 = combine(eval_product(succ_lo, star_ij, ak), eval_product(succ_l, ai, succ_o.entry(j, k)))
+                r2 = combine(
+                    eval_product(prec_lo, ai, vec_add(p_o_jk, succ_l.entry(j, k))),
+                    eval_product(prec_o, p_l_ij, ak),
                 )
-                if not vec_is_zero(r1):
-                    violations.append(Violation(ids[0], where, r1))
-                # alpha(x) prec (y succ z + y prec z) = -/+ (x prec y) prec alpha(z)
-                r2 = vec_sub(
-                    eval_product(prec, ai, vec_add(sjk, pjk)),
-                    [sign * c for c in eval_product(prec, pij, ak)],
-                )
-                if not vec_is_zero(r2):
-                    violations.append(Violation(ids[1], where, r2))
-                # alpha(x) succ (y prec z) = -/+ (x succ y) prec alpha(z)
-                r3 = vec_sub(
-                    eval_product(succ, ai, pjk),
-                    [sign * c for c in eval_product(prec, sij, ak)],
-                )
-                if not vec_is_zero(r3):
-                    violations.append(Violation(ids[2], where, r3))
+                r3 = combine(eval_product(succ_l, ai, p_o_jk), eval_product(prec_o, s_l_ij, ak))
+                yield i, j, k, r1, r2, r3
+
+
+def _split_triple_violations(a: HomAlgebra, signed: bool) -> list[Violation]:
+    """The three split identities of a plain algebra, in the order r1, r2, r3 per triple.
+
+    ``signed=True`` is the anti-associative splitting (right sides carry a
+    minus), ``signed=False`` the associative one (no minus).
+    """
+    succ, prec = a.succ, a.prec
+    ids = ("req1", "req2", "req3") if signed else ("den1", "den2", "den3")
+    violations = []
+    triples = _split_residuals(succ, succ, succ, prec, prec, prec, a.alpha, -1 if signed else 1)
+    for i, j, k, *resids in triples:
+        for ident, r in zip(ids, resids):
+            if not vec_is_zero(r):
+                violations.append(Violation(ident, (i + 1, j + 1, k + 1), r))
     return violations
 
 

@@ -19,7 +19,10 @@ from . import oracle
 from .algmodel import (
     HomAlgebra,
     LinearMap,
+    _matrix_obj,
+    _product_obj,
     parse_algebra,
+    parse_algebra_obj,
     rational,
     serialize_algebra_obj,
     star_product,
@@ -45,7 +48,7 @@ from .cocycles import (
     scalar_cocycle_space,
     vector_cocycle_space,
 )
-from .errors import RhizalabError
+from .errors import ParseError, RhizalabError
 from .exactlin import Matrix, rational_str
 from .family import (
     FamilyAlgebra,
@@ -167,24 +170,53 @@ def _load_algebra(path: str, params: dict[str, Fraction]) -> HomAlgebra:
     return parse_algebra(_read(path), bindings=params)
 
 
+def _field(doc, key: str, where: str, kind: type):
+    """doc[key], checked to exist and to be of the given JSON type."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"{where}: missing {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ParseError(f"{where}.{key} must be of type {kind.__name__}")
+    return doc[key]
+
+
+def _read_matrix(doc, where: str) -> Matrix:
+    """A list of rows of rational literals; errors name the entry, e.g. ``bimodule.left[1][0]``."""
+    if not isinstance(doc, list):
+        raise ParseError(f"{where} must be a list of rows")
+    rows = []
+    for r, row in enumerate(doc):
+        if not isinstance(row, list):
+            raise ParseError(f"{where}[{r}] must be a list of entries")
+        rows.append([])
+        for c, e in enumerate(row):
+            try:
+                rows[-1].append(rational(e))
+            except ParseError as exc:
+                raise ParseError(f"{where}[{r}][{c}]: {exc}") from None
+    return Matrix.from_rows(rows)
+
+
 def _load_operator(path: str) -> LinearOperator:
     doc = _load_json(path)
     for key in ("T", "R", "D", "matrix"):
-        if key in doc:
-            return LinearOperator.from_rows(
-                [[rational(e) for e in row] for row in doc[key]]
-            )
+        if isinstance(doc, dict) and key in doc:
+            m = _read_matrix(doc[key], f"operator.{key}")
+            return LinearOperator(m.cols, m.rows, m)
     raise RhizalabError(f"{path}: no operator section ('T')")
 
 
 def _load_bimodule(path: str) -> Bimodule:
     doc = _load_json(path)
-    left = tuple(Matrix.from_rows([[rational(e) for e in r] for r in m]) for m in doc["left"])
-    right = tuple(Matrix.from_rows([[rational(e) for e in r] for r in m]) for m in doc["right"])
-    beta_m = Matrix.from_rows([[rational(e) for e in r] for r in doc["beta"]])
+    left = tuple(
+        _read_matrix(m, f"bimodule.left[{i}]") for i, m in enumerate(_field(doc, "left", "bimodule", list))
+    )
+    right = tuple(
+        _read_matrix(m, f"bimodule.right[{i}]") for i, m in enumerate(_field(doc, "right", "bimodule", list))
+    )
+    beta_m = _read_matrix(_field(doc, "beta", "bimodule", list), "bimodule.beta")
     return Bimodule(
-        int(doc["alg_dim"]),
-        int(doc["mod_dim"]),
+        _field(doc, "alg_dim", "bimodule", int),
+        _field(doc, "mod_dim", "bimodule", int),
         left,
         right,
         LinearMap(beta_m.rows, beta_m),
@@ -192,46 +224,55 @@ def _load_bimodule(path: str) -> Bimodule:
 
 
 def _load_form(path: str) -> ScalarForm:
-    doc = _load_json(path)
-    m = Matrix.from_rows([[rational(e) for e in r] for r in doc["B"]])
+    m = _read_matrix(_field(_load_json(path), "B", "form", list), "form.B")
     return ScalarForm(m.rows, m)
 
 
-def _load_semigroup(doc: dict) -> Semigroup:
-    omega = doc["omega"]
-    return Semigroup.from_rows(omega["table"])
+def _load_semigroup(doc, where: str) -> Semigroup:
+    table = _field(_field(doc, "omega", where, dict), "table", f"{where}.omega", list)
+    if not table:
+        raise ParseError(f"{where}.omega.table has no rows")
+    try:
+        return Semigroup.from_rows(table)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}.omega.table: {exc}") from None
 
 
 def _load_family(path: str, params: dict[str, Fraction]) -> FamilyAlgebra:
     doc = _load_json(path)
-    s = _load_semigroup(doc)
-    dim = int(doc["dim"])
-    base = {"dim": dim, "kind": "rhizaform", "alpha": doc["alpha"], "params": doc.get("params")}
+    s = _load_semigroup(doc, "family")
+    succ_doc = _field(doc, "succ", "family", dict)
+    prec_doc = _field(doc, "prec", "family", dict)
+    base = {
+        "dim": _field(doc, "dim", "family", int),
+        "kind": "rhizaform",
+        "alpha": doc.get("alpha"),
+        "params": doc.get("params"),
+    }
     succ = {}
     prec = {}
     for lam in range(s.size):
         sub = dict(base)
-        sub["succ"] = doc["succ"][str(lam)]
-        sub["prec"] = doc["prec"][str(lam)]
-        plain = parse_algebra(json.dumps(sub), bindings=params)
+        sub["succ"] = _field(succ_doc, str(lam), "family.succ", list)
+        sub["prec"] = _field(prec_doc, str(lam), "family.prec", list)
+        plain = parse_algebra_obj(sub, bindings=params)
         succ[lam] = plain.succ
         prec[lam] = plain.prec
-        alpha = plain.alpha
-    return FamilyAlgebra(dim, s, succ, prec, alpha)
+    return FamilyAlgebra(plain.dim, s, succ, prec, plain.alpha, plain.params)
 
 
 def _load_rb_family(path: str) -> RBFamily:
     doc = _load_json(path)
-    s = _load_semigroup(doc)
-    ops = {
-        int(lam): LinearOperator.from_rows([[rational(e) for e in r] for r in rows])
-        for lam, rows in doc["operators"].items()
-    }
+    s = _load_semigroup(doc, "rb_family")
+    ops = {}
+    for lam, rows in _field(doc, "operators", "rb_family", dict).items():
+        try:
+            index = int(lam)
+        except ValueError:
+            raise ParseError(f"rb_family.operators: key {lam!r} is not a semigroup index") from None
+        m = _read_matrix(rows, f"rb_family.operators.{lam}")
+        ops[index] = LinearOperator(m.cols, m.rows, m)
     return RBFamily(s, ops)
-
-
-def _matrix_obj(m: Matrix) -> list[list[str]]:
-    return [[rational_str(e) for e in m.row(i)] for i in range(m.rows)]
 
 
 def _bimodule_obj(m: Bimodule) -> dict:
@@ -353,15 +394,7 @@ def cmd_cocycles(args) -> int:
         obj = {
             "kind": "vector",
             "dimension": len(basis),
-            "basis": [
-                {
-                    "components": [
-                        [i + 1, j + 1, k + 1, rational_str(c)]
-                        for i, j, k, c in w.nonzero_entries()
-                    ]
-                }
-                for w in basis
-            ],
+            "basis": [{"components": _product_obj(w)} for w in basis],
         }
         human = [f"algebra-valued cyclic-form space: dimension {len(basis)}"]
         for idx, w in enumerate(basis):
@@ -486,7 +519,7 @@ def cmd_family(args) -> int:
     params = _parse_params(args.param)
     do = args.do
     if do == "check-semigroup":
-        rep = check_semigroup(_load_semigroup(_load_json(args.file)))
+        rep = check_semigroup(_load_semigroup(_load_json(args.file), "family"))
         _emit(rep.to_obj(), args, _report_human(rep))
         return 1 if (args.strict and not rep.passed) else 0
     if do == "check":
@@ -501,12 +534,7 @@ def cmd_family(args) -> int:
     if do == "associated":
         fam = _load_family(args.file, params)
         prods = associated_family(fam)
-        obj = {
-            f"{lam},{omega}": [
-                [i + 1, j + 1, k + 1, rational_str(c)] for i, j, k, c in op.nonzero_entries()
-            ]
-            for (lam, omega), op in sorted(prods.items())
-        }
+        obj = {f"{lam},{omega}": _product_obj(op) for (lam, omega), op in sorted(prods.items())}
         _emit(obj, args)
         return 0
     # remaining operations take an operator family plus a base algebra
@@ -524,20 +552,8 @@ def cmd_family(args) -> int:
             "dim": fam.dim,
             "omega": {"size": fam.semigroup.size, "table": [list(r) for r in fam.semigroup.table]},
             "alpha": _matrix_obj(fam.alpha.matrix),
-            "succ": {
-                str(lam): [
-                    [i + 1, j + 1, k + 1, rational_str(c)]
-                    for i, j, k, c in fam.succ[lam].nonzero_entries()
-                ]
-                for lam in range(fam.semigroup.size)
-            },
-            "prec": {
-                str(lam): [
-                    [i + 1, j + 1, k + 1, rational_str(c)]
-                    for i, j, k, c in fam.prec[lam].nonzero_entries()
-                ]
-                for lam in range(fam.semigroup.size)
-            },
+            "succ": {str(lam): _product_obj(fam.succ[lam]) for lam in range(fam.semigroup.size)},
+            "prec": {str(lam): _product_obj(fam.prec[lam]) for lam in range(fam.semigroup.size)},
         }
         _emit(obj, args)
         return 0

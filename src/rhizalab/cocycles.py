@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product
+from .algmodel import BilinearOp, HomAlgebra, eval_product, star_product
 from .axioms import Violation, check_hom_anti_associative
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import (
@@ -62,13 +62,9 @@ class VectorForm(BilinearOp):
     """Algebra-valued bilinear form; same tensor layout as a product."""
 
 
-def _star_and_alpha(a: HomAlgebra) -> tuple[BilinearOp, LinearMap]:
-    return star_product(a), a.alpha
-
-
 def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
     """Direct substitution of one form into the defining conditions."""
-    star, alpha = _star_and_alpha(a)
+    star, alpha = star_product(a), a.alpha
     n = a.dim
     out = []
     for i in range(n):
@@ -90,7 +86,7 @@ def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
 
 
 def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
-    star, alpha = _star_and_alpha(a)
+    star, alpha = star_product(a), a.alpha
     n = a.dim
     out = []
     for i in range(n):
@@ -119,7 +115,7 @@ def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
 
 def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
     """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns)."""
-    star, alpha = _star_and_alpha(a)
+    star, alpha = star_product(a), a.alpha
     if strict and not check_hom_anti_associative(star, alpha).passed:
         raise NotAntiAssociative("the working product is not anti-associative")
     n = a.dim
@@ -164,7 +160,7 @@ def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm
 
 def vector_cocycle_space(a: HomAlgebra) -> list[VectorForm]:
     """Kernel basis of the algebra-valued cyclic + twist conditions (n^3 unknowns)."""
-    star, alpha = _star_and_alpha(a)
+    star, alpha = star_product(a), a.alpha
     n = a.dim
     unknowns = n * n * n
 
@@ -246,7 +242,7 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     Needs b nondegenerate (Singular otherwise); in strict mode b must lie in
     the scalar cocycle space of the algebra (NotACocycle otherwise).
     """
-    star, _ = _star_and_alpha(a)
+    star = star_product(a)
     n = a.dim
     if b.dim != n:
         raise DimensionMismatch("form and algebra dimensions differ")
@@ -255,25 +251,13 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
         bad = scalar_cocycle_residuals(a, b)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
-    succ_entries = []
-    prec_entries = []
-    for i in range(n):
-        for j in range(n):
-            rhs_succ = tuple(
-                b.value(basis_vec(n, j), star.entry(k, i)) for k in range(n)
-            )
-            rhs_prec = tuple(
-                b.value(basis_vec(n, i), star.entry(j, k)) for k in range(n)
-            )
-            sv = bt_inv.apply(rhs_succ)
-            pv = bt_inv.apply(rhs_prec)
-            for k in range(n):
-                if sv[k]:
-                    succ_entries.append((i, j, k, sv[k]))
-                if pv[k]:
-                    prec_entries.append((i, j, k, pv[k]))
-    return HomAlgebra.rhizaform(
-        BilinearOp.from_entries(n, succ_entries),
-        BilinearOp.from_entries(n, prec_entries),
-        a.alpha,
-    )
+    basis = [basis_vec(n, i) for i in range(n)]
+    succ = BilinearOp(n, [
+        [bt_inv.apply(tuple(b.value(basis[j], star.entry(k, i)) for k in range(n))) for j in range(n)]
+        for i in range(n)
+    ])
+    prec = BilinearOp(n, [
+        [bt_inv.apply(tuple(b.value(basis[i], star.entry(j, k)) for k in range(n))) for j in range(n)]
+        for i in range(n)
+    ])
+    return HomAlgebra.rhizaform(succ, prec, a.alpha)

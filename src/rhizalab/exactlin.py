@@ -46,10 +46,6 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def vec(values) -> Vector:
-    return tuple(rational(v) for v in values)
-
-
 def vec_zero(n: int) -> Vector:
     return (F0,) * n
 
@@ -64,14 +60,6 @@ def vec_add(x: Vector, y: Vector) -> Vector:
 
 def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
-
-
-def vec_scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
 
 
 def vec_is_zero(x: Vector) -> bool:
@@ -257,31 +245,8 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
     n = m.rows
-    a = [list(m.row(i)) + [F1 if j == i else F0 for j in range(n)] for i in range(n)]
-    piv_row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(piv_row, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise Singular(f"matrix of rank < {n}")
-        if pivot != piv_row:
-            a[piv_row], a[pivot] = a[pivot], a[piv_row]
-        p = a[piv_row][col]
-        if p != 1:
-            a[piv_row] = [e / p for e in a[piv_row]]
-        for r in range(n):
-            if r == piv_row:
-                continue
-            f = a[r][col]
-            if f:
-                a[r] = [e - f * g for e, g in zip(a[r], a[piv_row])]
-        piv_row += 1
-    return Matrix.from_rows([row[n:] for row in a])
-
-
-def solve(m: Matrix, b: Vector) -> Vector:
-    """Solve m x = b for square m; raises Singular otherwise."""
-    return invert(m).apply(b)
+    reduced, _ = rref(Matrix.from_rows([list(m.row(i)) + list(basis_vec(n, i)) for i in range(n)]))
+    # [m | I] reduces to [I | m^-1] exactly when every pivot is in the left block
+    if any(reduced.at(i, i) != 1 for i in range(n)):
+        raise Singular(f"matrix of rank < {n}")
+    return Matrix.from_rows([reduced.row(i)[n:] for i in range(n)])

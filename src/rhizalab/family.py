@@ -2,11 +2,15 @@
 
 A finite semigroup is an explicit multiplication table over indices
 0..size-1.  A family algebra carries one (succ, prec) pair per semigroup
-element; the family identities couple the indices through the table.  With
-the one-element table every checker and construction here agrees exactly
-with its plain counterpart, and the tensor collapse turns an operator
-family into a single operator on dim * size coordinates (basis ordered
-algebra-index major: (i, lam) -> i * size + lam).
+element; the family identities couple the indices through the table.  The
+plain checkers and constructions are the one-element case by construction:
+the split-identity residuals, the anti-associativity residual, the
+averaging-identity loop and the operator-induced splitting each exist once
+(in ``axioms`` and ``operators``), and the plain code passes its single
+product or operator at every index with an empty violation prefix.  The
+tensor collapse turns an operator family into a single operator on
+dim * size coordinates (basis ordered algebra-index major:
+(i, lam) -> i * size + lam).
 
 Family report identity ids reuse the plain ones (``req1``/``req2``/``req3``,
 ``mult_succ``/``mult_prec``, ``anti_assoc``, ``equivariance``,
@@ -20,11 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product
-from .axioms import CheckReport, Violation, check_multiplicativity
+from .algmodel import BilinearOp, HomAlgebra, LinearMap
+from .axioms import (
+    CheckReport,
+    Violation,
+    _anti_assoc_violations,
+    _column_violations,
+    _split_residuals,
+    check_multiplicativity,
+)
 from .errors import DimensionMismatch, NotARotaBaxterOperator
-from .exactlin import Matrix, basis_vec, vec_add, vec_is_zero, vec_sub
-from .operators import LinearOperator
+from .exactlin import Matrix, vec_is_zero
+from .operators import LinearOperator, _rb_splitting, _rb_violations
 
 
 @dataclass(frozen=True)
@@ -130,55 +141,22 @@ class RBFamily:
 
 def check_rhizaform_family(f: FamilyAlgebra) -> CheckReport:
     """The three index-coupled split identities plus twist compatibility."""
-    n = f.dim
-    alpha = f.alpha
     s = f.semigroup
     violations = []
     for lam in range(s.size):
         for omega in range(s.size):
             lo = s.mul(lam, omega)
-            succ_l, succ_o, succ_lo = f.succ[lam], f.succ[omega], f.succ[lo]
-            prec_l, prec_o, prec_lo = f.prec[lam], f.prec[omega], f.prec[lo]
-            for i in range(n):
-                ai = alpha.image_of_basis(i)
-                for j in range(n):
-                    for k in range(n):
-                        ak = alpha.image_of_basis(k)
-                        where = (lam, omega, i + 1, j + 1, k + 1)
-                        # (x prec_lam y) prec_omega alpha(z)
-                        #   = -alpha(x) prec_{lam.omega} (y prec_omega z + y succ_lam z)
-                        r2 = vec_add(
-                            eval_product(prec_o, prec_l.entry(i, j), ak),
-                            eval_product(
-                                prec_lo,
-                                ai,
-                                vec_add(prec_o.entry(j, k), succ_l.entry(j, k)),
-                            ),
-                        )
-                        if not vec_is_zero(r2):
-                            violations.append(Violation("req2", where, r2))
-                        # (x succ_lam y) prec_omega alpha(z) = -alpha(x) succ_lam (y prec_omega z)
-                        r3 = vec_add(
-                            eval_product(prec_o, succ_l.entry(i, j), ak),
-                            eval_product(succ_l, ai, prec_o.entry(j, k)),
-                        )
-                        if not vec_is_zero(r3):
-                            violations.append(Violation("req3", where, r3))
-                        # (x prec_omega y + x succ_lam y) succ_{lam.omega} alpha(z)
-                        #   = -alpha(x) succ_lam (y succ_omega z)
-                        r1 = vec_add(
-                            eval_product(
-                                succ_lo,
-                                vec_add(prec_o.entry(i, j), succ_l.entry(i, j)),
-                                ak,
-                            ),
-                            eval_product(succ_l, ai, succ_o.entry(j, k)),
-                        )
-                        if not vec_is_zero(r1):
-                            violations.append(Violation("req1", where, r1))
+            triples = _split_residuals(
+                f.succ[lam], f.succ[omega], f.succ[lo], f.prec[lam], f.prec[omega], f.prec[lo], f.alpha, -1
+            )
+            for i, j, k, r1, r2, r3 in triples:
+                where = (lam, omega, i + 1, j + 1, k + 1)
+                for ident, r in (("req2", r2), ("req3", r3), ("req1", r1)):
+                    if not vec_is_zero(r):
+                        violations.append(Violation(ident, where, r))
     for lam in range(s.size):
         for name, ops in (("succ", f.succ), ("prec", f.prec)):
-            rep = check_multiplicativity(ops[lam], alpha, name=f"mult_{name}")
+            rep = check_multiplicativity(ops[lam], f.alpha, name=f"mult_{name}")
             for v in rep.violations:
                 violations.append(Violation(v.identity_id, (lam, *v.basis_tuple), v.residual))
     return CheckReport.collect("rhizaform_family", violations)
@@ -191,31 +169,20 @@ def check_anti_associative_family(
     pairs = {(lam, omega) for lam in range(semigroup.size) for omega in range(semigroup.size)}
     if set(products) != pairs:
         raise DimensionMismatch("need one product per semigroup index pair")
-    n = alpha.dim
     violations = []
     for lam in range(semigroup.size):
         for omega in range(semigroup.size):
             for gam in range(semigroup.size):
-                outer = products[(semigroup.mul(lam, omega), gam)]
-                inner = products[(omega, gam)]
-                mixed = products[(lam, semigroup.mul(omega, gam))]
-                first = products[(lam, omega)]
-                for i in range(n):
-                    ai = alpha.image_of_basis(i)
-                    for j in range(n):
-                        for k in range(n):
-                            resid = vec_add(
-                                eval_product(outer, first.entry(i, j), alpha.image_of_basis(k)),
-                                eval_product(mixed, ai, inner.entry(j, k)),
-                            )
-                            if not vec_is_zero(resid):
-                                violations.append(
-                                    Violation(
-                                        "anti_assoc",
-                                        (lam, omega, gam, i + 1, j + 1, k + 1),
-                                        resid,
-                                    )
-                                )
+                violations.extend(
+                    _anti_assoc_violations(
+                        products[(lam, omega)],
+                        products[(semigroup.mul(lam, omega), gam)],
+                        products[(omega, gam)],
+                        products[(lam, semigroup.mul(omega, gam))],
+                        alpha,
+                        (lam, omega, gam),
+                    )
+                )
     return CheckReport.collect("anti_associative_family", violations)
 
 
@@ -233,34 +200,15 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
     mul = a.mul
     if rf.dim != a.dim:
         raise DimensionMismatch("family operators do not act on the algebra")
-    n = a.dim
     s = rf.semigroup
+    ops = rf.operators
     violations = []
     for lam in range(s.size):
-        inter = rf.operators[lam].matrix.times(a.alpha.matrix).sub(
-            a.alpha.matrix.times(rf.operators[lam].matrix)
-        )
-        for i in range(n):
-            resid = inter.column(i)
-            if not vec_is_zero(resid):
-                violations.append(Violation("equivariance", (lam, i + 1), resid))
+        inter = ops[lam].matrix.times(a.alpha.matrix).sub(a.alpha.matrix.times(ops[lam].matrix))
+        violations.extend(_column_violations("equivariance", inter, (lam,)))
     for lam in range(s.size):
-        r_lam = rf.operators[lam]
         for omega in range(s.size):
-            r_omega = rf.operators[omega]
-            r_lo = rf.operators[s.mul(lam, omega)]
-            for i in range(n):
-                ri = r_lam.apply(basis_vec(n, i))
-                for j in range(n):
-                    rj = r_omega.apply(basis_vec(n, j))
-                    lhs = eval_product(mul, ri, rj)
-                    inner = vec_add(
-                        eval_product(mul, ri, basis_vec(n, j)),
-                        eval_product(mul, basis_vec(n, i), rj),
-                    )
-                    resid = vec_sub(lhs, r_lo.apply(inner))
-                    if not vec_is_zero(resid):
-                        violations.append(Violation("rb_identity", (lam, omega, i + 1, j + 1), resid))
+            violations.extend(_rb_violations(mul, ops[lam], ops[omega], ops[s.mul(lam, omega)], (lam, omega)))
     return CheckReport.collect("rb_family", violations)
 
 
@@ -270,27 +218,11 @@ def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -
         rep = check_rb_family(rf, a)
         if not rep.passed:
             raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
-    mul = a.mul
-    n = a.dim
     succ = {}
     prec = {}
     for lam in range(rf.semigroup.size):
-        r = rf.operators[lam]
-        succ_entries = []
-        prec_entries = []
-        for i in range(n):
-            ri = r.apply(basis_vec(n, i))
-            for j in range(n):
-                sv = eval_product(mul, ri, basis_vec(n, j))
-                pv = eval_product(mul, basis_vec(n, j), ri)
-                for k in range(n):
-                    if sv[k]:
-                        succ_entries.append((i, j, k, sv[k]))
-                    if pv[k]:
-                        prec_entries.append((j, i, k, pv[k]))
-        succ[lam] = BilinearOp.from_entries(n, succ_entries)
-        prec[lam] = BilinearOp.from_entries(n, prec_entries)
-    return FamilyAlgebra(n, rf.semigroup, succ, prec, a.alpha, dict(a.params))
+        succ[lam], prec[lam] = _rb_splitting(rf.operators[lam], a.mul)
+    return FamilyAlgebra(a.dim, rf.semigroup, succ, prec, a.alpha, dict(a.params))
 
 
 def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOperator]:
@@ -322,23 +254,16 @@ def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOper
                             entries.append((flat(i, lam), flat(j, mu), flat(k, lm), prod[k]))
     big_mul = BilinearOp.from_entries(big, entries)
 
-    alpha_rows = [[Fraction(0)] * big for _ in range(big)]
-    for i in range(n):
-        for k in range(n):
-            c = a.alpha.matrix.at(k, i)
-            if c:
-                for lam in range(s):
-                    alpha_rows[flat(k, lam)][flat(i, lam)] = c
-    big_alpha = LinearMap(big, Matrix.from_rows(alpha_rows))
+    def block_diagonal(blocks: list[Matrix]) -> Matrix:
+        # block lam acts on the lam slice: entry (k, i) lands at (flat(k, lam), flat(i, lam))
+        rows = [[Fraction(0)] * big for _ in range(big)]
+        for lam, block in enumerate(blocks):
+            for i in range(n):
+                for k in range(n):
+                    if block.at(k, i):
+                        rows[flat(k, lam)][flat(i, lam)] = block.at(k, i)
+        return Matrix.from_rows(rows)
 
-    r_rows = [[Fraction(0)] * big for _ in range(big)]
-    for lam in range(s):
-        r = rf.operators[lam].matrix
-        for i in range(n):
-            for k in range(n):
-                c = r.at(k, i)
-                if c:
-                    r_rows[flat(k, lam)][flat(i, lam)] = c
-    big_r = LinearOperator.from_rows(r_rows)
-
+    big_alpha = LinearMap(big, block_diagonal([a.alpha.matrix] * s))
+    big_r = LinearOperator(big, big, block_diagonal([rf.operators[lam].matrix for lam in range(s)]))
     return HomAlgebra.mono(big_mul, big_alpha, dict(a.params)), big_r

@@ -20,7 +20,8 @@ list includes the first repeated term so stabilization is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .algmodel import HomAlgebra, LinearMap, eval_product
 from .axioms import CheckReport, Violation, check_multiplicativity
@@ -101,63 +102,53 @@ def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
     return Subspace.from_vectors(a.dim, out)
 
 
-def _extend(terms: list[Subspace], step) -> list[Subspace]:
-    """Iterate ``step`` until zero or a repeat; cap at ambient + 2 as a safety net."""
-    cap = terms[0].ambient_dim + 2
-    while len(terms) < cap + 1:
-        nxt = step(terms)
+def _series_stream(a: HomAlgebra, kind: str) -> Iterator[Subspace]:
+    """Endless stream S_1, S_2, ... of the "right", "left" or "full" series, past stabilization."""
+    full = Subspace.full(a.dim)
+    terms = [full]
+    while True:
+        yield terms[-1]
+        if kind == "right":
+            nxt = diamond(terms[-1], full, a)
+        elif kind == "left":
+            nxt = diamond(full, terms[-1], a)
+        else:
+            k1 = len(terms) + 1  # computing the k1-th term, 1-based
+            nxt = Subspace.zero(a.dim)
+            for i in range(1, k1):
+                nxt = nxt.add(diamond(terms[i - 1], terms[k1 - i - 1], a))
         terms.append(nxt)
-        if nxt.is_zero() or nxt == terms[-2]:
+
+
+def _until_stable(stream: Iterator[Subspace], ambient_dim: int) -> list[Subspace]:
+    """Terms up to zero or the first repeat; at most ambient + 3 terms as a safety net."""
+    terms = [next(stream)]
+    for nxt in stream:
+        terms.append(nxt)
+        if nxt.is_zero() or nxt == terms[-2] or len(terms) == ambient_dim + 3:
             break
     return terms
 
 
 def right_series(a: HomAlgebra) -> list[Subspace]:
-    full = Subspace.full(a.dim)
-    return _extend([full], lambda ts: diamond(ts[-1], full, a))
+    return _until_stable(_series_stream(a, "right"), a.dim)
 
 
 def left_series(a: HomAlgebra) -> list[Subspace]:
-    full = Subspace.full(a.dim)
-    return _extend([full], lambda ts: diamond(full, ts[-1], a))
+    return _until_stable(_series_stream(a, "left"), a.dim)
 
 
 def full_series(a: HomAlgebra) -> list[Subspace]:
-    def step(ts: list[Subspace]) -> Subspace:
-        k1 = len(ts) + 1  # computing the k1-th term, 1-based
-        out = Subspace.zero(a.dim)
-        for i in range(1, k1):
-            out = out.add(diamond(ts[i - 1], ts[k1 - i - 1], a))
-        return out
-
-    return _extend([Subspace.full(a.dim)], step)
+    return _until_stable(_series_stream(a, "full"), a.dim)
 
 
 def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
     """g-th term (1-based) of the named series, extending past stabilization."""
     if g < 1:
         raise ValueError("series terms are 1-based")
-    full = Subspace.full(a.dim)
-    if kind == "right":
-        t = full
-        for _ in range(g - 1):
-            t = diamond(t, full, a)
-        return t
-    if kind == "left":
-        t = full
-        for _ in range(g - 1):
-            t = diamond(full, t, a)
-        return t
-    if kind == "full":
-        terms = [full]
-        while len(terms) < g:
-            k1 = len(terms) + 1
-            nxt = Subspace.zero(a.dim)
-            for i in range(1, k1):
-                nxt = nxt.add(diamond(terms[i - 1], terms[k1 - i - 1], a))
-            terms.append(nxt)
-        return terms[g - 1]
-    raise ValueError(f"unknown series kind {kind!r}")
+    if kind not in ("right", "left", "full"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    return next(islice(_series_stream(a, kind), g - 1, None))
 
 
 class NilpotencyVerdict(NamedTuple):
@@ -197,12 +188,13 @@ def _difference_witness(x: Subspace, y: Subspace) -> Vector:
 
 def check_series_equality(a: HomAlgebra) -> CheckReport:
     """Termwise comparison of the three series up to common stabilization."""
-    length = max(len(right_series(a)), len(left_series(a)), len(full_series(a)))
+    streams = [_series_stream(a, kind) for kind in ("right", "left", "full")]
+    # each stream carries on from where its stable prefix stopped
+    prefixes = [_until_stable(st, a.dim) for st in streams]
+    length = max(len(p) for p in prefixes)
+    series = [p + list(islice(st, length - len(p))) for p, st in zip(prefixes, streams)]
     violations = []
-    for g in range(1, length + 1):
-        r = series_term(a, "right", g)
-        l = series_term(a, "left", g)
-        f = series_term(a, "full", g)
+    for g, (r, l, f) in enumerate(zip(*series), start=1):
         if r != f:
             violations.append(Violation("right_ne_full", (g,), _difference_witness(r, f)))
         if l != f:

@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, sum_product
-from .axioms import CheckReport, Violation, check_hom_anti_associative, check_rhizaform
+from .axioms import (
+    CheckReport,
+    Violation,
+    _column_violations,
+    check_hom_anti_associative,
+    check_rhizaform,
+)
 from .errors import (
     DimensionMismatch,
     NotAnOOperator,
@@ -60,15 +66,6 @@ class LinearOperator:
     def apply(self, x: Vector) -> Vector:
         return self.matrix.apply(x)
 
-    def is_invertible(self) -> bool:
-        if self.source_dim != self.target_dim:
-            return False
-        try:
-            invert(self.matrix)
-        except Singular:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class Bimodule:
@@ -91,52 +88,41 @@ class Bimodule:
 
     def act_left(self, x: Vector) -> Matrix:
         """Matrix of l(x) for an algebra vector x."""
-        out = Matrix.zero(self.mod_dim, self.mod_dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out.add(self.left[i].scale(xi))
-        return out
+        return self._act(self.left, x)
 
     def act_right(self, x: Vector) -> Matrix:
+        return self._act(self.right, x)
+
+    def _act(self, mats: tuple[Matrix, ...], x: Vector) -> Matrix:
         out = Matrix.zero(self.mod_dim, self.mod_dim)
-        for i, xi in enumerate(x):
+        for xi, mat in zip(x, mats):
             if xi:
-                out = out.add(self.right[i].scale(xi))
+                out = out.add(mat.scale(xi))
         return out
+
+
+def _bimodule_from_products(left_op: BilinearOp, right_op: BilinearOp, alpha: LinearMap) -> Bimodule:
+    """Actions L(x)(y) = x left_op y and R(x)(y) = y right_op x on the algebra itself."""
+    n = alpha.dim
+    left = tuple(
+        Matrix.from_rows([[left_op.coeffs[i][j][k] for j in range(n)] for k in range(n)])
+        for i in range(n)
+    )
+    right = tuple(
+        Matrix.from_rows([[right_op.coeffs[j][i][k] for j in range(n)] for k in range(n)])
+        for i in range(n)
+    )
+    return Bimodule(n, n, left, right, alpha)
 
 
 def regular_bimodule(a: HomAlgebra) -> Bimodule:
     """Left/right multiplication actions of a mono algebra on itself."""
-    mul = a.mul
-    n = a.dim
-    left = tuple(
-        Matrix.from_rows(
-            [[mul.coeffs[i][j][k] for j in range(n)] for k in range(n)]
-        )
-        for i in range(n)
-    )
-    right = tuple(
-        Matrix.from_rows(
-            [[mul.coeffs[j][i][k] for j in range(n)] for k in range(n)]
-        )
-        for i in range(n)
-    )
-    return Bimodule(n, n, left, right, a.alpha)
+    return _bimodule_from_products(a.mul, a.mul, a.alpha)
 
 
 def rhizaform_bimodule(a: HomAlgebra) -> Bimodule:
     """Actions L(x)(y) = x succ y and R(x)(y) = y prec x on the algebra itself."""
-    succ, prec = a.succ, a.prec
-    n = a.dim
-    left = tuple(
-        Matrix.from_rows([[succ.coeffs[i][j][k] for j in range(n)] for k in range(n)])
-        for i in range(n)
-    )
-    right = tuple(
-        Matrix.from_rows([[prec.coeffs[j][i][k] for j in range(n)] for k in range(n)])
-        for i in range(n)
-    )
-    return Bimodule(n, n, left, right, a.alpha)
+    return _bimodule_from_products(a.succ, a.prec, a.alpha)
 
 
 def dual_bimodule(m: Bimodule) -> Bimodule:
@@ -160,7 +146,7 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
     mul = a.mul
     if m.alg_dim != a.dim:
         raise DimensionMismatch("bimodule is over an algebra of different dimension")
-    n, md = a.dim, m.mod_dim
+    n = a.dim
     alpha, beta = a.alpha, m.beta
     violations = []
     for i in range(n):
@@ -181,18 +167,12 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
             # bm3 with the roles of the two algebra slots exchanged
             bm3s = r_ai.times(m.left[j]).add(l_aj.times(m.right[i]))
             for ident, mat in (("bm1", bm1), ("bm2", bm2), ("bm3", bm3), ("bm3_swapped", bm3s)):
-                for u in range(md):
-                    resid = mat.column(u)
-                    if not vec_is_zero(resid):
-                        violations.append(Violation(ident, (i + 1, j + 1, u + 1), resid))
+                violations.extend(_column_violations(ident, mat, (i + 1, j + 1)))
         # bm4: beta l(a) = l(alpha(a)) beta ;  bm5: beta r(a) = r(alpha(a)) beta
         bm4 = beta.matrix.times(m.left[i]).sub(l_ai.times(beta.matrix))
         bm5 = beta.matrix.times(m.right[i]).sub(r_ai.times(beta.matrix))
         for ident, mat in (("bm4", bm4), ("bm5", bm5)):
-            for u in range(md):
-                resid = mat.column(u)
-                if not vec_is_zero(resid):
-                    violations.append(Violation(ident, (i + 1, u + 1), resid))
+            violations.extend(_column_violations(ident, mat, (i + 1,)))
     return CheckReport.collect("bimodule", violations)
 
 
@@ -201,12 +181,8 @@ def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckRepo
     mul = a.mul
     if t.source_dim != m.mod_dim or t.target_dim != a.dim:
         raise DimensionMismatch("operator must map the module into the algebra")
-    violations = []
     inter = t.matrix.times(m.beta.matrix).sub(a.alpha.matrix.times(t.matrix))
-    for u in range(m.mod_dim):
-        resid = inter.column(u)
-        if not vec_is_zero(resid):
-            violations.append(Violation("equivariance", (u + 1,), resid))
+    violations = list(_column_violations("equivariance", inter))
     for u in range(m.mod_dim):
         tu = t.apply(basis_vec(m.mod_dim, u))
         for v in range(m.mod_dim):
@@ -222,30 +198,44 @@ def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckRepo
     return CheckReport.collect("o_operator", violations)
 
 
+def _rb_violations(
+    mul: BilinearOp, r_x: LinearOperator, r_y: LinearOperator, r_xy: LinearOperator, prefix=()
+):
+    """Residual R_x(x)*R_y(y) - R_xy(R_x(x)*y + x*R_y(y)) on basis pairs."""
+    n = mul.dim
+    for i in range(n):
+        ri = r_x.apply(basis_vec(n, i))
+        for j in range(n):
+            rj = r_y.apply(basis_vec(n, j))
+            lhs = eval_product(mul, ri, rj)
+            inner = vec_add(
+                eval_product(mul, ri, basis_vec(n, j)),
+                eval_product(mul, basis_vec(n, i), rj),
+            )
+            resid = vec_sub(lhs, r_xy.apply(inner))
+            if not vec_is_zero(resid):
+                yield Violation("rb_identity", (*prefix, i + 1, j + 1), resid)
+
+
 def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     """Weight-zero averaging identity R(x)*R(y) = R(R(x)*y + x*R(y)), with R alpha = alpha R."""
     mul = a.mul
     if r.source_dim != a.dim or r.target_dim != a.dim:
         raise DimensionMismatch("operator must act on the algebra")
-    violations = []
     inter = r.matrix.times(a.alpha.matrix).sub(a.alpha.matrix.times(r.matrix))
-    for i in range(a.dim):
-        resid = inter.column(i)
-        if not vec_is_zero(resid):
-            violations.append(Violation("equivariance", (i + 1,), resid))
-    for i in range(a.dim):
-        ri = r.apply(basis_vec(a.dim, i))
-        for j in range(a.dim):
-            rj = r.apply(basis_vec(a.dim, j))
-            lhs = eval_product(mul, ri, rj)
-            inner = vec_add(
-                eval_product(mul, ri, basis_vec(a.dim, j)),
-                eval_product(mul, basis_vec(a.dim, i), rj),
-            )
-            resid = vec_sub(lhs, r.apply(inner))
-            if not vec_is_zero(resid):
-                violations.append(Violation("rb_identity", (i + 1, j + 1), resid))
+    violations = list(_column_violations("equivariance", inter))
+    violations.extend(_rb_violations(mul, r, r, r))
     return CheckReport.collect("rota_baxter", violations)
+
+
+def _rb_splitting(r: LinearOperator, mul: BilinearOp) -> tuple[BilinearOp, BilinearOp]:
+    """x succ y = R(x)*y and x prec y = x*R(y)."""
+    n = mul.dim
+    basis = [basis_vec(n, i) for i in range(n)]
+    images = [r.apply(e) for e in basis]
+    succ = BilinearOp(n, [[eval_product(mul, images[i], basis[j]) for j in range(n)] for i in range(n)])
+    prec = BilinearOp(n, [[eval_product(mul, basis[i], images[j]) for j in range(n)] for i in range(n)])
+    return succ, prec
 
 
 def induced_rhizaform_from_o_operator(
@@ -257,23 +247,12 @@ def induced_rhizaform_from_o_operator(
         if not rep.passed:
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     md = m.mod_dim
-    succ_entries = []
-    prec_entries = []
-    for u in range(md):
-        tu = t.apply(basis_vec(md, u))
-        l_tu = m.act_left(tu)
-        r_tu = m.act_right(tu)
-        for v in range(md):
-            sv = l_tu.apply(basis_vec(md, v))
-            pv = r_tu.apply(basis_vec(md, v))
-            for k in range(md):
-                if sv[k]:
-                    succ_entries.append((u, v, k, sv[k]))
-                if pv[k]:
-                    # R(T(u)) applied to v is v prec u
-                    prec_entries.append((v, u, k, pv[k]))
-    succ = BilinearOp.from_entries(md, succ_entries)
-    prec = BilinearOp.from_entries(md, prec_entries)
+    images = [t.apply(basis_vec(md, u)) for u in range(md)]
+    lefts = [m.act_left(x) for x in images]
+    rights = [m.act_right(x) for x in images]
+    # u succ v = L(T(u)) v and u prec v = R(T(v)) u
+    succ = BilinearOp(md, [[lefts[u].column(v) for v in range(md)] for u in range(md)])
+    prec = BilinearOp(md, [[rights[v].column(u) for v in range(md)] for u in range(md)])
     return HomAlgebra.rhizaform(succ, prec, m.beta)
 
 
@@ -283,25 +262,8 @@ def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = T
         rep = check_rota_baxter(r, a)
         if not rep.passed:
             raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
-    mul = a.mul
-    n = a.dim
-    succ_entries = []
-    prec_entries = []
-    for i in range(n):
-        ri = r.apply(basis_vec(n, i))
-        for j in range(n):
-            sv = eval_product(mul, ri, basis_vec(n, j))
-            pv = eval_product(mul, basis_vec(n, j), ri)
-            for k in range(n):
-                if sv[k]:
-                    succ_entries.append((i, j, k, sv[k]))
-                if pv[k]:
-                    prec_entries.append((j, i, k, pv[k]))
-    return HomAlgebra.rhizaform(
-        BilinearOp.from_entries(n, succ_entries),
-        BilinearOp.from_entries(n, prec_entries),
-        a.alpha,
-    )
+    succ, prec = _rb_splitting(r, a.mul)
+    return HomAlgebra.rhizaform(succ, prec, a.alpha)
 
 
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
@@ -310,12 +272,8 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
         raise DimensionMismatch("map endpoints do not match the two algebras")
     if set(a1.products) != set(a2.products):
         raise DimensionMismatch("algebras of different kinds admit no product-wise comparison")
-    violations = []
     inter = f.matrix.times(a1.alpha.matrix).sub(a2.alpha.matrix.times(f.matrix))
-    for i in range(a1.dim):
-        resid = inter.column(i)
-        if not vec_is_zero(resid):
-            violations.append(Violation("equivariance", (i + 1,), resid))
+    violations = list(_column_violations("equivariance", inter))
     for name in sorted(a1.products):
         op1, op2 = a1.products[name], a2.products[name]
         for i in range(a1.dim):
@@ -345,27 +303,10 @@ def compatible_from_invertible_o_operator(
         if not rep.passed:
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     n = a.dim
-    succ_entries = []
-    prec_entries = []
-    for i in range(n):
-        x = basis_vec(n, i)
-        l_x = m.act_left(x)
-        r_x = m.act_right(x)
-        for j in range(n):
-            y_back = t_inv.apply(basis_vec(n, j))
-            sv = t.apply(l_x.apply(y_back))
-            pv = t.apply(r_x.apply(y_back))
-            for k in range(n):
-                if sv[k]:
-                    succ_entries.append((i, j, k, sv[k]))
-                if pv[k]:
-                    # x prec y = T(R(y)(T^-1 x)): here x runs over e_j's preimage
-                    prec_entries.append((j, i, k, pv[k]))
-    return HomAlgebra.rhizaform(
-        BilinearOp.from_entries(n, succ_entries),
-        BilinearOp.from_entries(n, prec_entries),
-        a.alpha,
-    )
+    back = [t_inv.column(j) for j in range(n)]
+    succ = BilinearOp(n, [[t.apply(m.left[i].apply(back[j])) for j in range(n)] for i in range(n)])
+    prec = BilinearOp(n, [[t.apply(m.right[j].apply(back[i])) for j in range(n)] for i in range(n)])
+    return HomAlgebra.rhizaform(succ, prec, a.alpha)
 
 
 def rhizaform_equivalence_verdict(a: HomAlgebra) -> tuple[bool, bool]:

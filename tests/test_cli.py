@@ -8,7 +8,7 @@ import pytest
 import rhizalab
 from rhizalab.algmodel import HomAlgebra, serialize_algebra, sum_product
 from rhizalab.catalog import load_entry
-from rhizalab.cli import OPERATION_COVERAGE, build_parser, main
+from rhizalab.cli import OPERATION_COVERAGE, _load_family, build_parser, main
 
 F = Fraction
 
@@ -402,3 +402,59 @@ def test_remaining_family_routes(tmp_path, a1_sum_file):
         "family", "--do", "induce", "--algebra", a1_sum_file, "--format", "structured", str(rb_path)
     )
     assert code == 0 and json.loads(out)["succ"]["0"] == []
+
+
+GOOD_FAMILY = {
+    "dim": 2,
+    "omega": {"size": 1, "table": [[0]]},
+    "alpha": [["1", "0"], ["0", "1"]],
+    "succ": {"0": [[2, 2, 1, "eta"]]},
+    "prec": {"0": []},
+    "params": {"eta": "1/2"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, fragment",
+    [
+        (("check", "--kind", "rota-baxter", "--operator"), {"T": 5}, "operator.T"),
+        (("check", "--kind", "rota-baxter", "--operator"), {"T": [["1", 0], [0, 0.5]]}, "operator.T[1][1]"),
+        (("check", "--kind", "bimodule", "--bimodule"), {"left": []}, "'right'"),
+        (
+            ("check", "--kind", "bimodule", "--bimodule"),
+            {"alg_dim": 2, "mod_dim": 2, "left": [[["1"]], [["x"]]], "right": [], "beta": [["1"]]},
+            "bimodule.left[1][0][0]",
+        ),
+        (("family", "--do", "check"), {k: v for k, v in GOOD_FAMILY.items() if k != "omega"}, "'omega'"),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "omega": {"table": [["a"]]}}, "family.omega.table"),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "succ": {}}, "family.succ"),
+        (
+            ("family", "--do", "check-rb", "--algebra", "{A}"),
+            {"omega": {"table": [[0]]}, "operators": {"0": [["1/0"]]}},
+            "rb_family.operators.0[0][0]",
+        ),
+        (("induce", "--what", "cocycle", "--form"), {"B": [["1", "x"], ["0", "1"]]}, "form.B[0][1]"),
+        (("induce", "--what", "cocycle", "--form"), {}, "'B'"),
+    ],
+)
+def test_malformed_auxiliary_files_exit_2_without_traceback(tmp_path, a1_sum_file, argv, doc, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [a1_sum_file if a == "{A}" else a for a in argv]
+    if argv[0] == "family":
+        code, out, err = run_cli(*argv, str(bad))
+    else:
+        code, out, err = run_cli(*argv, str(bad), a1_sum_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert fragment in err
+
+
+def test_family_loader_keeps_params(tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(GOOD_FAMILY))
+    fam = _load_family(str(path), {})
+    assert fam.params == {"eta": F(1, 2)}
+    assert fam.succ[0].entry(1, 1) == (F(1, 2), F(0))
+    assert _load_family(str(path), {"eta": F(3)}).params == {"eta": F(3)}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,12 @@ from rhizalab.family import (
 )
 from rhizalab.operators import LinearOperator, check_rota_baxter
 from tests.conftest import (
+    anti_associative_sums,
     catalog_algebras,
     plain_family_identities_hold,
+    random_map,
     random_split_algebra,
+    random_tensor,
     rb_grid,
     z2_rb_family_fixture,
 )
@@ -241,3 +245,75 @@ def test_collapse_product_layout(a_d2_a1):
 def test_anti_associative_family_zero_products():
     zero = {(lam, om): BilinearOp.zero(2) for lam in range(2) for om in range(2)}
     assert check_anti_associative_family(zero, LinearMap.identity(2), Z2).passed
+
+
+# --- differential: each plain report is the one-element family report -------
+
+
+def _mono_inputs():
+    """The anti-associative catalog sums plus seeded random n=3, 4 mono algebras (mostly failing)."""
+    rng = random.Random(2024)
+    out = list(anti_associative_sums())
+    for n in (3, 4):
+        for idx in range(3):
+            out.append((f"random-n{n}-{idx}", HomAlgebra.mono(random_tensor(rng, n), random_map(rng, n))))
+    return out
+
+
+def _split_inputs():
+    rng = random.Random(2025)
+    out = list(catalog_algebras())
+    for n in (3, 4):
+        for idx in range(3):
+            out.append((f"random-n{n}-{idx}", random_split_algebra(rng, n)))
+    return out
+
+
+def _entries(report, prefix_len):
+    """(identity, basis tuple without its semigroup prefix, residual) per violation, in report order."""
+    return [
+        (v.identity_id, v.basis_tuple[prefix_len(v.identity_id):], v.residual)
+        for v in report.violations
+    ]
+
+
+def test_rota_baxter_report_equals_one_element_family_report():
+    rng = random.Random(31)
+    failing = 0
+    for eid, s in _mono_inputs():
+        n = s.dim
+        ops = [LinearOperator.zero(n, n), LinearOperator.identity(n)] + [
+            LinearOperator.from_rows([[rng.choice(SMALL) for _ in range(n)] for _ in range(n)])
+            for _ in range(3)
+        ]
+        for op in ops:
+            plain = check_rota_baxter(op, s)
+            fam = check_rb_family(RBFamily(Semigroup.trivial(), {0: op}), s)
+            assert fam.passed == plain.passed
+            prefix = lambda ident: 1 if ident == "equivariance" else 2  # noqa: E731
+            assert all(set(v.basis_tuple[: prefix(v.identity_id)]) == {0} for v in fam.violations)
+            stripped = _entries(fam, prefix)
+            assert stripped == _entries(plain, lambda ident: 0), (eid, op.matrix)
+            failing += not plain.passed
+    assert failing > 20
+
+
+def test_anti_associative_report_equals_one_element_family_report():
+    failing = 0
+    for eid, s in _mono_inputs():
+        plain = check_hom_anti_associative(s.mul, s.alpha)
+        fam = check_anti_associative_family({(0, 0): s.mul}, s.alpha, Semigroup.trivial())
+        assert _entries(fam, lambda ident: 3) == _entries(plain, lambda ident: 0), eid
+        failing += not plain.passed
+    assert failing >= 6
+
+
+def test_rhizaform_report_equals_one_element_family_report_as_multiset():
+    failing = 0
+    for eid, a in _split_inputs():
+        plain = check_rhizaform(a)
+        fam = check_rhizaform_family(FamilyAlgebra.from_plain(a))
+        prefix = lambda ident: 2 if ident.startswith("req") else 1  # noqa: E731
+        assert Counter(_entries(fam, prefix)) == Counter(_entries(plain, lambda ident: 0)), eid
+        failing += not plain.passed
+    assert failing >= 6

@@ -209,3 +209,60 @@ def test_alpha_stability_on_multiplicative_entries():
     for eid, a in catalog_algebras():
         if is_multiplicative(a):
             assert check_alpha_stability(a).passed, eid
+
+
+def _graded_split_algebra(rng: random.Random, n: int) -> HomAlgebra:
+    """e_i o e_j lands in span(e_k : k > max(i, j)), so the series descend through several terms."""
+    def tensor():
+        return BilinearOp(n, [
+            [[rng.choice((F(-1), F(0), F(1))) if k > max(i, j) else F(0) for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ])
+    return HomAlgebra.rhizaform(tensor(), tensor(), LinearMap.identity(n))
+
+
+def _recurrence(a, kind: str, count: int) -> list[Subspace]:
+    """The first ``count`` terms, each spanned from the products of earlier terms."""
+    full = Subspace.full(a.dim)
+    terms = [full]
+    while len(terms) < count:
+        k = len(terms) + 1
+        if kind == "right":
+            pairs = [(terms[-1], full)]
+        elif kind == "left":
+            pairs = [(full, terms[-1])]
+        else:
+            pairs = [(terms[i - 1], terms[k - i - 1]) for i in range(1, k)]
+        products = [
+            diamond(Subspace.from_vectors(a.dim, [u]), Subspace.from_vectors(a.dim, [v]), a)
+            for m, n in pairs
+            for u in m.vectors()
+            for v in n.vectors()
+        ]
+        terms.append(Subspace.from_vectors(a.dim, [w for p in products for w in p.vectors()]))
+    return terms
+
+
+def test_series_terms_match_recurrence_past_stabilization():
+    rng = random.Random(97)
+    inputs = list(catalog_algebras())
+    for n in (3, 4):
+        inputs.append((f"random-n{n}", random_split_algebra(rng, n)))
+        inputs.append((f"graded-n{n}", _graded_split_algebra(rng, n)))
+    for eid, a in inputs:
+        count = a.dim + 4
+        expected = {kind: _recurrence(a, kind, count) for kind in ("right", "left", "full")}
+        for kind, terms in expected.items():
+            for g in range(1, count + 1):
+                assert series_term(a, kind, g) == terms[g - 1], (eid, kind, g)
+        # the equality check compares the same terms, up to the longest stable prefix
+        length = max(len(fn(a)) for fn in (right_series, left_series, full_series))
+        r, l, f = (expected[kind] for kind in ("right", "left", "full"))
+        flagged = [
+            (ident, (g,))
+            for g in range(1, length + 1)
+            for ident, x, y in (("right_ne_full", r, f), ("left_ne_full", l, f), ("right_ne_left", r, l))
+            if x[g - 1] != y[g - 1]
+        ]
+        rep = check_series_equality(a)
+        assert [(v.identity_id, v.basis_tuple) for v in rep.violations] == flagged, eid
