@@ -321,15 +321,18 @@ def parse_algebra_obj(doc, bindings: dict[str, Fraction] | None = None) -> HomAl
     """Build a HomAlgebra from an already-decoded JSON object."""
     if not isinstance(doc, dict):
         raise ParseError("algebra document must be a JSON object")
-    if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 1:
+    dim = doc.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError("missing or bad 'dim'")
-    dim = doc["dim"]
     kind = doc.get("kind")
     if kind not in ("rhizaform", "mono"):
         raise ParseError(f"'kind' must be 'rhizaform' or 'mono', got {kind!r}")
 
+    params_doc = doc.get("params") or {}
+    if not isinstance(params_doc, dict):
+        raise ParseError("'params' must be a JSON object of name: rational")
     params: dict[str, Fraction] = {}
-    for name, value in (doc.get("params") or {}).items():
+    for name, value in params_doc.items():
         params[name] = rational(value)  # bindings are literals, never other names
     for name, value in (bindings or {}).items():
         params[name] = rational(value)

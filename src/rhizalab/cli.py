@@ -174,7 +174,7 @@ def _field(doc, key: str, where: str, kind: type):
     """doc[key], checked to exist and to be of the given JSON type."""
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"{where}: missing {key!r}")
-    if not isinstance(doc[key], kind):
+    if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
         raise ParseError(f"{where}.{key} must be of type {kind.__name__}")
     return doc[key]
 
@@ -390,7 +390,7 @@ def cmd_cocycles(args) -> int:
         for idx, b in enumerate(basis):
             human.append(f"  basis[{idx}] nondegenerate={is_nondegenerate(b)}: {b.matrix!r}")
     else:
-        basis = vector_cocycle_space(a)
+        basis = vector_cocycle_space(a, strict=args.strict)
         obj = {
             "kind": "vector",
             "dimension": len(basis),

@@ -10,8 +10,16 @@ Two readings of the invariant bilinear form are implemented side by side:
   twist compatibility alpha(w(x, y)) = w(alpha(x), alpha(y)).  This is the
   reading the low-dimensional tables follow.
 
-Both solvers stack the defining linear conditions in lexicographic order of
-their quantifiers and return a deterministic kernel basis.
+Both solvers return a deterministic kernel basis: the one ``nullspace_basis``
+gives for their defining conditions stacked in the form's unknowns.  The
+scalar solver builds that system: the cyclic rows, then the invariance rows.
+The algebra-valued one never builds its n^4 x n^3 system.  Each output
+component of its cyclic condition is the scalar cyclic condition, so it
+solves that n^3 x n^2 system once and imposes the twist rows on the d*n
+coordinates in the scalar kernel (d = its dimension).  The result is exact,
+and equal to the stacked system's basis entry by entry, for the reasons
+given in ``vector_cocycle_space``.  With ``strict``, both solvers first
+require the working product to be anti-associative.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algmodel import BilinearOp, HomAlgebra, eval_product, star_product
+from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product
 from .axioms import Violation, check_hom_anti_associative
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import (
@@ -113,122 +121,112 @@ def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
     return out
 
 
+def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
+    """The product both solvers read; strict mode requires it to be anti-associative."""
+    star = star_product(a)
+    if strict and not check_hom_anti_associative(star, a.alpha).passed:
+        raise NotAntiAssociative("the working product is not anti-associative")
+    return star
+
+
+def _add_form_terms(row: list[Fraction], u: Vector, w: Vector) -> None:
+    """Add to ``row`` the coefficient of B[p][q] (column p*n + q) in B(u, w)."""
+    n = len(u)
+    for p, up in enumerate(u):
+        if up:
+            for q, wq in enumerate(w):
+                if wq:
+                    row[p * n + q] += up * wq
+
+
+def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> list[list[Fraction]]:
+    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q]."""
+    n = star.dim
+    images = [alpha.image_of_basis(i) for i in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [F0] * (n * n)
+                _add_form_terms(row, star.entry(i, j), images[k])
+                _add_form_terms(row, star.entry(j, k), images[i])
+                _add_form_terms(row, star.entry(k, i), images[j])
+                rows.append(row)
+    return rows
+
+
 def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
     """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns)."""
-    star, alpha = star_product(a), a.alpha
-    if strict and not check_hom_anti_associative(star, alpha).passed:
-        raise NotAntiAssociative("the working product is not anti-associative")
-    n = a.dim
-    unknowns = n * n
-    rows = []
-
-    def form_row(u: Vector, w: Vector) -> list[Fraction]:
-        # coefficient of B[p][q] in B(u, w)
-        row = [F0] * unknowns
-        for p, up in enumerate(u):
-            if up:
-                for q, wq in enumerate(w):
-                    if wq:
-                        row[p * n + q] += up * wq
-        return row
-
+    star = _working_product(a, strict)
+    alpha, n = a.alpha, a.dim
+    rows = _cyclic_rows(star, alpha)
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                row = form_row(star.entry(i, j), alpha.image_of_basis(k))
-                row = [
-                    r + s
-                    for r, s in zip(row, form_row(star.entry(j, k), alpha.image_of_basis(i)))
-                ]
-                row = [
-                    r + s
-                    for r, s in zip(row, form_row(star.entry(k, i), alpha.image_of_basis(j)))
-                ]
-                rows.append(row)
-    for i in range(n):
-        for j in range(n):
-            row = form_row(alpha.image_of_basis(i), alpha.image_of_basis(j))
+            row = [F0] * (n * n)
+            _add_form_terms(row, alpha.image_of_basis(i), alpha.image_of_basis(j))
             row[i * n + j] -= 1
             rows.append(row)
-
-    kernel = _nullspace(rows, unknowns)
-    return [
-        ScalarForm(n, Matrix(n, n, v))
-        for v in kernel
-    ]
+    return [ScalarForm(n, Matrix(n, n, v)) for v in nullspace_basis(Matrix.from_rows(rows))]
 
 
-def vector_cocycle_space(a: HomAlgebra) -> list[VectorForm]:
-    """Kernel basis of the algebra-valued cyclic + twist conditions (n^3 unknowns)."""
-    star, alpha = star_product(a), a.alpha
-    n = a.dim
-    unknowns = n * n * n
+def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm]:
+    """Kernel basis of the algebra-valued cyclic + twist conditions.
 
-    def idx(p: int, q: int, r: int) -> int:
-        return (p * n + q) * n + r
+    The basis is the one ``nullspace_basis`` gives for both conditions
+    stacked in the n^3 unknowns omega[p][q][r] (column (p*n + q)*n + r): one
+    form per free column, in column order.  It is found by two smaller
+    eliminations:
 
-    def value_row(u: Vector, w: Vector, comp: int) -> list[Fraction]:
-        # coefficient of omega[p][q][comp] in omega(u, w)_comp
-        row = [F0] * unknowns
-        for p, up in enumerate(u):
-            if up:
-                for q, wq in enumerate(w):
-                    if wq:
-                        row[idx(p, q, comp)] += up * wq
-        return row
+    1. Component r of the cyclic condition is the scalar cyclic condition on
+       B_r[p][q] = omega[p][q][r].  So omega is cyclic exactly when each
+       omega[.][.][r] = sum_t c[t][r] b_t, with unique coefficients c, for
+       the kernel b_1..b_d of one n^3 x n^2 system.
+    2. The twist rows alpha(omega(e_i, e_j)) = omega(alpha e_i, alpha e_j)
+       are solved in the d*n unknowns c[t][s] (column t*n + s).
 
+    The map c -> omega is injective, so it carries the twist kernel onto the
+    solution space.  It also carries the canonical basis onto the canonical
+    basis: b_t is 1 at its free column f_t, 0 at the other free columns and
+    0 past f_t, and f_t increases with t.  Hence omega's entries at the
+    columns f_t*n + s are the c[t][s], omega's last nonzero entry is the
+    image of c's, and t*n + s -> f_t*n + s keeps column order.  A basis that
+    is 1 at its own free column, 0 at the other free columns and 0 past its
+    own is unique, so the mapped basis is exactly the canonical one.
+    """
+    star = _working_product(a, strict)
+    alpha, n = a.alpha, a.dim
+    kernel = nullspace_basis(Matrix.from_rows(_cyclic_rows(star, alpha)))
+    forms = [ScalarForm(n, Matrix(n, n, b)) for b in kernel]
+    d = len(kernel)
+    images = [alpha.image_of_basis(i) for i in range(n)]
+    amat = alpha.matrix
     rows = []
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                for comp in range(n):
-                    row = value_row(star.entry(i, j), alpha.image_of_basis(k), comp)
-                    row = [
-                        r + s
-                        for r, s in zip(
-                            row, value_row(star.entry(j, k), alpha.image_of_basis(i), comp)
-                        )
-                    ]
-                    row = [
-                        r + s
-                        for r, s in zip(
-                            row, value_row(star.entry(k, i), alpha.image_of_basis(j), comp)
-                        )
-                    ]
-                    rows.append(row)
-    amat = alpha.matrix
-    for i in range(n):
-        ai = alpha.image_of_basis(i)
-        for j in range(n):
-            aj = alpha.image_of_basis(j)
+            twisted = [b.value(images[i], images[j]) for b in forms]
             for comp in range(n):
                 # alpha(omega(e_i, e_j))_comp - omega(alpha e_i, alpha e_j)_comp
-                row = [F0] * unknowns
-                for s in range(n):
-                    c = amat.at(comp, s)
-                    if c:
-                        row[idx(i, j, s)] += c
-                for p, up in enumerate(ai):
-                    if up:
-                        for q, wq in enumerate(aj):
-                            if wq:
-                                row[idx(p, q, comp)] -= up * wq
+                row = [F0] * (d * n)
+                for t, b in enumerate(kernel):
+                    bij = b[i * n + j]
+                    if bij:
+                        for s in range(n):
+                            row[t * n + s] = amat.at(comp, s) * bij
+                    row[t * n + comp] -= twisted[t]
                 rows.append(row)
-
-    kernel = _nullspace(rows, unknowns)
-    forms = []
-    for v in kernel:
-        coeffs = [
-            [[v[idx(p, q, r)] for r in range(n)] for q in range(n)] for p in range(n)
-        ]
-        forms.append(VectorForm(n, coeffs))
-    return forms
-
-
-def _nullspace(rows: list[list[Fraction]], unknowns: int) -> list[Vector]:
-    if not rows:
-        return nullspace_basis(Matrix.zero(1, unknowns))
-    return nullspace_basis(Matrix.from_rows(rows))
+    out = []
+    for c in nullspace_basis(Matrix.from_rows(rows)):
+        v = [F0] * (n * n * n)
+        for t, b in enumerate(kernel):
+            for s in range(n):
+                cts = c[t * n + s]
+                if cts:
+                    for pq, bpq in enumerate(b):
+                        if bpq:
+                            v[pq * n + s] += cts * bpq
+        cells = [v[pq * n : (pq + 1) * n] for pq in range(n * n)]
+        out.append(VectorForm(n, [cells[p * n : (p + 1) * n] for p in range(n)]))
+    return out
 
 
 def is_nondegenerate(b: ScalarForm) -> bool:

@@ -435,6 +435,13 @@ GOOD_FAMILY = {
         ),
         (("induce", "--what", "cocycle", "--form"), {"B": [["1", "x"], ["0", "1"]]}, "form.B[0][1]"),
         (("induce", "--what", "cocycle", "--form"), {}, "'B'"),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "params": [1]}, "'params'"),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "dim": True}, "family.dim"),
+        (
+            ("check", "--kind", "bimodule", "--bimodule"),
+            {"alg_dim": True, "mod_dim": 2, "left": [], "right": [], "beta": [["1"]]},
+            "bimodule.alg_dim",
+        ),
     ],
 )
 def test_malformed_auxiliary_files_exit_2_without_traceback(tmp_path, a1_sum_file, argv, doc, fragment):
@@ -445,10 +452,39 @@ def test_malformed_auxiliary_files_exit_2_without_traceback(tmp_path, a1_sum_fil
         code, out, err = run_cli(*argv, str(bad))
     else:
         code, out, err = run_cli(*argv, str(bad), a1_sum_file)
+    assert_rejected(code, out, err, fragment)
+
+
+def assert_rejected(code, out, err, fragment):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert fragment in err
+
+
+GOOD_ALGEBRA = {"dim": 2, "kind": "mono", "alpha": [["1", "0"], ["0", "1"]], "mul": [[2, 2, 1, "1"]]}
+
+
+@pytest.mark.parametrize("argv", [("check", "--kind", "anti-associative"), ("cocycles", "--vector")])
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [({**GOOD_ALGEBRA, "params": [1]}, "'params'"), ({**GOOD_ALGEBRA, "dim": True}, "'dim'")],
+)
+def test_malformed_algebra_files_exit_2_without_traceback(tmp_path, argv, doc, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert_rejected(*run_cli(*argv, str(bad)), fragment)
+
+
+@pytest.mark.parametrize("route", ["--scalar", "--vector"])
+def test_cocycles_strict_rejects_non_anti_associative(tmp_path, route):
+    """e1*e1 = e1 with the identity twist is not anti-associative; both routes
+    refuse it under --strict and solve it without."""
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({**GOOD_ALGEBRA, "mul": [[1, 1, 1, "1"]]}))
+    assert_rejected(*run_cli("cocycles", route, "--strict", str(path)), "anti-associative")
+    code, out, _ = run_cli("cocycles", route, str(path))
+    assert code == 0 and "dimension" in out
 
 
 def test_family_loader_keeps_params(tmp_path):

@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, sum_product
+from rhizalab import exactlin
+from rhizalab.algmodel import (
+    BilinearOp,
+    HomAlgebra,
+    LinearMap,
+    eval_product,
+    star_product,
+    sum_product,
+)
 from rhizalab.axioms import check_rhizaform
+from rhizalab.catalog import load_entry
 from rhizalab.cocycles import (
     ScalarForm,
     VectorForm,
@@ -16,9 +25,10 @@ from rhizalab.cocycles import (
     vector_cocycle_space,
 )
 from rhizalab.errors import NotACocycle, NotAntiAssociative, Singular
-from rhizalab.exactlin import Matrix, basis_vec, invert
+from rhizalab.exactlin import F0, Matrix, basis_vec, invert, nullspace_basis
 from tests.conftest import (
     antisym_3dim,
+    catalog_algebras,
     catalog_sums,
     nondegenerate_in_span,
     skew_4dim,
@@ -208,3 +218,163 @@ def test_vector_forms_are_products_in_disguise():
     w = VectorForm.from_entries(2, [(0, 0, 1, F(1))])
     assert isinstance(w, BilinearOp)
     assert eval_product(w, basis_vec(2, 0), basis_vec(2, 0)) == (F(0), F(1))
+
+
+# --- the factored algebra-valued solver against the dense one ---------------
+
+
+def dense_vector_cocycle_space(a: HomAlgebra) -> list[VectorForm]:
+    """Reference: the cyclic and twist conditions stacked in all n^3 unknowns
+    omega[p][q][r] (n^4 + n^3 rows), reduced in one elimination."""
+    star, alpha = star_product(a), a.alpha
+    n = a.dim
+    unknowns = n * n * n
+
+    def idx(p, q, r):
+        return (p * n + q) * n + r
+
+    def value_row(u, w, comp):
+        row = [F0] * unknowns
+        for p, up in enumerate(u):
+            if up:
+                for q, wq in enumerate(w):
+                    if wq:
+                        row[idx(p, q, comp)] += up * wq
+        return row
+
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for comp in range(n):
+                    terms = (
+                        value_row(star.entry(i, j), alpha.image_of_basis(k), comp),
+                        value_row(star.entry(j, k), alpha.image_of_basis(i), comp),
+                        value_row(star.entry(k, i), alpha.image_of_basis(j), comp),
+                    )
+                    rows.append([x + y + z for x, y, z in zip(*terms)])
+    for i in range(n):
+        for j in range(n):
+            for comp in range(n):
+                row = [F0] * unknowns
+                for s in range(n):
+                    row[idx(i, j, s)] += alpha.matrix.at(comp, s)
+                for p, up in enumerate(alpha.image_of_basis(i)):
+                    if up:
+                        for q, wq in enumerate(alpha.image_of_basis(j)):
+                            if wq:
+                                row[idx(p, q, comp)] -= up * wq
+                rows.append(row)
+    return [
+        VectorForm(n, [[[v[idx(p, q, r)] for r in range(n)] for q in range(n)] for p in range(n)])
+        for v in nullspace_basis(Matrix.from_rows(rows))
+    ]
+
+
+def assert_same_basis(a: HomAlgebra, label) -> int:
+    got = [w.coeffs for w in vector_cocycle_space(a)]
+    assert got == [w.coeffs for w in dense_vector_cocycle_space(a)], label
+    return len(got)
+
+
+def direct_sum(x: HomAlgebra, y: HomAlgebra) -> HomAlgebra:
+    """Block-diagonal product and twist of two algebras' working products."""
+    m, n = x.dim, y.dim
+    entries = [(i, j, k, c) for i, j, k, c in star_product(x).nonzero_entries()]
+    entries += [(m + i, m + j, m + k, c) for i, j, k, c in star_product(y).nonzero_entries()]
+    alpha = [[F0] * (m + n) for _ in range(m + n)]
+    for r in range(m):
+        for c in range(m):
+            alpha[r][c] = x.alpha.matrix.at(r, c)
+    for r in range(n):
+        for c in range(n):
+            alpha[m + r][m + c] = y.alpha.matrix.at(r, c)
+    return HomAlgebra.mono(BilinearOp.from_entries(m + n, entries), LinearMap.from_rows(alpha))
+
+
+def test_vector_solver_matches_dense_on_catalog():
+    """Same basis, same order, on every entry; the eta entries at two bindings."""
+    first = dict(catalog_algebras({"eta": F(1)}))
+    for eid, a in first.items():
+        assert_same_basis(a, eid)
+    varied = 0
+    for eid, a in catalog_algebras({"eta": F(-3, 2)}):
+        if a.products != first[eid].products or a.alpha != first[eid].alpha:
+            assert_same_basis(a, (eid, "eta=-3/2"))
+            varied += 1
+    assert varied >= 1
+
+
+def _sparse_tensor(rng, n, density):
+    def coeff():
+        return rng.choice((F(-1), F(1), F(2))) if rng.random() < density else F0
+
+    return BilinearOp(n, [[[coeff() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+
+def _diagonal_twist(rng, n):
+    return LinearMap.from_rows(
+        [[rng.choice((F(-1), F(1), F(2))) if r == c else F0 for c in range(n)] for r in range(n)]
+    )
+
+
+def _singular_twist(rng, n):
+    """The last column is the sum of the others: rank below n."""
+    cols = [[rng.choice((F(-1), F0, F(1))) for _ in range(n)] for _ in range(n - 1)]
+    return LinearMap.from_columns(cols + [[sum(col[r] for col in cols) for r in range(n)]])
+
+
+def _dense_twist(rng, n):
+    """P diag(+-1) P^-1 for a dense invertible P: dense, with eigenvalue relations."""
+    while True:
+        p = Matrix.from_rows([[rng.choice((F(-1), F(1), F(2))) for _ in range(n)] for _ in range(n)])
+        try:
+            p_inv = invert(p)
+        except Singular:
+            continue
+        signs = [rng.choice((F(-1), F(1))) for _ in range(n)]
+        d = Matrix.from_rows([[signs[r] if r == c else F0 for c in range(n)] for r in range(n)])
+        return LinearMap(n, p.times(d).times(p_inv))
+
+
+TWISTS = {
+    "identity": lambda rng, n: LinearMap.identity(n),
+    "diagonal": _diagonal_twist,
+    "singular": _singular_twist,
+    "dense": _dense_twist,
+}
+
+
+@pytest.mark.parametrize("twist", sorted(TWISTS))
+def test_vector_solver_matches_dense_on_random_split_algebras(twist):
+    rng = random.Random(f"vector-differential-{twist}")
+    dims = []
+    for density in (0.0, 0.05, 0.1, 0.1, 0.2, 0.6):
+        a = HomAlgebra.rhizaform(
+            _sparse_tensor(rng, 3, density), _sparse_tensor(rng, 3, density), TWISTS[twist](rng, 3)
+        )
+        dims.append(assert_same_basis(a, (twist, density)))
+    assert max(dims[1:]) > 0  # a nonzero product with a nonzero space
+
+
+@pytest.mark.parametrize("parts", [("d2.A1", "d2.A7"), ("d2.A3", "d2.A5")])
+def test_vector_solver_matches_dense_on_n4_direct_sums(parts):
+    a = direct_sum(load_entry(parts[0]), load_entry(parts[1]))
+    assert assert_same_basis(a, parts) > 10
+
+
+def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
+    """A count check: every system the n=4 solve reduces is at most n^3 = 64
+    rows by 64 columns (the one dense system was 320 x 64)."""
+    shapes = []
+    real_rref = exactlin.rref
+
+    def recording_rref(m):
+        shapes.append((m.rows, m.cols))
+        return real_rref(m)
+
+    monkeypatch.setattr(exactlin, "rref", recording_rref)
+    a = direct_sum(load_entry("d2.A1"), load_entry("d2.A7"))
+    assert vector_cocycle_space(a)
+    assert shapes
+    assert all(rows <= 64 and cols <= 64 for rows, cols in shapes), shapes
