@@ -273,7 +273,7 @@ def star_product(a: HomAlgebra) -> BilinearOp:
 
 
 def _resolve_coefficient(token, params: dict[str, Fraction]) -> Fraction:
-    if isinstance(token, int):
+    if isinstance(token, int) and not isinstance(token, bool):
         return Fraction(token)
     if isinstance(token, float):
         raise ParseError(f"decimal coefficient {token!r} not accepted; use 'p/q'")
@@ -309,7 +309,7 @@ def _parse_product(doc, dim: int, name: str, params: dict[str, Fraction]) -> Bil
         if not isinstance(item, list) or len(item) != 4:
             raise ParseError(f"product entry {item!r} in {name!r} is not [i, j, k, coefficient]")
         i, j, k, co = item
-        if not all(isinstance(t, int) for t in (i, j, k)):
+        if not all(isinstance(t, int) and not isinstance(t, bool) for t in (i, j, k)):
             raise ParseError(f"product entry {item!r} in {name!r} has non-integer indices")
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise ParseError(f"product entry {item!r} in {name!r} outside basis range 1..{dim}")
@@ -361,6 +361,8 @@ def parse_algebra(text: str, bindings: dict[str, Fraction] | None = None) -> Hom
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, position=exc.pos) from None
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise ParseError(str(exc)) from None
     return parse_algebra_obj(doc, bindings)
 
 

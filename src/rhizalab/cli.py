@@ -153,7 +153,10 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(_read(path))
+    try:
+        return json.loads(_read(path))
+    except ValueError as exc:  # bad JSON, or an integer literal beyond the interpreter's digit limit
+        raise ParseError(f"bad JSON input: {exc}") from None
 
 
 def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
@@ -729,9 +732,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product
 from .axioms import Violation, check_hom_anti_associative
@@ -129,7 +130,7 @@ def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
     return star
 
 
-def _add_form_terms(row: list[Fraction], u: Vector, w: Vector) -> None:
+def _add_form_terms(row: list[int], u: tuple[int, ...], w: tuple[int, ...]) -> None:
     """Add to ``row`` the coefficient of B[p][q] (column p*n + q) in B(u, w)."""
     n = len(u)
     for p, up in enumerate(u):
@@ -139,32 +140,51 @@ def _add_form_terms(row: list[Fraction], u: Vector, w: Vector) -> None:
                     row[p * n + q] += up * wq
 
 
-def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> list[list[Fraction]]:
-    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q]."""
+def _cleared(vectors: list[Vector]) -> tuple[list[tuple[int, ...]], int]:
+    """The vectors times D, the lcm of all their denominators, as ints; and D."""
+    d = lcm(*(c.denominator for v in vectors for c in v))
+    return [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors], d
+
+
+def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> list[list[int]]:
+    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q].
+
+    Each row is the condition times D_star * D_alpha, where D_star and
+    D_alpha are the lcms of the denominators of the structure constants and
+    of the twist, so every row is an integer row.  Scaling a row by a
+    nonzero constant leaves the kernel unchanged, and with it the canonical
+    kernel basis ``nullspace_basis`` returns.
+    """
     n = star.dim
-    images = [alpha.image_of_basis(i) for i in range(n)]
+    products, _ = _cleared([star.entry(i, j) for i in range(n) for j in range(n)])
+    images, _ = _cleared([alpha.image_of_basis(i) for i in range(n)])
     rows = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                row = [F0] * (n * n)
-                _add_form_terms(row, star.entry(i, j), images[k])
-                _add_form_terms(row, star.entry(j, k), images[i])
-                _add_form_terms(row, star.entry(k, i), images[j])
+                row = [0] * (n * n)
+                _add_form_terms(row, products[i * n + j], images[k])
+                _add_form_terms(row, products[j * n + k], images[i])
+                _add_form_terms(row, products[k * n + i], images[j])
                 rows.append(row)
     return rows
 
 
 def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
-    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns)."""
+    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns).
+
+    The invariance rows B(alpha e_i, alpha e_j) - B[i][j] are scaled by
+    D_alpha^2, like the cyclic rows in ``_cyclic_rows``, to integer rows.
+    """
     star = _working_product(a, strict)
     alpha, n = a.alpha, a.dim
     rows = _cyclic_rows(star, alpha)
+    images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
     for i in range(n):
         for j in range(n):
-            row = [F0] * (n * n)
-            _add_form_terms(row, alpha.image_of_basis(i), alpha.image_of_basis(j))
-            row[i * n + j] -= 1
+            row = [0] * (n * n)
+            _add_form_terms(row, images[i], images[j])
+            row[i * n + j] -= d_alpha * d_alpha
             rows.append(row)
     return [ScalarForm(n, Matrix(n, n, v)) for v in nullspace_basis(Matrix.from_rows(rows))]
 

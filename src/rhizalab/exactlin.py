@@ -1,15 +1,17 @@
 """Exact rational vectors and matrices: row reduction, kernels, inverses.
 
-Scalars are ``fractions.Fraction`` throughout; nothing in this package ever
-touches floating point.  Row reduction picks the first nonzero entry in
-column order as pivot, so every function here is deterministic and safe to
-use for golden-file regressions.  All values are immutable after
-construction.
+Inputs and outputs are ``fractions.Fraction`` throughout; nothing in this
+package ever touches floating point.  Row reduction itself runs over ``int``
+(fraction-free, see ``rref``) and turns only its final rows back into
+Fractions.  It picks the first nonzero entry in column order as pivot, so
+every function here is deterministic and safe to use for golden-file
+regressions.  All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, ParseError, Singular
 
@@ -23,10 +25,12 @@ def rational(text: str | int | Fraction) -> Fraction:
     """Parse "p" or "p/q" into a Fraction.  Decimal notation is rejected."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str):
+    if isinstance(text, float):
         raise ParseError(f"bad rational {text!r}; decimal notation is not accepted")
+    if not isinstance(text, str):
+        raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
     s = text.strip()
     num, slash, den = s.partition("/")
     try:
@@ -179,34 +183,53 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row: Vector) -> list[int]:
+    """The primitive integer row proportional to ``row``."""
+    d = lcm(*(e.denominator for e in row))
+    return _primitive([e.numerator * (d // e.denominator) for e in row])
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.  First-nonzero pivoting."""
-    a = m.to_rows()
+    """Reduced row echelon form and rank.  First-nonzero pivoting.
+
+    Fraction-free: each row is scaled to integers, a row r is eliminated
+    against the pivot row with r <- (p/g) r - (f/g) pivot_row (p the pivot,
+    f the entry of r, g = gcd(p, f)) and then divided by its content.  Only
+    the final pivot rows become Fractions, each divided by its pivot; the
+    reduced row echelon form is unique, so this is the Fraction result.
+    """
     n_rows, n_cols = m.rows, m.cols
-    piv_row = 0
+    if not n_rows:
+        return m, 0
+    a = [_integer_row(m.row(i)) for i in range(n_rows)]
+    pivots = []
     for col in range(n_cols):
-        pivot = None
-        for r in range(piv_row, n_rows):
-            if a[r][col]:
-                pivot = r
-                break
+        piv_row = len(pivots)
+        pivot = next((r for r in range(piv_row, n_rows) if a[r][col]), None)
         if pivot is None:
             continue
         if pivot != piv_row:
             a[piv_row], a[pivot] = a[pivot], a[piv_row]
-        p = a[piv_row][col]
-        if p != 1:
-            a[piv_row] = [e / p for e in a[piv_row]]
+        prow = a[piv_row]
+        p = prow[col]
         for r in range(n_rows):
-            if r == piv_row:
-                continue
             f = a[r][col]
-            if f:
-                a[r] = [e - f * g for e, g in zip(a[r], a[piv_row])]
-        piv_row += 1
-        if piv_row == n_rows:
+            if f and r != piv_row:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                a[r] = _primitive([pg * x - fg * y for x, y in zip(a[r], prow)])
+        pivots.append(col)
+        if len(pivots) == n_rows:
             break
-    return Matrix.from_rows(a) if n_rows else m, piv_row
+    out = [[F0 if x == 0 else Fraction(x, a[r][c]) for x in a[r]] for r, c in enumerate(pivots)]
+    out += [[F0] * n_cols for _ in range(n_rows - len(pivots))]
+    return Matrix.from_rows(out), len(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -4,6 +4,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rhizalab
 from rhizalab.algmodel import HomAlgebra, serialize_algebra, sum_product
@@ -468,12 +470,31 @@ GOOD_ALGEBRA = {"dim": 2, "kind": "mono", "alpha": [["1", "0"], ["0", "1"]], "mu
 @pytest.mark.parametrize("argv", [("check", "--kind", "anti-associative"), ("cocycles", "--vector")])
 @pytest.mark.parametrize(
     "doc, fragment",
-    [({**GOOD_ALGEBRA, "params": [1]}, "'params'"), ({**GOOD_ALGEBRA, "dim": True}, "'dim'")],
+    [
+        ({**GOOD_ALGEBRA, "params": [1]}, "'params'"),
+        ({**GOOD_ALGEBRA, "dim": True}, "'dim'"),
+        ({"dim": 2, "kind": "mono", "alpha": [[True, 0], [0, 1]], "mul": [[True, 2, 1, True]]}, "True"),
+        ({**GOOD_ALGEBRA, "mul": [[True, 2, 1, "1"]]}, "non-integer indices"),
+        ({**GOOD_ALGEBRA, "mul": [[2, 2, 1, False]]}, "False"),
+        ({**GOOD_ALGEBRA, "params": {"eta": True}}, "True"),
+    ],
 )
 def test_malformed_algebra_files_exit_2_without_traceback(tmp_path, argv, doc, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert_rejected(*run_cli(*argv, str(bad)), fragment)
+
+
+def test_integer_literal_beyond_digit_limit_exits_2(tmp_path, a1_sum_file):
+    """json refuses integer literals longer than the interpreter's digit limit
+    with a ValueError that is not a JSONDecodeError."""
+    huge = "1" * 5000
+    algebra = tmp_path / "huge_algebra.json"
+    algebra.write_text(f'{{"dim": 2, "kind": "mono", "alpha": [[1, 0], [0, 1]], "mul": [[1, 2, 1, {huge}]]}}')
+    assert_rejected(*run_cli("check", "--kind", "anti-associative", str(algebra)), "digits")
+    operator = tmp_path / "huge_operator.json"
+    operator.write_text(f'{{"T": [[{huge}, 0], [0, 1]]}}')
+    assert_rejected(*run_cli("check", "--kind", "rota-baxter", "--operator", str(operator), a1_sum_file), "digits")
 
 
 @pytest.mark.parametrize("route", ["--scalar", "--vector"])
@@ -494,3 +515,56 @@ def test_family_loader_keeps_params(tmp_path):
     assert fam.params == {"eta": F(1, 2)}
     assert fam.succ[0].entry(1, 1) == (F(1, 2), F(0))
     assert _load_family(str(path), {"eta": F(3)}).params == {"eta": F(3)}
+
+
+# --- exit-code contract under fuzzed numeric slots --------------------------
+
+JUNK = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=5),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from(["1/2", "-3/7", "eta", "-eta", "1/0", "0.5", "1e3", " 2 "]),
+)
+
+
+@st.composite
+def fuzzed_algebra_docs(draw):
+    """A valid algebra file of dimension 1-3 in which zero, one or two
+    numeric slots (dim, a twist entry, a product index or coefficient, a
+    parameter value) hold junk."""
+    n = draw(st.integers(1, 3))
+    coefficient = st.one_of(st.integers(-2, 2), st.sampled_from(["1", "-1", "1/2", "eta"]))
+    entry = st.tuples(st.integers(1, n), st.integers(1, n), st.integers(1, n), coefficient).map(list)
+    names = draw(st.sampled_from([("mul",), ("succ", "prec")]))
+    doc = {
+        "dim": n,
+        "kind": "mono" if names == ("mul",) else "rhizaform",
+        "alpha": [[draw(coefficient) for _ in range(n)] for _ in range(n)],
+        "params": {"eta": "1/3"},
+    }
+    doc.update((name, draw(st.lists(entry, max_size=4))) for name in names)
+    slots = [("dim",), ("params", "eta")]
+    slots += [("alpha", r, c) for r in range(n) for c in range(n)]
+    slots += [(name, e, pos) for name in names for e in range(len(doc[name])) for pos in range(4)]
+    for _ in range(draw(st.integers(0, 2))):
+        *path, last = draw(st.sampled_from(slots))
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=fuzzed_algebra_docs())
+def test_fuzzed_algebra_files_keep_the_exit_code_contract(tmp_path, doc):
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("check", "--kind", "anti-associative"), ("check", "--kind", "anti-associative", "--strict"), ("cocycles", "--scalar")):
+        code, out, err = run_cli(*argv, str(path))
+        assert code in (0, 1, 2), (argv, doc, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")

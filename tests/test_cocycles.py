@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -378,3 +379,108 @@ def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     assert vector_cocycle_space(a)
     assert shapes
     assert all(rows <= 64 and cols <= 64 for rows, cols in shapes), shapes
+
+
+# --- the integer scalar row builder against the Fraction one ----------------
+
+
+def fraction_scalar_cocycle_space(a: HomAlgebra) -> list[ScalarForm]:
+    """Reference: the scalar cyclic and invariance rows built over Fractions,
+    unscaled, in the same order."""
+    star, alpha = star_product(a), a.alpha
+    n = a.dim
+    images = [alpha.image_of_basis(i) for i in range(n)]
+
+    def add_terms(row, u, w):
+        for p, up in enumerate(u):
+            if up:
+                for q, wq in enumerate(w):
+                    if wq:
+                        row[p * n + q] += up * wq
+
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [F0] * (n * n)
+                add_terms(row, star.entry(i, j), images[k])
+                add_terms(row, star.entry(j, k), images[i])
+                add_terms(row, star.entry(k, i), images[j])
+                rows.append(row)
+    for i in range(n):
+        for j in range(n):
+            row = [F0] * (n * n)
+            add_terms(row, images[i], images[j])
+            row[i * n + j] -= 1
+            rows.append(row)
+    return [ScalarForm(n, Matrix(n, n, v)) for v in nullspace_basis(Matrix.from_rows(rows))]
+
+
+def assert_same_scalar_basis(a: HomAlgebra, label) -> int:
+    got = scalar_cocycle_space(a)
+    assert got == fraction_scalar_cocycle_space(a), label
+    return len(got)
+
+
+def test_scalar_rows_match_fraction_rows_on_catalog():
+    """Same basis, same order, on every entry; the eta entries at two bindings."""
+    first = dict(catalog_algebras({"eta": F(1)}))
+    for eid, a in first.items():
+        assert_same_scalar_basis(a, eid)
+    varied = 0
+    for eid, a in catalog_algebras({"eta": F(-3, 2)}):
+        if a.products != first[eid].products or a.alpha != first[eid].alpha:
+            assert_same_scalar_basis(a, (eid, "eta=-3/2"))
+            varied += 1
+    assert varied >= 1
+
+
+DENOMINATORS = (2, 3, 5, 7)
+
+
+def _fractional_tensor(rng, n, density):
+    def coeff():
+        return F(rng.choice((-3, -1, 1, 2)), rng.choice(DENOMINATORS)) if rng.random() < density else F0
+
+    return BilinearOp(n, [[[coeff() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+
+def _fractional_diagonal_twist(rng, n):
+    """Entries from reciprocal pairs such as 2/3 and 3/2, so that some
+    invariance conditions d_i * d_j = 1 have solutions."""
+    values = (F(2, 3), F(3, 2), F(-2, 3), F(-3, 2), F(5, 7), F(7, 5))
+    return LinearMap.from_rows([[rng.choice(values) if r == c else F0 for c in range(n)] for r in range(n)])
+
+
+def _denominator_lcm(m: Matrix) -> int:
+    return lcm(*(e.denominator for e in m.entries))
+
+
+def _fractional_involution(rng, n):
+    """P diag(+-1) P^-1 for a dense P with fractional entries; not integral."""
+    while True:
+        p = Matrix.from_rows([[F(rng.choice((-1, 1, 2)), rng.choice(DENOMINATORS)) for _ in range(n)] for _ in range(n)])
+        try:
+            p_inv = invert(p)
+        except Singular:
+            continue
+        d = Matrix.from_rows([[rng.choice((F(-1), F(1))) if r == c else F0 for c in range(n)] for r in range(n)])
+        alpha = p.times(d).times(p_inv)
+        if _denominator_lcm(alpha) != 1:
+            return LinearMap(n, alpha)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("twist", [_fractional_diagonal_twist, _fractional_involution])
+def test_scalar_rows_match_fraction_rows_with_denominators(n, twist):
+    """Structure constants and twist with denominators in {2, 3, 5, 7}, so the
+    rows are scaled by D_star * D_alpha and D_alpha^2 with D_alpha != 1."""
+    rng = random.Random(f"scalar-differential-{n}-{twist.__name__}")
+    nontrivial = 0
+    for density in (0.0, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.5):
+        alpha = twist(rng, n)
+        assert _denominator_lcm(alpha.matrix) != 1
+        a = HomAlgebra.rhizaform(_fractional_tensor(rng, n, density), _fractional_tensor(rng, n, density), alpha)
+        if assert_same_scalar_basis(a, (n, twist.__name__, density)) and not star_product(a).is_zero():
+            nontrivial += 1
+    assert nontrivial  # a nonzero product with a nonzero space

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhizalab.errors import DimensionMismatch, ParseError, Singular
 from rhizalab.exactlin import (
@@ -26,7 +28,7 @@ def test_rational_parsing():
     assert rational_str(F(6, 3)) == "2"
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "", "1/0", "a b", 0.5])
+@pytest.mark.parametrize("bad", ["0.5", "1e3", "", "1/0", "a b", 0.5, True, None])
 def test_rational_rejects_nonrationals(bad):
     with pytest.raises(ParseError):
         rational(bad)
@@ -150,3 +152,111 @@ def test_matrix_is_immutable():
     m = Matrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
+
+
+# --- integer elimination against the Fraction Gauss-Jordan loop -------------
+
+
+def fraction_rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reference: Gauss-Jordan elimination over Fractions, first-nonzero pivoting."""
+    a = m.to_rows()
+    n_rows, n_cols = m.rows, m.cols
+    piv_row = 0
+    for col in range(n_cols):
+        pivot = None
+        for r in range(piv_row, n_rows):
+            if a[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != piv_row:
+            a[piv_row], a[pivot] = a[pivot], a[piv_row]
+        p = a[piv_row][col]
+        if p != 1:
+            a[piv_row] = [e / p for e in a[piv_row]]
+        for r in range(n_rows):
+            if r == piv_row:
+                continue
+            f = a[r][col]
+            if f:
+                a[r] = [e - f * g for e, g in zip(a[r], a[piv_row])]
+        piv_row += 1
+        if piv_row == n_rows:
+            break
+    return Matrix.from_rows(a) if n_rows else m, piv_row
+
+
+def _random_matrix(rng, rows, cols, density, height):
+    def entry():
+        if rng.random() >= density:
+            return F(0)
+        return F(rng.randint(-height, height), rng.randint(1, height))
+
+    return Matrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+def _low_rank(rng, rows, cols, rk, density, height):
+    """rows x cols, rank at most rk: small combinations of rk random rows."""
+    return _random_matrix(rng, rows, rk, 1.0, 3).times(_random_matrix(rng, rk, cols, density, height))
+
+
+def _assert_matches_reference(m, label):
+    reduced, rk = rref(m)
+    expected, expected_rk = fraction_rref(m)
+    assert (reduced.rows, reduced.cols) == (m.rows, m.cols), label
+    assert reduced == expected, label
+    assert rk == expected_rk, label
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1), (1, 1), (3, 4), (6, 2)])
+def test_rref_matches_reference_on_empty_and_zero_matrices(shape):
+    _assert_matches_reference(Matrix.zero(*shape), shape)
+
+
+def test_rref_matches_reference_on_seeded_randoms():
+    """Heights up to 2^40 in numerator and denominator, densities 0.05-1."""
+    rng = random.Random("rref-reference")
+    for height in (1, 7, 2**12, 2**40):
+        for density in (0.05, 0.2, 0.5, 1.0):
+            for _ in range(6):
+                rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+                _assert_matches_reference(_random_matrix(rng, rows, cols, density, height), (rows, cols, density, height))
+            rk = rng.randint(1, 4)
+            _assert_matches_reference(_low_rank(rng, 7, 6, rk, density, height), ("low rank", rk, density, height))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, density, height",
+    [
+        (150, 25, 0.05, 2**40),
+        (150, 25, 0.1, 2**40),
+        (150, 25, 1.0, 2**4),  # dense and full-rank at 2^40 takes the reference about 30 s
+        (10, 40, 0.3, 2**40),
+        (10, 40, 1.0, 2**12),
+    ],
+)
+def test_rref_matches_reference_on_tall_and_wide(rows, cols, density, height):
+    rng = random.Random(f"rref-shape-{rows}x{cols}-{density}-{height}")
+    _assert_matches_reference(_random_matrix(rng, rows, cols, density, height), "full")
+    _assert_matches_reference(_low_rank(rng, rows, cols, 6, density, height), "rank 6")
+
+
+BIG = 2**40
+rationals = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=BIG),
+    st.integers(-3, 3).map(F),
+)
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    return Matrix(rows, cols, draw(st.lists(rationals, min_size=rows * cols, max_size=rows * cols)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices())
+def test_rref_matches_reference_property(m):
+    _assert_matches_reference(m, m)
