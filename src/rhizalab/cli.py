@@ -63,15 +63,13 @@ from .family import (
     tensor_collapse,
 )
 from .nilpotency import (
+    _verdict,
     check_2_nilpotent,
     check_alpha_stability,
     check_onesided_nilpotency_theorem,
     check_series_equality,
     full_series,
-    is_left_nilpotent,
     is_multiplicative,
-    is_nilpotent,
-    is_right_nilpotent,
     left_series,
     right_series,
 )
@@ -93,8 +91,8 @@ from .operators import (
 # Why each public operation is reachable from the command line; audited by tests.
 OPERATION_COVERAGE = {
     "exactlin.rref": "cocycles --vector FILE (row reduction backs every solve)",
-    "exactlin.nullspace_basis": "cocycles --scalar/--vector FILE",
-    "exactlin.invert": "induce --what cocycle / --what invertible-o",
+    "exactlin.nullspace_basis": "cocycles --scalar FILE (and --vector)",
+    "exactlin.invert": "induce --what cocycle --form B.json FILE (and --what invertible-o)",
     "algmodel.eval_product": "check --kind rhizaform FILE (all identity evaluation)",
     "algmodel.parse_algebra": "check --kind rhizaform FILE (every algebra-file load)",
     "algmodel.serialize_algebra": "induce --what sum FILE (output path)",
@@ -127,9 +125,9 @@ OPERATION_COVERAGE = {
     "nilpotency.right_series": "nilpotency FILE",
     "nilpotency.left_series": "nilpotency FILE",
     "nilpotency.full_series": "nilpotency FILE",
-    "nilpotency.is_nilpotent": "nilpotency FILE",
-    "nilpotency.is_right_nilpotent": "nilpotency FILE",
-    "nilpotency.is_left_nilpotent": "nilpotency FILE",
+    "nilpotency.is_nilpotent": "nilpotency FILE (one-sided theorem; the full verdict reads the series)",
+    "nilpotency.is_right_nilpotent": "nilpotency FILE (its verdict, read from the right series)",
+    "nilpotency.is_left_nilpotent": "nilpotency FILE (its verdict, read from the left series)",
     "nilpotency.check_series_equality": "nilpotency FILE",
     "nilpotency.check_2_nilpotent": "nilpotency FILE",
     "nilpotency.check_onesided_nilpotency_theorem": "nilpotency FILE",
@@ -141,7 +139,7 @@ OPERATION_COVERAGE = {
     "family.check_rb_family": "family --do check-rb --algebra A.json FILE",
     "family.induced_family_rhizaform": "family --do induce --algebra A.json FILE",
     "family.tensor_collapse": "family --do collapse --algebra A.json FILE",
-    "catalog.load_entry": "catalog show ID",
+    "catalog.load_entry": "catalog show --id ID",
     "catalog.verify_entry": "catalog verify --id ID",
     "catalog.verify_all": "catalog verify",
 }
@@ -149,7 +147,10 @@ OPERATION_COVERAGE = {
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -305,75 +306,196 @@ def _report_human(rep: CheckReport) -> str:
     return "\n".join(lines)
 
 
+def _finish(out, args) -> int:
+    """Print a check report (status 1 if it failed under --strict) or an output document (status 0)."""
+    if isinstance(out, CheckReport):
+        _emit(out.to_obj(), args, _report_human(out))
+        return 1 if (args.strict and not out.passed) else 0
+    _emit(out, args)
+    return 0
+
+
+def _parse_vector(text: str, dim: int):
+    parts = [p for p in text.split(",") if p.strip()]
+    if len(parts) != dim:
+        raise RhizalabError(f"--z wants {dim} comma-separated rationals")
+    return tuple(rational(p.strip()) for p in parts)
+
+
+# What each option a route may need loads to; ``a`` is the algebra of FILE, if one is loaded.
+_LOADERS = {
+    "operator": lambda path, params, a: _load_operator(path),
+    "bimodule": lambda path, params, a: _load_bimodule(path),
+    "form": lambda path, params, a: _load_form(path),
+    "target": lambda path, params, a: _load_algebra(path, params),
+    "algebra": lambda path, params, a: _load_algebra(path, params),
+    "product": lambda name, params, a: name,
+    "z": lambda text, params, a: _parse_vector(text, a.dim),
+}
+
+
+def _needed(args, flag: str, needs: tuple[str, ...], params, a=None) -> argparse.Namespace:
+    """``args`` plus ``params``, with each option in ``needs`` replaced by what it loads, in order."""
+    if not all(getattr(args, name) for name in needs):
+        raise RhizalabError(f"--{flag} {getattr(args, flag)} wants " + " and ".join(f"--{n}" for n in needs))
+    loaded = {name: _LOADERS[name](getattr(args, name), params, a) for name in needs}
+    return argparse.Namespace(**{**vars(args), "params": params, **loaded})
+
+
+# The route tables.  Each entry names the options it needs and takes them loaded
+# (``x``, see ``_needed``).  Entries look library functions up when they run,
+# so a wrapper later installed on a module attribute sees every call.
+
+# --kind -> (options it needs, checker, independent oracle or None); both take (algebra, x).
+CHECKS = {
+    "rhizaform": ((), lambda a, x: check_rhizaform(a), lambda a, x: oracle.rhizaform(a)),
+    "dendriform": ((), lambda a, x: check_dendriform(a), lambda a, x: oracle.dendriform(a)),
+    "anti-associative": (
+        (),
+        lambda a, x: check_hom_anti_associative(star_product(a), a.alpha),
+        lambda a, x: oracle.anti_associative(star_product(a), a.alpha),
+    ),
+    "jacobi-jordan": (
+        (),
+        lambda a, x: check_jacobi_jordan(star_product(a), a.alpha),
+        lambda a, x: oracle.jacobi_jordan(star_product(a), a.alpha),
+    ),
+    "pre-jacobi-jordan": (
+        (),
+        lambda a, x: check_pre_jacobi_jordan(star_product(a), a.alpha),
+        lambda a, x: oracle.pre_jacobi_jordan(star_product(a), a.alpha),
+    ),
+    "multiplicativity": (
+        ("product",),
+        lambda a, x: check_multiplicativity(a.product(x.product), a.alpha, name=x.product),
+        lambda a, x: oracle.multiplicative(a.product(x.product), a.alpha),
+    ),
+    "derivation": (
+        ("operator", "product"),
+        lambda a, x: check_alpha_derivation(LinearMap(x.operator.matrix.rows, x.operator.matrix), a, x.product),
+        lambda a, x: oracle.alpha_derivation(LinearMap(x.operator.matrix.rows, x.operator.matrix), a, x.product),
+    ),
+    "bimodule": (
+        ("bimodule",),
+        lambda a, x: check_bimodule(a, x.bimodule),
+        lambda a, x: oracle.bimodule(a.mul, a.alpha, x.bimodule.left, x.bimodule.right, x.bimodule.beta),
+    ),
+    "o-operator": (
+        ("operator", "bimodule"),
+        lambda a, x: check_o_operator(x.operator, a, x.bimodule),
+        lambda a, x: oracle.o_operator(
+            x.operator.matrix, a.mul, a.alpha, x.bimodule.left, x.bimodule.right, x.bimodule.beta
+        ),
+    ),
+    "rota-baxter": (
+        ("operator",),
+        lambda a, x: check_rota_baxter(x.operator, a),
+        lambda a, x: oracle.rota_baxter(x.operator.matrix, a.mul, a.alpha),
+    ),
+    "homomorphism": (("operator", "target"), lambda a, x: check_homomorphism(x.operator, a, x.target), None),
+}
+
+
+def _algebra_out(alg: HomAlgebra) -> dict:
+    return {"algebra": serialize_algebra_obj(alg)}
+
+
+# --what -> (options it needs, builder of the output document from (algebra, x)).
+INDUCTIONS = {
+    "sum": ((), lambda a, x: _algebra_out(HomAlgebra.mono(sum_product(a), a.alpha))),
+    "pre-jacobi-jordan": ((), lambda a, x: _algebra_out(HomAlgebra.mono(pre_jacobi_jordan_product(a), a.alpha))),
+    "bracket": ((), lambda a, x: _algebra_out(HomAlgebra.mono(subadjacent_bracket(a), a.alpha))),
+    "inner-derivation": (
+        ("z",),
+        lambda a, x: {"D": _matrix_obj(inner_derivation(x.z, a, convention=x.convention).matrix)},
+    ),
+    "rb": (
+        ("operator",),
+        lambda a, x: _algebra_out(induced_rhizaform_from_rb(x.operator, a, strict=not x.no_strict)),
+    ),
+    "o-operator": (
+        ("operator", "bimodule"),
+        lambda a, x: _algebra_out(
+            induced_rhizaform_from_o_operator(x.operator, a, x.bimodule, strict=not x.no_strict)
+        ),
+    ),
+    "invertible-o": (
+        ("operator", "bimodule"),
+        lambda a, x: _algebra_out(
+            compatible_from_invertible_o_operator(x.operator, a, x.bimodule, strict=not x.no_strict)
+        ),
+    ),
+    "cocycle": (("form",), lambda a, x: _algebra_out(rhizaform_from_cocycle(a, x.form, strict=not x.no_strict))),
+    "regular-bimodule": ((), lambda a, x: {"bimodule": _bimodule_obj(regular_bimodule(a))}),
+    "rhizaform-bimodule": ((), lambda a, x: {"bimodule": _bimodule_obj(rhizaform_bimodule(a))}),
+    "dual-bimodule": (("bimodule",), lambda a, x: {"bimodule": _bimodule_obj(dual_bimodule(x.bimodule))}),
+}
+
+
+def _family_check_anti(x) -> CheckReport:
+    fam = _load_family(x.file, x.params)
+    return check_anti_associative_family(associated_family(fam), fam.alpha, fam.semigroup)
+
+
+def _family_associated(x) -> dict:
+    prods = associated_family(_load_family(x.file, x.params))
+    return {f"{lam},{omega}": _product_obj(op) for (lam, omega), op in sorted(prods.items())}
+
+
+def _family_induce(x) -> dict:
+    fam = induced_family_rhizaform(_load_rb_family(x.file), x.algebra, strict=not x.no_strict)
+    return {
+        "dim": fam.dim,
+        "omega": {"size": fam.semigroup.size, "table": [list(r) for r in fam.semigroup.table]},
+        "alpha": _matrix_obj(fam.alpha.matrix),
+        "succ": {str(lam): _product_obj(fam.succ[lam]) for lam in range(fam.semigroup.size)},
+        "prec": {str(lam): _product_obj(fam.prec[lam]) for lam in range(fam.semigroup.size)},
+    }
+
+
+def _family_collapse(x) -> dict:
+    big, big_r = tensor_collapse(x.algebra, _load_rb_family(x.file))
+    return {"algebra": serialize_algebra_obj(big), "T": _matrix_obj(big_r.matrix)}
+
+
+# --do -> (options it needs, action on x giving a report or an output document).
+# FILE holds a family, its semigroup, or (with --algebra) an operator family.
+FAMILY_OPS = {
+    "check": ((), lambda x: check_rhizaform_family(_load_family(x.file, x.params))),
+    "check-anti": ((), _family_check_anti),
+    "check-rb": (("algebra",), lambda x: check_rb_family(_load_rb_family(x.file), x.algebra)),
+    "check-semigroup": ((), lambda x: check_semigroup(_load_semigroup(_load_json(x.file), "family"))),
+    "associated": ((), _family_associated),
+    "induce": (("algebra",), _family_induce),
+    "collapse": (("algebra",), _family_collapse),
+}
+
+
 def cmd_check(args) -> int:
     params = _parse_params(args.param)
     a = _load_algebra(args.file, params)
-    kind = args.kind
-    oracle_verdict = None  # second opinion, populated where one exists
-    if kind == "rhizaform":
-        rep = check_rhizaform(a)
-        oracle_verdict = oracle.rhizaform(a)
-    elif kind == "dendriform":
-        rep = check_dendriform(a)
-        oracle_verdict = oracle.dendriform(a)
-    elif kind == "anti-associative":
-        rep = check_hom_anti_associative(star_product(a), a.alpha)
-        oracle_verdict = oracle.anti_associative(star_product(a), a.alpha)
-    elif kind == "jacobi-jordan":
-        rep = check_jacobi_jordan(star_product(a), a.alpha)
-        oracle_verdict = oracle.jacobi_jordan(star_product(a), a.alpha)
-    elif kind == "pre-jacobi-jordan":
-        rep = check_pre_jacobi_jordan(star_product(a), a.alpha)
-        oracle_verdict = oracle.pre_jacobi_jordan(star_product(a), a.alpha)
-    elif kind == "multiplicativity":
-        if not args.product:
-            raise RhizalabError("--kind multiplicativity wants --product")
-        rep = check_multiplicativity(a.product(args.product), a.alpha, name=args.product)
-        oracle_verdict = oracle.multiplicative(a.product(args.product), a.alpha)
-    elif kind == "derivation":
-        if not (args.operator and args.product):
-            raise RhizalabError("--kind derivation wants --operator and --product")
-        d_op = _load_operator(args.operator)
-        d_map = LinearMap(d_op.matrix.rows, d_op.matrix)
-        rep = check_alpha_derivation(d_map, a, args.product)
-        oracle_verdict = oracle.alpha_derivation(d_map, a, args.product)
-    elif kind == "bimodule":
-        if not args.bimodule:
-            raise RhizalabError("--kind bimodule wants --bimodule")
-        m = _load_bimodule(args.bimodule)
-        rep = check_bimodule(a, m)
-        oracle_verdict = oracle.bimodule(a.mul, a.alpha, m.left, m.right, m.beta)
-    elif kind == "o-operator":
-        if not (args.operator and args.bimodule):
-            raise RhizalabError("--kind o-operator wants --operator and --bimodule")
-        t = _load_operator(args.operator)
-        m = _load_bimodule(args.bimodule)
-        rep = check_o_operator(t, a, m)
-        oracle_verdict = oracle.o_operator(t.matrix, a.mul, a.alpha, m.left, m.right, m.beta)
-    elif kind == "rota-baxter":
-        if not args.operator:
-            raise RhizalabError("--kind rota-baxter wants --operator")
-        r = _load_operator(args.operator)
-        rep = check_rota_baxter(r, a)
-        oracle_verdict = oracle.rota_baxter(r.matrix, a.mul, a.alpha)
-    elif kind == "homomorphism":
-        if not (args.operator and args.target):
-            raise RhizalabError("--kind homomorphism wants --operator and --target")
-        rep = check_homomorphism(_load_operator(args.operator), a, _load_algebra(args.target, params))
-    else:
-        raise RhizalabError(f"unknown check kind {kind!r}")
-
+    needs, checker, second_opinion = CHECKS[args.kind]
+    x = _needed(args, "kind", needs, params, a)
+    rep = checker(a, x)
     status = 0
-    if args.oracle:
-        if oracle_verdict is None:
-            print(f"note: no independent oracle for kind {kind!r}", file=sys.stderr)
-        elif oracle_verdict != rep.passed:
-            print(f"ORACLE DISAGREEMENT on {kind}", file=sys.stderr)
-            status = 1
-    _emit(rep.to_obj(), args, _report_human(rep))
-    if args.strict and not rep.passed:
+    if args.oracle and second_opinion is None:
+        print(f"note: no independent oracle for kind {args.kind!r}", file=sys.stderr)
+    elif args.oracle and second_opinion(a, x) != rep.passed:
+        print(f"ORACLE DISAGREEMENT on {args.kind}", file=sys.stderr)
         status = 1
-    return status
+    return _finish(rep, args) or status
+
+
+def cmd_induce(args) -> int:
+    params = _parse_params(args.param)
+    a = _load_algebra(args.file, params)
+    needs, build = INDUCTIONS[args.what]
+    return _finish(build(a, _needed(args, "what", needs, params, a)), args)
+
+
+def cmd_family(args) -> int:
+    needs, action = FAMILY_OPS[args.do]
+    return _finish(action(_needed(args, "do", needs, _parse_params(args.param))), args)
 
 
 def cmd_cocycles(args) -> int:
@@ -418,11 +540,7 @@ def cmd_nilpotency(args) -> int:
         "left": left_series(a),
         "full": full_series(a),
     }
-    verdicts = {
-        "right": is_right_nilpotent(a),
-        "left": is_left_nilpotent(a),
-        "full": is_nilpotent(a),
-    }
+    verdicts = {name: _verdict(terms) for name, terms in series.items()}
     equality = check_series_equality(a)
     onesided = check_onesided_nilpotency_theorem(a)
     twonil = check_2_nilpotent(a)
@@ -455,120 +573,6 @@ def cmd_nilpotency(args) -> int:
     if args.strict and not (equality.passed and onesided.passed):
         return 1
     return 0
-
-
-def _parse_vector(text: str, dim: int):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != dim:
-        raise RhizalabError(f"--z wants {dim} comma-separated rationals")
-    return tuple(rational(p.strip()) for p in parts)
-
-
-def cmd_induce(args) -> int:
-    params = _parse_params(args.param)
-    a = _load_algebra(args.file, params)
-    strict = not args.no_strict
-    what = args.what
-    if what == "sum":
-        out = {"algebra": serialize_algebra_obj(HomAlgebra.mono(sum_product(a), a.alpha))}
-    elif what == "pre-jacobi-jordan":
-        out = {"algebra": serialize_algebra_obj(HomAlgebra.mono(pre_jacobi_jordan_product(a), a.alpha))}
-    elif what == "bracket":
-        out = {"algebra": serialize_algebra_obj(HomAlgebra.mono(subadjacent_bracket(a), a.alpha))}
-    elif what == "inner-derivation":
-        if not args.z:
-            raise RhizalabError("--what inner-derivation wants --z coordinates")
-        d = inner_derivation(_parse_vector(args.z, a.dim), a, convention=args.convention)
-        out = {"D": _matrix_obj(d.matrix)}
-    elif what == "rb":
-        if not args.operator:
-            raise RhizalabError("--what rb wants --operator")
-        induced = induced_rhizaform_from_rb(_load_operator(args.operator), a, strict=strict)
-        out = {"algebra": serialize_algebra_obj(induced)}
-    elif what == "o-operator":
-        if not (args.operator and args.bimodule):
-            raise RhizalabError("--what o-operator wants --operator and --bimodule")
-        induced = induced_rhizaform_from_o_operator(
-            _load_operator(args.operator), a, _load_bimodule(args.bimodule), strict=strict
-        )
-        out = {"algebra": serialize_algebra_obj(induced)}
-    elif what == "invertible-o":
-        if not (args.operator and args.bimodule):
-            raise RhizalabError("--what invertible-o wants --operator and --bimodule")
-        induced = compatible_from_invertible_o_operator(
-            _load_operator(args.operator), a, _load_bimodule(args.bimodule), strict=strict
-        )
-        out = {"algebra": serialize_algebra_obj(induced)}
-    elif what == "cocycle":
-        if not args.form:
-            raise RhizalabError("--what cocycle wants --form")
-        induced = rhizaform_from_cocycle(a, _load_form(args.form), strict=strict)
-        out = {"algebra": serialize_algebra_obj(induced)}
-    elif what == "regular-bimodule":
-        out = {"bimodule": _bimodule_obj(regular_bimodule(a))}
-    elif what == "rhizaform-bimodule":
-        out = {"bimodule": _bimodule_obj(rhizaform_bimodule(a))}
-    elif what == "dual-bimodule":
-        if not args.bimodule:
-            raise RhizalabError("--what dual-bimodule wants --bimodule")
-        out = {"bimodule": _bimodule_obj(dual_bimodule(_load_bimodule(args.bimodule)))}
-    else:
-        raise RhizalabError(f"unknown induction {what!r}")
-    _emit(out, args)
-    return 0
-
-
-def cmd_family(args) -> int:
-    params = _parse_params(args.param)
-    do = args.do
-    if do == "check-semigroup":
-        rep = check_semigroup(_load_semigroup(_load_json(args.file), "family"))
-        _emit(rep.to_obj(), args, _report_human(rep))
-        return 1 if (args.strict and not rep.passed) else 0
-    if do == "check":
-        rep = check_rhizaform_family(_load_family(args.file, params))
-        _emit(rep.to_obj(), args, _report_human(rep))
-        return 1 if (args.strict and not rep.passed) else 0
-    if do == "check-anti":
-        fam = _load_family(args.file, params)
-        rep = check_anti_associative_family(associated_family(fam), fam.alpha, fam.semigroup)
-        _emit(rep.to_obj(), args, _report_human(rep))
-        return 1 if (args.strict and not rep.passed) else 0
-    if do == "associated":
-        fam = _load_family(args.file, params)
-        prods = associated_family(fam)
-        obj = {f"{lam},{omega}": _product_obj(op) for (lam, omega), op in sorted(prods.items())}
-        _emit(obj, args)
-        return 0
-    # remaining operations take an operator family plus a base algebra
-    if not args.algebra:
-        raise RhizalabError(f"--do {do} wants --algebra")
-    a = _load_algebra(args.algebra, params)
-    rf = _load_rb_family(args.file)
-    if do == "check-rb":
-        rep = check_rb_family(rf, a)
-        _emit(rep.to_obj(), args, _report_human(rep))
-        return 1 if (args.strict and not rep.passed) else 0
-    if do == "induce":
-        fam = induced_family_rhizaform(rf, a, strict=not args.no_strict)
-        obj = {
-            "dim": fam.dim,
-            "omega": {"size": fam.semigroup.size, "table": [list(r) for r in fam.semigroup.table]},
-            "alpha": _matrix_obj(fam.alpha.matrix),
-            "succ": {str(lam): _product_obj(fam.succ[lam]) for lam in range(fam.semigroup.size)},
-            "prec": {str(lam): _product_obj(fam.prec[lam]) for lam in range(fam.semigroup.size)},
-        }
-        _emit(obj, args)
-        return 0
-    if do == "collapse":
-        big, big_r = tensor_collapse(a, rf)
-        obj = {
-            "algebra": serialize_algebra_obj(big),
-            "T": _matrix_obj(big_r.matrix),
-        }
-        _emit(obj, args)
-        return 0
-    raise RhizalabError(f"unknown family operation {do!r}")
 
 
 def cmd_catalog(args) -> int:
@@ -631,19 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=(
-            "rhizaform",
-            "dendriform",
-            "anti-associative",
-            "jacobi-jordan",
-            "pre-jacobi-jordan",
-            "multiplicativity",
-            "derivation",
-            "bimodule",
-            "o-operator",
-            "rota-baxter",
-            "homomorphism",
-        ),
+        choices=tuple(CHECKS),
     )
     p.add_argument("--product", help="product name for multiplicativity/derivation")
     p.add_argument("--operator", help="operator file (T/R/D)")
@@ -671,19 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--what",
         required=True,
-        choices=(
-            "sum",
-            "pre-jacobi-jordan",
-            "bracket",
-            "inner-derivation",
-            "rb",
-            "o-operator",
-            "invertible-o",
-            "cocycle",
-            "regular-bimodule",
-            "rhizaform-bimodule",
-            "dual-bimodule",
-        ),
+        choices=tuple(INDUCTIONS),
     )
     p.add_argument("--operator")
     p.add_argument("--bimodule")
@@ -699,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--do",
         required=True,
-        choices=("check", "check-anti", "check-rb", "check-semigroup", "associated", "induce", "collapse"),
+        choices=tuple(FAMILY_OPS),
     )
     p.add_argument("--algebra", help="base algebra file for check-rb/induce/collapse")
     p.add_argument("--no-strict", action="store_true")
@@ -727,10 +707,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except RhizalabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RhizalabError, OSError) as exc:  # bad input, or a file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -8,9 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rhizalab
+import rhizalab.cli
 from rhizalab.algmodel import HomAlgebra, serialize_algebra, sum_product
 from rhizalab.catalog import load_entry
-from rhizalab.cli import OPERATION_COVERAGE, _load_family, build_parser, main
+from rhizalab.cli import CHECKS, OPERATION_COVERAGE, _bimodule_obj, _load_family, build_parser, main
+from rhizalab.operators import regular_bimodule
 
 F = Fraction
 
@@ -309,11 +312,14 @@ def test_every_public_operation_is_covered():
 
 
 def test_coverage_routes_parse():
-    """The documented example route for each operation names a real subcommand."""
+    """The documented example route for each operation is a command line the parser accepts."""
     parser = build_parser()
-    subcommands = {"check", "cocycles", "nilpotency", "induce", "family", "catalog"}
     for key, route in OPERATION_COVERAGE.items():
-        assert route.split()[0] in subcommands, key
+        argv = re.sub(r"\([^)]*\)", "", route).split()
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{key}: route {route!r} does not parse")
 
 
 def test_remaining_check_routes(a7_file, a1_file, tmp_path):
@@ -568,3 +574,155 @@ def test_fuzzed_algebra_files_keep_the_exit_code_contract(tmp_path, doc):
         assert "Traceback" not in err
         if code == 2:
             assert out == "" and err.startswith("error: ")
+
+
+# --- every route: unreadable files, missing options, the oracle --------------
+
+
+@pytest.fixture()
+def route_files(tmp_path, a7_file, a1_sum_file):
+    """One valid file per role, all of dimension 2: A a split algebra, S a
+    mono algebra, R the identity operator, M the regular bimodule of S, B a
+    form, FAM a family and RBF an operator family."""
+    a = load_entry("d2.A1")
+    docs = {
+        "R": {"T": [["1", "0"], ["0", "1"]]},
+        "M": _bimodule_obj(regular_bimodule(HomAlgebra.mono(sum_product(a), a.alpha))),
+        "B": {"B": [["1", "0"], ["0", "1"]]},
+        "FAM": GOOD_FAMILY,
+        "RBF": {"omega": {"size": 1, "table": [[0]]}, "operators": {"0": [["0", "0"], ["0", "0"]]}},
+    }
+    files = {"A": a7_file, "S": a1_sum_file}
+    for role, doc in docs.items():
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(doc))
+        files[role] = str(path)
+    return files
+
+
+def fill(argv, files):
+    return [files[a[1:-1]] if a.startswith("{") else a for a in argv]
+
+
+# argv per file role; the role's file is {X}, every other file is valid
+FILE_ROLES = {
+    "algebra": ("check", "--kind", "rhizaform", "{X}"),
+    "--operator": ("check", "--kind", "rota-baxter", "--operator", "{X}", "{S}"),
+    "--bimodule": ("check", "--kind", "bimodule", "--bimodule", "{X}", "{S}"),
+    "--form": ("induce", "--what", "cocycle", "--form", "{X}", "{S}"),
+    "--target": ("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{X}", "{S}"),
+    "family": ("family", "--do", "check", "{X}"),
+    "rb family": ("family", "--do", "check-rb", "--algebra", "{S}", "{X}"),
+    "--algebra": ("family", "--do", "check-rb", "--algebra", "{X}", "{RBF}"),
+}
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "not UTF-8"])
+@pytest.mark.parametrize("role", sorted(FILE_ROLES))
+def test_unreadable_files_exit_2_in_every_role(tmp_path, route_files, role, unreadable):
+    if unreadable == "directory":
+        bad = tmp_path / "a_directory"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'\xff{"dim": 2}')
+    code, out, err = run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(bad)}))
+    assert_rejected(code, out, err, str(bad))
+
+
+# every route that needs options: (argv without them, the options and their files);
+# --no-strict lets the inductions run on operators and forms that fail their premise
+NEEDS = [
+    (("check", "--kind", "multiplicativity", "{A}"), {"--product": "succ"}),
+    (("check", "--kind", "derivation", "{A}"), {"--operator": "{R}", "--product": "succ"}),
+    (("check", "--kind", "bimodule", "{S}"), {"--bimodule": "{M}"}),
+    (("check", "--kind", "o-operator", "{S}"), {"--operator": "{R}", "--bimodule": "{M}"}),
+    (("check", "--kind", "rota-baxter", "{S}"), {"--operator": "{R}"}),
+    (("check", "--kind", "homomorphism", "{S}"), {"--operator": "{R}", "--target": "{S}"}),
+    (("induce", "--what", "inner-derivation", "{A}"), {"--z": "0,1"}),
+    (("induce", "--what", "rb", "--no-strict", "{S}"), {"--operator": "{R}"}),
+    (("induce", "--what", "o-operator", "--no-strict", "{S}"), {"--operator": "{R}", "--bimodule": "{M}"}),
+    (("induce", "--what", "invertible-o", "--no-strict", "{S}"), {"--operator": "{R}", "--bimodule": "{M}"}),
+    (("induce", "--what", "cocycle", "--no-strict", "{S}"), {"--form": "{B}"}),
+    (("induce", "--what", "dual-bimodule", "{S}"), {"--bimodule": "{M}"}),
+    (("family", "--do", "check-rb", "{RBF}"), {"--algebra": "{S}"}),
+    (("family", "--do", "induce", "{RBF}"), {"--algebra": "{S}"}),
+    (("family", "--do", "collapse", "{RBF}"), {"--algebra": "{S}"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, options, missing",
+    [pytest.param(argv, options, name, id=f"{argv[0]} {argv[2]} without {name}") for argv, options in NEEDS for name in options],
+)
+def test_missing_option_exits_2_naming_it(route_files, argv, options, missing):
+    given = [a for name, value in options.items() if name != missing for a in (name, value)]
+    *head, file = argv
+    code, out, err = run_cli(*fill([*head, *given, file], route_files))
+    assert_rejected(code, out, err, missing)
+    # with every option given, the route runs
+    every = [a for name, value in options.items() for a in (name, value)]
+    code, _, err = run_cli(*fill([*head, *every, file], route_files))
+    assert code == 0, err
+
+
+# check kind -> (its checker as named in rhizalab.cli, its function in rhizalab.oracle, argv after --kind)
+CHECK_ROUTES = {
+    "rhizaform": ("check_rhizaform", "rhizaform", ("{A}",)),
+    "dendriform": ("check_dendriform", "dendriform", ("{A}",)),
+    "anti-associative": ("check_hom_anti_associative", "anti_associative", ("{S}",)),
+    "jacobi-jordan": ("check_jacobi_jordan", "jacobi_jordan", ("{S}",)),
+    "pre-jacobi-jordan": ("check_pre_jacobi_jordan", "pre_jacobi_jordan", ("{S}",)),
+    "multiplicativity": ("check_multiplicativity", "multiplicative", ("--product", "succ", "{A}")),
+    "derivation": ("check_alpha_derivation", "alpha_derivation", ("--operator", "{R}", "--product", "succ", "{A}")),
+    "bimodule": ("check_bimodule", "bimodule", ("--bimodule", "{M}", "{S}")),
+    "o-operator": ("check_o_operator", "o_operator", ("--operator", "{R}", "--bimodule", "{M}", "{S}")),
+    "rota-baxter": ("check_rota_baxter", "rota_baxter", ("--operator", "{R}", "{S}")),
+    "homomorphism": ("check_homomorphism", None, ("--operator", "{R}", "--target", "{S}", "{S}")),
+}
+ORACLE_KINDS = sorted(kind for kind, (_, name, _) in CHECK_ROUTES.items() if name)
+
+
+def test_every_check_kind_is_routed():
+    assert set(CHECK_ROUTES) == set(CHECKS)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_ROUTES))
+def test_checker_is_looked_up_when_the_command_runs(monkeypatch, route_files, kind):
+    """A wrapper installed on the module attribute after import (as a tracer
+    does) sees the call, so the route table holds no captured function."""
+    name, _, rest = CHECK_ROUTES[kind]
+    checker = getattr(rhizalab.cli, name)
+    calls = []
+    monkeypatch.setattr(rhizalab.cli, name, lambda *args, **kwargs: calls.append(1) or checker(*args, **kwargs))
+    code, _, err = run_cli("check", "--kind", kind, *fill(rest, route_files))
+    assert (code, len(calls)) == (0, 1), err
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_oracle_runs_only_under_the_flag_and_reports_disagreement(monkeypatch, route_files, kind):
+    _, name, rest = CHECK_ROUTES[kind]
+    argv = ["check", "--kind", kind, "--format", "structured", *fill(rest, route_files)]
+    code, out, err = run_cli(*argv, "--oracle")
+    assert (code, err) == (0, "")
+    passed = json.loads(out)["passed"]
+
+    monkeypatch.setattr(rhizalab.oracle, name, lambda *args, **kwargs: not passed)
+    code, out_disagreeing, err = run_cli(*argv, "--oracle")
+    assert code == 1
+    assert f"ORACLE DISAGREEMENT on {kind}" in err
+    assert out_disagreeing == out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran without --oracle")
+
+    monkeypatch.setattr(rhizalab.oracle, name, refuse)
+    assert run_cli(*argv) == (0, out, "")
+
+
+def test_homomorphism_has_no_oracle(route_files):
+    code, out, err = run_cli(
+        *fill(("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{S}", "--oracle", "{S}"), route_files)
+    )
+    assert code == 0 and "pass" in out
+    assert "note: no independent oracle for kind 'homomorphism'" in err
