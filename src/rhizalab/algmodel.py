@@ -270,100 +270,110 @@ def star_product(a: HomAlgebra) -> BilinearOp:
 
 
 # --- text format -----------------------------------------------------------
+# The pieces every input file shares; ``files`` reads the other file roles with them.
 
 
-def _resolve_coefficient(token, params: dict[str, Fraction]) -> Fraction:
-    if isinstance(token, int) and not isinstance(token, bool):
-        return Fraction(token)
-    if isinstance(token, float):
-        raise ParseError(f"decimal coefficient {token!r} not accepted; use 'p/q'")
-    if not isinstance(token, str):
-        raise ParseError(f"bad coefficient {token!r}")
-    s = token.strip()
-    if _NAME_RE.match(s):
-        negate = s.startswith("-")
-        name = s[1:] if negate else s
+def _decode_json(text: str):
+    """The one decoder of user-supplied JSON; errors are ParseError, with the position when known."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON input: {exc.msg}", position=exc.pos) from None
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise ParseError(f"bad JSON input: {exc}") from None
+
+
+def _field(doc, key: str, where: str, kind: type):
+    """doc[key], checked to exist and to be of the given JSON type (never a boolean)."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"{where}: missing {key!r}")
+    if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
+        raise ParseError(f"{where}.{key}: {key!r} must be of type {kind.__name__}")
+    return doc[key]
+
+
+def _resolve_coefficient(token, where: str, params: dict[str, Fraction] | None) -> Fraction:
+    """A rational literal or, when ``params`` is given, a parameter name,
+    optionally negated; errors name the cell ``where``."""
+    s = token.strip() if isinstance(token, str) else ""
+    if params is not None and _NAME_RE.match(s):
+        name = s.lstrip("-")
         if name not in params:
-            raise UnboundParameter(name)
-        value = params[name]
-        return -value if negate else value
-    return rational(s)
+            raise UnboundParameter(name, where)
+        return -params[name] if s.startswith("-") else params[name]
+    try:
+        return rational(token)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
-def _parse_matrix(doc, dim: int, what: str, params: dict[str, Fraction]) -> Matrix:
-    if not isinstance(doc, list) or len(doc) != dim:
-        raise ParseError(f"{what} must be a {dim}x{dim} array of rows")
-    rows = []
-    for row in doc:
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{what} must be a {dim}x{dim} array of rows")
-        rows.append([_resolve_coefficient(e, params) for e in row])
-    return Matrix.from_rows(rows)
+def _read_matrix(doc, where: str, params: dict[str, Fraction] | None) -> Matrix:
+    """Rows of coefficients, all of one length; errors name the cell, e.g. ``bimodule.left[1][0][0]``."""
+    if not isinstance(doc, list) or not all(isinstance(row, list) and len(row) == len(doc[0]) for row in doc):
+        raise ParseError(f"{where} must be a list of rows of equal length")
+    return Matrix.from_rows(
+        [
+            [_resolve_coefficient(e, f"{where}[{r}][{c}]", params) for c, e in enumerate(row)]
+            for r, row in enumerate(doc)
+        ]
+    )
 
 
-def _parse_product(doc, dim: int, name: str, params: dict[str, Fraction]) -> BilinearOp:
+def _twist(doc, key: str, where: str, dim: int, params: dict[str, Fraction]) -> LinearMap:
+    m = _read_matrix(_field(doc, key, where, list), f"{where}.{key}", params)
+    if (m.rows, m.cols) != (dim, dim):
+        raise ParseError(f"{where}.{key} must be a {dim}x{dim} array of rows")
+    return LinearMap(dim, m)
+
+
+def _parse_product(doc, dim: int, where: str, params: dict[str, Fraction]) -> BilinearOp:
     if not isinstance(doc, list):
-        raise ParseError(f"product {name!r} must be a list of [i, j, k, coefficient] entries")
+        raise ParseError(f"{where} must be a list of [i, j, k, coefficient] entries")
     entries = []
-    for item in doc:
+    for e, item in enumerate(doc):
         if not isinstance(item, list) or len(item) != 4:
-            raise ParseError(f"product entry {item!r} in {name!r} is not [i, j, k, coefficient]")
+            raise ParseError(f"{where}[{e}]: {item!r} is not [i, j, k, coefficient]")
         i, j, k, co = item
         if not all(isinstance(t, int) and not isinstance(t, bool) for t in (i, j, k)):
-            raise ParseError(f"product entry {item!r} in {name!r} has non-integer indices")
+            raise ParseError(f"{where}[{e}]: {item!r} has non-integer indices")
         if not all(1 <= t <= dim for t in (i, j, k)):
-            raise ParseError(f"product entry {item!r} in {name!r} outside basis range 1..{dim}")
-        entries.append((i - 1, j - 1, k - 1, _resolve_coefficient(co, params)))
+            raise ParseError(f"{where}[{e}]: {item!r} outside basis range 1..{dim}")
+        entries.append((i - 1, j - 1, k - 1, _resolve_coefficient(co, f"{where}[{e}][3]", params)))
     return BilinearOp.from_entries(dim, entries)
+
+
+def _read_header(doc, where: str, bindings) -> tuple[int, dict[str, Fraction], LinearMap]:
+    """dim, params (the file's literals, then ``bindings``) and alpha of an algebra or family document."""
+    dim = _field(doc, "dim", where, int)
+    if dim < 1:
+        raise ParseError(f"{where}.dim: 'dim' must be positive")
+    params_doc = doc.get("params") or {}
+    if not isinstance(params_doc, dict):
+        raise ParseError(f"{where}.params: 'params' must be a JSON object of name: rational")
+    params = {name: _resolve_coefficient(v, f"{where}.params.{name}", None) for name, v in params_doc.items()}
+    params.update((name, rational(v)) for name, v in (bindings or {}).items())
+    return dim, params, _twist(doc, "alpha", where, dim, params)
 
 
 def parse_algebra_obj(doc, bindings: dict[str, Fraction] | None = None) -> HomAlgebra:
     """Build a HomAlgebra from an already-decoded JSON object."""
-    if not isinstance(doc, dict):
-        raise ParseError("algebra document must be a JSON object")
-    dim = doc.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ParseError("missing or bad 'dim'")
+    dim, params, alpha = _read_header(doc, "algebra", bindings)
     kind = doc.get("kind")
     if kind not in ("rhizaform", "mono"):
-        raise ParseError(f"'kind' must be 'rhizaform' or 'mono', got {kind!r}")
-
-    params_doc = doc.get("params") or {}
-    if not isinstance(params_doc, dict):
-        raise ParseError("'params' must be a JSON object of name: rational")
-    params: dict[str, Fraction] = {}
-    for name, value in params_doc.items():
-        params[name] = rational(value)  # bindings are literals, never other names
-    for name, value in (bindings or {}).items():
-        params[name] = rational(value)
-
-    alpha_doc = doc.get("alpha")
-    if alpha_doc is None:
-        raise ParseError("missing 'alpha'")
-    alpha = LinearMap(dim, _parse_matrix(alpha_doc, dim, "alpha", params))
-    beta = None
-    if doc.get("beta") is not None:
-        beta = LinearMap(dim, _parse_matrix(doc["beta"], dim, "beta", params))
+        raise ParseError(f"algebra.kind: 'kind' must be 'rhizaform' or 'mono', got {kind!r}")
+    beta = None if doc.get("beta") is None else _twist(doc, "beta", "algebra", dim, params)
 
     wanted = ("succ", "prec") if kind == "rhizaform" else ("mul",)
     stray = [n for n in ("succ", "prec", "mul") if n not in wanted and doc.get(n)]
     if stray:
         raise ParseError(f"kind {kind!r} does not take product section(s) {stray}")
-    products = {
-        name: _parse_product(doc.get(name, []), dim, name, params) for name in wanted
-    }
+    products = {name: _parse_product(doc.get(name, []), dim, f"algebra.{name}", params) for name in wanted}
     return HomAlgebra(dim, products, alpha, params, beta)
 
 
 def parse_algebra(text: str, bindings: dict[str, Fraction] | None = None) -> HomAlgebra:
     """Parse the algebra text format; see the module docstring."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, position=exc.pos) from None
-    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
-        raise ParseError(str(exc)) from None
-    return parse_algebra_obj(doc, bindings)
+    return parse_algebra_obj(_decode_json(text), bindings)
 
 
 def _matrix_obj(m: Matrix) -> list[list[str]]:

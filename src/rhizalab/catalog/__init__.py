@@ -24,7 +24,6 @@ from ..algmodel import HomAlgebra, parse_algebra_obj, sum_product
 from ..axioms import (
     CheckReport,
     check_hom_anti_associative,
-    check_multiplicativity,
     check_rhizaform,
 )
 from ..cocycles import vector_cocycle_space
@@ -187,10 +186,7 @@ def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> En
     entry = load_catalog_entry(entry_id)
     a = load_entry(entry_id, params)
     rhiza = check_rhizaform(a)
-    multiplicative = {
-        name: check_multiplicativity(a.products[name], a.alpha, name=name).passed
-        for name in ("succ", "prec")
-    }
+    multiplicative = {name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
     tag_agrees = (entry.tag == "m") == all(multiplicative.values())
     cocycle_dim = len(vector_cocycle_space(a))
     alpha_stab = check_alpha_stability(a) if all(multiplicative.values()) else None

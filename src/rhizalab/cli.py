@@ -15,14 +15,12 @@ import sys
 from fractions import Fraction
 
 from . import catalog as cat
-from . import oracle
+from . import files, oracle
 from .algmodel import (
     HomAlgebra,
     LinearMap,
     _matrix_obj,
     _product_obj,
-    parse_algebra,
-    parse_algebra_obj,
     rational,
     serialize_algebra_obj,
     star_product,
@@ -42,18 +40,14 @@ from .axioms import (
     subadjacent_bracket,
 )
 from .cocycles import (
-    ScalarForm,
     is_nondegenerate,
     rhizaform_from_cocycle,
     scalar_cocycle_space,
     vector_cocycle_space,
 )
-from .errors import ParseError, RhizalabError
-from .exactlin import Matrix, rational_str
+from .errors import RhizalabError
+from .exactlin import rational_str
 from .family import (
-    FamilyAlgebra,
-    RBFamily,
-    Semigroup,
     associated_family,
     check_anti_associative_family,
     check_rb_family,
@@ -74,8 +68,6 @@ from .nilpotency import (
     right_series,
 )
 from .operators import (
-    Bimodule,
-    LinearOperator,
     check_bimodule,
     check_homomorphism,
     check_o_operator,
@@ -145,21 +137,6 @@ OPERATION_COVERAGE = {
 }
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(_read(path))
-    except ValueError as exc:  # bad JSON, or an integer literal beyond the interpreter's digit limit
-        raise ParseError(f"bad JSON input: {exc}") from None
-
-
 def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for item in items or []:
@@ -168,125 +145,6 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
             raise RhizalabError(f"--param wants name=p/q, got {item!r}")
         out[name.strip()] = rational(value.strip())
     return out
-
-
-def _load_algebra(path: str, params: dict[str, Fraction]) -> HomAlgebra:
-    return parse_algebra(_read(path), bindings=params)
-
-
-def _field(doc, key: str, where: str, kind: type):
-    """doc[key], checked to exist and to be of the given JSON type."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ParseError(f"{where}: missing {key!r}")
-    if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
-        raise ParseError(f"{where}.{key} must be of type {kind.__name__}")
-    return doc[key]
-
-
-def _read_matrix(doc, where: str) -> Matrix:
-    """A list of rows of rational literals; errors name the entry, e.g. ``bimodule.left[1][0]``."""
-    if not isinstance(doc, list):
-        raise ParseError(f"{where} must be a list of rows")
-    rows = []
-    for r, row in enumerate(doc):
-        if not isinstance(row, list):
-            raise ParseError(f"{where}[{r}] must be a list of entries")
-        rows.append([])
-        for c, e in enumerate(row):
-            try:
-                rows[-1].append(rational(e))
-            except ParseError as exc:
-                raise ParseError(f"{where}[{r}][{c}]: {exc}") from None
-    return Matrix.from_rows(rows)
-
-
-def _load_operator(path: str) -> LinearOperator:
-    doc = _load_json(path)
-    for key in ("T", "R", "D", "matrix"):
-        if isinstance(doc, dict) and key in doc:
-            m = _read_matrix(doc[key], f"operator.{key}")
-            return LinearOperator(m.cols, m.rows, m)
-    raise RhizalabError(f"{path}: no operator section ('T')")
-
-
-def _load_bimodule(path: str) -> Bimodule:
-    doc = _load_json(path)
-    left = tuple(
-        _read_matrix(m, f"bimodule.left[{i}]") for i, m in enumerate(_field(doc, "left", "bimodule", list))
-    )
-    right = tuple(
-        _read_matrix(m, f"bimodule.right[{i}]") for i, m in enumerate(_field(doc, "right", "bimodule", list))
-    )
-    beta_m = _read_matrix(_field(doc, "beta", "bimodule", list), "bimodule.beta")
-    return Bimodule(
-        _field(doc, "alg_dim", "bimodule", int),
-        _field(doc, "mod_dim", "bimodule", int),
-        left,
-        right,
-        LinearMap(beta_m.rows, beta_m),
-    )
-
-
-def _load_form(path: str) -> ScalarForm:
-    m = _read_matrix(_field(_load_json(path), "B", "form", list), "form.B")
-    return ScalarForm(m.rows, m)
-
-
-def _load_semigroup(doc, where: str) -> Semigroup:
-    table = _field(_field(doc, "omega", where, dict), "table", f"{where}.omega", list)
-    if not table:
-        raise ParseError(f"{where}.omega.table has no rows")
-    try:
-        return Semigroup.from_rows(table)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}.omega.table: {exc}") from None
-
-
-def _load_family(path: str, params: dict[str, Fraction]) -> FamilyAlgebra:
-    doc = _load_json(path)
-    s = _load_semigroup(doc, "family")
-    succ_doc = _field(doc, "succ", "family", dict)
-    prec_doc = _field(doc, "prec", "family", dict)
-    base = {
-        "dim": _field(doc, "dim", "family", int),
-        "kind": "rhizaform",
-        "alpha": doc.get("alpha"),
-        "params": doc.get("params"),
-    }
-    succ = {}
-    prec = {}
-    for lam in range(s.size):
-        sub = dict(base)
-        sub["succ"] = _field(succ_doc, str(lam), "family.succ", list)
-        sub["prec"] = _field(prec_doc, str(lam), "family.prec", list)
-        plain = parse_algebra_obj(sub, bindings=params)
-        succ[lam] = plain.succ
-        prec[lam] = plain.prec
-    return FamilyAlgebra(plain.dim, s, succ, prec, plain.alpha, plain.params)
-
-
-def _load_rb_family(path: str) -> RBFamily:
-    doc = _load_json(path)
-    s = _load_semigroup(doc, "rb_family")
-    ops = {}
-    for lam, rows in _field(doc, "operators", "rb_family", dict).items():
-        try:
-            index = int(lam)
-        except ValueError:
-            raise ParseError(f"rb_family.operators: key {lam!r} is not a semigroup index") from None
-        m = _read_matrix(rows, f"rb_family.operators.{lam}")
-        ops[index] = LinearOperator(m.cols, m.rows, m)
-    return RBFamily(s, ops)
-
-
-def _bimodule_obj(m: Bimodule) -> dict:
-    return {
-        "alg_dim": m.alg_dim,
-        "mod_dim": m.mod_dim,
-        "left": [_matrix_obj(mat) for mat in m.left],
-        "right": [_matrix_obj(mat) for mat in m.right],
-        "beta": _matrix_obj(m.beta.matrix),
-    }
 
 
 def _emit(obj, args, human: str | None = None) -> None:
@@ -322,13 +180,16 @@ def _parse_vector(text: str, dim: int):
     return tuple(rational(p.strip()) for p in parts)
 
 
-# What each option a route may need loads to; ``a`` is the algebra of FILE, if one is loaded.
+# What each option, or a family route's FILE, loads to; ``a`` is the algebra of FILE, if one is loaded.
 _LOADERS = {
-    "operator": lambda path, params, a: _load_operator(path),
-    "bimodule": lambda path, params, a: _load_bimodule(path),
-    "form": lambda path, params, a: _load_form(path),
-    "target": lambda path, params, a: _load_algebra(path, params),
-    "algebra": lambda path, params, a: _load_algebra(path, params),
+    "operator": lambda path, params, a: files.read_operator(files.load_json(path)),
+    "bimodule": lambda path, params, a: files.read_bimodule(files.load_json(path)),
+    "form": lambda path, params, a: files.read_form(files.load_json(path)),
+    "target": lambda path, params, a: files.load_algebra(path, params),
+    "algebra": lambda path, params, a: files.load_algebra(path, params),
+    "family": lambda path, params, a: files.read_family(files.load_json(path), params),
+    "rb_family": lambda path, params, a: files.read_rb_family(files.load_json(path)),
+    "semigroup": lambda path, params, a: files.read_semigroup(files.load_json(path), "family"),
     "product": lambda name, params, a: name,
     "z": lambda text, params, a: _parse_vector(text, a.dim),
 }
@@ -426,54 +287,44 @@ INDUCTIONS = {
         ),
     ),
     "cocycle": (("form",), lambda a, x: _algebra_out(rhizaform_from_cocycle(a, x.form, strict=not x.no_strict))),
-    "regular-bimodule": ((), lambda a, x: {"bimodule": _bimodule_obj(regular_bimodule(a))}),
-    "rhizaform-bimodule": ((), lambda a, x: {"bimodule": _bimodule_obj(rhizaform_bimodule(a))}),
-    "dual-bimodule": (("bimodule",), lambda a, x: {"bimodule": _bimodule_obj(dual_bimodule(x.bimodule))}),
+    "regular-bimodule": ((), lambda a, x: {"bimodule": files.bimodule_obj(regular_bimodule(a))}),
+    "rhizaform-bimodule": ((), lambda a, x: {"bimodule": files.bimodule_obj(rhizaform_bimodule(a))}),
+    "dual-bimodule": (("bimodule",), lambda a, x: {"bimodule": files.bimodule_obj(dual_bimodule(x.bimodule))}),
 }
 
 
-def _family_check_anti(x) -> CheckReport:
-    fam = _load_family(x.file, x.params)
-    return check_anti_associative_family(associated_family(fam), fam.alpha, fam.semigroup)
+def _family_associated(f, x) -> dict:
+    return {f"{lam},{omega}": _product_obj(op) for (lam, omega), op in sorted(associated_family(f).items())}
 
 
-def _family_associated(x) -> dict:
-    prods = associated_family(_load_family(x.file, x.params))
-    return {f"{lam},{omega}": _product_obj(op) for (lam, omega), op in sorted(prods.items())}
-
-
-def _family_induce(x) -> dict:
-    fam = induced_family_rhizaform(_load_rb_family(x.file), x.algebra, strict=not x.no_strict)
-    return {
-        "dim": fam.dim,
-        "omega": {"size": fam.semigroup.size, "table": [list(r) for r in fam.semigroup.table]},
-        "alpha": _matrix_obj(fam.alpha.matrix),
-        "succ": {str(lam): _product_obj(fam.succ[lam]) for lam in range(fam.semigroup.size)},
-        "prec": {str(lam): _product_obj(fam.prec[lam]) for lam in range(fam.semigroup.size)},
-    }
-
-
-def _family_collapse(x) -> dict:
-    big, big_r = tensor_collapse(x.algebra, _load_rb_family(x.file))
+def _family_collapse(rf, x) -> dict:
+    big, big_r = tensor_collapse(x.algebra, rf)
     return {"algebra": serialize_algebra_obj(big), "T": _matrix_obj(big_r.matrix)}
 
 
-# --do -> (options it needs, action on x giving a report or an output document).
-# FILE holds a family, its semigroup, or (with --algebra) an operator family.
+# --do -> (what FILE holds, options it needs, action on (FILE loaded, x) giving a report or an output document).
 FAMILY_OPS = {
-    "check": ((), lambda x: check_rhizaform_family(_load_family(x.file, x.params))),
-    "check-anti": ((), _family_check_anti),
-    "check-rb": (("algebra",), lambda x: check_rb_family(_load_rb_family(x.file), x.algebra)),
-    "check-semigroup": ((), lambda x: check_semigroup(_load_semigroup(_load_json(x.file), "family"))),
-    "associated": ((), _family_associated),
-    "induce": (("algebra",), _family_induce),
-    "collapse": (("algebra",), _family_collapse),
+    "check": ("family", (), lambda f, x: check_rhizaform_family(f)),
+    "check-anti": (
+        "family",
+        (),
+        lambda f, x: check_anti_associative_family(associated_family(f), f.alpha, f.semigroup),
+    ),
+    "check-rb": ("rb_family", ("algebra",), lambda rf, x: check_rb_family(rf, x.algebra)),
+    "check-semigroup": ("semigroup", (), lambda s, x: check_semigroup(s)),
+    "associated": ("family", (), _family_associated),
+    "induce": (
+        "rb_family",
+        ("algebra",),
+        lambda rf, x: files.family_obj(induced_family_rhizaform(rf, x.algebra, strict=not x.no_strict)),
+    ),
+    "collapse": ("rb_family", ("algebra",), _family_collapse),
 }
 
 
 def cmd_check(args) -> int:
     params = _parse_params(args.param)
-    a = _load_algebra(args.file, params)
+    a = files.load_algebra(args.file, params)
     needs, checker, second_opinion = CHECKS[args.kind]
     x = _needed(args, "kind", needs, params, a)
     rep = checker(a, x)
@@ -488,19 +339,20 @@ def cmd_check(args) -> int:
 
 def cmd_induce(args) -> int:
     params = _parse_params(args.param)
-    a = _load_algebra(args.file, params)
+    a = files.load_algebra(args.file, params)
     needs, build = INDUCTIONS[args.what]
     return _finish(build(a, _needed(args, "what", needs, params, a)), args)
 
 
 def cmd_family(args) -> int:
-    needs, action = FAMILY_OPS[args.do]
-    return _finish(action(_needed(args, "do", needs, _parse_params(args.param))), args)
+    role, needs, action = FAMILY_OPS[args.do]
+    x = _needed(args, "do", needs, _parse_params(args.param))
+    return _finish(action(_LOADERS[role](args.file, x.params, None), x), args)
 
 
 def cmd_cocycles(args) -> int:
     params = _parse_params(args.param)
-    a = _load_algebra(args.file, params)
+    a = files.load_algebra(args.file, params)
     if args.scalar:
         basis = scalar_cocycle_space(a, strict=args.strict)
         obj = {
@@ -534,7 +386,7 @@ def cmd_cocycles(args) -> int:
 
 def cmd_nilpotency(args) -> int:
     params = _parse_params(args.param)
-    a = _load_algebra(args.file, params)
+    a = files.load_algebra(args.file, params)
     series = {
         "right": right_series(a),
         "left": left_series(a),
@@ -579,10 +431,7 @@ def cmd_catalog(args) -> int:
     params = _parse_params(getattr(args, "param", None))
     if args.action == "list":
         ids = cat.entry_ids()
-        if args.format == "structured":
-            print(json.dumps({"entries": ids}, indent=2))
-        else:
-            print("\n".join(ids))
+        _emit({"entries": ids}, args, "\n".join(ids))
         return 0
     if args.action == "show":
         if not args.id:

@@ -28,9 +28,9 @@ class ParseError(RhizalabError):
 
 
 class UnboundParameter(RhizalabError):
-    def __init__(self, name: str):
+    def __init__(self, name: str, where: str):
         self.name = name
-        super().__init__(f"parameter {name!r} has no rational binding")
+        super().__init__(f"{where}: parameter {name!r} has no rational binding")
 
 
 class UnknownEntry(RhizalabError):

@@ -12,7 +12,9 @@ import rhizalab
 import rhizalab.cli
 from rhizalab.algmodel import HomAlgebra, serialize_algebra, sum_product
 from rhizalab.catalog import load_entry
-from rhizalab.cli import CHECKS, OPERATION_COVERAGE, _bimodule_obj, _load_family, build_parser, main
+from rhizalab.cli import CHECKS, OPERATION_COVERAGE, build_parser, main
+from rhizalab.family import induced_family_rhizaform
+from rhizalab.files import bimodule_obj, load_algebra, load_json, read_bimodule, read_family, read_rb_family
 from rhizalab.operators import regular_bimodule
 
 F = Fraction
@@ -450,6 +452,23 @@ GOOD_FAMILY = {
             {"alg_dim": True, "mod_dim": 2, "left": [], "right": [], "beta": [["1"]]},
             "bimodule.alg_dim",
         ),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "alpha": [["1", "0"], ["0", 0.5]]}, "family.alpha[1][1]"),
+        # semigroup table cells are JSON integers, and a given size is the row count
+        (("family", "--do", "check"), {**GOOD_FAMILY, "omega": {"table": [[0.9]]}}, "family.omega.table[0][0]"),
+        (("family", "--do", "check-semigroup"), {"omega": {"table": [[False, True], [True, "0"]]}}, "table[0][0]"),
+        (("family", "--do", "check-semigroup"), {"omega": {"table": [[0, 1], [1, "0"]]}}, "family.omega.table[1][1]"),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "omega": {"size": 7, "table": [[0]]}}, "family.omega.size"),
+        # per-element sections are keyed exactly "0".."s-1"
+        (("family", "--do", "check"), {**GOOD_FAMILY, "succ": {"0": [], "5": [[1, 1, 1, "1"]]}}, "family.succ: key '5'"),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "prec": {"0": [], "x": 3}}, "family.prec: key 'x'"),
+        *(
+            (
+                ("family", "--do", "check-rb", "--algebra", "{A}"),
+                {"omega": {"table": [[0]]}, "operators": {"0": [["0", "0"], ["0", "0"]], alias: [["1", "0"], ["0", "1"]]}},
+                f"rb_family.operators: key {alias!r}",
+            )
+            for alias in ("00", " 0")
+        ),
     ],
 )
 def test_malformed_auxiliary_files_exit_2_without_traceback(tmp_path, a1_sum_file, argv, doc, fragment):
@@ -483,6 +502,8 @@ GOOD_ALGEBRA = {"dim": 2, "kind": "mono", "alpha": [["1", "0"], ["0", "1"]], "mu
         ({**GOOD_ALGEBRA, "mul": [[True, 2, 1, "1"]]}, "non-integer indices"),
         ({**GOOD_ALGEBRA, "mul": [[2, 2, 1, False]]}, "False"),
         ({**GOOD_ALGEBRA, "params": {"eta": True}}, "True"),
+        ({**GOOD_ALGEBRA, "alpha": [["1", "0"], ["0", "x"]]}, "algebra.alpha[1][1]"),
+        ({**GOOD_ALGEBRA, "mul": [[2, 2, 1, "1/0"]]}, "algebra.mul[0][3]"),
     ],
 )
 def test_malformed_algebra_files_exit_2_without_traceback(tmp_path, argv, doc, fragment):
@@ -517,10 +538,10 @@ def test_cocycles_strict_rejects_non_anti_associative(tmp_path, route):
 def test_family_loader_keeps_params(tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(GOOD_FAMILY))
-    fam = _load_family(str(path), {})
+    fam = read_family(load_json(str(path)), {})
     assert fam.params == {"eta": F(1, 2)}
     assert fam.succ[0].entry(1, 1) == (F(1, 2), F(0))
-    assert _load_family(str(path), {"eta": F(3)}).params == {"eta": F(3)}
+    assert read_family(load_json(str(path)), {"eta": F(3)}).params == {"eta": F(3)}
 
 
 # --- exit-code contract under fuzzed numeric slots --------------------------
@@ -587,7 +608,7 @@ def route_files(tmp_path, a7_file, a1_sum_file):
     a = load_entry("d2.A1")
     docs = {
         "R": {"T": [["1", "0"], ["0", "1"]]},
-        "M": _bimodule_obj(regular_bimodule(HomAlgebra.mono(sum_product(a), a.alpha))),
+        "M": bimodule_obj(regular_bimodule(HomAlgebra.mono(sum_product(a), a.alpha))),
         "B": {"B": [["1", "0"], ["0", "1"]]},
         "FAM": GOOD_FAMILY,
         "RBF": {"omega": {"size": 1, "table": [[0]]}, "operators": {"0": [["0", "0"], ["0", "0"]]}},
@@ -628,6 +649,83 @@ def test_unreadable_files_exit_2_in_every_role(tmp_path, route_files, role, unre
         bad.write_bytes(b'\xff{"dim": 2}')
     code, out, err = run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(bad)}))
     assert_rejected(code, out, err, str(bad))
+
+
+# the valid file of each role in FILE_ROLES
+ROLE_FILES = {
+    "algebra": "A",
+    "--operator": "R",
+    "--bimodule": "M",
+    "--form": "B",
+    "--target": "S",
+    "family": "FAM",
+    "rb family": "RBF",
+    "--algebra": "S",
+}
+KEYS = st.one_of(
+    st.sampled_from(["dim", "alpha", "params", "succ", "T", "left", "beta", "alg_dim", "B", "omega", "table", "size", "0"]),
+    st.text(max_size=3),
+)
+ANY_JSON = st.recursive(
+    JUNK, lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(KEYS, inner, max_size=3)), max_leaves=8
+)
+
+
+def slots(doc):
+    """(container, key) of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield doc, key
+        yield from slots(child)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(role=st.sampled_from(sorted(FILE_ROLES)), junk=ANY_JSON, data=st.data())
+def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(tmp_path, route_files, role, junk, data):
+    """Arbitrary JSON as the whole file of one role, or in place of one value of its valid file."""
+    with open(route_files[ROLE_FILES[role]]) as fh:
+        doc = json.load(fh)
+    places = list(slots(doc))
+    place = data.draw(st.integers(-1, len(places) - 1))
+    if place < 0:
+        doc = junk
+    else:
+        container, key = places[place]
+        container[key] = junk
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(path)}))
+    assert code in (0, 1, 2), (role, doc, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+
+
+def test_written_files_read_back_equal(route_files, tmp_path):
+    """A bimodule written by induce and a family written by family --do induce read back as the same value."""
+    s = load_algebra(route_files["S"], {})
+    code, out, _ = run_cli("induce", "--what", "regular-bimodule", "--format", "structured", route_files["S"])
+    assert code == 0 and read_bimodule(json.loads(out)["bimodule"]) == regular_bimodule(s)
+
+    rbf = {
+        "omega": {"size": 2, "table": [[0, 1], [1, 0]]},
+        "operators": {"0": [["0", "1"], ["0", "0"]], "1": [["1", "-2"], ["3", "1/2"]]},
+    }
+    path = tmp_path / "rbf2.json"
+    path.write_text(json.dumps(rbf))
+    argv = ("family", "--do", "induce", "--no-strict", "--algebra", route_files["S"], "--format", "structured")
+    code, out, _ = run_cli(*argv, str(path))
+    assert code == 0
+    want = induced_family_rhizaform(read_rb_family(rbf), s, strict=False)
+    got = read_family(json.loads(out), {})
+    assert not want.succ[1].is_zero() and not want.prec[1].is_zero()
+    assert (got.dim, got.semigroup, got.alpha, got.succ, got.prec) == (
+        want.dim,
+        want.semigroup,
+        want.alpha,
+        want.succ,
+        want.prec,
+    )
 
 
 # every route that needs options: (argv without them, the options and their files);
