@@ -32,6 +32,7 @@ from .exactlin import (
     F0,
     Matrix,
     Vector,
+    _cleared,
     rational,
     rational_str,
     vec_zero,
@@ -145,6 +146,68 @@ def eval_product(op: BilinearOp, x: Vector, y: Vector) -> Vector:
                 if ck:
                     out[k] += s * ck
     return tuple(out)
+
+
+# --- integer kernel ---------------------------------------------------------
+# The identity checkers evaluate over int.  A structure is cleared once per
+# check by D, the lcm of its denominators (``exactlin._cleared``); a sparse
+# integer vector is a tuple of (index, value) pairs with nonzero values, and an
+# integer table of a product holds table[i][j] = e_i o e_j times D as one.
+
+
+def _sparse(v) -> tuple[tuple[int, int], ...]:
+    return tuple((i, c) for i, c in enumerate(v) if c)
+
+
+def _add_into(out: list[int], x, c: int = 1) -> None:
+    """out += c x for a sparse integer vector x."""
+    for i, xi in x:
+        out[i] += c * xi
+
+
+def _int_tables(ops) -> tuple[list, int]:
+    """Integer tables of the products ``ops``, all cleared by one D; and D."""
+    cells, d = _cleared([cell for op in ops for row in op.coeffs for cell in row])
+    cells = iter([_sparse(c) for c in cells])
+    return [[[next(cells) for _ in range(op.dim)] for _ in range(op.dim)] for op in ops], d
+
+
+def _int_columns(mats) -> tuple[list, int]:
+    """The columns of each matrix in ``mats`` as sparse integer vectors, all cleared by one D; and D."""
+    cols, d = _cleared([m.column(j) for m in mats for j in range(m.cols)])
+    cols = iter([_sparse(c) for c in cols])
+    return [[next(cols) for _ in range(m.cols)] for m in mats], d
+
+
+def _product_into(out: list[int], table, x, y, c: int = 1) -> None:
+    """out += c (x o y) for sparse integer vectors x, y and the integer table of o."""
+    for i, xi in x:
+        row = table[i]
+        for j, yj in y:
+            s = c * xi * yj
+            for k, t in row[j]:
+                out[k] += s * t
+
+
+def _apply_into(out: list[int], cols, x, c: int = 1) -> None:
+    """out += c M x for the sparse integer columns ``cols`` of M and a sparse integer vector x."""
+    for i, xi in x:
+        s = c * xi
+        for r, t in cols[i]:
+            out[r] += s * t
+
+
+def _left_columns(table, x, size: int) -> list:
+    """The sparse integer columns of v -> x o v, for v and x o v in a space of dimension ``size``.
+
+    ``table`` may be a product's or an action's: table[i][w] holds e_i o e_w.
+    """
+    cols = []
+    for w in range(size):
+        col = [0] * size
+        _product_into(col, table, x, ((w, 1),))
+        cols.append(_sparse(col))
+    return cols
 
 
 class LinearMap:
@@ -273,10 +336,20 @@ def star_product(a: HomAlgebra) -> BilinearOp:
 # The pieces every input file shares; ``files`` reads the other file roles with them.
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refusing a key that repeats (``json`` would keep only its last value)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"bad JSON input: repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _decode_json(text: str):
     """The one decoder of user-supplied JSON; errors are ParseError, with the position when known."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON input: {exc.msg}", position=exc.pos) from None
     except ValueError as exc:  # an integer literal beyond the interpreter's digit limit

@@ -23,10 +23,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, sum_product
+from .algmodel import (
+    BilinearOp,
+    HomAlgebra,
+    LinearMap,
+    _add_into,
+    _apply_into,
+    _int_columns,
+    _int_tables,
+    _left_columns,
+    _sparse,
+    eval_product,
+    sum_product,
+)
 from .errors import DimensionMismatch, MissingProduct
-from .exactlin import Matrix, Vector, basis_vec, rational_str, vec_add, vec_is_zero, vec_sub
+from .exactlin import Vector, basis_vec, rational_str, vec_sub
 
 
 @dataclass(frozen=True)
@@ -80,58 +93,114 @@ def _require_same_dim(*dims: int):
         raise DimensionMismatch(f"dimensions disagree: {dims}")
 
 
-def _column_violations(ident: str, mat: Matrix, prefix: tuple[int, ...] = ()):
-    """One violation per nonzero column u of ``mat``, at ``(*prefix, u + 1)``."""
-    for u in range(mat.cols):
-        resid = mat.column(u)
-        if not vec_is_zero(resid):
-            yield Violation(ident, (*prefix, u + 1), resid)
+# Every checker evaluates over int (see algmodel's integer kernel).  Each
+# identity is homogeneous, so all its terms carry one scale, for example
+# D^2 D_alpha for a product of a product with a twisted argument (D clears the
+# products, D_alpha the twist); a term of smaller scale is lifted to the
+# common one.  Only a failing tuple becomes Fractions: its integer residual
+# over the scale, the same normalized value the Fraction route gives.
 
 
-def _anti_assoc_violations(first, outer, inner, mixed, alpha: LinearMap, prefix=()):
-    """Residual (x first y) outer alpha(z) + alpha(x) mixed (y inner z) on basis triples."""
+def _residual(r: list[int], scale: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, scale) for v in r)
+
+
+def _column_violations(ident: str, cols: list[list[int]], scale: int, prefix: tuple[int, ...] = ()):
+    """One violation per nonzero integer column u of ``cols`` (at ``scale``), at ``(*prefix, u + 1)``."""
+    for u, col in enumerate(cols):
+        if any(col):
+            yield Violation(ident, (*prefix, u + 1), _residual(col, scale))
+
+
+class _Twisted(NamedTuple):
+    """Products cleared by one D and a twist cleared by D_alpha, in integer form."""
+
+    tables: list  # tables[p]: the integer table of product p
+    left: list  # left[p][i]: the columns of alpha(e_i) o_p -
+    right: list  # right[p][k]: the columns of - o_p alpha(e_k)
+    twist: list  # the integer columns of alpha
+    d: int
+    d_alpha: int
+
+    @property
+    def scale(self) -> int:
+        """D^2 D_alpha, the scale of a product of a product with a twisted argument."""
+        return self.d * self.d * self.d_alpha
+
+
+def _twisted(ops, alpha: LinearMap) -> _Twisted:
+    """The integer view of ``ops`` and ``alpha``.
+
+    left and right hold the matrices of alpha(e_i) o - and - o alpha(e_i), at
+    D D_alpha, so a checker evaluates each product with one twisted argument
+    as one of these matrices applied to the other argument.
+    """
+    tables, d = _int_tables(ops)
+    (twist,), d_alpha = _int_columns([alpha.matrix])
     n = alpha.dim
+    opposite = [[[t[j][i] for j in range(n)] for i in range(n)] for t in tables]  # x o' y = y o x
+    left = [[_left_columns(t, a_i, n) for a_i in twist] for t in tables]
+    right = [[_left_columns(t, a_i, n) for a_i in twist] for t in opposite]
+    return _Twisted(tables, left, right, twist, d, d_alpha)
+
+
+def _anti_assoc_violations(first, outer_right, inner, mixed_left, scale: int, prefix=()):
+    """Residual (x first y) outer alpha(z) + alpha(x) mixed (y inner z) on basis triples.
+
+    ``first`` and ``inner`` are integer tables, ``outer_right`` and
+    ``mixed_left`` the twisted columns of outer and mixed (``_Twisted``).
+    """
+    n = len(first)
     for i in range(n):
-        ai = alpha.image_of_basis(i)
+        m_i = mixed_left[i]
         for j in range(n):
-            fij = first.entry(i, j)
+            f_ij = first[i][j]
             for k in range(n):
-                resid = vec_add(
-                    eval_product(mixed, ai, inner.entry(j, k)),
-                    eval_product(outer, fij, alpha.image_of_basis(k)),
-                )
-                if not vec_is_zero(resid):
-                    yield Violation("anti_assoc", (*prefix, i + 1, j + 1, k + 1), resid)
+                r = [0] * n
+                _apply_into(r, outer_right[k], f_ij)
+                _apply_into(r, m_i, inner[j][k])
+                if any(r):
+                    yield Violation("anti_assoc", (*prefix, i + 1, j + 1, k + 1), _residual(r, scale))
 
 
 def check_hom_anti_associative(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
     """alpha(x)(yz) = -(xy)alpha(z) on all basis triples."""
     _require_same_dim(mul.dim, alpha.dim)
+    t = _twisted([mul], alpha)
     return CheckReport.collect(
-        "hom_anti_associative", _anti_assoc_violations(mul, mul, mul, mul, alpha)
+        "hom_anti_associative",
+        _anti_assoc_violations(t.tables[0], t.right[0], t.tables[0], t.left[0], t.scale),
     )
 
 
 def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult") -> CheckReport:
-    """alpha(x o y) = alpha(x) o alpha(y) on all basis pairs."""
+    """alpha(x o y) = alpha(x) o alpha(y) on all basis pairs.
+
+    The left side is at D D_alpha and is lifted by D_alpha to the right
+    side's D D_alpha^2.
+    """
     _require_same_dim(op.dim, alpha.dim)
     n = op.dim
+    t = _twisted([op], alpha)
+    table, left = t.tables[0], t.left[0]
+    scale = t.d * t.d_alpha * t.d_alpha
     violations = []
     for i in range(n):
-        ai = alpha.image_of_basis(i)
         for j in range(n):
-            lhs = alpha.apply(op.entry(i, j))
-            rhs = eval_product(op, ai, alpha.image_of_basis(j))
-            resid = vec_sub(lhs, rhs)
-            if not vec_is_zero(resid):
-                violations.append(Violation(name, (i + 1, j + 1), resid))
+            r = [0] * n
+            _apply_into(r, t.twist, table[i][j], t.d_alpha)
+            _apply_into(r, left[i], t.twist[j], -1)
+            if any(r):
+                violations.append(Violation(name, (i + 1, j + 1), _residual(r, scale)))
     return CheckReport.collect(f"multiplicativity[{name}]", violations)
 
 
-def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, alpha: LinearMap, sign):
+def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twisted, sign):
     """Yield (i, j, k, r1, r2, r3) over all basis triples for the three split identities.
 
-    With index-coupled products (lam, omega, lam.omega) the identities read
+    The products are indices into ``t``; each r is an integer residual at
+    scale D^2 D_alpha.  With index-coupled products (lam, omega, lam.omega)
+    the identities read
 
     * r1: (x prec_omega y + x succ_lam y) succ_{lam.omega} alpha(z)
       - sign alpha(x) succ_lam (y succ_omega z)
@@ -142,23 +211,29 @@ def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, alpha: Li
     ``sign=-1`` is the anti-associative splitting, ``sign=1`` the associative
     one; a plain algebra passes its one succ and one prec three times each.
     """
-    combine = vec_add if sign < 0 else vec_sub
-    n = alpha.dim
+    s_l, s_o, p_l, p_o = (t.tables[p] for p in (succ_l, succ_o, prec_l, prec_o))
+    s_lo_right, p_o_right = t.right[succ_lo], t.right[prec_o]
+    s_l_left, p_lo_left = t.left[succ_l], t.left[prec_lo]
+    n = len(s_l)
+    star = [[[0] * n for _ in range(n)] for _ in range(n)]  # x prec_omega y + x succ_lam y
     for i in range(n):
-        ai = alpha.image_of_basis(i)
         for j in range(n):
-            s_l_ij = succ_l.entry(i, j)
-            p_l_ij = prec_l.entry(i, j)
-            star_ij = vec_add(prec_o.entry(i, j), s_l_ij)
+            _add_into(star[i][j], p_o[i][j])
+            _add_into(star[i][j], s_l[i][j])
+    star = [[_sparse(v) for v in row] for row in star]
+    m = -sign
+    for i in range(n):
+        s_l_i, p_lo_i = s_l_left[i], p_lo_left[i]
+        for j in range(n):
+            star_ij, p_l_ij, s_l_ij = star[i][j], p_l[i][j], s_l[i][j]
             for k in range(n):
-                ak = alpha.image_of_basis(k)
-                p_o_jk = prec_o.entry(j, k)
-                r1 = combine(eval_product(succ_lo, star_ij, ak), eval_product(succ_l, ai, succ_o.entry(j, k)))
-                r2 = combine(
-                    eval_product(prec_lo, ai, vec_add(p_o_jk, succ_l.entry(j, k))),
-                    eval_product(prec_o, p_l_ij, ak),
-                )
-                r3 = combine(eval_product(succ_l, ai, p_o_jk), eval_product(prec_o, s_l_ij, ak))
+                r1, r2, r3 = [0] * n, [0] * n, [0] * n
+                _apply_into(r1, s_lo_right[k], star_ij)
+                _apply_into(r1, s_l_i, s_o[j][k], m)
+                _apply_into(r2, p_lo_i, star[j][k])
+                _apply_into(r2, p_o_right[k], p_l_ij, m)
+                _apply_into(r3, s_l_i, p_o[j][k])
+                _apply_into(r3, p_o_right[k], s_l_ij, m)
                 yield i, j, k, r1, r2, r3
 
 
@@ -168,14 +243,13 @@ def _split_triple_violations(a: HomAlgebra, signed: bool) -> list[Violation]:
     ``signed=True`` is the anti-associative splitting (right sides carry a
     minus), ``signed=False`` the associative one (no minus).
     """
-    succ, prec = a.succ, a.prec
     ids = ("req1", "req2", "req3") if signed else ("den1", "den2", "den3")
+    t = _twisted([a.succ, a.prec], a.alpha)
     violations = []
-    triples = _split_residuals(succ, succ, succ, prec, prec, prec, a.alpha, -1 if signed else 1)
-    for i, j, k, *resids in triples:
+    for i, j, k, *resids in _split_residuals(0, 0, 0, 1, 1, 1, t, -1 if signed else 1):
         for ident, r in zip(ids, resids):
-            if not vec_is_zero(r):
-                violations.append(Violation(ident, (i + 1, j + 1, k + 1), r))
+            if any(r):
+                violations.append(Violation(ident, (i + 1, j + 1, k + 1), _residual(r, t.scale)))
     return violations
 
 
@@ -212,27 +286,25 @@ def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
     alpha(x)(yz) + alpha(y)(zx) + alpha(z)(xy) = 0."""
     _require_same_dim(mul.dim, alpha.dim)
     n = mul.dim
+    t = _twisted([mul], alpha)
+    table, left = t.tables[0], t.left[0]
     violations = []
     for i in range(n):
         for j in range(n):
-            resid = vec_sub(mul.entry(i, j), mul.entry(j, i))
-            if not vec_is_zero(resid):
-                violations.append(Violation("comm", (i + 1, j + 1), resid))
+            r = [0] * n
+            _add_into(r, table[i][j])
+            _add_into(r, table[j][i], -1)
+            if any(r):
+                violations.append(Violation("comm", (i + 1, j + 1), _residual(r, t.d)))
     for i in range(n):
-        ai = alpha.image_of_basis(i)
         for j in range(n):
-            aj = alpha.image_of_basis(j)
             for k in range(n):
-                ak = alpha.image_of_basis(k)
-                resid = vec_add(
-                    vec_add(
-                        eval_product(mul, ai, mul.entry(j, k)),
-                        eval_product(mul, aj, mul.entry(k, i)),
-                    ),
-                    eval_product(mul, ak, mul.entry(i, j)),
-                )
-                if not vec_is_zero(resid):
-                    violations.append(Violation("cyclic", (i + 1, j + 1, k + 1), resid))
+                r = [0] * n
+                _apply_into(r, left[i], table[j][k])
+                _apply_into(r, left[j], table[k][i])
+                _apply_into(r, left[k], table[i][j])
+                if any(r):
+                    violations.append(Violation("cyclic", (i + 1, j + 1, k + 1), _residual(r, t.scale)))
     return CheckReport.collect("jacobi_jordan", violations)
 
 
@@ -240,25 +312,19 @@ def check_pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
     """(xy)alpha(z) + alpha(x)(yz) + (yx)alpha(z) + alpha(y)(xz) = 0."""
     _require_same_dim(mul.dim, alpha.dim)
     n = mul.dim
+    t = _twisted([mul], alpha)
+    table, left, right = t.tables[0], t.left[0], t.right[0]
     violations = []
     for i in range(n):
-        ai = alpha.image_of_basis(i)
         for j in range(n):
-            aj = alpha.image_of_basis(j)
             for k in range(n):
-                ak = alpha.image_of_basis(k)
-                resid = vec_add(
-                    vec_add(
-                        eval_product(mul, mul.entry(i, j), ak),
-                        eval_product(mul, ai, mul.entry(j, k)),
-                    ),
-                    vec_add(
-                        eval_product(mul, mul.entry(j, i), ak),
-                        eval_product(mul, aj, mul.entry(i, k)),
-                    ),
-                )
-                if not vec_is_zero(resid):
-                    violations.append(Violation("pre_jj", (i + 1, j + 1, k + 1), resid))
+                r = [0] * n
+                _apply_into(r, right[k], table[i][j])
+                _apply_into(r, left[i], table[j][k])
+                _apply_into(r, right[k], table[j][i])
+                _apply_into(r, left[j], table[i][k])
+                if any(r):
+                    violations.append(Violation("pre_jj", (i + 1, j + 1, k + 1), _residual(r, t.scale)))
     return CheckReport.collect("pre_jacobi_jordan", violations)
 
 
@@ -329,21 +395,25 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
 
 
 def check_alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> CheckReport:
-    """Twisted Leibniz rule D(x o y) = D(x) o alpha(y) + alpha(x) o D(y)."""
+    """Twisted Leibniz rule D(x o y) = D(x) o alpha(y) + alpha(x) o D(y).
+
+    The left side is at D_op D_d and is lifted by D_alpha to the right
+    side's D_op D_d D_alpha.
+    """
     op = a.product(product_name)
     _require_same_dim(op.dim, d.dim, a.alpha.dim)
     n = a.dim
+    t = _twisted([op], a.alpha)
+    (dcols,), d_d = _int_columns([d.matrix])
+    table, left, right = t.tables[0], t.left[0], t.right[0]
+    scale = t.d * d_d * t.d_alpha
     violations = []
     for i in range(n):
-        di = d.image_of_basis(i)
-        ai = a.alpha.image_of_basis(i)
         for j in range(n):
-            lhs = d.apply(op.entry(i, j))
-            rhs = vec_add(
-                eval_product(op, di, a.alpha.image_of_basis(j)),
-                eval_product(op, ai, d.image_of_basis(j)),
-            )
-            resid = vec_sub(lhs, rhs)
-            if not vec_is_zero(resid):
-                violations.append(Violation("leibniz", (i + 1, j + 1), resid))
+            r = [0] * n
+            _apply_into(r, dcols, table[i][j], t.d_alpha)
+            _apply_into(r, right[j], dcols[i], -1)
+            _apply_into(r, left[i], dcols[j], -1)
+            if any(r):
+                violations.append(Violation("leibniz", (i + 1, j + 1), _residual(r, scale)))
     return CheckReport.collect(f"alpha_derivation[{product_name}]", violations)

@@ -30,11 +30,14 @@ from ..cocycles import vector_cocycle_space
 from ..errors import ParseError, UnknownEntry
 from ..nilpotency import (
     NilpotencyVerdict,
+    _verdict,
     check_2_nilpotent,
     check_alpha_stability,
     check_onesided_nilpotency_theorem,
     check_series_equality,
-    is_nilpotent,
+    full_series,
+    left_series,
+    right_series,
 )
 
 _DATA_PACKAGE = "rhizalab.catalog"
@@ -189,7 +192,8 @@ def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> En
     multiplicative = {name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
     tag_agrees = (entry.tag == "m") == all(multiplicative.values())
     cocycle_dim = len(vector_cocycle_space(a))
-    alpha_stab = check_alpha_stability(a) if all(multiplicative.values()) else None
+    series = {"right": right_series(a), "left": left_series(a), "full": full_series(a)}
+    alpha_stab = check_alpha_stability(a, series["full"]) if all(multiplicative.values()) else None
     return EntryReport(
         entry_id=entry_id,
         dim=entry.dim,
@@ -199,9 +203,9 @@ def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> En
         tag_agrees=tag_agrees,
         cocycle_dim=cocycle_dim,
         expected_cocycle_dim=entry.expected_cocycle_dim,
-        nilpotent=is_nilpotent(a),
-        series_equality=check_series_equality(a),
-        onesided=check_onesided_nilpotency_theorem(a),
+        nilpotent=_verdict(series["full"]),
+        series_equality=check_series_equality(a, series),
+        onesided=check_onesided_nilpotency_theorem(a, series["full"]),
         two_nilpotent=check_2_nilpotent(a),
         alpha_stability=alpha_stab,
         notes=entry.notes,

@@ -393,11 +393,11 @@ def cmd_nilpotency(args) -> int:
         "full": full_series(a),
     }
     verdicts = {name: _verdict(terms) for name, terms in series.items()}
-    equality = check_series_equality(a)
-    onesided = check_onesided_nilpotency_theorem(a)
+    equality = check_series_equality(a, series)
+    onesided = check_onesided_nilpotency_theorem(a, series["full"])
     twonil = check_2_nilpotent(a)
     mult = is_multiplicative(a)
-    stab = check_alpha_stability(a) if mult else None
+    stab = check_alpha_stability(a, series["full"]) if mult else None
     obj = {
         "series": {
             name: [_matrix_obj(t.basis) for t in terms] for name, terms in series.items()

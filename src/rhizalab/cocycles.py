@@ -26,22 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product
-from .axioms import Violation, check_hom_anti_associative
+from .algmodel import BilinearOp, HomAlgebra, LinearMap, _apply_into, _int_columns, _int_tables, star_product
+from .axioms import Violation, _residual, _twisted, check_hom_anti_associative
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import (
     F0,
     Matrix,
     Vector,
+    _cleared,
     basis_vec,
     invert,
     nullspace_basis,
     rank,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
 )
 
 
@@ -72,53 +69,68 @@ class VectorForm(BilinearOp):
 
 
 def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
-    """Direct substitution of one form into the defining conditions."""
-    star, alpha = star_product(a), a.alpha
+    """Direct substitution of one form into the defining conditions, over int.
+
+    With the working product cleared by D, the twist by D_alpha and the form
+    by D_B, every cyclic term is at D_B D D_alpha; in the invariance
+    condition B[i][j] is lifted by D_alpha^2 to B(alpha e_i, alpha e_j)'s
+    D_B D_alpha^2.
+    """
     n = a.dim
+    (star,), d = _int_tables([star_product(a)])
+    (twist,), d_alpha = _int_columns([a.alpha.matrix])
+    gram, d_b = _cleared([b.matrix.row(p) for p in range(n)])
+    # paired[k][p] = B(e_p, alpha e_k)
+    paired = [[sum(row[q] * c for q, c in twist[k]) for row in gram] for k in range(n)]
+
+    def value(u, k):  # B(u, alpha e_k) for a sparse integer vector u
+        return sum(c * paired[k][p] for p, c in u)
+
     out = []
+    scale = d_b * d * d_alpha
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r = (
-                    b.value(star.entry(i, j), alpha.image_of_basis(k))
-                    + b.value(star.entry(j, k), alpha.image_of_basis(i))
-                    + b.value(star.entry(k, i), alpha.image_of_basis(j))
-                )
+                r = value(star[i][j], k) + value(star[j][k], i) + value(star[k][i], j)
                 if r:
-                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), (r,)))
+                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), _residual((r,), scale)))
+    scale = d_b * d_alpha * d_alpha
     for i in range(n):
         for j in range(n):
-            r = b.value(alpha.image_of_basis(i), alpha.image_of_basis(j)) - b.matrix.at(i, j)
+            r = value(twist[i], j) - gram[i][j] * d_alpha * d_alpha
             if r:
-                out.append(Violation("invariance", (i + 1, j + 1), (r,)))
+                out.append(Violation("invariance", (i + 1, j + 1), _residual((r,), scale)))
     return out
 
 
 def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
-    star, alpha = star_product(a), a.alpha
+    """The same for an algebra-valued form, over int.
+
+    With the working product and the form cleared by one D, each cyclic
+    term is at D^2 D_alpha; in the twist condition alpha(w(e_i, e_j)) is
+    lifted by D_alpha to w(alpha e_i, alpha e_j)'s D D_alpha^2.
+    """
     n = a.dim
+    t = _twisted([star_product(a), w], a.alpha)
+    star, form, form_left, form_right = t.tables[0], t.tables[1], t.left[1], t.right[1]
     out = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r = vec_add(
-                    vec_add(
-                        eval_product(w, star.entry(i, j), alpha.image_of_basis(k)),
-                        eval_product(w, star.entry(j, k), alpha.image_of_basis(i)),
-                    ),
-                    eval_product(w, star.entry(k, i), alpha.image_of_basis(j)),
-                )
-                if not vec_is_zero(r):
-                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), r))
+                r = [0] * n
+                _apply_into(r, form_right[k], star[i][j])
+                _apply_into(r, form_right[i], star[j][k])
+                _apply_into(r, form_right[j], star[k][i])
+                if any(r):
+                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), _residual(r, t.scale)))
+    scale = t.d * t.d_alpha * t.d_alpha
     for i in range(n):
-        ai = alpha.image_of_basis(i)
         for j in range(n):
-            r = vec_sub(
-                alpha.apply(w.entry(i, j)),
-                eval_product(w, ai, alpha.image_of_basis(j)),
-            )
-            if not vec_is_zero(r):
-                out.append(Violation("compat", (i + 1, j + 1), r))
+            r = [0] * n
+            _apply_into(r, t.twist, form[i][j], t.d_alpha)
+            _apply_into(r, form_left[i], t.twist[j], -1)
+            if any(r):
+                out.append(Violation("compat", (i + 1, j + 1), _residual(r, scale)))
     return out
 
 
@@ -130,7 +142,7 @@ def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
     return star
 
 
-def _add_form_terms(row: list[int], u: tuple[int, ...], w: tuple[int, ...]) -> None:
+def _add_form_terms(row: list[int], u: list[int], w: list[int]) -> None:
     """Add to ``row`` the coefficient of B[p][q] (column p*n + q) in B(u, w)."""
     n = len(u)
     for p, up in enumerate(u):
@@ -138,12 +150,6 @@ def _add_form_terms(row: list[int], u: tuple[int, ...], w: tuple[int, ...]) -> N
             for q, wq in enumerate(w):
                 if wq:
                     row[p * n + q] += up * wq
-
-
-def _cleared(vectors: list[Vector]) -> tuple[list[tuple[int, ...]], int]:
-    """The vectors times D, the lcm of all their denominators, as ints; and D."""
-    d = lcm(*(c.denominator for v in vectors for c in v))
-    return [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors], d
 
 
 def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> list[list[int]]:

@@ -58,10 +58,6 @@ def basis_vec(n: int, i: int) -> Vector:
     return tuple(F1 if j == i else F0 for j in range(n))
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -153,17 +149,6 @@ class Matrix:
                 ent.append(s)
         return Matrix(self.rows, other.cols, ent)
 
-    def scale(self, c: Fraction) -> Matrix:
-        return Matrix(self.rows, self.cols, [c * e for e in self.entries])
-
-    def add(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in matrix addition")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def sub(self, other: Matrix) -> Matrix:
-        return self.add(other.scale(Fraction(-1)))
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -189,10 +174,15 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_row(row: Vector) -> list[int]:
-    """The primitive integer row proportional to ``row``."""
-    d = lcm(*(e.denominator for e in row))
-    return _primitive([e.numerator * (d // e.denominator) for e in row])
+def _cleared(vectors) -> tuple[list[list[int]], int]:
+    """The vectors times D, the lcm of all their denominators, as int lists; and D.
+
+    The one bridge from Fractions to integers: ``rref`` clears each row on
+    its own, the cyclic-form rows and the identity checkers clear a whole
+    structure (a tensor, a twist, a family of operators) by one D at once.
+    """
+    d = lcm(*(c.denominator for v in vectors for c in v))
+    return [[c.numerator * (d // c.denominator) for c in v] for v in vectors], d
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -207,7 +197,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     n_rows, n_cols = m.rows, m.cols
     if not n_rows:
         return m, 0
-    a = [_integer_row(m.row(i)) for i in range(n_rows)]
+    a = [_primitive(_cleared([m.row(i)])[0][0]) for i in range(n_rows)]
     pivots = []
     for col in range(n_cols):
         piv_row = len(pivots)

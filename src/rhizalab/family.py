@@ -25,17 +25,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
+from .algmodel import _int_columns, _int_tables
 from .axioms import (
     CheckReport,
     Violation,
     _anti_assoc_violations,
-    _column_violations,
+    _require_same_dim,
+    _residual,
     _split_residuals,
+    _twisted,
     check_multiplicativity,
 )
 from .errors import DimensionMismatch, NotARotaBaxterOperator
-from .exactlin import Matrix, vec_is_zero
-from .operators import LinearOperator, _rb_splitting, _rb_violations
+from .exactlin import Matrix
+from .operators import LinearOperator, _equivariance_violations, _rb_splitting, _rb_violations
 
 
 @dataclass(frozen=True)
@@ -142,18 +145,18 @@ class RBFamily:
 def check_rhizaform_family(f: FamilyAlgebra) -> CheckReport:
     """The three index-coupled split identities plus twist compatibility."""
     s = f.semigroup
+    # products 0..size-1 are the succ family, size..2 size-1 the prec family, all cleared by one D
+    t = _twisted([f.succ[lam] for lam in range(s.size)] + [f.prec[lam] for lam in range(s.size)], f.alpha)
     violations = []
     for lam in range(s.size):
         for omega in range(s.size):
             lo = s.mul(lam, omega)
-            triples = _split_residuals(
-                f.succ[lam], f.succ[omega], f.succ[lo], f.prec[lam], f.prec[omega], f.prec[lo], f.alpha, -1
-            )
+            triples = _split_residuals(lam, omega, lo, s.size + lam, s.size + omega, s.size + lo, t, -1)
             for i, j, k, r1, r2, r3 in triples:
                 where = (lam, omega, i + 1, j + 1, k + 1)
                 for ident, r in (("req2", r2), ("req3", r3), ("req1", r1)):
-                    if not vec_is_zero(r):
-                        violations.append(Violation(ident, where, r))
+                    if any(r):
+                        violations.append(Violation(ident, where, _residual(r, t.scale)))
     for lam in range(s.size):
         for name, ops in (("succ", f.succ), ("prec", f.prec)):
             rep = check_multiplicativity(ops[lam], f.alpha, name=f"mult_{name}")
@@ -166,20 +169,23 @@ def check_anti_associative_family(
     products: dict[tuple[int, int], BilinearOp], alpha: LinearMap, semigroup: Semigroup
 ) -> CheckReport:
     """(x *_{lam,omega} y) *_{lam.omega,gam} alpha(z) = -alpha(x) *_{lam,omega.gam} (y *_{omega,gam} z)."""
-    pairs = {(lam, omega) for lam in range(semigroup.size) for omega in range(semigroup.size)}
-    if set(products) != pairs:
+    pairs = sorted((lam, omega) for lam in range(semigroup.size) for omega in range(semigroup.size))
+    if set(products) != set(pairs):
         raise DimensionMismatch("need one product per semigroup index pair")
+    _require_same_dim(alpha.dim, *(op.dim for op in products.values()))
+    t = _twisted([products[pair] for pair in pairs], alpha)
+    index = {pair: p for p, pair in enumerate(pairs)}
     violations = []
     for lam in range(semigroup.size):
         for omega in range(semigroup.size):
             for gam in range(semigroup.size):
                 violations.extend(
                     _anti_assoc_violations(
-                        products[(lam, omega)],
-                        products[(semigroup.mul(lam, omega), gam)],
-                        products[(omega, gam)],
-                        products[(lam, semigroup.mul(omega, gam))],
-                        alpha,
+                        t.tables[index[(lam, omega)]],
+                        t.right[index[(semigroup.mul(lam, omega), gam)]],
+                        t.tables[index[(omega, gam)]],
+                        t.left[index[(lam, semigroup.mul(omega, gam))]],
+                        t.scale,
                         (lam, omega, gam),
                     )
                 )
@@ -204,11 +210,16 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
     ops = rf.operators
     violations = []
     for lam in range(s.size):
-        inter = ops[lam].matrix.times(a.alpha.matrix).sub(a.alpha.matrix.times(ops[lam].matrix))
-        violations.extend(_column_violations("equivariance", inter, (lam,)))
+        violations.extend(
+            _equivariance_violations(ops[lam].matrix, a.alpha.matrix, a.alpha.matrix, ops[lam].matrix, (lam,))
+        )
+    (table,), d = _int_tables([mul])
+    cols, d_r = _int_columns([ops[lam].matrix for lam in range(s.size)])
     for lam in range(s.size):
         for omega in range(s.size):
-            violations.extend(_rb_violations(mul, ops[lam], ops[omega], ops[s.mul(lam, omega)], (lam, omega)))
+            violations.extend(
+                _rb_violations(table, cols[lam], cols[omega], cols[s.mul(lam, omega)], d * d_r * d_r, (lam, omega))
+            )
     return CheckReport.collect("rb_family", violations)
 
 

@@ -20,13 +20,12 @@ list includes the first repeated term so stabilization is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .algmodel import HomAlgebra, LinearMap, eval_product
-from .axioms import CheckReport, Violation, check_multiplicativity
+from .algmodel import HomAlgebra, LinearMap, _apply_into, _int_tables, _product_into, _sparse
+from .axioms import CheckReport, Violation, _residual, _twisted, check_multiplicativity
 from .errors import DimensionMismatch
-from .exactlin import Matrix, Vector, rank, rref, vec_is_zero
+from .exactlin import Matrix, Vector, _cleared, rank, rref, vec_is_zero
 
 
 @dataclass(frozen=True)
@@ -88,58 +87,66 @@ class Subspace:
 
 
 def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
-    """Span of all products of basis vectors, over every named product."""
+    """Span of all products of basis vectors, over every named product.
+
+    Evaluated over int: each basis vector and each product is scaled to
+    integers, which leaves the span, and so its canonical basis, unchanged.
+    """
     if m.ambient_dim != a.dim or n.ambient_dim != a.dim:
         raise DimensionMismatch("subspace ambient dimension differs from the algebra")
-    products = [a.products[name] for name in sorted(a.products)]
+    tables, _ = _int_tables([a.products[name] for name in sorted(a.products)])
+    us, vs = ([_sparse(_cleared([u])[0][0]) for u in s.vectors()] for s in (m, n))
     out = []
-    for u in m.vectors():
-        for v in n.vectors():
-            for op in products:
-                w = eval_product(op, u, v)
-                if not vec_is_zero(w):
+    for u in us:
+        for v in vs:
+            for table in tables:
+                w = [0] * a.dim
+                _product_into(w, table, u, v)
+                if any(w):
                     out.append(w)
     return Subspace.from_vectors(a.dim, out)
 
 
-def _series_stream(a: HomAlgebra, kind: str) -> Iterator[Subspace]:
-    """Endless stream S_1, S_2, ... of the "right", "left" or "full" series, past stabilization."""
-    full = Subspace.full(a.dim)
-    terms = [full]
-    while True:
-        yield terms[-1]
-        if kind == "right":
-            nxt = diamond(terms[-1], full, a)
-        elif kind == "left":
-            nxt = diamond(full, terms[-1], a)
-        else:
-            k1 = len(terms) + 1  # computing the k1-th term, 1-based
-            nxt = Subspace.zero(a.dim)
-            for i in range(1, k1):
-                nxt = nxt.add(diamond(terms[i - 1], terms[k1 - i - 1], a))
-        terms.append(nxt)
+def _next_term(a: HomAlgebra, kind: str, terms: list[Subspace]) -> Subspace:
+    """The term after ``terms`` (S_1, S_2, ...) of the "right", "left" or "full" series."""
+    if kind == "right":
+        return diamond(terms[-1], terms[0], a)
+    if kind == "left":
+        return diamond(terms[0], terms[-1], a)
+    k1 = len(terms) + 1  # computing the k1-th term, 1-based
+    nxt = Subspace.zero(a.dim)
+    for i in range(1, k1):
+        nxt = nxt.add(diamond(terms[i - 1], terms[k1 - i - 1], a))
+    return nxt
 
 
-def _until_stable(stream: Iterator[Subspace], ambient_dim: int) -> list[Subspace]:
+def _until_stable(a: HomAlgebra, kind: str) -> list[Subspace]:
     """Terms up to zero or the first repeat; at most ambient + 3 terms as a safety net."""
-    terms = [next(stream)]
-    for nxt in stream:
-        terms.append(nxt)
-        if nxt.is_zero() or nxt == terms[-2] or len(terms) == ambient_dim + 3:
-            break
+    terms = [Subspace.full(a.dim)]
+    while True:
+        terms.append(_next_term(a, kind, terms))
+        if terms[-1].is_zero() or terms[-1] == terms[-2] or len(terms) == a.dim + 3:
+            return terms
+
+
+def _extended(a: HomAlgebra, kind: str, terms: list[Subspace], length: int) -> list[Subspace]:
+    """``terms`` carried on past stabilization to ``length`` terms, as a new list."""
+    terms = list(terms)
+    while len(terms) < length:
+        terms.append(_next_term(a, kind, terms))
     return terms
 
 
 def right_series(a: HomAlgebra) -> list[Subspace]:
-    return _until_stable(_series_stream(a, "right"), a.dim)
+    return _until_stable(a, "right")
 
 
 def left_series(a: HomAlgebra) -> list[Subspace]:
-    return _until_stable(_series_stream(a, "left"), a.dim)
+    return _until_stable(a, "left")
 
 
 def full_series(a: HomAlgebra) -> list[Subspace]:
-    return _until_stable(_series_stream(a, "full"), a.dim)
+    return _until_stable(a, "full")
 
 
 def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
@@ -148,7 +155,7 @@ def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
         raise ValueError("series terms are 1-based")
     if kind not in ("right", "left", "full"):
         raise ValueError(f"unknown series kind {kind!r}")
-    return next(islice(_series_stream(a, kind), g - 1, None))
+    return _extended(a, kind, [Subspace.full(a.dim)], g)[g - 1]
 
 
 class NilpotencyVerdict(NamedTuple):
@@ -186,15 +193,19 @@ def _difference_witness(x: Subspace, y: Subspace) -> Vector:
     return (0,) * x.ambient_dim
 
 
-def check_series_equality(a: HomAlgebra) -> CheckReport:
-    """Termwise comparison of the three series up to common stabilization."""
-    streams = [_series_stream(a, kind) for kind in ("right", "left", "full")]
-    # each stream carries on from where its stable prefix stopped
-    prefixes = [_until_stable(st, a.dim) for st in streams]
-    length = max(len(p) for p in prefixes)
-    series = [p + list(islice(st, length - len(p))) for p, st in zip(prefixes, streams)]
+def check_series_equality(a: HomAlgebra, series: dict[str, list[Subspace]] | None = None) -> CheckReport:
+    """Termwise comparison of the three series up to common stabilization.
+
+    ``series`` maps "right", "left" and "full" to the terms up to
+    stabilization (as ``right_series`` and its siblings give them) when the
+    caller holds them already; each is carried on from its last term.
+    """
+    if series is None:
+        series = {kind: _until_stable(a, kind) for kind in ("right", "left", "full")}
+    length = max(len(terms) for terms in series.values())
+    extended = [_extended(a, kind, series[kind], length) for kind in ("right", "left", "full")]
     violations = []
-    for g, (r, l, f) in enumerate(zip(*series), start=1):
+    for g, (r, l, f) in enumerate(zip(*extended), start=1):
         if r != f:
             violations.append(Violation("right_ne_full", (g,), _difference_witness(r, f)))
         if l != f:
@@ -208,42 +219,44 @@ def check_2_nilpotent(a: HomAlgebra) -> CheckReport:
     """All out/in bracketings of two products vanish under every operation choice."""
     names = sorted(a.products)
     n = a.dim
-    alpha = a.alpha
+    t = _twisted([a.products[name] for name in names], a.alpha)
     violations = []
-    for p in names:
-        op_p = a.products[p]
-        for q in names:
-            op_q = a.products[q]
+    for p, p_name in enumerate(names):
+        op_p = t.tables[p]
+        for q, q_name in enumerate(names):
+            left_q, right_q = t.left[q], t.right[q]
             for i in range(n):
-                ai = alpha.image_of_basis(i)
                 for j in range(n):
                     for k in range(n):
-                        ak = alpha.image_of_basis(k)
-                        out_r = eval_product(op_q, op_p.entry(i, j), ak)
-                        if not vec_is_zero(out_r):
+                        out_r = [0] * n
+                        _apply_into(out_r, right_q[k], op_p[i][j])
+                        if any(out_r):
                             violations.append(
-                                Violation(f"out:{p},{q}", (i + 1, j + 1, k + 1), out_r)
+                                Violation(f"out:{p_name},{q_name}", (i + 1, j + 1, k + 1), _residual(out_r, t.scale))
                             )
-                        in_r = eval_product(op_q, ai, op_p.entry(j, k))
-                        if not vec_is_zero(in_r):
+                        in_r = [0] * n
+                        _apply_into(in_r, left_q[i], op_p[j][k])
+                        if any(in_r):
                             violations.append(
-                                Violation(f"in:{p},{q}", (i + 1, j + 1, k + 1), in_r)
+                                Violation(f"in:{p_name},{q_name}", (i + 1, j + 1, k + 1), _residual(in_r, t.scale))
                             )
     return CheckReport.collect("2_nilpotent", violations)
 
 
-def onesided_verdicts(a: HomAlgebra) -> dict[str, NilpotencyVerdict]:
-    """Nilpotency of the whole algebra and of each single-product reduct."""
-    out = {"full": is_nilpotent(a)}
+def onesided_verdicts(a: HomAlgebra, full: list[Subspace] | None = None) -> dict[str, NilpotencyVerdict]:
+    """Nilpotency of the whole algebra (read from ``full``, its full series, when given) and of each
+    single-product reduct."""
+    out = {"full": is_nilpotent(a) if full is None else _verdict(full)}
     for name in sorted(a.products):
         reduct = HomAlgebra.mono(a.products[name], a.alpha)
         out[name] = is_nilpotent(reduct)
     return out
 
 
-def check_onesided_nilpotency_theorem(a: HomAlgebra) -> CheckReport:
-    """Whole algebra nilpotent iff every single-product reduct is nilpotent."""
-    verdicts = onesided_verdicts(a)
+def check_onesided_nilpotency_theorem(a: HomAlgebra, full: list[Subspace] | None = None) -> CheckReport:
+    """Whole algebra nilpotent iff every single-product reduct is nilpotent; ``full`` as in
+    ``onesided_verdicts``."""
+    verdicts = onesided_verdicts(a, full)
     whole = verdicts["full"].nilpotent
     parts = all(v.nilpotent for name, v in verdicts.items() if name != "full")
     violations = []
@@ -252,14 +265,14 @@ def check_onesided_nilpotency_theorem(a: HomAlgebra) -> CheckReport:
     return CheckReport.collect("onesided_nilpotency", violations)
 
 
-def check_alpha_stability(a: HomAlgebra) -> CheckReport:
-    """alpha(S_k) inside S_k along the full series.
+def check_alpha_stability(a: HomAlgebra, full: list[Subspace] | None = None) -> CheckReport:
+    """alpha(S_k) inside S_k along the full series (``full``, when the caller holds it).
 
     Meaningful when the twist is multiplicative for every product; the
     caller gates on that (see is_multiplicative).
     """
     violations = []
-    for g, term in enumerate(full_series(a), start=1):
+    for g, term in enumerate(full_series(a) if full is None else full, start=1):
         image = term.image_under(a.alpha)
         if not term.contains(image):
             violations.append(Violation("alpha_stability", (g,), _difference_witness(image, term)))

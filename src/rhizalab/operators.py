@@ -17,12 +17,26 @@ basis pairs they coincide).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, sum_product
+from .algmodel import (
+    BilinearOp,
+    HomAlgebra,
+    LinearMap,
+    _apply_into,
+    _int_columns,
+    _int_tables,
+    _left_columns,
+    _product_into,
+    _sparse,
+    eval_product,
+    sum_product,
+)
 from .axioms import (
     CheckReport,
     Violation,
     _column_violations,
+    _residual,
     check_hom_anti_associative,
     check_rhizaform,
 )
@@ -32,7 +46,7 @@ from .errors import (
     NotARotaBaxterOperator,
     Singular,
 )
-from .exactlin import Matrix, Vector, basis_vec, invert, vec_add, vec_is_zero, vec_sub
+from .exactlin import F0, Matrix, Vector, basis_vec, invert
 
 
 @dataclass(frozen=True)
@@ -94,11 +108,8 @@ class Bimodule:
         return self._act(self.right, x)
 
     def _act(self, mats: tuple[Matrix, ...], x: Vector) -> Matrix:
-        out = Matrix.zero(self.mod_dim, self.mod_dim)
-        for xi, mat in zip(x, mats):
-            if xi:
-                out = out.add(mat.scale(xi))
-        return out
+        md = self.mod_dim
+        return Matrix(md, md, [sum((xi * mat.entries[e] for xi, mat in zip(x, mats)), F0) for e in range(md * md)])
 
 
 def _bimodule_from_products(left_op: BilinearOp, right_op: BilinearOp, alpha: LinearMap) -> Bimodule:
@@ -136,85 +147,127 @@ def dual_bimodule(m: Bimodule) -> Bimodule:
     )
 
 
+def _matmul(a, b, rows: int) -> list[list[int]]:
+    """The product of two integer matrices given by sparse columns, as dense columns."""
+    out = []
+    for b_col in b:
+        col = [0] * rows
+        _apply_into(col, a, b_col)
+        out.append(col)
+    return out
+
+
+def _lifted(p, sp: int, q, sq: int, c: int = 1) -> tuple[list[list[int]], int]:
+    """p/sp + c q/sq for dense integer columns p and q: the columns at lcm(sp, sq), and that scale."""
+    s = lcm(sp, sq)
+    fp, fq = s // sp, c * (s // sq)
+    return [[fp * x + fq * y for x, y in zip(pc, qc)] for pc, qc in zip(p, q)], s
+
+
+def _equivariance_violations(f: Matrix, g: Matrix, h: Matrix, k: Matrix, prefix=()):
+    """The nonzero columns of f g - h k, evaluated over int (all four cleared by one D)."""
+    (fc, gc, hc, kc), d = _int_columns([f, g, h, k])
+    cols, scale = _lifted(_matmul(fc, gc, f.rows), d * d, _matmul(hc, kc, h.rows), d * d, -1)
+    return _column_violations("equivariance", cols, scale, prefix)
+
+
 def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
     """The five action compatibilities over all algebra basis pairs.
 
     Violations are recorded per (algebra pair, module basis vector); the
     basis tuple is (i, j, u) with u the module index, or (i, u) for the
-    twist identities.
+    twist identities.  Over int the actions are cleared by one D_M, so
+    l(alpha(a)) l(b) is at D_M^2 D_alpha and l(a*b) beta at D D_M D_beta;
+    each identity is evaluated at the lcm of its two terms' scales.
     """
     mul = a.mul
     if m.alg_dim != a.dim:
         raise DimensionMismatch("bimodule is over an algebra of different dimension")
-    n = a.dim
-    alpha, beta = a.alpha, m.beta
+    n, md = a.dim, m.mod_dim
+    (table,), d = _int_tables([mul])
+    (twist,), d_alpha = _int_columns([a.alpha.matrix])
+    (beta,), d_beta = _int_columns([m.beta.matrix])
+    actions, d_m = _int_columns([*m.left, *m.right])
+    left, right = actions[:n], actions[n:]
+    # left[i][w] is column w of l(e_i), so left is an integer table of the action
+    l_alpha = [_left_columns(left, twist[i], md) for i in range(n)]  # l(alpha(e_i)), at D_alpha D_M
+    r_alpha = [_left_columns(right, twist[i], md) for i in range(n)]
+    twisted, star, equivariant = d_m * d_m * d_alpha, d * d_m * d_beta, d_alpha * d_m * d_beta
     violations = []
     for i in range(n):
-        l_ai = m.act_left(alpha.image_of_basis(i))
-        r_ai = m.act_right(alpha.image_of_basis(i))
         for j in range(n):
-            l_aj = m.act_left(alpha.image_of_basis(j))
-            r_aj = m.act_right(alpha.image_of_basis(j))
-            star = mul.entry(i, j)
-            l_star = m.act_left(star)
-            r_star = m.act_right(star)
+            l_star = _left_columns(left, table[i][j], md)  # l(e_i * e_j), at D D_M
+            r_star = _left_columns(right, table[i][j], md)
             # bm1: l(alpha(a)) l(b) = -l(a*b) beta
-            bm1 = l_ai.times(m.left[j]).add(l_star.times(beta.matrix))
+            bm1 = _lifted(_matmul(l_alpha[i], left[j], md), twisted, _matmul(l_star, beta, md), star)
             # bm2: r(alpha(b)) r(a) = -r(a*b) beta
-            bm2 = r_aj.times(m.right[i]).add(r_star.times(beta.matrix))
+            bm2 = _lifted(_matmul(r_alpha[j], right[i], md), twisted, _matmul(r_star, beta, md), star)
             # bm3: l(alpha(a)) r(b) = -r(alpha(b)) l(a)
-            bm3 = l_ai.times(m.right[j]).add(r_aj.times(m.left[i]))
+            bm3 = _lifted(_matmul(l_alpha[i], right[j], md), twisted, _matmul(r_alpha[j], left[i], md), twisted)
             # bm3 with the roles of the two algebra slots exchanged
-            bm3s = r_ai.times(m.left[j]).add(l_aj.times(m.right[i]))
-            for ident, mat in (("bm1", bm1), ("bm2", bm2), ("bm3", bm3), ("bm3_swapped", bm3s)):
-                violations.extend(_column_violations(ident, mat, (i + 1, j + 1)))
+            bm3s = _lifted(_matmul(r_alpha[i], left[j], md), twisted, _matmul(l_alpha[j], right[i], md), twisted)
+            for ident, (cols, scale) in (("bm1", bm1), ("bm2", bm2), ("bm3", bm3), ("bm3_swapped", bm3s)):
+                violations.extend(_column_violations(ident, cols, scale, (i + 1, j + 1)))
         # bm4: beta l(a) = l(alpha(a)) beta ;  bm5: beta r(a) = r(alpha(a)) beta
-        bm4 = beta.matrix.times(m.left[i]).sub(l_ai.times(beta.matrix))
-        bm5 = beta.matrix.times(m.right[i]).sub(r_ai.times(beta.matrix))
-        for ident, mat in (("bm4", bm4), ("bm5", bm5)):
-            violations.extend(_column_violations(ident, mat, (i + 1,)))
+        bm4 = _lifted(_matmul(beta, left[i], md), d_beta * d_m, _matmul(l_alpha[i], beta, md), equivariant, -1)
+        bm5 = _lifted(_matmul(beta, right[i], md), d_beta * d_m, _matmul(r_alpha[i], beta, md), equivariant, -1)
+        for ident, (cols, scale) in (("bm4", bm4), ("bm5", bm5)):
+            violations.extend(_column_violations(ident, cols, scale, (i + 1,)))
     return CheckReport.collect("bimodule", violations)
 
 
 def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
-    """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs."""
+    """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs.
+
+    Over int, T(u)*T(v) is at D D_T^2 and T(L(T(u))v + R(T(v))u) at
+    D_T^2 D_M; the identity is evaluated at the lcm of the two.
+    """
     mul = a.mul
     if t.source_dim != m.mod_dim or t.target_dim != a.dim:
         raise DimensionMismatch("operator must map the module into the algebra")
-    inter = t.matrix.times(m.beta.matrix).sub(a.alpha.matrix.times(t.matrix))
-    violations = list(_column_violations("equivariance", inter))
-    for u in range(m.mod_dim):
-        tu = t.apply(basis_vec(m.mod_dim, u))
-        for v in range(m.mod_dim):
-            tv = t.apply(basis_vec(m.mod_dim, v))
-            lhs = eval_product(mul, tu, tv)
-            inner = vec_add(
-                m.act_left(tu).apply(basis_vec(m.mod_dim, v)),
-                m.act_right(tv).apply(basis_vec(m.mod_dim, u)),
-            )
-            resid = vec_sub(lhs, t.apply(inner))
-            if not vec_is_zero(resid):
-                violations.append(Violation("o_identity", (u + 1, v + 1), resid))
+    if m.alg_dim != a.dim:
+        raise DimensionMismatch("bimodule is over an algebra of different dimension")
+    violations = list(_equivariance_violations(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
+    n, md = a.dim, m.mod_dim
+    (table,), d = _int_tables([mul])
+    (images,), d_t = _int_columns([t.matrix])
+    actions, d_m = _int_columns([*m.left, *m.right])
+    left, right = actions[:n], actions[n:]
+    lhs_scale, rhs_scale = d * d_t * d_t, d_t * d_t * d_m
+    scale = lcm(lhs_scale, rhs_scale)
+    for u in range(md):
+        for v in range(md):
+            inner = [0] * md  # L(T(u)) e_v + R(T(v)) e_u, at D_T D_M
+            _product_into(inner, left, images[u], ((v, 1),))
+            _product_into(inner, right, images[v], ((u, 1),))
+            r = [0] * n
+            _product_into(r, table, images[u], images[v], scale // lhs_scale)
+            _apply_into(r, images, _sparse(inner), -(scale // rhs_scale))
+            if any(r):
+                violations.append(Violation("o_identity", (u + 1, v + 1), _residual(r, scale)))
     return CheckReport.collect("o_operator", violations)
 
 
-def _rb_violations(
-    mul: BilinearOp, r_x: LinearOperator, r_y: LinearOperator, r_xy: LinearOperator, prefix=()
-):
-    """Residual R_x(x)*R_y(y) - R_xy(R_x(x)*y + x*R_y(y)) on basis pairs."""
-    n = mul.dim
+def _rb_violations(table, r_x, r_y, r_xy, scale: int, prefix=()):
+    """Residual R_x(x)*R_y(y) - R_xy(R_x(x)*y + x*R_y(y)) on basis pairs.
+
+    ``table`` is the product's integer table (cleared by D) and the operators
+    are integer columns cleared by one D_R, so every term is at ``scale``,
+    D D_R^2.
+    """
+    n = len(table)
     for i in range(n):
-        ri = r_x.apply(basis_vec(n, i))
+        r_i, e_i = r_x[i], ((i, 1),)
         for j in range(n):
-            rj = r_y.apply(basis_vec(n, j))
-            lhs = eval_product(mul, ri, rj)
-            inner = vec_add(
-                eval_product(mul, ri, basis_vec(n, j)),
-                eval_product(mul, basis_vec(n, i), rj),
-            )
-            resid = vec_sub(lhs, r_xy.apply(inner))
-            if not vec_is_zero(resid):
-                yield Violation("rb_identity", (*prefix, i + 1, j + 1), resid)
+            r_j, e_j = r_y[j], ((j, 1),)
+            inner = [0] * n
+            _product_into(inner, table, r_i, e_j)
+            _product_into(inner, table, e_i, r_j)
+            r = [0] * n
+            _product_into(r, table, r_i, r_j)
+            _apply_into(r, r_xy, _sparse(inner), -1)
+            if any(r):
+                yield Violation("rb_identity", (*prefix, i + 1, j + 1), _residual(r, scale))
 
 
 def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
@@ -222,9 +275,10 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     mul = a.mul
     if r.source_dim != a.dim or r.target_dim != a.dim:
         raise DimensionMismatch("operator must act on the algebra")
-    inter = r.matrix.times(a.alpha.matrix).sub(a.alpha.matrix.times(r.matrix))
-    violations = list(_column_violations("equivariance", inter))
-    violations.extend(_rb_violations(mul, r, r, r))
+    violations = list(_equivariance_violations(r.matrix, a.alpha.matrix, a.alpha.matrix, r.matrix))
+    (table,), d = _int_tables([mul])
+    (cols,), d_r = _int_columns([r.matrix])
+    violations.extend(_rb_violations(table, cols, cols, cols, d * d_r * d_r))
     return CheckReport.collect("rota_baxter", violations)
 
 
@@ -267,23 +321,29 @@ def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = T
 
 
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
-    """f(x o1 y) = f(x) o2 f(y) for every named product, and alpha2 f = f alpha1."""
+    """f(x o1 y) = f(x) o2 f(y) for every named product, and alpha2 f = f alpha1.
+
+    Over int, with both algebras' products cleared by one D, f(x o1 y) is at
+    D D_f and is lifted by D_f to the right side's D D_f^2.
+    """
     if f.source_dim != a1.dim or f.target_dim != a2.dim:
         raise DimensionMismatch("map endpoints do not match the two algebras")
     if set(a1.products) != set(a2.products):
         raise DimensionMismatch("algebras of different kinds admit no product-wise comparison")
-    inter = f.matrix.times(a1.alpha.matrix).sub(a2.alpha.matrix.times(f.matrix))
-    violations = list(_column_violations("equivariance", inter))
-    for name in sorted(a1.products):
-        op1, op2 = a1.products[name], a2.products[name]
+    violations = list(_equivariance_violations(f.matrix, a1.alpha.matrix, a2.alpha.matrix, f.matrix))
+    names = sorted(a1.products)
+    tables, d = _int_tables([a.products[name] for a in (a1, a2) for name in names])
+    (images,), d_f = _int_columns([f.matrix])
+    scale = d * d_f * d_f
+    for p, name in enumerate(names):
+        op1, op2 = tables[p], tables[len(names) + p]
         for i in range(a1.dim):
-            fi = f.apply(basis_vec(a1.dim, i))
             for j in range(a1.dim):
-                lhs = f.apply(op1.entry(i, j))
-                rhs = eval_product(op2, fi, f.apply(basis_vec(a1.dim, j)))
-                resid = vec_sub(lhs, rhs)
-                if not vec_is_zero(resid):
-                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), resid))
+                r = [0] * a2.dim
+                _apply_into(r, images, op1[i][j], d_f)
+                _product_into(r, op2, images[i], images[j], -1)
+                if any(r):
+                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), _residual(r, scale)))
     return CheckReport.collect("homomorphism", violations)
 
 

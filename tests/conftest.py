@@ -99,7 +99,8 @@ def z2_rb_family_fixture(algebra: HomAlgebra, values=SMALL):
 def plain_family_identities_hold(f) -> bool:
     """Untwisted family axioms, evaluated from scratch (no twist map anywhere)."""
     from rhizalab.algmodel import eval_product
-    from rhizalab.exactlin import basis_vec, vec_add, vec_is_zero
+    from rhizalab.exactlin import basis_vec, vec_is_zero
+    from tests.fraction_checkers import vec_add
 
     n = f.dim
     s = f.semigroup
@@ -143,13 +144,13 @@ def skew_subspace(space: list[ScalarForm], dim: int) -> list[ScalarForm]:
             rows.append([b.matrix.at(p, q) + b.matrix.at(q, p) for b in space])
     from rhizalab.exactlin import nullspace_basis
 
-    out = []
-    for y in nullspace_basis(Matrix.from_rows(rows)):
-        m = Matrix.zero(dim, dim)
-        for c, b in zip(y, space):
-            m = m.add(b.matrix.scale(c))
-        out.append(ScalarForm(dim, m))
-    return out
+    return [ScalarForm(dim, form_combination(y, space)) for y in nullspace_basis(Matrix.from_rows(rows))]
+
+
+def form_combination(coeffs, space: list[ScalarForm]) -> Matrix:
+    """sum_t coeffs[t] * space[t].matrix"""
+    n = space[0].dim
+    return Matrix(n, n, [sum(c * b.matrix.entries[e] for c, b in zip(coeffs, space)) for e in range(n * n)])
 
 
 def nondegenerate_in_span(space: list[ScalarForm], dim: int) -> ScalarForm | None:
@@ -160,14 +161,11 @@ def nondegenerate_in_span(space: list[ScalarForm], dim: int) -> ScalarForm | Non
         if is_nondegenerate(b):
             return b
     for b1, b2 in itertools.combinations(space, 2):
-        cand = ScalarForm(dim, b1.matrix.add(b2.matrix))
+        cand = ScalarForm(dim, form_combination((1, 1), (b1, b2)))
         if is_nondegenerate(cand):
             return cand
     for coeffs in itertools.product((F(-1), F(1), F(2)), repeat=len(space)):
-        m = Matrix.zero(dim, dim)
-        for c, b in zip(coeffs, space):
-            m = m.add(b.matrix.scale(c))
-        cand = ScalarForm(dim, m)
+        cand = ScalarForm(dim, form_combination(coeffs, space))
         if is_nondegenerate(cand):
             return cand
     return None

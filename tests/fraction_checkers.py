@@ -1,0 +1,378 @@
+"""Reference identity checkers over Fractions, for differential tests only.
+
+These are the checkers as they were before the integer residual engine:
+every residual is assembled from ``eval_product`` and ``Fraction`` matrix
+arithmetic, one basis tuple at a time.  They return the same ``CheckReport``
+objects, so a test can require ``==`` reports (violation order and residuals)
+from both routes.
+"""
+
+from __future__ import annotations
+
+from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product
+from rhizalab.axioms import CheckReport, Violation
+from rhizalab.exactlin import Matrix, basis_vec, vec_is_zero, vec_sub
+from rhizalab.nilpotency import Subspace
+
+
+def vec_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _madd(p: Matrix, q: Matrix, c=1) -> Matrix:
+    return Matrix(p.rows, p.cols, [x + c * y for x, y in zip(p.entries, q.entries)])
+
+
+def _act(mats, x, size: int) -> Matrix:
+    out = Matrix.zero(size, size)
+    for xi, mat in zip(x, mats):
+        if xi:
+            out = _madd(out, mat, xi)
+    return out
+
+
+def _column_violations(ident, mat: Matrix, prefix=()):
+    for u in range(mat.cols):
+        resid = mat.column(u)
+        if not vec_is_zero(resid):
+            yield Violation(ident, (*prefix, u + 1), resid)
+
+
+def _equivariance(f: Matrix, g: Matrix, h: Matrix, k: Matrix, prefix=()):
+    return _column_violations("equivariance", _madd(f.times(g), h.times(k), -1), prefix)
+
+
+def _anti_assoc_violations(first, outer, inner, mixed, alpha: LinearMap, prefix=()):
+    n = alpha.dim
+    for i in range(n):
+        ai = alpha.image_of_basis(i)
+        for j in range(n):
+            fij = first.entry(i, j)
+            for k in range(n):
+                resid = vec_add(
+                    eval_product(mixed, ai, inner.entry(j, k)),
+                    eval_product(outer, fij, alpha.image_of_basis(k)),
+                )
+                if not vec_is_zero(resid):
+                    yield Violation("anti_assoc", (*prefix, i + 1, j + 1, k + 1), resid)
+
+
+def hom_anti_associative(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
+    return CheckReport.collect("hom_anti_associative", _anti_assoc_violations(mul, mul, mul, mul, alpha))
+
+
+def multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult") -> CheckReport:
+    n = op.dim
+    violations = []
+    for i in range(n):
+        ai = alpha.image_of_basis(i)
+        for j in range(n):
+            resid = vec_sub(alpha.apply(op.entry(i, j)), eval_product(op, ai, alpha.image_of_basis(j)))
+            if not vec_is_zero(resid):
+                violations.append(Violation(name, (i + 1, j + 1), resid))
+    return CheckReport.collect(f"multiplicativity[{name}]", violations)
+
+
+def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, alpha: LinearMap, sign):
+    combine = vec_add if sign < 0 else vec_sub
+    n = alpha.dim
+    for i in range(n):
+        ai = alpha.image_of_basis(i)
+        for j in range(n):
+            s_l_ij = succ_l.entry(i, j)
+            p_l_ij = prec_l.entry(i, j)
+            star_ij = vec_add(prec_o.entry(i, j), s_l_ij)
+            for k in range(n):
+                ak = alpha.image_of_basis(k)
+                p_o_jk = prec_o.entry(j, k)
+                r1 = combine(eval_product(succ_lo, star_ij, ak), eval_product(succ_l, ai, succ_o.entry(j, k)))
+                r2 = combine(
+                    eval_product(prec_lo, ai, vec_add(p_o_jk, succ_l.entry(j, k))),
+                    eval_product(prec_o, p_l_ij, ak),
+                )
+                r3 = combine(eval_product(succ_l, ai, p_o_jk), eval_product(prec_o, s_l_ij, ak))
+                yield i, j, k, r1, r2, r3
+
+
+def _split(a: HomAlgebra, signed: bool, name: str) -> CheckReport:
+    succ, prec = a.succ, a.prec
+    ids = ("req1", "req2", "req3") if signed else ("den1", "den2", "den3")
+    violations = []
+    for i, j, k, *resids in _split_residuals(succ, succ, succ, prec, prec, prec, a.alpha, -1 if signed else 1):
+        for ident, r in zip(ids, resids):
+            if not vec_is_zero(r):
+                violations.append(Violation(ident, (i + 1, j + 1, k + 1), r))
+    for p in ("succ", "prec"):
+        violations.extend(multiplicativity(a.product(p), a.alpha, name=f"mult_{p}").violations)
+    return CheckReport.collect(name, violations)
+
+
+def rhizaform(a: HomAlgebra) -> CheckReport:
+    return _split(a, True, "rhizaform")
+
+
+def dendriform(a: HomAlgebra) -> CheckReport:
+    return _split(a, False, "dendriform")
+
+
+def jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
+    n = mul.dim
+    violations = []
+    for i in range(n):
+        for j in range(n):
+            resid = vec_sub(mul.entry(i, j), mul.entry(j, i))
+            if not vec_is_zero(resid):
+                violations.append(Violation("comm", (i + 1, j + 1), resid))
+    for i in range(n):
+        ai = alpha.image_of_basis(i)
+        for j in range(n):
+            aj = alpha.image_of_basis(j)
+            for k in range(n):
+                ak = alpha.image_of_basis(k)
+                resid = vec_add(
+                    vec_add(eval_product(mul, ai, mul.entry(j, k)), eval_product(mul, aj, mul.entry(k, i))),
+                    eval_product(mul, ak, mul.entry(i, j)),
+                )
+                if not vec_is_zero(resid):
+                    violations.append(Violation("cyclic", (i + 1, j + 1, k + 1), resid))
+    return CheckReport.collect("jacobi_jordan", violations)
+
+
+def pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
+    n = mul.dim
+    violations = []
+    for i in range(n):
+        ai = alpha.image_of_basis(i)
+        for j in range(n):
+            aj = alpha.image_of_basis(j)
+            for k in range(n):
+                ak = alpha.image_of_basis(k)
+                resid = vec_add(
+                    vec_add(eval_product(mul, mul.entry(i, j), ak), eval_product(mul, ai, mul.entry(j, k))),
+                    vec_add(eval_product(mul, mul.entry(j, i), ak), eval_product(mul, aj, mul.entry(i, k))),
+                )
+                if not vec_is_zero(resid):
+                    violations.append(Violation("pre_jj", (i + 1, j + 1, k + 1), resid))
+    return CheckReport.collect("pre_jacobi_jordan", violations)
+
+
+def alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> CheckReport:
+    op = a.product(product_name)
+    n = a.dim
+    violations = []
+    for i in range(n):
+        di = d.image_of_basis(i)
+        ai = a.alpha.image_of_basis(i)
+        for j in range(n):
+            rhs = vec_add(
+                eval_product(op, di, a.alpha.image_of_basis(j)),
+                eval_product(op, ai, d.image_of_basis(j)),
+            )
+            resid = vec_sub(d.apply(op.entry(i, j)), rhs)
+            if not vec_is_zero(resid):
+                violations.append(Violation("leibniz", (i + 1, j + 1), resid))
+    return CheckReport.collect(f"alpha_derivation[{product_name}]", violations)
+
+
+def bimodule(a: HomAlgebra, m) -> CheckReport:
+    mul = a.mul
+    n, md = a.dim, m.mod_dim
+    alpha, beta = a.alpha, m.beta.matrix
+    violations = []
+    for i in range(n):
+        l_ai = _act(m.left, alpha.image_of_basis(i), md)
+        r_ai = _act(m.right, alpha.image_of_basis(i), md)
+        for j in range(n):
+            l_aj = _act(m.left, alpha.image_of_basis(j), md)
+            r_aj = _act(m.right, alpha.image_of_basis(j), md)
+            l_star = _act(m.left, mul.entry(i, j), md)
+            r_star = _act(m.right, mul.entry(i, j), md)
+            bm1 = _madd(l_ai.times(m.left[j]), l_star.times(beta))
+            bm2 = _madd(r_aj.times(m.right[i]), r_star.times(beta))
+            bm3 = _madd(l_ai.times(m.right[j]), r_aj.times(m.left[i]))
+            bm3s = _madd(r_ai.times(m.left[j]), l_aj.times(m.right[i]))
+            for ident, mat in (("bm1", bm1), ("bm2", bm2), ("bm3", bm3), ("bm3_swapped", bm3s)):
+                violations.extend(_column_violations(ident, mat, (i + 1, j + 1)))
+        bm4 = _madd(beta.times(m.left[i]), l_ai.times(beta), -1)
+        bm5 = _madd(beta.times(m.right[i]), r_ai.times(beta), -1)
+        for ident, mat in (("bm4", bm4), ("bm5", bm5)):
+            violations.extend(_column_violations(ident, mat, (i + 1,)))
+    return CheckReport.collect("bimodule", violations)
+
+
+def o_operator(t, a: HomAlgebra, m) -> CheckReport:
+    mul = a.mul
+    md = m.mod_dim
+    violations = list(_equivariance(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
+    for u in range(md):
+        tu = t.apply(basis_vec(md, u))
+        for v in range(md):
+            tv = t.apply(basis_vec(md, v))
+            inner = vec_add(
+                _act(m.left, tu, md).apply(basis_vec(md, v)),
+                _act(m.right, tv, md).apply(basis_vec(md, u)),
+            )
+            resid = vec_sub(eval_product(mul, tu, tv), t.apply(inner))
+            if not vec_is_zero(resid):
+                violations.append(Violation("o_identity", (u + 1, v + 1), resid))
+    return CheckReport.collect("o_operator", violations)
+
+
+def _rb_violations(mul: BilinearOp, r_x, r_y, r_xy, prefix=()):
+    n = mul.dim
+    for i in range(n):
+        ri = r_x.apply(basis_vec(n, i))
+        for j in range(n):
+            rj = r_y.apply(basis_vec(n, j))
+            inner = vec_add(eval_product(mul, ri, basis_vec(n, j)), eval_product(mul, basis_vec(n, i), rj))
+            resid = vec_sub(eval_product(mul, ri, rj), r_xy.apply(inner))
+            if not vec_is_zero(resid):
+                yield Violation("rb_identity", (*prefix, i + 1, j + 1), resid)
+
+
+def rota_baxter(r, a: HomAlgebra) -> CheckReport:
+    violations = list(_equivariance(r.matrix, a.alpha.matrix, a.alpha.matrix, r.matrix))
+    violations.extend(_rb_violations(a.mul, r, r, r))
+    return CheckReport.collect("rota_baxter", violations)
+
+
+def homomorphism(f, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
+    violations = list(_equivariance(f.matrix, a1.alpha.matrix, a2.alpha.matrix, f.matrix))
+    for name in sorted(a1.products):
+        op1, op2 = a1.products[name], a2.products[name]
+        for i in range(a1.dim):
+            fi = f.apply(basis_vec(a1.dim, i))
+            for j in range(a1.dim):
+                resid = vec_sub(f.apply(op1.entry(i, j)), eval_product(op2, fi, f.apply(basis_vec(a1.dim, j))))
+                if not vec_is_zero(resid):
+                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), resid))
+    return CheckReport.collect("homomorphism", violations)
+
+
+def rhizaform_family(f) -> CheckReport:
+    s = f.semigroup
+    violations = []
+    for lam in range(s.size):
+        for omega in range(s.size):
+            lo = s.mul(lam, omega)
+            triples = _split_residuals(
+                f.succ[lam], f.succ[omega], f.succ[lo], f.prec[lam], f.prec[omega], f.prec[lo], f.alpha, -1
+            )
+            for i, j, k, r1, r2, r3 in triples:
+                for ident, r in (("req2", r2), ("req3", r3), ("req1", r1)):
+                    if not vec_is_zero(r):
+                        violations.append(Violation(ident, (lam, omega, i + 1, j + 1, k + 1), r))
+    for lam in range(s.size):
+        for name, ops in (("succ", f.succ), ("prec", f.prec)):
+            for v in multiplicativity(ops[lam], f.alpha, name=f"mult_{name}").violations:
+                violations.append(Violation(v.identity_id, (lam, *v.basis_tuple), v.residual))
+    return CheckReport.collect("rhizaform_family", violations)
+
+
+def anti_associative_family(products, alpha: LinearMap, semigroup) -> CheckReport:
+    violations = []
+    for lam in range(semigroup.size):
+        for omega in range(semigroup.size):
+            for gam in range(semigroup.size):
+                violations.extend(
+                    _anti_assoc_violations(
+                        products[(lam, omega)],
+                        products[(semigroup.mul(lam, omega), gam)],
+                        products[(omega, gam)],
+                        products[(lam, semigroup.mul(omega, gam))],
+                        alpha,
+                        (lam, omega, gam),
+                    )
+                )
+    return CheckReport.collect("anti_associative_family", violations)
+
+
+def rb_family(rf, a: HomAlgebra) -> CheckReport:
+    s, ops = rf.semigroup, rf.operators
+    violations = []
+    for lam in range(s.size):
+        violations.extend(_equivariance(ops[lam].matrix, a.alpha.matrix, a.alpha.matrix, ops[lam].matrix, (lam,)))
+    for lam in range(s.size):
+        for omega in range(s.size):
+            violations.extend(_rb_violations(a.mul, ops[lam], ops[omega], ops[s.mul(lam, omega)], (lam, omega)))
+    return CheckReport.collect("rb_family", violations)
+
+
+def two_nilpotent(a: HomAlgebra) -> CheckReport:
+    names = sorted(a.products)
+    n = a.dim
+    alpha = a.alpha
+    violations = []
+    for p in names:
+        op_p = a.products[p]
+        for q in names:
+            op_q = a.products[q]
+            for i in range(n):
+                ai = alpha.image_of_basis(i)
+                for j in range(n):
+                    for k in range(n):
+                        out_r = eval_product(op_q, op_p.entry(i, j), alpha.image_of_basis(k))
+                        if not vec_is_zero(out_r):
+                            violations.append(Violation(f"out:{p},{q}", (i + 1, j + 1, k + 1), out_r))
+                        in_r = eval_product(op_q, ai, op_p.entry(j, k))
+                        if not vec_is_zero(in_r):
+                            violations.append(Violation(f"in:{p},{q}", (i + 1, j + 1, k + 1), in_r))
+    return CheckReport.collect("2_nilpotent", violations)
+
+
+def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
+    out = []
+    for u in m.vectors():
+        for v in n.vectors():
+            for name in sorted(a.products):
+                w = eval_product(a.products[name], u, v)
+                if not vec_is_zero(w):
+                    out.append(w)
+    return Subspace.from_vectors(a.dim, out)
+
+
+def scalar_cocycle_residuals(a: HomAlgebra, b) -> list[Violation]:
+    star, alpha = star_product(a), a.alpha
+    n = a.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = (
+                    b.value(star.entry(i, j), alpha.image_of_basis(k))
+                    + b.value(star.entry(j, k), alpha.image_of_basis(i))
+                    + b.value(star.entry(k, i), alpha.image_of_basis(j))
+                )
+                if r:
+                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), (r,)))
+    for i in range(n):
+        for j in range(n):
+            r = b.value(alpha.image_of_basis(i), alpha.image_of_basis(j)) - b.matrix.at(i, j)
+            if r:
+                out.append(Violation("invariance", (i + 1, j + 1), (r,)))
+    return out
+
+
+def vector_cocycle_residuals(a: HomAlgebra, w: BilinearOp) -> list[Violation]:
+    star, alpha = star_product(a), a.alpha
+    n = a.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = vec_add(
+                    vec_add(
+                        eval_product(w, star.entry(i, j), alpha.image_of_basis(k)),
+                        eval_product(w, star.entry(j, k), alpha.image_of_basis(i)),
+                    ),
+                    eval_product(w, star.entry(k, i), alpha.image_of_basis(j)),
+                )
+                if not vec_is_zero(r):
+                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), r))
+    for i in range(n):
+        ai = alpha.image_of_basis(i)
+        for j in range(n):
+            r = vec_sub(alpha.apply(w.entry(i, j)), eval_product(w, ai, alpha.image_of_basis(j)))
+            if not vec_is_zero(r):
+                out.append(Violation("compat", (i + 1, j + 1), r))
+    return out

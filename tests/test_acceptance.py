@@ -18,12 +18,17 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rhizalab import oracle
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import (
+    check_alpha_derivation,
     check_dendriform,
     check_hom_anti_associative,
     check_jacobi_jordan,
+    check_multiplicativity,
     check_pre_jacobi_jordan,
     check_rhizaform,
     pre_jacobi_jordan_product,
@@ -36,6 +41,7 @@ from rhizalab.cocycles import (
     scalar_cocycle_space,
     vector_cocycle_space,
 )
+from rhizalab.exactlin import Matrix
 from rhizalab.family import FamilyAlgebra, RBFamily, Semigroup, associated_family
 from rhizalab.family import check_anti_associative_family, check_rb_family
 from rhizalab.family import check_rhizaform_family, tensor_collapse
@@ -140,6 +146,65 @@ def test_criterion_01_oracle_equivalence():
     verdict(1, "oracle equivalence (23 entries + 200 random tensors)", ok,
             f"{len(mismatches)} mismatches")
     assert ok, mismatches
+
+
+# Small structures for the property test below: few nonzero entries, so that
+# identities hold often, and fractional values, so that scales matter.  Every
+# part shrinks towards zero (products, operators) or the identity (twist).
+SMALL_VALUES = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(3, 5), F(-5, 7), F(7, 2)])
+
+
+@st.composite
+def small_structures(draw):
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+
+    def cells(arity):
+        return draw(st.lists(st.tuples(*[index] * arity, SMALL_VALUES), max_size=3))
+
+    def matrix(base):
+        entries = [F(int(base and r == c)) for r in range(n) for c in range(n)]
+        for r, c, v in cells(2):
+            entries[r * n + c] = v
+        return Matrix(n, n, entries)
+
+    succ, prec = (BilinearOp.from_entries(n, cells(3)) for _ in range(2))
+    a = HomAlgebra.rhizaform(succ, prec, LinearMap(n, matrix(True)))
+    return a, LinearMap(n, matrix(False)), LinearOperator(n, n, matrix(False)), LinearOperator(n, n, matrix(True))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_structures())
+def test_checker_verdicts_equal_oracle_per_identity(structures):
+    """Criterion 01 as a property: on small fractional algebras every checker
+    with an oracle gives the oracle's verdict, identity by identity; a
+    failure shrinks to a minimal algebra."""
+    a, d, r, t = structures
+    s = sum_product(a)
+    summed = HomAlgebra.mono(s, a.alpha)
+    m = rhizaform_bimodule(a)
+    rhiza, den = check_rhizaform(a), check_dendriform(a)
+    pairs = [(f"rhizaform:{i}", rhiza.identity_passed(i), ok) for i, ok in oracle.rhizaform_identities(a).items()]
+    pairs += [(f"dendriform:{i}", den.identity_passed(i), ok) for i, ok in oracle.dendriform_identities(a).items()]
+    pairs += [
+        ("anti_assoc", check_hom_anti_associative(s, a.alpha).passed, oracle.anti_associative(s, a.alpha)),
+        ("jacobi_jordan", check_jacobi_jordan(s, a.alpha).passed, oracle.jacobi_jordan(s, a.alpha)),
+        ("pre_jacobi_jordan", check_pre_jacobi_jordan(s, a.alpha).passed, oracle.pre_jacobi_jordan(s, a.alpha)),
+        ("two_nilpotent", check_2_nilpotent(a).passed, oracle.two_nilpotent(a)),
+        ("bimodule", check_bimodule(summed, m).passed, oracle.bimodule(s, a.alpha, m.left, m.right, m.beta)),
+        ("rota_baxter", check_rota_baxter(r, summed).passed, oracle.rota_baxter(r.matrix, s, a.alpha)),
+        (
+            "o_operator",
+            check_o_operator(t, summed, m).passed,
+            oracle.o_operator(t.matrix, s, a.alpha, m.left, m.right, m.beta),
+        ),
+    ]
+    for name in ("succ", "prec"):
+        op = a.product(name)
+        pairs.append((f"mult:{name}", check_multiplicativity(op, a.alpha).passed, oracle.multiplicative(op, a.alpha)))
+        derivation = check_alpha_derivation(d, a, name).passed
+        pairs.append((f"derivation:{name}", derivation, oracle.alpha_derivation(d, a, name)))
+    assert [name for name, got, want in pairs if got != want] == []
 
 
 def test_criterion_02_derived_structure_chain():

@@ -701,6 +701,40 @@ def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(tmp_path, route_
         assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("role", sorted(FILE_ROLES))
+def test_repeated_keys_exit_2_in_every_role(tmp_path, route_files, role):
+    """A repeated object key would silently drop its first value; every role refuses it."""
+    with open(route_files[ROLE_FILES[role]]) as fh:
+        doc = json.load(fh)
+    key = next(iter(doc))
+    path = tmp_path / "repeated.json"
+    path.write_text("{" + json.dumps(key) + ": " + json.dumps(doc[key]) + ", " + json.dumps(doc)[1:])
+    assert_rejected(*run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(path)})), f"repeated key {key!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (
+            ("check", "--kind", "rhizaform"),
+            '{"dim": 1, "kind": "rhizaform", "alpha": [["1"]], "succ": [[1, 1, 1, "1"]], "succ": [], "prec": []}',
+            "succ",
+        ),
+        (
+            ("family", "--do", "associated"),
+            '{"dim": 1, "omega": {"table": [[0]]}, "alpha": [["1"]], "succ": {"0": [[1, 1, 1, "1"]], "0": []}, '
+            '"prec": {"0": []}}',
+            "0",
+        ),
+    ],
+)
+def test_repeated_nested_keys_exit_2(tmp_path, argv, text, key):
+    """The nonzero product in the first of two equal keys is not lost: the file is refused."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert_rejected(*run_cli(*argv, str(path)), f"repeated key {key!r}")
+
+
 def test_written_files_read_back_equal(route_files, tmp_path):
     """A bimodule written by induce and a family written by family --do induce read back as the same value."""
     s = load_algebra(route_files["S"], {})

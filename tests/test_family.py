@@ -8,7 +8,7 @@ import pytest
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, sum_product
 from rhizalab.axioms import check_hom_anti_associative, check_rhizaform
 from rhizalab.errors import DimensionMismatch, NotARotaBaxterOperator
-from rhizalab.exactlin import basis_vec, vec_add, vec_is_zero
+from rhizalab.exactlin import basis_vec, vec_is_zero
 from rhizalab.family import (
     FamilyAlgebra,
     RBFamily,
@@ -32,6 +32,7 @@ from tests.conftest import (
     rb_grid,
     z2_rb_family_fixture,
 )
+from tests.fraction_checkers import vec_add
 
 F = Fraction
 Z2 = Semigroup.cyclic(2)

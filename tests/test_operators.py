@@ -6,7 +6,7 @@ import pytest
 from rhizalab import oracle
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import check_hom_anti_associative, check_rhizaform
-from rhizalab.errors import NotAnOOperator, NotARotaBaxterOperator, Singular
+from rhizalab.errors import DimensionMismatch, NotAnOOperator, NotARotaBaxterOperator, Singular
 from rhizalab.exactlin import Matrix, basis_vec
 from rhizalab.operators import (
     Bimodule,
@@ -143,6 +143,14 @@ def test_o_operator_zero_passes(a_d2_a1):
     s = sum_algebra(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
     assert check_o_operator(LinearOperator.zero(2, 2), s, m).passed
+
+
+def test_o_operator_rejects_bimodule_over_other_dimension(a_d2_a1):
+    """Actions of a 3-dim algebra cannot act through a 2-dim algebra's operator images."""
+    s = sum_algebra(a_d2_a1)
+    m = Bimodule(3, 2, (Matrix.identity(2),) * 3, (Matrix.zero(2, 2),) * 3, LinearMap.identity(2))
+    with pytest.raises(DimensionMismatch):
+        check_o_operator(LinearOperator.identity(2), s, m)
 
 
 def test_identity_is_o_operator_on_split_actions():
