@@ -58,6 +58,7 @@ from .family import (
 )
 from .nilpotency import (
     Subspace,
+    analyze,
     check_2_nilpotent,
     check_onesided_nilpotency_theorem,
     check_series_equality,

@@ -180,19 +180,22 @@ def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult")
     side's D D_alpha^2.
     """
     _require_same_dim(op.dim, alpha.dim)
-    n = op.dim
-    t = _twisted([op], alpha)
-    table, left = t.tables[0], t.left[0]
+    violations = _multiplicativity_violations(_twisted([op], alpha), 0, name)
+    return CheckReport.collect(f"multiplicativity[{name}]", violations)
+
+
+def _multiplicativity_violations(t: _Twisted, p: int, name: str):
+    """Residual alpha(x o_p y) - alpha(x) o_p alpha(y) on basis pairs, for product p of ``t``."""
+    n = len(t.twist)
+    table, left = t.tables[p], t.left[p]
     scale = t.d * t.d_alpha * t.d_alpha
-    violations = []
     for i in range(n):
         for j in range(n):
             r = [0] * n
             _apply_into(r, t.twist, table[i][j], t.d_alpha)
             _apply_into(r, left[i], t.twist[j], -1)
             if any(r):
-                violations.append(Violation(name, (i + 1, j + 1), _residual(r, scale)))
-    return CheckReport.collect(f"multiplicativity[{name}]", violations)
+                yield Violation(name, (i + 1, j + 1), _residual(r, scale))
 
 
 def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twisted, sign):
@@ -237,8 +240,9 @@ def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twist
                 yield i, j, k, r1, r2, r3
 
 
-def _split_triple_violations(a: HomAlgebra, signed: bool) -> list[Violation]:
-    """The three split identities of a plain algebra, in the order r1, r2, r3 per triple.
+def _split_violations(a: HomAlgebra, signed: bool) -> list[Violation]:
+    """The three split identities of a plain algebra, in the order r1, r2, r3 per triple, then
+    twist compatibility of both products.
 
     ``signed=True`` is the anti-associative splitting (right sides carry a
     minus), ``signed=False`` the associative one (no minus).
@@ -250,15 +254,9 @@ def _split_triple_violations(a: HomAlgebra, signed: bool) -> list[Violation]:
         for ident, r in zip(ids, resids):
             if any(r):
                 violations.append(Violation(ident, (i + 1, j + 1, k + 1), _residual(r, t.scale)))
+    for p, name in enumerate(("succ", "prec")):
+        violations.extend(_multiplicativity_violations(t, p, f"mult_{name}"))
     return violations
-
-
-def _both_products_multiplicative(a: HomAlgebra) -> list[Violation]:
-    out = []
-    for name in ("succ", "prec"):
-        rep = check_multiplicativity(a.product(name), a.alpha, name=f"mult_{name}")
-        out.extend(rep.violations)
-    return out
 
 
 def check_rhizaform(a: HomAlgebra) -> CheckReport:
@@ -266,9 +264,7 @@ def check_rhizaform(a: HomAlgebra) -> CheckReport:
     compatibility of both products."""
     if not a.is_rhizaform:
         raise MissingProduct("rhizaform check needs products succ and prec")
-    violations = _split_triple_violations(a, signed=True)
-    violations.extend(_both_products_multiplicative(a))
-    return CheckReport.collect("rhizaform", violations)
+    return CheckReport.collect("rhizaform", _split_violations(a, signed=True))
 
 
 def check_dendriform(a: HomAlgebra) -> CheckReport:
@@ -276,9 +272,7 @@ def check_dendriform(a: HomAlgebra) -> CheckReport:
     compatibility of both products."""
     if not a.is_rhizaform:
         raise MissingProduct("dendriform check needs products succ and prec")
-    violations = _split_triple_violations(a, signed=False)
-    violations.extend(_both_products_multiplicative(a))
-    return CheckReport.collect("dendriform", violations)
+    return CheckReport.collect("dendriform", _split_violations(a, signed=False))
 
 
 def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:

@@ -28,17 +28,7 @@ from ..axioms import (
 )
 from ..cocycles import vector_cocycle_space
 from ..errors import ParseError, UnknownEntry
-from ..nilpotency import (
-    NilpotencyVerdict,
-    _verdict,
-    check_2_nilpotent,
-    check_alpha_stability,
-    check_onesided_nilpotency_theorem,
-    check_series_equality,
-    full_series,
-    left_series,
-    right_series,
-)
+from ..nilpotency import NilpotencyVerdict, analyze
 
 _DATA_PACKAGE = "rhizalab.catalog"
 _DATA_DIR = "data/v1"
@@ -69,6 +59,14 @@ class CatalogEntry:
                     if bare and not bare[0].isdigit():
                         names.add(bare)
         return tuple(sorted(names))
+
+    def algebra(self, params: dict[str, Fraction] | None = None) -> HomAlgebra:
+        """Fully rational algebra of the entry; raises UnboundParameter when it
+        references a symbol the caller did not bind."""
+        try:
+            return parse_algebra_obj(self.algebra_doc, bindings=params)
+        except ParseError as exc:
+            raise ParseError(f"catalog entry {self.entry_id}: {exc}") from None
 
 
 def _sort_key(entry_id: str) -> tuple[int, int]:
@@ -108,13 +106,8 @@ def load_catalog_entry(entry_id: str) -> CatalogEntry:
 
 
 def load_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> HomAlgebra:
-    """Fully rational algebra for one entry; raises UnboundParameter when the
-    entry references a symbol the caller did not bind."""
-    entry = load_catalog_entry(entry_id)
-    try:
-        return parse_algebra_obj(entry.algebra_doc, bindings=params)
-    except ParseError as exc:
-        raise ParseError(f"catalog entry {entry_id}: {exc}") from None
+    """Fully rational algebra for one entry (see ``CatalogEntry.algebra``)."""
+    return load_catalog_entry(entry_id).algebra(params)
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,7 @@ class EntryReport:
         return out
 
     def to_obj(self) -> dict:
-        obj = {
+        return {
             "id": self.entry_id,
             "dim": self.dim,
             "tag": self.tag,
@@ -181,33 +174,32 @@ class EntryReport:
             "notes": list(self.notes),
             "findings": self.findings(),
         }
-        return obj
 
 
 def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> EntryReport:
     """Run every structural check on one entry and bundle the outcomes."""
     entry = load_catalog_entry(entry_id)
-    a = load_entry(entry_id, params)
+    return _entry_report(entry, entry.algebra(params))
+
+
+def _entry_report(entry: CatalogEntry, a: HomAlgebra) -> EntryReport:
     rhiza = check_rhizaform(a)
     multiplicative = {name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
-    tag_agrees = (entry.tag == "m") == all(multiplicative.values())
-    cocycle_dim = len(vector_cocycle_space(a))
-    series = {"right": right_series(a), "left": left_series(a), "full": full_series(a)}
-    alpha_stab = check_alpha_stability(a, series["full"]) if all(multiplicative.values()) else None
+    nil = analyze(a)
     return EntryReport(
-        entry_id=entry_id,
+        entry_id=entry.entry_id,
         dim=entry.dim,
         tag=entry.tag,
         rhizaform=rhiza,
         multiplicative=multiplicative,
-        tag_agrees=tag_agrees,
-        cocycle_dim=cocycle_dim,
+        tag_agrees=(entry.tag == "m") == all(multiplicative.values()),
+        cocycle_dim=len(vector_cocycle_space(a)),
         expected_cocycle_dim=entry.expected_cocycle_dim,
-        nilpotent=_verdict(series["full"]),
-        series_equality=check_series_equality(a, series),
-        onesided=check_onesided_nilpotency_theorem(a, series["full"]),
-        two_nilpotent=check_2_nilpotent(a),
-        alpha_stability=alpha_stab,
+        nilpotent=nil.verdicts["full"],
+        series_equality=nil.series_equality,
+        onesided=nil.onesided,
+        two_nilpotent=nil.two_nilpotent,
+        alpha_stability=nil.alpha_stability,
         notes=entry.notes,
     )
 
@@ -268,7 +260,7 @@ class CatalogSummary:
             lines.append("")
             lines.append("ORACLE DISAGREEMENTS (internal errors):")
             lines.extend(f"  !! {d}" for d in self.oracle_diffs)
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
 
 def verify_all(
@@ -277,10 +269,14 @@ def verify_all(
     ids: list[str] | None = None,
     with_oracle: bool = False,
 ) -> CatalogSummary:
-    """Verify the selected entries (all by default), ordered by id."""
+    """Verify the selected entries (all by default), ordered by id; an id not in
+    the catalog raises UnknownEntry."""
     selected = entry_ids()
     if ids is not None:
         wanted = set(ids)
+        unknown = sorted(wanted.difference(selected))
+        if unknown:
+            raise UnknownEntry(f"no catalog entry {unknown[0]!r}")
         selected = [e for e in selected if e in wanted]
     if dim is not None:
         selected = [e for e in selected if _sort_key(e)[0] == dim]
@@ -288,9 +284,11 @@ def verify_all(
     findings: list[str] = []
     diffs: list[str] = []
     for entry_id in selected:
-        report = verify_entry(entry_id, params)
+        entry = load_catalog_entry(entry_id)
+        a = entry.algebra(params)
+        report = _entry_report(entry, a)
         reports.append(report)
         findings.extend(report.findings())
         if with_oracle:
-            diffs.extend(oracle_disagreements(entry_id, load_entry(entry_id, params), report))
+            diffs.extend(oracle_disagreements(entry_id, a, report))
     return CatalogSummary(tuple(reports), tuple(findings), tuple(diffs))

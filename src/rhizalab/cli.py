@@ -56,17 +56,7 @@ from .family import (
     induced_family_rhizaform,
     tensor_collapse,
 )
-from .nilpotency import (
-    _verdict,
-    check_2_nilpotent,
-    check_alpha_stability,
-    check_onesided_nilpotency_theorem,
-    check_series_equality,
-    full_series,
-    is_multiplicative,
-    left_series,
-    right_series,
-)
+from .nilpotency import analyze
 from .operators import (
     check_bimodule,
     check_homomorphism,
@@ -113,17 +103,18 @@ OPERATION_COVERAGE = {
     "cocycles.vector_cocycle_space": "cocycles --vector FILE",
     "cocycles.is_nondegenerate": "cocycles --scalar FILE (reported per basis form)",
     "cocycles.rhizaform_from_cocycle": "induce --what cocycle --form B.json FILE",
-    "nilpotency.diamond": "nilpotency FILE (series construction)",
-    "nilpotency.right_series": "nilpotency FILE",
-    "nilpotency.left_series": "nilpotency FILE",
-    "nilpotency.full_series": "nilpotency FILE",
-    "nilpotency.is_nilpotent": "nilpotency FILE (one-sided theorem; the full verdict reads the series)",
-    "nilpotency.is_right_nilpotent": "nilpotency FILE (its verdict, read from the right series)",
-    "nilpotency.is_left_nilpotent": "nilpotency FILE (its verdict, read from the left series)",
-    "nilpotency.check_series_equality": "nilpotency FILE",
-    "nilpotency.check_2_nilpotent": "nilpotency FILE",
-    "nilpotency.check_onesided_nilpotency_theorem": "nilpotency FILE",
-    "nilpotency.check_alpha_stability": "nilpotency FILE (when multiplicative)",
+    "nilpotency.analyze": "nilpotency FILE (the whole report, from one clearing of the products)",
+    "nilpotency.diamond": "nilpotency FILE (series construction, in analyze)",
+    "nilpotency.right_series": "nilpotency FILE (the right series of analyze)",
+    "nilpotency.left_series": "nilpotency FILE (the left series of analyze)",
+    "nilpotency.full_series": "nilpotency FILE (the full series of analyze)",
+    "nilpotency.is_nilpotent": "nilpotency FILE (the full verdict, read from the series)",
+    "nilpotency.is_right_nilpotent": "nilpotency FILE (the right verdict, read from the series)",
+    "nilpotency.is_left_nilpotent": "nilpotency FILE (the left verdict, read from the series)",
+    "nilpotency.check_series_equality": "nilpotency FILE (series equality, in analyze)",
+    "nilpotency.check_2_nilpotent": "nilpotency FILE (2-nilpotency, in analyze)",
+    "nilpotency.check_onesided_nilpotency_theorem": "nilpotency FILE (one-sided theorem, in analyze)",
+    "nilpotency.check_alpha_stability": "nilpotency FILE (twist stability, in analyze, when multiplicative)",
     "family.check_semigroup": "family --do check-semigroup FILE",
     "family.check_rhizaform_family": "family --do check FILE",
     "family.check_anti_associative_family": "family --do check-anti FILE",
@@ -131,8 +122,8 @@ OPERATION_COVERAGE = {
     "family.check_rb_family": "family --do check-rb --algebra A.json FILE",
     "family.induced_family_rhizaform": "family --do induce --algebra A.json FILE",
     "family.tensor_collapse": "family --do collapse --algebra A.json FILE",
-    "catalog.load_entry": "catalog show --id ID",
-    "catalog.verify_entry": "catalog verify --id ID",
+    "catalog.load_entry": "catalog show --id ID (the entry's algebra, read with the entry)",
+    "catalog.verify_entry": "catalog verify --id ID (each entry's report, from one read of the entry)",
     "catalog.verify_all": "catalog verify",
 }
 
@@ -386,45 +377,30 @@ def cmd_cocycles(args) -> int:
 
 def cmd_nilpotency(args) -> int:
     params = _parse_params(args.param)
-    a = files.load_algebra(args.file, params)
-    series = {
-        "right": right_series(a),
-        "left": left_series(a),
-        "full": full_series(a),
+    r = analyze(files.load_algebra(args.file, params))
+    checks = {
+        "series equality": r.series_equality,
+        "one-sided nilpotency theorem": r.onesided,
+        "2-nilpotent": r.two_nilpotent,
+        "twist stability of series": r.alpha_stability,
     }
-    verdicts = {name: _verdict(terms) for name, terms in series.items()}
-    equality = check_series_equality(a, series)
-    onesided = check_onesided_nilpotency_theorem(a, series["full"])
-    twonil = check_2_nilpotent(a)
-    mult = is_multiplicative(a)
-    stab = check_alpha_stability(a, series["full"]) if mult else None
     obj = {
-        "series": {
-            name: [_matrix_obj(t.basis) for t in terms] for name, terms in series.items()
-        },
-        "nilpotent": {
-            name: {"nilpotent": v.nilpotent, "index": v.index} for name, v in verdicts.items()
-        },
-        "series_equality": equality.to_obj(),
-        "onesided_theorem": onesided.to_obj(),
-        "two_nilpotent": twonil.to_obj(),
-        "alpha_stable": None if stab is None else stab.passed,
+        "series": {name: [_matrix_obj(t.basis) for t in terms] for name, terms in r.series.items()},
+        "nilpotent": {name: {"nilpotent": v.nilpotent, "index": v.index} for name, v in r.verdicts.items()},
+        "series_equality": r.series_equality.to_obj(),
+        "onesided_theorem": r.onesided.to_obj(),
+        "two_nilpotent": r.two_nilpotent.to_obj(),
+        "alpha_stable": None if r.alpha_stability is None else r.alpha_stability.passed,
     }
     human = []
-    for name, terms in series.items():
+    for name, terms in r.series.items():
         dims = " -> ".join(str(t.dim) for t in terms)
-        v = verdicts[name]
+        v = r.verdicts[name]
         tail = f"nilpotent, index {v.index}" if v.nilpotent else "not nilpotent"
         human.append(f"{name:>5} series dims: {dims}  ({tail})")
-    human.append(f"series equality: {'pass' if equality.passed else 'FAIL'}")
-    human.append(f"one-sided nilpotency theorem: {'pass' if onesided.passed else 'FAIL'}")
-    human.append(f"2-nilpotent: {'pass' if twonil.passed else 'FAIL'}")
-    if stab is not None:
-        human.append(f"twist stability of series: {'pass' if stab.passed else 'FAIL'}")
+    human.extend(f"{label}: {'pass' if rep.passed else 'FAIL'}" for label, rep in checks.items() if rep is not None)
     _emit(obj, args, "\n".join(human))
-    if args.strict and not (equality.passed and onesided.passed):
-        return 1
-    return 0
+    return 1 if args.strict and not (r.series_equality.passed and r.onesided.passed) else 0
 
 
 def cmd_catalog(args) -> int:
@@ -436,13 +412,11 @@ def cmd_catalog(args) -> int:
     if args.action == "show":
         if not args.id:
             raise RhizalabError("catalog show wants --id")
-        entry_id = args.id[0]
-        entry = cat.load_catalog_entry(entry_id)
-        a = cat.load_entry(entry_id, params)
+        entry = cat.load_catalog_entry(args.id[0])
         obj = {
             "id": entry.entry_id,
             "tag": entry.tag,
-            "algebra": serialize_algebra_obj(a),
+            "algebra": serialize_algebra_obj(entry.algebra(params)),
             "expected_cocycle_components": [list(c) for c in entry.expected_components],
             "notes": list(entry.notes),
         }
@@ -455,10 +429,7 @@ def cmd_catalog(args) -> int:
             ids=args.id or None,
             with_oracle=args.oracle,
         )
-        if args.format == "structured":
-            print(json.dumps(summary.to_obj(), indent=2))
-        else:
-            print(summary.to_text(), end="")
+        _emit(summary.to_obj(), args, summary.to_text())
         if summary.internal_error:
             for d in summary.oracle_diffs:
                 print(f"oracle disagreement: {d}", file=sys.stderr)

@@ -20,10 +20,11 @@ list includes the first repeated term so stabilization is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .algmodel import HomAlgebra, LinearMap, _apply_into, _int_tables, _product_into, _sparse
-from .axioms import CheckReport, Violation, _residual, _twisted, check_multiplicativity
+from .axioms import CheckReport, Violation, _multiplicativity_violations, _residual, _twisted
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, rank, rref, vec_is_zero
 
@@ -66,11 +67,6 @@ class Subspace:
     def vectors(self) -> list[Vector]:
         return [self.basis.row(i) for i in range(self.basis.rows)]
 
-    def add(self, other: Subspace) -> Subspace:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspaces live in different ambient spaces")
-        return Subspace.from_vectors(self.ambient_dim, self.vectors() + other.vectors())
-
     def contains_vector(self, v: Vector) -> bool:
         if vec_is_zero(v):
             return True
@@ -86,76 +82,92 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, [f.apply(v) for v in self.vectors()])
 
 
-def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
-    """Span of all products of basis vectors, over every named product.
+def _tables(a: HomAlgebra) -> list:
+    """The integer tables of the products of ``a``, in name order, all cleared by one D."""
+    return _int_tables([a.products[name] for name in sorted(a.products)])[0]
 
-    Evaluated over int: each basis vector and each product is scaled to
-    integers, which leaves the span, and so its canonical basis, unchanged.
-    """
+
+def _twisted_view(a: HomAlgebra):
+    """The product names of ``a`` in order, and its integer view (``axioms._twisted``)."""
+    names = sorted(a.products)
+    return names, _twisted([a.products[name] for name in names], a.alpha)
+
+
+def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
+    """Span of all products of basis vectors, over every named product."""
     if m.ambient_dim != a.dim or n.ambient_dim != a.dim:
         raise DimensionMismatch("subspace ambient dimension differs from the algebra")
-    tables, _ = _int_tables([a.products[name] for name in sorted(a.products)])
-    us, vs = ([_sparse(_cleared([u])[0][0]) for u in s.vectors()] for s in (m, n))
+    return _products_span([(m, n)], _tables(a))
+
+
+def _products_span(pairs, tables) -> Subspace:
+    """Span of the products of basis vectors of m and n, over every (m, n) in ``pairs`` and every
+    integer product table; each basis vector and product is scaled to integers, as the tables
+    are, which leaves the span, and so its canonical basis, unchanged."""
+    dim = len(tables[0])
     out = []
-    for u in us:
-        for v in vs:
-            for table in tables:
-                w = [0] * a.dim
-                _product_into(w, table, u, v)
-                if any(w):
-                    out.append(w)
-    return Subspace.from_vectors(a.dim, out)
+    for m, n in pairs:
+        us, vs = ([_sparse(_cleared([u])[0][0]) for u in s.vectors()] for s in (m, n))
+        for u in us:
+            for v in vs:
+                for table in tables:
+                    w = [0] * dim
+                    _product_into(w, table, u, v)
+                    if any(w):
+                        out.append(w)
+    return Subspace.from_vectors(dim, out)
 
 
-def _next_term(a: HomAlgebra, kind: str, terms: list[Subspace]) -> Subspace:
-    """The term after ``terms`` (S_1, S_2, ...) of the "right", "left" or "full" series."""
+# Series over integer product tables: all of an algebra's, or one for a reduct, cleared once.
+_KINDS = ("right", "left", "full")
+
+
+def _next_term(tables, kind: str, terms) -> Subspace:
+    """The term after ``terms`` (S_1, ..., S_k) of the "right", "left" or "full" series."""
     if kind == "right":
-        return diamond(terms[-1], terms[0], a)
+        return _products_span([(terms[-1], terms[0])], tables)
     if kind == "left":
-        return diamond(terms[0], terms[-1], a)
-    k1 = len(terms) + 1  # computing the k1-th term, 1-based
-    nxt = Subspace.zero(a.dim)
-    for i in range(1, k1):
-        nxt = nxt.add(diamond(terms[i - 1], terms[k1 - i - 1], a))
-    return nxt
+        return _products_span([(terms[0], terms[-1])], tables)
+    return _products_span([(terms[i - 1], terms[-i]) for i in range(1, len(terms) + 1)], tables)
 
 
-def _until_stable(a: HomAlgebra, kind: str) -> list[Subspace]:
+def _until_stable(tables, kind: str) -> tuple[Subspace, ...]:
     """Terms up to zero or the first repeat; at most ambient + 3 terms as a safety net."""
-    terms = [Subspace.full(a.dim)]
+    dim = len(tables[0])
+    terms = [Subspace.full(dim)]
     while True:
-        terms.append(_next_term(a, kind, terms))
-        if terms[-1].is_zero() or terms[-1] == terms[-2] or len(terms) == a.dim + 3:
-            return terms
+        terms.append(_next_term(tables, kind, terms))
+        if terms[-1].is_zero() or terms[-1] == terms[-2] or len(terms) == dim + 3:
+            return tuple(terms)
 
 
-def _extended(a: HomAlgebra, kind: str, terms: list[Subspace], length: int) -> list[Subspace]:
+def _extended(tables, kind: str, terms, length: int) -> list[Subspace]:
     """``terms`` carried on past stabilization to ``length`` terms, as a new list."""
     terms = list(terms)
     while len(terms) < length:
-        terms.append(_next_term(a, kind, terms))
+        terms.append(_next_term(tables, kind, terms))
     return terms
 
 
 def right_series(a: HomAlgebra) -> list[Subspace]:
-    return _until_stable(a, "right")
+    return list(_until_stable(_tables(a), "right"))
 
 
 def left_series(a: HomAlgebra) -> list[Subspace]:
-    return _until_stable(a, "left")
+    return list(_until_stable(_tables(a), "left"))
 
 
 def full_series(a: HomAlgebra) -> list[Subspace]:
-    return _until_stable(a, "full")
+    return list(_until_stable(_tables(a), "full"))
 
 
 def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
     """g-th term (1-based) of the named series, extending past stabilization."""
     if g < 1:
         raise ValueError("series terms are 1-based")
-    if kind not in ("right", "left", "full"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    return _extended(a, kind, [Subspace.full(a.dim)], g)[g - 1]
+    return _extended(_tables(a), kind, [Subspace.full(a.dim)], g)[g - 1]
 
 
 class NilpotencyVerdict(NamedTuple):
@@ -163,7 +175,7 @@ class NilpotencyVerdict(NamedTuple):
     index: int | None
 
 
-def _verdict(series: list[Subspace]) -> NilpotencyVerdict:
+def _verdict(series) -> NilpotencyVerdict:
     for g, term in enumerate(series, start=1):
         if term.is_zero():
             return NilpotencyVerdict(True, g)
@@ -184,103 +196,116 @@ def is_left_nilpotent(a: HomAlgebra) -> NilpotencyVerdict:
 
 def _difference_witness(x: Subspace, y: Subspace) -> Vector:
     """A basis vector of x missing from y, or vice versa."""
-    for v in x.vectors():
-        if not y.contains_vector(v):
-            return v
-    for v in y.vectors():
-        if not x.contains_vector(v):
+    for v, other in [(v, y) for v in x.vectors()] + [(v, x) for v in y.vectors()]:
+        if not other.contains_vector(v):
             return v
     return (0,) * x.ambient_dim
 
 
-def check_series_equality(a: HomAlgebra, series: dict[str, list[Subspace]] | None = None) -> CheckReport:
-    """Termwise comparison of the three series up to common stabilization.
-
-    ``series`` maps "right", "left" and "full" to the terms up to
-    stabilization (as ``right_series`` and its siblings give them) when the
-    caller holds them already; each is carried on from its last term.
-    """
-    if series is None:
-        series = {kind: _until_stable(a, kind) for kind in ("right", "left", "full")}
+def _series_equality(tables, series: dict) -> CheckReport:
+    """Termwise comparison of the three series (``series`` maps each kind to its terms up to
+    stabilization), each carried on from its last term to the longest one's length."""
     length = max(len(terms) for terms in series.values())
-    extended = [_extended(a, kind, series[kind], length) for kind in ("right", "left", "full")]
+    extended = [_extended(tables, kind, series[kind], length) for kind in _KINDS]
     violations = []
     for g, (r, l, f) in enumerate(zip(*extended), start=1):
-        if r != f:
-            violations.append(Violation("right_ne_full", (g,), _difference_witness(r, f)))
-        if l != f:
-            violations.append(Violation("left_ne_full", (g,), _difference_witness(l, f)))
-        if r != l:
-            violations.append(Violation("right_ne_left", (g,), _difference_witness(r, l)))
+        for ident, x, y in (("right_ne_full", r, f), ("left_ne_full", l, f), ("right_ne_left", r, l)):
+            if x != y:
+                violations.append(Violation(ident, (g,), _difference_witness(x, y)))
     return CheckReport.collect("series_equality", violations)
+
+
+def check_series_equality(a: HomAlgebra) -> CheckReport:
+    """Termwise comparison of the three series up to common stabilization."""
+    tables = _tables(a)
+    return _series_equality(tables, {kind: _until_stable(tables, kind) for kind in _KINDS})
+
+
+def _two_nilpotent(t, names: list[str]) -> CheckReport:
+    n = len(t.twist)
+    violations = []
+    for p, p_name in enumerate(names):
+        for q, q_name in enumerate(names):
+            for i, j, k in product(range(n), repeat=3):
+                # (e_i o_p e_j) o_q alpha(e_k), then alpha(e_i) o_q (e_j o_p e_k)
+                out_in = (("out", t.right[q][k], t.tables[p][i][j]), ("in", t.left[q][i], t.tables[p][j][k]))
+                for side, cols, x in out_in:
+                    r = [0] * n
+                    _apply_into(r, cols, x)
+                    if any(r):
+                        ident = f"{side}:{p_name},{q_name}"
+                        violations.append(Violation(ident, (i + 1, j + 1, k + 1), _residual(r, t.scale)))
+    return CheckReport.collect("2_nilpotent", violations)
 
 
 def check_2_nilpotent(a: HomAlgebra) -> CheckReport:
     """All out/in bracketings of two products vanish under every operation choice."""
-    names = sorted(a.products)
-    n = a.dim
-    t = _twisted([a.products[name] for name in names], a.alpha)
-    violations = []
-    for p, p_name in enumerate(names):
-        op_p = t.tables[p]
-        for q, q_name in enumerate(names):
-            left_q, right_q = t.left[q], t.right[q]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        out_r = [0] * n
-                        _apply_into(out_r, right_q[k], op_p[i][j])
-                        if any(out_r):
-                            violations.append(
-                                Violation(f"out:{p_name},{q_name}", (i + 1, j + 1, k + 1), _residual(out_r, t.scale))
-                            )
-                        in_r = [0] * n
-                        _apply_into(in_r, left_q[i], op_p[j][k])
-                        if any(in_r):
-                            violations.append(
-                                Violation(f"in:{p_name},{q_name}", (i + 1, j + 1, k + 1), _residual(in_r, t.scale))
-                            )
-    return CheckReport.collect("2_nilpotent", violations)
+    names, t = _twisted_view(a)
+    return _two_nilpotent(t, names)
 
 
-def onesided_verdicts(a: HomAlgebra, full: list[Subspace] | None = None) -> dict[str, NilpotencyVerdict]:
-    """Nilpotency of the whole algebra (read from ``full``, its full series, when given) and of each
-    single-product reduct."""
-    out = {"full": is_nilpotent(a) if full is None else _verdict(full)}
-    for name in sorted(a.products):
-        reduct = HomAlgebra.mono(a.products[name], a.alpha)
-        out[name] = is_nilpotent(reduct)
-    return out
-
-
-def check_onesided_nilpotency_theorem(a: HomAlgebra, full: list[Subspace] | None = None) -> CheckReport:
-    """Whole algebra nilpotent iff every single-product reduct is nilpotent; ``full`` as in
-    ``onesided_verdicts``."""
-    verdicts = onesided_verdicts(a, full)
-    whole = verdicts["full"].nilpotent
-    parts = all(v.nilpotent for name, v in verdicts.items() if name != "full")
-    violations = []
-    if whole != parts:
-        violations.append(Violation("biconditional", (), ()))
+def _onesided(tables, full) -> CheckReport:
+    """Whole algebra (full series ``full``) nilpotent iff every single-product reduct is; a
+    reduct's full series is over its own table, so a mono algebra is its own reduct."""
+    reducts = [full] if len(tables) == 1 else (_until_stable([table], "full") for table in tables)
+    parts = all(_verdict(terms).nilpotent for terms in reducts)
+    violations = [] if _verdict(full).nilpotent == parts else [Violation("biconditional", (), ())]
     return CheckReport.collect("onesided_nilpotency", violations)
 
 
-def check_alpha_stability(a: HomAlgebra, full: list[Subspace] | None = None) -> CheckReport:
-    """alpha(S_k) inside S_k along the full series (``full``, when the caller holds it).
+def check_onesided_nilpotency_theorem(a: HomAlgebra) -> CheckReport:
+    """Whole algebra nilpotent iff every single-product reduct is nilpotent."""
+    tables = _tables(a)
+    return _onesided(tables, _until_stable(tables, "full"))
 
-    Meaningful when the twist is multiplicative for every product; the
-    caller gates on that (see is_multiplicative).
-    """
+
+def _alpha_stability(full, alpha: LinearMap) -> CheckReport:
     violations = []
-    for g, term in enumerate(full_series(a) if full is None else full, start=1):
-        image = term.image_under(a.alpha)
+    for g, term in enumerate(full, start=1):
+        image = term.image_under(alpha)
         if not term.contains(image):
             violations.append(Violation("alpha_stability", (g,), _difference_witness(image, term)))
     return CheckReport.collect("alpha_stability", violations)
 
 
+def check_alpha_stability(a: HomAlgebra) -> CheckReport:
+    """alpha(S_k) inside S_k along the full series; meaningful when the twist is multiplicative
+    for every product, which the caller checks (see is_multiplicative)."""
+    return _alpha_stability(full_series(a), a.alpha)
+
+
+def _multiplicative(t, names: list[str]) -> bool:
+    return all(next(_multiplicativity_violations(t, p, name), None) is None for p, name in enumerate(names))
+
+
 def is_multiplicative(a: HomAlgebra) -> bool:
-    return all(
-        check_multiplicativity(a.products[name], a.alpha, name=name).passed
-        for name in sorted(a.products)
+    names, t = _twisted_view(a)
+    return _multiplicative(t, names)
+
+
+@dataclass(frozen=True)
+class NilpotencyAnalysis:
+    """Everything ``rhizalab nilpotency`` reports on one algebra."""
+
+    series: dict[str, tuple[Subspace, ...]]  # "right", "left", "full": the terms up to stabilization
+    series_equality: CheckReport
+    onesided: CheckReport
+    two_nilpotent: CheckReport
+    alpha_stability: CheckReport | None  # None unless the twist is multiplicative for every product
+
+    @property
+    def verdicts(self) -> dict[str, NilpotencyVerdict]:
+        return {kind: _verdict(terms) for kind, terms in self.series.items()}
+
+
+def analyze(a: HomAlgebra) -> NilpotencyAnalysis:
+    """The series of ``a``, their verdicts and every series check, from one clearing of its products."""
+    names, t = _twisted_view(a)
+    series = {kind: _until_stable(t.tables, kind) for kind in _KINDS}
+    return NilpotencyAnalysis(
+        series=series,
+        series_equality=_series_equality(t.tables, series),
+        onesided=_onesided(t.tables, series["full"]),
+        two_nilpotent=_two_nilpotent(t, names),
+        alpha_stability=_alpha_stability(series["full"], a.alpha) if _multiplicative(t, names) else None,
     )

@@ -108,6 +108,8 @@ class Bimodule:
         return self._act(self.right, x)
 
     def _act(self, mats: tuple[Matrix, ...], x: Vector) -> Matrix:
+        if len(x) != self.alg_dim:
+            raise DimensionMismatch(f"algebra vector of length {len(x)}, bimodule over dimension {self.alg_dim}")
         md = self.mod_dim
         return Matrix(md, md, [sum((xi * mat.entries[e] for xi, mat in zip(x, mats)), F0) for e in range(md * md)])
 
@@ -216,6 +218,13 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
     return CheckReport.collect("bimodule", violations)
 
 
+def _require_o_shapes(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> None:
+    if t.source_dim != m.mod_dim or t.target_dim != a.dim:
+        raise DimensionMismatch("operator must map the module into the algebra")
+    if m.alg_dim != a.dim:
+        raise DimensionMismatch("bimodule is over an algebra of different dimension")
+
+
 def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
     """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs.
 
@@ -223,10 +232,7 @@ def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckRepo
     D_T^2 D_M; the identity is evaluated at the lcm of the two.
     """
     mul = a.mul
-    if t.source_dim != m.mod_dim or t.target_dim != a.dim:
-        raise DimensionMismatch("operator must map the module into the algebra")
-    if m.alg_dim != a.dim:
-        raise DimensionMismatch("bimodule is over an algebra of different dimension")
+    _require_o_shapes(t, a, m)
     violations = list(_equivariance_violations(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
     n, md = a.dim, m.mod_dim
     (table,), d = _int_tables([mul])
@@ -296,6 +302,7 @@ def induced_rhizaform_from_o_operator(
     t: LinearOperator, a: HomAlgebra, m: Bimodule, strict: bool = True
 ) -> HomAlgebra:
     """Split products on the module: u succ v = L(T(u))v, u prec v = R(T(v))u."""
+    _require_o_shapes(t, a, m)
     if strict:
         rep = check_o_operator(t, a, m)
         if not rep.passed:
@@ -358,6 +365,7 @@ def compatible_from_invertible_o_operator(
     if t.source_dim != t.target_dim:
         raise Singular("operator between spaces of different dimension is not invertible")
     t_inv = invert(t.matrix)  # raises Singular when degenerate
+    _require_o_shapes(t, a, m)
     if strict:
         rep = check_o_operator(t, a, m)
         if not rep.passed:

@@ -36,6 +36,16 @@ def random_split_algebra(rng: random.Random, n: int) -> HomAlgebra:
     return HomAlgebra.rhizaform(random_tensor(rng, n), random_tensor(rng, n), random_map(rng, n))
 
 
+def graded_split_algebra(rng: random.Random, n: int) -> HomAlgebra:
+    """e_i o e_j lands in span(e_k : k > max(i, j)), so the series descend through several terms."""
+    def tensor():
+        return BilinearOp(n, [
+            [[rng.choice((F(-1), F(0), F(1))) if k > max(i, j) else F(0) for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ])
+    return HomAlgebra.rhizaform(tensor(), tensor(), LinearMap.identity(n))
+
+
 def catalog_algebras(params=None) -> list[tuple[str, HomAlgebra]]:
     params = ETA_DEFAULT if params is None else params
     return [(eid, load_entry(eid, params)) for eid in entry_ids()]

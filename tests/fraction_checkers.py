@@ -12,7 +12,7 @@ from __future__ import annotations
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product
 from rhizalab.axioms import CheckReport, Violation
 from rhizalab.exactlin import Matrix, basis_vec, vec_is_zero, vec_sub
-from rhizalab.nilpotency import Subspace
+from rhizalab.nilpotency import NilpotencyAnalysis, NilpotencyVerdict, Subspace
 
 
 def vec_add(x, y):
@@ -330,6 +330,68 @@ def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
                     out.append(w)
     return Subspace.from_vectors(a.dim, out)
 
+
+
+def _series(a: HomAlgebra, kind: str, terms, length: int | None = None) -> list[Subspace]:
+    """``terms`` carried on by ``diamond`` to ``length`` terms, or without a length up to zero
+    or the first repeat (at most dim + 3 terms)."""
+    terms = list(terms)
+    while length is None or len(terms) < length:
+        k = len(terms) + 1
+        if kind == "right":
+            nxt = diamond(terms[-1], terms[0], a)
+        elif kind == "left":
+            nxt = diamond(terms[0], terms[-1], a)
+        else:
+            parts = [diamond(terms[i - 1], terms[k - i - 1], a) for i in range(1, k)]
+            nxt = Subspace.from_vectors(a.dim, [w for part in parts for w in part.vectors()])
+        terms.append(nxt)
+        if length is None and (nxt.is_zero() or nxt == terms[-2] or len(terms) == a.dim + 3):
+            break
+    return terms
+
+
+def _witness(x: Subspace, y: Subspace):
+    missing = [v for v in x.vectors() if not y.contains_vector(v)]
+    missing += [v for v in y.vectors() if not x.contains_vector(v)]
+    return missing[0] if missing else (0,) * x.ambient_dim
+
+
+def nilpotency_analysis(a: HomAlgebra) -> tuple[NilpotencyAnalysis, dict[str, NilpotencyVerdict]]:
+    """The record ``nilpotency.analyze`` gives, built by the Fraction ``diamond``, with each
+    single-product reduct as an algebra of its own; and the verdicts, read off the series here."""
+    kinds = ("right", "left", "full")
+    start = [Subspace.full(a.dim)]
+    series = {kind: tuple(_series(a, kind, start)) for kind in kinds}
+    length = max(len(terms) for terms in series.values())
+    r, l, f = (_series(a, kind, series[kind], length) for kind in kinds)
+    violations = []
+    for g in range(length):
+        for ident, x, y in (("right_ne_full", r, f), ("left_ne_full", l, f), ("right_ne_left", r, l)):
+            if x[g] != y[g]:
+                violations.append(Violation(ident, (g + 1,), _witness(x[g], y[g])))
+    verdicts = {}
+    for kind, terms in series.items():
+        zero = [g for g, term in enumerate(terms, start=1) if term.is_zero()]
+        verdicts[kind] = NilpotencyVerdict(bool(zero), zero[0] if zero else None)
+    reducts = [HomAlgebra.mono(a.products[name], a.alpha) for name in sorted(a.products)]
+    whole = verdicts["full"].nilpotent
+    parts = all(any(t.is_zero() for t in _series(m, "full", start)) for m in reducts)
+    stability = None
+    if all(multiplicativity(op, a.alpha).passed for op in a.products.values()):
+        stability = CheckReport.collect("alpha_stability", [
+            Violation("alpha_stability", (g,), _witness(term.image_under(a.alpha), term))
+            for g, term in enumerate(series["full"], start=1)
+            if not term.contains(term.image_under(a.alpha))
+        ])
+    analysis = NilpotencyAnalysis(
+        series=series,
+        series_equality=CheckReport.collect("series_equality", violations),
+        onesided=CheckReport.collect("onesided_nilpotency", [] if whole == parts else [Violation("biconditional", (), ())]),
+        two_nilpotent=two_nilpotent(a),
+        alpha_stability=stability,
+    )
+    return analysis, verdicts
 
 def scalar_cocycle_residuals(a: HomAlgebra, b) -> list[Violation]:
     star, alpha = star_product(a), a.alpha

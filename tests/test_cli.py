@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -16,6 +18,7 @@ from rhizalab.cli import CHECKS, OPERATION_COVERAGE, build_parser, main
 from rhizalab.family import induced_family_rhizaform
 from rhizalab.files import bimodule_obj, load_algebra, load_json, read_bimodule, read_family, read_rb_family
 from rhizalab.operators import regular_bimodule
+from tests.conftest import graded_split_algebra
 
 F = Fraction
 
@@ -236,6 +239,45 @@ def test_catalog_verify_with_oracle_exits_zero():
     assert code == 0
 
 
+@pytest.mark.parametrize("ids", [("d9.A1",), ("nothing",), ("d2.A99",), ("d2.A1", "d9.A1")])
+def test_catalog_verify_unknown_id_is_an_input_error(ids):
+    argv = [arg for entry_id in ids for arg in ("--id", entry_id)]
+    for verb in ("show", "verify")[len(ids) - 1:]:  # show reads the first id only
+        code, out, err = run_cli("catalog", verb, *argv)
+        assert (code, out) == (2, ""), verb
+        assert "no catalog entry" in err
+
+
+def test_catalog_verify_empty_selection_is_not_an_error():
+    code, out, _ = run_cli("catalog", "verify", "--format", "structured", "--dim", "3", "--id", "d2.A1")
+    assert code == 0
+    assert json.loads(out) == {"entries": [], "findings": [], "oracle_disagreements": []}
+
+
+# SHA-256 of structured stdout, recorded before `nilpotency` and `catalog verify`
+# were built on one nilpotency analysis per algebra.
+STRUCTURED_DIGESTS = [
+    (("catalog", "verify", "--param", "eta=1"), "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad"),
+    (("catalog", "verify", "--oracle", "--param", "eta=1"), "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad"),
+    (("nilpotency", "{d2.A1}"), "46738a6b885e13544dffc0608af9d8e5e667b3fffd232d22e453e5ad94577634"),
+    (("nilpotency", "{graded-n5}"), "33a36adb3c59fa6c1ae31f10fdf27f23bd8a5370934743b299285298558490b3"),
+]
+
+
+def test_structured_reports_keep_their_bytes(tmp_path):
+    files = {
+        "{d2.A1}": load_entry("d2.A1"),
+        "{graded-n5}": graded_split_algebra(random.Random(5), 5),
+    }
+    for name, a in files.items():
+        (tmp_path / name).write_text(serialize_algebra(a))
+    for argv, digest in STRUCTURED_DIGESTS:
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        code, out, _ = run_cli(*argv, "--format", "structured")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_param_parsing_error():
     code, _, err = run_cli("catalog", "verify", "--param", "eta")
     assert code == 2
@@ -277,6 +319,7 @@ def test_every_public_operation_is_covered():
             "rhizaform_from_cocycle",
         ],
         "nilpotency": [
+            "analyze",
             "diamond",
             "right_series",
             "left_series",
@@ -343,6 +386,21 @@ def test_remaining_check_routes(a7_file, a1_file, tmp_path):
         "check", "--kind", "homomorphism", "--operator", str(zero_op), "--target", a7_file, a7_file
     )
     assert code == 0 and "pass" in out
+
+
+@pytest.mark.parametrize("alg_dim", [1, 3])
+@pytest.mark.parametrize("what", ["o-operator", "invertible-o"])
+def test_induce_refuses_bimodule_over_another_dimension(a1_sum_file, tmp_path, what, alg_dim):
+    """With --no-strict too: a shape error exits 2 before anything is printed."""
+    one = [["1", "0"], ["0", "1"]]
+    bim = tmp_path / "bim.json"
+    bim.write_text(json.dumps({"alg_dim": alg_dim, "mod_dim": 2, "left": [one] * alg_dim, "right": [one] * alg_dim, "beta": one}))
+    ident = tmp_path / "id.json"
+    ident.write_text(json.dumps({"T": one}))
+    for strict in ((), ("--no-strict",)):
+        code, out, err = run_cli("induce", "--what", what, *strict, "--operator", str(ident), "--bimodule", str(bim), a1_sum_file)
+        assert (code, out) == (2, ""), strict
+        assert "different dimension" in err
 
 
 def test_remaining_induce_and_operator_routes(a1_file, a1_sum_file, tmp_path):

@@ -61,7 +61,7 @@ from rhizalab.operators import (
     rhizaform_bimodule,
 )
 from tests import fraction_checkers as ref
-from tests.conftest import catalog_algebras
+from tests.conftest import catalog_algebras, graded_split_algebra
 
 F = Fraction
 VALUES = [F(p, q) for q in (1, 2, 3, 5, 7) for p in range(-3, 4) if p]
@@ -226,6 +226,32 @@ def test_diamond_matches_fraction_reference():
         for m in subspaces:
             for k in subspaces:
                 assert nilpotency.diamond(m, k, a) == ref.diamond(m, k, a), label
+
+
+def _analysis_inputs():
+    """The split inputs, the summed mono algebra of every catalog entry at both values of eta,
+    and graded algebras of n = 3-5, whose series descend through several terms."""
+    catalog = catalog_algebras() + catalog_algebras({"eta": F(-3, 2)})
+    sums = [(f"{eid}+", HomAlgebra.mono(sum_product(a), a.alpha)) for eid, a in catalog]
+    rng = random.Random(43)
+    graded = [(f"graded-n{n}", graded_split_algebra(rng, n)) for n in (3, 4, 5) for _ in range(2)]
+    # e1 succ e1 = e2 and e2 prec e2 = e1/2: each product alone is nilpotent, their sum is not
+    succ = BilinearOp.from_entries(2, [(0, 0, 1, F(1))])
+    prec = BilinearOp.from_entries(2, [(1, 1, 0, F(1, 2))])
+    reducts = ("nilpotent-reducts", HomAlgebra.rhizaform(succ, prec, LinearMap.identity(2)))
+    return SPLIT_INPUTS + sums + graded + [reducts]
+
+
+def test_analysis_matches_fraction_reference():
+    """One clearing of the products serves every series, reduct and check of ``analyze``."""
+    for label, a in _analysis_inputs():
+        got = nilpotency.analyze(a)
+        want, verdicts = ref.nilpotency_analysis(a)
+        assert got.series == want.series, label
+        assert got.verdicts == verdicts, label
+        for field in ("series_equality", "onesided", "two_nilpotent", "alpha_stability"):
+            assert getattr(got, field) == getattr(want, field), (label, field)
+        assert got == want, label
 
 
 def test_cocycle_residuals_match_fraction_reference():

@@ -24,6 +24,7 @@ from rhizalab.nilpotency import (
 )
 from tests.conftest import (
     catalog_algebras,
+    graded_split_algebra,
     negated_split_fixture,
     random_split_algebra,
     rhizaform_passing_entries,
@@ -211,16 +212,6 @@ def test_alpha_stability_on_multiplicative_entries():
             assert check_alpha_stability(a).passed, eid
 
 
-def _graded_split_algebra(rng: random.Random, n: int) -> HomAlgebra:
-    """e_i o e_j lands in span(e_k : k > max(i, j)), so the series descend through several terms."""
-    def tensor():
-        return BilinearOp(n, [
-            [[rng.choice((F(-1), F(0), F(1))) if k > max(i, j) else F(0) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ])
-    return HomAlgebra.rhizaform(tensor(), tensor(), LinearMap.identity(n))
-
-
 def _recurrence(a, kind: str, count: int) -> list[Subspace]:
     """The first ``count`` terms, each spanned from the products of earlier terms."""
     full = Subspace.full(a.dim)
@@ -248,7 +239,7 @@ def test_series_terms_match_recurrence_past_stabilization():
     inputs = list(catalog_algebras())
     for n in (3, 4):
         inputs.append((f"random-n{n}", random_split_algebra(rng, n)))
-        inputs.append((f"graded-n{n}", _graded_split_algebra(rng, n)))
+        inputs.append((f"graded-n{n}", graded_split_algebra(rng, n)))
     for eid, a in inputs:
         count = a.dim + 4
         expected = {kind: _recurrence(a, kind, count) for kind in ("right", "left", "full")}

@@ -146,11 +146,20 @@ def test_o_operator_zero_passes(a_d2_a1):
 
 
 def test_o_operator_rejects_bimodule_over_other_dimension(a_d2_a1):
-    """Actions of a 3-dim algebra cannot act through a 2-dim algebra's operator images."""
+    """Actions of a 1- or 3-dim algebra cannot act through a 2-dim algebra's operator images,
+    whether or not the inductions check their preconditions."""
     s = sum_algebra(a_d2_a1)
-    m = Bimodule(3, 2, (Matrix.identity(2),) * 3, (Matrix.zero(2, 2),) * 3, LinearMap.identity(2))
-    with pytest.raises(DimensionMismatch):
-        check_o_operator(LinearOperator.identity(2), s, m)
+    t = LinearOperator.identity(2)
+    for alg_dim in (1, 3):
+        m = Bimodule(alg_dim, 2, (Matrix.identity(2),) * alg_dim, (Matrix.zero(2, 2),) * alg_dim, LinearMap.identity(2))
+        with pytest.raises(DimensionMismatch):
+            check_o_operator(t, s, m)
+        for induce in (induced_rhizaform_from_o_operator, compatible_from_invertible_o_operator):
+            with pytest.raises(DimensionMismatch):
+                induce(t, s, m, strict=False)
+        for act in (m.act_left, m.act_right):
+            with pytest.raises(DimensionMismatch):
+                act(basis_vec(2, 0))
 
 
 def test_identity_is_o_operator_on_split_actions():
