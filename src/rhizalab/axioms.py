@@ -184,7 +184,7 @@ def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult")
     return CheckReport.collect(f"multiplicativity[{name}]", violations)
 
 
-def _multiplicativity_violations(t: _Twisted, p: int, name: str):
+def _multiplicativity_violations(t: _Twisted, p: int, name: str, prefix: tuple[int, ...] = ()):
     """Residual alpha(x o_p y) - alpha(x) o_p alpha(y) on basis pairs, for product p of ``t``."""
     n = len(t.twist)
     table, left = t.tables[p], t.left[p]
@@ -195,7 +195,7 @@ def _multiplicativity_violations(t: _Twisted, p: int, name: str):
             _apply_into(r, t.twist, table[i][j], t.d_alpha)
             _apply_into(r, left[i], t.twist[j], -1)
             if any(r):
-                yield Violation(name, (i + 1, j + 1), _residual(r, scale))
+                yield Violation(name, (*prefix, i + 1, j + 1), _residual(r, scale))
 
 
 def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twisted, sign):

@@ -72,8 +72,8 @@ from .operators import (
 
 # Why each public operation is reachable from the command line; audited by tests.
 OPERATION_COVERAGE = {
-    "exactlin.rref": "cocycles --vector FILE (row reduction backs every solve)",
-    "exactlin.nullspace_basis": "cocycles --scalar FILE (and --vector)",
+    "exactlin.rref": "cocycles --vector FILE (its elimination, _echelon, backs every solve)",
+    "exactlin.nullspace_basis": "cocycles --scalar FILE (and --vector, through the same _kernel)",
     "exactlin.invert": "induce --what cocycle --form B.json FILE (and --what invertible-o)",
     "algmodel.eval_product": "check --kind rhizaform FILE (all identity evaluation)",
     "algmodel.parse_algebra": "check --kind rhizaform FILE (every algebra-file load)",

@@ -10,6 +10,11 @@ Two readings of the invariant bilinear form are implemented side by side:
   twist compatibility alpha(w(x, y)) = w(alpha(x), alpha(y)).  This is the
   reading the low-dimensional tables follow.
 
+Each condition is stated once, as integer rows in the form's unknowns and
+the scale they carry: ``_cyclic_rows``, ``_invariance_rows`` and
+``_twist_rows``.  The solvers hand these rows to ``exactlin._kernel``, and
+the residual checks substitute a form into them (row . form over the scale).
+
 Both solvers return a deterministic kernel basis: the one ``nullspace_basis``
 gives for their defining conditions stacked in the form's unknowns.  The
 scalar solver builds that system: the cyclic rows, then the invariance rows.
@@ -26,20 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, _apply_into, _int_columns, _int_tables, star_product
-from .axioms import Violation, _residual, _twisted, check_hom_anti_associative
+from .algmodel import BilinearOp, HomAlgebra, LinearMap, star_product
+from .axioms import Violation, _residual, check_hom_anti_associative
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
-from .exactlin import (
-    F0,
-    Matrix,
-    Vector,
-    _cleared,
-    basis_vec,
-    invert,
-    nullspace_basis,
-    rank,
-)
+from .exactlin import F0, Matrix, Vector, _cleared, _kernel, basis_vec, invert, rank
 
 
 @dataclass(frozen=True)
@@ -68,72 +66,6 @@ class VectorForm(BilinearOp):
     """Algebra-valued bilinear form; same tensor layout as a product."""
 
 
-def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
-    """Direct substitution of one form into the defining conditions, over int.
-
-    With the working product cleared by D, the twist by D_alpha and the form
-    by D_B, every cyclic term is at D_B D D_alpha; in the invariance
-    condition B[i][j] is lifted by D_alpha^2 to B(alpha e_i, alpha e_j)'s
-    D_B D_alpha^2.
-    """
-    n = a.dim
-    (star,), d = _int_tables([star_product(a)])
-    (twist,), d_alpha = _int_columns([a.alpha.matrix])
-    gram, d_b = _cleared([b.matrix.row(p) for p in range(n)])
-    # paired[k][p] = B(e_p, alpha e_k)
-    paired = [[sum(row[q] * c for q, c in twist[k]) for row in gram] for k in range(n)]
-
-    def value(u, k):  # B(u, alpha e_k) for a sparse integer vector u
-        return sum(c * paired[k][p] for p, c in u)
-
-    out = []
-    scale = d_b * d * d_alpha
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = value(star[i][j], k) + value(star[j][k], i) + value(star[k][i], j)
-                if r:
-                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), _residual((r,), scale)))
-    scale = d_b * d_alpha * d_alpha
-    for i in range(n):
-        for j in range(n):
-            r = value(twist[i], j) - gram[i][j] * d_alpha * d_alpha
-            if r:
-                out.append(Violation("invariance", (i + 1, j + 1), _residual((r,), scale)))
-    return out
-
-
-def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
-    """The same for an algebra-valued form, over int.
-
-    With the working product and the form cleared by one D, each cyclic
-    term is at D^2 D_alpha; in the twist condition alpha(w(e_i, e_j)) is
-    lifted by D_alpha to w(alpha e_i, alpha e_j)'s D D_alpha^2.
-    """
-    n = a.dim
-    t = _twisted([star_product(a), w], a.alpha)
-    star, form, form_left, form_right = t.tables[0], t.tables[1], t.left[1], t.right[1]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = [0] * n
-                _apply_into(r, form_right[k], star[i][j])
-                _apply_into(r, form_right[i], star[j][k])
-                _apply_into(r, form_right[j], star[k][i])
-                if any(r):
-                    out.append(Violation("cyclic", (i + 1, j + 1, k + 1), _residual(r, t.scale)))
-    scale = t.d * t.d_alpha * t.d_alpha
-    for i in range(n):
-        for j in range(n):
-            r = [0] * n
-            _apply_into(r, t.twist, form[i][j], t.d_alpha)
-            _apply_into(r, form_left[i], t.twist[j], -1)
-            if any(r):
-                out.append(Violation("compat", (i + 1, j + 1), _residual(r, scale)))
-    return out
-
-
 def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
     """The product both solvers read; strict mode requires it to be anti-associative."""
     star = star_product(a)
@@ -142,28 +74,28 @@ def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
     return star
 
 
-def _add_form_terms(row: list[int], u: list[int], w: list[int]) -> None:
-    """Add to ``row`` the coefficient of B[p][q] (column p*n + q) in B(u, w)."""
+# --- the conditions, as integer rows and their scale ------------------------
+# Each row is its condition times the scale, the product of the lcms of the
+# denominators it reads (D_star for the structure constants, D_alpha for the
+# twist), so every row is an integer row.  Scaling a row by a nonzero
+# constant leaves the kernel unchanged, and with it the canonical basis.
+
+
+def _add_form_terms(row: list[int], u: list[int], w: list[int], stride: int = 1, offset: int = 0) -> None:
+    """Add to ``row`` the coefficient of B[p][q] (column (p*n + q)*stride + offset) in B(u, w)."""
     n = len(u)
     for p, up in enumerate(u):
         if up:
             for q, wq in enumerate(w):
                 if wq:
-                    row[p * n + q] += up * wq
+                    row[(p * n + q) * stride + offset] += up * wq
 
 
-def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> list[list[int]]:
-    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q].
-
-    Each row is the condition times D_star * D_alpha, where D_star and
-    D_alpha are the lcms of the denominators of the structure constants and
-    of the twist, so every row is an integer row.  Scaling a row by a
-    nonzero constant leaves the kernel unchanged, and with it the canonical
-    kernel basis ``nullspace_basis`` returns.
-    """
+def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> tuple[list[list[int]], int]:
+    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q]; at D_star D_alpha."""
     n = star.dim
-    products, _ = _cleared([star.entry(i, j) for i in range(n) for j in range(n)])
-    images, _ = _cleared([alpha.image_of_basis(i) for i in range(n)])
+    products, d = _cleared([star.entry(i, j) for i in range(n) for j in range(n)])
+    images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
     rows = []
     for i in range(n):
         for j in range(n):
@@ -173,26 +105,84 @@ def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> list[list[int]]:
                 _add_form_terms(row, products[j * n + k], images[i])
                 _add_form_terms(row, products[k * n + i], images[j])
                 rows.append(row)
-    return rows
+    return rows, d * d_alpha
 
 
-def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
-    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns).
-
-    The invariance rows B(alpha e_i, alpha e_j) - B[i][j] are scaled by
-    D_alpha^2, like the cyclic rows in ``_cyclic_rows``, to integer rows.
-    """
-    star = _working_product(a, strict)
-    alpha, n = a.alpha, a.dim
-    rows = _cyclic_rows(star, alpha)
+def _invariance_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
+    """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), in the unknowns B[p][q]; at D_alpha^2."""
+    n = alpha.dim
     images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
+    rows = []
     for i in range(n):
         for j in range(n):
             row = [0] * (n * n)
             _add_form_terms(row, images[i], images[j])
             row[i * n + j] -= d_alpha * d_alpha
             rows.append(row)
-    return [ScalarForm(n, Matrix(n, n, v)) for v in nullspace_basis(Matrix.from_rows(rows))]
+    return rows, d_alpha * d_alpha
+
+
+def _twist_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
+    """Component c of alpha(w(e_i, e_j)) - w(alpha e_i, alpha e_j) at each (i, j, c), lexicographic,
+    in the unknowns w[p][q][r] (column (p*n + q)*n + r); at D_alpha^2."""
+    n = alpha.dim
+    images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
+    rows = []
+    for i in range(n):
+        minus_image = [-x for x in images[i]]
+        for j in range(n):
+            for c in range(n):
+                row = [0] * (n * n * n)
+                for r, image in enumerate(images):
+                    row[(i * n + j) * n + r] = image[c] * d_alpha
+                _add_form_terms(row, minus_image, images[j], n, c)
+                rows.append(row)
+    return rows, d_alpha * d_alpha
+
+
+def _substituted(ident: str, condition, forms, d_forms: int, n: int, arity: int) -> list[Violation]:
+    """Each row of ``condition`` (rows, scale) applied to each integer vector of unknowns in
+    ``forms`` (all cleared by d_forms); the rows of one basis tuple, in lexicographic order
+    with ``arity`` indices, give its residual."""
+    rows, scale = condition
+    tuples = list(product(range(n), repeat=arity))
+    per = len(rows) // len(tuples)
+    out = []
+    for t, where in enumerate(tuples):
+        r = [sum(map(mul, row, f)) for row in rows[t * per : (t + 1) * per] for f in forms]
+        if any(r):
+            out.append(Violation(ident, tuple(i + 1 for i in where), _residual(r, scale * d_forms)))
+    return out
+
+
+def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
+    """Direct substitution of one form, cleared once, into the cyclic and invariance rows."""
+    n = a.dim
+    (form,), d_b = _cleared([b.matrix.entries])
+    return [
+        *_substituted("cyclic", _cyclic_rows(star_product(a), a.alpha), [form], d_b, n, 3),
+        *_substituted("invariance", _invariance_rows(a.alpha), [form], d_b, n, 2),
+    ]
+
+
+def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
+    """The same for an algebra-valued form: each output component of the cyclic condition is
+    the scalar one (its residual lists the components), and the twist rows read all of w."""
+    n = a.dim
+    cells, d_w = _cleared([w.entry(p, q) for p in range(n) for q in range(n)])
+    components = [[cell[r] for cell in cells] for r in range(n)]
+    return [
+        *_substituted("cyclic", _cyclic_rows(star_product(a), a.alpha), components, d_w, n, 3),
+        *_substituted("compat", _twist_rows(a.alpha), [[x for cell in cells for x in cell]], d_w, n, 2),
+    ]
+
+
+def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
+    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns)."""
+    star = _working_product(a, strict)
+    n = a.dim
+    rows = _cyclic_rows(star, a.alpha)[0] + _invariance_rows(a.alpha)[0]
+    return [ScalarForm(n, Matrix(n, n, v)) for v in _kernel(rows, n * n)]
 
 
 def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm]:
@@ -207,8 +197,12 @@ def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm
        B_r[p][q] = omega[p][q][r].  So omega is cyclic exactly when each
        omega[.][.][r] = sum_t c[t][r] b_t, with unique coefficients c, for
        the kernel b_1..b_d of one n^3 x n^2 system.
-    2. The twist rows alpha(omega(e_i, e_j)) = omega(alpha e_i, alpha e_j)
-       are solved in the d*n unknowns c[t][s] (column t*n + s).
+    2. The twist rows are solved in the d*n unknowns c[t][s] (column
+       t*n + s): substituting omega[p][q][s] = sum_t c[t][s] b_t[p][q]
+       turns the coefficient x of omega[p][q][s] into x b_t[p][q] on
+       c[t][s].  The b_t are cleared as one block, by one D, which scales
+       every row alike; clearing each b_t by its own D would rescale the
+       columns of c and change its canonical basis.
 
     The map c -> omega is injective, so it carries the twist kernel onto the
     solution space.  It also carries the canonical basis onto the canonical
@@ -220,28 +214,21 @@ def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm
     own is unique, so the mapped basis is exactly the canonical one.
     """
     star = _working_product(a, strict)
-    alpha, n = a.alpha, a.dim
-    kernel = nullspace_basis(Matrix.from_rows(_cyclic_rows(star, alpha)))
-    forms = [ScalarForm(n, Matrix(n, n, b)) for b in kernel]
-    d = len(kernel)
-    images = [alpha.image_of_basis(i) for i in range(n)]
-    amat = alpha.matrix
+    n = a.dim
+    kernel = _kernel(_cyclic_rows(star, a.alpha)[0], n * n)
+    block, _ = _cleared(kernel)
+    at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
     rows = []
-    for i in range(n):
-        for j in range(n):
-            twisted = [b.value(images[i], images[j]) for b in forms]
-            for comp in range(n):
-                # alpha(omega(e_i, e_j))_comp - omega(alpha e_i, alpha e_j)_comp
-                row = [F0] * (d * n)
-                for t, b in enumerate(kernel):
-                    bij = b[i * n + j]
-                    if bij:
-                        for s in range(n):
-                            row[t * n + s] = amat.at(comp, s) * bij
-                    row[t * n + comp] -= twisted[t]
-                rows.append(row)
+    for twist_row in _twist_rows(a.alpha)[0]:
+        row = [0] * (len(kernel) * n)
+        for col, x in enumerate(twist_row):
+            if x:
+                pq, s = divmod(col, n)
+                for t, bpq in at[pq]:
+                    row[t * n + s] += x * bpq
+        rows.append(row)
     out = []
-    for c in nullspace_basis(Matrix.from_rows(rows)):
+    for c in _kernel(rows, len(kernel) * n):
         v = [F0] * (n * n * n)
         for t, b in enumerate(kernel):
             for s in range(n):

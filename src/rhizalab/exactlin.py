@@ -1,11 +1,11 @@
 """Exact rational vectors and matrices: row reduction, kernels, inverses.
 
-Inputs and outputs are ``fractions.Fraction`` throughout; nothing in this
-package ever touches floating point.  Row reduction itself runs over ``int``
-(fraction-free, see ``rref``) and turns only its final rows back into
-Fractions.  It picks the first nonzero entry in column order as pivot, so
-every function here is deterministic and safe to use for golden-file
-regressions.  All values are immutable after construction.
+Nothing in this package ever touches floating point.  The public functions
+take and return ``fractions.Fraction`` values; row reduction itself runs over
+``int`` (fraction-free, see ``_echelon``), and the solvers whose conditions
+are integer rows hand them to ``_kernel`` directly.  Pivots are the first
+nonzero entry in column order, so every function here is deterministic and
+safe to use for golden-file regressions.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -177,29 +177,28 @@ def _primitive(row: list[int]) -> list[int]:
 def _cleared(vectors) -> tuple[list[list[int]], int]:
     """The vectors times D, the lcm of all their denominators, as int lists; and D.
 
-    The one bridge from Fractions to integers: ``rref`` clears each row on
-    its own, the cyclic-form rows and the identity checkers clear a whole
-    structure (a tensor, a twist, a family of operators) by one D at once.
+    The one bridge from Fractions to integers: the public reductions clear a
+    whole matrix, the identity checkers a whole structure (a tensor, a twist,
+    a family of operators) by one D at once.
     """
     d = lcm(*(c.denominator for v in vectors for c in v))
     return [[c.numerator * (d // c.denominator) for c in v] for v in vectors], d
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.  First-nonzero pivoting.
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduction of integer rows: the primitive pivot rows, and their pivot columns.
 
-    Fraction-free: each row is scaled to integers, a row r is eliminated
-    against the pivot row with r <- (p/g) r - (f/g) pivot_row (p the pivot,
-    f the entry of r, g = gcd(p, f)) and then divided by its content.  Only
-    the final pivot rows become Fractions, each divided by its pivot; the
-    reduced row echelon form is unique, so this is the Fraction result.
+    First-nonzero pivoting.  Zero rows are dropped and every row is divided
+    by its content; a row r is eliminated against the pivot row with
+    r <- (p/g) r - (f/g) pivot_row (p the pivot, f the entry of r,
+    g = gcd(p, f)) and then divided by its content.  Each pivot row is zero
+    in every other pivot column, so dividing it by its pivot gives the row of
+    the reduced row echelon form, which is unique.
     """
-    n_rows, n_cols = m.rows, m.cols
-    if not n_rows:
-        return m, 0
-    a = [_primitive(_cleared([m.row(i)])[0][0]) for i in range(n_rows)]
+    a = [_primitive(r) for r in rows if any(r)]
+    n_rows = len(a)
     pivots = []
-    for col in range(n_cols):
+    for col in range(len(a[0]) if a else 0):
         piv_row = len(pivots)
         pivot = next((r for r in range(piv_row, n_rows) if a[r][col]), None)
         if pivot is None:
@@ -217,40 +216,45 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
         pivots.append(col)
         if len(pivots) == n_rows:
             break
-    out = [[F0 if x == 0 else Fraction(x, a[r][c]) for x in a[r]] for r, c in enumerate(pivots)]
-    out += [[F0] * n_cols for _ in range(n_rows - len(pivots))]
-    return Matrix.from_rows(out), len(pivots)
+    return a[: len(pivots)], pivots
+
+
+def _rref_rows(rows: list[list[int]]) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form of integer rows, as Fractions."""
+    return [[F0 if x == 0 else Fraction(x, row[c]) for x in row] for row, c in zip(*_echelon(rows))]
+
+
+def _kernel(rows: list[list[int]], cols: int) -> list[Vector]:
+    """The kernel basis ``nullspace_basis`` gives, for integer rows of length ``cols``."""
+    reduced, pivots = _echelon(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [F0] * cols
+        v[free] = F1
+        for row, pc in zip(reduced, pivots):
+            if row[free]:
+                v[pc] = Fraction(-row[free], row[pc])
+        basis.append(tuple(v))
+    return basis
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row echelon form and rank, from the rows of ``m`` cleared by one D."""
+    out = _rref_rows(_cleared(m.to_rows())[0])
+    zeros = [F0] * (m.cols * (m.rows - len(out)))
+    return Matrix(m.rows, m.cols, [x for row in out for x in row] + zeros), len(out)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
-
-
-def pivot_columns(reduced: Matrix, rk: int) -> list[int]:
-    cols = []
-    for r in range(rk):
-        for c in range(reduced.cols):
-            if reduced.at(r, c):
-                cols.append(c)
-                break
-    return cols
+    return len(_echelon(_cleared(m.to_rows())[0])[1])
 
 
 def nullspace_basis(m: Matrix) -> list[Vector]:
     """Deterministic kernel basis: one vector per free column, in column order."""
-    reduced, rk = rref(m)
-    pivots = pivot_columns(reduced, rk)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [F0] * m.cols
-        v[free] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.at(r, free)
-        basis.append(tuple(v))
-    return basis
+    return _kernel(_cleared(m.to_rows())[0], m.cols)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -258,8 +262,9 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
     n = m.rows
-    reduced, _ = rref(Matrix.from_rows([list(m.row(i)) + list(basis_vec(n, i)) for i in range(n)]))
-    # [m | I] reduces to [I | m^-1] exactly when every pivot is in the left block
-    if any(reduced.at(i, i) != 1 for i in range(n)):
+    rows, d = _cleared(m.to_rows())
+    # [D m | D I] reduces to [I | m^-1] exactly when every pivot is in the left block
+    reduced, pivots = _echelon([row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
         raise Singular(f"matrix of rank < {n}")
-    return Matrix.from_rows([reduced.row(i)[n:] for i in range(n)])
+    return Matrix(n, n, [Fraction(x, row[i]) for i, row in enumerate(reduced) for x in row[n:]])

@@ -30,11 +30,11 @@ from .axioms import (
     CheckReport,
     Violation,
     _anti_assoc_violations,
+    _multiplicativity_violations,
     _require_same_dim,
     _residual,
     _split_residuals,
     _twisted,
-    check_multiplicativity,
 )
 from .errors import DimensionMismatch, NotARotaBaxterOperator
 from .exactlin import Matrix
@@ -158,10 +158,8 @@ def check_rhizaform_family(f: FamilyAlgebra) -> CheckReport:
                     if any(r):
                         violations.append(Violation(ident, where, _residual(r, t.scale)))
     for lam in range(s.size):
-        for name, ops in (("succ", f.succ), ("prec", f.prec)):
-            rep = check_multiplicativity(ops[lam], f.alpha, name=f"mult_{name}")
-            for v in rep.violations:
-                violations.append(Violation(v.identity_id, (lam, *v.basis_tuple), v.residual))
+        for name, p in (("succ", lam), ("prec", s.size + lam)):
+            violations.extend(_multiplicativity_violations(t, p, f"mult_{name}", (lam,)))
     return CheckReport.collect("rhizaform_family", violations)
 
 

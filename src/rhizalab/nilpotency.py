@@ -13,8 +13,16 @@ Three series are computed:
   terminate; the k-th term is the coherent reading and is what is used)
 * full:   S_1 = A,  S_{k+1} = sum over i+j = k+1 of S_i <> S_j
 
-Each series is extended until it hits zero or repeats a term; the returned
-list includes the first repeated term so stabilization is visible.
+Each series is extended until it hits zero or provably stops changing, and
+the returned list ends at the first repeat of its stable term, so
+stabilization is visible.  A right or left term that equals the one before
+it equals every later one.  The full series is decreasing (by induction: a
+pair (i, j) of S_{k+1} has, say, i >= 2, and S_i <> S_j lies in S_{i-1} <> S_j,
+a pair of S_k), but one repeat does not settle it: dimensions 5, 4, 3, 3, 2
+occur.  It stops at the first k where S_k = 0 or S_m = ... = S_k with
+m = ceil(k/2).  Then S_{k+1} = S_k: in a pair (i, j) of S_k, i + j = k, the
+larger index i lies in [m, k-1], so S_i = S_{i+1} and S_i <> S_j lies in
+S_{k+1}; and S_{k+1} lies in S_k.  So the whole run from S_m on is constant.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import NamedTuple
 from .algmodel import HomAlgebra, LinearMap, _apply_into, _int_tables, _product_into, _sparse
 from .axioms import CheckReport, Violation, _multiplicativity_violations, _residual, _twisted
 from .errors import DimensionMismatch
-from .exactlin import Matrix, Vector, _cleared, rank, rref, vec_is_zero
+from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
 
 
 @dataclass(frozen=True)
@@ -38,16 +46,12 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
-        vectors = [tuple(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector length differs from ambient dimension")
-        vectors = [v for v in vectors if not vec_is_zero(v)]
-        if not vectors:
-            return cls(ambient_dim, Matrix.zero(0, ambient_dim))
-        reduced, rk = rref(Matrix.from_rows(vectors))
-        return cls(ambient_dim, Matrix.from_rows([reduced.row(i) for i in range(rk)])
-                   if rk else Matrix.zero(0, ambient_dim))
+        """The span of Fraction or integer vectors, through the integer elimination."""
+        rows = _cleared(list(vectors))[0]
+        if any(len(row) != ambient_dim for row in rows):
+            raise DimensionMismatch("vector length differs from ambient dimension")
+        basis = _rref_rows(rows)
+        return cls(ambient_dim, Matrix(len(basis), ambient_dim, [x for row in basis for x in row]))
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
@@ -68,12 +72,9 @@ class Subspace:
         return [self.basis.row(i) for i in range(self.basis.rows)]
 
     def contains_vector(self, v: Vector) -> bool:
-        if vec_is_zero(v):
-            return True
-        if self.is_zero():
-            return False
-        stacked = Matrix.from_rows(self.vectors() + [list(v)])
-        return rank(stacked) == self.dim
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector length differs from ambient dimension")
+        return len(_echelon(_cleared(self.vectors() + [v])[0])[1]) == self.dim
 
     def contains(self, other: Subspace) -> bool:
         return all(self.contains_vector(v) for v in other.vectors())
@@ -132,13 +133,17 @@ def _next_term(tables, kind: str, terms) -> Subspace:
 
 
 def _until_stable(tables, kind: str) -> tuple[Subspace, ...]:
-    """Terms up to zero or the first repeat; at most ambient + 3 terms as a safety net."""
-    dim = len(tables[0])
-    terms = [Subspace.full(dim)]
+    """Terms up to zero or the first repeat of the stable term (the stop rule in the module doc)."""
+    terms = [Subspace.full(len(tables[0]))]
     while True:
         terms.append(_next_term(tables, kind, terms))
-        if terms[-1].is_zero() or terms[-1] == terms[-2] or len(terms) == dim + 3:
+        k = len(terms)
+        last = terms[-1]
+        if last.is_zero():
             return tuple(terms)
+        since = k - 1 if kind != "full" else (k + 1) // 2  # S_since = ... = S_k proves stability
+        if all(term == last for term in terms[since - 1 :]):
+            return tuple(terms[: terms.index(last) + 2])
 
 
 def _extended(tables, kind: str, terms, length: int) -> list[Subspace]:

@@ -333,8 +333,9 @@ def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
 
 
 def _series(a: HomAlgebra, kind: str, terms, length: int | None = None) -> list[Subspace]:
-    """``terms`` carried on by ``diamond`` to ``length`` terms, or without a length up to zero
-    or the first repeat (at most dim + 3 terms)."""
+    """``terms`` carried on by ``diamond`` to ``length`` terms, or without a length up to zero or
+    stability, cut after the first repeat of the stable term.  A right or left series is stable
+    at its first repeat; a full series once its current run S_m = ... = S_k has k >= 2m - 1."""
     terms = list(terms)
     while length is None or len(terms) < length:
         k = len(terms) + 1
@@ -346,8 +347,11 @@ def _series(a: HomAlgebra, kind: str, terms, length: int | None = None) -> list[
             parts = [diamond(terms[i - 1], terms[k - i - 1], a) for i in range(1, k)]
             nxt = Subspace.from_vectors(a.dim, [w for part in parts for w in part.vectors()])
         terms.append(nxt)
-        if length is None and (nxt.is_zero() or nxt == terms[-2] or len(terms) == a.dim + 3):
-            break
+        if length is None:
+            start = terms.index(nxt)  # S_(start + 1) is the first term of the current run
+            repeat = start < len(terms) - 1
+            if nxt.is_zero() or repeat and (kind != "full" or len(terms) >= 2 * start + 1):
+                return terms[: start + 2]
     return terms
 
 

@@ -260,7 +260,7 @@ STRUCTURED_DIGESTS = [
     (("catalog", "verify", "--param", "eta=1"), "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad"),
     (("catalog", "verify", "--oracle", "--param", "eta=1"), "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad"),
     (("nilpotency", "{d2.A1}"), "46738a6b885e13544dffc0608af9d8e5e667b3fffd232d22e453e5ad94577634"),
-    (("nilpotency", "{graded-n5}"), "33a36adb3c59fa6c1ae31f10fdf27f23bd8a5370934743b299285298558490b3"),
+    (("nilpotency", "{graded-n5}"), "ced0d4a1e8627f8c3a19cb2914a9a38105438215ba449c15ff75a5a8d2e727a2"),
 ]
 
 

@@ -293,6 +293,15 @@ def direct_sum(x: HomAlgebra, y: HomAlgebra) -> HomAlgebra:
     return HomAlgebra.mono(BilinearOp.from_entries(m + n, entries), LinearMap.from_rows(alpha))
 
 
+def test_vector_solver_matches_dense_when_kernel_denominators_differ():
+    """The scalar cyclic kernel here is (1/3, 1, 0, 0), (2, 0, 1, 0), (-2/3, 0, 0, 1).  Clearing
+    each vector by its own lcm would rescale the columns of the twist system and change its
+    canonical basis; the kernel is cleared as one block."""
+    mul = BilinearOp(2, [[[F0, F0], [F(3, 2), F(-1)]], [[F(-1), F0], [F0, F0]]])
+    a = HomAlgebra.mono(mul, LinearMap.from_rows([[F0, F(1)], [F0, F(-1, 3)]]))
+    assert assert_same_basis(a, "kernel denominators 3, 1, 3") == 2
+
+
 def test_vector_solver_matches_dense_on_catalog():
     """Same basis, same order, on every entry; the eta entries at two bindings."""
     first = dict(catalog_algebras({"eta": F(1)}))
@@ -368,13 +377,13 @@ def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     """A count check: every system the n=4 solve reduces is at most n^3 = 64
     rows by 64 columns (the one dense system was 320 x 64)."""
     shapes = []
-    real_rref = exactlin.rref
+    real_echelon = exactlin._echelon
 
-    def recording_rref(m):
-        shapes.append((m.rows, m.cols))
-        return real_rref(m)
+    def recording_echelon(rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return real_echelon(rows)
 
-    monkeypatch.setattr(exactlin, "rref", recording_rref)
+    monkeypatch.setattr(exactlin, "_echelon", recording_echelon)
     a = direct_sum(load_entry("d2.A1"), load_entry("d2.A7"))
     assert vector_cocycle_space(a)
     assert shapes

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from rhizalab.errors import DimensionMismatch, ParseError, Singular
 from rhizalab.exactlin import (
     Matrix,
+    _cleared,
+    _echelon,
+    _kernel,
     invert,
     nullspace_basis,
     rank,
@@ -201,12 +205,33 @@ def _low_rank(rng, rows, cols, rk, density, height):
     return _random_matrix(rng, rows, rk, 1.0, 3).times(_random_matrix(rng, rk, cols, density, height))
 
 
+def fraction_kernel(reduced: Matrix, rk: int) -> list[tuple[Fraction, ...]]:
+    """Reference: one kernel vector per free column of a reduced matrix, 1 there."""
+    pivots = [next(c for c in range(reduced.cols) if reduced.at(r, c)) for r in range(rk)]
+    basis = []
+    for free in (c for c in range(reduced.cols) if c not in pivots):
+        v = [F(0)] * reduced.cols
+        v[free] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced.at(r, free)
+        basis.append(tuple(v))
+    return basis
+
+
 def _assert_matches_reference(m, label):
     reduced, rk = rref(m)
     expected, expected_rk = fraction_rref(m)
     assert (reduced.rows, reduced.cols) == (m.rows, m.cols), label
     assert reduced == expected, label
     assert rk == expected_rk, label
+    kernel = fraction_kernel(expected, expected_rk)
+    assert nullspace_basis(m) == kernel, label
+    # the integer entry points, on rows each cleared by its own denominator
+    rows = [_cleared([m.row(i)])[0][0] for i in range(m.rows)]
+    pivot_rows, pivots = _echelon(rows)
+    assert all(gcd(*row) == 1 for row in pivot_rows), label
+    assert [[F(x, row[c]) for x in row] for row, c in zip(pivot_rows, pivots)] == expected.to_rows()[:rk], label
+    assert _kernel(rows, m.cols) == kernel, label
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1), (1, 1), (3, 4), (6, 2)])

@@ -60,6 +60,8 @@ def test_subspace_containment():
 def test_subspace_dimension_check():
     with pytest.raises(DimensionMismatch):
         span(2, (F(1), F(0), F(0)))
+    with pytest.raises(DimensionMismatch):
+        span(2, (F(1), F(0))).contains_vector((F(1), F(0), F(0)))
 
 
 def test_diamond_zero_subspace(a_d2_a1):
@@ -241,13 +243,13 @@ def test_series_terms_match_recurrence_past_stabilization():
         inputs.append((f"random-n{n}", random_split_algebra(rng, n)))
         inputs.append((f"graded-n{n}", graded_split_algebra(rng, n)))
     for eid, a in inputs:
-        count = a.dim + 4
+        # the equality check compares the same terms, up to the longest stable prefix
+        length = max(len(fn(a)) for fn in (right_series, left_series, full_series))
+        count = max(a.dim + 4, length)
         expected = {kind: _recurrence(a, kind, count) for kind in ("right", "left", "full")}
         for kind, terms in expected.items():
             for g in range(1, count + 1):
                 assert series_term(a, kind, g) == terms[g - 1], (eid, kind, g)
-        # the equality check compares the same terms, up to the longest stable prefix
-        length = max(len(fn(a)) for fn in (right_series, left_series, full_series))
         r, l, f = (expected[kind] for kind in ("right", "left", "full"))
         flagged = [
             (ident, (g,))
@@ -257,3 +259,24 @@ def test_series_terms_match_recurrence_past_stabilization():
         ]
         rep = check_series_equality(a)
         assert [(v.identity_id, v.basis_tuple) for v in rep.violations] == flagged, eid
+
+
+def test_full_series_runs_past_a_false_repeat():
+    """5, 4, 3, 3 repeats a term, but the full series goes on down to zero at index 17."""
+    a = graded_split_algebra(random.Random(5), 5)
+    terms = full_series(a)
+    assert [t.dim for t in terms] == [5, 4, 3, 3, 2, 2, 2, 2] + [1] * 8 + [0]
+    assert terms == [series_term(a, "full", g) for g in range(1, 18)]
+    assert is_nilpotent(a) == (True, 17)
+
+
+def test_graded_algebras_are_nilpotent():
+    """Products land in strictly higher basis indices, so every full series reaches zero; its
+    index is the first zero term of ``series_term``."""
+    for seed in range(25):
+        for n in (3, 4, 5, 6):
+            a = graded_split_algebra(random.Random(seed), n)
+            nilpotent, index = is_nilpotent(a)
+            assert nilpotent, (seed, n)
+            assert series_term(a, "full", index).is_zero(), (seed, n)
+            assert not series_term(a, "full", index - 1).is_zero(), (seed, n)
