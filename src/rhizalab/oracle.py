@@ -1,19 +1,71 @@
-"""Brute-force re-evaluation of every identity, straight from eval_product.
+"""Brute-force re-evaluation of every identity, over Fractions, with its own evaluator.
 
 This module is the independent second opinion for the checkers: it shares no
-residual-assembly code with axioms/operators/nilpotency and quantifies every
-identity with its own loops, returning bare booleans.  Keep it dumb; its
-value is that it is too simple to be wrong in the same way twice.
+code with axioms/operators/nilpotency and imports only the data classes from
+the library.  Its evaluator is the four short functions below: the basis
+products c[i][j] = e_i o e_j read off a product's structure constants, the
+bilinear extension of such a table to any two vectors, the images of the
+basis vectors under a matrix read off its entries, and a linear combination
+of those images.  A bimodule action is a table of the same shape, with
+t[i][w] = l(e_i) e_w.  Each public function builds its tables and images once
+and quantifies its identity with its own loops over basis tuples, returning
+bare booleans.  Keep it dumb; its value is that it is too simple to be wrong
+in the same way twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product
-from .exactlin import Matrix, basis_vec
+from .algmodel import BilinearOp, HomAlgebra, LinearMap
+from .exactlin import Matrix
 
-F1 = Fraction(1)
+F0 = Fraction(0)
+
+
+def _table(op: BilinearOp):
+    """The basis products: c[i][j] holds the coordinates of e_i o e_j."""
+    return op.coeffs
+
+
+def _product(c, x, y) -> tuple:
+    """x o y for the bilinear map with basis products c[i][j]."""
+    out = [F0] * len(c[0][0])
+    for i, xi in enumerate(x):
+        if xi:
+            row = c[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    s = xi * yj
+                    for k, ck in enumerate(row[j]):
+                        if ck:
+                            out[k] += s * ck
+    return tuple(out)
+
+
+def _images(m: Matrix) -> list[tuple]:
+    """m e_0, ..., m e_{cols-1}: the columns of m, read off its row-major entries."""
+    return [m.entries[i :: m.cols] for i in range(m.cols)]
+
+
+def _apply(images, x) -> tuple:
+    """The image of x under the linear map that sends e_k to images[k]."""
+    out = [F0] * len(images[0])
+    for xk, image in zip(x, images):
+        if xk:
+            for r, v in enumerate(image):
+                if v:
+                    out[r] += xk * v
+    return tuple(out)
+
+
+def _actions(mats: tuple[Matrix, ...]):
+    """The table t[i][w] = mats[i] e_w of an action given by one matrix per basis vector."""
+    return [_images(m) for m in mats]
+
+
+def _basis(n: int) -> list[tuple]:
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
 
 def _add(x, y):
@@ -24,59 +76,50 @@ def _neg(x):
     return tuple(-a for a in x)
 
 
-def _basis(n):
-    return [basis_vec(n, i) for i in range(n)]
-
-
 def anti_associative(mul: BilinearOp, alpha: LinearMap) -> bool:
-    n = mul.dim
-    es = _basis(n)
-    for x in es:
-        for y in es:
-            for z in es:
-                lhs = eval_product(mul, alpha.apply(x), eval_product(mul, y, z))
-                rhs = eval_product(mul, eval_product(mul, x, y), alpha.apply(z))
+    c, al, n = _table(mul), _images(alpha.matrix), mul.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _product(c, al[i], c[j][k])
+                rhs = _product(c, c[i][j], al[k])
                 if lhs != _neg(rhs):
                     return False
     return True
 
 
 def multiplicative(op: BilinearOp, alpha: LinearMap) -> bool:
-    es = _basis(op.dim)
-    for x in es:
-        for y in es:
-            if alpha.apply(eval_product(op, x, y)) != eval_product(op, alpha.apply(x), alpha.apply(y)):
+    c, al, n = _table(op), _images(alpha.matrix), op.dim
+    for i in range(n):
+        for j in range(n):
+            if _apply(al, c[i][j]) != _product(c, al[i], al[j]):
                 return False
     return True
 
 
+def _split_identities(a: HomAlgebra, ids: tuple[str, str, str], sign) -> dict[str, bool]:
+    """The three split identities and multiplicativity; ``sign`` maps each identity's
+    second side to what the first must equal (``_neg``, or ``tuple`` to keep it)."""
+    s, p, al, n = _table(a.succ), _table(a.prec), _images(a.alpha.matrix), a.dim
+    star = [[_add(s[i][j], p[i][j]) for j in range(n)] for i in range(n)]
+    out = dict.fromkeys(ids, True)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if _product(s, star[i][j], al[k]) != sign(_product(s, al[i], s[j][k])):
+                    out[ids[0]] = False
+                if _product(p, al[i], star[j][k]) != sign(_product(p, p[i][j], al[k])):
+                    out[ids[1]] = False
+                if _product(s, al[i], p[j][k]) != sign(_product(p, s[i][j], al[k])):
+                    out[ids[2]] = False
+    out["mult_succ"] = multiplicative(a.succ, a.alpha)
+    out["mult_prec"] = multiplicative(a.prec, a.alpha)
+    return out
+
+
 def rhizaform_identities(a: HomAlgebra) -> dict[str, bool]:
     """Per-identity verdicts, keyed like the checker's identity ids."""
-    succ, prec, alpha = a.succ, a.prec, a.alpha
-    es = _basis(a.dim)
-    out = {"req1": True, "req2": True, "req3": True}
-    for x in es:
-        ax = alpha.apply(x)
-        for y in es:
-            for z in es:
-                az = alpha.apply(z)
-                star_xy = _add(eval_product(succ, x, y), eval_product(prec, x, y))
-                star_yz = _add(eval_product(succ, y, z), eval_product(prec, y, z))
-                if eval_product(succ, star_xy, az) != _neg(
-                    eval_product(succ, ax, eval_product(succ, y, z))
-                ):
-                    out["req1"] = False
-                if eval_product(prec, ax, star_yz) != _neg(
-                    eval_product(prec, eval_product(prec, x, y), az)
-                ):
-                    out["req2"] = False
-                if eval_product(succ, ax, eval_product(prec, y, z)) != _neg(
-                    eval_product(prec, eval_product(succ, x, y), az)
-                ):
-                    out["req3"] = False
-    out["mult_succ"] = multiplicative(succ, alpha)
-    out["mult_prec"] = multiplicative(prec, alpha)
-    return out
+    return _split_identities(a, ("req1", "req2", "req3"), _neg)
 
 
 def rhizaform(a: HomAlgebra) -> bool:
@@ -84,31 +127,7 @@ def rhizaform(a: HomAlgebra) -> bool:
 
 
 def dendriform_identities(a: HomAlgebra) -> dict[str, bool]:
-    succ, prec, alpha = a.succ, a.prec, a.alpha
-    es = _basis(a.dim)
-    out = {"den1": True, "den2": True, "den3": True}
-    for x in es:
-        ax = alpha.apply(x)
-        for y in es:
-            for z in es:
-                az = alpha.apply(z)
-                star_xy = _add(eval_product(succ, x, y), eval_product(prec, x, y))
-                star_yz = _add(eval_product(succ, y, z), eval_product(prec, y, z))
-                if eval_product(succ, star_xy, az) != eval_product(
-                    succ, ax, eval_product(succ, y, z)
-                ):
-                    out["den1"] = False
-                if eval_product(prec, ax, star_yz) != eval_product(
-                    prec, eval_product(prec, x, y), az
-                ):
-                    out["den2"] = False
-                if eval_product(succ, ax, eval_product(prec, y, z)) != eval_product(
-                    prec, eval_product(succ, x, y), az
-                ):
-                    out["den3"] = False
-    out["mult_succ"] = multiplicative(succ, alpha)
-    out["mult_prec"] = multiplicative(prec, alpha)
-    return out
+    return _split_identities(a, ("den1", "den2", "den3"), tuple)
 
 
 def dendriform(a: HomAlgebra) -> bool:
@@ -116,20 +135,17 @@ def dendriform(a: HomAlgebra) -> bool:
 
 
 def jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> bool:
-    es = _basis(mul.dim)
-    for x in es:
-        for y in es:
-            if eval_product(mul, x, y) != eval_product(mul, y, x):
+    c, al, n = _table(mul), _images(alpha.matrix), mul.dim
+    for i in range(n):
+        for j in range(n):
+            if c[i][j] != c[j][i]:
                 return False
-    for x in es:
-        for y in es:
-            for z in es:
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
                 s = _add(
-                    _add(
-                        eval_product(mul, alpha.apply(x), eval_product(mul, y, z)),
-                        eval_product(mul, alpha.apply(y), eval_product(mul, z, x)),
-                    ),
-                    eval_product(mul, alpha.apply(z), eval_product(mul, x, y)),
+                    _add(_product(c, al[i], c[j][k]), _product(c, al[j], c[k][i])),
+                    _product(c, al[k], c[i][j]),
                 )
                 if any(s):
                     return False
@@ -137,19 +153,13 @@ def jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> bool:
 
 
 def pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> bool:
-    es = _basis(mul.dim)
-    for x in es:
-        for y in es:
-            for z in es:
+    c, al, n = _table(mul), _images(alpha.matrix), mul.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
                 s = _add(
-                    _add(
-                        eval_product(mul, eval_product(mul, x, y), alpha.apply(z)),
-                        eval_product(mul, alpha.apply(x), eval_product(mul, y, z)),
-                    ),
-                    _add(
-                        eval_product(mul, eval_product(mul, y, x), alpha.apply(z)),
-                        eval_product(mul, alpha.apply(y), eval_product(mul, x, z)),
-                    ),
+                    _add(_product(c, c[i][j], al[k]), _product(c, al[i], c[j][k])),
+                    _add(_product(c, c[j][i], al[k]), _product(c, al[j], c[i][k])),
                 )
                 if any(s):
                     return False
@@ -157,98 +167,78 @@ def pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> bool:
 
 
 def alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> bool:
-    op = a.product(product_name)
-    es = _basis(a.dim)
-    for x in es:
-        for y in es:
-            lhs = d.apply(eval_product(op, x, y))
-            rhs = _add(
-                eval_product(op, d.apply(x), a.alpha.apply(y)),
-                eval_product(op, a.alpha.apply(x), d.apply(y)),
-            )
+    c, al, di, n = _table(a.product(product_name)), _images(a.alpha.matrix), _images(d.matrix), a.dim
+    for i in range(n):
+        for j in range(n):
+            lhs = _apply(di, c[i][j])
+            rhs = _add(_product(c, di[i], al[j]), _product(c, al[i], di[j]))
             if lhs != rhs:
                 return False
     return True
 
 
 def two_nilpotent(a: HomAlgebra) -> bool:
-    ops = [a.products[name] for name in sorted(a.products)]
-    es = _basis(a.dim)
-    for x in es:
-        for y in es:
-            for z in es:
-                for p in ops:
-                    for q in ops:
-                        if any(eval_product(q, eval_product(p, x, y), a.alpha.apply(z))):
+    tables = [_table(a.products[name]) for name in sorted(a.products)]
+    al, n = _images(a.alpha.matrix), a.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for p in tables:
+                    for q in tables:
+                        if any(_product(q, p[i][j], al[k])):
                             return False
-                        if any(eval_product(q, a.alpha.apply(x), eval_product(p, y, z))):
+                        if any(_product(q, al[i], p[j][k])):
                             return False
     return True
 
 
-def _act(mats: tuple[Matrix, ...], x, m):
-    """Action of algebra vector x on module vector m via per-basis matrices."""
-    out = tuple(Fraction(0) for _ in range(mats[0].rows)) if mats else ()
-    for i, xi in enumerate(x):
-        if xi:
-            out = _add(out, tuple(xi * c for c in mats[i].apply(m)))
-    return out
-
-
 def bimodule(mul: BilinearOp, alpha: LinearMap, left, right, beta: LinearMap) -> bool:
     """The five compatibility identities of a two-sided action, checked raw."""
-    n = mul.dim
-    m_dim = beta.dim
-    es = _basis(n)
-    ms = _basis(m_dim)
-    for x in es:
-        ax = alpha.apply(x)
-        for y in es:
-            ay = alpha.apply(y)
-            xy = eval_product(mul, x, y)
-            for m in ms:
-                bm = beta.apply(m)
-                if _act(left, ax, _act(left, y, m)) != _neg(_act(left, xy, bm)):
+    c, al, be = _table(mul), _images(alpha.matrix), _images(beta.matrix)
+    lt, rt = _actions(left), _actions(right)
+    n, m_dim = mul.dim, beta.dim
+    for i in range(n):
+        ax = al[i]
+        for j in range(n):
+            ay, xy = al[j], c[i][j]
+            for w in range(m_dim):
+                bm = be[w]
+                if _product(lt, ax, lt[j][w]) != _neg(_product(lt, xy, bm)):
                     return False
-                if _act(right, ay, _act(right, x, m)) != _neg(_act(right, xy, bm)):
+                if _product(rt, ay, rt[i][w]) != _neg(_product(rt, xy, bm)):
                     return False
-                if _act(left, ax, _act(right, y, m)) != _neg(_act(right, ay, _act(left, x, m))):
+                if _product(lt, ax, rt[j][w]) != _neg(_product(rt, ay, lt[i][w])):
                     return False
-        for m in ms:
-            if beta.apply(_act(left, x, m)) != _act(left, ax, beta.apply(m)):
+        for w in range(m_dim):
+            if _apply(be, lt[i][w]) != _product(lt, ax, be[w]):
                 return False
-            if beta.apply(_act(right, x, m)) != _act(right, ax, beta.apply(m)):
+            if _apply(be, rt[i][w]) != _product(rt, ax, be[w]):
                 return False
     return True
 
 
 def rota_baxter(r: Matrix, mul: BilinearOp, alpha: LinearMap) -> bool:
-    n = mul.dim
-    es = _basis(n)
-    if r.times(alpha.matrix) != alpha.matrix.times(r):
+    c, al, ri, es = _table(mul), _images(alpha.matrix), _images(r), _basis(mul.dim)
+    if any(_apply(ri, al[i]) != _apply(al, ri[i]) for i in range(len(es))):
         return False
-    for x in es:
-        rx = r.apply(x)
-        for y in es:
-            ry = r.apply(y)
-            lhs = eval_product(mul, rx, ry)
-            rhs = r.apply(_add(eval_product(mul, rx, y), eval_product(mul, x, ry)))
+    for rx, x in zip(ri, es):
+        for ry, y in zip(ri, es):
+            lhs = _product(c, rx, ry)
+            rhs = _apply(ri, _add(_product(c, rx, y), _product(c, x, ry)))
             if lhs != rhs:
                 return False
     return True
 
 
 def o_operator(t: Matrix, mul: BilinearOp, alpha: LinearMap, left, right, beta: LinearMap) -> bool:
-    m_dim = beta.dim
-    ms = _basis(m_dim)
-    if t.times(beta.matrix) != alpha.matrix.times(t):
+    c, al, be, ti = _table(mul), _images(alpha.matrix), _images(beta.matrix), _images(t)
+    lt, rt, ms = _actions(left), _actions(right), _basis(beta.dim)
+    if any(_apply(ti, be[w]) != _apply(al, ti[w]) for w in range(len(ms))):
         return False
-    for u in ms:
-        tu = t.apply(u)
-        for v in ms:
-            tv = t.apply(v)
-            lhs = eval_product(mul, tu, tv)
-            rhs = t.apply(_add(_act(left, tu, v), _act(right, tv, u)))
+    for tu, u in zip(ti, ms):
+        for tv, v in zip(ti, ms):
+            lhs = _product(c, tu, tv)
+            rhs = _apply(ti, _add(_product(lt, tu, v), _product(rt, tv, u)))
             if lhs != rhs:
                 return False
     return True

@@ -197,15 +197,31 @@ def test_power_inclusions_up_to_four():
 
 
 def test_series_descend_and_stabilize_on_randoms():
+    """Every series descends.  A right or left series descends strictly until
+    zero or its one repeat, so it has at most dim + 1 terms.  The full series
+    ends at zero, or carries the stop rule's certificate: with its stable term
+    first at S_f, the terms S_f, ..., S_k of the recurrence are equal for
+    k = max(f + 1, 2f - 1), the first k with ceil(k/2) >= f."""
     rng = random.Random(71)
-    for _ in range(40):
-        a = random_split_algebra(rng, rng.choice([2, 3]))
+    inputs = [random_split_algebra(rng, rng.choice([2, 3])) for _ in range(40)]
+    inputs += [graded_split_algebra(rng, n) for n in (3, 4, 5) for _ in range(4)]
+    for a in inputs:
         for fn in (right_series, left_series, full_series):
             terms = fn(a)
-            assert len(terms) <= a.dim + 3
             for earlier, later in zip(terms, terms[1:]):
                 assert earlier.contains(later)
             assert terms[-1].is_zero() or terms[-1] == terms[-2]
+        for fn in (right_series, left_series):
+            dims = [t.dim for t in fn(a)]
+            assert all(x > y for x, y in zip(dims, dims[1:-1])), dims
+            assert len(dims) <= a.dim + 1, dims
+        terms = full_series(a)
+        if not terms[-1].is_zero():
+            f = terms.index(terms[-1]) + 1
+            k = max(f + 1, 2 * f - 1)
+            recurrence = _recurrence(a, "full", k)
+            assert recurrence[: len(terms)] == terms
+            assert all(t == terms[-1] for t in recurrence[f - 1 :]), [t.dim for t in recurrence]
 
 
 def test_alpha_stability_on_multiplicative_entries():
