@@ -3,9 +3,11 @@
 Nothing in this package ever touches floating point.  The public functions
 take and return ``fractions.Fraction`` values; row reduction itself runs over
 ``int`` (fraction-free, see ``_echelon``), and the solvers whose conditions
-are integer rows hand them to ``_kernel`` directly.  Pivots are the first
-nonzero entry in column order, so every function here is deterministic and
-safe to use for golden-file regressions.  All values are immutable.
+are integer rows hand them to ``_kernel`` directly.  Every result is read
+from the reduced row echelon form, which depends only on the row space and
+not on the order in which rows are reduced, so every function here is
+deterministic and safe to use for golden-file regressions.  All values are
+immutable.
 """
 
 from __future__ import annotations
@@ -188,35 +190,36 @@ def _cleared(vectors) -> tuple[list[list[int]], int]:
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free reduction of integer rows: the primitive pivot rows, and their pivot columns.
 
-    First-nonzero pivoting.  Zero rows are dropped and every row is divided
-    by its content; a row r is eliminated against the pivot row with
-    r <- (p/g) r - (f/g) pivot_row (p the pivot, f the entry of r,
-    g = gcd(p, f)) and then divided by its content.  Each pivot row is zero
-    in every other pivot column, so dividing it by its pivot gives the row of
-    the reduced row echelon form, which is unique.
+    Row by row.  Exact duplicate rows are read once.  Each row is reduced
+    against the pivot rows found so far with r <- (p/g) r - (f/g) pivot_row
+    (p the pivot, f the entry of r, g = gcd(p, f)), divided by its content
+    after every step; a row that is still nonzero becomes a pivot row at its
+    first nonzero column, which is then cleared from the older pivot rows
+    the same way.  Reading stops once every column has a pivot, since every
+    further row lies in the span.  Each pivot row is zero in every other
+    pivot column, so dividing it by its pivot gives the row of the reduced
+    row echelon form, which depends only on the row space.
     """
-    a = [_primitive(r) for r in rows if any(r)]
-    n_rows = len(a)
-    pivots = []
-    for col in range(len(a[0]) if a else 0):
-        piv_row = len(pivots)
-        pivot = next((r for r in range(piv_row, n_rows) if a[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != piv_row:
-            a[piv_row], a[pivot] = a[pivot], a[piv_row]
-        prow = a[piv_row]
-        p = prow[col]
-        for r in range(n_rows):
-            f = a[r][col]
-            if f and r != piv_row:
-                g = gcd(p, f)
-                pg, fg = p // g, f // g
-                a[r] = _primitive([pg * x - fg * y for x, y in zip(a[r], prow)])
-        pivots.append(col)
-        if len(pivots) == n_rows:
+    pivot_rows = {}  # pivot column -> pivot row
+
+    def eliminate(r, prow, c):
+        g = gcd(prow[c], r[c])
+        pg, fg = prow[c] // g, r[c] // g
+        return _primitive([pg * x - fg * y for x, y in zip(r, prow)])
+
+    for row in dict.fromkeys(map(tuple, rows)):
+        if len(pivot_rows) == len(row):
             break
-    return a[: len(pivots)], pivots
+        r = _primitive(list(row))
+        for c, prow in pivot_rows.items():
+            if r[c]:
+                r = eliminate(r, prow, c)
+        col = next((c for c, x in enumerate(r) if x), None)
+        if col is not None:
+            pivot_rows = {c: eliminate(prow, r, col) if prow[col] else prow for c, prow in pivot_rows.items()}
+            pivot_rows[col] = r
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
 
 
 def _rref_rows(rows: list[list[int]]) -> list[list[Fraction]]:

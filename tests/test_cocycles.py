@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -18,6 +19,7 @@ from rhizalab.catalog import load_entry
 from rhizalab.cocycles import (
     ScalarForm,
     VectorForm,
+    _cyclic_rows,
     is_nondegenerate,
     rhizaform_from_cocycle,
     scalar_cocycle_residuals,
@@ -375,19 +377,45 @@ def test_vector_solver_matches_dense_on_n4_direct_sums(parts):
 
 def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     """A count check: every system the n=4 solve reduces is at most n^3 = 64
-    rows by 64 columns (the one dense system was 320 x 64)."""
+    rows by 64 columns (the one dense system was 320 x 64), and the
+    elimination reads one row per rotation orbit of the cyclic system: at
+    most (n^3 + 2n)/3 = 24 distinct rows, all 24 on a dense algebra."""
+    rng = random.Random("dense-n4")
+    dense = HomAlgebra.rhizaform(_sparse_tensor(rng, 4, 0.5), _sparse_tensor(rng, 4, 0.5), _dense_twist(rng, 4))
+    cases = [(direct_sum(load_entry("d2.A1"), load_entry("d2.A7")), 9, 20), (dense, 24, 0)]
     shapes = []
     real_echelon = exactlin._echelon
 
     def recording_echelon(rows):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        shapes.append((len(rows), len(set(map(tuple, rows))), len(rows[0]) if rows else 0))
         return real_echelon(rows)
 
     monkeypatch.setattr(exactlin, "_echelon", recording_echelon)
-    a = direct_sum(load_entry("d2.A1"), load_entry("d2.A7"))
-    assert vector_cocycle_space(a)
-    assert shapes
-    assert all(rows <= 64 and cols <= 64 for rows, cols in shapes), shapes
+    for a, cyclic_rows, dim in cases:
+        shapes.clear()
+        assert len(vector_cocycle_space(a)) == dim
+        assert all(rows <= 64 and cols <= 64 for rows, _, cols in shapes), shapes
+        assert shapes[0] == (64, cyclic_rows, 16), shapes
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cyclic_rows_are_equal_along_rotation_orbits(n):
+    """The cyclic condition at (i, j, k), (j, k, i) and (k, i, j) is one
+    integer row, so a solve reads at most (n^3 + 2n)/3 distinct cyclic rows."""
+    rng = random.Random(f"cyclic-orbits-{n}")
+    for density in (0.1, 0.5, 1.0):
+        for tensor in (_sparse_tensor, _fractional_tensor):
+            for twist in (_dense_twist, _fractional_involution):
+                a = HomAlgebra.rhizaform(tensor(rng, n, density), tensor(rng, n, density), twist(rng, n))
+                rows = _cyclic_rows(star_product(a), a.alpha)[0]
+                assert len(rows) == n**3
+
+                def at(i, j, k):
+                    return rows[(i * n + j) * n + k]
+
+                for i, j, k in itertools.product(range(n), repeat=3):
+                    assert at(i, j, k) == at(j, k, i) == at(k, i, j), (n, density, i, j, k)
+                assert len(set(map(tuple, rows))) <= (n**3 + 2 * n) // 3
 
 
 # --- the integer scalar row builder against the Fraction one ----------------

@@ -12,6 +12,7 @@ from rhizalab.exactlin import (
     _cleared,
     _echelon,
     _kernel,
+    _rref_rows,
     invert,
     nullspace_basis,
     rank,
@@ -239,8 +240,14 @@ def test_rref_matches_reference_on_empty_and_zero_matrices(shape):
     _assert_matches_reference(Matrix.zero(*shape), shape)
 
 
+def _stacked(*parts: Matrix) -> Matrix:
+    return Matrix.from_rows([row for m in parts for row in m.to_rows()])
+
+
 def test_rref_matches_reference_on_seeded_randoms():
-    """Heights up to 2^40 in numerator and denominator, densities 0.05-1."""
+    """Heights up to 2^40 in numerator and denominator, densities 0.05-1;
+    then rows that an elimination reading each distinct row once, one at a
+    time, and stopping at full column rank could get wrong."""
     rng = random.Random("rref-reference")
     for height in (1, 7, 2**12, 2**40):
         for density in (0.05, 0.2, 0.5, 1.0):
@@ -249,6 +256,19 @@ def test_rref_matches_reference_on_seeded_randoms():
                 _assert_matches_reference(_random_matrix(rng, rows, cols, density, height), (rows, cols, density, height))
             rk = rng.randint(1, 4)
             _assert_matches_reference(_low_rank(rng, 7, 6, rk, density, height), ("low rank", rk, density, height))
+    for cols, height in ((1, 7), (5, 7), (8, 2**40)):
+        # a full-column-rank prefix followed by more rows
+        prefix = _random_matrix(rng, cols, cols, 1.0, height)
+        assert rank(prefix) == cols
+        _assert_matches_reference(_stacked(prefix, _random_matrix(rng, 12, cols, 0.5, height)), ("prefix", cols))
+        # the rank reaches the column count only at the last row
+        below = _low_rank(rng, 20, cols, cols - 1, 1.0, height) if cols > 1 else Matrix.zero(20, 1)
+        raised = _stacked(below, _random_matrix(rng, 1, cols, 1.0, height))
+        assert (rank(below), rank(raised)) == (cols - 1, cols)
+        _assert_matches_reference(raised, ("last row", cols))
+        # nothing but repeated rows
+        few = _random_matrix(rng, 2, cols, 1.0, height)
+        _assert_matches_reference(Matrix.from_rows([few.row(rng.randrange(2)) for _ in range(15)]), ("repeated", cols))
 
 
 @pytest.mark.parametrize(
@@ -282,6 +302,10 @@ def matrices(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(matrices())
-def test_rref_matches_reference_property(m):
+@given(matrices(), st.data())
+def test_rref_matches_reference_property(m, data):
+    """Also: the reduced rows do not depend on the order of the rows or on repeated rows."""
     _assert_matches_reference(m, m)
+    rows = [_cleared([m.row(i)])[0][0] for i in range(m.rows)]
+    repeats = data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    assert _rref_rows(data.draw(st.permutations(rows + repeats))) == _rref_rows(rows), m
