@@ -4,7 +4,6 @@ from .algmodel import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
-    eval_product,
     parse_algebra,
     serialize_algebra,
     star_product,

@@ -100,18 +100,6 @@ class BilinearOp:
             ),
         )
 
-    def neg(self) -> BilinearOp:
-        return self.scale(Fraction(-1))
-
-    def scale(self, c) -> BilinearOp:
-        c = rational(c)
-        return BilinearOp(
-            self.dim,
-            tuple(
-                tuple(tuple(c * a for a in col) for col in row) for row in self.coeffs
-            ),
-        )
-
     def is_zero(self) -> bool:
         return not any(c for row in self.coeffs for col in row for c in col)
 
@@ -128,30 +116,12 @@ class BilinearOp:
         return f"BilinearOp({self.dim}: {terms or '0'})"
 
 
-def eval_product(op: BilinearOp, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the basis products to arbitrary vectors."""
-    if len(x) != op.dim or len(y) != op.dim:
-        raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} fed to dim-{op.dim} product")
-    out = [F0] * op.dim
-    coeffs = op.coeffs
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = coeffs[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            s = xi * yj
-            for k, ck in enumerate(row[j]):
-                if ck:
-                    out[k] += s * ck
-    return tuple(out)
-
-
 # --- integer kernel ---------------------------------------------------------
-# The identity checkers evaluate over int.  A structure is cleared once per
-# check by D, the lcm of its denominators (``exactlin._cleared``); a sparse
-# integer vector is a tuple of (index, value) pairs with nonzero values, and an
+# The checkers and the constructions evaluate over int.  A structure is
+# cleared once per call by D, the lcm of its denominators
+# (``exactlin._cleared``), and a result becomes Fractions only at the end,
+# divided by its scale (``axioms._residual``, ``_divided``).  A sparse integer
+# vector is a tuple of (index, value) pairs with nonzero values, and an
 # integer table of a product holds table[i][j] = e_i o e_j times D as one.
 
 
@@ -197,6 +167,12 @@ def _apply_into(out: list[int], cols, x, c: int = 1) -> None:
             out[r] += s * t
 
 
+def _divided(cells, scale: int) -> BilinearOp:
+    """The product with e_i o e_j = cells[i][j] / scale, for dense integer cells: a construction's
+    only step back to Fractions."""
+    return BilinearOp(len(cells), [[[Fraction(c, scale) for c in cell] for cell in row] for row in cells])
+
+
 def _left_columns(table, x, size: int) -> list:
     """The sparse integer columns of v -> x o v, for v and x o v in a space of dimension ``size``.
 
@@ -237,17 +213,8 @@ class LinearMap:
     def from_columns(cls, columns) -> LinearMap:
         return cls.from_rows(Matrix.from_rows(columns).transpose().to_rows())
 
-    def apply(self, x: Vector) -> Vector:
-        return self.matrix.apply(x)
-
     def image_of_basis(self, i: int) -> Vector:
         return self.matrix.column(i)
-
-    def compose(self, other: LinearMap) -> LinearMap:
-        return LinearMap(self.dim, self.matrix.times(other.matrix))
-
-    def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.dim)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearMap) and self.matrix == other.matrix

@@ -34,12 +34,12 @@ from .algmodel import (
     _int_columns,
     _int_tables,
     _left_columns,
+    _product_into,
     _sparse,
-    eval_product,
-    sum_product,
+    star_product,
 )
 from .errors import DimensionMismatch, MissingProduct
-from .exactlin import Vector, basis_vec, rational_str, vec_sub
+from .exactlin import Vector, _cleared, rational_str
 
 
 @dataclass(frozen=True)
@@ -365,26 +365,28 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
 
     ``star``:  ad_z(x) = z * x - x * z  with * the working single product;
     ``mixed``: ad_z(x) = z prec x - x succ z  (needs the split products).
+
+    Over int, with the products cleared by one D and z by D_z, every column
+    is at D D_z.
     """
     n = a.dim
     if len(z) != n:
         raise DimensionMismatch("z has wrong length")
     if convention == "star":
-        star = a.mul if a.kind == "mono" else sum_product(a)
-        cols = [
-            vec_sub(eval_product(star, z, basis_vec(n, i)), eval_product(star, basis_vec(n, i), z))
-            for i in range(n)
-        ]
+        ops = [star_product(a)]
     elif convention == "mixed":
-        cols = [
-            vec_sub(
-                eval_product(a.prec, z, basis_vec(n, i)),
-                eval_product(a.succ, basis_vec(n, i), z),
-            )
-            for i in range(n)
-        ]
+        ops = [a.prec, a.succ]
     else:
         raise ValueError(f"unknown convention {convention!r}; use 'star' or 'mixed'")
+    tables, d = _int_tables(ops)
+    (zc,), d_z = _cleared([z])
+    zs = _sparse(zc)
+    cols = []
+    for i in range(n):
+        col = [0] * n
+        _product_into(col, tables[0], zs, ((i, 1),))
+        _product_into(col, tables[-1], ((i, 1),), zs, -1)
+        cols.append(_residual(col, d * d_z))
     return LinearMap.from_columns(cols)
 
 

@@ -75,7 +75,6 @@ OPERATION_COVERAGE = {
     "exactlin.rref": "cocycles --vector FILE (its elimination, _echelon, backs every solve)",
     "exactlin.nullspace_basis": "cocycles --scalar FILE (and --vector, through the same _kernel)",
     "exactlin.invert": "induce --what cocycle --form B.json FILE (and --what invertible-o)",
-    "algmodel.eval_product": "induce --what rb --operator R.json FILE (the splitting; also induce --what inner-derivation)",
     "algmodel.parse_algebra": "check --kind rhizaform FILE (every algebra-file load)",
     "algmodel.serialize_algebra": "induce --what sum FILE (output path)",
     "algmodel.sum_product": "induce --what sum FILE",

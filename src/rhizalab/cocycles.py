@@ -30,14 +30,23 @@ require the working product to be anti-associative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, star_product
+from .algmodel import (
+    BilinearOp,
+    HomAlgebra,
+    LinearMap,
+    _apply_into,
+    _divided,
+    _int_columns,
+    _int_tables,
+    _sparse,
+    star_product,
+)
 from .axioms import Violation, _residual, check_hom_anti_associative
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
-from .exactlin import F0, Matrix, Vector, _cleared, _kernel, basis_vec, invert, rank
+from .exactlin import F0, Matrix, _cleared, _kernel, invert, rank
 
 
 @dataclass(frozen=True)
@@ -50,16 +59,6 @@ class ScalarForm:
     def __post_init__(self):
         if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
             raise DimensionMismatch("form matrix must be dim x dim")
-
-    def value(self, x: Vector, y: Vector) -> Fraction:
-        out = F0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.matrix.row(i)
-                for j, yj in enumerate(y):
-                    if yj:
-                        out += xi * yj * row[j]
-        return out
 
 
 class VectorForm(BilinearOp):
@@ -251,7 +250,10 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     """Solve B(x succ y, z) = B(y, z*x) and B(x prec y, z) = B(x, y*z) for the splits.
 
     Needs b nondegenerate (Singular otherwise); in strict mode b must lie in
-    the scalar cocycle space of the algebra (NotACocycle otherwise).
+    the scalar cocycle space of the algebra (NotACocycle otherwise).  A split
+    is (B^T)^-1 applied to the vector of B(y, e_k*x) (or B(x, y*e_k)) over k.
+    Over int, with the working product cleared by D, B by D_B and (B^T)^-1 by
+    D_inv, every cell is at D D_B D_inv.
     """
     star = star_product(a)
     n = a.dim
@@ -262,13 +264,18 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
         bad = scalar_cocycle_residuals(a, b)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
-    basis = [basis_vec(n, i) for i in range(n)]
-    succ = BilinearOp(n, [
-        [bt_inv.apply(tuple(b.value(basis[j], star.entry(k, i)) for k in range(n))) for j in range(n)]
-        for i in range(n)
-    ])
-    prec = BilinearOp(n, [
-        [bt_inv.apply(tuple(b.value(basis[i], star.entry(j, k)) for k in range(n))) for j in range(n)]
-        for i in range(n)
-    ])
-    return HomAlgebra.rhizaform(succ, prec, a.alpha)
+    (table,), d = _int_tables([star])
+    form, d_b = _cleared([b.matrix.row(p) for p in range(n)])  # form[p][q] = B(e_p, e_q) D_B
+    (inv,), d_inv = _int_columns([bt_inv])
+
+    def solved(cell, p, products) -> None:
+        """cell += (B^T)^-1 applied to the vector of B(e_p, products[k]) over k."""
+        _apply_into(cell, inv, _sparse([sum(form[p][q] * c for q, c in w) for w in products]))
+
+    succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
+    for i in range(n):
+        for j in range(n):
+            solved(succ[i][j], j, [table[k][i] for k in range(n)])
+            solved(prec[i][j], i, [table[j][k] for k in range(n)])
+    scale = d * d_b * d_inv
+    return HomAlgebra.rhizaform(_divided(succ, scale), _divided(prec, scale), a.alpha)

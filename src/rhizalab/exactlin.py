@@ -56,18 +56,6 @@ def vec_zero(n: int) -> Vector:
     return (F0,) * n
 
 
-def basis_vec(n: int, i: int) -> Vector:
-    return tuple(F1 if j == i else F0 for j in range(n))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_is_zero(x: Vector) -> bool:
-    return not any(x)
-
-
 class Matrix:
     """Dense rows x cols grid of Fractions, row-major, immutable."""
 
@@ -122,34 +110,6 @@ class Matrix:
             self.rows,
             [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
         )
-
-    def apply(self, x: Vector) -> Vector:
-        """Matrix-vector product."""
-        if len(x) != self.cols:
-            raise DimensionMismatch(f"cannot apply {self.rows}x{self.cols} to len-{len(x)} vector")
-        out = []
-        for i in range(self.rows):
-            s = F0
-            base = i * self.cols
-            for j, xj in enumerate(x):
-                if xj:
-                    s += self.entries[base + j] * xj
-            out.append(s)
-        return tuple(out)
-
-    def times(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ent = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                s = F0
-                for k in range(self.cols):
-                    a = self.at(i, k)
-                    if a:
-                        s += a * other.at(k, j)
-                ent.append(s)
-        return Matrix(self.rows, other.cols, ent)
 
     def is_zero(self) -> bool:
         return not any(self.entries)

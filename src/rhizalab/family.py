@@ -222,15 +222,21 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
 
 
 def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -> FamilyAlgebra:
-    """x succ_lam y = R_lam(x) * y and x prec_lam y = x * R_lam(y)."""
+    """x succ_lam y = R_lam(x) * y and x prec_lam y = x * R_lam(y).
+
+    Over int, with the product cleared once by D and all R_lam by one D_R, every
+    cell is at D D_R.
+    """
     if strict:
         rep = check_rb_family(rf, a)
         if not rep.passed:
             raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
-    succ = {}
-    prec = {}
-    for lam in range(rf.semigroup.size):
-        succ[lam], prec[lam] = _rb_splitting(rf.operators[lam], a.mul)
+    size = rf.semigroup.size
+    (table,), d = _int_tables([a.mul])
+    cols, d_r = _int_columns([rf.operators[lam].matrix for lam in range(size)])
+    succ, prec = {}, {}
+    for lam in range(size):
+        succ[lam], prec[lam] = _rb_splitting(table, cols[lam], d * d_r)
     return FamilyAlgebra(a.dim, rf.semigroup, succ, prec, a.alpha, dict(a.params))
 
 

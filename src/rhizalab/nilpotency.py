@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .algmodel import HomAlgebra, LinearMap, _apply_into, _int_tables, _product_into, _sparse
+from .algmodel import HomAlgebra, _apply_into, _int_columns, _int_tables, _product_into, _sparse
 from .axioms import CheckReport, Violation, _multiplicativity_violations, _residual, _twisted
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
@@ -79,8 +79,10 @@ class Subspace:
     def contains(self, other: Subspace) -> bool:
         return all(self.contains_vector(v) for v in other.vectors())
 
-    def image_under(self, f: LinearMap) -> Subspace:
-        return Subspace.from_vectors(self.ambient_dim, [f.apply(v) for v in self.vectors()])
+
+def _int_basis(s: Subspace) -> list:
+    """The basis vectors of ``s``, each scaled to a sparse integer vector, which leaves their span unchanged."""
+    return [_sparse(_cleared([u])[0][0]) for u in s.vectors()]
 
 
 def _tables(a: HomAlgebra) -> list:
@@ -108,7 +110,7 @@ def _products_span(pairs, tables) -> Subspace:
     dim = len(tables[0])
     out = []
     for m, n in pairs:
-        us, vs = ([_sparse(_cleared([u])[0][0]) for u in s.vectors()] for s in (m, n))
+        us, vs = _int_basis(m), _int_basis(n)
         for u in us:
             for v in vs:
                 for table in tables:
@@ -264,10 +266,17 @@ def check_onesided_nilpotency_theorem(a: HomAlgebra) -> CheckReport:
     return _onesided(tables, _until_stable(tables, "full"))
 
 
-def _alpha_stability(full, alpha: LinearMap) -> CheckReport:
+def _alpha_stability(full, twist) -> CheckReport:
+    """alpha(S_k) inside S_k along the full series, for the integer columns ``twist`` of alpha;
+    each image is a span of integer vectors, so the scales do not matter."""
     violations = []
     for g, term in enumerate(full, start=1):
-        image = term.image_under(alpha)
+        image = []
+        for u in _int_basis(term):
+            w = [0] * term.ambient_dim
+            _apply_into(w, twist, u)
+            image.append(w)
+        image = Subspace.from_vectors(term.ambient_dim, image)
         if not term.contains(image):
             violations.append(Violation("alpha_stability", (g,), _difference_witness(image, term)))
     return CheckReport.collect("alpha_stability", violations)
@@ -276,7 +285,7 @@ def _alpha_stability(full, alpha: LinearMap) -> CheckReport:
 def check_alpha_stability(a: HomAlgebra) -> CheckReport:
     """alpha(S_k) inside S_k along the full series; meaningful when the twist is multiplicative
     for every product, which the caller checks (see is_multiplicative)."""
-    return _alpha_stability(full_series(a), a.alpha)
+    return _alpha_stability(full_series(a), _int_columns([a.alpha.matrix])[0][0])
 
 
 def _multiplicative(t, names: list[str]) -> bool:
@@ -312,5 +321,5 @@ def analyze(a: HomAlgebra) -> NilpotencyAnalysis:
         series_equality=_series_equality(t.tables, series),
         onesided=_onesided(t.tables, series["full"]),
         two_nilpotent=_two_nilpotent(t, names),
-        alpha_stability=_alpha_stability(series["full"], a.alpha) if _multiplicative(t, names) else None,
+        alpha_stability=_alpha_stability(series["full"], t.twist) if _multiplicative(t, names) else None,
     )

@@ -24,12 +24,12 @@ from .algmodel import (
     HomAlgebra,
     LinearMap,
     _apply_into,
+    _divided,
     _int_columns,
     _int_tables,
     _left_columns,
     _product_into,
     _sparse,
-    eval_product,
     sum_product,
 )
 from .axioms import (
@@ -46,7 +46,7 @@ from .errors import (
     NotARotaBaxterOperator,
     Singular,
 )
-from .exactlin import F0, Matrix, Vector, basis_vec, invert
+from .exactlin import Matrix, invert
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,6 @@ class LinearOperator:
     def zero(cls, source_dim: int, target_dim: int) -> LinearOperator:
         return cls(source_dim, target_dim, Matrix.zero(target_dim, source_dim))
 
-    def apply(self, x: Vector) -> Vector:
-        return self.matrix.apply(x)
-
 
 @dataclass(frozen=True)
 class Bimodule:
@@ -99,19 +96,6 @@ class Bimodule:
                 raise DimensionMismatch("action matrices must be mod_dim x mod_dim")
         if self.beta.dim != self.mod_dim:
             raise DimensionMismatch("beta must act on the module")
-
-    def act_left(self, x: Vector) -> Matrix:
-        """Matrix of l(x) for an algebra vector x."""
-        return self._act(self.left, x)
-
-    def act_right(self, x: Vector) -> Matrix:
-        return self._act(self.right, x)
-
-    def _act(self, mats: tuple[Matrix, ...], x: Vector) -> Matrix:
-        if len(x) != self.alg_dim:
-            raise DimensionMismatch(f"algebra vector of length {len(x)}, bimodule over dimension {self.alg_dim}")
-        md = self.mod_dim
-        return Matrix(md, md, [sum((xi * mat.entries[e] for xi, mat in zip(x, mats)), F0) for e in range(md * md)])
 
 
 def _bimodule_from_products(left_op: BilinearOp, right_op: BilinearOp, alpha: LinearMap) -> Bimodule:
@@ -288,43 +272,55 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     return CheckReport.collect("rota_baxter", violations)
 
 
-def _rb_splitting(r: LinearOperator, mul: BilinearOp) -> tuple[BilinearOp, BilinearOp]:
-    """x succ y = R(x)*y and x prec y = x*R(y)."""
-    n = mul.dim
-    basis = [basis_vec(n, i) for i in range(n)]
-    images = [r.apply(e) for e in basis]
-    succ = BilinearOp(n, [[eval_product(mul, images[i], basis[j]) for j in range(n)] for i in range(n)])
-    prec = BilinearOp(n, [[eval_product(mul, basis[i], images[j]) for j in range(n)] for i in range(n)])
-    return succ, prec
+def _rb_splitting(table, cols, scale: int) -> tuple[BilinearOp, BilinearOp]:
+    """x succ y = R(x)*y and x prec y = x*R(y), for the product's integer table (cleared by D)
+    and the integer columns of R (cleared by D_R); every cell is at ``scale``, D D_R."""
+    n = len(table)
+    succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
+    for i in range(n):
+        for j in range(n):
+            _product_into(succ[i][j], table, cols[i], ((j, 1),))
+            _product_into(prec[i][j], table, ((i, 1),), cols[j])
+    return _divided(succ, scale), _divided(prec, scale)
 
 
 def induced_rhizaform_from_o_operator(
     t: LinearOperator, a: HomAlgebra, m: Bimodule, strict: bool = True
 ) -> HomAlgebra:
-    """Split products on the module: u succ v = L(T(u))v, u prec v = R(T(v))u."""
+    """Split products on the module: u succ v = L(T(u))v, u prec v = R(T(v))u.
+
+    Over int, with T cleared by D_T and the actions by D_M, every cell is at
+    D_T D_M.
+    """
     _require_o_shapes(t, a, m)
     if strict:
         rep = check_o_operator(t, a, m)
         if not rep.passed:
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
-    md = m.mod_dim
-    images = [t.apply(basis_vec(md, u)) for u in range(md)]
-    lefts = [m.act_left(x) for x in images]
-    rights = [m.act_right(x) for x in images]
-    # u succ v = L(T(u)) v and u prec v = R(T(v)) u
-    succ = BilinearOp(md, [[lefts[u].column(v) for v in range(md)] for u in range(md)])
-    prec = BilinearOp(md, [[rights[v].column(u) for v in range(md)] for u in range(md)])
-    return HomAlgebra.rhizaform(succ, prec, m.beta)
+    n, md = a.dim, m.mod_dim
+    (images,), d_t = _int_columns([t.matrix])
+    actions, d_m = _int_columns([*m.left, *m.right])
+    left, right = actions[:n], actions[n:]  # integer tables of the actions: left[i][w] = l(e_i) e_w
+    succ, prec = ([[[0] * md for _ in range(md)] for _ in range(md)] for _ in range(2))
+    for u in range(md):
+        for v in range(md):
+            _product_into(succ[u][v], left, images[u], ((v, 1),))
+            _product_into(prec[u][v], right, images[v], ((u, 1),))
+    return HomAlgebra.rhizaform(_divided(succ, d_t * d_m), _divided(prec, d_t * d_m), m.beta)
 
 
 def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = True) -> HomAlgebra:
-    """Split products x succ y = R(x)*y and x prec y = x*R(y) on the algebra."""
+    """Split products x succ y = R(x)*y and x prec y = x*R(y) on the algebra.
+
+    Over int, with the product cleared by D and R by D_R, every cell is at D D_R.
+    """
     if strict:
         rep = check_rota_baxter(r, a)
         if not rep.passed:
             raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
-    succ, prec = _rb_splitting(r, a.mul)
-    return HomAlgebra.rhizaform(succ, prec, a.alpha)
+    (table,), d = _int_tables([a.mul])
+    (cols,), d_r = _int_columns([r.matrix])
+    return HomAlgebra.rhizaform(*_rb_splitting(table, cols, d * d_r), a.alpha)
 
 
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
@@ -360,7 +356,8 @@ def compatible_from_invertible_o_operator(
     """Transport the induced splitting along an invertible operator back to the algebra.
 
     x succ y = T(L(x)(T^-1 y)) and x prec y = T(R(y)(T^-1 x)); the sum of the
-    two outputs recovers the original product exactly.
+    two outputs recovers the original product exactly.  Over int, with T and
+    T^-1 cleared by one D_T and the actions by D_M, every cell is at D_T^2 D_M.
     """
     if t.source_dim != t.target_dim:
         raise Singular("operator between spaces of different dimension is not invertible")
@@ -371,10 +368,19 @@ def compatible_from_invertible_o_operator(
         if not rep.passed:
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     n = a.dim
-    back = [t_inv.column(j) for j in range(n)]
-    succ = BilinearOp(n, [[t.apply(m.left[i].apply(back[j])) for j in range(n)] for i in range(n)])
-    prec = BilinearOp(n, [[t.apply(m.right[j].apply(back[i])) for j in range(n)] for i in range(n)])
-    return HomAlgebra.rhizaform(succ, prec, a.alpha)
+    (images, back), d_t = _int_columns([t.matrix, t_inv])
+    actions, d_m = _int_columns([*m.left, *m.right])
+    left, right = actions[:n], actions[n:]
+    succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
+    for i in range(n):
+        for j in range(n):
+            l_inner, r_inner = [0] * n, [0] * n  # L(e_i)(T^-1 e_j) and R(e_j)(T^-1 e_i), at D_T D_M
+            _product_into(l_inner, left, ((i, 1),), back[j])
+            _product_into(r_inner, right, ((j, 1),), back[i])
+            _apply_into(succ[i][j], images, _sparse(l_inner))
+            _apply_into(prec[i][j], images, _sparse(r_inner))
+    scale = d_t * d_t * d_m
+    return HomAlgebra.rhizaform(_divided(succ, scale), _divided(prec, scale), a.alpha)
 
 
 def rhizaform_equivalence_verdict(a: HomAlgebra) -> tuple[bool, bool]:

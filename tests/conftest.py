@@ -14,6 +14,7 @@ from rhizalab.catalog import entry_ids, load_entry
 from rhizalab.cocycles import ScalarForm, is_nondegenerate
 from rhizalab.exactlin import Matrix
 from rhizalab.operators import LinearOperator, check_rota_baxter
+from tests.fraction_checkers import basis_vec, eval_product, scaled, vec_add, vec_is_zero
 
 F = Fraction
 SMALL = (F(-1), F(0), F(1))
@@ -108,10 +109,6 @@ def z2_rb_family_fixture(algebra: HomAlgebra, values=SMALL):
 
 def plain_family_identities_hold(f) -> bool:
     """Untwisted family axioms, evaluated from scratch (no twist map anywhere)."""
-    from rhizalab.algmodel import eval_product
-    from rhizalab.exactlin import basis_vec, vec_is_zero
-    from tests.fraction_checkers import vec_add
-
     n = f.dim
     s = f.semigroup
     es = [basis_vec(n, i) for i in range(n)]
@@ -226,4 +223,4 @@ def triple_product_rhizaform() -> HomAlgebra:
 def negated_split_fixture(n: int = 2) -> HomAlgebra:
     """prec = -succ with a two-step product; splits sum to zero."""
     succ = BilinearOp.from_entries(n, [(0, 0, 1, F(1))])
-    return HomAlgebra.rhizaform(succ, succ.neg(), LinearMap.identity(n))
+    return HomAlgebra.rhizaform(succ, scaled(succ, -1), LinearMap.identity(n))

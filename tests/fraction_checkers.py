@@ -1,18 +1,106 @@
-"""Reference identity checkers over Fractions, for differential tests only.
+"""Reference arithmetic and reference checkers over Fractions, for differential tests only.
 
-These are the checkers as they were before the integer residual engine:
-every residual is assembled from ``eval_product`` and ``Fraction`` matrix
-arithmetic, one basis tuple at a time.  They return the same ``CheckReport``
-objects, so a test can require ``==`` reports (violation order and residuals)
-from both routes.
+The ``Fraction`` evaluator the library used before its integer kernel lives
+here: ``eval_product``, matrix ``apply`` and ``times``, ``form_value`` and
+the vector helpers.  The reference checkers are the checkers as they were
+before the integer residual engine: every residual is assembled from
+``eval_product`` and ``Fraction`` matrix arithmetic, one basis tuple at a
+time.  They return the same ``CheckReport`` objects, so a test can require
+``==`` reports (violation order and residuals) from both routes.  The
+reference constructions at the end are the operator, cocycle and
+inner-derivation constructions as they were on ``Fraction``s.
 """
 
 from __future__ import annotations
 
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product
+from fractions import Fraction
+
+from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, star_product
 from rhizalab.axioms import CheckReport, Violation
-from rhizalab.exactlin import Matrix, basis_vec, vec_is_zero, vec_sub
+from rhizalab.errors import DimensionMismatch, Singular
+from rhizalab.exactlin import F0, F1, Matrix, invert
 from rhizalab.nilpotency import NilpotencyAnalysis, NilpotencyVerdict, Subspace
+from rhizalab.operators import _require_o_shapes
+
+
+def eval_product(op: BilinearOp, x, y) -> tuple:
+    """Bilinear extension of the basis products to arbitrary vectors."""
+    if len(x) != op.dim or len(y) != op.dim:
+        raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} fed to dim-{op.dim} product")
+    out = [F0] * op.dim
+    coeffs = op.coeffs
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = coeffs[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            s = xi * yj
+            for k, ck in enumerate(row[j]):
+                if ck:
+                    out[k] += s * ck
+    return tuple(out)
+
+
+def apply(f, x) -> tuple:
+    """Matrix-vector product, for a Matrix or a LinearMap or LinearOperator (through its matrix)."""
+    m = getattr(f, "matrix", f)
+    if len(x) != m.cols:
+        raise DimensionMismatch(f"cannot apply {m.rows}x{m.cols} to len-{len(x)} vector")
+    out = []
+    for i in range(m.rows):
+        s = F0
+        base = i * m.cols
+        for j, xj in enumerate(x):
+            if xj:
+                s += m.entries[base + j] * xj
+        out.append(s)
+    return tuple(out)
+
+
+def times(p: Matrix, q: Matrix) -> Matrix:
+    if p.cols != q.rows:
+        raise DimensionMismatch(f"cannot multiply {p.rows}x{p.cols} by {q.rows}x{q.cols}")
+    ent = []
+    for i in range(p.rows):
+        for j in range(q.cols):
+            s = F0
+            for k in range(p.cols):
+                a = p.at(i, k)
+                if a:
+                    s += a * q.at(k, j)
+            ent.append(s)
+    return Matrix(p.rows, q.cols, ent)
+
+
+def form_value(b, x, y) -> Fraction:
+    """B(x, y) for a ScalarForm b."""
+    out = F0
+    for i, xi in enumerate(x):
+        if xi:
+            row = b.matrix.row(i)
+            for j, yj in enumerate(y):
+                if yj:
+                    out += xi * yj * row[j]
+    return out
+
+
+def scaled(op: BilinearOp, c) -> BilinearOp:
+    """The product c times ``op``, coefficient by coefficient."""
+    return BilinearOp(op.dim, [[[c * x for x in cell] for cell in row] for row in op.coeffs])
+
+
+def basis_vec(n: int, i: int) -> tuple:
+    return tuple(F1 if j == i else F0 for j in range(n))
+
+
+def vec_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def vec_is_zero(x) -> bool:
+    return not any(x)
 
 
 def vec_add(x, y):
@@ -39,7 +127,7 @@ def _column_violations(ident, mat: Matrix, prefix=()):
 
 
 def _equivariance(f: Matrix, g: Matrix, h: Matrix, k: Matrix, prefix=()):
-    return _column_violations("equivariance", _madd(f.times(g), h.times(k), -1), prefix)
+    return _column_violations("equivariance", _madd(times(f, g), times(h, k), -1), prefix)
 
 
 def _anti_assoc_violations(first, outer, inner, mixed, alpha: LinearMap, prefix=()):
@@ -67,7 +155,7 @@ def multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult") -> Ch
     for i in range(n):
         ai = alpha.image_of_basis(i)
         for j in range(n):
-            resid = vec_sub(alpha.apply(op.entry(i, j)), eval_product(op, ai, alpha.image_of_basis(j)))
+            resid = vec_sub(apply(alpha, op.entry(i, j)), eval_product(op, ai, alpha.image_of_basis(j)))
             if not vec_is_zero(resid):
                 violations.append(Violation(name, (i + 1, j + 1), resid))
     return CheckReport.collect(f"multiplicativity[{name}]", violations)
@@ -168,7 +256,7 @@ def alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> CheckRep
                 eval_product(op, di, a.alpha.image_of_basis(j)),
                 eval_product(op, ai, d.image_of_basis(j)),
             )
-            resid = vec_sub(d.apply(op.entry(i, j)), rhs)
+            resid = vec_sub(apply(d, op.entry(i, j)), rhs)
             if not vec_is_zero(resid):
                 violations.append(Violation("leibniz", (i + 1, j + 1), resid))
     return CheckReport.collect(f"alpha_derivation[{product_name}]", violations)
@@ -187,14 +275,14 @@ def bimodule(a: HomAlgebra, m) -> CheckReport:
             r_aj = _act(m.right, alpha.image_of_basis(j), md)
             l_star = _act(m.left, mul.entry(i, j), md)
             r_star = _act(m.right, mul.entry(i, j), md)
-            bm1 = _madd(l_ai.times(m.left[j]), l_star.times(beta))
-            bm2 = _madd(r_aj.times(m.right[i]), r_star.times(beta))
-            bm3 = _madd(l_ai.times(m.right[j]), r_aj.times(m.left[i]))
-            bm3s = _madd(r_ai.times(m.left[j]), l_aj.times(m.right[i]))
+            bm1 = _madd(times(l_ai, m.left[j]), times(l_star, beta))
+            bm2 = _madd(times(r_aj, m.right[i]), times(r_star, beta))
+            bm3 = _madd(times(l_ai, m.right[j]), times(r_aj, m.left[i]))
+            bm3s = _madd(times(r_ai, m.left[j]), times(l_aj, m.right[i]))
             for ident, mat in (("bm1", bm1), ("bm2", bm2), ("bm3", bm3), ("bm3_swapped", bm3s)):
                 violations.extend(_column_violations(ident, mat, (i + 1, j + 1)))
-        bm4 = _madd(beta.times(m.left[i]), l_ai.times(beta), -1)
-        bm5 = _madd(beta.times(m.right[i]), r_ai.times(beta), -1)
+        bm4 = _madd(times(beta, m.left[i]), times(l_ai, beta), -1)
+        bm5 = _madd(times(beta, m.right[i]), times(r_ai, beta), -1)
         for ident, mat in (("bm4", bm4), ("bm5", bm5)):
             violations.extend(_column_violations(ident, mat, (i + 1,)))
     return CheckReport.collect("bimodule", violations)
@@ -205,14 +293,14 @@ def o_operator(t, a: HomAlgebra, m) -> CheckReport:
     md = m.mod_dim
     violations = list(_equivariance(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
     for u in range(md):
-        tu = t.apply(basis_vec(md, u))
+        tu = apply(t, basis_vec(md, u))
         for v in range(md):
-            tv = t.apply(basis_vec(md, v))
+            tv = apply(t, basis_vec(md, v))
             inner = vec_add(
-                _act(m.left, tu, md).apply(basis_vec(md, v)),
-                _act(m.right, tv, md).apply(basis_vec(md, u)),
+                apply(_act(m.left, tu, md), basis_vec(md, v)),
+                apply(_act(m.right, tv, md), basis_vec(md, u)),
             )
-            resid = vec_sub(eval_product(mul, tu, tv), t.apply(inner))
+            resid = vec_sub(eval_product(mul, tu, tv), apply(t, inner))
             if not vec_is_zero(resid):
                 violations.append(Violation("o_identity", (u + 1, v + 1), resid))
     return CheckReport.collect("o_operator", violations)
@@ -221,11 +309,11 @@ def o_operator(t, a: HomAlgebra, m) -> CheckReport:
 def _rb_violations(mul: BilinearOp, r_x, r_y, r_xy, prefix=()):
     n = mul.dim
     for i in range(n):
-        ri = r_x.apply(basis_vec(n, i))
+        ri = apply(r_x, basis_vec(n, i))
         for j in range(n):
-            rj = r_y.apply(basis_vec(n, j))
+            rj = apply(r_y, basis_vec(n, j))
             inner = vec_add(eval_product(mul, ri, basis_vec(n, j)), eval_product(mul, basis_vec(n, i), rj))
-            resid = vec_sub(eval_product(mul, ri, rj), r_xy.apply(inner))
+            resid = vec_sub(eval_product(mul, ri, rj), apply(r_xy, inner))
             if not vec_is_zero(resid):
                 yield Violation("rb_identity", (*prefix, i + 1, j + 1), resid)
 
@@ -241,9 +329,9 @@ def homomorphism(f, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
     for name in sorted(a1.products):
         op1, op2 = a1.products[name], a2.products[name]
         for i in range(a1.dim):
-            fi = f.apply(basis_vec(a1.dim, i))
+            fi = apply(f, basis_vec(a1.dim, i))
             for j in range(a1.dim):
-                resid = vec_sub(f.apply(op1.entry(i, j)), eval_product(op2, fi, f.apply(basis_vec(a1.dim, j))))
+                resid = vec_sub(apply(f, op1.entry(i, j)), eval_product(op2, fi, apply(f, basis_vec(a1.dim, j))))
                 if not vec_is_zero(resid):
                     violations.append(Violation(f"product_{name}", (i + 1, j + 1), resid))
     return CheckReport.collect("homomorphism", violations)
@@ -383,11 +471,7 @@ def nilpotency_analysis(a: HomAlgebra) -> tuple[NilpotencyAnalysis, dict[str, Ni
     parts = all(any(t.is_zero() for t in _series(m, "full", start)) for m in reducts)
     stability = None
     if all(multiplicativity(op, a.alpha).passed for op in a.products.values()):
-        stability = CheckReport.collect("alpha_stability", [
-            Violation("alpha_stability", (g,), _witness(term.image_under(a.alpha), term))
-            for g, term in enumerate(series["full"], start=1)
-            if not term.contains(term.image_under(a.alpha))
-        ])
+        stability = _alpha_stability(series["full"], a.alpha)
     analysis = NilpotencyAnalysis(
         series=series,
         series_equality=CheckReport.collect("series_equality", violations),
@@ -405,15 +489,15 @@ def scalar_cocycle_residuals(a: HomAlgebra, b) -> list[Violation]:
         for j in range(n):
             for k in range(n):
                 r = (
-                    b.value(star.entry(i, j), alpha.image_of_basis(k))
-                    + b.value(star.entry(j, k), alpha.image_of_basis(i))
-                    + b.value(star.entry(k, i), alpha.image_of_basis(j))
+                    form_value(b, star.entry(i, j), alpha.image_of_basis(k))
+                    + form_value(b, star.entry(j, k), alpha.image_of_basis(i))
+                    + form_value(b, star.entry(k, i), alpha.image_of_basis(j))
                 )
                 if r:
                     out.append(Violation("cyclic", (i + 1, j + 1, k + 1), (r,)))
     for i in range(n):
         for j in range(n):
-            r = b.value(alpha.image_of_basis(i), alpha.image_of_basis(j)) - b.matrix.at(i, j)
+            r = form_value(b, alpha.image_of_basis(i), alpha.image_of_basis(j)) - b.matrix.at(i, j)
             if r:
                 out.append(Violation("invariance", (i + 1, j + 1), (r,)))
     return out
@@ -438,7 +522,114 @@ def vector_cocycle_residuals(a: HomAlgebra, w: BilinearOp) -> list[Violation]:
     for i in range(n):
         ai = alpha.image_of_basis(i)
         for j in range(n):
-            r = vec_sub(alpha.apply(w.entry(i, j)), eval_product(w, ai, alpha.image_of_basis(j)))
+            r = vec_sub(apply(alpha, w.entry(i, j)), eval_product(w, ai, alpha.image_of_basis(j)))
             if not vec_is_zero(r):
                 out.append(Violation("compat", (i + 1, j + 1), r))
     return out
+
+
+# --- reference constructions --------------------------------------------------
+# The constructions as they were on Fractions, without their ``strict`` checks
+# (those call the library's checkers, which have references of their own above).
+
+
+def image_under(s: Subspace, f: LinearMap) -> Subspace:
+    return Subspace.from_vectors(s.ambient_dim, [apply(f, v) for v in s.vectors()])
+
+
+def rb_splitting(r, mul: BilinearOp) -> tuple[BilinearOp, BilinearOp]:
+    """x succ y = R(x)*y and x prec y = x*R(y)."""
+    n = mul.dim
+    basis = [basis_vec(n, i) for i in range(n)]
+    images = [apply(r, e) for e in basis]
+    succ = BilinearOp(n, [[eval_product(mul, images[i], basis[j]) for j in range(n)] for i in range(n)])
+    prec = BilinearOp(n, [[eval_product(mul, basis[i], images[j]) for j in range(n)] for i in range(n)])
+    return succ, prec
+
+
+def induced_rhizaform_from_rb(r, a: HomAlgebra) -> HomAlgebra:
+    succ, prec = rb_splitting(r, a.mul)
+    return HomAlgebra.rhizaform(succ, prec, a.alpha)
+
+
+def induced_rhizaform_from_o_operator(t, a: HomAlgebra, m) -> HomAlgebra:
+    """Split products on the module: u succ v = L(T(u))v, u prec v = R(T(v))u."""
+    _require_o_shapes(t, a, m)
+    md = m.mod_dim
+    images = [apply(t, basis_vec(md, u)) for u in range(md)]
+    lefts = [_act(m.left, x, md) for x in images]
+    rights = [_act(m.right, x, md) for x in images]
+    # u succ v = L(T(u)) v and u prec v = R(T(v)) u
+    succ = BilinearOp(md, [[lefts[u].column(v) for v in range(md)] for u in range(md)])
+    prec = BilinearOp(md, [[rights[v].column(u) for v in range(md)] for u in range(md)])
+    return HomAlgebra.rhizaform(succ, prec, m.beta)
+
+
+def compatible_from_invertible_o_operator(t, a: HomAlgebra, m) -> HomAlgebra:
+    """x succ y = T(L(x)(T^-1 y)) and x prec y = T(R(y)(T^-1 x))."""
+    if t.source_dim != t.target_dim:
+        raise Singular("operator between spaces of different dimension is not invertible")
+    t_inv = invert(t.matrix)  # raises Singular when degenerate
+    _require_o_shapes(t, a, m)
+    n = a.dim
+    back = [t_inv.column(j) for j in range(n)]
+    succ = BilinearOp(n, [[apply(t, apply(m.left[i], back[j])) for j in range(n)] for i in range(n)])
+    prec = BilinearOp(n, [[apply(t, apply(m.right[j], back[i])) for j in range(n)] for i in range(n)])
+    return HomAlgebra.rhizaform(succ, prec, a.alpha)
+
+
+def rhizaform_from_cocycle(a: HomAlgebra, b) -> HomAlgebra:
+    """Solve B(x succ y, z) = B(y, z*x) and B(x prec y, z) = B(x, y*z) for the splits."""
+    star = star_product(a)
+    n = a.dim
+    if b.dim != n:
+        raise DimensionMismatch("form and algebra dimensions differ")
+    bt_inv = invert(b.matrix.transpose())  # Singular for degenerate forms
+    basis = [basis_vec(n, i) for i in range(n)]
+    succ = BilinearOp(n, [
+        [apply(bt_inv, tuple(form_value(b, basis[j], star.entry(k, i)) for k in range(n))) for j in range(n)]
+        for i in range(n)
+    ])
+    prec = BilinearOp(n, [
+        [apply(bt_inv, tuple(form_value(b, basis[i], star.entry(j, k)) for k in range(n))) for j in range(n)]
+        for i in range(n)
+    ])
+    return HomAlgebra.rhizaform(succ, prec, a.alpha)
+
+
+def inner_derivation(z, a: HomAlgebra, convention: str = "star") -> LinearMap:
+    """Matrix of ad_z: z * x - x * z (``star``) or z prec x - x succ z (``mixed``)."""
+    n = a.dim
+    if len(z) != n:
+        raise DimensionMismatch("z has wrong length")
+    if convention == "star":
+        star = star_product(a)
+        cols = [
+            vec_sub(eval_product(star, z, basis_vec(n, i)), eval_product(star, basis_vec(n, i), z))
+            for i in range(n)
+        ]
+    elif convention == "mixed":
+        cols = [
+            vec_sub(
+                eval_product(a.prec, z, basis_vec(n, i)),
+                eval_product(a.succ, basis_vec(n, i), z),
+            )
+            for i in range(n)
+        ]
+    else:
+        raise ValueError(f"unknown convention {convention!r}; use 'star' or 'mixed'")
+    return LinearMap.from_columns(cols)
+
+
+def _alpha_stability(full, alpha: LinearMap) -> CheckReport:
+    violations = []
+    for g, term in enumerate(full, start=1):
+        image = image_under(term, alpha)
+        if not term.contains(image):
+            violations.append(Violation("alpha_stability", (g,), _witness(image, term)))
+    return CheckReport.collect("alpha_stability", violations)
+
+
+def alpha_stability(a: HomAlgebra) -> CheckReport:
+    """``check_alpha_stability``'s report, from the full series built by ``diamond``."""
+    return _alpha_stability(_series(a, "full", [Subspace.full(a.dim)]), a.alpha)

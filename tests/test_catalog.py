@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rhizalab.algmodel import parse_algebra, serialize_algebra
+from rhizalab.algmodel import LinearMap, parse_algebra, serialize_algebra
 from rhizalab.catalog import (
     CatalogSummary,
     entry_ids,
@@ -12,7 +12,7 @@ from rhizalab.catalog import (
     verify_entry,
 )
 from rhizalab.errors import UnboundParameter, UnknownEntry
-from rhizalab.exactlin import basis_vec
+from tests.fraction_checkers import basis_vec
 
 F = Fraction
 ETA = {"eta": F(1)}
@@ -30,7 +30,7 @@ def test_load_d2_a7():
     assert a.dim == 2
     assert a.succ.entry(0, 0) == (F(0), F(1))
     assert a.prec.entry(0, 0) == (F(0), F(1))
-    assert a.alpha.is_identity()
+    assert a.alpha == LinearMap.identity(2)
 
 
 def test_load_d3_a4_with_binding():

@@ -287,7 +287,7 @@ def test_every_public_operation_is_covered():
     """Audit: each public library operation maps to a CLI route."""
     public_ops = {
         "exactlin": ["rref", "nullspace_basis", "invert"],
-        "algmodel": ["eval_product", "parse_algebra", "serialize_algebra", "sum_product"],
+        "algmodel": ["parse_algebra", "serialize_algebra", "sum_product"],
         "axioms": [
             "check_hom_anti_associative",
             "check_multiplicativity",

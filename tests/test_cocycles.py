@@ -10,7 +10,6 @@ from rhizalab.algmodel import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
-    eval_product,
     star_product,
     sum_product,
 )
@@ -28,7 +27,7 @@ from rhizalab.cocycles import (
     vector_cocycle_space,
 )
 from rhizalab.errors import NotACocycle, NotAntiAssociative, Singular
-from rhizalab.exactlin import F0, Matrix, basis_vec, invert, nullspace_basis
+from rhizalab.exactlin import F0, Matrix, invert, nullspace_basis
 from tests.conftest import (
     antisym_3dim,
     catalog_algebras,
@@ -38,6 +37,7 @@ from tests.conftest import (
     skew_subspace,
     zero_product_mono,
 )
+from tests.fraction_checkers import apply, basis_vec, eval_product, form_value, times
 
 F = Fraction
 
@@ -118,15 +118,13 @@ def test_vector_dimension_is_permutation_invariant(a_d2_a1):
         n,
         [
             [
-                perm_inv.apply(
-                    eval_product(s.mul, perm.apply(basis_vec(n, i)), perm.apply(basis_vec(n, j)))
-                )
+                apply(perm_inv, eval_product(s.mul, apply(perm, basis_vec(n, i)), apply(perm, basis_vec(n, j))))
                 for j in range(n)
             ]
             for i in range(n)
         ],
     )
-    conj_alpha = LinearMap(n, perm_inv.times(s.alpha.matrix).times(perm))
+    conj_alpha = LinearMap(n, times(times(perm_inv, s.alpha.matrix), perm))
     conj = HomAlgebra.mono(conj_mul, conj_alpha)
     assert len(vector_cocycle_space(conj)) == base_dim
 
@@ -164,12 +162,12 @@ def _defining_equations_hold(a, b, out) -> bool:
         for j in range(n):
             for k in range(n):
                 z = basis_vec(n, k)
-                if b.value(out.succ.entry(i, j), z) != b.value(
-                    basis_vec(n, j), eval_product(star, z, basis_vec(n, i))
+                if form_value(b, out.succ.entry(i, j), z) != form_value(
+                    b, basis_vec(n, j), eval_product(star, z, basis_vec(n, i))
                 ):
                     return False
-                if b.value(out.prec.entry(i, j), z) != b.value(
-                    basis_vec(n, i), eval_product(star, basis_vec(n, j), z)
+                if form_value(b, out.prec.entry(i, j), z) != form_value(
+                    b, basis_vec(n, i), eval_product(star, basis_vec(n, j), z)
                 ):
                     return False
     return True
@@ -346,7 +344,7 @@ def _dense_twist(rng, n):
             continue
         signs = [rng.choice((F(-1), F(1))) for _ in range(n)]
         d = Matrix.from_rows([[signs[r] if r == c else F0 for c in range(n)] for r in range(n)])
-        return LinearMap(n, p.times(d).times(p_inv))
+        return LinearMap(n, times(times(p, d), p_inv))
 
 
 TWISTS = {
@@ -502,7 +500,7 @@ def _fractional_involution(rng, n):
         except Singular:
             continue
         d = Matrix.from_rows([[rng.choice((F(-1), F(1))) if r == c else F0 for c in range(n)] for r in range(n)])
-        alpha = p.times(d).times(p_inv)
+        alpha = times(times(p, d), p_inv)
         if _denominator_lcm(alpha) != 1:
             return LinearMap(n, alpha)
 

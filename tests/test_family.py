@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, sum_product
+from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import check_hom_anti_associative, check_rhizaform
 from rhizalab.errors import DimensionMismatch, NotARotaBaxterOperator
-from rhizalab.exactlin import basis_vec, vec_is_zero
 from rhizalab.family import (
     FamilyAlgebra,
     RBFamily,
@@ -32,7 +31,7 @@ from tests.conftest import (
     rb_grid,
     z2_rb_family_fixture,
 )
-from tests.fraction_checkers import vec_add
+from tests.fraction_checkers import apply, basis_vec, eval_product, vec_add, vec_is_zero
 
 F = Fraction
 Z2 = Semigroup.cyclic(2)
@@ -160,12 +159,13 @@ def test_z2_rb_family_grid_fixture(a_d2_a1):
             r_lo = rf.operators[(lam + om) % 2]
             for i, j in itertools.product(range(2), repeat=2):
                 x, y = basis_vec(2, i), basis_vec(2, j)
-                lhs = eval_product(mul, r_lam.apply(x), r_om.apply(y))
-                rhs = r_lo.apply(
+                lhs = eval_product(mul, apply(r_lam, x), apply(r_om, y))
+                rhs = apply(
+                    r_lo,
                     vec_add(
-                        eval_product(mul, r_lam.apply(x), y),
-                        eval_product(mul, x, r_om.apply(y)),
-                    )
+                        eval_product(mul, apply(r_lam, x), y),
+                        eval_product(mul, x, apply(r_om, y)),
+                    ),
                 )
                 assert lhs == rhs
 
@@ -177,16 +177,22 @@ def test_induced_family_from_zero_is_zero(a_d2_a1):
     assert all(op.is_zero() for op in (*fam.succ.values(), *fam.prec.values()))
 
 
-def test_induced_family_trivial_matches_plain_induction(a_d2_a7):
+def test_induced_family_trivial_matches_plain_induction(a_d2_a7, a_d2_a1):
+    """The pair at each index is the plain induction by R_lam: for a one-element family, and for
+    every Z/2 family of the grid fixture (an R_lam need not pass the averaging identity alone)."""
     from rhizalab.operators import induced_rhizaform_from_rb
 
     s = sum_mono(a_d2_a7)
     op = rb_grid(s)[-1]
-    rf = RBFamily(Semigroup.trivial(), {0: op})
-    fam = induced_family_rhizaform(rf, s)
-    plain = induced_rhizaform_from_rb(op, s)
-    assert fam.succ[0] == plain.succ
-    assert fam.prec[0] == plain.prec
+    cases = [(s, RBFamily(Semigroup.trivial(), {0: op}))]
+    s1 = sum_mono(a_d2_a1)
+    cases += [(s1, rf) for rf in z2_rb_family_fixture(s1)]
+    assert len(cases) > 2
+    for alg, rf in cases:
+        fam = induced_family_rhizaform(rf, alg)
+        for lam, r in rf.operators.items():
+            plain = induced_rhizaform_from_rb(r, alg, strict=False)
+            assert (fam.succ[lam], fam.prec[lam]) == (plain.succ, plain.prec)
 
 
 def test_induced_families_pass_family_check(a_d2_a1):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from rhizalab import nilpotency
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, eval_product, star_product, sum_product
+from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, star_product, sum_product
 from rhizalab.axioms import (
     check_alpha_derivation,
     check_dendriform,
@@ -95,10 +95,10 @@ def _conjugate(a: HomAlgebra, p: Matrix) -> HomAlgebra:
     n = a.dim
     cols = [p.column(i) for i in range(n)]
     products = {
-        name: BilinearOp(n, [[p_inv.apply(eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)])
+        name: BilinearOp(n, [[ref.apply(p_inv, ref.eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)])
         for name, op in a.products.items()
     }
-    return HomAlgebra(n, products, LinearMap(n, p_inv.times(a.alpha.matrix).times(p)))
+    return HomAlgebra(n, products, LinearMap(n, ref.times(ref.times(p_inv, a.alpha.matrix), p)))
 
 
 def _random_split(seed: int, n: int) -> HomAlgebra:

@@ -13,6 +13,7 @@ import inspect
 import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +149,24 @@ def test_oracle_imports_only_data_classes():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert called & {"apply", "times", "column", "image_of_basis"} == set()
+
+
+def test_only_the_oracle_routes_import_the_oracle():
+    """No library computation goes through the Fraction evaluator: the only library modules that
+    import ``rhizalab.oracle`` are the two ``--oracle`` routes, the CLI and the catalog."""
+    package = Path(inspect.getfile(oracle)).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        here = path.parent.relative_to(package.parent).parts  # the package the module imports from
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                parts = list(here[: len(here) + 1 - node.level]) if node.level else []
+                base = ".".join(parts + [node.module] if node.module else parts)
+                targets = {base, *(f"{base}.{alias.name}" for alias in node.names)}
+            else:
+                continue
+            if "rhizalab.oracle" in targets:
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"cli.py", "catalog/__init__.py"}
