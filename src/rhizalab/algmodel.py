@@ -173,6 +173,12 @@ def _divided(cells, scale: int) -> BilinearOp:
     return BilinearOp(len(cells), [[[Fraction(c, scale) for c in cell] for cell in row] for row in cells])
 
 
+def _opposite(table) -> list:
+    """The integer table of x o' y = y o x."""
+    n = len(table)
+    return [[table[j][i] for j in range(n)] for i in range(n)]
+
+
 def _left_columns(table, x, size: int) -> list:
     """The sparse integer columns of v -> x o v, for v and x o v in a space of dimension ``size``.
 

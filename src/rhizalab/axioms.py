@@ -34,6 +34,7 @@ from .algmodel import (
     _int_columns,
     _int_tables,
     _left_columns,
+    _opposite,
     _product_into,
     _sparse,
     star_product,
@@ -138,9 +139,8 @@ def _twisted(ops, alpha: LinearMap) -> _Twisted:
     tables, d = _int_tables(ops)
     (twist,), d_alpha = _int_columns([alpha.matrix])
     n = alpha.dim
-    opposite = [[[t[j][i] for j in range(n)] for i in range(n)] for t in tables]  # x o' y = y o x
     left = [[_left_columns(t, a_i, n) for a_i in twist] for t in tables]
-    right = [[_left_columns(t, a_i, n) for a_i in twist] for t in opposite]
+    right = [[_left_columns(_opposite(t), a_i, n) for a_i in twist] for t in tables]
     return _Twisted(tables, left, right, twist, d, d_alpha)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
-from .algmodel import _int_columns, _int_tables
+from .algmodel import _int_columns, _int_tables, _opposite
 from .axioms import (
     CheckReport,
     Violation,
@@ -38,7 +38,7 @@ from .axioms import (
 )
 from .errors import DimensionMismatch, NotARotaBaxterOperator
 from .exactlin import Matrix
-from .operators import LinearOperator, _equivariance_violations, _rb_splitting, _rb_violations
+from .operators import LinearOperator, _equivariance_violations, _rb_violations, _split
 
 
 @dataclass(frozen=True)
@@ -199,11 +199,15 @@ def associated_family(f: FamilyAlgebra) -> dict[tuple[int, int], BilinearOp]:
     return out
 
 
+def _require_family_shape(rf: RBFamily, a: HomAlgebra) -> None:
+    if rf.dim != a.dim:
+        raise DimensionMismatch("family operators do not act on the algebra")
+
+
 def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
     """R_lam(x) * R_omega(y) = R_{lam.omega}(R_lam(x) * y + x * R_omega(y)), each R twist-equivariant."""
     mul = a.mul
-    if rf.dim != a.dim:
-        raise DimensionMismatch("family operators do not act on the algebra")
+    _require_family_shape(rf, a)
     s = rf.semigroup
     ops = rf.operators
     violations = []
@@ -227,16 +231,18 @@ def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -
     Over int, with the product cleared once by D and all R_lam by one D_R, every
     cell is at D D_R.
     """
+    _require_family_shape(rf, a)
     if strict:
         rep = check_rb_family(rf, a)
         if not rep.passed:
             raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
     size = rf.semigroup.size
     (table,), d = _int_tables([a.mul])
+    opposite = _opposite(table)
     cols, d_r = _int_columns([rf.operators[lam].matrix for lam in range(size)])
     succ, prec = {}, {}
     for lam in range(size):
-        succ[lam], prec[lam] = _rb_splitting(table, cols[lam], d * d_r)
+        succ[lam], prec[lam] = _split(table, opposite, cols[lam], d * d_r)
     return FamilyAlgebra(a.dim, rf.semigroup, succ, prec, a.alpha, dict(a.params))
 
 
@@ -248,8 +254,7 @@ def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOper
     algebra part only, and the operator applies R_lam on the lam slice.
     """
     mul = a.mul
-    if rf.dim != a.dim:
-        raise DimensionMismatch("family operators do not act on the algebra")
+    _require_family_shape(rf, a)
     n = a.dim
     s = rf.semigroup.size
     big = n * s

@@ -28,6 +28,7 @@ from .algmodel import (
     _int_columns,
     _int_tables,
     _left_columns,
+    _opposite,
     _product_into,
     _sparse,
     sum_product,
@@ -260,11 +261,15 @@ def _rb_violations(table, r_x, r_y, r_xy, scale: int, prefix=()):
                 yield Violation("rb_identity", (*prefix, i + 1, j + 1), _residual(r, scale))
 
 
+def _require_rb_shape(r: LinearOperator, a: HomAlgebra) -> None:
+    if r.source_dim != a.dim or r.target_dim != a.dim:
+        raise DimensionMismatch("operator must act on the algebra")
+
+
 def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     """Weight-zero averaging identity R(x)*R(y) = R(R(x)*y + x*R(y)), with R alpha = alpha R."""
     mul = a.mul
-    if r.source_dim != a.dim or r.target_dim != a.dim:
-        raise DimensionMismatch("operator must act on the algebra")
+    _require_rb_shape(r, a)
     violations = list(_equivariance_violations(r.matrix, a.alpha.matrix, a.alpha.matrix, r.matrix))
     (table,), d = _int_tables([mul])
     (cols,), d_r = _int_columns([r.matrix])
@@ -272,15 +277,20 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     return CheckReport.collect("rota_baxter", violations)
 
 
-def _rb_splitting(table, cols, scale: int) -> tuple[BilinearOp, BilinearOp]:
-    """x succ y = R(x)*y and x prec y = x*R(y), for the product's integer table (cleared by D)
-    and the integer columns of R (cleared by D_R); every cell is at ``scale``, D D_R."""
-    n = len(table)
-    succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
-    for i in range(n):
-        for j in range(n):
-            _product_into(succ[i][j], table, cols[i], ((j, 1),))
-            _product_into(prec[i][j], table, ((i, 1),), cols[j])
+def _split(left, right, images, scale: int) -> tuple[BilinearOp, BilinearOp]:
+    """u succ v = L(T(u))v and u prec v = R(T(v))u on the module, for the integer tables of
+    the two actions (left[i][w] = L(e_i) e_w) and the integer columns of T; every cell is at
+    ``scale``.
+
+    On the regular bimodule, with left the product's table and right its opposite, this is
+    the averaging-operator splitting x succ y = R(x)*y, x prec y = x*R(y).
+    """
+    md = len(images)
+    succ, prec = ([[[0] * md for _ in range(md)] for _ in range(md)] for _ in range(2))
+    for u in range(md):
+        for v in range(md):
+            _product_into(succ[u][v], left, images[u], ((v, 1),))
+            _product_into(prec[u][v], right, images[v], ((u, 1),))
     return _divided(succ, scale), _divided(prec, scale)
 
 
@@ -297,16 +307,10 @@ def induced_rhizaform_from_o_operator(
         rep = check_o_operator(t, a, m)
         if not rep.passed:
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
-    n, md = a.dim, m.mod_dim
+    n = a.dim
     (images,), d_t = _int_columns([t.matrix])
     actions, d_m = _int_columns([*m.left, *m.right])
-    left, right = actions[:n], actions[n:]  # integer tables of the actions: left[i][w] = l(e_i) e_w
-    succ, prec = ([[[0] * md for _ in range(md)] for _ in range(md)] for _ in range(2))
-    for u in range(md):
-        for v in range(md):
-            _product_into(succ[u][v], left, images[u], ((v, 1),))
-            _product_into(prec[u][v], right, images[v], ((u, 1),))
-    return HomAlgebra.rhizaform(_divided(succ, d_t * d_m), _divided(prec, d_t * d_m), m.beta)
+    return HomAlgebra.rhizaform(*_split(actions[:n], actions[n:], images, d_t * d_m), m.beta)
 
 
 def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = True) -> HomAlgebra:
@@ -314,13 +318,14 @@ def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = T
 
     Over int, with the product cleared by D and R by D_R, every cell is at D D_R.
     """
+    _require_rb_shape(r, a)
     if strict:
         rep = check_rota_baxter(r, a)
         if not rep.passed:
             raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
     (table,), d = _int_tables([a.mul])
     (cols,), d_r = _int_columns([r.matrix])
-    return HomAlgebra.rhizaform(*_rb_splitting(table, cols, d * d_r), a.alpha)
+    return HomAlgebra.rhizaform(*_split(table, _opposite(table), cols, d * d_r), a.alpha)
 
 
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:

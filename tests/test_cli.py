@@ -403,6 +403,29 @@ def test_induce_refuses_bimodule_over_another_dimension(a1_sum_file, tmp_path, w
         assert "different dimension" in err
 
 
+@pytest.mark.parametrize("rows", [[["1", "0", "0"], ["0", "1", "0"]], [["1"]], [["1", "0"]], [["1", "0"], ["0", "1"], ["0", "1"]]])
+def test_induce_rb_refuses_operator_of_another_shape(a1_sum_file, tmp_path, rows):
+    """With --no-strict too: an operator that does not act on the algebra exits 2 before anything is printed."""
+    op = tmp_path / "r.json"
+    op.write_text(json.dumps({"T": rows}))
+    for strict in ((), ("--no-strict",)):
+        code, out, err = run_cli("induce", "--what", "rb", *strict, "--operator", str(op), a1_sum_file)
+        assert (code, out) == (2, ""), strict
+        assert "must act on the algebra" in err
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_family_induce_refuses_family_over_another_dimension(a1_sum_file, tmp_path, dim):
+    """With --no-strict too: a family of the wrong dimension exits 2 before anything is printed."""
+    zero = [["0"] * dim for _ in range(dim)]
+    rb_path = tmp_path / "rbfam.json"
+    rb_path.write_text(json.dumps({"omega": {"size": 2, "table": [[0, 1], [1, 0]]}, "operators": {"0": zero, "1": zero}}))
+    for strict in ((), ("--no-strict",)):
+        code, out, err = run_cli("family", "--do", "induce", *strict, "--algebra", a1_sum_file, str(rb_path))
+        assert (code, out) == (2, ""), strict
+        assert "do not act on the algebra" in err
+
+
 def test_remaining_induce_and_operator_routes(a1_file, a1_sum_file, tmp_path):
     code, out, _ = run_cli("induce", "--what", "pre-jacobi-jordan", "--format", "structured", a1_file)
     assert code == 0 and json.loads(out)["algebra"]["kind"] == "mono"

@@ -209,6 +209,20 @@ def test_induced_family_strict_mode(a_d2_a1):
         induced_family_rhizaform(rf, s)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_rb_family_over_another_dimension_is_refused(a_d2_a1, dim):
+    """Whether or not the induction checks its precondition."""
+    s = sum_mono(a_d2_a1)
+    rf = RBFamily(Z2, {0: LinearOperator.identity(dim), 1: LinearOperator.zero(dim, dim)})
+    with pytest.raises(DimensionMismatch):
+        check_rb_family(rf, s)
+    with pytest.raises(DimensionMismatch):
+        tensor_collapse(s, rf)
+    for strict in (True, False):
+        with pytest.raises(DimensionMismatch):
+            induced_family_rhizaform(rf, s, strict=strict)
+
+
 def test_collapse_trivial_monoid_is_isomorphic_copy(a_d2_a7):
     s = sum_mono(a_d2_a7)
     op = rb_grid(s)[-1]

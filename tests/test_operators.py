@@ -160,6 +160,20 @@ def test_o_operator_rejects_bimodule_over_other_dimension(a_d2_a1):
                 induce(t, s, m, strict=False)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 1), (3, 3)])
+def test_rb_rejects_operator_of_another_shape(a_d2_a1, shape):
+    """An operator that does not act on the 2-dim algebra is refused by the checker and by the
+    induction, whether or not the induction checks its precondition."""
+    s = sum_algebra(a_d2_a1)
+    rows, cols = shape
+    r = LinearOperator.from_rows([[F(int(i == j)) for j in range(cols)] for i in range(rows)])
+    with pytest.raises(DimensionMismatch):
+        check_rota_baxter(r, s)
+    for strict in (True, False):
+        with pytest.raises(DimensionMismatch):
+            induced_rhizaform_from_rb(r, s, strict=strict)
+
+
 def test_identity_is_o_operator_on_split_actions():
     for eid, a in rhizaform_passing_entries():
         s = sum_algebra(a)
