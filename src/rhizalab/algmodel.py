@@ -117,10 +117,12 @@ class BilinearOp:
 
 
 # --- integer kernel ---------------------------------------------------------
-# The checkers and the constructions evaluate over int.  A structure is
-# cleared once per call by D, the lcm of its denominators
-# (``exactlin._cleared``), and a result becomes Fractions only at the end,
-# divided by its scale (``axioms._residual``, ``_divided``).  A sparse integer
+# The checkers and the constructions evaluate over int.  Every identity and
+# construction is multilinear in the structures it reads, so ``_integers``
+# clears all of them by one D, the lcm of every denominator they hold
+# (``exactlin._cleared``).  A term built from k of them is then exactly D^k
+# times its value, and a result becomes Fractions only at the end, divided by
+# D to its degree (``axioms._residual``, ``_divided``).  A sparse integer
 # vector is a tuple of (index, value) pairs with nonzero values, and an
 # integer table of a product holds table[i][j] = e_i o e_j times D as one.
 
@@ -135,18 +137,29 @@ def _add_into(out: list[int], x, c: int = 1) -> None:
         out[i] += c * xi
 
 
-def _int_tables(ops) -> tuple[list, int]:
-    """Integer tables of the products ``ops``, all cleared by one D; and D."""
-    cells, d = _cleared([cell for op in ops for row in op.coeffs for cell in row])
-    cells = iter([_sparse(c) for c in cells])
-    return [[[next(cells) for _ in range(op.dim)] for _ in range(op.dim)] for op in ops], d
+def _integers(*parts) -> tuple[list, int]:
+    """The products, matrices and vectors ``parts``, all cleared by one D, in integer form; and D.
 
-
-def _int_columns(mats) -> tuple[list, int]:
-    """The columns of each matrix in ``mats`` as sparse integer vectors, all cleared by one D; and D."""
-    cols, d = _cleared([m.column(j) for m in mats for j in range(m.cols)])
-    cols = iter([_sparse(c) for c in cols])
-    return [[next(cols) for _ in range(m.cols)] for m in mats], d
+    A product becomes its integer table, a matrix the list of its sparse
+    integer columns, a vector a sparse integer vector.
+    """
+    vectors = []
+    for p in parts:
+        if isinstance(p, BilinearOp):
+            vectors.extend(cell for row in p.coeffs for cell in row)
+        elif isinstance(p, Matrix):
+            vectors.extend(p.column(j) for j in range(p.cols))
+        else:
+            vectors.append(p)
+    cleared, d = _cleared(vectors)
+    cleared = iter([_sparse(v) for v in cleared])
+    out = [
+        [[next(cleared) for _ in range(p.dim)] for _ in range(p.dim)] if isinstance(p, BilinearOp)
+        else [next(cleared) for _ in range(p.cols)] if isinstance(p, Matrix)
+        else next(cleared)
+        for p in parts
+    ]
+    return out, d
 
 
 def _product_into(out: list[int], table, x, y, c: int = 1) -> None:
@@ -327,6 +340,8 @@ def _decode_json(text: str):
         raise ParseError(f"bad JSON input: {exc.msg}", position=exc.pos) from None
     except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
         raise ParseError(f"bad JSON input: {exc}") from None
+    except RecursionError:
+        raise ParseError("bad JSON input: nested too deeply") from None
 
 
 def _field(doc, key: str, where: str, kind: type):

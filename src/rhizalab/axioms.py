@@ -31,8 +31,7 @@ from .algmodel import (
     LinearMap,
     _add_into,
     _apply_into,
-    _int_columns,
-    _int_tables,
+    _integers,
     _left_columns,
     _opposite,
     _product_into,
@@ -40,7 +39,7 @@ from .algmodel import (
     star_product,
 )
 from .errors import DimensionMismatch, MissingProduct
-from .exactlin import Vector, _cleared, rational_str
+from .exactlin import Vector, rational_str
 
 
 @dataclass(frozen=True)
@@ -94,12 +93,13 @@ def _require_same_dim(*dims: int):
         raise DimensionMismatch(f"dimensions disagree: {dims}")
 
 
-# Every checker evaluates over int (see algmodel's integer kernel).  Each
-# identity is homogeneous, so all its terms carry one scale, for example
-# D^2 D_alpha for a product of a product with a twisted argument (D clears the
-# products, D_alpha the twist); a term of smaller scale is lifted to the
-# common one.  Only a failing tuple becomes Fractions: its integer residual
-# over the scale, the same normalized value the Fraction route gives.
+# Every checker evaluates over int (see algmodel's integer kernel): it clears
+# all the structures of its identity by one D, so a term that reads k of them
+# is at D^k.  Most identities are homogeneous, with every term of degree 3,
+# for example a product of a product with a twisted argument; where one side
+# has degree 2 (alpha(x o y) against alpha(x) o alpha(y)), that side is lifted
+# by D.  Only a failing tuple becomes Fractions: its integer residual over
+# D^degree, the same normalized value the Fraction route gives.
 
 
 def _residual(r: list[int], scale: int) -> tuple[Fraction, ...]:
@@ -114,34 +114,34 @@ def _column_violations(ident: str, cols: list[list[int]], scale: int, prefix: tu
 
 
 class _Twisted(NamedTuple):
-    """Products cleared by one D and a twist cleared by D_alpha, in integer form."""
+    """Products, a twist and any further matrices, all cleared by one D, in integer form."""
 
     tables: list  # tables[p]: the integer table of product p
     left: list  # left[p][i]: the columns of alpha(e_i) o_p -
     right: list  # right[p][k]: the columns of - o_p alpha(e_k)
     twist: list  # the integer columns of alpha
+    mats: list  # mats[m]: the integer columns of further matrix m
     d: int
-    d_alpha: int
 
     @property
     def scale(self) -> int:
-        """D^2 D_alpha, the scale of a product of a product with a twisted argument."""
-        return self.d * self.d * self.d_alpha
+        """D^3, the scale of a term of degree 3."""
+        return self.d**3
 
 
-def _twisted(ops, alpha: LinearMap) -> _Twisted:
-    """The integer view of ``ops`` and ``alpha``.
+def _twisted(ops, alpha: LinearMap, *mats) -> _Twisted:
+    """The integer view of ``ops``, ``alpha`` and the matrices ``mats``.
 
     left and right hold the matrices of alpha(e_i) o - and - o alpha(e_i), at
-    D D_alpha, so a checker evaluates each product with one twisted argument
-    as one of these matrices applied to the other argument.
+    D^2, so a checker evaluates each product with one twisted argument as one
+    of these matrices applied to the other argument.
     """
-    tables, d = _int_tables(ops)
-    (twist,), d_alpha = _int_columns([alpha.matrix])
+    parts, d = _integers(*ops, alpha.matrix, *mats)
+    tables, twist = parts[: len(ops)], parts[len(ops)]
     n = alpha.dim
     left = [[_left_columns(t, a_i, n) for a_i in twist] for t in tables]
     right = [[_left_columns(_opposite(t), a_i, n) for a_i in twist] for t in tables]
-    return _Twisted(tables, left, right, twist, d, d_alpha)
+    return _Twisted(tables, left, right, twist, parts[len(ops) + 1 :], d)
 
 
 def _anti_assoc_violations(first, outer_right, inner, mixed_left, scale: int, prefix=()):
@@ -176,8 +176,7 @@ def check_hom_anti_associative(mul: BilinearOp, alpha: LinearMap) -> CheckReport
 def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult") -> CheckReport:
     """alpha(x o y) = alpha(x) o alpha(y) on all basis pairs.
 
-    The left side is at D D_alpha and is lifted by D_alpha to the right
-    side's D D_alpha^2.
+    The left side is at D^2 and is lifted by D to the right side's D^3.
     """
     _require_same_dim(op.dim, alpha.dim)
     violations = _multiplicativity_violations(_twisted([op], alpha), 0, name)
@@ -188,22 +187,21 @@ def _multiplicativity_violations(t: _Twisted, p: int, name: str, prefix: tuple[i
     """Residual alpha(x o_p y) - alpha(x) o_p alpha(y) on basis pairs, for product p of ``t``."""
     n = len(t.twist)
     table, left = t.tables[p], t.left[p]
-    scale = t.d * t.d_alpha * t.d_alpha
     for i in range(n):
         for j in range(n):
             r = [0] * n
-            _apply_into(r, t.twist, table[i][j], t.d_alpha)
+            _apply_into(r, t.twist, table[i][j], t.d)
             _apply_into(r, left[i], t.twist[j], -1)
             if any(r):
-                yield Violation(name, (*prefix, i + 1, j + 1), _residual(r, scale))
+                yield Violation(name, (*prefix, i + 1, j + 1), _residual(r, t.scale))
 
 
 def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twisted, sign):
     """Yield (i, j, k, r1, r2, r3) over all basis triples for the three split identities.
 
     The products are indices into ``t``; each r is an integer residual at
-    scale D^2 D_alpha.  With index-coupled products (lam, omega, lam.omega)
-    the identities read
+    D^3.  With index-coupled products (lam, omega, lam.omega) the identities
+    read
 
     * r1: (x prec_omega y + x succ_lam y) succ_{lam.omega} alpha(z)
       - sign alpha(x) succ_lam (y succ_omega z)
@@ -366,8 +364,8 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
     ``star``:  ad_z(x) = z * x - x * z  with * the working single product;
     ``mixed``: ad_z(x) = z prec x - x succ z  (needs the split products).
 
-    Over int, with the products cleared by one D and z by D_z, every column
-    is at D D_z.
+    Over int, with the products and z cleared by one D, every column is at
+    D^2.
     """
     n = a.dim
     if len(z) != n:
@@ -378,38 +376,33 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
         ops = [a.prec, a.succ]
     else:
         raise ValueError(f"unknown convention {convention!r}; use 'star' or 'mixed'")
-    tables, d = _int_tables(ops)
-    (zc,), d_z = _cleared([z])
-    zs = _sparse(zc)
+    (*tables, zs), d = _integers(*ops, z)
     cols = []
     for i in range(n):
         col = [0] * n
         _product_into(col, tables[0], zs, ((i, 1),))
         _product_into(col, tables[-1], ((i, 1),), zs, -1)
-        cols.append(_residual(col, d * d_z))
+        cols.append(_residual(col, d * d))
     return LinearMap.from_columns(cols)
 
 
 def check_alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> CheckReport:
     """Twisted Leibniz rule D(x o y) = D(x) o alpha(y) + alpha(x) o D(y).
 
-    The left side is at D_op D_d and is lifted by D_alpha to the right
-    side's D_op D_d D_alpha.
+    The left side is at D^2 and is lifted by D to the right side's D^3.
     """
     op = a.product(product_name)
     _require_same_dim(op.dim, d.dim, a.alpha.dim)
     n = a.dim
-    t = _twisted([op], a.alpha)
-    (dcols,), d_d = _int_columns([d.matrix])
-    table, left, right = t.tables[0], t.left[0], t.right[0]
-    scale = t.d * d_d * t.d_alpha
+    t = _twisted([op], a.alpha, d.matrix)
+    table, left, right, (dcols,) = t.tables[0], t.left[0], t.right[0], t.mats
     violations = []
     for i in range(n):
         for j in range(n):
             r = [0] * n
-            _apply_into(r, dcols, table[i][j], t.d_alpha)
+            _apply_into(r, dcols, table[i][j], t.d)
             _apply_into(r, right[j], dcols[i], -1)
             _apply_into(r, left[i], dcols[j], -1)
             if any(r):
-                violations.append(Violation("leibniz", (i + 1, j + 1), _residual(r, scale)))
+                violations.append(Violation("leibniz", (i + 1, j + 1), _residual(r, t.scale)))
     return CheckReport.collect(f"alpha_derivation[{product_name}]", violations)

@@ -409,9 +409,10 @@ def cmd_catalog(args) -> int:
         _emit({"entries": ids}, args, "\n".join(ids))
         return 0
     if args.action == "show":
-        if not args.id:
-            raise RhizalabError("catalog show wants --id")
-        entry = cat.load_catalog_entry(args.id[0])
+        entries = [cat.load_catalog_entry(entry_id) for entry_id in args.id or ()]
+        if len(entries) != 1:
+            raise RhizalabError("catalog show wants exactly one --id")
+        (entry,) = entries
         obj = {
             "id": entry.entry_id,
             "tag": entry.tag,

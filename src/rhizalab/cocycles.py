@@ -39,8 +39,7 @@ from .algmodel import (
     LinearMap,
     _apply_into,
     _divided,
-    _int_columns,
-    _int_tables,
+    _integers,
     _sparse,
     star_product,
 )
@@ -74,48 +73,47 @@ def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
 
 
 # --- the conditions, as integer rows and their scale ------------------------
-# Each row is its condition times the scale, the product of the lcms of the
-# denominators it reads (D_star for the structure constants, D_alpha for the
-# twist), so every row is an integer row.  Scaling a row by a nonzero
-# constant leaves the kernel unchanged, and with it the canonical basis.
+# Each row is its condition with every structure it reads cleared by one D
+# (``algmodel._integers``; the rows that read only alpha clear it by its own
+# D_alpha), so every row is an integer row, at D to the condition's degree.
+# Scaling a row by a nonzero constant leaves the kernel unchanged, and with it
+# the canonical basis.
 
 
-def _add_form_terms(row: list[int], u: list[int], w: list[int], stride: int = 1, offset: int = 0) -> None:
-    """Add to ``row`` the coefficient of B[p][q] (column (p*n + q)*stride + offset) in B(u, w)."""
-    n = len(u)
-    for p, up in enumerate(u):
-        if up:
-            for q, wq in enumerate(w):
-                if wq:
-                    row[(p * n + q) * stride + offset] += up * wq
+def _add_form_terms(row: list[int], u, w, n: int, stride: int = 1, offset: int = 0) -> None:
+    """Add to ``row`` the coefficient of B[p][q] (column (p*n + q)*stride + offset) in B(u, w), for
+    sparse integer vectors u and w."""
+    for p, up in u:
+        for q, wq in w:
+            row[(p * n + q) * stride + offset] += up * wq
 
 
 def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> tuple[list[list[int]], int]:
-    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q]; at D_star D_alpha."""
+    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q]; at D^2."""
     n = star.dim
-    products, d = _cleared([star.entry(i, j) for i in range(n) for j in range(n)])
-    images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
+    (table, images), d = _integers(star, alpha.matrix)
     rows = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 row = [0] * (n * n)
-                _add_form_terms(row, products[i * n + j], images[k])
-                _add_form_terms(row, products[j * n + k], images[i])
-                _add_form_terms(row, products[k * n + i], images[j])
+                _add_form_terms(row, table[i][j], images[k], n)
+                _add_form_terms(row, table[j][k], images[i], n)
+                _add_form_terms(row, table[k][i], images[j], n)
                 rows.append(row)
-    return rows, d * d_alpha
+    return rows, d * d
 
 
 def _invariance_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
     """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), in the unknowns B[p][q]; at D_alpha^2."""
     n = alpha.dim
     images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
+    images = [_sparse(v) for v in images]
     rows = []
     for i in range(n):
         for j in range(n):
             row = [0] * (n * n)
-            _add_form_terms(row, images[i], images[j])
+            _add_form_terms(row, images[i], images[j], n)
             row[i * n + j] -= d_alpha * d_alpha
             rows.append(row)
     return rows, d_alpha * d_alpha
@@ -126,15 +124,16 @@ def _twist_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
     in the unknowns w[p][q][r] (column (p*n + q)*n + r); at D_alpha^2."""
     n = alpha.dim
     images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
+    sparse = [_sparse(v) for v in images]
     rows = []
     for i in range(n):
-        minus_image = [-x for x in images[i]]
+        minus_image = [(p, -x) for p, x in sparse[i]]
         for j in range(n):
             for c in range(n):
                 row = [0] * (n * n * n)
                 for r, image in enumerate(images):
                     row[(i * n + j) * n + r] = image[c] * d_alpha
-                _add_form_terms(row, minus_image, images[j], n, c)
+                _add_form_terms(row, minus_image, sparse[j], n, n, c)
                 rows.append(row)
     return rows, d_alpha * d_alpha
 
@@ -252,8 +251,8 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     Needs b nondegenerate (Singular otherwise); in strict mode b must lie in
     the scalar cocycle space of the algebra (NotACocycle otherwise).  A split
     is (B^T)^-1 applied to the vector of B(y, e_k*x) (or B(x, y*e_k)) over k.
-    Over int, with the working product cleared by D, B by D_B and (B^T)^-1 by
-    D_inv, every cell is at D D_B D_inv.
+    Over int, with the working product, B and (B^T)^-1 cleared by one D, every
+    cell is at D^3.
     """
     star = star_product(a)
     n = a.dim
@@ -264,18 +263,14 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
         bad = scalar_cocycle_residuals(a, b)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
-    (table,), d = _int_tables([star])
-    form, d_b = _cleared([b.matrix.row(p) for p in range(n)])  # form[p][q] = B(e_p, e_q) D_B
-    (inv,), d_inv = _int_columns([bt_inv])
-
-    def solved(cell, p, products) -> None:
-        """cell += (B^T)^-1 applied to the vector of B(e_p, products[k]) over k."""
-        _apply_into(cell, inv, _sparse([sum(form[p][q] * c for q, c in w) for w in products]))
-
+    (table, form, inv), d = _integers(star, b.matrix, bt_inv)
+    paired = [[[0] * n for _ in range(n)] for _ in range(n)]  # paired[i][j][p] = B(e_p, e_i * e_j), at D^2
+    for i in range(n):
+        for j in range(n):
+            _apply_into(paired[i][j], form, table[i][j])
     succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
     for i in range(n):
         for j in range(n):
-            solved(succ[i][j], j, [table[k][i] for k in range(n)])
-            solved(prec[i][j], i, [table[j][k] for k in range(n)])
-    scale = d * d_b * d_inv
-    return HomAlgebra.rhizaform(_divided(succ, scale), _divided(prec, scale), a.alpha)
+            _apply_into(succ[i][j], inv, _sparse([paired[k][i][j] for k in range(n)]))
+            _apply_into(prec[i][j], inv, _sparse([paired[j][k][i] for k in range(n)]))
+    return HomAlgebra.rhizaform(_divided(succ, d**3), _divided(prec, d**3), a.alpha)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
-from .algmodel import _int_columns, _int_tables, _opposite
+from .algmodel import _integers, _opposite
 from .axioms import (
     CheckReport,
     Violation,
@@ -215,12 +215,11 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
         violations.extend(
             _equivariance_violations(ops[lam].matrix, a.alpha.matrix, a.alpha.matrix, ops[lam].matrix, (lam,))
         )
-    (table,), d = _int_tables([mul])
-    cols, d_r = _int_columns([ops[lam].matrix for lam in range(s.size)])
+    (table, *cols), d = _integers(mul, *(ops[lam].matrix for lam in range(s.size)))
     for lam in range(s.size):
         for omega in range(s.size):
             violations.extend(
-                _rb_violations(table, cols[lam], cols[omega], cols[s.mul(lam, omega)], d * d_r * d_r, (lam, omega))
+                _rb_violations(table, cols[lam], cols[omega], cols[s.mul(lam, omega)], d**3, (lam, omega))
             )
     return CheckReport.collect("rb_family", violations)
 
@@ -228,8 +227,8 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
 def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -> FamilyAlgebra:
     """x succ_lam y = R_lam(x) * y and x prec_lam y = x * R_lam(y).
 
-    Over int, with the product cleared once by D and all R_lam by one D_R, every
-    cell is at D D_R.
+    Over int, with the product and every R_lam cleared by one D, every cell is
+    at D^2.
     """
     _require_family_shape(rf, a)
     if strict:
@@ -237,12 +236,11 @@ def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -
         if not rep.passed:
             raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
     size = rf.semigroup.size
-    (table,), d = _int_tables([a.mul])
+    (table, *cols), d = _integers(a.mul, *(rf.operators[lam].matrix for lam in range(size)))
     opposite = _opposite(table)
-    cols, d_r = _int_columns([rf.operators[lam].matrix for lam in range(size)])
     succ, prec = {}, {}
     for lam in range(size):
-        succ[lam], prec[lam] = _split(table, opposite, cols[lam], d * d_r)
+        succ[lam], prec[lam] = _split(table, opposite, cols[lam], d * d)
     return FamilyAlgebra(a.dim, rf.semigroup, succ, prec, a.alpha, dict(a.params))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .algmodel import HomAlgebra, _apply_into, _int_columns, _int_tables, _product_into, _sparse
+from .algmodel import HomAlgebra, _apply_into, _integers, _product_into, _sparse
 from .axioms import CheckReport, Violation, _multiplicativity_violations, _residual, _twisted
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
@@ -87,7 +87,7 @@ def _int_basis(s: Subspace) -> list:
 
 def _tables(a: HomAlgebra) -> list:
     """The integer tables of the products of ``a``, in name order, all cleared by one D."""
-    return _int_tables([a.products[name] for name in sorted(a.products)])[0]
+    return _integers(*(a.products[name] for name in sorted(a.products)))[0]
 
 
 def _twisted_view(a: HomAlgebra):
@@ -284,17 +284,12 @@ def _alpha_stability(full, twist) -> CheckReport:
 
 def check_alpha_stability(a: HomAlgebra) -> CheckReport:
     """alpha(S_k) inside S_k along the full series; meaningful when the twist is multiplicative
-    for every product, which the caller checks (see is_multiplicative)."""
-    return _alpha_stability(full_series(a), _int_columns([a.alpha.matrix])[0][0])
+    for every product (``axioms.check_multiplicativity``), which the caller checks."""
+    return _alpha_stability(full_series(a), _integers(a.alpha.matrix)[0][0])
 
 
 def _multiplicative(t, names: list[str]) -> bool:
     return all(next(_multiplicativity_violations(t, p, name), None) is None for p, name in enumerate(names))
-
-
-def is_multiplicative(a: HomAlgebra) -> bool:
-    names, t = _twisted_view(a)
-    return _multiplicative(t, names)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ basis pairs they coincide).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .algmodel import (
     BilinearOp,
@@ -25,8 +24,7 @@ from .algmodel import (
     LinearMap,
     _apply_into,
     _divided,
-    _int_columns,
-    _int_tables,
+    _integers,
     _left_columns,
     _opposite,
     _product_into,
@@ -134,28 +132,20 @@ def dual_bimodule(m: Bimodule) -> Bimodule:
     )
 
 
-def _matmul(a, b, rows: int) -> list[list[int]]:
-    """The product of two integer matrices given by sparse columns, as dense columns."""
-    out = []
-    for b_col in b:
-        col = [0] * rows
-        _apply_into(col, a, b_col)
-        out.append(col)
+def _products_sum(rows: int, *terms) -> list[list[int]]:
+    """The sum of c A B over the terms (c, A, B), for integer matrices given by sparse columns,
+    as dense columns."""
+    out = [[0] * rows for _ in terms[0][2]]
+    for c, a, b in terms:
+        for col, b_col in zip(out, b):
+            _apply_into(col, a, b_col, c)
     return out
 
 
-def _lifted(p, sp: int, q, sq: int, c: int = 1) -> tuple[list[list[int]], int]:
-    """p/sp + c q/sq for dense integer columns p and q: the columns at lcm(sp, sq), and that scale."""
-    s = lcm(sp, sq)
-    fp, fq = s // sp, c * (s // sq)
-    return [[fp * x + fq * y for x, y in zip(pc, qc)] for pc, qc in zip(p, q)], s
-
-
 def _equivariance_violations(f: Matrix, g: Matrix, h: Matrix, k: Matrix, prefix=()):
-    """The nonzero columns of f g - h k, evaluated over int (all four cleared by one D)."""
-    (fc, gc, hc, kc), d = _int_columns([f, g, h, k])
-    cols, scale = _lifted(_matmul(fc, gc, f.rows), d * d, _matmul(hc, kc, h.rows), d * d, -1)
-    return _column_violations("equivariance", cols, scale, prefix)
+    """The nonzero columns of f g - h k, evaluated over int (all four cleared by one D, so at D^2)."""
+    (fc, gc, hc, kc), d = _integers(f, g, h, k)
+    return _column_violations("equivariance", _products_sum(f.rows, (1, fc, gc), (-1, hc, kc)), d * d, prefix)
 
 
 def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
@@ -163,42 +153,37 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
 
     Violations are recorded per (algebra pair, module basis vector); the
     basis tuple is (i, j, u) with u the module index, or (i, u) for the
-    twist identities.  Over int the actions are cleared by one D_M, so
-    l(alpha(a)) l(b) is at D_M^2 D_alpha and l(a*b) beta at D D_M D_beta;
-    each identity is evaluated at the lcm of its two terms' scales.
+    twist identities.  Over int the product, the twists and the actions are
+    cleared by one D, so every term of bm1-bm3 is at D^3; in bm4 and bm5,
+    beta l(a) is at D^2 and is lifted by D to l(alpha(a)) beta's D^3.
     """
     mul = a.mul
     if m.alg_dim != a.dim:
         raise DimensionMismatch("bimodule is over an algebra of different dimension")
     n, md = a.dim, m.mod_dim
-    (table,), d = _int_tables([mul])
-    (twist,), d_alpha = _int_columns([a.alpha.matrix])
-    (beta,), d_beta = _int_columns([m.beta.matrix])
-    actions, d_m = _int_columns([*m.left, *m.right])
+    (table, twist, beta, *actions), d = _integers(mul, a.alpha.matrix, m.beta.matrix, *m.left, *m.right)
     left, right = actions[:n], actions[n:]
     # left[i][w] is column w of l(e_i), so left is an integer table of the action
-    l_alpha = [_left_columns(left, twist[i], md) for i in range(n)]  # l(alpha(e_i)), at D_alpha D_M
+    l_alpha = [_left_columns(left, twist[i], md) for i in range(n)]  # l(alpha(e_i)), at D^2
     r_alpha = [_left_columns(right, twist[i], md) for i in range(n)]
-    twisted, star, equivariant = d_m * d_m * d_alpha, d * d_m * d_beta, d_alpha * d_m * d_beta
+    scale = d**3
     violations = []
     for i in range(n):
         for j in range(n):
-            l_star = _left_columns(left, table[i][j], md)  # l(e_i * e_j), at D D_M
+            l_star = _left_columns(left, table[i][j], md)  # l(e_i * e_j), at D^2
             r_star = _left_columns(right, table[i][j], md)
-            # bm1: l(alpha(a)) l(b) = -l(a*b) beta
-            bm1 = _lifted(_matmul(l_alpha[i], left[j], md), twisted, _matmul(l_star, beta, md), star)
-            # bm2: r(alpha(b)) r(a) = -r(a*b) beta
-            bm2 = _lifted(_matmul(r_alpha[j], right[i], md), twisted, _matmul(r_star, beta, md), star)
-            # bm3: l(alpha(a)) r(b) = -r(alpha(b)) l(a)
-            bm3 = _lifted(_matmul(l_alpha[i], right[j], md), twisted, _matmul(r_alpha[j], left[i], md), twisted)
-            # bm3 with the roles of the two algebra slots exchanged
-            bm3s = _lifted(_matmul(r_alpha[i], left[j], md), twisted, _matmul(l_alpha[j], right[i], md), twisted)
-            for ident, (cols, scale) in (("bm1", bm1), ("bm2", bm2), ("bm3", bm3), ("bm3_swapped", bm3s)):
-                violations.extend(_column_violations(ident, cols, scale, (i + 1, j + 1)))
+            for ident, terms in (
+                # bm1: l(alpha(a)) l(b) = -l(a*b) beta ;  bm2: r(alpha(b)) r(a) = -r(a*b) beta
+                ("bm1", ((1, l_alpha[i], left[j]), (1, l_star, beta))),
+                ("bm2", ((1, r_alpha[j], right[i]), (1, r_star, beta))),
+                # bm3: l(alpha(a)) r(b) = -r(alpha(b)) l(a), then with the two algebra slots exchanged
+                ("bm3", ((1, l_alpha[i], right[j]), (1, r_alpha[j], left[i]))),
+                ("bm3_swapped", ((1, r_alpha[i], left[j]), (1, l_alpha[j], right[i]))),
+            ):
+                violations.extend(_column_violations(ident, _products_sum(md, *terms), scale, (i + 1, j + 1)))
         # bm4: beta l(a) = l(alpha(a)) beta ;  bm5: beta r(a) = r(alpha(a)) beta
-        bm4 = _lifted(_matmul(beta, left[i], md), d_beta * d_m, _matmul(l_alpha[i], beta, md), equivariant, -1)
-        bm5 = _lifted(_matmul(beta, right[i], md), d_beta * d_m, _matmul(r_alpha[i], beta, md), equivariant, -1)
-        for ident, (cols, scale) in (("bm4", bm4), ("bm5", bm5)):
+        for ident, act, act_alpha in (("bm4", left[i], l_alpha[i]), ("bm5", right[i], r_alpha[i])):
+            cols = _products_sum(md, (d, beta, act), (-1, act_alpha, beta))
             violations.extend(_column_violations(ident, cols, scale, (i + 1,)))
     return CheckReport.collect("bimodule", violations)
 
@@ -213,38 +198,33 @@ def _require_o_shapes(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> None:
 def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
     """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs.
 
-    Over int, T(u)*T(v) is at D D_T^2 and T(L(T(u))v + R(T(v))u) at
-    D_T^2 D_M; the identity is evaluated at the lcm of the two.
+    Over int, with the product, T and the actions cleared by one D, both
+    sides of the second identity are at D^3.
     """
     mul = a.mul
     _require_o_shapes(t, a, m)
     violations = list(_equivariance_violations(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
     n, md = a.dim, m.mod_dim
-    (table,), d = _int_tables([mul])
-    (images,), d_t = _int_columns([t.matrix])
-    actions, d_m = _int_columns([*m.left, *m.right])
+    (table, images, *actions), d = _integers(mul, t.matrix, *m.left, *m.right)
     left, right = actions[:n], actions[n:]
-    lhs_scale, rhs_scale = d * d_t * d_t, d_t * d_t * d_m
-    scale = lcm(lhs_scale, rhs_scale)
     for u in range(md):
         for v in range(md):
-            inner = [0] * md  # L(T(u)) e_v + R(T(v)) e_u, at D_T D_M
+            inner = [0] * md  # L(T(u)) e_v + R(T(v)) e_u, at D^2
             _product_into(inner, left, images[u], ((v, 1),))
             _product_into(inner, right, images[v], ((u, 1),))
             r = [0] * n
-            _product_into(r, table, images[u], images[v], scale // lhs_scale)
-            _apply_into(r, images, _sparse(inner), -(scale // rhs_scale))
+            _product_into(r, table, images[u], images[v])
+            _apply_into(r, images, _sparse(inner), -1)
             if any(r):
-                violations.append(Violation("o_identity", (u + 1, v + 1), _residual(r, scale)))
+                violations.append(Violation("o_identity", (u + 1, v + 1), _residual(r, d**3)))
     return CheckReport.collect("o_operator", violations)
 
 
 def _rb_violations(table, r_x, r_y, r_xy, scale: int, prefix=()):
     """Residual R_x(x)*R_y(y) - R_xy(R_x(x)*y + x*R_y(y)) on basis pairs.
 
-    ``table`` is the product's integer table (cleared by D) and the operators
-    are integer columns cleared by one D_R, so every term is at ``scale``,
-    D D_R^2.
+    ``table`` is the product's integer table and the operators are integer
+    columns, all cleared by one D, so every term is at ``scale``, D^3.
     """
     n = len(table)
     for i in range(n):
@@ -271,9 +251,8 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     mul = a.mul
     _require_rb_shape(r, a)
     violations = list(_equivariance_violations(r.matrix, a.alpha.matrix, a.alpha.matrix, r.matrix))
-    (table,), d = _int_tables([mul])
-    (cols,), d_r = _int_columns([r.matrix])
-    violations.extend(_rb_violations(table, cols, cols, cols, d * d_r * d_r))
+    (table, cols), d = _integers(mul, r.matrix)
+    violations.extend(_rb_violations(table, cols, cols, cols, d**3))
     return CheckReport.collect("rota_baxter", violations)
 
 
@@ -299,8 +278,7 @@ def induced_rhizaform_from_o_operator(
 ) -> HomAlgebra:
     """Split products on the module: u succ v = L(T(u))v, u prec v = R(T(v))u.
 
-    Over int, with T cleared by D_T and the actions by D_M, every cell is at
-    D_T D_M.
+    Over int, with T and the actions cleared by one D, every cell is at D^2.
     """
     _require_o_shapes(t, a, m)
     if strict:
@@ -308,31 +286,29 @@ def induced_rhizaform_from_o_operator(
         if not rep.passed:
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     n = a.dim
-    (images,), d_t = _int_columns([t.matrix])
-    actions, d_m = _int_columns([*m.left, *m.right])
-    return HomAlgebra.rhizaform(*_split(actions[:n], actions[n:], images, d_t * d_m), m.beta)
+    (images, *actions), d = _integers(t.matrix, *m.left, *m.right)
+    return HomAlgebra.rhizaform(*_split(actions[:n], actions[n:], images, d * d), m.beta)
 
 
 def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = True) -> HomAlgebra:
     """Split products x succ y = R(x)*y and x prec y = x*R(y) on the algebra.
 
-    Over int, with the product cleared by D and R by D_R, every cell is at D D_R.
+    Over int, with the product and R cleared by one D, every cell is at D^2.
     """
     _require_rb_shape(r, a)
     if strict:
         rep = check_rota_baxter(r, a)
         if not rep.passed:
             raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
-    (table,), d = _int_tables([a.mul])
-    (cols,), d_r = _int_columns([r.matrix])
-    return HomAlgebra.rhizaform(*_split(table, _opposite(table), cols, d * d_r), a.alpha)
+    (table, cols), d = _integers(a.mul, r.matrix)
+    return HomAlgebra.rhizaform(*_split(table, _opposite(table), cols, d * d), a.alpha)
 
 
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
     """f(x o1 y) = f(x) o2 f(y) for every named product, and alpha2 f = f alpha1.
 
-    Over int, with both algebras' products cleared by one D, f(x o1 y) is at
-    D D_f and is lifted by D_f to the right side's D D_f^2.
+    Over int, with both algebras' products and f cleared by one D, f(x o1 y)
+    is at D^2 and is lifted by D to the right side's D^3.
     """
     if f.source_dim != a1.dim or f.target_dim != a2.dim:
         raise DimensionMismatch("map endpoints do not match the two algebras")
@@ -340,18 +316,16 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
         raise DimensionMismatch("algebras of different kinds admit no product-wise comparison")
     violations = list(_equivariance_violations(f.matrix, a1.alpha.matrix, a2.alpha.matrix, f.matrix))
     names = sorted(a1.products)
-    tables, d = _int_tables([a.products[name] for a in (a1, a2) for name in names])
-    (images,), d_f = _int_columns([f.matrix])
-    scale = d * d_f * d_f
+    (*tables, images), d = _integers(*(a.products[name] for a in (a1, a2) for name in names), f.matrix)
     for p, name in enumerate(names):
         op1, op2 = tables[p], tables[len(names) + p]
         for i in range(a1.dim):
             for j in range(a1.dim):
                 r = [0] * a2.dim
-                _apply_into(r, images, op1[i][j], d_f)
+                _apply_into(r, images, op1[i][j], d)
                 _product_into(r, op2, images[i], images[j], -1)
                 if any(r):
-                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), _residual(r, scale)))
+                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), _residual(r, d**3)))
     return CheckReport.collect("homomorphism", violations)
 
 
@@ -361,8 +335,8 @@ def compatible_from_invertible_o_operator(
     """Transport the induced splitting along an invertible operator back to the algebra.
 
     x succ y = T(L(x)(T^-1 y)) and x prec y = T(R(y)(T^-1 x)); the sum of the
-    two outputs recovers the original product exactly.  Over int, with T and
-    T^-1 cleared by one D_T and the actions by D_M, every cell is at D_T^2 D_M.
+    two outputs recovers the original product exactly.  Over int, with T,
+    T^-1 and the actions cleared by one D, every cell is at D^3.
     """
     if t.source_dim != t.target_dim:
         raise Singular("operator between spaces of different dimension is not invertible")
@@ -373,19 +347,17 @@ def compatible_from_invertible_o_operator(
         if not rep.passed:
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     n = a.dim
-    (images, back), d_t = _int_columns([t.matrix, t_inv])
-    actions, d_m = _int_columns([*m.left, *m.right])
+    (images, back, *actions), d = _integers(t.matrix, t_inv, *m.left, *m.right)
     left, right = actions[:n], actions[n:]
     succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
     for i in range(n):
         for j in range(n):
-            l_inner, r_inner = [0] * n, [0] * n  # L(e_i)(T^-1 e_j) and R(e_j)(T^-1 e_i), at D_T D_M
+            l_inner, r_inner = [0] * n, [0] * n  # L(e_i)(T^-1 e_j) and R(e_j)(T^-1 e_i), at D^2
             _product_into(l_inner, left, ((i, 1),), back[j])
             _product_into(r_inner, right, ((j, 1),), back[i])
             _apply_into(succ[i][j], images, _sparse(l_inner))
             _apply_into(prec[i][j], images, _sparse(r_inner))
-    scale = d_t * d_t * d_m
-    return HomAlgebra.rhizaform(_divided(succ, scale), _divided(prec, scale), a.alpha)
+    return HomAlgebra.rhizaform(_divided(succ, d**3), _divided(prec, d**3), a.alpha)
 
 
 def rhizaform_equivalence_verdict(a: HomAlgebra) -> tuple[bool, bool]:

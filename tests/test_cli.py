@@ -242,10 +242,16 @@ def test_catalog_verify_with_oracle_exits_zero():
 @pytest.mark.parametrize("ids", [("d9.A1",), ("nothing",), ("d2.A99",), ("d2.A1", "d9.A1")])
 def test_catalog_verify_unknown_id_is_an_input_error(ids):
     argv = [arg for entry_id in ids for arg in ("--id", entry_id)]
-    for verb in ("show", "verify")[len(ids) - 1:]:  # show reads the first id only
+    for verb in ("show", "verify"):
         code, out, err = run_cli("catalog", verb, *argv)
         assert (code, out) == (2, ""), verb
         assert "no catalog entry" in err
+
+
+def test_catalog_show_takes_exactly_one_id():
+    code, out, err = run_cli("catalog", "show", "--id", "d2.A1", "--id", "d2.A2")
+    assert (code, out) == (2, "")
+    assert "exactly one --id" in err
 
 
 def test_catalog_verify_empty_selection_is_not_an_error():
@@ -719,17 +725,20 @@ FILE_ROLES = {
 }
 
 
-@pytest.mark.parametrize("unreadable", ["directory", "not UTF-8"])
+@pytest.mark.parametrize("unreadable", ["directory", "not UTF-8", "nested too deeply"])
 @pytest.mark.parametrize("role", sorted(FILE_ROLES))
 def test_unreadable_files_exit_2_in_every_role(tmp_path, route_files, role, unreadable):
     if unreadable == "directory":
         bad = tmp_path / "a_directory"
         bad.mkdir()
-    else:
+    elif unreadable == "not UTF-8":
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'\xff{"dim": 2}')
+    else:  # beyond the decoder's recursion limit
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
     code, out, err = run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(bad)}))
-    assert_rejected(code, out, err, str(bad))
+    assert_rejected(code, out, err, "nested too deeply" if unreadable == "nested too deeply" else str(bad))
 
 
 # the valid file of each role in FILE_ROLES

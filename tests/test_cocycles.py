@@ -508,8 +508,9 @@ def _fractional_involution(rng, n):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("twist", [_fractional_diagonal_twist, _fractional_involution])
 def test_scalar_rows_match_fraction_rows_with_denominators(n, twist):
-    """Structure constants and twist with denominators in {2, 3, 5, 7}, so the
-    rows are scaled by D_star * D_alpha and D_alpha^2 with D_alpha != 1."""
+    """Structure constants and twist with denominators in {2, 3, 5, 7}, so one
+    D != 1 clears the product and the twist together: the cyclic rows are at
+    D^2, and the invariance rows at the square of the twist's own D."""
     rng = random.Random(f"scalar-differential-{n}-{twist.__name__}")
     nontrivial = 0
     for density in (0.0, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.5):
