@@ -38,7 +38,8 @@ from .exactlin import (
     vec_zero,
 )
 
-_NAME_RE = re.compile(r"-?[A-Za-z_][A-Za-z0-9_]*$")
+_PARAM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # what a coefficient can name (``_NAME_RE``)
+_NAME_RE = re.compile(rf"-?{_PARAM_NAME.pattern}$")
 
 
 class BilinearOp:
@@ -408,8 +409,8 @@ def _read_header(doc, where: str, bindings) -> tuple[int, dict[str, Fraction], L
     dim = _field(doc, "dim", where, int)
     if dim < 1:
         raise ParseError(f"{where}.dim: 'dim' must be positive")
-    params_doc = doc.get("params") or {}
-    if not isinstance(params_doc, dict):
+    params_doc = doc.get("params", {})
+    if not isinstance(params_doc, dict) or not all(map(_PARAM_NAME.fullmatch, params_doc)):
         raise ParseError(f"{where}.params: 'params' must be a JSON object of name: rational")
     params = {name: _resolve_coefficient(v, f"{where}.params.{name}", None) for name, v in params_doc.items()}
     params.update((name, rational(v)) for name, v in (bindings or {}).items())

@@ -10,6 +10,7 @@ completion, 1 = check failed under --strict (or an oracle disagreement),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from fractions import Fraction
 from . import catalog as cat
 from . import files, oracle
 from .algmodel import (
+    _PARAM_NAME,
     HomAlgebra,
     LinearMap,
     _matrix_obj,
@@ -131,7 +133,7 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for item in items or []:
         name, eq, value = item.partition("=")
-        if not eq:
+        if not eq or not _PARAM_NAME.fullmatch(name.strip()):
             raise RhizalabError(f"--param wants name=p/q, got {item!r}")
         out[name.strip()] = rational(value.strip())
     return out
@@ -345,17 +347,15 @@ def cmd_cocycles(args) -> int:
     a = files.load_algebra(args.file, params)
     if args.scalar:
         basis = scalar_cocycle_space(a, strict=args.strict)
+        nondegenerate = [is_nondegenerate(b) for b in basis]
         obj = {
             "kind": "scalar",
             "dimension": len(basis),
-            "basis": [
-                {"B": _matrix_obj(b.matrix), "nondegenerate": is_nondegenerate(b)}
-                for b in basis
-            ],
+            "basis": [{"B": _matrix_obj(b.matrix), "nondegenerate": nd} for b, nd in zip(basis, nondegenerate)],
         }
         human = [f"scalar cyclic-form space: dimension {len(basis)}"]
-        for idx, b in enumerate(basis):
-            human.append(f"  basis[{idx}] nondegenerate={is_nondegenerate(b)}: {b.matrix!r}")
+        for idx, (b, nd) in enumerate(zip(basis, nondegenerate)):
+            human.append(f"  basis[{idx}] nondegenerate={nd}: {b.matrix!r}")
     else:
         basis = vector_cocycle_space(a, strict=args.strict)
         obj = {
@@ -438,7 +438,9 @@ def cmd_catalog(args) -> int:
     raise RhizalabError(f"unknown catalog action {args.action!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no state between ``parse_args`` calls."""
     top = argparse.ArgumentParser(
         prog="rhizalab",
         description="Exact-rational checks for twisted split-product algebras.",

@@ -12,6 +12,7 @@ immutable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,6 +22,8 @@ Vector = tuple[Fraction, ...]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # README's "p" or "p/q", in ASCII digits
 
 
 def rational(text: str | int | Fraction) -> Fraction:
@@ -34,16 +37,13 @@ def rational(text: str | int | Fraction) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
     s = text.strip()
-    num, slash, den = s.partition("/")
+    if not _RATIONAL.fullmatch(s):
+        raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
+    num, _, den = s.partition("/")
     try:
-        if slash:
-            return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or past int's digit limit
         raise ParseError(f"bad rational {text!r}: {exc}") from None
-    try:
-        return Fraction(int(num))
-    except ValueError:
-        raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'") from None
 
 
 def rational_str(q: Fraction) -> str:
@@ -158,7 +158,8 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     the same way.  Reading stops once every column has a pivot, since every
     further row lies in the span.  Each pivot row is zero in every other
     pivot column, so dividing it by its pivot gives the row of the reduced
-    row echelon form, which depends only on the row space.
+    row echelon form, which depends only on the row space; each is returned
+    with a positive pivot, as that row times the lcm of its denominators.
     """
     pivot_rows = {}  # pivot column -> pivot row
 
@@ -179,7 +180,7 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             pivot_rows = {c: eliminate(prow, r, col) if prow[col] else prow for c, prow in pivot_rows.items()}
             pivot_rows[col] = r
     pivots = sorted(pivot_rows)
-    return [pivot_rows[c] for c in pivots], pivots
+    return [pivot_rows[c] if pivot_rows[c][c] > 0 else [-x for x in pivot_rows[c]] for c in pivots], pivots
 
 
 def _rref_rows(rows: list[list[int]]) -> list[list[Fraction]]:

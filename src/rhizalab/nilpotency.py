@@ -1,9 +1,9 @@
 """Descending power series of split-product algebras and nilpotency verdicts.
 
-Subspaces are canonical: the basis matrix is kept in reduced row echelon
-form with zero rows dropped, so equality and containment are plain matrix
-comparisons.  The diamond of two subspaces is the span of all products of
-their basis vectors under every named product of the algebra.
+Subspaces are canonical: each is held as the integer rows of its reduced
+row echelon form, each row cleared of denominators, so equality is a plain
+comparison of rows.  The diamond of two subspaces is the span of all
+products of their rows under every named product of the algebra.
 
 Three series are computed:
 
@@ -15,8 +15,8 @@ Three series are computed:
 
 Each series is extended until it hits zero or provably stops changing, and
 the returned list ends at the first repeat of its stable term, so
-stabilization is visible.  A right or left term that equals the one before
-it equals every later one.  The full series is decreasing (by induction: a
+stabilization is visible, and every later term equals its last one.  A
+right or left term that equals the one before it equals every later one.  The full series is decreasing (by induction: a
 pair (i, j) of S_{k+1} has, say, i >= 2, and S_i <> S_j lies in S_{i-1} <> S_j,
 a pair of S_k), but one repeat does not settle it: dimensions 5, 4, 3, 3, 2
 occur.  It stops at the first k where S_k = 0 or S_m = ... = S_k with
@@ -39,50 +39,55 @@ from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row space of a matrix in reduced echelon form with no zero rows."""
+    """Span of ``rows``: the primitive integer pivot rows of ``exactlin._echelon``, each its reduced
+    echelon row times the lcm of that row's denominators, so equal subspaces have equal rows."""
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
-        """The span of Fraction or integer vectors, through the integer elimination."""
+        """The span of Fraction or integer vectors."""
         rows = _cleared(list(vectors))[0]
         if any(len(row) != ambient_dim for row in rows):
             raise DimensionMismatch("vector length differs from ambient dimension")
-        basis = _rref_rows(rows)
-        return cls(ambient_dim, Matrix(len(basis), ambient_dim, [x for row in basis for x in row]))
+        return _span(ambient_dim, rows)
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return _span(ambient_dim, [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim))
+        return cls(ambient_dim, ())
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Matrix:
+        """The reduced row echelon basis, as Fractions."""
+        return Matrix(self.dim, self.ambient_dim, [x for row in _rref_rows(self.rows) for x in row])
 
     def is_zero(self) -> bool:
-        return self.basis.rows == 0
+        return not self.rows
 
     def vectors(self) -> list[Vector]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return [tuple(row) for row in _rref_rows(self.rows)]
 
     def contains_vector(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        return len(_echelon(_cleared(self.vectors() + [v])[0])[1]) == self.dim
+        return self.contains(Subspace.from_vectors(self.ambient_dim, [v]))
 
     def contains(self, other: Subspace) -> bool:
-        return all(self.contains_vector(v) for v in other.vectors())
+        if other.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch("subspaces of different ambient dimensions")
+        return len(_echelon([*self.rows, *other.rows])[1]) == self.dim
 
 
-def _int_basis(s: Subspace) -> list:
-    """The basis vectors of ``s``, each scaled to a sparse integer vector, which leaves their span unchanged."""
-    return [_sparse(_cleared([u])[0][0]) for u in s.vectors()]
+def _span(ambient_dim: int, rows) -> Subspace:
+    """The span of integer rows."""
+    return Subspace(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
 
 
 def _tables(a: HomAlgebra) -> list:
@@ -104,21 +109,20 @@ def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
 
 
 def _products_span(pairs, tables) -> Subspace:
-    """Span of the products of basis vectors of m and n, over every (m, n) in ``pairs`` and every
-    integer product table; each basis vector and product is scaled to integers, as the tables
-    are, which leaves the span, and so its canonical basis, unchanged."""
+    """Span of the products of the rows of m and n, over every (m, n) in ``pairs`` and every integer
+    product table; the tables are the products times D, which leaves the span unchanged."""
     dim = len(tables[0])
     out = []
     for m, n in pairs:
-        us, vs = _int_basis(m), _int_basis(n)
-        for u in us:
+        vs = [_sparse(v) for v in n.rows]
+        for u in map(_sparse, m.rows):
             for v in vs:
                 for table in tables:
                     w = [0] * dim
                     _product_into(w, table, u, v)
                     if any(w):
                         out.append(w)
-    return Subspace.from_vectors(dim, out)
+    return _span(dim, out)
 
 
 # Series over integer product tables: all of an algebra's, or one for a reduct, cleared once.
@@ -148,14 +152,6 @@ def _until_stable(tables, kind: str) -> tuple[Subspace, ...]:
             return tuple(terms[: terms.index(last) + 2])
 
 
-def _extended(tables, kind: str, terms, length: int) -> list[Subspace]:
-    """``terms`` carried on past stabilization to ``length`` terms, as a new list."""
-    terms = list(terms)
-    while len(terms) < length:
-        terms.append(_next_term(tables, kind, terms))
-    return terms
-
-
 def right_series(a: HomAlgebra) -> list[Subspace]:
     return list(_until_stable(_tables(a), "right"))
 
@@ -174,7 +170,8 @@ def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
         raise ValueError("series terms are 1-based")
     if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    return _extended(_tables(a), kind, [Subspace.full(a.dim)], g)[g - 1]
+    terms = _until_stable(_tables(a), kind)
+    return terms[min(g, len(terms)) - 1]  # constant from the last term on (module doc)
 
 
 class NilpotencyVerdict(NamedTuple):
@@ -209,13 +206,13 @@ def _difference_witness(x: Subspace, y: Subspace) -> Vector:
     return (0,) * x.ambient_dim
 
 
-def _series_equality(tables, series: dict) -> CheckReport:
+def _series_equality(series: dict) -> CheckReport:
     """Termwise comparison of the three series (``series`` maps each kind to its terms up to
-    stabilization), each carried on from its last term to the longest one's length."""
+    stabilization), each padded to the longest one's length with its last term (module doc)."""
     length = max(len(terms) for terms in series.values())
-    extended = [_extended(tables, kind, series[kind], length) for kind in _KINDS]
+    padded = [(*series[kind], *[series[kind][-1]] * (length - len(series[kind]))) for kind in _KINDS]
     violations = []
-    for g, (r, l, f) in enumerate(zip(*extended), start=1):
+    for g, (r, l, f) in enumerate(zip(*padded), start=1):
         for ident, x, y in (("right_ne_full", r, f), ("left_ne_full", l, f), ("right_ne_left", r, l)):
             if x != y:
                 violations.append(Violation(ident, (g,), _difference_witness(x, y)))
@@ -225,7 +222,7 @@ def _series_equality(tables, series: dict) -> CheckReport:
 def check_series_equality(a: HomAlgebra) -> CheckReport:
     """Termwise comparison of the three series up to common stabilization."""
     tables = _tables(a)
-    return _series_equality(tables, {kind: _until_stable(tables, kind) for kind in _KINDS})
+    return _series_equality({kind: _until_stable(tables, kind) for kind in _KINDS})
 
 
 def _two_nilpotent(t, names: list[str]) -> CheckReport:
@@ -272,11 +269,11 @@ def _alpha_stability(full, twist) -> CheckReport:
     violations = []
     for g, term in enumerate(full, start=1):
         image = []
-        for u in _int_basis(term):
+        for u in map(_sparse, term.rows):
             w = [0] * term.ambient_dim
             _apply_into(w, twist, u)
             image.append(w)
-        image = Subspace.from_vectors(term.ambient_dim, image)
+        image = _span(term.ambient_dim, image)
         if not term.contains(image):
             violations.append(Violation("alpha_stability", (g,), _difference_witness(image, term)))
     return CheckReport.collect("alpha_stability", violations)
@@ -313,7 +310,7 @@ def analyze(a: HomAlgebra) -> NilpotencyAnalysis:
     series = {kind: _until_stable(t.tables, kind) for kind in _KINDS}
     return NilpotencyAnalysis(
         series=series,
-        series_equality=_series_equality(t.tables, series),
+        series_equality=_series_equality(series),
         onesided=_onesided(t.tables, series["full"]),
         two_nilpotent=_two_nilpotent(t, names),
         alpha_stability=_alpha_stability(series["full"], t.twist) if _multiplicative(t, names) else None,

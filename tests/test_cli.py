@@ -267,18 +267,36 @@ STRUCTURED_DIGESTS = [
     (("catalog", "verify", "--oracle", "--param", "eta=1"), "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad"),
     (("nilpotency", "{d2.A1}"), "46738a6b885e13544dffc0608af9d8e5e667b3fffd232d22e453e5ad94577634"),
     (("nilpotency", "{graded-n5}"), "ced0d4a1e8627f8c3a19cb2914a9a38105438215ba449c15ff75a5a8d2e727a2"),
+    # routes no benchmark command reaches, recorded before subspaces were held as integer rows;
+    # {A}, {S}, {R}, {M}, {FAM} and {RBF} are the ``route_files``
+    (("check", "--kind", "derivation", "--operator", "{R}", "--product", "succ", "{A}"), "8e269e8de42e7a8fb443da3fc4fdf47943048133a0c2554123122ce2597cd0e2"),
+    (("check", "--kind", "o-operator", "--operator", "{R}", "--bimodule", "{M}", "{S}"), "0ee35dc3a0c4ae29744ce0f1fe08fde0c6297d4df02979f6cc50f34922b062ec"),
+    (("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{S}", "{S}"), "4462c07b6e96ca7f6230608b369bc447692d5d32a26a014ecae5a1bef799b3da"),
+    (("induce", "--what", "inner-derivation", "--z", "1,0,-1,0,1", "--convention", "star", "{graded-n5}"), "d3482cd47d4f254815b36b899e0be19f7a32d561ec101108ff8ea7ce0401de3c"),
+    (("induce", "--what", "inner-derivation", "--z", "1,0,-1,0,1", "--convention", "mixed", "{graded-n5}"), "ba52b01e319710399c359d16c7472d223605b8dbcd7da4b32077670bbfa5fb6e"),
+    (("induce", "--what", "o-operator", "--no-strict", "--operator", "{R}", "--bimodule", "{M}", "{S}"), "e97a5de59fef4a2ed92fc6806bac7f65052ed0b3aa29e6cc35575f08c05387e7"),
+    (("induce", "--what", "invertible-o", "--no-strict", "--operator", "{R}", "--bimodule", "{M}", "{S}"), "e97a5de59fef4a2ed92fc6806bac7f65052ed0b3aa29e6cc35575f08c05387e7"),
+    (("induce", "--what", "rhizaform-bimodule", "{A}"), "6cc40db6478d815a443f22885b3f18a1afecb1ef325182ab1c8fbd911701eba2"),
+    (("induce", "--what", "dual-bimodule", "--bimodule", "{M}", "{S}"), "e97b2029ba5c450a903d3597debfbbe1767967670795c3a7ef752f3a43547083"),
+    (("family", "--do", "check-anti", "{FAM}"), "26c587740522bdba7ed8b44e83f5be43623ea33f0126acc575a8d8f3a53f1d4a"),
+    (("family", "--do", "associated", "{FAM}"), "d63ad34aa55529ccdabf211b03c98f84bf29be8129fbd13d87cdf281a3903573"),
+    (("family", "--do", "check-semigroup", "{FAM}"), "c4696fe90564d0e68d49e95d0280e69d10a115883299d5e2f8d8001993a550ab"),
+    (("family", "--do", "induce", "--algebra", "{S}", "{RBF}"), "ddcedcf9f7125b0ca670ce38d29e802219dad8db4503401b6f7f39d1b5087add"),
+    (("catalog", "show", "--id", "d3.A4", "--param", "eta=1/4"), "482edb8b9339c98d02a56c032bdb30d5f288efc7c32f0233717e43299bc63297"),
 ]
 
 
-def test_structured_reports_keep_their_bytes(tmp_path):
+def test_structured_reports_keep_their_bytes(tmp_path, route_files):
     files = {
         "{d2.A1}": load_entry("d2.A1"),
         "{graded-n5}": graded_split_algebra(random.Random(5), 5),
     }
+    paths = {f"{{{role}}}": path for role, path in route_files.items()}
     for name, a in files.items():
         (tmp_path / name).write_text(serialize_algebra(a))
+        paths[name] = str(tmp_path / name)
     for argv, digest in STRUCTURED_DIGESTS:
-        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        argv = [paths.get(arg, arg) for arg in argv]
         code, out, _ = run_cli(*argv, "--format", "structured")
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
@@ -287,6 +305,13 @@ def test_structured_reports_keep_their_bytes(tmp_path):
 def test_param_parsing_error():
     code, _, err = run_cli("catalog", "verify", "--param", "eta")
     assert code == 2
+
+
+@pytest.mark.parametrize("item", ["=3", " =3", "1x=3", "e-ta=3", "-eta=3"])
+def test_param_name_must_be_referenceable(a7_file, item):
+    """A --param binding whose name no coefficient can reference is a usage error."""
+    for argv in (("catalog", "verify", "--id", "d2.A1"), ("check", "--kind", "rhizaform", a7_file)):
+        assert_rejected(*run_cli(*argv, f"--param={item}"), "--param wants name=p/q")
 
 
 def test_every_public_operation_is_covered():
@@ -556,6 +581,8 @@ GOOD_FAMILY = {
             )
             for alias in ("00", " 0")
         ),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "params": []}, "family.params"),
+        (("family", "--do", "check"), {**GOOD_FAMILY, "params": {"": "1/2"}}, "family.params"),
     ],
 )
 def test_malformed_auxiliary_files_exit_2_without_traceback(tmp_path, a1_sum_file, argv, doc, fragment):
@@ -591,6 +618,9 @@ GOOD_ALGEBRA = {"dim": 2, "kind": "mono", "alpha": [["1", "0"], ["0", "1"]], "mu
         ({**GOOD_ALGEBRA, "params": {"eta": True}}, "True"),
         ({**GOOD_ALGEBRA, "alpha": [["1", "0"], ["0", "x"]]}, "algebra.alpha[1][1]"),
         ({**GOOD_ALGEBRA, "mul": [[2, 2, 1, "1/0"]]}, "algebra.mul[0][3]"),
+        # params is an object whose keys are names a coefficient can reference
+        *(({**GOOD_ALGEBRA, "params": bad}, "algebra.params") for bad in ([], 0, "", False, None)),
+        *(({**GOOD_ALGEBRA, "params": {name: "1"}}, "algebra.params") for name in ("", "-eta", "1x", "e ta")),
     ],
 )
 def test_malformed_algebra_files_exit_2_without_traceback(tmp_path, argv, doc, fragment):

@@ -34,7 +34,8 @@ def test_rational_parsing():
     assert rational_str(F(6, 3)) == "2"
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "", "1/0", "a b", 0.5, True, None])
+# "\u0663" is an Arabic-Indic three, which int() reads as 3
+@pytest.mark.parametrize("bad", ["0.5", "1e3", "", "1/0", "a b", 0.5, True, None, "1_000", "\u0663", " 1 / 2"])
 def test_rational_rejects_nonrationals(bad):
     with pytest.raises(ParseError):
         rational(bad)

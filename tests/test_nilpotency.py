@@ -46,6 +46,9 @@ def test_subspace_canonical_form():
     assert s.dim == 2
     assert s.basis == Matrix.from_rows([[1, 0, 1], [0, 1, 0]])
     assert s == span(3, (F(1), F(1), F(1)), (F(0), F(1), F(0)))
+    # shuffled generators scaled by negative integers, so the elimination meets negative pivots
+    t = span(3, (F(0), F(-2), F(0)), (F(-3), F(-3), F(-3)), (F(-2), F(0), F(-2)))
+    assert t == s and t.basis == s.basis
 
 
 def test_subspace_containment():
