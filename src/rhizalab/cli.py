@@ -47,7 +47,7 @@ from .cocycles import (
     scalar_cocycle_space,
     vector_cocycle_space,
 )
-from .errors import RhizalabError
+from .errors import DimensionMismatch, RhizalabError
 from .exactlin import rational_str
 from .family import (
     associated_family,
@@ -172,10 +172,18 @@ def _parse_vector(text: str, dim: int):
     return tuple(rational(p.strip()) for p in parts)
 
 
+def _bimodule_over(a: HomAlgebra, path: str):
+    """The bimodule read from ``path``, refused unless it is over an algebra of ``a``'s dimension."""
+    m = files.read_bimodule(files.load_json(path))
+    if m.alg_dim != a.dim:
+        raise DimensionMismatch("bimodule is over an algebra of different dimension")
+    return m
+
+
 # What each option, or a family route's FILE, loads to; ``a`` is the algebra of FILE, if one is loaded.
 _LOADERS = {
     "operator": lambda path, params, a: files.read_operator(files.load_json(path)),
-    "bimodule": lambda path, params, a: files.read_bimodule(files.load_json(path)),
+    "bimodule": lambda path, params, a: _bimodule_over(a, path),
     "form": lambda path, params, a: files.read_form(files.load_json(path)),
     "target": lambda path, params, a: files.load_algebra(path, params),
     "algebra": lambda path, params, a: files.load_algebra(path, params),

@@ -1,35 +1,29 @@
 """Cyclic-form solvers and the splitting construction from a nondegenerate form.
 
-Two readings of the invariant bilinear form are implemented side by side:
+A cyclic form of width w has n^2 * w unknowns B[p][q][s]: each of its w
+components must satisfy the cyclic condition
+B(x*y, alpha(z)) + B(y*z, alpha(x)) + B(z*x, alpha(y)) = 0, and the whole
+form one second condition.  The two readings are the two widths:
 
-* ``ScalarForm`` — values in the ground field; the cyclic condition
-  B(x*y, alpha(z)) + B(y*z, alpha(x)) + B(z*x, alpha(y)) = 0 together with
-  invariance B(alpha(x), alpha(y)) = B(x, y).  This is the reading that
-  supports nondegeneracy and hence the induced splitting.
-* ``VectorForm`` — values in the algebra; same cyclic condition plus the
-  twist compatibility alpha(w(x, y)) = w(alpha(x), alpha(y)).  This is the
+* ``ScalarForm`` (w = 1), valued in the ground field, with invariance
+  B(alpha(x), alpha(y)) = B(x, y).  This is the reading that supports
+  nondegeneracy and hence the induced splitting.
+* ``VectorForm`` (w = n), valued in the algebra, with the twist
+  compatibility alpha(w(x, y)) = w(alpha(x), alpha(y)).  This is the
   reading the low-dimensional tables follow.
 
 Each condition is stated once, as integer rows in the form's unknowns and
 the scale they carry: ``_cyclic_rows``, ``_invariance_rows`` and
-``_twist_rows``.  The solvers hand these rows to ``exactlin._kernel``, and
-the residual checks substitute a form into them (row . form over the scale).
-
-Both solvers return a deterministic kernel basis: the one ``nullspace_basis``
-gives for their defining conditions stacked in the form's unknowns.  The
-scalar solver builds that system: the cyclic rows, then the invariance rows.
-The algebra-valued one never builds its n^4 x n^3 system.  Each output
-component of its cyclic condition is the scalar cyclic condition, so it
-solves that n^3 x n^2 system once and imposes the twist rows on the d*n
-coordinates in the scalar kernel (d = its dimension).  The result is exact,
-and equal to the stacked system's basis entry by entry, for the reasons
-given in ``vector_cocycle_space``.  With ``strict``, both solvers first
-require the working product to be anti-associative.
+``_twist_rows``.  One solver, ``_solved``, and one residual check,
+``_violations``, read them for either width; the public functions only set
+the width, the second condition and the output shape.  With ``strict``, the
+solvers first require the working product to be anti-associative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -138,78 +132,48 @@ def _twist_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
     return rows, d_alpha * d_alpha
 
 
-def _substituted(ident: str, condition, forms, d_forms: int, n: int, arity: int) -> list[Violation]:
-    """Each row of ``condition`` (rows, scale) applied to each integer vector of unknowns in
-    ``forms`` (all cleared by d_forms); the rows of one basis tuple, in lexicographic order
-    with ``arity`` indices, give its residual."""
-    rows, scale = condition
-    tuples = list(product(range(n), repeat=arity))
-    per = len(rows) // len(tuples)
+def _violations(a: HomAlgebra, flat, width: int, ident: str, second) -> list[Violation]:
+    """Direct substitution of one flat form (column (p*n + q)*width + s), cleared once: the cyclic
+    rows go to each of its ``width`` components, the rows of ``second`` (named ``ident``) to the
+    whole form.  The rows of one basis tuple, in lexicographic order, give its residual."""
+    n = a.dim
+    (form,), d = _cleared([flat])
     out = []
-    for t, where in enumerate(tuples):
-        r = [sum(map(mul, row, f)) for row in rows[t * per : (t + 1) * per] for f in forms]
-        if any(r):
-            out.append(Violation(ident, tuple(i + 1 for i in where), _residual(r, scale * d_forms)))
+    for name, (rows, scale), forms, arity in (
+        ("cyclic", _cyclic_rows(star_product(a), a.alpha), [form[s::width] for s in range(width)], 3),
+        (ident, second(a.alpha), [form], 2),
+    ):
+        tuples = list(product(range(n), repeat=arity))
+        per = len(rows) // len(tuples)
+        for t, where in enumerate(tuples):
+            r = [sum(map(mul, row, f)) for row in rows[t * per : (t + 1) * per] for f in forms]
+            if any(r):
+                out.append(Violation(name, tuple(i + 1 for i in where), _residual(r, scale * d)))
     return out
 
 
-def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
-    """Direct substitution of one form, cleared once, into the cyclic and invariance rows."""
-    n = a.dim
-    (form,), d_b = _cleared([b.matrix.entries])
-    return [
-        *_substituted("cyclic", _cyclic_rows(star_product(a), a.alpha), [form], d_b, n, 3),
-        *_substituted("invariance", _invariance_rows(a.alpha), [form], d_b, n, 2),
-    ]
+def _solved(a: HomAlgebra, strict: bool, width: int, second) -> list[list[Fraction]]:
+    """Kernel basis of the cyclic condition on each of ``width`` components plus ``second``, as
+    flat forms in the n^2 * width unknowns B[p][q][s] (column (p*n + q)*width + s).
 
+    This is the basis ``nullspace_basis`` gives for both conditions stacked
+    (one form per free column, in column order), found by two smaller
+    eliminations.  Component s of the cyclic condition is the scalar one on
+    B[.][.][s], so B is cyclic exactly when B[.][.][s] = sum_t c[t][s] b_t,
+    with unique c, for the kernel b_1..b_d of one n^3 x n^2 system.  The rows
+    of ``second`` are then solved in the d*width unknowns c[t][s] (column
+    t*width + s): the coefficient x of B[p][q][s] becomes x b_t[p][q] on
+    c[t][s].  The b_t are cleared as one block, by one D, which scales every
+    row alike; clearing each b_t by its own D would rescale the columns of c
+    and change its canonical basis.
 
-def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
-    """The same for an algebra-valued form: each output component of the cyclic condition is
-    the scalar one (its residual lists the components), and the twist rows read all of w."""
-    n = a.dim
-    cells, d_w = _cleared([w.entry(p, q) for p in range(n) for q in range(n)])
-    components = [[cell[r] for cell in cells] for r in range(n)]
-    return [
-        *_substituted("cyclic", _cyclic_rows(star_product(a), a.alpha), components, d_w, n, 3),
-        *_substituted("compat", _twist_rows(a.alpha), [[x for cell in cells for x in cell]], d_w, n, 2),
-    ]
-
-
-def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
-    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns)."""
-    star = _working_product(a, strict)
-    n = a.dim
-    rows = _cyclic_rows(star, a.alpha)[0] + _invariance_rows(a.alpha)[0]
-    return [ScalarForm(n, Matrix(n, n, v)) for v in _kernel(rows, n * n)]
-
-
-def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm]:
-    """Kernel basis of the algebra-valued cyclic + twist conditions.
-
-    The basis is the one ``nullspace_basis`` gives for both conditions
-    stacked in the n^3 unknowns omega[p][q][r] (column (p*n + q)*n + r): one
-    form per free column, in column order.  It is found by two smaller
-    eliminations:
-
-    1. Component r of the cyclic condition is the scalar cyclic condition on
-       B_r[p][q] = omega[p][q][r].  So omega is cyclic exactly when each
-       omega[.][.][r] = sum_t c[t][r] b_t, with unique coefficients c, for
-       the kernel b_1..b_d of one n^3 x n^2 system.
-    2. The twist rows are solved in the d*n unknowns c[t][s] (column
-       t*n + s): substituting omega[p][q][s] = sum_t c[t][s] b_t[p][q]
-       turns the coefficient x of omega[p][q][s] into x b_t[p][q] on
-       c[t][s].  The b_t are cleared as one block, by one D, which scales
-       every row alike; clearing each b_t by its own D would rescale the
-       columns of c and change its canonical basis.
-
-    The map c -> omega is injective, so it carries the twist kernel onto the
-    solution space.  It also carries the canonical basis onto the canonical
-    basis: b_t is 1 at its free column f_t, 0 at the other free columns and
-    0 past f_t, and f_t increases with t.  Hence omega's entries at the
-    columns f_t*n + s are the c[t][s], omega's last nonzero entry is the
-    image of c's, and t*n + s -> f_t*n + s keeps column order.  A basis that
-    is 1 at its own free column, 0 at the other free columns and 0 past its
-    own is unique, so the mapped basis is exactly the canonical one.
+    The injective map c -> B carries the kernel in c onto the solution space,
+    and its canonical basis onto the canonical one: b_t is 1 at its free
+    column f_t, 0 at the other free columns and past f_t, and f_t increases
+    with t.  So B is c[t][s] at column f_t*width + s, its last nonzero entry
+    is the image of c's, and t*width + s -> f_t*width + s keeps column order;
+    a basis that is 1 at its own free column and 0 at the others and past it
+    is unique.
     """
     star = _working_product(a, strict)
     n = a.dim
@@ -217,27 +181,49 @@ def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm
     block, _ = _cleared(kernel)
     at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
     rows = []
-    for twist_row in _twist_rows(a.alpha)[0]:
-        row = [0] * (len(kernel) * n)
-        for col, x in enumerate(twist_row):
+    for second_row in second(a.alpha)[0]:
+        row = [0] * (len(kernel) * width)
+        for col, x in enumerate(second_row):
             if x:
-                pq, s = divmod(col, n)
+                pq, s = divmod(col, width)
                 for t, bpq in at[pq]:
-                    row[t * n + s] += x * bpq
+                    row[t * width + s] += x * bpq
         rows.append(row)
     out = []
-    for c in _kernel(rows, len(kernel) * n):
-        v = [F0] * (n * n * n)
+    for c in _kernel(rows, len(kernel) * width):
+        v = [F0] * (n * n * width)
         for t, b in enumerate(kernel):
-            for s in range(n):
-                cts = c[t * n + s]
+            for s in range(width):
+                cts = c[t * width + s]
                 if cts:
                     for pq, bpq in enumerate(b):
                         if bpq:
-                            v[pq * n + s] += cts * bpq
-        cells = [v[pq * n : (pq + 1) * n] for pq in range(n * n)]
-        out.append(VectorForm(n, [cells[p * n : (p + 1) * n] for p in range(n)]))
+                            v[pq * width + s] += cts * bpq
+        out.append(v)
     return out
+
+
+def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
+    """Direct substitution of one form into the cyclic and invariance rows."""
+    return _violations(a, b.matrix.entries, 1, "invariance", _invariance_rows)
+
+
+def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
+    """The same for an algebra-valued form, with the twist rows: the cyclic residual lists its n components."""
+    return _violations(a, [x for row in w.coeffs for cell in row for x in cell], a.dim, "compat", _twist_rows)
+
+
+def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
+    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns, column p*n + q)."""
+    n = a.dim
+    return [ScalarForm(n, Matrix(n, n, v)) for v in _solved(a, strict, 1, _invariance_rows)]
+
+
+def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm]:
+    """Kernel basis of the algebra-valued cyclic + twist conditions (n^3 unknowns, column (p*n + q)*n + r)."""
+    n = a.dim
+    cells = [[v[pq * n : (pq + 1) * n] for pq in range(n * n)] for v in _solved(a, strict, n, _twist_rows)]
+    return [VectorForm(n, [c[p * n : (p + 1) * n] for p in range(n)]) for c in cells]
 
 
 def is_nondegenerate(b: ScalarForm) -> bool:

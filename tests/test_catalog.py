@@ -12,6 +12,8 @@ from rhizalab.catalog import (
     verify_entry,
 )
 from rhizalab.errors import UnboundParameter, UnknownEntry
+from rhizalab.exactlin import Matrix
+from rhizalab.operators import LinearOperator, check_homomorphism
 from tests.fraction_checkers import basis_vec
 
 F = Fraction
@@ -174,3 +176,24 @@ def test_notes_surface_table_oddities():
     assert any("two lines" in n for n in load_catalog_entry("d2.A4").notes)
     assert any("alpha(e1)" in n for n in load_catalog_entry("d3.A1").notes)
     assert any("as printed" in n for n in load_catalog_entry("d3.A10").notes)
+
+
+def test_d2_a5_and_d2_a6_are_isomorphic_as_transcribed():
+    """Finding: the basis swap e1 <-> e2 maps d2.A5 onto d2.A6 and back (alpha, succ and prec),
+    and maps d2.A5's expected cocycle components onto d2.A6's.  Each entry's note says its
+    source table omits one alpha image, encoded as 0, so the redundancy may come from that
+    encoding rather than from the paper.  The catalog data stays the tables' transcription."""
+    swap = LinearOperator(2, 2, Matrix.from_rows([[F(0), F(1)], [F(1), F(0)]]))
+    a5, a6 = load_entry("d2.A5"), load_entry("d2.A6")
+    assert check_homomorphism(swap, a5, a6).passed
+    assert check_homomorphism(swap, a6, a5).passed
+
+    def swapped(entry_id):
+        return {tuple(3 - i for i in ijk) for *ijk, _ in load_catalog_entry(entry_id).expected_components}
+
+    assert swapped("d2.A5") == {(2, 2, 2), (2, 1, 2), (1, 2, 2)}
+    assert swapped("d2.A5") == {tuple(ijk) for *ijk, _ in load_catalog_entry("d2.A6").expected_components}
+    notes = [note for eid in ("d2.A5", "d2.A6") for note in load_catalog_entry(eid).notes]
+    assert all("encoded as 0" in note for note in notes)
+    print("finding: d2.A5 is isomorphic to d2.A6 by e1 <-> e2 (alpha, succ, prec, expected cocycle components);")
+    print(f"  the entries' notes: {'; '.join(notes)}")

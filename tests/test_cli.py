@@ -14,7 +14,7 @@ import rhizalab
 import rhizalab.cli
 from rhizalab.algmodel import HomAlgebra, serialize_algebra, sum_product
 from rhizalab.catalog import load_entry
-from rhizalab.cli import CHECKS, OPERATION_COVERAGE, build_parser, main
+from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, OPERATION_COVERAGE, build_parser, main
 from rhizalab.family import induced_family_rhizaform
 from rhizalab.files import bimodule_obj, load_algebra, load_json, read_bimodule, read_family, read_rb_family
 from rhizalab.operators import regular_bimodule
@@ -420,7 +420,7 @@ def test_remaining_check_routes(a7_file, a1_file, tmp_path):
 
 
 @pytest.mark.parametrize("alg_dim", [1, 3])
-@pytest.mark.parametrize("what", ["o-operator", "invertible-o"])
+@pytest.mark.parametrize("what", ["o-operator", "invertible-o", "dual-bimodule"])
 def test_induce_refuses_bimodule_over_another_dimension(a1_sum_file, tmp_path, what, alg_dim):
     """With --no-strict too: a shape error exits 2 before anything is printed."""
     one = [["1", "0"], ["0", "1"]]
@@ -978,3 +978,105 @@ def test_homomorphism_has_no_oracle(route_files):
     )
     assert code == 0 and "pass" in out
     assert "note: no independent oracle for kind 'homomorphism'" in err
+
+
+# --- every route: one input of another dimension ------------------------------
+
+
+def table_routes():
+    """(argv before FILE, what FILE holds, the options it needs) of every route in the CLI's
+    tables; inductions and family actions under --no-strict, so that only a shape stops them."""
+    for kind, (needs, _, _) in CHECKS.items():
+        yield ("check", "--kind", kind), "algebra", needs
+    for what, (needs, _) in INDUCTIONS.items():
+        yield ("induce", "--what", what, "--no-strict"), "algebra", needs
+    for do, (role, needs, _) in FAMILY_OPS.items():
+        yield ("family", "--do", do, "--no-strict"), role, needs
+
+
+DIMENSIONLESS = {"product", "semigroup"}
+# the routes that read two inputs with a dimension, so that the two can differ
+MIXED_ROUTES = [
+    pytest.param(head, (role, *needs), id=" ".join(head[:3]))
+    for head, role, needs in table_routes()
+    if len([r for r in (role, *needs) if r not in DIMENSIONLESS]) > 1
+]
+
+
+def identity(n):
+    return [["1" if r == c else "0" for c in range(n)] for r in range(n)]
+
+
+@pytest.fixture()
+def sized_inputs(tmp_path):
+    """Dimension -> role -> a valid input of that dimension: a split ("split") and a mono
+    algebra (d2.A1 or d3.A1 and their sums), identity operator and form, the regular
+    bimodule, families with zero products and operators, a --z vector; and the roles
+    that carry no dimension."""
+    out = {}
+    for n, entry in ((2, "d2.A1"), (3, "d3.A1")):
+        split = load_entry(entry)
+        mono = HomAlgebra.mono(sum_product(split), split.alpha)
+        zeros = {"0": [["0"] * n for _ in range(n)]}
+        one = {"size": 1, "table": [[0]]}
+        docs = {
+            "split": json.loads(serialize_algebra(split)),
+            "algebra": json.loads(serialize_algebra(mono)),
+            "target": json.loads(serialize_algebra(mono)),
+            "operator": {"T": identity(n)},
+            "bimodule": bimodule_obj(regular_bimodule(mono)),
+            "form": {"B": identity(n)},
+            "family": {"dim": n, "omega": one, "alpha": identity(n), "succ": {"0": []}, "prec": {"0": []}},
+            "rb_family": {"omega": one, "operators": zeros},
+            "semigroup": one,
+        }
+        out[n] = {"z": ",".join(["1"] + ["0"] * (n - 1)), "product": "succ"}
+        for role, doc in docs.items():
+            path = tmp_path / f"{role}{n}.json"
+            path.write_text(json.dumps(doc))
+            out[n][role] = str(path)
+    return out
+
+
+@pytest.mark.parametrize("head, roles", MIXED_ROUTES)
+def test_an_input_of_another_dimension_exits_2_on_every_route(sized_inputs, head, roles):
+    """Every route runs with all its inputs of dimension 2, and with all of dimension 3; with
+    any one input of dimension 3 among inputs of dimension 2, it exits 2 before anything is
+    printed.  The routes come from the CLI's tables, so a new route is covered here."""
+    file_role, *needs = roles
+    if "product" in needs:  # --product names a split product
+        file_role = "split"
+    slots = [(f"--{name}", name) for name in needs] + [(None, file_role)]
+
+    def run(dims):
+        argv = [*head]
+        for (flag, role), n in zip(slots, dims):
+            argv += [flag, sized_inputs[n][role]] if flag else [sized_inputs[n][role]]
+        return run_cli(*argv)
+
+    for n in (2, 3):
+        code, _, err = run([n] * len(slots))
+        assert code == 0, (n, err)
+    for i, (flag, role) in enumerate(slots):
+        if role not in DIMENSIONLESS:
+            code, out, err = run([3 if j == i else 2 for j in range(len(slots))])
+            assert (code, out) == (2, ""), (flag or "FILE", err)
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_shapes_independent_by_definition_are_accepted(sized_inputs, tmp_path):
+    """An O-operator maps a module of any dimension into the algebra (alg_dim x mod_dim), and
+    a homomorphism joins algebras of two dimensions (target x source): these shapes run."""
+    zero = [["0"] * 3 for _ in range(3)]
+    wide = tmp_path / "wide_bimodule.json"
+    wide.write_text(json.dumps({"alg_dim": 2, "mod_dim": 3, "left": [zero] * 2, "right": [zero] * 2, "beta": identity(3)}))
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"T": identity(3)[:2]}))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"T": [row[:2] for row in identity(3)]}))
+    two, three = sized_inputs[2], sized_inputs[3]
+    for head in (("check", "--kind", "o-operator"), ("induce", "--what", "o-operator", "--no-strict")):
+        code, _, err = run_cli(*head, "--operator", str(t), "--bimodule", str(wide), two["algebra"])
+        assert code == 0, (head, err)
+    code, _, err = run_cli("check", "--kind", "homomorphism", "--operator", str(f), "--target", three["target"], two["algebra"])
+    assert code == 0, err
