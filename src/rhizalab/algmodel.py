@@ -18,6 +18,11 @@ rational literal ("p" or "p/q"; no decimals) or a parameter name, optionally
 negated ("-eta"); parameters are resolved to concrete rationals at parse
 time, so downstream code never sees symbols.  A mono-product algebra uses
 ``"kind": "mono"`` with a single ``"mul"`` section.
+
+``BilinearOp`` and ``LinearMap`` are frozen dataclasses.  A product built
+from products, a signed sum of them with some arguments swapped (the summed
+product, the circle product, the bracket, the family products), is one
+``_combination`` of its terms.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import DimensionMismatch, MissingProduct, ParseError, UnboundParameter
 from .exactlin import (
@@ -42,22 +48,21 @@ _PARAM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # what a coefficient can na
 _NAME_RE = re.compile(rf"-?{_PARAM_NAME.pattern}$")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class BilinearOp:
-    """Structure-constant tensor of one bilinear product."""
+    """Structure-constant tensor of one bilinear product; equal to any ``BilinearOp`` (a subclass
+    too) with its coefficients."""
 
-    __slots__ = ("dim", "coeffs")
+    dim: int
+    coeffs: tuple[tuple[Vector, ...], ...]
 
-    def __init__(self, dim: int, coeffs):
-        coeffs = tuple(tuple(tuple(rational(c) for c in col) for col in row) for row in coeffs)
-        if len(coeffs) != dim or any(
-            len(row) != dim or any(len(col) != dim for col in row) for row in coeffs
+    def __post_init__(self):
+        coeffs = tuple(tuple(tuple(rational(c) for c in col) for col in row) for row in self.coeffs)
+        if len(coeffs) != self.dim or any(
+            len(row) != self.dim or any(len(col) != self.dim for col in row) for row in coeffs
         ):
-            raise DimensionMismatch(f"coefficient tensor is not {dim}^3")
-        object.__setattr__(self, "dim", dim)
+            raise DimensionMismatch(f"coefficient tensor is not {self.dim}^3")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearOp is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> BilinearOp:
@@ -86,20 +91,6 @@ class BilinearOp:
                     if c:
                         out.append((i, j, k, c))
         return out
-
-    def add(self, other: BilinearOp) -> BilinearOp:
-        if self.dim != other.dim:
-            raise DimensionMismatch("cannot add products of different dimension")
-        return BilinearOp(
-            self.dim,
-            tuple(
-                tuple(
-                    tuple(a + b for a, b in zip(self.coeffs[i][j], other.coeffs[i][j]))
-                    for j in range(self.dim)
-                )
-                for i in range(self.dim)
-            ),
-        )
 
     def is_zero(self) -> bool:
         return not any(c for row in self.coeffs for col in row for c in col)
@@ -206,19 +197,17 @@ def _left_columns(table, x, size: int) -> list:
     return cols
 
 
+@dataclass(frozen=True, repr=False)
 class LinearMap:
     """Square matrix acting on the algebra; column i is the image of e_i."""
 
-    __slots__ = ("dim", "matrix")
+    dim: int
+    matrix: Matrix
 
-    def __init__(self, dim: int, matrix: Matrix):
-        if matrix.rows != dim or matrix.cols != dim:
-            raise DimensionMismatch(f"twist map must be {dim}x{dim}, got {matrix.rows}x{matrix.cols}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
+    def __post_init__(self):
+        m = self.matrix
+        if m.rows != self.dim or m.cols != self.dim:
+            raise DimensionMismatch(f"twist map must be {self.dim}x{self.dim}, got {m.rows}x{m.cols}")
 
     @classmethod
     def identity(cls, dim: int) -> LinearMap:
@@ -235,12 +224,6 @@ class LinearMap:
 
     def image_of_basis(self, i: int) -> Vector:
         return self.matrix.column(i)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearMap) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         return f"LinearMap({self.matrix!r})"
@@ -309,9 +292,28 @@ class HomAlgebra:
         return self.product("mul")
 
 
+def _combination(*terms) -> BilinearOp:
+    """The product sum_t sign_t (x o_t y) over the terms (sign_t, o_t, swapped_t), sign_t = +1 or -1,
+    with y o_t x in place of x o_t y for a swapped term; the o_t are all of one dimension.
+
+    Each cell e_i o e_j is combined coordinate-wise, in term order.
+    """
+    n = terms[0][1].dim
+    grids = [(sign, tuple(zip(*op.coeffs)) if swapped else op.coeffs) for sign, op, swapped in terms]
+
+    def cell(i, j):
+        (sign, grid), *rest = grids
+        out = grid[i][j] if sign > 0 else map(neg, grid[i][j])
+        for sign, grid in rest:
+            out = map(add if sign > 0 else sub, out, grid[i][j])
+        return out
+
+    return BilinearOp(n, [[cell(i, j) for j in range(n)] for i in range(n)])
+
+
 def sum_product(a: HomAlgebra) -> BilinearOp:
-    """Coefficient-wise sum of the two split products."""
-    return a.succ.add(a.prec)
+    """x * y = x succ y + x prec y, the anti-associative sum of the two split products."""
+    return _combination((1, a.succ, False), (1, a.prec, False))
 
 
 def star_product(a: HomAlgebra) -> BilinearOp:

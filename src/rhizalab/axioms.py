@@ -31,6 +31,7 @@ from .algmodel import (
     LinearMap,
     _add_into,
     _apply_into,
+    _combination,
     _integers,
     _left_columns,
     _opposite,
@@ -321,41 +322,13 @@ def check_pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
 
 
 def pre_jacobi_jordan_product(a: HomAlgebra) -> BilinearOp:
-    """x o y = x succ y - y prec x."""
-    succ, prec = a.succ, a.prec
-    n = a.dim
-    return BilinearOp(
-        n,
-        [
-            [
-                [succ.coeffs[i][j][k] - prec.coeffs[j][i][k] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
+    """x o y = x succ y - y prec x, the circle product."""
+    return _combination((1, a.succ, False), (-1, a.prec, True))
 
 
 def subadjacent_bracket(a: HomAlgebra) -> BilinearOp:
     """[x, y] = x succ y + x prec y + y succ x + y prec x (symmetric)."""
-    succ, prec = a.succ, a.prec
-    n = a.dim
-    return BilinearOp(
-        n,
-        [
-            [
-                [
-                    succ.coeffs[i][j][k]
-                    + prec.coeffs[i][j][k]
-                    + succ.coeffs[j][i][k]
-                    + prec.coeffs[j][i][k]
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
+    return _combination((1, a.succ, False), (1, a.prec, False), (1, a.succ, True), (1, a.prec, True))
 
 
 def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> LinearMap:

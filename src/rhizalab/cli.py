@@ -139,11 +139,9 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
     return out
 
 
-def _emit(obj, args, human: str | None = None) -> None:
-    if args.format == "structured":
-        print(json.dumps(obj, indent=2))
-    else:
-        print(human if human is not None else json.dumps(obj, indent=2))
+def _emit(obj, args, table=None) -> None:
+    """Print ``obj`` as JSON; under --format table, the text ``table()`` builds instead, when given."""
+    print(table() if args.format == "table" and table is not None else json.dumps(obj, indent=2))
 
 
 def _report_human(rep: CheckReport) -> str:
@@ -159,7 +157,7 @@ def _report_human(rep: CheckReport) -> str:
 def _finish(out, args) -> int:
     """Print a check report (status 1 if it failed under --strict) or an output document (status 0)."""
     if isinstance(out, CheckReport):
-        _emit(out.to_obj(), args, _report_human(out))
+        _emit(out.to_obj(), args, lambda: _report_human(out))
         return 1 if (args.strict and not out.passed) else 0
     _emit(out, args)
     return 0
@@ -361,9 +359,12 @@ def cmd_cocycles(args) -> int:
             "dimension": len(basis),
             "basis": [{"B": _matrix_obj(b.matrix), "nondegenerate": nd} for b, nd in zip(basis, nondegenerate)],
         }
-        human = [f"scalar cyclic-form space: dimension {len(basis)}"]
-        for idx, (b, nd) in enumerate(zip(basis, nondegenerate)):
-            human.append(f"  basis[{idx}] nondegenerate={nd}: {b.matrix!r}")
+
+        def table():
+            lines = [f"scalar cyclic-form space: dimension {len(basis)}"]
+            for idx, (b, nd) in enumerate(zip(basis, nondegenerate)):
+                lines.append(f"  basis[{idx}] nondegenerate={nd}: {b.matrix!r}")
+            return "\n".join(lines)
     else:
         basis = vector_cocycle_space(a, strict=args.strict)
         obj = {
@@ -371,14 +372,17 @@ def cmd_cocycles(args) -> int:
             "dimension": len(basis),
             "basis": [{"components": _product_obj(w)} for w in basis],
         }
-        human = [f"algebra-valued cyclic-form space: dimension {len(basis)}"]
-        for idx, w in enumerate(basis):
-            terms = ", ".join(
-                f"w(e{i + 1},e{j + 1})+= {rational_str(c)} e{k + 1}"
-                for i, j, k, c in w.nonzero_entries()
-            )
-            human.append(f"  basis[{idx}]: {terms or '0'}")
-    _emit(obj, args, "\n".join(human))
+
+        def table():
+            lines = [f"algebra-valued cyclic-form space: dimension {len(basis)}"]
+            for idx, w in enumerate(basis):
+                terms = ", ".join(
+                    f"w(e{i + 1},e{j + 1})+= {rational_str(c)} e{k + 1}"
+                    for i, j, k, c in w.nonzero_entries()
+                )
+                lines.append(f"  basis[{idx}]: {terms or '0'}")
+            return "\n".join(lines)
+    _emit(obj, args, table)
     return 0
 
 
@@ -399,14 +403,17 @@ def cmd_nilpotency(args) -> int:
         "two_nilpotent": r.two_nilpotent.to_obj(),
         "alpha_stable": None if r.alpha_stability is None else r.alpha_stability.passed,
     }
-    human = []
-    for name, terms in r.series.items():
-        dims = " -> ".join(str(t.dim) for t in terms)
-        v = r.verdicts[name]
-        tail = f"nilpotent, index {v.index}" if v.nilpotent else "not nilpotent"
-        human.append(f"{name:>5} series dims: {dims}  ({tail})")
-    human.extend(f"{label}: {'pass' if rep.passed else 'FAIL'}" for label, rep in checks.items() if rep is not None)
-    _emit(obj, args, "\n".join(human))
+
+    def table():
+        lines = []
+        for name, terms in r.series.items():
+            dims = " -> ".join(str(t.dim) for t in terms)
+            v = r.verdicts[name]
+            tail = f"nilpotent, index {v.index}" if v.nilpotent else "not nilpotent"
+            lines.append(f"{name:>5} series dims: {dims}  ({tail})")
+        lines += [f"{label}: {'pass' if rep.passed else 'FAIL'}" for label, rep in checks.items() if rep is not None]
+        return "\n".join(lines)
+    _emit(obj, args, table)
     return 1 if args.strict and not (r.series_equality.passed and r.onesided.passed) else 0
 
 
@@ -414,7 +421,7 @@ def cmd_catalog(args) -> int:
     params = _parse_params(getattr(args, "param", None))
     if args.action == "list":
         ids = cat.entry_ids()
-        _emit({"entries": ids}, args, "\n".join(ids))
+        _emit({"entries": ids}, args, lambda: "\n".join(ids))
         return 0
     if args.action == "show":
         entries = [cat.load_catalog_entry(entry_id) for entry_id in args.id or ()]
@@ -437,7 +444,7 @@ def cmd_catalog(args) -> int:
             ids=args.id or None,
             with_oracle=args.oracle,
         )
-        _emit(summary.to_obj(), args, summary.to_text())
+        _emit(summary.to_obj(), args, summary.to_text)
         if summary.internal_error:
             for d in summary.oracle_diffs:
                 print(f"oracle disagreement: {d}", file=sys.stderr)

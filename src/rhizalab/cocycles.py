@@ -54,8 +54,9 @@ class ScalarForm:
             raise DimensionMismatch("form matrix must be dim x dim")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class VectorForm(BilinearOp):
-    """Algebra-valued bilinear form; same tensor layout as a product."""
+    """Algebra-valued bilinear form; same tensor layout, equality and repr as a product."""
 
 
 def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
@@ -137,6 +138,8 @@ def _violations(a: HomAlgebra, flat, width: int, ident: str, second) -> list[Vio
     rows go to each of its ``width`` components, the rows of ``second`` (named ``ident``) to the
     whole form.  The rows of one basis tuple, in lexicographic order, give its residual."""
     n = a.dim
+    if len(flat) != n * n * width:
+        raise DimensionMismatch("form and algebra dimensions differ")
     (form,), d = _cleared([flat])
     out = []
     for name, (rows, scale), forms, arity in (

@@ -6,13 +6,14 @@ take and return ``fractions.Fraction`` values; row reduction itself runs over
 are integer rows hand them to ``_kernel`` directly.  Every result is read
 from the reduced row echelon form, which depends only on the row space and
 not on the order in which rows are reduced, so every function here is
-deterministic and safe to use for golden-file regressions.  All values are
-immutable.
+deterministic and safe to use for golden-file regressions.  ``Matrix`` is a
+frozen dataclass, like the package's other value types.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -56,23 +57,21 @@ def vec_zero(n: int) -> Vector:
     return (F0,) * n
 
 
+@dataclass(frozen=True, repr=False)
 class Matrix:
     """Dense rows x cols grid of Fractions, row-major, immutable."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(rational(e) for e in entries)
-        if len(entries) != rows * cols:
+    def __post_init__(self):
+        entries = tuple(rational(e) for e in self.entries)
+        if len(entries) != self.rows * self.cols:
             raise DimensionMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
+                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_rows(cls, rows_) -> Matrix:
@@ -113,17 +112,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(rational_str(e) for e in self.row(i)) for i in range(self.rows))

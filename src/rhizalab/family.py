@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
-from .algmodel import _integers, _opposite
+from .algmodel import _combination, _integers, _opposite
 from .axioms import (
     CheckReport,
     Violation,
@@ -192,11 +192,12 @@ def check_anti_associative_family(
 
 def associated_family(f: FamilyAlgebra) -> dict[tuple[int, int], BilinearOp]:
     """x *_{lam,omega} y = x prec_omega y + x succ_lam y."""
-    out = {}
-    for lam in range(f.semigroup.size):
-        for omega in range(f.semigroup.size):
-            out[(lam, omega)] = f.prec[omega].add(f.succ[lam])
-    return out
+    size = f.semigroup.size
+    return {
+        (lam, omega): _combination((1, f.prec[omega], False), (1, f.succ[lam], False))
+        for lam in range(size)
+        for omega in range(size)
+    }
 
 
 def _require_family_shape(rf: RBFamily, a: HomAlgebra) -> None:

@@ -286,7 +286,9 @@ STRUCTURED_DIGESTS = [
 ]
 
 
-def test_structured_reports_keep_their_bytes(tmp_path, route_files):
+@pytest.fixture()
+def report_paths(tmp_path, route_files):
+    """The path of each file a digest's argv names: the ``route_files``, {d2.A1} and {graded-n5}."""
     files = {
         "{d2.A1}": load_entry("d2.A1"),
         "{graded-n5}": graded_split_algebra(random.Random(5), 5),
@@ -295,9 +297,31 @@ def test_structured_reports_keep_their_bytes(tmp_path, route_files):
     for name, a in files.items():
         (tmp_path / name).write_text(serialize_algebra(a))
         paths[name] = str(tmp_path / name)
+    return paths
+
+
+def test_structured_reports_keep_their_bytes(report_paths):
     for argv, digest in STRUCTURED_DIGESTS:
-        argv = [paths.get(arg, arg) for arg in argv]
+        argv = [report_paths.get(arg, arg) for arg in argv]
         code, out, _ = run_cli(*argv, "--format", "structured")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# SHA-256 of table-format stdout, recorded before the table text was built only under --format table
+TABLE_DIGESTS = [
+    (("cocycles", "--scalar", "{S}"), "bbdbf93126851b88e92190b79014b2c0d19bbc083c5eba0a05a9ccfe44679d56"),
+    (("cocycles", "--vector", "{d2.A1}"), "a9a7e6dbe796dbb1d47abddfe3078133367cfddf0d478c704857da3da1faf8e7"),
+    (("nilpotency", "{graded-n5}"), "315d92140b2fda678e71b70344a865648da7c9ccc4708afb71a53301d5e6f212"),
+    # 90 violations: the first 20, then "... 70 more violations"
+    (("check", "--kind", "rhizaform", "{graded-n5}"), "e1941c2ee11eaf56972019cd4176edbabd023bc1067563f7a5a532e5314672a5"),
+    (("catalog", "verify", "--param", "eta=1"), "07ac894847d723c2379802d1365be53a5f6bef070483805bb11f7d5c032b12c7"),
+]
+
+
+def test_table_reports_keep_their_bytes(report_paths):
+    for argv, digest in TABLE_DIGESTS:
+        code, out, _ = run_cli(*[report_paths.get(arg, arg) for arg in argv])
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
@@ -799,11 +823,46 @@ def slots(doc):
         yield from slots(child)
 
 
+# the valid input of each role a route reads: a route_files key, or a literal option value
+ROUTE_INPUTS = {
+    "operator": "{R}",
+    "bimodule": "{M}",
+    "form": "{B}",
+    "target": "{S}",
+    "algebra": "{S}",
+    "family": "{FAM}",
+    "rb_family": "{RBF}",
+    "semigroup": "{FAM}",
+    "product": "succ",
+    "z": "1,0",
+}
+
+
+@pytest.fixture()
+def fuzzed_slots(route_files):
+    """(argv with {X} in one file slot, the route_files key of that slot's valid file) for every
+    file slot of every route, with FILE a split (A) or a mono (S) algebra, the first the route
+    runs on; every route must run on one of them."""
+    out = []
+    for head, role, needs in every_route():
+        flags = [f"--{name}" for name in needs] + [None]
+        for file_input in ("{A}", "{S}") if role == "algebra" else (ROUTE_INPUTS[role],):
+            inputs = [ROUTE_INPUTS[name] for name in needs] + [file_input]
+            argv = [*head, *(x for flag, value in zip(flags, inputs) for x in (flag, value) if x)]
+            if run_cli(*fill(argv, route_files))[0] != 2:
+                break
+        else:
+            pytest.fail(f"{head} runs on neither valid algebra")
+        out += [([*argv[:i], "{X}", *argv[i + 1 :]], x[1:-1]) for i, x in enumerate(argv) if x.startswith("{")]
+    return out
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(role=st.sampled_from(sorted(FILE_ROLES)), junk=ANY_JSON, data=st.data())
-def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(tmp_path, route_files, role, junk, data):
-    """Arbitrary JSON as the whole file of one role, or in place of one value of its valid file."""
-    with open(route_files[ROLE_FILES[role]]) as fh:
+@given(fuzzed=st.sampled_from(sorted(set(ROLE_FILES.values()))), junk=ANY_JSON, data=st.data())
+def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(tmp_path, route_files, fuzzed_slots, fuzzed, junk, data):
+    """Arbitrary JSON as the whole of one valid file, or in place of one value of it, read in
+    every file slot that holds that file on every route (``every_route``)."""
+    with open(route_files[fuzzed]) as fh:
         doc = json.load(fh)
     places = list(slots(doc))
     place = data.draw(st.integers(-1, len(places) - 1))
@@ -814,11 +873,13 @@ def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(tmp_path, route_
         container[key] = junk
     path = tmp_path / "fuzzed.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(path)}))
-    assert code in (0, 1, 2), (role, doc, err)
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == "" and err.startswith("error: ")
+    for argv, valid in fuzzed_slots:
+        if valid == fuzzed:
+            code, out, err = run_cli(*fill(argv, {**route_files, "X": str(path)}))
+            assert code in (0, 1, 2), (argv, doc, err)
+            assert "Traceback" not in err
+            if code == 2:
+                assert out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("role", sorted(FILE_ROLES))
@@ -992,6 +1053,13 @@ def table_routes():
         yield ("induce", "--what", what, "--no-strict"), "algebra", needs
     for do, (role, needs, _) in FAMILY_OPS.items():
         yield ("family", "--do", do, "--no-strict"), role, needs
+
+
+def every_route():
+    """``table_routes`` and the routes outside the tables: both cyclic-form readings and nilpotency."""
+    yield from table_routes()
+    for head in (("cocycles", "--scalar"), ("cocycles", "--vector"), ("nilpotency",)):
+        yield head, "algebra", ()
 
 
 DIMENSIONLESS = {"product", "semigroup"}

@@ -26,7 +26,7 @@ from rhizalab.cocycles import (
     vector_cocycle_residuals,
     vector_cocycle_space,
 )
-from rhizalab.errors import NotACocycle, NotAntiAssociative, Singular
+from rhizalab.errors import DimensionMismatch, NotACocycle, NotAntiAssociative, Singular
 from rhizalab.exactlin import F0, Matrix, invert, nullspace_basis
 from tests.conftest import (
     antisym_3dim,
@@ -106,6 +106,17 @@ def test_solution_spaces_resubstitute_to_zero():
             assert scalar_cocycle_residuals(s, b) == [], eid
         for w in vector_cocycle_space(s):
             assert vector_cocycle_residuals(s, w) == [], eid
+
+
+@pytest.mark.parametrize(
+    "form",
+    [ScalarForm(3, Matrix.identity(3)), ScalarForm(1, Matrix.identity(1)), VectorForm.zero(3), VectorForm.zero(1)],
+    ids=["scalar 3x3", "scalar 1x1", "vector dim 3", "vector dim 1"],
+)
+def test_residuals_refuse_a_form_of_another_dimension(a_d2_a1, form):
+    residuals = scalar_cocycle_residuals if isinstance(form, ScalarForm) else vector_cocycle_residuals
+    with pytest.raises(DimensionMismatch, match="form and algebra dimensions differ"):
+        residuals(a_d2_a1, form)
 
 
 def test_vector_dimension_is_permutation_invariant(a_d2_a1):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhizalab.algmodel import BilinearOp, LinearMap
+from rhizalab.cocycles import VectorForm
 from rhizalab.errors import DimensionMismatch, ParseError, Singular
 from rhizalab.exactlin import (
     Matrix,
@@ -155,10 +157,37 @@ def test_matrix_shape_validation():
         Matrix.from_rows([[1, 2], [3]])
 
 
-def test_matrix_is_immutable():
-    m = Matrix.identity(2)
-    with pytest.raises(AttributeError):
-        m.rows = 3
+HALF = [[[0, 0], [0, 0]], [[0, "1/2"], [0, 0]]]  # e2 o e1 = 1/2 e2
+# a value of each immutable type, its fields, an equal value built another way, and its repr
+VALUE_TYPES = {
+    "Matrix": (Matrix.identity(2), ("rows", "cols", "entries"), Matrix(2, 2, ["1", 0, 0, 1]), "Matrix(2x2: 1 0; 0 1)"),
+    "BilinearOp": (
+        BilinearOp(2, HALF),
+        ("dim", "coeffs"),
+        BilinearOp.from_entries(2, [(1, 0, 1, "1/2")]),
+        "BilinearOp(2: e2*e1->1/2e2)",
+    ),
+    "VectorForm": (VectorForm(2, HALF), ("dim", "coeffs"), BilinearOp(2, HALF), "BilinearOp(2: e2*e1->1/2e2)"),
+    "LinearMap": (
+        LinearMap.identity(2),
+        ("dim", "matrix"),
+        LinearMap.from_columns([[1, 0], [0, "2/2"]]),
+        "LinearMap(Matrix(2x2: 1 0; 0 1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_TYPES))
+def test_value_types_are_immutable(kind):
+    """Assigning a field or a new name raises AttributeError, equal values hash equal (a
+    VectorForm equals the BilinearOp with its coefficients), and the repr is pinned."""
+    value, fields, equal, text = VALUE_TYPES[kind]
+    assert type(value).__name__ == kind
+    for name in (*fields, "new_name"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
+    assert value == equal and hash(value) == hash(equal)
+    assert repr(value) == text
 
 
 # --- integer elimination against the Fraction Gauss-Jordan loop -------------
