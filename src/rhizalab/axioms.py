@@ -20,7 +20,6 @@ Identity ids used in reports:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -32,6 +31,7 @@ from .algmodel import (
     _add_into,
     _apply_into,
     _combination,
+    _encode_json,
     _integers,
     _left_columns,
     _opposite,
@@ -86,7 +86,7 @@ class CheckReport:
         }
 
     def to_text(self) -> str:
-        return json.dumps(self.to_obj(), indent=2)
+        return _encode_json(self.to_obj())
 
 
 def _require_same_dim(*dims: int):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .algmodel import (
     _PARAM_NAME,
     HomAlgebra,
     LinearMap,
+    _encode_json,
     _matrix_obj,
     _product_obj,
     rational,
@@ -141,7 +141,7 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
 
 def _emit(obj, args, table=None) -> None:
     """Print ``obj`` as JSON; under --format table, the text ``table()`` builds instead, when given."""
-    print(table() if args.format == "table" and table is not None else json.dumps(obj, indent=2))
+    print(table() if args.format == "table" and table is not None else _encode_json(obj))
 
 
 def _report_human(rep: CheckReport) -> str:

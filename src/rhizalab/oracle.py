@@ -106,11 +106,11 @@ def _split_identities(a: HomAlgebra, ids: tuple[str, str, str], sign) -> dict[st
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if _product(s, star[i][j], al[k]) != sign(_product(s, al[i], s[j][k])):
+                if out[ids[0]] and _product(s, star[i][j], al[k]) != sign(_product(s, al[i], s[j][k])):
                     out[ids[0]] = False
-                if _product(p, al[i], star[j][k]) != sign(_product(p, p[i][j], al[k])):
+                if out[ids[1]] and _product(p, al[i], star[j][k]) != sign(_product(p, p[i][j], al[k])):
                     out[ids[1]] = False
-                if _product(s, al[i], p[j][k]) != sign(_product(p, s[i][j], al[k])):
+                if out[ids[2]] and _product(s, al[i], p[j][k]) != sign(_product(p, s[i][j], al[k])):
                     out[ids[2]] = False
     out["mult_succ"] = multiplicative(a.succ, a.alpha)
     out["mult_prec"] = multiplicative(a.prec, a.alpha)

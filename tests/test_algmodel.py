@@ -1,12 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rhizalab.algmodel import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
+    _write_json,
     parse_algebra,
     serialize_algebra,
     sum_product,
@@ -183,3 +187,55 @@ def test_optional_second_map_round_trips():
     assert a.beta is not None
     assert apply(a.beta, (F(1), F(0))) == (F(0), F(1))
     assert parse_algebra(serialize_algebra(a)) == a
+
+
+def test_from_entries_adds_repeated_entries():
+    op = BilinearOp.from_entries(
+        2, [(0, 0, 0, "1/2"), (0, 0, 0, "-1/2"), (0, 0, 0, "1/3"), (1, 1, 1, 0), (1, 1, 1, "2"), (0, 1, 0, F(3))]
+    )
+    assert op.nonzero_entries() == [(0, 0, 0, F(1, 3)), (0, 1, 0, F(3)), (1, 1, 1, F(2))]
+    assert all(type(c) is Fraction for row in op.coeffs for col in row for c in col)
+
+
+@pytest.mark.parametrize("bad", [True, False, None, 0.5])
+def test_coefficients_refuse_non_rationals(bad):
+    with pytest.raises(ParseError):
+        BilinearOp(1, [[[bad]]])
+    with pytest.raises(ParseError):
+        BilinearOp.from_entries(1, [(0, 0, 0, bad)])
+
+
+# Text of every kind the writer must escape: non-ASCII, control characters, lone surrogates.
+_TEXT = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)), max_size=8)
+_LEAVES = st.one_of(
+    _TEXT,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([True, False, None, 0, 1, -1, 2**64, 2**64 + 1, -(2**64) - 1]),
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_DOCS)
+@example({"": [{}, [], (), "", "\ud800", "\x00\x1f\x7f\"\\", "é€😀", True, 1, False, 0, None, 2**64, -(2**64), 10**40]})
+@example({})
+@example(())
+@example(True)
+@example("\udfff")
+def test_json_writer_matches_stdlib(doc):
+    assert _write_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("leaf", [0.5, F(1, 2), {1, 2}, b"x"])
+def test_json_writer_refuses_other_types(leaf):
+    for doc in (leaf, [leaf], {"x": leaf}, ("y", leaf)):
+        with pytest.raises(TypeError):
+            _write_json(doc)
