@@ -28,6 +28,7 @@ S_{k+1}; and S_{k+1} lies in S_k.  So the whole run from S_m on is constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple
 
@@ -64,6 +65,11 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The rows as sparse integer vectors (``algmodel._sparse``), built once per subspace."""
+        return tuple(map(_sparse, self.rows))
 
     @property
     def basis(self) -> Matrix:
@@ -114,9 +120,8 @@ def _products_span(pairs, tables) -> Subspace:
     dim = len(tables[0])
     out = []
     for m, n in pairs:
-        vs = [_sparse(v) for v in n.rows]
-        for u in map(_sparse, m.rows):
-            for v in vs:
+        for u in m._sparse_rows:
+            for v in n._sparse_rows:
                 for table in tables:
                     w = [0] * dim
                     _product_into(w, table, u, v)
@@ -269,7 +274,7 @@ def _alpha_stability(full, twist) -> CheckReport:
     violations = []
     for g, term in enumerate(full, start=1):
         image = []
-        for u in map(_sparse, term.rows):
+        for u in term._sparse_rows:
             w = [0] * term.ambient_dim
             _apply_into(w, twist, u)
             image.append(w)
