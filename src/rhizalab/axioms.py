@@ -239,39 +239,45 @@ def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twist
                 yield i, j, k, r1, r2, r3
 
 
-def _split_violations(a: HomAlgebra, signed: bool) -> list[Violation]:
-    """The three split identities of a plain algebra, in the order r1, r2, r3 per triple, then
-    twist compatibility of both products.
+def _split_violations(t: _Twisted, succ: int, prec: int, signed: bool) -> list[Violation]:
+    """The three split identities of a plain algebra, whose products succ and prec are those at
+    these indices of ``t``, in the order r1, r2, r3 per triple, then twist compatibility of both
+    products.
 
     ``signed=True`` is the anti-associative splitting (right sides carry a
     minus), ``signed=False`` the associative one (no minus).
     """
     ids = ("req1", "req2", "req3") if signed else ("den1", "den2", "den3")
-    t = _twisted([a.succ, a.prec], a.alpha)
     violations = []
-    for i, j, k, *resids in _split_residuals(0, 0, 0, 1, 1, 1, t, -1 if signed else 1):
+    for i, j, k, *resids in _split_residuals(succ, succ, succ, prec, prec, prec, t, -1 if signed else 1):
         for ident, r in zip(ids, resids):
             if any(r):
                 violations.append(Violation(ident, (i + 1, j + 1, k + 1), _residual(r, t.scale)))
-    for p, name in enumerate(("succ", "prec")):
+    for p, name in ((succ, "succ"), (prec, "prec")):
         violations.extend(_multiplicativity_violations(t, p, f"mult_{name}"))
     return violations
+
+
+def _split_report(a: HomAlgebra, signed: bool, view: tuple[list[str], _Twisted] | None = None) -> CheckReport:
+    """``check_rhizaform`` (signed) or ``check_dendriform``; ``view`` is an integer view of the
+    products of ``a`` already at hand, as the names of its products in order and the view."""
+    name = "rhizaform" if signed else "dendriform"
+    if not a.is_rhizaform:
+        raise MissingProduct(f"{name} check needs products succ and prec")
+    names, t = view or (["succ", "prec"], _twisted([a.succ, a.prec], a.alpha))
+    return CheckReport.collect(name, _split_violations(t, names.index("succ"), names.index("prec"), signed))
 
 
 def check_rhizaform(a: HomAlgebra) -> CheckReport:
     """Anti-associative splitting: the three signed identities + twist
     compatibility of both products."""
-    if not a.is_rhizaform:
-        raise MissingProduct("rhizaform check needs products succ and prec")
-    return CheckReport.collect("rhizaform", _split_violations(a, signed=True))
+    return _split_report(a, signed=True)
 
 
 def check_dendriform(a: HomAlgebra) -> CheckReport:
     """Associative splitting: the three sign-free identities + twist
     compatibility of both products."""
-    if not a.is_rhizaform:
-        raise MissingProduct("dendriform check needs products succ and prec")
-    return CheckReport.collect("dendriform", _split_violations(a, signed=False))
+    return _split_report(a, signed=False)
 
 
 def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:

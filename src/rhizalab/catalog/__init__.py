@@ -10,39 +10,28 @@ computations are compared against them and differences surface as
 *findings* in the report, while hard failures are reserved for internal
 errors (checker vs. brute-force-oracle disagreement).
 
-The entries are read-only package data, so each process reads and decodes
-each data file once.  The 19 entries without parameters always yield the
-same report, so it is computed once per process, and under ``--oracle`` so
-are their oracle disagreements; later calls reuse both.  The four entries
-that carry eta (d3.A4, d3.A6, d3.A7, d3.A9) are verified afresh on every
-call: their results change with eta (at eta=0 d3.A4 lists its failing split
-identities as req1, req3, req2, at eta=1 as req1, req2, req3), and keying on
-eta would make the cache unbounded.  What a caller receives is never shared
-mutable state: reports are frozen (``multiplicative`` is a read-only
-mapping), and ``load_catalog_entry`` hands out its own copy of the document.
+Each entry's report reads its products through one integer view, shared by
+the split identities and the power series, and takes the dimension of its
+algebra-valued cyclic-form space from two ranks, without building the basis.
+Nothing is kept between calls: every call reads and verifies its entries
+afresh, so a one-shot ``rhizalab catalog verify`` saves as much per entry as
+a process that verifies the catalog many times.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from types import MappingProxyType
 
 from .. import oracle
 from ..algmodel import HomAlgebra, parse_algebra_obj, sum_product
-from ..axioms import (
-    CheckReport,
-    check_hom_anti_associative,
-    check_rhizaform,
-)
-from ..cocycles import vector_cocycle_space
+from ..axioms import CheckReport, _split_report, check_hom_anti_associative
+from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnknownEntry
-from ..nilpotency import NilpotencyVerdict, analyze
+from ..nilpotency import NilpotencyVerdict, _analysis, _twisted_view
 
 _DATA_PACKAGE = "rhizalab.catalog"
 _DATA_DIR = "data/v1"
@@ -90,21 +79,16 @@ def _sort_key(entry_id: str) -> tuple[int, int]:
     return int(m.group("dim")), int(m.group("num"))
 
 
-@functools.cache
-def _ids() -> tuple[str, ...]:
-    root = resources.files(_DATA_PACKAGE).joinpath(_DATA_DIR)
-    ids = [item.name[:-5].replace("_", ".") for item in root.iterdir() if item.name.endswith(".json")]
-    return tuple(sorted(ids, key=_sort_key))
-
-
 def entry_ids() -> list[str]:
-    return list(_ids())
+    root = resources.files(_DATA_PACKAGE).joinpath(_DATA_DIR)
+    ids = []
+    for item in root.iterdir():
+        if item.name.endswith(".json"):
+            ids.append(item.name[:-5].replace("_", "."))
+    return sorted(ids, key=_sort_key)
 
 
-@functools.cache
-def _entry(entry_id: str) -> CatalogEntry:
-    """The entry as read from its data file, once per process.  Shared, so only this module reads
-    it; an unknown id raises (and is not cached) on every call."""
+def load_catalog_entry(entry_id: str) -> CatalogEntry:
     name = entry_id.replace(".", "_") + ".json"
     path = resources.files(_DATA_PACKAGE).joinpath(_DATA_DIR).joinpath(name)
     if not _ID_RE.match(entry_id) or not path.is_file():
@@ -124,15 +108,9 @@ def _entry(entry_id: str) -> CatalogEntry:
     )
 
 
-def load_catalog_entry(entry_id: str) -> CatalogEntry:
-    """The entry, with a document of its own: editing it changes no later result."""
-    entry = _entry(entry_id)
-    return replace(entry, algebra_doc=copy.deepcopy(entry.algebra_doc))
-
-
 def load_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> HomAlgebra:
     """Fully rational algebra for one entry (see ``CatalogEntry.algebra``)."""
-    return _entry(entry_id).algebra(params)
+    return load_catalog_entry(entry_id).algebra(params)
 
 
 @dataclass(frozen=True)
@@ -141,7 +119,7 @@ class EntryReport:
     dim: int
     tag: str
     rhizaform: CheckReport
-    multiplicative: MappingProxyType[str, bool]  # read-only: a report may be shared
+    multiplicative: dict[str, bool]
     tag_agrees: bool
     cocycle_dim: int
     expected_cocycle_dim: int
@@ -203,39 +181,15 @@ class EntryReport:
 
 def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> EntryReport:
     """Run every structural check on one entry and bundle the outcomes."""
-    return _verified(entry_id, params, False)[0]
-
-
-def _verified(entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, tuple[str, ...]]:
-    """One entry's report, and its oracle disagreements when ``with_oracle``.  Those of an entry
-    without parameters are computed once per process; an entry with parameters is verified afresh
-    (module doc)."""
-    entry = _entry(entry_id)
-    if not entry.parameters:
-        return _fixed_report(entry_id)[1], _fixed_diffs(entry_id) if with_oracle else ()
-    a = entry.algebra(params)
-    report = _entry_report(entry, a)
-    return report, tuple(oracle_disagreements(entry_id, a, report)) if with_oracle else ()
-
-
-@functools.cache
-def _fixed_report(entry_id: str) -> tuple[HomAlgebra, EntryReport]:
-    """The algebra and report of an entry without parameters."""
-    entry = _entry(entry_id)
-    a = entry.algebra()
-    return a, _entry_report(entry, a)
-
-
-@functools.cache
-def _fixed_diffs(entry_id: str) -> tuple[str, ...]:
-    """The oracle disagreements of an entry without parameters."""
-    return tuple(oracle_disagreements(entry_id, *_fixed_report(entry_id)))
+    entry = load_catalog_entry(entry_id)
+    return _entry_report(entry, entry.algebra(params))
 
 
 def _entry_report(entry: CatalogEntry, a: HomAlgebra) -> EntryReport:
-    rhiza = check_rhizaform(a)
-    multiplicative = MappingProxyType({name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")})
-    nil = analyze(a)
+    view = _twisted_view(a)  # one integer view for the split identities and the series
+    rhiza = _split_report(a, True, view)  # check_rhizaform
+    multiplicative = {name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
+    nil = _analysis(*view)  # analyze
     return EntryReport(
         entry_id=entry.entry_id,
         dim=entry.dim,
@@ -243,7 +197,7 @@ def _entry_report(entry: CatalogEntry, a: HomAlgebra) -> EntryReport:
         rhizaform=rhiza,
         multiplicative=multiplicative,
         tag_agrees=(entry.tag == "m") == all(multiplicative.values()),
-        cocycle_dim=len(vector_cocycle_space(a)),
+        cocycle_dim=_vector_cocycle_dim(a),
         expected_cocycle_dim=entry.expected_cocycle_dim,
         nilpotent=nil.verdicts["full"],
         series_equality=nil.series_equality,
@@ -334,8 +288,11 @@ def verify_all(
     findings: list[str] = []
     diffs: list[str] = []
     for entry_id in selected:
-        report, entry_diffs = _verified(entry_id, params, with_oracle)
+        entry = load_catalog_entry(entry_id)
+        a = entry.algebra(params)
+        report = _entry_report(entry, a)
         reports.append(report)
         findings.extend(report.findings())
-        diffs.extend(entry_diffs)
+        if with_oracle:
+            diffs.extend(oracle_disagreements(entry_id, a, report))
     return CatalogSummary(tuple(reports), tuple(findings), tuple(diffs))

@@ -124,7 +124,7 @@ OPERATION_COVERAGE = {
     "family.induced_family_rhizaform": "family --do induce --algebra A.json FILE",
     "family.tensor_collapse": "family --do collapse --algebra A.json FILE",
     "catalog.load_entry": "catalog show --id ID (the entry's algebra, read with the entry)",
-    "catalog.verify_entry": "catalog verify --id ID (verify_all's route per entry; a parameter-free entry's report is made once per process)",
+    "catalog.verify_entry": "catalog verify --id ID (each entry's report, from one read of the entry)",
     "catalog.verify_all": "catalog verify",
 }
 

@@ -31,6 +31,7 @@ from .algmodel import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
+    _add_into,
     _apply_into,
     _divided,
     _integers,
@@ -39,7 +40,7 @@ from .algmodel import (
 )
 from .axioms import Violation, _residual, check_hom_anti_associative
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
-from .exactlin import F0, Matrix, _cleared, _kernel, invert, rank
+from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,6 @@ class VectorForm(BilinearOp):
     """Algebra-valued bilinear form; same tensor layout, equality and repr as a product."""
 
 
-def _working_product(a: HomAlgebra, strict: bool) -> BilinearOp:
-    """The product both solvers read; strict mode requires it to be anti-associative."""
-    star = star_product(a)
-    if strict and not check_hom_anti_associative(star, a.alpha).passed:
-        raise NotAntiAssociative("the working product is not anti-associative")
-    return star
-
-
 # --- the conditions, as integer rows and their scale ------------------------
 # Each row is its condition with every structure it reads cleared by one D
 # (``algmodel._integers``; the rows that read only alpha clear it by its own
@@ -83,10 +76,18 @@ def _add_form_terms(row: list[int], u, w, n: int, stride: int = 1, offset: int =
             row[(p * n + q) * stride + offset] += up * wq
 
 
-def _cyclic_rows(star: BilinearOp, alpha: LinearMap) -> tuple[list[list[int]], int]:
-    """The scalar cyclic condition at each (i, j, k), lexicographic, in the unknowns B[p][q]; at D^2."""
-    n = star.dim
-    (table, images), d = _integers(star, alpha.matrix)
+def _cyclic_rows(a: HomAlgebra) -> tuple[list[list[int]], int]:
+    """The scalar cyclic condition of the working product at each (i, j, k), lexicographic, in the
+    unknowns B[p][q]; at D^2.  The working product is the sum of the products of ``a``
+    (``star_product``), so its integer table is the sum of theirs."""
+    n = a.dim
+    (*tables, images), d = _integers(*a.products.values(), a.alpha.matrix)
+    table = [[0] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        cell = [0] * n
+        for t in tables:
+            _add_into(cell, t[i][j])
+        table[i][j] = _sparse(cell)
     rows = []
     for i in range(n):
         for j in range(n):
@@ -143,7 +144,7 @@ def _violations(a: HomAlgebra, flat, width: int, ident: str, second) -> list[Vio
     (form,), d = _cleared([flat])
     out = []
     for name, (rows, scale), forms, arity in (
-        ("cyclic", _cyclic_rows(star_product(a), a.alpha), [form[s::width] for s in range(width)], 3),
+        ("cyclic", _cyclic_rows(a), [form[s::width] for s in range(width)], 3),
         (ident, second(a.alpha), [form], 2),
     ):
         tuples = list(product(range(n), repeat=arity))
@@ -153,6 +154,28 @@ def _violations(a: HomAlgebra, flat, width: int, ident: str, second) -> list[Vio
             if any(r):
                 out.append(Violation(name, tuple(i + 1 for i in where), _residual(r, scale * d)))
     return out
+
+
+def _reduced_system(a: HomAlgebra, strict: bool, width: int, second) -> tuple[list, list[list[int]]]:
+    """The kernel b_1..b_d of the scalar cyclic rows, and the rows of ``second`` in the d*width
+    unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict mode requires the working
+    product to be anti-associative."""
+    if strict and not check_hom_anti_associative(star_product(a), a.alpha).passed:
+        raise NotAntiAssociative("the working product is not anti-associative")
+    n = a.dim
+    kernel = _kernel(_cyclic_rows(a)[0], n * n)
+    block, _ = _cleared(kernel)
+    at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
+    rows = []
+    for second_row in second(a.alpha)[0]:
+        row = [0] * (len(kernel) * width)
+        for col, x in enumerate(second_row):
+            if x:
+                pq, s = divmod(col, width)
+                for t, bpq in at[pq]:
+                    row[t * width + s] += x * bpq
+        rows.append(row)
+    return kernel, rows
 
 
 def _solved(a: HomAlgebra, strict: bool, width: int, second) -> list[list[Fraction]]:
@@ -178,20 +201,8 @@ def _solved(a: HomAlgebra, strict: bool, width: int, second) -> list[list[Fracti
     a basis that is 1 at its own free column and 0 at the others and past it
     is unique.
     """
-    star = _working_product(a, strict)
+    kernel, rows = _reduced_system(a, strict, width, second)
     n = a.dim
-    kernel = _kernel(_cyclic_rows(star, a.alpha)[0], n * n)
-    block, _ = _cleared(kernel)
-    at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
-    rows = []
-    for second_row in second(a.alpha)[0]:
-        row = [0] * (len(kernel) * width)
-        for col, x in enumerate(second_row):
-            if x:
-                pq, s = divmod(col, width)
-                for t, bpq in at[pq]:
-                    row[t * width + s] += x * bpq
-        rows.append(row)
     out = []
     for c in _kernel(rows, len(kernel) * width):
         v = [F0] * (n * n * width)
@@ -227,6 +238,13 @@ def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm
     n = a.dim
     cells = [[v[pq * n : (pq + 1) * n] for pq in range(n * n)] for v in _solved(a, strict, n, _twist_rows)]
     return [VectorForm(n, [c[p * n : (p + 1) * n] for p in range(n)]) for c in cells]
+
+
+def _vector_cocycle_dim(a: HomAlgebra) -> int:
+    """len(vector_cocycle_space(a)), read from the ranks without building the basis: the map
+    c -> B of ``_solved`` is injective, so the space has the dimension of the kernel in c."""
+    kernel, rows = _reduced_system(a, False, a.dim, _twist_rows)
+    return len(kernel) * a.dim - len(_echelon(rows)[1])
 
 
 def is_nondegenerate(b: ScalarForm) -> bool:

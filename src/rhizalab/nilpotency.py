@@ -239,6 +239,8 @@ def _two_nilpotent(t, names: list[str]) -> CheckReport:
                 # (e_i o_p e_j) o_q alpha(e_k), then alpha(e_i) o_q (e_j o_p e_k)
                 out_in = (("out", t.right[q][k], t.tables[p][i][j]), ("in", t.left[q][i], t.tables[p][j][k]))
                 for side, cols, x in out_in:
+                    if not x:  # a zero product: nothing to apply
+                        continue
                     r = [0] * n
                     _apply_into(r, cols, x)
                     if any(r):
@@ -311,7 +313,11 @@ class NilpotencyAnalysis:
 
 def analyze(a: HomAlgebra) -> NilpotencyAnalysis:
     """The series of ``a``, their verdicts and every series check, from one clearing of its products."""
-    names, t = _twisted_view(a)
+    return _analysis(*_twisted_view(a))
+
+
+def _analysis(names: list[str], t) -> NilpotencyAnalysis:
+    """``analyze`` on the integer view ``t`` of an algebra's products ``names`` (``_twisted_view``)."""
     series = {kind: _until_stable(t.tables, kind) for kind in _KINDS}
     return NilpotencyAnalysis(
         series=series,

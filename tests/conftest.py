@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from rhizalab import catalog
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import check_hom_anti_associative
 from rhizalab.catalog import entry_ids, load_entry
@@ -51,12 +50,6 @@ def graded_split_algebra(rng: random.Random, n: int) -> HomAlgebra:
 def catalog_algebras(params=None) -> list[tuple[str, HomAlgebra]]:
     params = ETA_DEFAULT if params is None else params
     return [(eid, load_entry(eid, params)) for eid in entry_ids()]
-
-
-def clear_catalog_caches() -> None:
-    """Forget everything the catalog computes once per process (``functools.cache``)."""
-    for cached in (catalog._ids, catalog._entry, catalog._fixed_report, catalog._fixed_diffs):
-        cached.cache_clear()
 
 
 def catalog_sums(params=None) -> list[tuple[str, HomAlgebra]]:

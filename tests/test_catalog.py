@@ -3,20 +3,20 @@ from fractions import Fraction
 import pytest
 
 from rhizalab.algmodel import LinearMap, parse_algebra, serialize_algebra
+from rhizalab.axioms import check_rhizaform
 from rhizalab.catalog import (
     CatalogSummary,
-    _entry_report,
     entry_ids,
     load_catalog_entry,
     load_entry,
-    oracle_disagreements,
     verify_all,
     verify_entry,
 )
-from rhizalab.errors import UnboundParameter, UnknownEntry
+from rhizalab.cocycles import vector_cocycle_space
+from rhizalab.errors import ParseError, UnboundParameter, UnknownEntry
 from rhizalab.exactlin import Matrix
+from rhizalab.nilpotency import analyze
 from rhizalab.operators import LinearOperator, check_homomorphism
-from tests.conftest import clear_catalog_caches
 from tests.fraction_checkers import basis_vec
 
 F = Fraction
@@ -160,70 +160,37 @@ def test_eta_free_entries_report_identically_across_eta():
             assert rows == baseline
 
 
-def fresh_verification(entry_id, params):
-    """An entry's report and oracle disagreements, computed here without any cache."""
-    entry = load_catalog_entry(entry_id)
-    a = entry.algebra(params)
-    report = _entry_report(entry, a)
-    return report, tuple(oracle_disagreements(entry_id, a, report))
-
-
-# eta = 0 changes d3.A4's order of failing identities; the last has a height of about 2^20
+# eta = 0 reorders d3.A4's failing split identities; the last eta has a height of about 2^20
 DIFFERENTIAL_ETAS = [F(0), F(1), F(-2), F(1, 4), F(2**20 + 7, 3)]
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_cached_verification_equals_a_fresh_computation(warm):
-    """Every entry, with and without parameters, at several eta: ``verify_all`` (plain and under
-    the oracle) and ``verify_entry`` report what a fresh computation gives, whether the catalog's
-    caches start empty before each call or stay filled from the earlier eta."""
-    clear_catalog_caches()
-    for eta in DIFFERENTIAL_ETAS:
-        params = {"eta": eta}
-        fresh = {eid: fresh_verification(eid, params) for eid in entry_ids()}
-        reports = tuple(report for report, _ in fresh.values())
-        diffs = tuple(d for _, entry_diffs in fresh.values() for d in entry_diffs)
-        findings = tuple(f for report in reports for f in report.findings())
-        for with_oracle in (False, True):
-            if not warm:
-                clear_catalog_caches()
-            summary = verify_all(params=params, with_oracle=with_oracle)
-            assert summary.reports == reports, (eta, with_oracle)
-            assert summary.findings == findings, (eta, with_oracle)
-            assert summary.oracle_diffs == (diffs if with_oracle else ()), (eta, with_oracle)
-        for eid, (report, _) in fresh.items():
-            if not warm:
-                clear_catalog_caches()
-            assert verify_entry(eid, params) == report, (eid, eta)
+@pytest.mark.parametrize("eta", DIFFERENTIAL_ETAS, ids=str)
+def test_entry_reports_equal_the_public_checks(eta):
+    """Each entry's report reads one integer view of its products for the split identities and the
+    series, and the cyclic-form dimension without its basis: every field equals what the public
+    checks give on the entry's algebra."""
+    params = {"eta": eta}
+    for report in verify_all(params=params).reports:
+        a = load_entry(report.entry_id, params)
+        nil = analyze(a)
+        assert report == verify_entry(report.entry_id, params)
+        assert report.rhizaform == check_rhizaform(a), report.entry_id
+        assert report.cocycle_dim == len(vector_cocycle_space(a)), report.entry_id
+        assert report.nilpotent == nil.verdicts["full"], report.entry_id
+        assert (report.series_equality, report.onesided, report.two_nilpotent, report.alpha_stability) == (
+            nil.series_equality,
+            nil.onesided,
+            nil.two_nilpotent,
+            nil.alpha_stability,
+        ), report.entry_id
 
 
-def test_an_eta_entry_is_verified_afresh_after_another_eta():
-    clear_catalog_caches()
-    assert verify_entry("d3.A4", {"eta": F(1)}).rhizaform.failed_ids()[:3] == ("req1", "req2", "req3")
-    at_zero = {r.entry_id: r for r in verify_all(params={"eta": F(0)}).reports}["d3.A4"]
-    assert at_zero.rhizaform.failed_ids()[:3] == ("req1", "req3", "req2")
-    assert at_zero.to_obj() == fresh_verification("d3.A4", {"eta": F(0)})[0].to_obj()
-
-
-def test_returned_reports_and_entries_are_not_shared_mutable_state():
-    clear_catalog_caches()
-    report = verify_entry("d2.A7")
-    with pytest.raises(TypeError):
-        report.multiplicative["succ"] = False
-    assert verify_entry("d2.A7").multiplicative == {"succ": True, "prec": True}
-    ids = entry_ids()
-    ids.clear()
-    assert len(entry_ids()) == 23
-
-    clear_catalog_caches()
-    before = load_catalog_entry("d2.A7"), load_entry("d2.A7"), verify_all(params=ETA).to_obj()
-    clear_catalog_caches()
-    entry = load_catalog_entry("d2.A7")
-    entry.algebra_doc["alpha"][0][0] = "5"
-    entry.algebra_doc["succ"].clear()
-    assert load_catalog_entry("d2.A7") == before[0]
-    assert load_entry("d2.A7") == before[1]
-    assert verify_all(params=ETA).to_obj() == before[2]
+def test_a_bad_binding_is_refused_whichever_entries_are_selected():
+    """A binding is parsed for every selected entry, also one that reads no parameter."""
+    with pytest.raises(ParseError):
+        verify_all(params={"eta": 0.5}, dim=2)
+    with pytest.raises(ParseError):
+        verify_entry("d2.A1", {"eta": 0.5})
 
 
 def test_findings_mention_cocycle_deltas():

@@ -1,14 +1,10 @@
 import hashlib
 import io
 import json
-import os
 import random
 import re
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +18,7 @@ from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, OPERATION_COVERAGE, bui
 from rhizalab.family import induced_family_rhizaform
 from rhizalab.files import bimodule_obj, load_algebra, load_json, read_bimodule, read_family, read_rb_family
 from rhizalab.operators import regular_bimodule
-from tests.conftest import clear_catalog_caches, graded_split_algebra
+from tests.conftest import graded_split_algebra
 
 F = Fraction
 
@@ -236,28 +232,6 @@ def test_catalog_verify_structured_byte_identical():
     ]
     assert runs[0][0] == 0 and runs[1][0] == 0
     assert runs[0][1].encode() == runs[1][1].encode()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("catalog", "verify", "--format", "structured", "--oracle", "--param", "eta=1/4"),
-        ("catalog", "verify", "--param", "eta=1"),
-    ],
-    ids=["structured-oracle", "table"],
-)
-def test_catalog_verify_prints_the_same_bytes_cold_and_warm(argv):
-    """A process that verified the catalog before (its parameter-free reports cached) prints what
-    its first call and a fresh interpreter print."""
-    clear_catalog_caches()
-    cold, warm = run_cli(*argv), run_cli(*argv)
-    src = str(Path(rhizalab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    fresh = subprocess.run(
-        [sys.executable, "-m", "rhizalab", *argv], capture_output=True, env=env, timeout=120, check=False
-    )
-    assert cold[0] == warm[0] == fresh.returncode == 0
-    assert cold[1].encode() == warm[1].encode() == fresh.stdout
 
 
 def test_catalog_verify_with_oracle_exits_zero():

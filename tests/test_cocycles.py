@@ -19,6 +19,7 @@ from rhizalab.cocycles import (
     ScalarForm,
     VectorForm,
     _cyclic_rows,
+    _vector_cocycle_dim,
     is_nondegenerate,
     rhizaform_from_cocycle,
     scalar_cocycle_residuals,
@@ -416,7 +417,7 @@ def test_cyclic_rows_are_equal_along_rotation_orbits(n):
         for tensor in (_sparse_tensor, _fractional_tensor):
             for twist in (_dense_twist, _fractional_involution):
                 a = HomAlgebra.rhizaform(tensor(rng, n, density), tensor(rng, n, density), twist(rng, n))
-                rows = _cyclic_rows(star_product(a), a.alpha)[0]
+                rows = _cyclic_rows(a)[0]
                 assert len(rows) == n**3
 
                 def at(i, j, k):
@@ -531,3 +532,19 @@ def test_scalar_rows_match_fraction_rows_with_denominators(n, twist):
         if assert_same_scalar_basis(a, (n, twist.__name__, density)) and not star_product(a).is_zero():
             nontrivial += 1
     assert nontrivial  # a nonzero product with a nonzero space
+
+
+@pytest.mark.parametrize("twist", sorted(TWISTS))
+def test_vector_dimension_is_the_length_of_the_basis(twist):
+    """``_vector_cocycle_dim`` reads the dimension from two ranks, without building the basis that
+    ``vector_cocycle_space`` builds; integral and fractional constants, split and mono algebras."""
+    rng = random.Random(f"vector-dimension-{twist}")
+    dims = set()
+    for density in (0.0, 0.05, 0.1, 0.2, 0.6):
+        for tensor in (_sparse_tensor, _fractional_tensor):
+            a = HomAlgebra.rhizaform(tensor(rng, 3, density), tensor(rng, 3, density), TWISTS[twist](rng, 3))
+            for b in (a, sum_mono(a)):
+                dim = _vector_cocycle_dim(b)
+                assert dim == len(vector_cocycle_space(b)), (twist, density, tensor.__name__, b.kind)
+                dims.add(dim)
+    assert len(dims) > 1
