@@ -103,7 +103,7 @@ OPERATION_COVERAGE = {
     "cocycles.scalar_cocycle_space": "cocycles --scalar FILE",
     "cocycles.vector_cocycle_space": "cocycles --vector FILE",
     "cocycles.is_nondegenerate": "cocycles --scalar FILE (reported per basis form)",
-    "cocycles.rhizaform_from_cocycle": "induce --what cocycle --form B.json FILE",
+    "cocycles.rhizaform_from_cocycle": "induce --what cocycle --form B.json FILE (invertible-o, coregular bimodule)",
     "nilpotency.analyze": "nilpotency FILE (the whole report, from one clearing of the products)",
     "nilpotency.diamond": "nilpotency FILE (series construction, in analyze)",
     "nilpotency.right_series": "nilpotency FILE (the right series of analyze)",

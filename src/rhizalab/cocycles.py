@@ -18,6 +18,10 @@ the scale they carry: ``_cyclic_rows``, ``_invariance_rows`` and
 ``_violations``, read them for either width; the public functions only set
 the width, the second condition and the output shape.  With ``strict``, the
 solvers first require the working product to be anti-associative.
+
+The splitting from a nondegenerate scalar form B is the coregular case of
+the O-operator code, as an averaging operator is the regular case: the
+compatible splitting of (B^T)^-1 on the dual of the regular bimodule.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from .algmodel import (
     HomAlgebra,
     LinearMap,
     _add_into,
-    _apply_into,
-    _divided,
     _integers,
     _sparse,
     star_product,
@@ -41,6 +43,7 @@ from .algmodel import (
 from .axioms import Violation, _residual, check_hom_anti_associative
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
+from .operators import LinearOperator, compatible_from_invertible_o_operator, dual_bimodule, regular_bimodule
 
 
 @dataclass(frozen=True)
@@ -256,12 +259,11 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     """Solve B(x succ y, z) = B(y, z*x) and B(x prec y, z) = B(x, y*z) for the splits.
 
     Needs b nondegenerate (Singular otherwise); in strict mode b must lie in
-    the scalar cocycle space of the algebra (NotACocycle otherwise).  A split
-    is (B^T)^-1 applied to the vector of B(y, e_k*x) (or B(x, y*e_k)) over k.
-    Over int, with the working product, B and (B^T)^-1 cleared by one D, every
-    cell is at D^3.
+    the scalar cocycle space of the algebra (NotACocycle otherwise).  The
+    splits are those of the invertible O-operator T = (B^T)^-1 on the
+    coregular bimodule (the dual of the regular one) of the working product:
+    x succ y = T(R(x)^T B^T y) and x prec y = T(L(y)^T B^T x).
     """
-    star = star_product(a)
     n = a.dim
     if b.dim != n:
         raise DimensionMismatch("form and algebra dimensions differ")
@@ -270,14 +272,6 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
         bad = scalar_cocycle_residuals(a, b)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
-    (table, form, inv), d = _integers(star, b.matrix, bt_inv)
-    paired = [[[0] * n for _ in range(n)] for _ in range(n)]  # paired[i][j][p] = B(e_p, e_i * e_j), at D^2
-    for i in range(n):
-        for j in range(n):
-            _apply_into(paired[i][j], form, table[i][j])
-    succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
-    for i in range(n):
-        for j in range(n):
-            _apply_into(succ[i][j], inv, _sparse([paired[k][i][j] for k in range(n)]))
-            _apply_into(prec[i][j], inv, _sparse([paired[j][k][i] for k in range(n)]))
-    return HomAlgebra.rhizaform(_divided(succ, d**3), _divided(prec, d**3), a.alpha)
+    s = HomAlgebra.mono(star_product(a), a.alpha)
+    t = LinearOperator(n, n, bt_inv)
+    return compatible_from_invertible_o_operator(t, s, dual_bimodule(regular_bimodule(s)), strict=False)

@@ -5,7 +5,7 @@ A finite semigroup is an explicit multiplication table over indices
 element; the family identities couple the indices through the table.  The
 plain checkers and constructions are the one-element case by construction:
 the split-identity residuals, the anti-associativity residual, the
-averaging-identity loop and the operator-induced splitting each exist once
+O-identity residual and the operator-induced splitting each exist once
 (in ``axioms`` and ``operators``), and the plain code passes its single
 product or operator at every index with an empty violation prefix.  The
 tensor collapse turns an operator family into a single operator on
@@ -38,7 +38,7 @@ from .axioms import (
 )
 from .errors import DimensionMismatch, NotARotaBaxterOperator
 from .exactlin import Matrix
-from .operators import LinearOperator, _equivariance_violations, _rb_violations, _split
+from .operators import LinearOperator, _equivariance_violations, _o_violations, _split
 
 
 @dataclass(frozen=True)
@@ -217,11 +217,11 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
             _equivariance_violations(ops[lam].matrix, a.alpha.matrix, a.alpha.matrix, ops[lam].matrix, (lam,))
         )
     (table, *cols), d = _integers(mul, *(ops[lam].matrix for lam in range(s.size)))
+    opposite = _opposite(table)
     for lam in range(s.size):
         for omega in range(s.size):
-            violations.extend(
-                _rb_violations(table, cols[lam], cols[omega], cols[s.mul(lam, omega)], d**3, (lam, omega))
-            )
+            r_x, r_y, r_xy = cols[lam], cols[omega], cols[s.mul(lam, omega)]
+            violations.extend(_o_violations("rb_identity", table, table, opposite, r_x, r_y, r_xy, d**3, (lam, omega)))
     return CheckReport.collect("rb_family", violations)
 
 

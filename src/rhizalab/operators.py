@@ -6,6 +6,12 @@ The dual module is realized concretely by matrix transposition (dual-basis
 identification), so double-dualizing returns the original object bit for
 bit.
 
+An averaging (weight-zero Rota-Baxter) operator is the O-operator of the
+regular bimodule (left action the product, right action its opposite), so
+one O-identity residual and one induced splitting serve both, plain and in
+families.  A nondegenerate cyclic form B gives the invertible O-operator
+(B^T)^-1 of the coregular bimodule, the dual of the regular one (``cocycles``).
+
 Bimodule report identity ids are ``bm1`` .. ``bm5`` in the printed order
 (left-left, right-right, mixed, twist-left, twist-right), plus
 ``bm3_swapped`` for the mixed identity with the two algebra arguments
@@ -195,6 +201,28 @@ def _require_o_shapes(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> None:
         raise DimensionMismatch("bimodule is over an algebra of different dimension")
 
 
+def _o_violations(ident: str, table, left, right, t_x, t_y, t_xy, scale: int, prefix=()):
+    """Residual T_x(u)*T_y(v) - T_xy(L(T_x(u))v + R(T_y(v))u) on module basis pairs.
+
+    ``table`` is the product's integer table, ``left`` and ``right`` those of
+    the actions (left[i][w] = L(e_i) e_w) and the operators integer columns,
+    all cleared by one D, so every term is at ``scale``, D^3.
+    """
+    n, md = len(table), len(t_x)
+    for u in range(md):
+        x_u, e_u = t_x[u], ((u, 1),)
+        for v in range(md):
+            y_v = t_y[v]
+            inner = [0] * md  # L(T_x(u)) e_v + R(T_y(v)) e_u, at D^2
+            _product_into(inner, left, x_u, ((v, 1),))
+            _product_into(inner, right, y_v, e_u)
+            r = [0] * n
+            _product_into(r, table, x_u, y_v)
+            _apply_into(r, t_xy, _sparse(inner), -1)
+            if any(r):
+                yield Violation(ident, (*prefix, u + 1, v + 1), _residual(r, scale))
+
+
 def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
     """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs.
 
@@ -204,41 +232,10 @@ def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckRepo
     mul = a.mul
     _require_o_shapes(t, a, m)
     violations = list(_equivariance_violations(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
-    n, md = a.dim, m.mod_dim
+    n = a.dim
     (table, images, *actions), d = _integers(mul, t.matrix, *m.left, *m.right)
-    left, right = actions[:n], actions[n:]
-    for u in range(md):
-        for v in range(md):
-            inner = [0] * md  # L(T(u)) e_v + R(T(v)) e_u, at D^2
-            _product_into(inner, left, images[u], ((v, 1),))
-            _product_into(inner, right, images[v], ((u, 1),))
-            r = [0] * n
-            _product_into(r, table, images[u], images[v])
-            _apply_into(r, images, _sparse(inner), -1)
-            if any(r):
-                violations.append(Violation("o_identity", (u + 1, v + 1), _residual(r, d**3)))
+    violations.extend(_o_violations("o_identity", table, actions[:n], actions[n:], images, images, images, d**3))
     return CheckReport.collect("o_operator", violations)
-
-
-def _rb_violations(table, r_x, r_y, r_xy, scale: int, prefix=()):
-    """Residual R_x(x)*R_y(y) - R_xy(R_x(x)*y + x*R_y(y)) on basis pairs.
-
-    ``table`` is the product's integer table and the operators are integer
-    columns, all cleared by one D, so every term is at ``scale``, D^3.
-    """
-    n = len(table)
-    for i in range(n):
-        r_i, e_i = r_x[i], ((i, 1),)
-        for j in range(n):
-            r_j, e_j = r_y[j], ((j, 1),)
-            inner = [0] * n
-            _product_into(inner, table, r_i, e_j)
-            _product_into(inner, table, e_i, r_j)
-            r = [0] * n
-            _product_into(r, table, r_i, r_j)
-            _apply_into(r, r_xy, _sparse(inner), -1)
-            if any(r):
-                yield Violation("rb_identity", (*prefix, i + 1, j + 1), _residual(r, scale))
 
 
 def _require_rb_shape(r: LinearOperator, a: HomAlgebra) -> None:
@@ -252,7 +249,7 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     _require_rb_shape(r, a)
     violations = list(_equivariance_violations(r.matrix, a.alpha.matrix, a.alpha.matrix, r.matrix))
     (table, cols), d = _integers(mul, r.matrix)
-    violations.extend(_rb_violations(table, cols, cols, cols, d**3))
+    violations.extend(_o_violations("rb_identity", table, table, _opposite(table), cols, cols, cols, d**3))
     return CheckReport.collect("rota_baxter", violations)
 
 
