@@ -13,7 +13,9 @@ errors (checker vs. brute-force-oracle disagreement).
 Each entry's report reads its products through one integer view, shared by
 the split identities and the power series, and takes the dimension of its
 algebra-valued cyclic-form space from two ranks, without building the basis.
-Nothing is kept between calls: every call reads and verifies its entries
+Under ``--oracle`` the checker's verdict on the anti-associativity of the
+summed product is read off the same view.  Nothing is kept between calls:
+every call reads and verifies its entries
 afresh, so a one-shot ``rhizalab catalog verify`` saves as much per entry as
 a process that verifies the catalog many times.
 """
@@ -27,8 +29,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .. import oracle
-from ..algmodel import HomAlgebra, parse_algebra_obj, sum_product
-from ..axioms import CheckReport, _split_report, check_hom_anti_associative
+from ..algmodel import HomAlgebra, _add_into, _sparse, parse_algebra_obj, sum_product
+from ..axioms import CheckReport, _anti_assoc_violations, _split_report
 from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnknownEntry
 from ..nilpotency import NilpotencyVerdict, _analysis, _twisted_view
@@ -182,11 +184,13 @@ class EntryReport:
 def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> EntryReport:
     """Run every structural check on one entry and bundle the outcomes."""
     entry = load_catalog_entry(entry_id)
-    return _entry_report(entry, entry.algebra(params))
+    a = entry.algebra(params)
+    return _entry_report(entry, a, _twisted_view(a))
 
 
-def _entry_report(entry: CatalogEntry, a: HomAlgebra) -> EntryReport:
-    view = _twisted_view(a)  # one integer view for the split identities and the series
+def _entry_report(entry: CatalogEntry, a: HomAlgebra, view) -> EntryReport:
+    """The report on ``a``, from ``view``, its integer view (``nilpotency._twisted_view``), which
+    serves the split identities and the series."""
     rhiza = _split_report(a, True, view)  # check_rhizaform
     multiplicative = {name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
     nil = _analysis(*view)  # analyze
@@ -208,17 +212,37 @@ def _entry_report(entry: CatalogEntry, a: HomAlgebra) -> EntryReport:
     )
 
 
-def oracle_disagreements(entry_id: str, a: HomAlgebra, report: EntryReport) -> list[str]:
-    """Diff harness verdicts against the brute-force evaluator."""
+def _sum_anti_associative(view) -> bool:
+    """``check_hom_anti_associative(sum_product(a), a.alpha).passed`` for the split algebra ``a``,
+    read off its integer view ``view``: the summed table and its twisted columns are the sums of the
+    split products' own, since the columns are linear in the table."""
+    names, t = view
+    p, q = names.index("succ"), names.index("prec")
+    n = len(t.twist)
+
+    def summed(x, y):
+        w = [0] * n
+        _add_into(w, x)
+        _add_into(w, y)
+        return _sparse(w)
+
+    def sum_of(grid):
+        return [[summed(x, y) for x, y in zip(row_p, row_q)] for row_p, row_q in zip(grid[p], grid[q])]
+
+    table, left, right = sum_of(t.tables), sum_of(t.left), sum_of(t.right)
+    return next(_anti_assoc_violations(table, right, table, left, t.scale), None) is None
+
+
+def oracle_disagreements(entry_id: str, a: HomAlgebra, report: EntryReport, view) -> list[str]:
+    """Diff harness verdicts against the brute-force evaluator; ``view`` is the integer view of
+    ``a`` (``nilpotency._twisted_view``) that ``report`` was made from."""
     out = []
     oracle_ids = oracle.rhizaform_identities(a)
     for ident, ok in oracle_ids.items():
         if report.rhizaform.identity_passed(ident) != ok:
             out.append(f"{entry_id}: checker vs oracle on {ident}")
     summed = sum_product(a)
-    if check_hom_anti_associative(summed, a.alpha).passed != oracle.anti_associative(
-        summed, a.alpha
-    ):
+    if _sum_anti_associative(view) != oracle.anti_associative(summed, a.alpha):
         out.append(f"{entry_id}: checker vs oracle on anti_assoc(sum)")
     if report.two_nilpotent.passed != oracle.two_nilpotent(a):
         out.append(f"{entry_id}: checker vs oracle on 2-nilpotency")
@@ -290,9 +314,10 @@ def verify_all(
     for entry_id in selected:
         entry = load_catalog_entry(entry_id)
         a = entry.algebra(params)
-        report = _entry_report(entry, a)
+        view = _twisted_view(a)
+        report = _entry_report(entry, a, view)
         reports.append(report)
         findings.extend(report.findings())
         if with_oracle:
-            diffs.extend(oracle_disagreements(entry_id, a, report))
+            diffs.extend(oracle_disagreements(entry_id, a, report, view))
     return CatalogSummary(tuple(reports), tuple(findings), tuple(diffs))

@@ -1,62 +1,72 @@
-"""Brute-force re-evaluation of every identity, over Fractions, with its own evaluator.
+"""Brute-force re-evaluation of every identity, exactly, with its own evaluator.
 
 This module is the independent second opinion for the checkers: it shares no
 code with axioms/operators/nilpotency and imports only the data classes from
-the library.  Its evaluator is the four short functions below: the basis
-products c[i][j] = e_i o e_j read off a product's structure constants, the
-bilinear extension of such a table to any two vectors, the images of the
-basis vectors under a matrix read off its entries, and a linear combination
-of those images.  A bimodule action is a table of the same shape, with
-t[i][w] = l(e_i) e_w.  Each public function builds its tables and images once
-and quantifies its identity with its own loops over basis tuples, returning
-bare booleans.  Keep it dumb; its value is that it is too simple to be wrong
-in the same way twice.
+the library.  Its vectors are sparse and exact: a dict {index: value} holding
+only the nonzero coordinates, so the zero vector is {} and two vectors are
+equal when their dicts are.  It reads each structure constant and matrix entry
+as an int when it is integral and as a Fraction otherwise.  Python's mixed
+int/Fraction arithmetic is exact, and a Fraction equals the int of the same
+value, so the evaluator clears no common denominator and never divides; its
+cost follows the nonzero structure constants, not the n^3 cells of a table.
+
+The evaluator is four short functions: the basis products c[i][j] = e_i o e_j
+read off a product's structure constants, the bilinear extension of such a
+table to any two vectors, the images of the basis vectors under a matrix read
+off its entries, and a linear combination of those images.  A bimodule action
+is a table of the same shape, with t[i][w] = l(e_i) e_w.  Each public function
+builds its tables and images once and quantifies its identity with its own
+loops over basis tuples, returning bare booleans.  Keep it dumb; its value is
+that it is too simple to be wrong in the same way twice.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
 from .exactlin import Matrix
 
-F0 = Fraction(0)
+
+def _exact(v):
+    """v as an int when it is integral, else v itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _vector(coords) -> dict:
+    """The sparse exact vector of the coordinates ``coords``."""
+    return {k: _exact(v) for k, v in enumerate(coords) if v}
 
 
 def _table(op: BilinearOp):
-    """The basis products: c[i][j] holds the coordinates of e_i o e_j."""
-    return op.coeffs
+    """The basis products: c[i][j] holds the vector e_i o e_j."""
+    return [[_vector(cell) for cell in row] for row in op.coeffs]
 
 
-def _product(c, x, y) -> tuple:
+def _product(c, x, y) -> dict:
     """x o y for the bilinear map with basis products c[i][j]."""
-    out = [F0] * len(c[0][0])
-    for i, xi in enumerate(x):
-        if xi:
-            row = c[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    s = xi * yj
-                    for k, ck in enumerate(row[j]):
-                        if ck:
-                            out[k] += s * ck
-    return tuple(out)
+    out = {}
+    get = out.get
+    for i, xi in x.items():
+        row = c[i]
+        for j, yj in y.items():
+            s = xi * yj
+            for k, ck in row[j].items():
+                out[k] = get(k, 0) + s * ck
+    return {k: v for k, v in out.items() if v}
 
 
-def _images(m: Matrix) -> list[tuple]:
+def _images(m: Matrix) -> list[dict]:
     """m e_0, ..., m e_{cols-1}: the columns of m, read off its row-major entries."""
-    return [m.entries[i :: m.cols] for i in range(m.cols)]
+    return [_vector(m.entries[i :: m.cols]) for i in range(m.cols)]
 
 
-def _apply(images, x) -> tuple:
+def _apply(images, x) -> dict:
     """The image of x under the linear map that sends e_k to images[k]."""
-    out = [F0] * len(images[0])
-    for xk, image in zip(x, images):
-        if xk:
-            for r, v in enumerate(image):
-                if v:
-                    out[r] += xk * v
-    return tuple(out)
+    out = {}
+    get = out.get
+    for k, xk in x.items():
+        for r, v in images[k].items():
+            out[r] = get(r, 0) + xk * v
+    return {r: v for r, v in out.items() if v}
 
 
 def _actions(mats: tuple[Matrix, ...]):
@@ -64,16 +74,19 @@ def _actions(mats: tuple[Matrix, ...]):
     return [_images(m) for m in mats]
 
 
-def _basis(n: int) -> list[tuple]:
-    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+def _basis(n: int) -> list[dict]:
+    return [{i: 1} for i in range(n)]
 
 
-def _add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+def _add(x, y) -> dict:
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
-def _neg(x):
-    return tuple(-a for a in x)
+def _neg(x) -> dict:
+    return {k: -v for k, v in x.items()}
 
 
 def anti_associative(mul: BilinearOp, alpha: LinearMap) -> bool:
@@ -99,7 +112,7 @@ def multiplicative(op: BilinearOp, alpha: LinearMap) -> bool:
 
 def _split_identities(a: HomAlgebra, ids: tuple[str, str, str], sign) -> dict[str, bool]:
     """The three split identities and multiplicativity; ``sign`` maps each identity's
-    second side to what the first must equal (``_neg``, or ``tuple`` to keep it)."""
+    second side to what the first must equal (``_neg``, or ``dict`` to keep it)."""
     s, p, al, n = _table(a.succ), _table(a.prec), _images(a.alpha.matrix), a.dim
     star = [[_add(s[i][j], p[i][j]) for j in range(n)] for i in range(n)]
     out = dict.fromkeys(ids, True)
@@ -127,7 +140,7 @@ def rhizaform(a: HomAlgebra) -> bool:
 
 
 def dendriform_identities(a: HomAlgebra) -> dict[str, bool]:
-    return _split_identities(a, ("den1", "den2", "den3"), tuple)
+    return _split_identities(a, ("den1", "den2", "den3"), dict)
 
 
 def dendriform(a: HomAlgebra) -> bool:
@@ -147,7 +160,7 @@ def jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> bool:
                     _add(_product(c, al[i], c[j][k]), _product(c, al[j], c[k][i])),
                     _product(c, al[k], c[i][j]),
                 )
-                if any(s):
+                if s:
                     return False
     return True
 
@@ -161,7 +174,7 @@ def pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> bool:
                     _add(_product(c, c[i][j], al[k]), _product(c, al[i], c[j][k])),
                     _add(_product(c, c[j][i], al[k]), _product(c, al[j], c[i][k])),
                 )
-                if any(s):
+                if s:
                     return False
     return True
 
@@ -185,9 +198,9 @@ def two_nilpotent(a: HomAlgebra) -> bool:
             for k in range(n):
                 for p in tables:
                     for q in tables:
-                        if any(_product(q, p[i][j], al[k])):
+                        if _product(q, p[i][j], al[k]):
                             return False
-                        if any(_product(q, al[i], p[j][k])):
+                        if _product(q, al[i], p[j][k]):
                             return False
     return True
 

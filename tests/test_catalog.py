@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from rhizalab.algmodel import LinearMap, parse_algebra, serialize_algebra
-from rhizalab.axioms import check_rhizaform
+from rhizalab.algmodel import LinearMap, parse_algebra, serialize_algebra, sum_product
+from rhizalab.axioms import check_hom_anti_associative, check_rhizaform
 from rhizalab.catalog import (
     CatalogSummary,
+    _sum_anti_associative,
     entry_ids,
     load_catalog_entry,
     load_entry,
@@ -15,8 +17,9 @@ from rhizalab.catalog import (
 from rhizalab.cocycles import vector_cocycle_space
 from rhizalab.errors import ParseError, UnboundParameter, UnknownEntry
 from rhizalab.exactlin import Matrix
-from rhizalab.nilpotency import analyze
+from rhizalab.nilpotency import _twisted_view, analyze
 from rhizalab.operators import LinearOperator, check_homomorphism
+from tests.conftest import catalog_algebras, random_split_algebra
 from tests.fraction_checkers import basis_vec
 
 F = Fraction
@@ -183,6 +186,21 @@ def test_entry_reports_equal_the_public_checks(eta):
             nil.two_nilpotent,
             nil.alpha_stability,
         ), report.entry_id
+
+
+def test_sum_anti_associativity_from_the_integer_view_equals_the_checker():
+    """The --oracle route reads the checker's anti_assoc(sum) verdict off the entry's integer view:
+    it equals the full check on the summed product, for the catalog at four etas and for seeded
+    random split algebras, and both verdicts occur."""
+    inputs = [a for eta in (F(0), F(1), F(-1, 2), F(1024, 81)) for _, a in catalog_algebras({"eta": eta})]
+    rng = random.Random(20261019)
+    inputs += [random_split_algebra(rng, 2 + trial % 3) for trial in range(40)]
+    verdicts = []
+    for a in inputs:
+        expected = check_hom_anti_associative(sum_product(a), a.alpha).passed
+        assert _sum_anti_associative(_twisted_view(a)) == expected
+        verdicts.append(expected)
+    assert set(verdicts) == {True, False}
 
 
 def test_a_bad_binding_is_refused_whichever_entries_are_selected():
