@@ -139,6 +139,21 @@ def _add_into(out: list[int], x, c: int = 1) -> None:
         out[i] += c * xi
 
 
+def _summed(grids, size: int) -> list:
+    """The cell-wise sum of equally shaped grids (lists of rows) of sparse integer vectors of length
+    ``size``: the integer table of a sum of products, or the columns of a sum of matrices."""
+    out = []
+    for rows in zip(*grids):
+        out_row = []
+        for cells in zip(*rows):
+            w = [0] * size
+            for cell in cells:
+                _add_into(w, cell)
+            out_row.append(_sparse(w))
+        out.append(out_row)
+    return out
+
+
 def _integers(*parts) -> tuple[list, int]:
     """The products, matrices and vectors ``parts``, all cleared by one D, in integer form; and D.
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .. import oracle
-from ..algmodel import HomAlgebra, _add_into, _sparse, parse_algebra_obj, sum_product
+from ..algmodel import HomAlgebra, _summed, parse_algebra_obj, sum_product
 from ..axioms import CheckReport, _anti_assoc_violations, _split_report
 from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnknownEntry
@@ -217,19 +217,8 @@ def _sum_anti_associative(view) -> bool:
     read off its integer view ``view``: the summed table and its twisted columns are the sums of the
     split products' own, since the columns are linear in the table."""
     names, t = view
-    p, q = names.index("succ"), names.index("prec")
-    n = len(t.twist)
-
-    def summed(x, y):
-        w = [0] * n
-        _add_into(w, x)
-        _add_into(w, y)
-        return _sparse(w)
-
-    def sum_of(grid):
-        return [[summed(x, y) for x, y in zip(row_p, row_q)] for row_p, row_q in zip(grid[p], grid[q])]
-
-    table, left, right = sum_of(t.tables), sum_of(t.left), sum_of(t.right)
+    p, q, n = names.index("succ"), names.index("prec"), len(t.twist)
+    table, left, right = (_summed([grid[p], grid[q]], n) for grid in (t.tables, t.left, t.right))
     return next(_anti_assoc_violations(table, right, table, left, t.scale), None) is None
 
 

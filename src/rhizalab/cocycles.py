@@ -35,9 +35,9 @@ from .algmodel import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
-    _add_into,
     _integers,
     _sparse,
+    _summed,
     star_product,
 )
 from .axioms import Violation, _residual, check_hom_anti_associative
@@ -85,12 +85,7 @@ def _cyclic_rows(a: HomAlgebra) -> tuple[list[list[int]], int]:
     (``star_product``), so its integer table is the sum of theirs."""
     n = a.dim
     (*tables, images), d = _integers(*a.products.values(), a.alpha.matrix)
-    table = [[0] * n for _ in range(n)]
-    for i, j in product(range(n), repeat=2):
-        cell = [0] * n
-        for t in tables:
-            _add_into(cell, t[i][j])
-        table[i][j] = _sparse(cell)
+    table = _summed(tables, n)
     rows = []
     for i in range(n):
         for j in range(n):

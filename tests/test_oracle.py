@@ -130,7 +130,9 @@ def cancelling_split_algebra(rng: random.Random, n: int) -> HomAlgebra:
         return rng.choice(((1, 0), (0, -1)))
 
     cells = [[[pair() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    succ, prec = (BilinearOp(n, [[[cell[side] for cell in row] for row in grid] for grid in cells]) for side in (0, 1))
+    succ, prec = (
+        BilinearOp(n, [[[cell[side] for cell in row] for row in grid] for grid in cells]) for side in (0, 1)
+    )
     if rng.random() < 0.3:
         return HomAlgebra.rhizaform(succ, prec, LinearMap.identity(n))
     rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
@@ -147,24 +149,26 @@ def transported(rng: random.Random, a: HomAlgebra) -> HomAlgebra:
     n = a.dim
 
     def unit_upper():
-        return Matrix.from_rows([[F(int(i == j)) if i >= j else rng.choice(CANCELLING) for j in range(n)] for i in range(n)])
+        rows = [[F(int(i == j)) if i >= j else rng.choice(CANCELLING) for j in range(n)] for i in range(n)]
+        return Matrix.from_rows(rows)
 
-    u, l = unit_upper(), unit_upper()
-    p = times(u, Matrix.from_rows([l.entries[j::n] for j in range(n)]))
+    u, v = unit_upper(), unit_upper()
+    p = times(u, Matrix.from_rows([v.entries[j::n] for j in range(n)]))
     q = invert(p)
     basis = [p.entries[j::n] for j in range(n)]
 
     def moved(op):
         return BilinearOp(n, [[list(apply(q, eval_product(op, x, y))) for y in basis] for x in basis])
 
-    return HomAlgebra.rhizaform(moved(a.succ), moved(a.prec), LinearMap(n, times(q, times(a.alpha.matrix, p))))
+    alpha = LinearMap(n, times(q, times(a.alpha.matrix, p)))
+    return HomAlgebra.rhizaform(moved(a.succ), moved(a.prec), alpha)
 
 
 def perturbed(rng: random.Random, a: HomAlgebra) -> HomAlgebra:
     """``a`` with one structure constant of succ or prec, or one twist entry, moved by a small
     fraction or by eta, or set to zero."""
     n = a.dim
-    grids = {name: [[list(cell) for cell in row] for row in a.product(name).coeffs] for name in ("succ", "prec")}
+    grids = {name: [[list(cell) for cell in row] for row in a.product(name).coeffs] for name in a.products}
     rows = [list(a.alpha.matrix.entries[r * n : (r + 1) * n]) for r in range(n)]
     i, j, k = (rng.randrange(n) for _ in range(3))
     target = rows[i] if rng.random() < 0.2 else grids[rng.choice(("succ", "prec"))][i][j]
@@ -316,7 +320,11 @@ def test_oracle_never_divides_or_rounds():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.Div, ast.FloorDiv))
     ]
     assert divisions == []
-    called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
     assert called & {"float", "round"} == set()
 
 
