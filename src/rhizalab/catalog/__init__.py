@@ -15,9 +15,9 @@ the split identities and the power series, and takes the dimension of its
 algebra-valued cyclic-form space from two ranks, without building the basis.
 Under ``--oracle`` the checker's verdict on the anti-associativity of the
 summed product is read off the same view.  Nothing is kept between calls:
-every call reads and verifies its entries
-afresh, so a one-shot ``rhizalab catalog verify`` saves as much per entry as
-a process that verifies the catalog many times.
+every call reads and verifies its entries afresh, so a one-shot ``rhizalab
+catalog verify`` saves as much per entry as a process that verifies the
+catalog many times.
 """
 
 from __future__ import annotations
