@@ -29,8 +29,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .. import oracle
-from ..algmodel import HomAlgebra, _summed, parse_algebra_obj, sum_product
-from ..axioms import CheckReport, _anti_assoc_violations, _split_report
+from ..algmodel import HomAlgebra, parse_algebra_obj, sum_product
+from ..axioms import CheckReport, _split_report, _sum_anti_associative
 from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnknownEntry
 from ..nilpotency import NilpotencyVerdict, _analysis, _twisted_view
@@ -212,16 +212,6 @@ def _entry_report(entry: CatalogEntry, a: HomAlgebra, view) -> EntryReport:
     )
 
 
-def _sum_anti_associative(view) -> bool:
-    """``check_hom_anti_associative(sum_product(a), a.alpha).passed`` for the split algebra ``a``,
-    read off its integer view ``view``: the summed table and its twisted columns are the sums of the
-    split products' own, since the columns are linear in the table."""
-    names, t = view
-    p, q, n = names.index("succ"), names.index("prec"), len(t.twist)
-    table, left, right = (_summed([grid[p], grid[q]], n) for grid in (t.tables, t.left, t.right))
-    return next(_anti_assoc_violations(table, right, table, left, t.scale), None) is None
-
-
 def oracle_disagreements(entry_id: str, a: HomAlgebra, report: EntryReport, view) -> list[str]:
     """Diff harness verdicts against the brute-force evaluator; ``view`` is the integer view of
     ``a`` (``nilpotency._twisted_view``) that ``report`` was made from."""
@@ -230,8 +220,7 @@ def oracle_disagreements(entry_id: str, a: HomAlgebra, report: EntryReport, view
     for ident, ok in oracle_ids.items():
         if report.rhizaform.identity_passed(ident) != ok:
             out.append(f"{entry_id}: checker vs oracle on {ident}")
-    summed = sum_product(a)
-    if _sum_anti_associative(view) != oracle.anti_associative(summed, a.alpha):
+    if _sum_anti_associative(view[1]) != oracle.anti_associative(sum_product(a), a.alpha):
         out.append(f"{entry_id}: checker vs oracle on anti_assoc(sum)")
     if report.two_nilpotent.passed != oracle.two_nilpotent(a):
         out.append(f"{entry_id}: checker vs oracle on 2-nilpotency")

@@ -21,7 +21,8 @@ solvers first require the working product to be anti-associative.
 
 The splitting from a nondegenerate scalar form B is the coregular case of
 the O-operator code, as an averaging operator is the regular case: the
-compatible splitting of (B^T)^-1 on the dual of the regular bimodule.
+compatible splitting of (B^T)^-1 on the dual of the regular bimodule, whose
+integer tables it reads off the product's, with B^T inverted once.
 """
 
 from __future__ import annotations
@@ -31,19 +32,11 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .algmodel import (
-    BilinearOp,
-    HomAlgebra,
-    LinearMap,
-    _integers,
-    _sparse,
-    _summed,
-    star_product,
-)
-from .axioms import Violation, _residual, check_hom_anti_associative
+from .algmodel import BilinearOp, HomAlgebra, LinearMap, _integers, _opposite, _sparse, _summed
+from .axioms import Violation, _residual, _sum_anti_associative, _twisted
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
-from .operators import LinearOperator, compatible_from_invertible_o_operator, dual_bimodule, regular_bimodule
+from .operators import _transported, _transposed
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,7 @@ def _cyclic_rows(a: HomAlgebra) -> tuple[list[list[int]], int]:
 def _invariance_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
     """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), in the unknowns B[p][q]; at D_alpha^2."""
     n = alpha.dim
-    images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
-    images = [_sparse(v) for v in images]
+    (images,), d_alpha = _integers(alpha.matrix)
     rows = []
     for i in range(n):
         for j in range(n):
@@ -158,7 +150,7 @@ def _reduced_system(a: HomAlgebra, strict: bool, width: int, second) -> tuple[li
     """The kernel b_1..b_d of the scalar cyclic rows, and the rows of ``second`` in the d*width
     unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict mode requires the working
     product to be anti-associative."""
-    if strict and not check_hom_anti_associative(star_product(a), a.alpha).passed:
+    if strict and not _sum_anti_associative(_twisted([*a.products.values()], a.alpha)):
         raise NotAntiAssociative("the working product is not anti-associative")
     n = a.dim
     kernel = _kernel(_cyclic_rows(a)[0], n * n)
@@ -257,16 +249,21 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     the scalar cocycle space of the algebra (NotACocycle otherwise).  The
     splits are those of the invertible O-operator T = (B^T)^-1 on the
     coregular bimodule (the dual of the regular one) of the working product:
-    x succ y = T(R(x)^T B^T y) and x prec y = T(L(y)^T B^T x).
+    x succ y = T(R(x)^T B^T y) and x prec y = T(L(y)^T B^T x).  Over int, with
+    the products, B^T and T cleared by one D, the working product's table is
+    the sum of theirs, the coregular actions are its transposed regular ones
+    (``operators._transposed``), and every cell is at D^3.
     """
     n = a.dim
     if b.dim != n:
         raise DimensionMismatch("form and algebra dimensions differ")
-    bt_inv = invert(b.matrix.transpose())  # Singular for degenerate forms
+    bt = b.matrix.transpose()
+    bt_inv = invert(bt)  # Singular for degenerate forms
     if strict:
         bad = scalar_cocycle_residuals(a, b)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
-    s = HomAlgebra.mono(star_product(a), a.alpha)
-    t = LinearOperator(n, n, bt_inv)
-    return compatible_from_invertible_o_operator(t, s, dual_bimodule(regular_bimodule(s)), strict=False)
+    (*tables, back, images), d = _integers(*a.products.values(), bt, bt_inv)
+    table = _summed(tables, n)
+    coregular = _transposed(_opposite(table)), _transposed(table)
+    return HomAlgebra.rhizaform(*_transported(*coregular, images, back, d**3), a.alpha)

@@ -211,12 +211,10 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
     _require_family_shape(rf, a)
     s = rf.semigroup
     ops = rf.operators
+    (table, twist, *cols), d = _integers(mul, a.alpha.matrix, *(ops[lam].matrix for lam in range(s.size)))
     violations = []
     for lam in range(s.size):
-        violations.extend(
-            _equivariance_violations(ops[lam].matrix, a.alpha.matrix, a.alpha.matrix, ops[lam].matrix, (lam,))
-        )
-    (table, *cols), d = _integers(mul, *(ops[lam].matrix for lam in range(s.size)))
+        violations.extend(_equivariance_violations(a.dim, cols[lam], twist, twist, cols[lam], d * d, (lam,)))
     opposite = _opposite(table)
     for lam in range(s.size):
         for omega in range(s.size):

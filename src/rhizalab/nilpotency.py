@@ -204,11 +204,10 @@ def is_left_nilpotent(a: HomAlgebra) -> NilpotencyVerdict:
 
 
 def _difference_witness(x: Subspace, y: Subspace) -> Vector:
-    """A basis vector of x missing from y, or vice versa."""
-    for v, other in [(v, y) for v in x.vectors()] + [(v, x) for v in y.vectors()]:
-        if not other.contains_vector(v):
-            return v
-    return (0,) * x.ambient_dim
+    """A basis vector of x missing from y, or vice versa (x != y), as its reduced echelon row."""
+    for row, other in [(row, y) for row in x.rows] + [(row, x) for row in y.rows]:
+        if len(_echelon([*other.rows, row])[1]) > other.dim:
+            return tuple(_rref_rows([row])[0])
 
 
 def _series_equality(series: dict) -> CheckReport:

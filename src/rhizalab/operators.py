@@ -138,6 +138,12 @@ def dual_bimodule(m: Bimodule) -> Bimodule:
     )
 
 
+def _transposed(table) -> list:
+    """The integer table of the actions L(e_i)^T, for that of L (table[i][w] = L(e_i) e_w): with the
+    sides swapped, the regular tables (table, _opposite(table)) give the coregular ones."""
+    return [[_sparse([dict(col).get(w, 0) for col in cols]) for w in range(len(cols))] for cols in table]
+
+
 def _products_sum(rows: int, *terms) -> list[list[int]]:
     """The sum of c A B over the terms (c, A, B), for integer matrices given by sparse columns,
     as dense columns."""
@@ -148,10 +154,9 @@ def _products_sum(rows: int, *terms) -> list[list[int]]:
     return out
 
 
-def _equivariance_violations(f: Matrix, g: Matrix, h: Matrix, k: Matrix, prefix=()):
-    """The nonzero columns of f g - h k, evaluated over int (all four cleared by one D, so at D^2)."""
-    (fc, gc, hc, kc), d = _integers(f, g, h, k)
-    return _column_violations("equivariance", _products_sum(f.rows, (1, fc, gc), (-1, hc, kc)), d * d, prefix)
+def _equivariance_violations(rows: int, f, g, h, k, scale: int, prefix=()):
+    """The nonzero columns of f g - h k, of ``rows`` rows, for integer columns cleared by one D (D^2 = ``scale``)."""
+    return _column_violations("equivariance", _products_sum(rows, (1, f, g), (-1, h, k)), scale, prefix)
 
 
 def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
@@ -226,14 +231,15 @@ def _o_violations(ident: str, table, left, right, t_x, t_y, t_xy, scale: int, pr
 def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
     """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs.
 
-    Over int, with the product, T and the actions cleared by one D, both
-    sides of the second identity are at D^3.
+    Over int, with the product, T, both twists and the actions cleared by one
+    D, both sides of the first identity are at D^2 and of the second at D^3.
     """
     mul = a.mul
     _require_o_shapes(t, a, m)
-    violations = list(_equivariance_violations(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
     n = a.dim
-    (table, images, *actions), d = _integers(mul, t.matrix, *m.left, *m.right)
+    parts, d = _integers(mul, t.matrix, m.beta.matrix, a.alpha.matrix, *m.left, *m.right)
+    table, images, beta, twist, *actions = parts
+    violations = list(_equivariance_violations(n, images, beta, twist, images, d * d))
     violations.extend(_o_violations("o_identity", table, actions[:n], actions[n:], images, images, images, d**3))
     return CheckReport.collect("o_operator", violations)
 
@@ -247,8 +253,8 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     """Weight-zero averaging identity R(x)*R(y) = R(R(x)*y + x*R(y)), with R alpha = alpha R."""
     mul = a.mul
     _require_rb_shape(r, a)
-    violations = list(_equivariance_violations(r.matrix, a.alpha.matrix, a.alpha.matrix, r.matrix))
-    (table, cols), d = _integers(mul, r.matrix)
+    (table, cols, twist), d = _integers(mul, r.matrix, a.alpha.matrix)
+    violations = list(_equivariance_violations(a.dim, cols, twist, twist, cols, d * d))
     violations.extend(_o_violations("rb_identity", table, table, _opposite(table), cols, cols, cols, d**3))
     return CheckReport.collect("rota_baxter", violations)
 
@@ -304,16 +310,17 @@ def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = T
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
     """f(x o1 y) = f(x) o2 f(y) for every named product, and alpha2 f = f alpha1.
 
-    Over int, with both algebras' products and f cleared by one D, f(x o1 y)
-    is at D^2 and is lifted by D to the right side's D^3.
+    Over int, with both algebras' products and twists and f cleared by one D,
+    f(x o1 y) is at D^2 and is lifted by D to the right side's D^3.
     """
     if f.source_dim != a1.dim or f.target_dim != a2.dim:
         raise DimensionMismatch("map endpoints do not match the two algebras")
     if set(a1.products) != set(a2.products):
         raise DimensionMismatch("algebras of different kinds admit no product-wise comparison")
-    violations = list(_equivariance_violations(f.matrix, a1.alpha.matrix, a2.alpha.matrix, f.matrix))
     names = sorted(a1.products)
-    (*tables, images), d = _integers(*(a.products[name] for a in (a1, a2) for name in names), f.matrix)
+    ops = (a.products[name] for a in (a1, a2) for name in names)
+    (*tables, images, twist1, twist2), d = _integers(*ops, f.matrix, a1.alpha.matrix, a2.alpha.matrix)
+    violations = list(_equivariance_violations(a2.dim, images, twist1, twist2, images, d * d))
     for p, name in enumerate(names):
         op1, op2 = tables[p], tables[len(names) + p]
         for i in range(a1.dim):
@@ -345,16 +352,22 @@ def compatible_from_invertible_o_operator(
             raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     n = a.dim
     (images, back, *actions), d = _integers(t.matrix, t_inv, *m.left, *m.right)
-    left, right = actions[:n], actions[n:]
+    return HomAlgebra.rhizaform(*_transported(actions[:n], actions[n:], images, back, d**3), a.alpha)
+
+
+def _transported(left, right, images, back, scale: int) -> tuple[BilinearOp, BilinearOp]:
+    """x succ y = T(L(x)(T^-1 y)) and x prec y = T(R(y)(T^-1 x)), for the integer tables of the two
+    actions and the integer columns of T and T^-1; every cell is at ``scale``."""
+    n = len(images)
     succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
     for i in range(n):
         for j in range(n):
-            l_inner, r_inner = [0] * n, [0] * n  # L(e_i)(T^-1 e_j) and R(e_j)(T^-1 e_i), at D^2
+            l_inner, r_inner = [0] * n, [0] * n  # L(e_i)(T^-1 e_j) and R(e_j)(T^-1 e_i)
             _product_into(l_inner, left, ((i, 1),), back[j])
             _product_into(r_inner, right, ((j, 1),), back[i])
             _apply_into(succ[i][j], images, _sparse(l_inner))
             _apply_into(prec[i][j], images, _sparse(r_inner))
-    return HomAlgebra.rhizaform(_divided(succ, d**3), _divided(prec, d**3), a.alpha)
+    return _divided(succ, scale), _divided(prec, scale)
 
 
 def rhizaform_equivalence_verdict(a: HomAlgebra) -> tuple[bool, bool]:

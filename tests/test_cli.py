@@ -15,6 +15,9 @@ import rhizalab.cli
 from rhizalab.algmodel import HomAlgebra, serialize_algebra, sum_product
 from rhizalab.catalog import load_entry
 from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, OPERATION_COVERAGE, build_parser, main
+from rhizalab.cocycles import ScalarForm, is_nondegenerate, rhizaform_from_cocycle, scalar_cocycle_residuals
+from rhizalab.errors import DimensionMismatch, NotACocycle, Singular
+from rhizalab.exactlin import Matrix
 from rhizalab.family import induced_family_rhizaform
 from rhizalab.files import bimodule_obj, load_algebra, load_json, read_bimodule, read_family, read_rb_family
 from rhizalab.operators import regular_bimodule
@@ -1148,3 +1151,54 @@ def test_shapes_independent_by_definition_are_accepted(sized_inputs, tmp_path):
         assert code == 0, (head, err)
     code, _, err = run_cli("check", "--kind", "homomorphism", "--operator", str(f), "--target", three["target"], two["algebra"])
     assert code == 0, err
+
+
+@pytest.fixture()
+def split_o_inputs(a1_file, a1_sum_file, tmp_path):
+    """The identity on the regular bimodule of d2.A1's sum, the split FILE d2.A1 and the FILE of its
+    sum (same twist)."""
+    bim = tmp_path / "bim.json"
+    bim.write_text(json.dumps(bimodule_obj(regular_bimodule(load_algebra(a1_sum_file, None)))))
+    ident = tmp_path / "id.json"
+    ident.write_text('{"T": [["1", "0"], ["0", "1"]]}')
+    return ("--operator", str(ident), "--bimodule", str(bim)), a1_file, a1_sum_file
+
+
+@pytest.mark.parametrize("what", ["o-operator", "invertible-o"])
+def test_o_operator_inductions_read_no_product_unless_strict(split_o_inputs, what):
+    """Without the strict check, neither construction reads FILE's product: a split FILE gives what
+    the FILE of its sum gives.  The strict check reads 'mul' and refuses the split FILE."""
+    options, split, summed = split_o_inputs
+    head = ("induce", "--what", what, *options, "--format", "structured")
+    code, out, err = run_cli(*head, "--no-strict", split)
+    assert code == 0, err
+    assert (code, out) == run_cli(*head, "--no-strict", summed)[:2]
+    assert_rejected(*run_cli(*head, split), "has no product 'mul'")
+
+
+@pytest.mark.parametrize("kind", ["rota-baxter", "o-operator"])
+def test_operator_check_reads_the_product_before_the_shape(split_o_inputs, tmp_path, kind):
+    """On a split FILE an operator of the wrong shape is reported as the missing product, not the shape."""
+    options, split, summed = split_o_inputs
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"T": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+    options = ("--operator", str(wide), *options[2:]) if kind == "o-operator" else ("--operator", str(wide))
+    assert_rejected(*run_cli("check", "--kind", kind, *options, split), "has no product 'mul'")
+    shape = "must map the module into the algebra" if kind == "o-operator" else "must act on the algebra"
+    assert_rejected(*run_cli("check", "--kind", kind, *options, summed), shape)
+
+
+def test_cocycle_splitting_raises_in_order():
+    """DimensionMismatch before Singular before NotACocycle, each on a form that also has the later faults."""
+    a = load_entry("d2.A1")
+    with pytest.raises(DimensionMismatch):
+        rhizaform_from_cocycle(a, ScalarForm(3, Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])))
+    singular = ScalarForm(2, Matrix.from_rows([[1, 1], [1, 1]]))
+    assert not is_nondegenerate(singular) and scalar_cocycle_residuals(a, singular)
+    with pytest.raises(Singular):
+        rhizaform_from_cocycle(a, singular)
+    identity = ScalarForm(2, Matrix.identity(2))
+    assert scalar_cocycle_residuals(a, identity)
+    with pytest.raises(NotACocycle):
+        rhizaform_from_cocycle(a, identity)
+    assert rhizaform_from_cocycle(a, identity, strict=False).is_rhizaform
