@@ -123,10 +123,11 @@ class BilinearOp:
 # construction is multilinear in the structures it reads, so ``_integers``
 # clears all of them by one D, the lcm of every denominator they hold
 # (``exactlin._cleared``).  A term built from k of them is then exactly D^k
-# times its value, and a result becomes Fractions only at the end, divided by
-# D to its degree (``axioms._residual``, ``_divided``).  A sparse integer
-# vector is a tuple of (index, value) pairs with nonzero values, and an
-# integer table of a product holds table[i][j] = e_i o e_j times D as one.
+# times its value.  A construction becomes Fractions only at the end, divided
+# by D to its degree (``_divided``); a residual is reported as its integers
+# at that scale (``axioms.Violation``).  A sparse integer vector is a tuple
+# of (index, value) pairs with nonzero values, and an integer table of a
+# product holds table[i][j] = e_i o e_j times D as one.
 
 
 def _sparse(v) -> tuple[tuple[int, int], ...]:

@@ -3,7 +3,9 @@
 Every checker walks all basis tuples (multilinearity makes that equivalent
 to quantifying over all vectors) and records the exact left-minus-right
 vector of each failed instance.  Reports carry 1-based basis indices to
-match the file format and the usual ``e_1, e_2, ...`` notation.
+match the file format and the usual ``e_1, e_2, ...`` notation.  A report
+keeps each residual as the integer vector the checker computed and its
+scale, and writes it from them.
 
 Identity ids used in reports:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .algmodel import (
@@ -39,21 +42,43 @@ from .algmodel import (
     _summed,
 )
 from .errors import DimensionMismatch, MissingProduct
-from .exactlin import Vector, rational_str
+from .exactlin import Vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Violation:
+    """A failed instance of an identity: its residual at ``basis_tuple`` is ``values`` over ``scale``
+    (a checker's integer residual at D^degree).  Equality and hashing go through the normalized
+    ``residual``, so one built from those Fractions at scale 1 is equal."""
+
     identity_id: str
     basis_tuple: tuple[int, ...]
-    residual: tuple[Fraction, ...]
+    values: list | tuple  # the integer residual, or Fractions at scale 1
+    scale: int = 1  # positive
+
+    @property
+    def residual(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.values)
+
+    def _key(self):
+        return self.identity_id, self.basis_tuple, self.residual
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Violation) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def residual_text(self) -> list[str]:
+        """Each residual coordinate as "p" or "p/q" in lowest terms, the text ``exactlin.rational_str``
+        gives its Fraction: one gcd per coordinate, none at scale 1."""
+        d = self.scale
+        if d == 1:
+            return [str(v) for v in self.values]
+        return [str(v // g) if (g := gcd(v, d)) == d else f"{v // g}/{d // g}" for v in self.values]
 
     def to_obj(self) -> dict:
-        return {
-            "identity": self.identity_id,
-            "basis": list(self.basis_tuple),
-            "residual": [rational_str(c) for c in self.residual],
-        }
+        return {"identity": self.identity_id, "basis": list(self.basis_tuple), "residual": self.residual_text()}
 
 
 @dataclass(frozen=True)
@@ -98,19 +123,15 @@ def _require_same_dim(*dims: int):
 # is at D^k.  Most identities are homogeneous, with every term of degree 3,
 # for example a product of a product with a twisted argument; where one side
 # has degree 2 (alpha(x o y) against alpha(x) o alpha(y)), that side is lifted
-# by D.  Only a failing tuple becomes Fractions: its integer residual over
-# D^degree, the same normalized value the Fraction route gives.
-
-
-def _residual(r: list[int], scale: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v, scale) for v in r)
+# by D.  A failing tuple is reported as its integer residual at D^degree
+# (``Violation``), with no Fraction built.
 
 
 def _column_violations(ident: str, cols: list[list[int]], scale: int, prefix: tuple[int, ...] = ()):
     """One violation per nonzero integer column u of ``cols`` (at ``scale``), at ``(*prefix, u + 1)``."""
     for u, col in enumerate(cols):
         if any(col):
-            yield Violation(ident, (*prefix, u + 1), _residual(col, scale))
+            yield Violation(ident, (*prefix, u + 1), col, scale)
 
 
 class _Twisted(NamedTuple):
@@ -160,7 +181,7 @@ def _anti_assoc_violations(first, outer_right, inner, mixed_left, scale: int, pr
                 _apply_into(r, outer_right[k], f_ij)
                 _apply_into(r, m_i, inner[j][k])
                 if any(r):
-                    yield Violation("anti_assoc", (*prefix, i + 1, j + 1, k + 1), _residual(r, scale))
+                    yield Violation("anti_assoc", (*prefix, i + 1, j + 1, k + 1), r, scale)
 
 
 def check_hom_anti_associative(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
@@ -201,7 +222,7 @@ def _multiplicativity_violations(t: _Twisted, p: int, name: str, prefix: tuple[i
             _apply_into(r, t.twist, table[i][j], t.d)
             _apply_into(r, left[i], t.twist[j], -1)
             if any(r):
-                yield Violation(name, (*prefix, i + 1, j + 1), _residual(r, t.scale))
+                yield Violation(name, (*prefix, i + 1, j + 1), r, t.scale)
 
 
 def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twisted, sign):
@@ -254,7 +275,7 @@ def _split_violations(t: _Twisted, succ: int, prec: int, signed: bool) -> list[V
     for i, j, k, *resids in _split_residuals(succ, succ, succ, prec, prec, prec, t, -1 if signed else 1):
         for ident, r in zip(ids, resids):
             if any(r):
-                violations.append(Violation(ident, (i + 1, j + 1, k + 1), _residual(r, t.scale)))
+                violations.append(Violation(ident, (i + 1, j + 1, k + 1), r, t.scale))
     for p, name in ((succ, "succ"), (prec, "prec")):
         violations.extend(_multiplicativity_violations(t, p, f"mult_{name}"))
     return violations
@@ -296,7 +317,7 @@ def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
             _add_into(r, table[i][j])
             _add_into(r, table[j][i], -1)
             if any(r):
-                violations.append(Violation("comm", (i + 1, j + 1), _residual(r, t.d)))
+                violations.append(Violation("comm", (i + 1, j + 1), r, t.d))
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -305,7 +326,7 @@ def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
                 _apply_into(r, left[j], table[k][i])
                 _apply_into(r, left[k], table[i][j])
                 if any(r):
-                    violations.append(Violation("cyclic", (i + 1, j + 1, k + 1), _residual(r, t.scale)))
+                    violations.append(Violation("cyclic", (i + 1, j + 1, k + 1), r, t.scale))
     return CheckReport.collect("jacobi_jordan", violations)
 
 
@@ -325,7 +346,7 @@ def check_pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
                 _apply_into(r, right[k], table[j][i])
                 _apply_into(r, left[j], table[i][k])
                 if any(r):
-                    violations.append(Violation("pre_jj", (i + 1, j + 1, k + 1), _residual(r, t.scale)))
+                    violations.append(Violation("pre_jj", (i + 1, j + 1, k + 1), r, t.scale))
     return CheckReport.collect("pre_jacobi_jordan", violations)
 
 
@@ -363,7 +384,7 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
         col = [0] * n
         _product_into(col, left, zs, ((i, 1),))
         _product_into(col, right, ((i, 1),), zs, -1)
-        cols.append(_residual(col, d * d))
+        cols.append([Fraction(v, d * d) for v in col])
     return LinearMap.from_columns(cols)
 
 
@@ -385,5 +406,5 @@ def check_alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> Ch
             _apply_into(r, right[j], dcols[i], -1)
             _apply_into(r, left[i], dcols[j], -1)
             if any(r):
-                violations.append(Violation("leibniz", (i + 1, j + 1), _residual(r, t.scale)))
+                violations.append(Violation("leibniz", (i + 1, j + 1), r, t.scale))
     return CheckReport.collect(f"alpha_derivation[{product_name}]", violations)

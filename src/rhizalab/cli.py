@@ -147,8 +147,7 @@ def _emit(obj, args, table=None) -> None:
 def _report_human(rep: CheckReport) -> str:
     lines = [f"{rep.structure_name}: {'pass' if rep.passed else 'FAIL'}"]
     for v in rep.violations[:20]:
-        resid = ", ".join(rational_str(c) for c in v.residual)
-        lines.append(f"  {v.identity_id} at {v.basis_tuple}: residual ({resid})")
+        lines.append(f"  {v.identity_id} at {v.basis_tuple}: residual ({', '.join(v.residual_text())})")
     if len(rep.violations) > 20:
         lines.append(f"  ... {len(rep.violations) - 20} more violations")
     return "\n".join(lines)

@@ -33,7 +33,7 @@ from itertools import product
 from operator import mul
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap, _integers, _opposite, _sparse, _summed
-from .axioms import Violation, _residual, _sum_anti_associative, _twisted
+from .axioms import Violation, _sum_anti_associative, _twisted
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
 from .operators import _transported, _transposed
@@ -72,12 +72,19 @@ def _add_form_terms(row: list[int], u, w, n: int, stride: int = 1, offset: int =
             row[(p * n + q) * stride + offset] += up * wq
 
 
-def _cyclic_rows(a: HomAlgebra) -> tuple[list[list[int]], int]:
+def _cyclic_rows(a: HomAlgebra, strict: bool = False) -> tuple[list[list[int]], int]:
     """The scalar cyclic condition of the working product at each (i, j, k), lexicographic, in the
     unknowns B[p][q]; at D^2.  The working product is the sum of the products of ``a``
-    (``star_product``), so its integer table is the sum of theirs."""
+    (``star_product``), so its integer table is the sum of theirs.  With ``strict``, it must be
+    anti-associative, read off the same clearing."""
     n = a.dim
-    (*tables, images), d = _integers(*a.products.values(), a.alpha.matrix)
+    if strict:
+        t = _twisted([*a.products.values()], a.alpha)
+        if not _sum_anti_associative(t):
+            raise NotAntiAssociative("the working product is not anti-associative")
+        tables, images, d = t.tables, t.twist, t.d
+    else:
+        (*tables, images), d = _integers(*a.products.values(), a.alpha.matrix)
     table = _summed(tables, n)
     rows = []
     for i in range(n):
@@ -142,7 +149,7 @@ def _violations(a: HomAlgebra, flat, width: int, ident: str, second) -> list[Vio
         for t, where in enumerate(tuples):
             r = [sum(map(mul, row, f)) for row in rows[t * per : (t + 1) * per] for f in forms]
             if any(r):
-                out.append(Violation(name, tuple(i + 1 for i in where), _residual(r, scale * d)))
+                out.append(Violation(name, tuple(i + 1 for i in where), r, scale * d))
     return out
 
 
@@ -150,10 +157,8 @@ def _reduced_system(a: HomAlgebra, strict: bool, width: int, second) -> tuple[li
     """The kernel b_1..b_d of the scalar cyclic rows, and the rows of ``second`` in the d*width
     unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict mode requires the working
     product to be anti-associative."""
-    if strict and not _sum_anti_associative(_twisted([*a.products.values()], a.alpha)):
-        raise NotAntiAssociative("the working product is not anti-associative")
     n = a.dim
-    kernel = _kernel(_cyclic_rows(a)[0], n * n)
+    kernel = _kernel(_cyclic_rows(a, strict)[0], n * n)
     block, _ = _cleared(kernel)
     at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
     rows = []

@@ -32,7 +32,6 @@ from .axioms import (
     _anti_assoc_violations,
     _multiplicativity_violations,
     _require_same_dim,
-    _residual,
     _split_residuals,
     _twisted,
 )
@@ -156,7 +155,7 @@ def check_rhizaform_family(f: FamilyAlgebra) -> CheckReport:
                 where = (lam, omega, i + 1, j + 1, k + 1)
                 for ident, r in (("req2", r2), ("req3", r3), ("req1", r1)):
                     if any(r):
-                        violations.append(Violation(ident, where, _residual(r, t.scale)))
+                        violations.append(Violation(ident, where, r, t.scale))
     for lam in range(s.size):
         for name, p in (("succ", lam), ("prec", s.size + lam)):
             violations.extend(_multiplicativity_violations(t, p, f"mult_{name}", (lam,)))

@@ -33,7 +33,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .algmodel import HomAlgebra, _apply_into, _integers, _product_into, _sparse
-from .axioms import CheckReport, Violation, _multiplicativity_violations, _residual, _twisted
+from .axioms import CheckReport, Violation, _multiplicativity_violations, _twisted
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
 
@@ -203,11 +203,12 @@ def is_left_nilpotent(a: HomAlgebra) -> NilpotencyVerdict:
     return _verdict(left_series(a))
 
 
-def _difference_witness(x: Subspace, y: Subspace) -> Vector:
-    """A basis vector of x missing from y, or vice versa (x != y), as its reduced echelon row."""
+def _difference_witness(x: Subspace, y: Subspace) -> tuple[tuple[int, ...], int]:
+    """A basis vector of x missing from y, or vice versa (x != y): its integer echelon row and that
+    row's pivot, whose quotient is its reduced echelon row."""
     for row, other in [(row, y) for row in x.rows] + [(row, x) for row in y.rows]:
         if len(_echelon([*other.rows, row])[1]) > other.dim:
-            return tuple(_rref_rows([row])[0])
+            return row, next(v for v in row if v)
 
 
 def _series_equality(series: dict) -> CheckReport:
@@ -219,7 +220,7 @@ def _series_equality(series: dict) -> CheckReport:
     for g, (r, l, f) in enumerate(zip(*padded), start=1):
         for ident, x, y in (("right_ne_full", r, f), ("left_ne_full", l, f), ("right_ne_left", r, l)):
             if x != y:
-                violations.append(Violation(ident, (g,), _difference_witness(x, y)))
+                violations.append(Violation(ident, (g,), *_difference_witness(x, y)))
     return CheckReport.collect("series_equality", violations)
 
 
@@ -244,7 +245,7 @@ def _two_nilpotent(t, names: list[str]) -> CheckReport:
                     _apply_into(r, cols, x)
                     if any(r):
                         ident = f"{side}:{p_name},{q_name}"
-                        violations.append(Violation(ident, (i + 1, j + 1, k + 1), _residual(r, t.scale)))
+                        violations.append(Violation(ident, (i + 1, j + 1, k + 1), r, t.scale))
     return CheckReport.collect("2_nilpotent", violations)
 
 
@@ -281,7 +282,7 @@ def _alpha_stability(full, twist) -> CheckReport:
             image.append(w)
         image = _span(term.ambient_dim, image)
         if not term.contains(image):
-            violations.append(Violation("alpha_stability", (g,), _difference_witness(image, term)))
+            violations.append(Violation("alpha_stability", (g,), *_difference_witness(image, term)))
     return CheckReport.collect("alpha_stability", violations)
 
 

@@ -41,7 +41,6 @@ from .axioms import (
     CheckReport,
     Violation,
     _column_violations,
-    _residual,
     check_hom_anti_associative,
     check_rhizaform,
 )
@@ -225,7 +224,7 @@ def _o_violations(ident: str, table, left, right, t_x, t_y, t_xy, scale: int, pr
             _product_into(r, table, x_u, y_v)
             _apply_into(r, t_xy, _sparse(inner), -1)
             if any(r):
-                yield Violation(ident, (*prefix, u + 1, v + 1), _residual(r, scale))
+                yield Violation(ident, (*prefix, u + 1, v + 1), r, scale)
 
 
 def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
@@ -329,7 +328,7 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
                 _apply_into(r, images, op1[i][j], d)
                 _product_into(r, op2, images[i], images[j], -1)
                 if any(r):
-                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), _residual(r, d**3)))
+                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), r, d**3))
     return CheckReport.collect("homomorphism", violations)
 
 

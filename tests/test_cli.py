@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import rhizalab
 import rhizalab.cli
-from rhizalab.algmodel import HomAlgebra, serialize_algebra, sum_product
+from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, serialize_algebra, sum_product
 from rhizalab.catalog import load_entry
 from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, OPERATION_COVERAGE, build_parser, main
 from rhizalab.cocycles import ScalarForm, is_nondegenerate, rhizaform_from_cocycle, scalar_cocycle_residuals
@@ -289,12 +289,26 @@ STRUCTURED_DIGESTS = [
 ]
 
 
+def _direct_sum(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
+    """The split algebra on A + B whose products and twist act on each summand alone."""
+    n, m = a.dim + b.dim, a.dim
+    products = [
+        BilinearOp.from_entries(n, [*x.nonzero_entries(), *((i + m, j + m, k + m, c) for i, j, k, c in y.nonzero_entries())])
+        for x, y in ((a.succ, b.succ), (a.prec, b.prec))
+    ]
+    blocks = [[a.alpha.matrix.at(i, j) for j in range(m)] + [0] * b.dim for i in range(m)]
+    blocks += [[0] * m + [b.alpha.matrix.at(i, j) for j in range(b.dim)] for i in range(b.dim)]
+    return HomAlgebra.rhizaform(*products, LinearMap.from_rows(blocks))
+
+
 @pytest.fixture()
 def report_paths(tmp_path, route_files):
-    """The path of each file a digest's argv names: the ``route_files``, {d2.A1} and {graded-n5}."""
+    """The path of each file a digest's argv names: the ``route_files``, {d2.A1}, {graded-n5} and
+    {sum-n6}."""
     files = {
         "{d2.A1}": load_entry("d2.A1"),
         "{graded-n5}": graded_split_algebra(random.Random(5), 5),
+        "{sum-n6}": _direct_sum(*(load_entry(eid, {"eta": Fraction(-3, 2)}) for eid in ("d3.A9", "d3.A4"))),
     }
     paths = {f"{{{role}}}": path for role, path in route_files.items()}
     for name, a in files.items():
@@ -319,6 +333,8 @@ TABLE_DIGESTS = [
     # 90 violations: the first 20, then "... 70 more violations"
     (("check", "--kind", "rhizaform", "{graded-n5}"), "e1941c2ee11eaf56972019cd4176edbabd023bc1067563f7a5a532e5314672a5"),
     (("catalog", "verify", "--param", "eta=1"), "07ac894847d723c2379802d1365be53a5f6bef070483805bb11f7d5c032b12c7"),
+    # 21 violations, residuals such as -3/2, -3/4 and 1/2 among the first 20
+    (("check", "--kind", "dendriform", "{sum-n6}"), "8cf055a899ebda6f0aa251f05959e075387ee2b2a2a1c731ecc45431fc9de3ee"),
 ]
 
 

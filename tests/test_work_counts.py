@@ -13,7 +13,10 @@ counts repeat exactly.
   included, in one ``_integers`` call, for any semigroup size.
 * The strict cyclic-form solvers read the working product of a split
   algebra as the sum of its products' integer tables, without building the
-  ``Fraction`` sum (``algmodel._combination``).
+  ``Fraction`` sum (``algmodel._combination``), and read the
+  anti-associativity test and the cyclic rows off one clearing: they clear
+  as often as the plain solvers, the scalar one twice (the invariance rows
+  read only alpha, at their own D_alpha) and the algebra-valued one once.
 """
 
 from fractions import Fraction
@@ -114,3 +117,16 @@ def test_strict_solvers_build_no_fraction_sum(monkeypatch, solve):
     calls = count_calls(monkeypatch, "_combination")
     assert solve(a, strict=True) == expected
     assert calls == []
+
+
+@pytest.mark.parametrize("entry", ["d3.A16", "d2.A7"])
+@pytest.mark.parametrize("solve, clearings", [(scalar_cocycle_space, 2), (vector_cocycle_space, 1)])
+def test_strict_solvers_clear_as_often_as_plain_ones(monkeypatch, entry, solve, clearings):
+    a = load_entry(entry, {"eta": F(1)})
+    expected = {strict: solve(a, strict=strict) for strict in (True, False)}
+    assert expected[True] == expected[False]
+    calls = count_calls(monkeypatch, "_integers")
+    for strict in (True, False):
+        calls.clear()
+        assert solve(a, strict=strict) == expected[strict]
+        assert len(calls) == clearings, strict
