@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import NamedTuple
 
 from .algmodel import (
     BilinearOp,
@@ -134,35 +134,48 @@ def _column_violations(ident: str, cols: list[list[int]], scale: int, prefix: tu
             yield Violation(ident, (*prefix, u + 1), col, scale)
 
 
-class _Twisted(NamedTuple):
-    """Products, a twist and any further matrices, all cleared by one D, in integer form."""
+@dataclass(eq=False)
+class _Twisted:
+    """Products, a twist and any further matrices, all cleared by one D, in integer form; for an
+    algebra (``_view``), also the names of its products.
+
+    ``left`` and ``right`` hold the matrices of alpha(e_i) o - and - o alpha(e_i),
+    at D^2, so a checker evaluates each product with one twisted argument as
+    one of these matrices applied to the other argument.  They are built on
+    first read: the cyclic-form solvers read neither.
+    """
 
     tables: list  # tables[p]: the integer table of product p
-    left: list  # left[p][i]: the columns of alpha(e_i) o_p -
-    right: list  # right[p][k]: the columns of - o_p alpha(e_k)
     twist: list  # the integer columns of alpha
     mats: list  # mats[m]: the integer columns of further matrix m
     d: int
+    names: tuple = ()  # names[p]: the name of product p in an algebra's view
 
     @property
     def scale(self) -> int:
         """D^3, the scale of a term of degree 3."""
         return self.d**3
 
+    @cached_property
+    def left(self) -> list:  # left[p][i]: the columns of alpha(e_i) o_p -
+        return [[_left_columns(t, a_i, len(self.twist)) for a_i in self.twist] for t in self.tables]
 
-def _twisted(ops, alpha: LinearMap, *mats) -> _Twisted:
-    """The integer view of ``ops``, ``alpha`` and the matrices ``mats``.
+    @cached_property
+    def right(self) -> list:  # right[p][k]: the columns of - o_p alpha(e_k)
+        return [[_left_columns(_opposite(t), a_i, len(self.twist)) for a_i in self.twist] for t in self.tables]
 
-    left and right hold the matrices of alpha(e_i) o - and - o alpha(e_i), at
-    D^2, so a checker evaluates each product with one twisted argument as one
-    of these matrices applied to the other argument.
-    """
+
+def _twisted(ops, alpha: LinearMap, *mats, names=()) -> _Twisted:
+    """The integer view of ``ops``, ``alpha`` and the matrices ``mats``."""
     parts, d = _integers(*ops, alpha.matrix, *mats)
-    tables, twist = parts[: len(ops)], parts[len(ops)]
-    n = alpha.dim
-    left = [[_left_columns(t, a_i, n) for a_i in twist] for t in tables]
-    right = [[_left_columns(_opposite(t), a_i, n) for a_i in twist] for t in tables]
-    return _Twisted(tables, left, right, twist, parts[len(ops) + 1 :], d)
+    return _Twisted(parts[: len(ops)], parts[len(ops)], parts[len(ops) + 1 :], d, names)
+
+
+def _view(a: HomAlgebra, *mats) -> _Twisted:
+    """The one integer view of the algebra ``a`` (``_twisted``): its products in name order, named,
+    its twist and ``mats``.  A public function builds it once; its private readers share it."""
+    names = tuple(sorted(a.products))
+    return _twisted([a.products[name] for name in names], a.alpha, *mats, names=names)
 
 
 def _anti_assoc_violations(first, outer_right, inner, mixed_left, scale: int, prefix=()):
@@ -281,26 +294,24 @@ def _split_violations(t: _Twisted, succ: int, prec: int, signed: bool) -> list[V
     return violations
 
 
-def _split_report(a: HomAlgebra, signed: bool, view: tuple[list[str], _Twisted] | None = None) -> CheckReport:
-    """``check_rhizaform`` (signed) or ``check_dendriform``; ``view`` is an integer view of the
-    products of ``a`` already at hand, as the names of its products in order and the view."""
+def _split_report(t: _Twisted, signed: bool) -> CheckReport:
+    """``check_rhizaform`` (signed) or ``check_dendriform`` on the algebra of the view ``t``."""
     name = "rhizaform" if signed else "dendriform"
-    if not a.is_rhizaform:
+    if "succ" not in t.names:
         raise MissingProduct(f"{name} check needs products succ and prec")
-    names, t = view or (["succ", "prec"], _twisted([a.succ, a.prec], a.alpha))
-    return CheckReport.collect(name, _split_violations(t, names.index("succ"), names.index("prec"), signed))
+    return CheckReport.collect(name, _split_violations(t, t.names.index("succ"), t.names.index("prec"), signed))
 
 
 def check_rhizaform(a: HomAlgebra) -> CheckReport:
     """Anti-associative splitting: the three signed identities + twist
     compatibility of both products."""
-    return _split_report(a, signed=True)
+    return _split_report(_view(a), signed=True)
 
 
 def check_dendriform(a: HomAlgebra) -> CheckReport:
     """Associative splitting: the three sign-free identities + twist
     compatibility of both products."""
-    return _split_report(a, signed=False)
+    return _split_report(_view(a), signed=False)
 
 
 def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:

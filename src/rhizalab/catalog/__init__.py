@@ -10,14 +10,15 @@ computations are compared against them and differences surface as
 *findings* in the report, while hard failures are reserved for internal
 errors (checker vs. brute-force-oracle disagreement).
 
-Each entry's report reads its products through one integer view, shared by
-the split identities and the power series, and takes the dimension of its
-algebra-valued cyclic-form space from two ranks, without building the basis.
-Under ``--oracle`` the checker's verdict on the anti-associativity of the
-summed product is read off the same view.  Nothing is kept between calls:
-every call reads and verifies its entries afresh, so a one-shot ``rhizalab
-catalog verify`` saves as much per entry as a process that verifies the
-catalog many times.
+Each entry is cleared once: one integer view of its algebra
+(``axioms._view``) serves the split identities, the power series and the
+dimension of its algebra-valued cyclic-form space, which comes from two
+ranks, without building the basis.  Under ``--oracle`` the checker's verdict
+on the anti-associativity of the summed product is read off the same view.
+``verify_entry`` and ``verify_all`` build each report through one helper.
+Nothing is kept between calls: every call reads and verifies its entries
+afresh, so a one-shot ``rhizalab catalog verify`` saves as much per entry as
+a process that verifies the catalog many times.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from importlib import resources
 
 from .. import oracle
 from ..algmodel import HomAlgebra, parse_algebra_obj, sum_product
-from ..axioms import CheckReport, _split_report, _sum_anti_associative
+from ..axioms import CheckReport, _split_report, _sum_anti_associative, _view
 from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnknownEntry
-from ..nilpotency import NilpotencyVerdict, _analysis, _twisted_view
+from ..nilpotency import NilpotencyVerdict, _analysis
 
 _DATA_PACKAGE = "rhizalab.catalog"
 _DATA_DIR = "data/v1"
@@ -183,25 +184,26 @@ class EntryReport:
 
 def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> EntryReport:
     """Run every structural check on one entry and bundle the outcomes."""
+    return _verified(entry_id, params, False)[0]
+
+
+def _verified(entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, list[str]]:
+    """The report on one entry and, ``with_oracle``, its disagreements with the oracle, all read
+    from one integer view of its algebra (``axioms._view``)."""
     entry = load_catalog_entry(entry_id)
     a = entry.algebra(params)
-    return _entry_report(entry, a, _twisted_view(a))
-
-
-def _entry_report(entry: CatalogEntry, a: HomAlgebra, view) -> EntryReport:
-    """The report on ``a``, from ``view``, its integer view (``nilpotency._twisted_view``), which
-    serves the split identities and the series."""
-    rhiza = _split_report(a, True, view)  # check_rhizaform
+    view = _view(a)
+    rhiza = _split_report(view, True)  # check_rhizaform
     multiplicative = {name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
-    nil = _analysis(*view)  # analyze
-    return EntryReport(
+    nil = _analysis(view)  # analyze
+    report = EntryReport(
         entry_id=entry.entry_id,
         dim=entry.dim,
         tag=entry.tag,
         rhizaform=rhiza,
         multiplicative=multiplicative,
         tag_agrees=(entry.tag == "m") == all(multiplicative.values()),
-        cocycle_dim=_vector_cocycle_dim(a),
+        cocycle_dim=_vector_cocycle_dim(view),
         expected_cocycle_dim=entry.expected_cocycle_dim,
         nilpotent=nil.verdicts["full"],
         series_equality=nil.series_equality,
@@ -210,17 +212,18 @@ def _entry_report(entry: CatalogEntry, a: HomAlgebra, view) -> EntryReport:
         alpha_stability=nil.alpha_stability,
         notes=entry.notes,
     )
+    return report, oracle_disagreements(entry_id, a, report, view) if with_oracle else []
 
 
 def oracle_disagreements(entry_id: str, a: HomAlgebra, report: EntryReport, view) -> list[str]:
     """Diff harness verdicts against the brute-force evaluator; ``view`` is the integer view of
-    ``a`` (``nilpotency._twisted_view``) that ``report`` was made from."""
+    ``a`` (``axioms._view``) that ``report`` was made from."""
     out = []
     oracle_ids = oracle.rhizaform_identities(a)
     for ident, ok in oracle_ids.items():
         if report.rhizaform.identity_passed(ident) != ok:
             out.append(f"{entry_id}: checker vs oracle on {ident}")
-    if _sum_anti_associative(view[1]) != oracle.anti_associative(sum_product(a), a.alpha):
+    if _sum_anti_associative(view) != oracle.anti_associative(sum_product(a), a.alpha):
         out.append(f"{entry_id}: checker vs oracle on anti_assoc(sum)")
     if report.two_nilpotent.passed != oracle.two_nilpotent(a):
         out.append(f"{entry_id}: checker vs oracle on 2-nilpotency")
@@ -290,12 +293,8 @@ def verify_all(
     findings: list[str] = []
     diffs: list[str] = []
     for entry_id in selected:
-        entry = load_catalog_entry(entry_id)
-        a = entry.algebra(params)
-        view = _twisted_view(a)
-        report = _entry_report(entry, a, view)
+        report, entry_diffs = _verified(entry_id, params, with_oracle)
         reports.append(report)
         findings.extend(report.findings())
-        if with_oracle:
-            diffs.extend(oracle_disagreements(entry_id, a, report, view))
+        diffs.extend(entry_diffs)
     return CatalogSummary(tuple(reports), tuple(findings), tuple(diffs))

@@ -32,8 +32,8 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .algmodel import BilinearOp, HomAlgebra, LinearMap, _integers, _opposite, _sparse, _summed
-from .axioms import Violation, _sum_anti_associative, _twisted
+from .algmodel import BilinearOp, HomAlgebra, _opposite, _summed
+from .axioms import Violation, _sum_anti_associative, _Twisted, _view
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
 from .operators import _transported, _transposed
@@ -57,11 +57,12 @@ class VectorForm(BilinearOp):
 
 
 # --- the conditions, as integer rows and their scale ------------------------
-# Each row is its condition with every structure it reads cleared by one D
-# (``algmodel._integers``; the rows that read only alpha clear it by its own
-# D_alpha), so every row is an integer row, at D to the condition's degree.
-# Scaling a row by a nonzero constant leaves the kernel unchanged, and with it
-# the canonical basis.
+# Each row is its condition read off the algebra's integer view
+# (``axioms._view``), whose products, twist and further matrices are all
+# cleared by one D, so every row is an integer row, at D to the condition's
+# degree; the rows that read only alpha carry it at D^2 too.  Scaling a row by
+# a nonzero constant leaves the kernel unchanged, and with it the canonical
+# basis.
 
 
 def _add_form_terms(row: list[int], u, w, n: int, stride: int = 1, offset: int = 0) -> None:
@@ -72,20 +73,15 @@ def _add_form_terms(row: list[int], u, w, n: int, stride: int = 1, offset: int =
             row[(p * n + q) * stride + offset] += up * wq
 
 
-def _cyclic_rows(a: HomAlgebra, strict: bool = False) -> tuple[list[list[int]], int]:
+def _cyclic_rows(view: _Twisted, strict: bool = False) -> tuple[list[list[int]], int]:
     """The scalar cyclic condition of the working product at each (i, j, k), lexicographic, in the
-    unknowns B[p][q]; at D^2.  The working product is the sum of the products of ``a``
+    unknowns B[p][q]; at D^2.  The working product is the sum of the products of ``view``
     (``star_product``), so its integer table is the sum of theirs.  With ``strict``, it must be
-    anti-associative, read off the same clearing."""
-    n = a.dim
-    if strict:
-        t = _twisted([*a.products.values()], a.alpha)
-        if not _sum_anti_associative(t):
-            raise NotAntiAssociative("the working product is not anti-associative")
-        tables, images, d = t.tables, t.twist, t.d
-    else:
-        (*tables, images), d = _integers(*a.products.values(), a.alpha.matrix)
-    table = _summed(tables, n)
+    anti-associative, read off the same view."""
+    n = len(view.twist)
+    if strict and not _sum_anti_associative(view):
+        raise NotAntiAssociative("the working product is not anti-associative")
+    table, images = _summed(view.tables, n), view.twist
     rows = []
     for i in range(n):
         for j in range(n):
@@ -95,54 +91,55 @@ def _cyclic_rows(a: HomAlgebra, strict: bool = False) -> tuple[list[list[int]], 
                 _add_form_terms(row, table[j][k], images[i], n)
                 _add_form_terms(row, table[k][i], images[j], n)
                 rows.append(row)
-    return rows, d * d
+    return rows, view.d * view.d
 
 
-def _invariance_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
-    """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), in the unknowns B[p][q]; at D_alpha^2."""
-    n = alpha.dim
-    (images,), d_alpha = _integers(alpha.matrix)
+def _invariance_rows(view: _Twisted) -> tuple[list[list[int]], int]:
+    """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), in the unknowns B[p][q]; at D^2."""
+    n, images, dd = len(view.twist), view.twist, view.d * view.d
     rows = []
     for i in range(n):
         for j in range(n):
             row = [0] * (n * n)
             _add_form_terms(row, images[i], images[j], n)
-            row[i * n + j] -= d_alpha * d_alpha
+            row[i * n + j] -= dd
             rows.append(row)
-    return rows, d_alpha * d_alpha
+    return rows, dd
 
 
-def _twist_rows(alpha: LinearMap) -> tuple[list[list[int]], int]:
+def _twist_rows(view: _Twisted) -> tuple[list[list[int]], int]:
     """Component c of alpha(w(e_i, e_j)) - w(alpha e_i, alpha e_j) at each (i, j, c), lexicographic,
-    in the unknowns w[p][q][r] (column (p*n + q)*n + r); at D_alpha^2."""
-    n = alpha.dim
-    images, d_alpha = _cleared([alpha.image_of_basis(i) for i in range(n)])
-    sparse = [_sparse(v) for v in images]
+    in the unknowns w[p][q][r] (column (p*n + q)*n + r); at D^2."""
+    n, images = len(view.twist), view.twist
+    lifted = [[0] * n for _ in range(n)]  # lifted[c][r]: component c of alpha(e_r), at D^2
+    for r, image in enumerate(images):
+        for c, x in image:
+            lifted[c][r] = x * view.d
     rows = []
     for i in range(n):
-        minus_image = [(p, -x) for p, x in sparse[i]]
+        minus_image = [(p, -x) for p, x in images[i]]
         for j in range(n):
             for c in range(n):
                 row = [0] * (n * n * n)
-                for r, image in enumerate(images):
-                    row[(i * n + j) * n + r] = image[c] * d_alpha
-                _add_form_terms(row, minus_image, sparse[j], n, n, c)
+                row[(i * n + j) * n : (i * n + j + 1) * n] = lifted[c]
+                _add_form_terms(row, minus_image, images[j], n, n, c)
                 rows.append(row)
-    return rows, d_alpha * d_alpha
+    return rows, view.d * view.d
 
 
-def _violations(a: HomAlgebra, flat, width: int, ident: str, second) -> list[Violation]:
-    """Direct substitution of one flat form (column (p*n + q)*width + s), cleared once: the cyclic
-    rows go to each of its ``width`` components, the rows of ``second`` (named ``ident``) to the
-    whole form.  The rows of one basis tuple, in lexicographic order, give its residual."""
-    n = a.dim
+def _violations(view: _Twisted, flat, width: int, ident: str, second) -> list[Violation]:
+    """Direct substitution of one flat form (column (p*n + q)*width + s), cleared once, into the
+    rows of ``view``: the cyclic rows go to each of its ``width`` components, the rows of
+    ``second`` (named ``ident``) to the whole form.  The rows of one basis tuple, in lexicographic
+    order, give its residual."""
+    n = len(view.twist)
     if len(flat) != n * n * width:
         raise DimensionMismatch("form and algebra dimensions differ")
     (form,), d = _cleared([flat])
     out = []
     for name, (rows, scale), forms, arity in (
-        ("cyclic", _cyclic_rows(a), [form[s::width] for s in range(width)], 3),
-        (ident, second(a.alpha), [form], 2),
+        ("cyclic", _cyclic_rows(view), [form[s::width] for s in range(width)], 3),
+        (ident, second(view), [form], 2),
     ):
         tuples = list(product(range(n), repeat=arity))
         per = len(rows) // len(tuples)
@@ -153,16 +150,16 @@ def _violations(a: HomAlgebra, flat, width: int, ident: str, second) -> list[Vio
     return out
 
 
-def _reduced_system(a: HomAlgebra, strict: bool, width: int, second) -> tuple[list, list[list[int]]]:
-    """The kernel b_1..b_d of the scalar cyclic rows, and the rows of ``second`` in the d*width
-    unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict mode requires the working
-    product to be anti-associative."""
-    n = a.dim
-    kernel = _kernel(_cyclic_rows(a, strict)[0], n * n)
+def _reduced_system(view: _Twisted, strict: bool, width: int, second) -> tuple[list, list[list[int]]]:
+    """The kernel b_1..b_d of the scalar cyclic rows of ``view``, and the rows of ``second``
+    in the d*width unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict mode requires
+    the working product to be anti-associative."""
+    n = len(view.twist)
+    kernel = _kernel(_cyclic_rows(view, strict)[0], n * n)
     block, _ = _cleared(kernel)
     at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
     rows = []
-    for second_row in second(a.alpha)[0]:
+    for second_row in second(view)[0]:
         row = [0] * (len(kernel) * width)
         for col, x in enumerate(second_row):
             if x:
@@ -173,7 +170,7 @@ def _reduced_system(a: HomAlgebra, strict: bool, width: int, second) -> tuple[li
     return kernel, rows
 
 
-def _solved(a: HomAlgebra, strict: bool, width: int, second) -> list[list[Fraction]]:
+def _solved(view: _Twisted, strict: bool, width: int, second) -> list[list[Fraction]]:
     """Kernel basis of the cyclic condition on each of ``width`` components plus ``second``, as
     flat forms in the n^2 * width unknowns B[p][q][s] (column (p*n + q)*width + s).
 
@@ -196,8 +193,8 @@ def _solved(a: HomAlgebra, strict: bool, width: int, second) -> list[list[Fracti
     a basis that is 1 at its own free column and 0 at the others and past it
     is unique.
     """
-    kernel, rows = _reduced_system(a, strict, width, second)
-    n = a.dim
+    kernel, rows = _reduced_system(view, strict, width, second)
+    n = len(view.twist)
     out = []
     for c in _kernel(rows, len(kernel) * width):
         v = [F0] * (n * n * width)
@@ -214,32 +211,33 @@ def _solved(a: HomAlgebra, strict: bool, width: int, second) -> list[list[Fracti
 
 def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
     """Direct substitution of one form into the cyclic and invariance rows."""
-    return _violations(a, b.matrix.entries, 1, "invariance", _invariance_rows)
+    return _violations(_view(a), b.matrix.entries, 1, "invariance", _invariance_rows)
 
 
 def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
     """The same for an algebra-valued form, with the twist rows: the cyclic residual lists its n components."""
-    return _violations(a, [x for row in w.coeffs for cell in row for x in cell], a.dim, "compat", _twist_rows)
+    return _violations(_view(a), [x for row in w.coeffs for cell in row for x in cell], a.dim, "compat", _twist_rows)
 
 
 def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
     """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns, column p*n + q)."""
     n = a.dim
-    return [ScalarForm(n, Matrix(n, n, v)) for v in _solved(a, strict, 1, _invariance_rows)]
+    return [ScalarForm(n, Matrix(n, n, v)) for v in _solved(_view(a), strict, 1, _invariance_rows)]
 
 
 def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm]:
     """Kernel basis of the algebra-valued cyclic + twist conditions (n^3 unknowns, column (p*n + q)*n + r)."""
     n = a.dim
-    cells = [[v[pq * n : (pq + 1) * n] for pq in range(n * n)] for v in _solved(a, strict, n, _twist_rows)]
+    cells = [[v[pq * n : (pq + 1) * n] for pq in range(n * n)] for v in _solved(_view(a), strict, n, _twist_rows)]
     return [VectorForm(n, [c[p * n : (p + 1) * n] for p in range(n)]) for c in cells]
 
 
-def _vector_cocycle_dim(a: HomAlgebra) -> int:
-    """len(vector_cocycle_space(a)), read from the ranks without building the basis: the map
-    c -> B of ``_solved`` is injective, so the space has the dimension of the kernel in c."""
-    kernel, rows = _reduced_system(a, False, a.dim, _twist_rows)
-    return len(kernel) * a.dim - len(_echelon(rows)[1])
+def _vector_cocycle_dim(view: _Twisted) -> int:
+    """len(vector_cocycle_space(a)) for the view of a, from two ranks without building the basis: the
+    map c -> B of ``_solved`` is injective, so the space has the dimension of the kernel in c."""
+    n = len(view.twist)
+    kernel, rows = _reduced_system(view, False, n, _twist_rows)
+    return len(kernel) * n - len(_echelon(rows)[1])
 
 
 def is_nondegenerate(b: ScalarForm) -> bool:
@@ -254,21 +252,22 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     the scalar cocycle space of the algebra (NotACocycle otherwise).  The
     splits are those of the invertible O-operator T = (B^T)^-1 on the
     coregular bimodule (the dual of the regular one) of the working product:
-    x succ y = T(R(x)^T B^T y) and x prec y = T(L(y)^T B^T x).  Over int, with
-    the products, B^T and T cleared by one D, the working product's table is
-    the sum of theirs, the coregular actions are its transposed regular ones
+    x succ y = T(R(x)^T B^T y) and x prec y = T(L(y)^T B^T x).  Over int, one
+    view of the algebra with B^T and T (``axioms._view``) serves the strict
+    residual check and the splitting: the working product's table is the sum
+    of the products', the coregular actions are its transposed regular ones
     (``operators._transposed``), and every cell is at D^3.
     """
     n = a.dim
     if b.dim != n:
         raise DimensionMismatch("form and algebra dimensions differ")
     bt = b.matrix.transpose()
-    bt_inv = invert(bt)  # Singular for degenerate forms
+    t = _view(a, bt, invert(bt))  # Singular for degenerate forms
     if strict:
-        bad = scalar_cocycle_residuals(a, b)
+        bad = _violations(t, b.matrix.entries, 1, "invariance", _invariance_rows)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
-    (*tables, back, images), d = _integers(*a.products.values(), bt, bt_inv)
-    table = _summed(tables, n)
+    back, images = t.mats
+    table = _summed(t.tables, n)
     coregular = _transposed(_opposite(table)), _transposed(table)
-    return HomAlgebra.rhizaform(*_transported(*coregular, images, back, d**3), a.alpha)
+    return HomAlgebra.rhizaform(*_transported(*coregular, images, back, t.d**3), a.alpha)

@@ -32,8 +32,8 @@ from functools import cached_property
 from itertools import product
 from typing import NamedTuple
 
-from .algmodel import HomAlgebra, _apply_into, _integers, _product_into, _sparse
-from .axioms import CheckReport, Violation, _multiplicativity_violations, _twisted
+from .algmodel import HomAlgebra, _apply_into, _product_into, _sparse
+from .axioms import CheckReport, Violation, _multiplicativity_violations, _Twisted, _view
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
 
@@ -96,22 +96,11 @@ def _span(ambient_dim: int, rows) -> Subspace:
     return Subspace(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
 
 
-def _tables(a: HomAlgebra) -> list:
-    """The integer tables of the products of ``a``, in name order, all cleared by one D."""
-    return _integers(*(a.products[name] for name in sorted(a.products)))[0]
-
-
-def _twisted_view(a: HomAlgebra):
-    """The product names of ``a`` in order, and its integer view (``axioms._twisted``)."""
-    names = sorted(a.products)
-    return names, _twisted([a.products[name] for name in names], a.alpha)
-
-
 def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
     """Span of all products of basis vectors, over every named product."""
     if m.ambient_dim != a.dim or n.ambient_dim != a.dim:
         raise DimensionMismatch("subspace ambient dimension differs from the algebra")
-    return _products_span([(m, n)], _tables(a))
+    return _products_span([(m, n)], _view(a).tables)
 
 
 def _products_span(pairs, tables) -> Subspace:
@@ -158,15 +147,15 @@ def _until_stable(tables, kind: str) -> tuple[Subspace, ...]:
 
 
 def right_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_tables(a), "right"))
+    return list(_until_stable(_view(a).tables, "right"))
 
 
 def left_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_tables(a), "left"))
+    return list(_until_stable(_view(a).tables, "left"))
 
 
 def full_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_tables(a), "full"))
+    return list(_until_stable(_view(a).tables, "full"))
 
 
 def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
@@ -175,7 +164,7 @@ def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
         raise ValueError("series terms are 1-based")
     if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    terms = _until_stable(_tables(a), kind)
+    terms = _until_stable(_view(a).tables, kind)
     return terms[min(g, len(terms)) - 1]  # constant from the last term on (module doc)
 
 
@@ -226,15 +215,15 @@ def _series_equality(series: dict) -> CheckReport:
 
 def check_series_equality(a: HomAlgebra) -> CheckReport:
     """Termwise comparison of the three series up to common stabilization."""
-    tables = _tables(a)
+    tables = _view(a).tables
     return _series_equality({kind: _until_stable(tables, kind) for kind in _KINDS})
 
 
-def _two_nilpotent(t, names: list[str]) -> CheckReport:
+def _two_nilpotent(t: _Twisted) -> CheckReport:
     n = len(t.twist)
     violations = []
-    for p, p_name in enumerate(names):
-        for q, q_name in enumerate(names):
+    for p, p_name in enumerate(t.names):
+        for q, q_name in enumerate(t.names):
             for i, j, k in product(range(n), repeat=3):
                 # (e_i o_p e_j) o_q alpha(e_k), then alpha(e_i) o_q (e_j o_p e_k)
                 out_in = (("out", t.right[q][k], t.tables[p][i][j]), ("in", t.left[q][i], t.tables[p][j][k]))
@@ -251,8 +240,7 @@ def _two_nilpotent(t, names: list[str]) -> CheckReport:
 
 def check_2_nilpotent(a: HomAlgebra) -> CheckReport:
     """All out/in bracketings of two products vanish under every operation choice."""
-    names, t = _twisted_view(a)
-    return _two_nilpotent(t, names)
+    return _two_nilpotent(_view(a))
 
 
 def _onesided(tables, full) -> CheckReport:
@@ -266,7 +254,7 @@ def _onesided(tables, full) -> CheckReport:
 
 def check_onesided_nilpotency_theorem(a: HomAlgebra) -> CheckReport:
     """Whole algebra nilpotent iff every single-product reduct is nilpotent."""
-    tables = _tables(a)
+    tables = _view(a).tables
     return _onesided(tables, _until_stable(tables, "full"))
 
 
@@ -289,11 +277,12 @@ def _alpha_stability(full, twist) -> CheckReport:
 def check_alpha_stability(a: HomAlgebra) -> CheckReport:
     """alpha(S_k) inside S_k along the full series; meaningful when the twist is multiplicative
     for every product (``axioms.check_multiplicativity``), which the caller checks."""
-    return _alpha_stability(full_series(a), _integers(a.alpha.matrix)[0][0])
+    t = _view(a)
+    return _alpha_stability(_until_stable(t.tables, "full"), t.twist)
 
 
-def _multiplicative(t, names: list[str]) -> bool:
-    return all(next(_multiplicativity_violations(t, p, name), None) is None for p, name in enumerate(names))
+def _multiplicative(t: _Twisted) -> bool:
+    return all(next(_multiplicativity_violations(t, p, name), None) is None for p, name in enumerate(t.names))
 
 
 @dataclass(frozen=True)
@@ -313,16 +302,16 @@ class NilpotencyAnalysis:
 
 def analyze(a: HomAlgebra) -> NilpotencyAnalysis:
     """The series of ``a``, their verdicts and every series check, from one clearing of its products."""
-    return _analysis(*_twisted_view(a))
+    return _analysis(_view(a))
 
 
-def _analysis(names: list[str], t) -> NilpotencyAnalysis:
-    """``analyze`` on the integer view ``t`` of an algebra's products ``names`` (``_twisted_view``)."""
+def _analysis(t: _Twisted) -> NilpotencyAnalysis:
+    """``analyze`` on the integer view ``t`` of an algebra (``axioms._view``)."""
     series = {kind: _until_stable(t.tables, kind) for kind in _KINDS}
     return NilpotencyAnalysis(
         series=series,
         series_equality=_series_equality(series),
         onesided=_onesided(t.tables, series["full"]),
-        two_nilpotent=_two_nilpotent(t, names),
-        alpha_stability=_alpha_stability(series["full"], t.twist) if _multiplicative(t, names) else None,
+        two_nilpotent=_two_nilpotent(t),
+        alpha_stability=_alpha_stability(series["full"], t.twist) if _multiplicative(t) else None,
     )

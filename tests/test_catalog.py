@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rhizalab.algmodel import LinearMap, parse_algebra, serialize_algebra, sum_product
-from rhizalab.axioms import _sum_anti_associative, check_hom_anti_associative, check_rhizaform
+from rhizalab.axioms import _sum_anti_associative, _view, check_hom_anti_associative, check_rhizaform
 from rhizalab.catalog import (
     CatalogSummary,
     entry_ids,
@@ -16,7 +16,7 @@ from rhizalab.catalog import (
 from rhizalab.cocycles import vector_cocycle_space
 from rhizalab.errors import ParseError, UnboundParameter, UnknownEntry
 from rhizalab.exactlin import Matrix
-from rhizalab.nilpotency import _twisted_view, analyze
+from rhizalab.nilpotency import analyze
 from rhizalab.operators import LinearOperator, check_homomorphism
 from tests.conftest import catalog_algebras, random_split_algebra
 from tests.fraction_checkers import basis_vec
@@ -197,7 +197,7 @@ def test_sum_anti_associativity_from_the_integer_view_equals_the_checker():
     verdicts = []
     for a in inputs:
         expected = check_hom_anti_associative(sum_product(a), a.alpha).passed
-        assert _sum_anti_associative(_twisted_view(a)[1]) == expected
+        assert _sum_anti_associative(_view(a)) == expected
         verdicts.append(expected)
     assert set(verdicts) == {True, False}
 

@@ -14,9 +14,14 @@ counts repeat exactly.
 * The strict cyclic-form solvers read the working product of a split
   algebra as the sum of its products' integer tables, without building the
   ``Fraction`` sum (``algmodel._combination``), and read the
-  anti-associativity test and the cyclic rows off one clearing: they clear
-  as often as the plain solvers, the scalar one twice (the invariance rows
-  read only alpha, at their own D_alpha) and the algebra-valued one once.
+  anti-associativity test and every row off one clearing: they clear once,
+  as the plain solvers do.
+* The cocycle splitting clears once, strict or not: its residual check and
+  the splitting read one view of the algebra with B^T and its inverse.
+* A catalog report clears its entry once, with or without the oracle.
+* The twisted columns are built only where they are read: one
+  ``_left_columns`` per basis vector for the checks that read only
+  alpha(x) o -, none for the plain solvers.
 """
 
 from fractions import Fraction
@@ -25,7 +30,8 @@ import pytest
 
 from rhizalab import algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpotency, operators
 from rhizalab.algmodel import BilinearOp, HomAlgebra, sum_product
-from rhizalab.catalog import load_entry
+from rhizalab.axioms import check_jacobi_jordan, check_multiplicativity
+from rhizalab.catalog import load_entry, verify_all, verify_entry
 from rhizalab.cocycles import rhizaform_from_cocycle, scalar_cocycle_space, vector_cocycle_space
 from rhizalab.family import RBFamily, Semigroup, check_rb_family
 from rhizalab.operators import (
@@ -38,6 +44,7 @@ from rhizalab.operators import (
 from tests.conftest import nondegenerate_in_span, skew_4dim
 
 F = Fraction
+ETA = {"eta": F(1)}
 MODULES = (algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpotency, operators)
 
 
@@ -70,6 +77,15 @@ def test_cocycle_splitting_inverts_once(monkeypatch, strict):
     a, b = _split_skew()
     expected = rhizaform_from_cocycle(a, b, strict=strict)
     calls = count_calls(monkeypatch, "invert")
+    assert rhizaform_from_cocycle(a, b, strict=strict) == expected
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_cocycle_splitting_clears_once(monkeypatch, strict):
+    a, b = _split_skew()
+    expected = rhizaform_from_cocycle(a, b, strict=strict)
+    calls = count_calls(monkeypatch, "_integers")
     assert rhizaform_from_cocycle(a, b, strict=strict) == expected
     assert len(calls) == 1
 
@@ -120,7 +136,7 @@ def test_strict_solvers_build_no_fraction_sum(monkeypatch, solve):
 
 
 @pytest.mark.parametrize("entry", ["d3.A16", "d2.A7"])
-@pytest.mark.parametrize("solve, clearings", [(scalar_cocycle_space, 2), (vector_cocycle_space, 1)])
+@pytest.mark.parametrize("solve, clearings", [(scalar_cocycle_space, 1), (vector_cocycle_space, 1)])
 def test_strict_solvers_clear_as_often_as_plain_ones(monkeypatch, entry, solve, clearings):
     a = load_entry(entry, {"eta": F(1)})
     expected = {strict: solve(a, strict=strict) for strict in (True, False)}
@@ -130,3 +146,33 @@ def test_strict_solvers_clear_as_often_as_plain_ones(monkeypatch, entry, solve, 
         calls.clear()
         assert solve(a, strict=strict) == expected[strict]
         assert len(calls) == clearings, strict
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_catalog_reports_clear_each_entry_once(monkeypatch, with_oracle):
+    ids = ["d2.A1", "d2.A7", "d3.A4", "d3.A16"]
+    expected = verify_all(ETA, ids=ids, with_oracle=with_oracle)
+    calls = count_calls(monkeypatch, "_integers")
+    assert verify_all(ETA, ids=ids, with_oracle=with_oracle) == expected
+    assert len(calls) == len(ids)
+    calls.clear()
+    assert verify_entry("d3.A4", ETA) == expected.reports[2]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check", [check_jacobi_jordan, check_multiplicativity])
+def test_single_sided_checks_build_only_the_left_columns(monkeypatch, check):
+    s = _sum_d3_a7()
+    expected = check(s.mul, s.alpha)
+    calls = count_calls(monkeypatch, "_left_columns")
+    assert check(s.mul, s.alpha) == expected
+    assert len(calls) == s.dim
+
+
+@pytest.mark.parametrize("solve", [scalar_cocycle_space, vector_cocycle_space])
+def test_plain_solvers_build_no_twisted_columns(monkeypatch, solve):
+    a = load_entry("d3.A16", ETA)
+    expected = solve(a)
+    calls = count_calls(monkeypatch, "_left_columns")
+    assert solve(a) == expected
+    assert calls == []
