@@ -1,10 +1,11 @@
 """Structure-constant model: bilinear products, twist maps, and algebra files.
 
-A product is an n x n x n tensor ``c[i][j][k]`` meaning
-``e_i o e_j = sum_k c[i][j][k] e_k``; a twist map alpha is stored as the
-matrix whose column i holds the coordinates of ``alpha(e_i)``.  Indices are
-0-based in memory and 1-based in the text format, matching the usual
-``e_1, e_2, ...`` notation.
+A product, ``e_i o e_j = sum_k c[i][j][k] e_k``, stores its structure
+constants as integers over one denominator d: ``table[i][j]`` lists the
+nonzero (k, c[i][j][k] d), and the dense ``Fraction`` tensor ``coeffs`` is
+built only when read.  A twist map alpha is stored as the matrix whose column
+i holds the coordinates of ``alpha(e_i)``.  Indices are 0-based in memory and
+1-based in the text format, matching the usual ``e_1, e_2, ...`` notation.
 
 Algebra files are JSON objects::
 
@@ -22,7 +23,7 @@ time, so downstream code never sees symbols.  A mono-product algebra uses
 ``BilinearOp`` and ``LinearMap`` are frozen dataclasses.  A product built
 from products, a signed sum of them with some arguments swapped (the summed
 product, the circle product, the bracket, the family products), is one
-``_combination`` of its terms.
+``_combination`` of its terms, a sum of their integer tables.
 
 JSON passes through one decoder, ``_decode_json``, on the way in and one
 writer, ``_encode_json``, on the way out: every document rhizalab prints is
@@ -37,97 +38,123 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, neg, sub
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, MissingProduct, ParseError, UnboundParameter
 from .exactlin import (
     F0,
     Matrix,
     Vector,
-    _cleared,
+    _ratio_texts,
     rational,
     rational_str,
-    vec_zero,
 )
 
 _PARAM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # what a coefficient can name (``_NAME_RE``)
 _NAME_RE = re.compile(rf"-?{_PARAM_NAME.pattern}$")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class BilinearOp:
-    """Structure-constant tensor of one bilinear product; equal to any ``BilinearOp`` (a subclass
-    too) with its coefficients."""
+    """One bilinear product: e_i o e_j = table[i][j] / d, each cell a sparse integer vector
+    (``_sparse``) and d positive, in lowest terms.  Equality and hashing compare (dim, table, d), so
+    a product equals any ``BilinearOp`` (a subclass too) with its coefficients."""
 
     dim: int
-    coeffs: tuple[tuple[Vector, ...], ...]
+    table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    d: int
 
-    def __post_init__(self):
-        coeffs = tuple(
-            tuple(tuple(c if isinstance(c, Fraction) else rational(c) for c in col) for col in row)
-            for row in self.coeffs
-        )
-        if len(coeffs) != self.dim or any(
-            len(row) != self.dim or any(len(col) != self.dim for col in row) for row in coeffs
-        ):
-            raise DimensionMismatch(f"coefficient tensor is not {self.dim}^3")
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, dim: int, coeffs):
+        """The product with e_i o e_j = sum_k coeffs[i][j][k] e_k, for a dense dim^3 tensor of rationals."""
+        coeffs = [[[rational(c) for c in col] for col in row] for row in coeffs]
+        if len(coeffs) != dim or any(len(row) != dim or any(len(col) != dim for col in row) for row in coeffs):
+            raise DimensionMismatch(f"coefficient tensor is not {dim}^3")
+        entries = ((i, j, k, c) for i, row in enumerate(coeffs) for j, col in enumerate(row) for k, c in enumerate(col))
+        self._set(*_entry_table(dim, entries))
+
+    @classmethod
+    def _from_table(cls, table, d: int = 1) -> BilinearOp:
+        """The product with e_i o e_j = table[i][j] / d, for sparse integer cells and a positive d."""
+        return cls.__new__(cls)._set(table, d)
+
+    def _set(self, table, d: int) -> BilinearOp:
+        """Store ``table`` and ``d``, both divided by their common factor."""
+        g = gcd(d, *(c for row in table for cell in row for _, c in cell)) if d > 1 else 1
+        if g > 1:
+            table = [[tuple((k, c // g) for k, c in cell) for cell in row] for row in table]
+        object.__setattr__(self, "dim", len(table))
+        object.__setattr__(self, "table", tuple(map(tuple, table)))
+        object.__setattr__(self, "d", d // g)
+        return self
 
     @classmethod
     def zero(cls, dim: int) -> BilinearOp:
-        z = vec_zero(dim)
-        return cls(dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return cls._from_table([[()] * dim for _ in range(dim)])
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> BilinearOp:
         """Build from 0-based (i, j, k, coefficient) tuples; duplicates add."""
-        c = [[[F0] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, co in entries:
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise DimensionMismatch(f"index ({i},{j},{k}) outside [0,{dim})")
-            cell, q = c[i][j], rational(co)
-            cell[k] = cell[k] + q if cell[k] else q  # a zero cell adds nothing
-        return cls(dim, c)
+        return cls._from_table(*_entry_table(dim, entries))
+
+    @cached_property
+    def coeffs(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense tensor coeffs[i][j][k] of Fractions, built from the table on first read."""
+        dense = [[[F0] * self.dim for _ in row] for row in self.table]
+        for i, j, k, c in self.nonzero_entries():
+            dense[i][j][k] = c
+        return tuple(tuple(map(tuple, row)) for row in dense)
 
     def entry(self, i: int, j: int) -> Vector:
         """Coordinates of e_i o e_j."""
         return self.coeffs[i][j]
 
+    def _entries(self) -> list[tuple[int, int, int, int]]:
+        """(i, j, k, c) for each nonzero coefficient c / d, in index order."""
+        return [(i, j, k, c) for i, row in enumerate(self.table) for j, cell in enumerate(row) for k, c in cell]
+
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in enumerate(self.coeffs[i][j]):
-                    if c:
-                        out.append((i, j, k, c))
-        return out
+        return [(i, j, k, Fraction(c, self.d)) for i, j, k, c in self._entries()]
 
     def is_zero(self) -> bool:
-        return not any(c for row in self.coeffs for col in row for c in col)
+        return not any(any(row) for row in self.table)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BilinearOp) and self.dim == other.dim and self.coeffs == other.coeffs
+        return isinstance(other, BilinearOp) and (self.dim, self.d, self.table) == (other.dim, other.d, other.table)
 
     def __hash__(self):
-        return hash((self.dim, self.coeffs))
+        return hash((self.dim, self.d, self.table))
 
     def __repr__(self):
-        terms = ", ".join(
-            f"e{i + 1}*e{j + 1}->{rational_str(c)}e{k + 1}" for i, j, k, c in self.nonzero_entries()
-        )
+        terms = ", ".join(f"e{i}*e{j}->{c}e{k}" for i, j, k, c in _product_obj(self))
         return f"BilinearOp({self.dim}: {terms or '0'})"
+
+
+def _entry_table(dim: int, entries) -> tuple[list, int]:
+    """The integer table of the sum of the 0-based (i, j, k, coefficient) entries, and its denominator."""
+    cells: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, j, k, co in entries:
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise DimensionMismatch(f"index ({i},{j},{k}) outside [0,{dim})")
+        cell, q = cells.setdefault((i, j), {}), rational(co)
+        cell[k] = cell[k] + q if k in cell else q
+    d = lcm(*(q.denominator for cell in cells.values() for q in cell.values()))
+    table = [[()] * dim for _ in range(dim)]
+    for (i, j), cell in cells.items():
+        table[i][j] = tuple((k, q.numerator * (d // q.denominator)) for k, q in sorted(cell.items()) if q)
+    return table, d
 
 
 # --- integer kernel ---------------------------------------------------------
 # The checkers and the constructions evaluate over int.  Every identity and
 # construction is multilinear in the structures it reads, so ``_integers``
-# clears all of them by one D, the lcm of every denominator they hold
-# (``exactlin._cleared``).  A term built from k of them is then exactly D^k
-# times its value.  A construction becomes Fractions only at the end, divided
-# by D to its degree (``_divided``); a residual is reported as its integers
-# at that scale (``axioms.Violation``).  A sparse integer vector is a tuple
-# of (index, value) pairs with nonzero values, and an integer table of a
-# product holds table[i][j] = e_i o e_j times D as one.
+# clears all of them by one D, the lcm of every denominator they hold (a
+# product's table is only rescaled).  A term built from k of them is then
+# exactly D^k times its value.  A construction hands its integer cells and
+# their scale straight to the product it builds (``BilinearOp._from_table``);
+# a residual is reported as its integers at its scale (``axioms.Violation``).
+# A sparse integer vector is a tuple of the (index, value) pairs with nonzero
+# values, in index order; an integer table holds table[i][j] = D e_i o e_j.
 
 
 def _sparse(v) -> tuple[tuple[int, int], ...]:
@@ -155,28 +182,30 @@ def _summed(grids, size: int) -> list:
     return out
 
 
+def _table_at(op: BilinearOp, d: int, sign: int = 1):
+    """The integer table of sign * op (sign = +1 or -1) at scale d, a multiple of op.d (op's own)."""
+    f = sign * d // op.d
+    return op.table if f == 1 else [[tuple((k, c * f) for k, c in cell) for cell in row] for row in op.table]
+
+
 def _integers(*parts) -> tuple[list, int]:
     """The products, matrices and vectors ``parts``, all cleared by one D, in integer form; and D.
 
-    A product becomes its integer table, a matrix the list of its sparse
-    integer columns, a vector a sparse integer vector.
+    D is the lcm of the products' d and the denominators of the matrices and
+    vectors.  A product becomes its integer table at D (``_table_at``), a
+    matrix the list of its sparse integer columns, a vector a sparse integer
+    vector.
     """
-    vectors = []
-    for p in parts:
-        if isinstance(p, BilinearOp):
-            vectors.extend(cell for row in p.coeffs for cell in row)
-        elif isinstance(p, Matrix):
-            vectors.extend(p.column(j) for j in range(p.cols))
-        else:
-            vectors.append(p)
-    cleared, d = _cleared(vectors)
-    cleared = iter([_sparse(v) for v in cleared])
-    out = [
-        [[next(cleared) for _ in range(p.dim)] for _ in range(p.dim)] if isinstance(p, BilinearOp)
-        else [next(cleared) for _ in range(p.cols)] if isinstance(p, Matrix)
-        else next(cleared)
-        for p in parts
+    ops = [isinstance(p, BilinearOp) for p in parts]
+    vectors = [
+        [] if op else [p.column(j) for j in range(p.cols)] if isinstance(p, Matrix) else [p]
+        for p, op in zip(parts, ops)
     ]
+    d = lcm(*(p.d for p, op in zip(parts, ops) if op), *(c.denominator for vs in vectors for v in vs for c in v))
+    out = []
+    for p, op, vs in zip(parts, ops, vectors):
+        cols = [_sparse([c.numerator * (d // c.denominator) for c in v]) for v in vs]
+        out.append(_table_at(p, d) if op else cols if isinstance(p, Matrix) else cols[0])
     return out, d
 
 
@@ -196,12 +225,6 @@ def _apply_into(out: list[int], cols, x, c: int = 1) -> None:
         s = c * xi
         for r, t in cols[i]:
             out[r] += s * t
-
-
-def _divided(cells, scale: int) -> BilinearOp:
-    """The product with e_i o e_j = cells[i][j] / scale, for dense integer cells: a construction's
-    only step back to Fractions."""
-    return BilinearOp(len(cells), [[[Fraction(c, scale) for c in cell] for cell in row] for row in cells])
 
 
 def _opposite(table) -> list:
@@ -322,19 +345,12 @@ def _combination(*terms) -> BilinearOp:
     """The product sum_t sign_t (x o_t y) over the terms (sign_t, o_t, swapped_t), sign_t = +1 or -1,
     with y o_t x in place of x o_t y for a swapped term; the o_t are all of one dimension.
 
-    Each cell e_i o e_j is combined coordinate-wise, in term order.
+    The sum of the terms' signed integer tables at one scale D, the lcm of
+    their d, with a swapped term's table transposed (``_opposite``), over D.
     """
-    n = terms[0][1].dim
-    grids = [(sign, tuple(zip(*op.coeffs)) if swapped else op.coeffs) for sign, op, swapped in terms]
-
-    def cell(i, j):
-        (sign, grid), *rest = grids
-        out = grid[i][j] if sign > 0 else map(neg, grid[i][j])
-        for sign, grid in rest:
-            out = map(add if sign > 0 else sub, out, grid[i][j])
-        return out
-
-    return BilinearOp(n, [[cell(i, j) for j in range(n)] for i in range(n)])
+    d = lcm(*(op.d for _, op, _ in terms))
+    grids = [_opposite(_table_at(op, d, sign)) if swap else _table_at(op, d, sign) for sign, op, swap in terms]
+    return BilinearOp._from_table(_summed(grids, terms[0][1].dim), d)
 
 
 def sum_product(a: HomAlgebra) -> BilinearOp:
@@ -426,19 +442,19 @@ def _field(doc, key: str, where: str, kind: type):
     return doc[key]
 
 
-def _resolve_coefficient(token, where: str, params: dict[str, Fraction] | None) -> Fraction:
-    """A rational literal or, when ``params`` is given, a parameter name,
-    optionally negated; errors name the cell ``where``."""
+def _resolve_coefficient(token, params: dict[str, Fraction] | None, where: str, *path: int) -> Fraction:
+    """A rational literal or, when ``params`` is given, a parameter name, optionally negated; errors name
+    the cell, ``where`` and then each index of ``path`` in brackets (``algebra.succ[0][3]``)."""
     s = token.strip() if isinstance(token, str) else ""
     if params is not None and _NAME_RE.match(s):
         name = s.lstrip("-")
         if name not in params:
-            raise UnboundParameter(name, where)
+            raise UnboundParameter(name, where + "".join(f"[{i}]" for i in path))
         return -params[name] if s.startswith("-") else params[name]
     try:
         return rational(token)
     except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+        raise ParseError(where + "".join(f"[{i}]" for i in path) + f": {exc}") from None
 
 
 def _read_matrix(doc, where: str, params: dict[str, Fraction] | None) -> Matrix:
@@ -446,10 +462,7 @@ def _read_matrix(doc, where: str, params: dict[str, Fraction] | None) -> Matrix:
     if not isinstance(doc, list) or not all(isinstance(row, list) and len(row) == len(doc[0]) for row in doc):
         raise ParseError(f"{where} must be a list of rows of equal length")
     return Matrix.from_rows(
-        [
-            [_resolve_coefficient(e, f"{where}[{r}][{c}]", params) for c, e in enumerate(row)]
-            for r, row in enumerate(doc)
-        ]
+        [[_resolve_coefficient(e, params, where, r, c) for c, e in enumerate(row)] for r, row in enumerate(doc)]
     )
 
 
@@ -472,7 +485,7 @@ def _parse_product(doc, dim: int, where: str, params: dict[str, Fraction]) -> Bi
             raise ParseError(f"{where}[{e}]: {item!r} has non-integer indices")
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise ParseError(f"{where}[{e}]: {item!r} outside basis range 1..{dim}")
-        entries.append((i - 1, j - 1, k - 1, _resolve_coefficient(co, f"{where}[{e}][3]", params)))
+        entries.append((i - 1, j - 1, k - 1, _resolve_coefficient(co, params, where, e, 3)))
     return BilinearOp.from_entries(dim, entries)
 
 
@@ -484,7 +497,7 @@ def _read_header(doc, where: str, bindings) -> tuple[int, dict[str, Fraction], L
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict) or not all(map(_PARAM_NAME.fullmatch, params_doc)):
         raise ParseError(f"{where}.params: 'params' must be a JSON object of name: rational")
-    params = {name: _resolve_coefficient(v, f"{where}.params.{name}", None) for name, v in params_doc.items()}
+    params = {name: _resolve_coefficient(v, None, f"{where}.params.{name}") for name, v in params_doc.items()}
     params.update((name, rational(v)) for name, v in (bindings or {}).items())
     return dim, params, _twist(doc, "alpha", where, dim, params)
 
@@ -515,7 +528,9 @@ def _matrix_obj(m: Matrix) -> list[list[str]]:
 
 
 def _product_obj(op: BilinearOp) -> list[list]:
-    return [[i + 1, j + 1, k + 1, rational_str(c)] for i, j, k, c in op.nonzero_entries()]
+    """The file entries [i, j, k, "p" or "p/q"] of ``op``, 1-based, in index order."""
+    entries = op._entries()
+    return [[i + 1, j + 1, k + 1, t] for (i, j, k, _), t in zip(entries, _ratio_texts([e[3] for e in entries], op.d))]
 
 
 def serialize_algebra_obj(a: HomAlgebra) -> dict:

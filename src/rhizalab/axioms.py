@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from .algmodel import (
     BilinearOp,
@@ -42,7 +41,7 @@ from .algmodel import (
     _summed,
 )
 from .errors import DimensionMismatch, MissingProduct
-from .exactlin import Vector
+from .exactlin import Vector, _ratio_texts
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +69,8 @@ class Violation:
         return hash(self._key())
 
     def residual_text(self) -> list[str]:
-        """Each residual coordinate as "p" or "p/q" in lowest terms, the text ``exactlin.rational_str``
-        gives its Fraction: one gcd per coordinate, none at scale 1."""
-        d = self.scale
-        if d == 1:
-            return [str(v) for v in self.values]
-        return [str(v // g) if (g := gcd(v, d)) == d else f"{v // g}/{d // g}" for v in self.values]
+        """Each residual coordinate as "p" or "p/q" in lowest terms (``exactlin._ratio_texts``)."""
+        return _ratio_texts(self.values, self.scale)
 
     def to_obj(self) -> dict:
         return {"identity": self.identity_id, "basis": list(self.basis_tuple), "residual": self.residual_text()}

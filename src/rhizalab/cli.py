@@ -48,7 +48,6 @@ from .cocycles import (
     vector_cocycle_space,
 )
 from .errors import DimensionMismatch, RhizalabError
-from .exactlin import rational_str
 from .family import (
     associated_family,
     check_anti_associative_family,
@@ -375,10 +374,7 @@ def cmd_cocycles(args) -> int:
         def table():
             lines = [f"algebra-valued cyclic-form space: dimension {len(basis)}"]
             for idx, w in enumerate(basis):
-                terms = ", ".join(
-                    f"w(e{i + 1},e{j + 1})+= {rational_str(c)} e{k + 1}"
-                    for i, j, k, c in w.nonzero_entries()
-                )
+                terms = ", ".join(f"w(e{i},e{j})+= {c} e{k}" for i, j, k, c in _product_obj(w))
                 lines.append(f"  basis[{idx}]: {terms or '0'}")
             return "\n".join(lines)
     _emit(obj, args, table)

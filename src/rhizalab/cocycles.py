@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .algmodel import BilinearOp, HomAlgebra, _opposite, _summed
+from .algmodel import BilinearOp, HomAlgebra, _integers, _opposite, _sparse, _summed
 from .axioms import Violation, _sum_anti_associative, _Twisted, _view
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
@@ -51,9 +51,9 @@ class ScalarForm:
             raise DimensionMismatch("form matrix must be dim x dim")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class VectorForm(BilinearOp):
-    """Algebra-valued bilinear form; same tensor layout, equality and repr as a product."""
+    """Algebra-valued bilinear form; same storage, constructors, equality and repr as a product."""
 
 
 # --- the conditions, as integer rows and their scale ------------------------
@@ -127,15 +127,15 @@ def _twist_rows(view: _Twisted) -> tuple[list[list[int]], int]:
     return rows, view.d * view.d
 
 
-def _violations(view: _Twisted, flat, width: int, ident: str, second) -> list[Violation]:
-    """Direct substitution of one flat form (column (p*n + q)*width + s), cleared once, into the
-    rows of ``view``: the cyclic rows go to each of its ``width`` components, the rows of
-    ``second`` (named ``ident``) to the whole form.  The rows of one basis tuple, in lexicographic
-    order, give its residual."""
+def _violations(view: _Twisted, flat, d: int, width: int, ident: str, second) -> list[Violation]:
+    """Direct substitution of one flat form (column (p*n + q)*width + s), ``flat`` over ``d`` (its
+    entries ints or Fractions, cleared once), into the rows of ``view``: the cyclic rows go to each
+    of its ``width`` components, the rows of ``second`` (named ``ident``) to the whole form.  The
+    rows of one basis tuple, in lexicographic order, give its residual."""
     n = len(view.twist)
     if len(flat) != n * n * width:
         raise DimensionMismatch("form and algebra dimensions differ")
-    (form,), d = _cleared([flat])
+    (form,), d_flat = _cleared([flat])
     out = []
     for name, (rows, scale), forms, arity in (
         ("cyclic", _cyclic_rows(view), [form[s::width] for s in range(width)], 3),
@@ -146,33 +146,32 @@ def _violations(view: _Twisted, flat, width: int, ident: str, second) -> list[Vi
         for t, where in enumerate(tuples):
             r = [sum(map(mul, row, f)) for row in rows[t * per : (t + 1) * per] for f in forms]
             if any(r):
-                out.append(Violation(name, tuple(i + 1 for i in where), r, scale * d))
+                out.append(Violation(name, tuple(i + 1 for i in where), r, scale * d * d_flat))
     return out
 
 
-def _reduced_system(view: _Twisted, strict: bool, width: int, second) -> tuple[list, list[list[int]]]:
-    """The kernel b_1..b_d of the scalar cyclic rows of ``view``, and the rows of ``second``
-    in the d*width unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict mode requires
-    the working product to be anti-associative."""
+def _reduced_system(view: _Twisted, strict: bool, width: int, second) -> tuple[int, list, int, list[list[int]]]:
+    """For the kernel b_1..b_d of the scalar cyclic rows of ``view``, cleared as one block by one D: d,
+    the block's columns (the nonzero (t, b_t[pq]) for each pq) and D; and the rows of ``second`` in the
+    d*width unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict needs anti-associativity."""
     n = len(view.twist)
-    kernel = _kernel(_cyclic_rows(view, strict)[0], n * n)
-    block, _ = _cleared(kernel)
+    block, d = _cleared(_kernel(_cyclic_rows(view, strict)[0], n * n))
     at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
     rows = []
     for second_row in second(view)[0]:
-        row = [0] * (len(kernel) * width)
+        row = [0] * (len(block) * width)
         for col, x in enumerate(second_row):
             if x:
                 pq, s = divmod(col, width)
                 for t, bpq in at[pq]:
                     row[t * width + s] += x * bpq
         rows.append(row)
-    return kernel, rows
+    return len(block), at, d, rows
 
 
-def _solved(view: _Twisted, strict: bool, width: int, second) -> list[list[Fraction]]:
-    """Kernel basis of the cyclic condition on each of ``width`` components plus ``second``, as
-    flat forms in the n^2 * width unknowns B[p][q][s] (column (p*n + q)*width + s).
+def _solved(view: _Twisted, strict: bool, width: int, second) -> list[tuple[list[int], int]]:
+    """Kernel basis of the cyclic condition on each of ``width`` components plus ``second``, as flat
+    integer forms in the n^2 * width unknowns B[p][q][s] (column (p*n + q)*width + s) and their scales.
 
     This is the basis ``nullspace_basis`` gives for both conditions stacked
     (one form per free column, in column order), found by two smaller
@@ -191,53 +190,50 @@ def _solved(view: _Twisted, strict: bool, width: int, second) -> list[list[Fract
     with t.  So B is c[t][s] at column f_t*width + s, its last nonzero entry
     is the image of c's, and t*width + s -> f_t*width + s keeps column order;
     a basis that is 1 at its own free column and 0 at the others and past it
-    is unique.
+    is unique.  Summed over int from the block and c cleared by its own D_c,
+    each B is at D D_c.
     """
-    kernel, rows = _reduced_system(view, strict, width, second)
-    n = len(view.twist)
-    out = []
-    for c in _kernel(rows, len(kernel) * width):
-        v = [F0] * (n * n * width)
-        for t, b in enumerate(kernel):
-            for s in range(width):
-                cts = c[t * width + s]
-                if cts:
-                    for pq, bpq in enumerate(b):
-                        if bpq:
-                            v[pq * width + s] += cts * bpq
-        out.append(v)
-    return out
+    size, at, d, rows = _reduced_system(view, strict, width, second)
+    forms = [_cleared([c]) for c in _kernel(rows, size * width)]
+    return [
+        ([sum(c[t * width + s] * b for t, b in column) for column in at for s in range(width)], d * d_c)
+        for (c,), d_c in forms
+    ]
 
 
 def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
     """Direct substitution of one form into the cyclic and invariance rows."""
-    return _violations(_view(a), b.matrix.entries, 1, "invariance", _invariance_rows)
+    return _violations(_view(a), b.matrix.entries, 1, 1, "invariance", _invariance_rows)
 
 
 def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
     """The same for an algebra-valued form, with the twist rows: the cyclic residual lists its n components."""
-    return _violations(_view(a), [x for row in w.coeffs for cell in row for x in cell], a.dim, "compat", _twist_rows)
+    (table,), d = _integers(w)
+    form = [dict(cell).get(r, 0) for row in table for cell in row for r in range(w.dim)]
+    return _violations(_view(a), form, d, a.dim, "compat", _twist_rows)
 
 
 def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
     """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns, column p*n + q)."""
     n = a.dim
-    return [ScalarForm(n, Matrix(n, n, v)) for v in _solved(_view(a), strict, 1, _invariance_rows)]
+    forms = _solved(_view(a), strict, 1, _invariance_rows)
+    return [ScalarForm(n, Matrix(n, n, [Fraction(x, d) if x else F0 for x in v])) for v, d in forms]
 
 
 def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm]:
     """Kernel basis of the algebra-valued cyclic + twist conditions (n^3 unknowns, column (p*n + q)*n + r)."""
     n = a.dim
-    cells = [[v[pq * n : (pq + 1) * n] for pq in range(n * n)] for v in _solved(_view(a), strict, n, _twist_rows)]
-    return [VectorForm(n, [c[p * n : (p + 1) * n] for p in range(n)]) for c in cells]
+    forms = _solved(_view(a), strict, n, _twist_rows)
+    cells = [([_sparse(v[pq * n : (pq + 1) * n]) for pq in range(n * n)], d) for v, d in forms]
+    return [VectorForm._from_table([c[p * n : (p + 1) * n] for p in range(n)], d) for c, d in cells]
 
 
 def _vector_cocycle_dim(view: _Twisted) -> int:
     """len(vector_cocycle_space(a)) for the view of a, from two ranks without building the basis: the
     map c -> B of ``_solved`` is injective, so the space has the dimension of the kernel in c."""
     n = len(view.twist)
-    kernel, rows = _reduced_system(view, False, n, _twist_rows)
-    return len(kernel) * n - len(_echelon(rows)[1])
+    size, _, _, rows = _reduced_system(view, False, n, _twist_rows)
+    return size * n - len(_echelon(rows)[1])
 
 
 def is_nondegenerate(b: ScalarForm) -> bool:
@@ -264,7 +260,7 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     bt = b.matrix.transpose()
     t = _view(a, bt, invert(bt))  # Singular for degenerate forms
     if strict:
-        bad = _violations(t, b.matrix.entries, 1, "invariance", _invariance_rows)
+        bad = _violations(t, b.matrix.entries, 1, 1, "invariance", _invariance_rows)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
     back, images = t.mats

@@ -53,6 +53,14 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _ratio_texts(values, d: int) -> list[str]:
+    """Each v / d, for integers v and a positive d, as the text ``rational_str`` gives its Fraction:
+    one gcd per value, none when d = 1."""
+    if d == 1:
+        return [str(v) for v in values]
+    return [str(v // g) if (g := gcd(v, d)) == d else f"{v // g}/{d // g}" for v in values]
+
+
 def vec_zero(n: int) -> Vector:
     return (F0,) * n
 
@@ -127,9 +135,9 @@ def _primitive(row: list[int]) -> list[int]:
 def _cleared(vectors) -> tuple[list[list[int]], int]:
     """The vectors times D, the lcm of all their denominators, as int lists; and D.
 
-    The one bridge from Fractions to integers: the public reductions clear a
-    whole matrix, the identity checkers a whole structure (a tensor, a twist,
-    a family of operators) by one D at once.
+    The public reductions clear a whole matrix by one D at once, and the
+    subspaces and cyclic forms their vectors; the checkers clear matrices
+    beside products, whose integer form is stored, in ``algmodel._integers``.
     """
     d = lcm(*(c.denominator for v in vectors for c in v))
     return [[c.numerator * (d // c.denominator) for c in v] for v in vectors], d

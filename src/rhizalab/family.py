@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
 from .algmodel import _combination, _integers, _opposite
@@ -258,17 +259,13 @@ def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOper
     def flat(i: int, lam: int) -> int:
         return i * s + lam
 
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            prod = mul.entry(i, j)
-            for lam in range(s):
-                for mu in range(s):
-                    lm = rf.semigroup.mul(lam, mu)
-                    for k in range(n):
-                        if prod[k]:
-                            entries.append((flat(i, lam), flat(j, mu), flat(k, lm), prod[k]))
-    big_mul = BilinearOp.from_entries(big, entries)
+    (mul_table,), d = _integers(mul)
+    table = [[()] * big for _ in range(big)]
+    for (i, row), lam, mu in product(enumerate(mul_table), range(s), range(s)):
+        lm = rf.semigroup.mul(lam, mu)
+        for j, cell in enumerate(row):
+            table[flat(i, lam)][flat(j, mu)] = tuple((flat(k, lm), c) for k, c in cell)
+    big_mul = BilinearOp._from_table(table, d)
 
     def block_diagonal(blocks: list[Matrix]) -> Matrix:
         # block lam acts on the lam slice: entry (k, i) lands at (flat(k, lam), flat(i, lam))

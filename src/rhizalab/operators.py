@@ -29,7 +29,6 @@ from .algmodel import (
     HomAlgebra,
     LinearMap,
     _apply_into,
-    _divided,
     _integers,
     _left_columns,
     _opposite,
@@ -105,13 +104,9 @@ class Bimodule:
 def _bimodule_from_products(left_op: BilinearOp, right_op: BilinearOp, alpha: LinearMap) -> Bimodule:
     """Actions L(x)(y) = x left_op y and R(x)(y) = y right_op x on the algebra itself."""
     n = alpha.dim
-    left = tuple(
-        Matrix.from_rows([[left_op.coeffs[i][j][k] for j in range(n)] for k in range(n)])
-        for i in range(n)
-    )
-    right = tuple(
-        Matrix.from_rows([[right_op.coeffs[j][i][k] for j in range(n)] for k in range(n)])
-        for i in range(n)
+    left, right = (  # c[i][j] is e_i left_op e_j, and e_j right_op e_i
+        tuple(Matrix.from_rows([[c[i][j][k] for j in range(n)] for k in range(n)]) for i in range(n))
+        for c in (left_op.coeffs, tuple(zip(*right_op.coeffs)))
     )
     return Bimodule(n, n, left, right, alpha)
 
@@ -261,18 +256,15 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
 def _split(left, right, images, scale: int) -> tuple[BilinearOp, BilinearOp]:
     """u succ v = L(T(u))v and u prec v = R(T(v))u on the module, for the integer tables of
     the two actions (left[i][w] = L(e_i) e_w) and the integer columns of T; every cell is at
-    ``scale``.
+    ``scale``.  Row u of succ holds the columns of L(T(u)), column v of prec those of R(T(v)).
 
     On the regular bimodule, with left the product's table and right its opposite, this is
     the averaging-operator splitting x succ y = R(x)*y, x prec y = x*R(y).
     """
     md = len(images)
-    succ, prec = ([[[0] * md for _ in range(md)] for _ in range(md)] for _ in range(2))
-    for u in range(md):
-        for v in range(md):
-            _product_into(succ[u][v], left, images[u], ((v, 1),))
-            _product_into(prec[u][v], right, images[v], ((u, 1),))
-    return _divided(succ, scale), _divided(prec, scale)
+    succ = [_left_columns(left, x, md) for x in images]
+    prec = _opposite([_left_columns(right, x, md) for x in images])
+    return BilinearOp._from_table(succ, scale), BilinearOp._from_table(prec, scale)
 
 
 def induced_rhizaform_from_o_operator(
@@ -356,17 +348,17 @@ def compatible_from_invertible_o_operator(
 
 def _transported(left, right, images, back, scale: int) -> tuple[BilinearOp, BilinearOp]:
     """x succ y = T(L(x)(T^-1 y)) and x prec y = T(R(y)(T^-1 x)), for the integer tables of the two
-    actions and the integer columns of T and T^-1; every cell is at ``scale``."""
+    actions and the integer columns of T and T^-1; every cell is at ``scale``.  Row i of succ holds
+    the columns of T L(e_i) T^-1, column j of prec those of T R(e_j) T^-1."""
     n = len(images)
-    succ, prec = ([[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(2))
-    for i in range(n):
-        for j in range(n):
-            l_inner, r_inner = [0] * n, [0] * n  # L(e_i)(T^-1 e_j) and R(e_j)(T^-1 e_i)
-            _product_into(l_inner, left, ((i, 1),), back[j])
-            _product_into(r_inner, right, ((j, 1),), back[i])
-            _apply_into(succ[i][j], images, _sparse(l_inner))
-            _apply_into(prec[i][j], images, _sparse(r_inner))
-    return _divided(succ, scale), _divided(prec, scale)
+
+    def conjugated(action):  # the sparse columns of T action T^-1
+        t_action = [_sparse(col) for col in _products_sum(n, (1, images, action))]
+        return [_sparse(col) for col in _products_sum(n, (1, t_action, back))]
+
+    succ = [conjugated(action) for action in left]
+    prec = _opposite([conjugated(action) for action in right])
+    return BilinearOp._from_table(succ, scale), BilinearOp._from_table(prec, scale)
 
 
 def rhizaform_equivalence_verdict(a: HomAlgebra) -> tuple[bool, bool]:

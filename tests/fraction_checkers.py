@@ -8,12 +8,14 @@ before the integer residual engine: every residual is assembled from
 time.  They return the same ``CheckReport`` objects, so a test can require
 ``==`` reports (violation order and residuals) from both routes.  The
 reference constructions at the end are the operator, cocycle and
-inner-derivation constructions as they were on ``Fraction``s.
+inner-derivation constructions as they were on ``Fraction``s; ``combination``
+is the signed sum of products as it was.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, star_product
 from rhizalab.axioms import CheckReport, Violation
@@ -84,6 +86,22 @@ def form_value(b, x, y) -> Fraction:
                 if yj:
                     out += xi * yj * row[j]
     return out
+
+
+def combination(*terms) -> BilinearOp:
+    """The signed sum of products, some with swapped arguments, as ``algmodel._combination`` built
+    it over Fractions: each cell e_i o e_j combined coordinate-wise, in term order."""
+    n = terms[0][1].dim
+    grids = [(sign, tuple(zip(*op.coeffs)) if swapped else op.coeffs) for sign, op, swapped in terms]
+
+    def cell(i, j):
+        (sign, grid), *rest = grids
+        out = grid[i][j] if sign > 0 else map(neg, grid[i][j])
+        for sign, grid in rest:
+            out = map(add if sign > 0 else sub, out, grid[i][j])
+        return list(out)
+
+    return BilinearOp(n, [[cell(i, j) for j in range(n)] for i in range(n)])
 
 
 def scaled(op: BilinearOp, c) -> BilinearOp:

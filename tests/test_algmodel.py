@@ -1,6 +1,8 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +12,15 @@ from rhizalab.algmodel import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
+    _combination,
+    _sparse,
     _write_json,
     parse_algebra,
     serialize_algebra,
     sum_product,
 )
+from rhizalab.axioms import pre_jacobi_jordan_product, subadjacent_bracket
+from rhizalab.cocycles import VectorForm
 from rhizalab.errors import (
     DimensionMismatch,
     MissingProduct,
@@ -22,7 +28,9 @@ from rhizalab.errors import (
     UnboundParameter,
 )
 from rhizalab.exactlin import vec_zero
-from tests.conftest import random_map, random_tensor
+from rhizalab.family import FamilyAlgebra, Semigroup, associated_family
+from tests import fraction_checkers as ref
+from tests.conftest import catalog_algebras, random_map, random_tensor
 from tests.fraction_checkers import apply, basis_vec, eval_product, scaled
 
 F = Fraction
@@ -239,3 +247,127 @@ def test_json_writer_refuses_other_types(leaf):
     for doc in (leaf, [leaf], {"x": leaf}, ("y", leaf)):
         with pytest.raises(TypeError):
             _write_json(doc)
+
+
+# --- products in integer form -------------------------------------------------
+
+
+def _cancelling_split(rng: random.Random, n: int) -> HomAlgebra:
+    """A split algebra whose derived products cancel in some cells: prec is -succ in some cells (the
+    sum and the bracket cancel there) and succ with its arguments swapped in others (the circle
+    product cancels there)."""
+    def coeff():
+        return rng.choice((F(0), F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(5, 3)))
+
+    succ, prec = ([[[coeff() for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(2))
+    for i in range(n):
+        for j in range(n):
+            pick = rng.random()
+            if pick < 0.3:
+                prec[i][j] = [-c for c in succ[i][j]]
+            elif pick < 0.6:
+                prec[j][i] = list(succ[i][j])
+    return HomAlgebra.rhizaform(BilinearOp(n, succ), BilinearOp(n, prec), random_map(rng, n))
+
+
+def _combination_cases():
+    rng = random.Random(2501)
+    randoms = [(f"random{t}", _cancelling_split(rng, 2 + t % 3)) for t in range(12)]
+    return [*catalog_algebras({"eta": F(-2, 3)}), *randoms]
+
+
+def _cancels(terms) -> bool:
+    """Some cell of the reference sum is zero where a term's cell is not."""
+    total, n = ref.combination(*terms), terms[0][1].dim
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return any(not any(total.entry(i, j)) and any(op.entry(i, j)) for _, op, _ in terms for i, j in cells)
+
+
+def test_integer_combination_matches_fraction_reference():
+    """sum_product, the circle product, the bracket and the family products equal the Fraction
+    combination they replaced, on the catalog and on random products whose sums cancel in places."""
+    cancelled = set()
+    for label, a in _combination_cases():
+        s, p = (1, a.succ, False), (1, a.prec, False)
+        cases = {
+            "sum": (sum_product(a), (s, p)),
+            "circle": (pre_jacobi_jordan_product(a), (s, (-1, a.prec, True))),
+            "bracket": (subadjacent_bracket(a), (s, p, (1, a.succ, True), (1, a.prec, True))),
+        }
+        for name, (got, terms) in cases.items():
+            want = ref.combination(*terms)
+            assert got == want and hash(got) == hash(want) and got.coeffs == want.coeffs, (label, name)
+            if _cancels(terms):
+                cancelled.add(name)
+        succ, prec = {0: a.succ, 1: a.prec}, {0: a.prec, 1: scaled(a.succ, -1)}
+        fam = FamilyAlgebra(a.dim, Semigroup.cyclic(2), succ, prec, a.alpha)
+        want = {
+            (lam, omega): ref.combination((1, fam.prec[omega], False), (1, fam.succ[lam], False))
+            for lam in range(2)
+            for omega in range(2)
+        }
+        assert associated_family(fam) == want, label
+    assert cancelled == {"sum", "circle", "bracket"}
+
+
+def test_combination_of_a_product_with_its_negative_is_zero():
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        op = random_tensor(rng, n)
+        zero = _combination((1, op, False), (-1, op, False))
+        assert zero == BilinearOp.zero(n) and zero.d == 1 and zero.is_zero()
+        assert _combination((1, op, True), (-1, op, True)) == ref.combination((1, op, True), (-1, op, True))
+
+
+_TENSORS = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-6, 6), min_size=n**3, max_size=n**3), st.integers(1, 12), st.integers(1, 6)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_TENSORS)
+@example((2, [0] * 8, 5, 3))
+@example((1, [4], 6, 2))
+def test_products_are_stored_in_lowest_terms(case):
+    """One product built from integer cells at scale s k and from its Fractions c / s: equal, equal
+    hashes and one stored form (table, d) in lowest terms; a VectorForm with those coefficients is
+    equal too, and a cell whose entries cancel equals an absent cell."""
+    n, nums, s, k = case
+    cells = [[nums[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    from_ints = BilinearOp._from_table([[_sparse([c * k for c in cell]) for cell in row] for row in cells], s * k)
+    from_fractions = BilinearOp(n, [[[F(c, s) for c in cell] for cell in row] for row in cells])
+    form = VectorForm._from_table([[_sparse(cell) for cell in row] for row in cells], s)
+    for other in (from_fractions, form, VectorForm(n, from_fractions.coeffs)):
+        assert from_ints == other and other == from_ints and hash(from_ints) == hash(other)
+        assert (from_ints.table, from_ints.d) == (other.table, other.d)
+    assert from_ints.d == s // gcd(s, *nums)
+    assert from_ints.coeffs == from_fractions.coeffs
+    q = F(1, s)
+    cancelled = BilinearOp.from_entries(n, [(0, n - 1, 0, q), *from_fractions.nonzero_entries(), (0, n - 1, 0, -q)])
+    assert cancelled == from_fractions and hash(cancelled) == hash(from_fractions)
+    if n > 1:
+        assert from_ints != BilinearOp.from_entries(n, [*from_fractions.nonzero_entries(), (0, n - 1, 0, q)])
+
+
+def _mono_text(n: int) -> str:
+    """A mono algebra file with the identity twist and one product entry."""
+    alpha = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    return json.dumps({"dim": n, "kind": "mono", "alpha": alpha, "mul": [[1, 2, n, "1/2"]]})
+
+
+def _traced_peak(text: str) -> int:
+    tracemalloc.start()
+    try:
+        serialize_algebra(parse_algebra(text))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parsing_and_writing_grow_with_the_file_not_with_n_cubed():
+    """The file grows as n^2 (the twist), so doubling n should take about 4 times the memory; a dense
+    n^3 tensor per product would take 8."""
+    small, large = (_traced_peak(_mono_text(n)) for n in (40, 80))
+    assert large / small <= 5, (small, large)

@@ -22,14 +22,21 @@ counts repeat exactly.
 * The twisted columns are built only where they are read: one
   ``_left_columns`` per basis vector for the checks that read only
   alpha(x) o -, none for the plain solvers.
+* A product is stored in integer form, and its dense ``Fraction`` tensor
+  (``BilinearOp.coeffs``) is built only for the oracle: the catalog, the
+  split check, the cyclic-form solvers and the averaging and cocycle
+  splittings, from file to printed output, read it for no product.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from rhizalab import algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpotency, operators
-from rhizalab.algmodel import BilinearOp, HomAlgebra, sum_product
+from rhizalab.algmodel import BilinearOp, HomAlgebra, _matrix_obj, serialize_algebra, sum_product
 from rhizalab.axioms import check_jacobi_jordan, check_multiplicativity
 from rhizalab.catalog import load_entry, verify_all, verify_entry
 from rhizalab.cocycles import rhizaform_from_cocycle, scalar_cocycle_space, vector_cocycle_space
@@ -41,6 +48,7 @@ from rhizalab.operators import (
     check_rota_baxter,
     regular_bimodule,
 )
+from rhizalab.cli import main
 from tests.conftest import nondegenerate_in_span, skew_4dim
 
 F = Fraction
@@ -176,3 +184,64 @@ def test_plain_solvers_build_no_twisted_columns(monkeypatch, solve):
     calls = count_calls(monkeypatch, "_left_columns")
     assert solve(a) == expected
     assert calls == []
+
+
+def count_dense_reads(monkeypatch) -> list:
+    """Record every read of ``BilinearOp.coeffs``, the dense Fraction tensor, on any product."""
+    build = BilinearOp.__dict__["coeffs"].func
+    reads = []
+
+    def coeffs(op):
+        reads.append(type(op).__name__)
+        return build(op)
+
+    monkeypatch.setattr(BilinearOp, "coeffs", property(coeffs))
+    return reads
+
+
+def _route_files(tmp_path) -> dict:
+    """An entry of the catalog, the skew 4-dimensional algebra with an averaging operator that is not
+    zero (R(e1) = e4), and a split algebra with a nondegenerate form in its scalar cocycle space."""
+    split, b = _split_skew()
+    docs = {
+        "A": serialize_algebra(load_entry("d3.A7", ETA)),
+        "S": serialize_algebra(skew_4dim()),
+        "R": '{"R": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["1", "0", "0", "0"]]}',
+        "SPLIT": serialize_algebra(split),
+        "B": json.dumps({"B": _matrix_obj(b.matrix)}),
+    }
+    for name, text in docs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return {f"{{{name}}}": str(tmp_path / f"{name}.json") for name in docs}
+
+
+ROUTES = [
+    ("catalog", "verify", "--param", "eta=1"),
+    ("check", "--kind", "rhizaform", "{A}"),
+    ("cocycles", "--scalar", "{S}"),
+    ("cocycles", "--vector", "{A}"),
+    ("induce", "--what", "rb", "--operator", "{R}", "{S}"),
+    ("induce", "--what", "cocycle", "--form", "{B}", "{SPLIT}"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: " ".join(r[:3]))
+def test_integer_routes_build_no_dense_tensor(monkeypatch, tmp_path, route, fmt):
+    paths = _route_files(tmp_path)
+    argv = [paths.get(arg, arg) for arg in route] + ["--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        expected = main(argv), out.getvalue()
+    reads = count_dense_reads(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert (main(argv), out.getvalue()) == expected
+    assert expected[0] == 0 and reads == []
+
+
+def test_oracle_reads_the_dense_tensor(monkeypatch, tmp_path):
+    """The counter sees reads: the oracle evaluates the Fraction tensors."""
+    argv = ["check", "--kind", "rhizaform", "--oracle", _route_files(tmp_path)["{A}"]]
+    reads = count_dense_reads(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert set(reads) == {"BilinearOp"}
