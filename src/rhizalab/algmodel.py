@@ -25,17 +25,15 @@ from products, a signed sum of them with some arguments swapped (the summed
 product, the circle product, the bracket, the family products), is one
 ``_combination`` of its terms, a sum of their integer tables.
 
-JSON passes through one decoder, ``_decode_json``, on the way in and one
-writer, ``_encode_json``, on the way out: every document rhizalab prints is
-``json.dumps(obj, indent=2)``, byte for byte.
+JSON passes through one decoder, ``_decode_json``, on the way in; every
+document rhizalab prints is ``json.dumps(obj, indent=2)``, written by the
+stdlib (a check report's violations by ``axioms.CheckReport.to_text``).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -389,50 +387,6 @@ def _decode_json(text: str):
         raise ParseError("bad JSON input: nested too deeply") from None
 
 
-_escape = json.encoder.encode_basestring_ascii  # the C escaper the stdlib encoder calls
-
-
-def _write_json(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)`` for dicts with text keys, lists, tuples, text, ints, booleans and
-    None, at the nesting whose line break and indentation is ``pad``; any other type is a TypeError.
-
-    Before 3.13 the stdlib writes indented JSON node by node in Python; this walk writes each text
-    or int item of a container in place, and each container with one join.
-    """
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is True:  # before the int test: True == 1
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            _escape(k) + ": " + (_escape(v) if v.__class__ is str else _write_json(v, inner))
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [
-            _escape(v) if v.__class__ is str else int.__repr__(v) if v.__class__ is int else _write_json(v, inner)
-            for v in obj
-        ]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-# Python 3.13 writes indented JSON in C, faster than any walk in Python.
-_encode_json = functools.partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _write_json
-
-
 def _field(doc, key: str, where: str, kind: type):
     """doc[key], checked to exist and to be of the given JSON type (never a boolean)."""
     if not isinstance(doc, dict) or key not in doc:
@@ -547,4 +501,4 @@ def serialize_algebra_obj(a: HomAlgebra) -> dict:
 
 def serialize_algebra(a: HomAlgebra) -> str:
     """Inverse of parse_algebra, up to entry ordering; round-trips exactly."""
-    return _encode_json(serialize_algebra_obj(a)) + "\n"
+    return json.dumps(serialize_algebra_obj(a), indent=2) + "\n"

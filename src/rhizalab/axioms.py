@@ -22,6 +22,7 @@ Identity ids used in reports:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,6 @@ from .algmodel import (
     _add_into,
     _apply_into,
     _combination,
-    _encode_json,
     _integers,
     _left_columns,
     _opposite,
@@ -105,7 +105,22 @@ class CheckReport:
         }
 
     def to_text(self) -> str:
-        return _encode_json(self.to_obj())
+        """``json.dumps(self.to_obj(), indent=2)``, each violation written from its parts (a residual
+        text holds only digits, ``-`` and ``/``, which JSON writes unescaped)."""
+        head = json.dumps({"structure": self.structure_name, "passed": self.passed}, indent=2)[:-2]
+        items = [
+            '{\n      "identity": ' + json.dumps(v.identity_id)
+            + ',\n      "basis": ' + _json_list([str(i) for i in v.basis_tuple], 8)
+            + ',\n      "residual": ' + _json_list(['"' + t + '"' for t in v.residual_text()], 8) + "\n    }"
+            for v in self.violations
+        ]
+        return head + ',\n  "violations": ' + _json_list(items, 4) + "\n}"
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """The JSON list of the written ``items`` as ``json.dumps(..., indent=2)`` lays it out, items at ``depth``."""
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
 
 
 def _require_same_dim(*dims: int):

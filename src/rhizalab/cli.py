@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from .algmodel import (
     _PARAM_NAME,
     HomAlgebra,
     LinearMap,
-    _encode_json,
     _matrix_obj,
     _product_obj,
     rational,
@@ -138,9 +138,22 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
     return out
 
 
-def _emit(obj, args, table=None) -> None:
-    """Print ``obj`` as JSON; under --format table, the text ``table()`` builds instead, when given."""
-    print(table() if args.format == "table" and table is not None else _encode_json(obj))
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, where a CheckReport, ``doc`` itself or a value of the dict
+    ``doc``, stands for its ``to_obj()`` and writes its own text (``CheckReport.to_text``)."""
+    if isinstance(doc, CheckReport):
+        return doc.to_text()
+    if not (isinstance(doc, dict) and any(isinstance(v, CheckReport) for v in doc.values())):
+        return json.dumps(doc, indent=2)
+    # JSON text never holds a raw newline inside a string (json.dumps writes it as \n), so every
+    # newline in a value's text is a line break, and indenting after each one nests the value a level.
+    items = [json.dumps(key) + ": " + _json_text(value).replace("\n", "\n  ") for key, value in doc.items()]
+    return "{\n  " + ",\n  ".join(items) + "\n}"
+
+
+def _emit(doc, args, table=None) -> None:
+    """Print ``doc`` as JSON; under --format table, the text ``table()`` builds instead, when given."""
+    print(table() if args.format == "table" and table is not None else _json_text(doc))
 
 
 def _report_human(rep: CheckReport) -> str:
@@ -155,7 +168,7 @@ def _report_human(rep: CheckReport) -> str:
 def _finish(out, args) -> int:
     """Print a check report (status 1 if it failed under --strict) or an output document (status 0)."""
     if isinstance(out, CheckReport):
-        _emit(out.to_obj(), args, lambda: _report_human(out))
+        _emit(out, args, lambda: _report_human(out))
         return 1 if (args.strict and not out.passed) else 0
     _emit(out, args)
     return 0
@@ -393,9 +406,9 @@ def cmd_nilpotency(args) -> int:
     obj = {
         "series": {name: [_matrix_obj(t.basis) for t in terms] for name, terms in r.series.items()},
         "nilpotent": {name: {"nilpotent": v.nilpotent, "index": v.index} for name, v in r.verdicts.items()},
-        "series_equality": r.series_equality.to_obj(),
-        "onesided_theorem": r.onesided.to_obj(),
-        "two_nilpotent": r.two_nilpotent.to_obj(),
+        "series_equality": r.series_equality,
+        "onesided_theorem": r.onesided,
+        "two_nilpotent": r.two_nilpotent,
         "alpha_stable": None if r.alpha_stability is None else r.alpha_stability.passed,
     }
 

@@ -41,9 +41,11 @@ def rational(text: str | int | Fraction) -> Fraction:
     if not _RATIONAL.fullmatch(s):
         raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
     num, _, den = s.partition("/")
+    if den and not den.lstrip("0"):
+        raise ParseError(f"bad rational {text!r}: zero denominator")
     try:
         return Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or past int's digit limit
+    except ValueError as exc:  # past int's digit limit
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 

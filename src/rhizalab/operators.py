@@ -23,6 +23,7 @@ basis pairs they coincide).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algmodel import (
     BilinearOp,
@@ -49,7 +50,7 @@ from .errors import (
     NotARotaBaxterOperator,
     Singular,
 )
-from .exactlin import Matrix, invert
+from .exactlin import F0, Matrix, invert
 
 
 @dataclass(frozen=True)
@@ -102,13 +103,19 @@ class Bimodule:
 
 
 def _bimodule_from_products(left_op: BilinearOp, right_op: BilinearOp, alpha: LinearMap) -> Bimodule:
-    """Actions L(x)(y) = x left_op y and R(x)(y) = y right_op x on the algebra itself."""
-    n = alpha.dim
-    left, right = (  # c[i][j] is e_i left_op e_j, and e_j right_op e_i
-        tuple(Matrix.from_rows([[c[i][j][k] for j in range(n)] for k in range(n)]) for i in range(n))
-        for c in (left_op.coeffs, tuple(zip(*right_op.coeffs)))
-    )
-    return Bimodule(n, n, left, right, alpha)
+    """Actions L(x)(y) = x left_op y and R(x)(y) = y right_op x on the algebra itself, read off the
+    integer tables of left_op and of the opposite of right_op."""
+    n, sides = alpha.dim, []
+    for table, d in ((left_op.table, left_op.d), (_opposite(right_op.table), right_op.d)):
+        mats = []
+        for cells in table:  # cells[j] holds e_i o e_j, column j of the action of e_i
+            entries = [F0] * (n * n)
+            for j, cell in enumerate(cells):
+                for k, c in cell:
+                    entries[k * n + j] = Fraction(c, d)
+            mats.append(Matrix(n, n, entries))
+        sides.append(tuple(mats))
+    return Bimodule(n, n, *sides, alpha)
 
 
 def regular_bimodule(a: HomAlgebra) -> Bimodule:

@@ -14,12 +14,12 @@ from rhizalab.algmodel import (
     LinearMap,
     _combination,
     _sparse,
-    _write_json,
     parse_algebra,
     serialize_algebra,
     sum_product,
 )
-from rhizalab.axioms import pre_jacobi_jordan_product, subadjacent_bracket
+from rhizalab.axioms import CheckReport, Violation, pre_jacobi_jordan_product, subadjacent_bracket
+from rhizalab.cli import _json_text
 from rhizalab.cocycles import VectorForm
 from rhizalab.errors import (
     DimensionMismatch,
@@ -231,22 +231,63 @@ _DOCS = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_DOCS)
+# Violations of every shape a report holds: empty basis and residual, Fractions at scale 1, integers
+# at scales above 1, and residuals of 40 digits and more.
+_BASES = st.lists(st.integers(1, 12), max_size=4).map(tuple)
+_VIOLATIONS = st.one_of(
+    st.builds(Violation, _TEXT, _BASES, st.lists(st.fractions(max_denominator=10**42), max_size=5)),
+    st.builds(
+        Violation,
+        _TEXT,
+        _BASES,
+        st.lists(st.integers(-(10**45), 10**45), max_size=5),
+        st.one_of(st.integers(1, 360), st.integers(2, 10**42)),
+    ),
+)
+_REPORTS = st.builds(CheckReport.collect, _TEXT, st.lists(_VIOLATIONS, max_size=4))
+
+
+def _as_objs(doc):
+    """The document ``cli._json_text`` reads ``doc`` as: each report as its ``to_obj()``."""
+    if isinstance(doc, CheckReport):
+        return doc.to_obj()
+    return {k: _as_objs(v) for k, v in doc.items()} if isinstance(doc, dict) else doc
+
+
+_NILPOTENCY_LIKE = {
+    "series": {"right": [[["1", "0"]], []]},
+    "nilpotent": {"right": {"nilpotent": True, "index": 2}},
+    "series_equality": CheckReport.collect("series_equality", []),
+    "onesided_theorem": CheckReport.collect(
+        "onesided", [Violation("biconditional", (), ()), Violation("left", (1,), (F(1, 2), F(-3)))]
+    ),
+    "two_nilpotent": CheckReport.collect("2-nilpotent", [Violation("tn", (1, 2, 3), (6, -4, 10**40), 4)]),
+    "alpha_stable": None,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_REPORTS, _DOCS, st.dictionaries(_TEXT, st.one_of(_DOCS, _REPORTS), max_size=5)))
+@example(_NILPOTENCY_LIKE)
+@example(CheckReport.collect("semigroup", [Violation("assoc", (), ())]))
+@example(CheckReport.collect("empty", []))
 @example({"": [{}, [], (), "", "\ud800", "\x00\x1f\x7f\"\\", "é€😀", True, 1, False, 0, None, 2**64, -(2**64), 10**40]})
 @example({})
 @example(())
 @example(True)
 @example("\udfff")
 def test_json_writer_matches_stdlib(doc):
-    assert _write_json(doc) == json.dumps(doc, indent=2)
+    """Each document the CLI prints, reports alone or one level deep among other values (as
+    ``nilpotency`` prints three), is ``json.dumps`` of it with each report as its ``to_obj()``."""
+    assert _json_text(doc) == json.dumps(_as_objs(doc), indent=2)
 
 
-@pytest.mark.parametrize("leaf", [0.5, F(1, 2), {1, 2}, b"x"])
+@pytest.mark.parametrize("leaf", [1j, F(1, 2), {1, 2}, b"x"])
 def test_json_writer_refuses_other_types(leaf):
-    for doc in (leaf, [leaf], {"x": leaf}, ("y", leaf)):
+    report = CheckReport.collect("r", [])
+    for doc in (leaf, [leaf], {"x": leaf}, ("y", leaf), {"x": leaf, "r": report}):
         with pytest.raises(TypeError):
-            _write_json(doc)
+            _json_text(doc)
 
 
 # --- products in integer form -------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhizalab.algmodel import BilinearOp, LinearMap
+from rhizalab.cli import main
 from rhizalab.cocycles import VectorForm
 from rhizalab.errors import DimensionMismatch, ParseError, Singular
 from rhizalab.exactlin import (
@@ -41,6 +42,17 @@ def test_rational_parsing():
 def test_rational_rejects_nonrationals(bad):
     with pytest.raises(ParseError):
         rational(bad)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "+2/0", "0/00", " 7/000 "])
+def test_zero_denominator_is_named(text, capsys):
+    with pytest.raises(ParseError) as exc:
+        rational(text)
+    assert str(exc.value) == f"bad rational {text!r}: zero denominator"
+    assert main(["catalog", "verify", "--id", "d2.A1", "--param", f"eta={text}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad rational {text.strip()!r}: zero denominator\n"
 
 
 def test_rref_identity():

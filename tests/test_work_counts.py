@@ -24,8 +24,9 @@ counts repeat exactly.
   alpha(x) o -, none for the plain solvers.
 * A product is stored in integer form, and its dense ``Fraction`` tensor
   (``BilinearOp.coeffs``) is built only for the oracle: the catalog, the
-  split check, the cyclic-form solvers and the averaging and cocycle
-  splittings, from file to printed output, read it for no product.
+  split check, the cyclic-form solvers, the averaging and cocycle
+  splittings and the product bimodules, from file to printed output, read
+  it for no product.
 """
 
 import contextlib
@@ -222,6 +223,8 @@ ROUTES = [
     ("cocycles", "--vector", "{A}"),
     ("induce", "--what", "rb", "--operator", "{R}", "{S}"),
     ("induce", "--what", "cocycle", "--form", "{B}", "{SPLIT}"),
+    ("induce", "--what", "regular-bimodule", "{S}"),
+    ("induce", "--what", "rhizaform-bimodule", "{A}"),
 ]
 
 
