@@ -18,6 +18,9 @@ Identity ids used in reports:
 * commutative twisted-Jacobi pair: ``comm``, ``cyclic``
 * pre-Jacobi-Jordan: ``pre_jj``
 * derivation rule: ``leibniz``
+
+A plain split algebra is the one-element family: ``_split_violations`` builds the
+reports of ``check_rhizaform``, ``check_dendriform`` and ``family.check_rhizaform_family``.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ class CheckReport:
         """``json.dumps(self.to_obj(), indent=2)``, each violation written from its parts (a residual
         text holds only digits, ``-`` and ``/``, which JSON writes unescaped)."""
         head = json.dumps({"structure": self.structure_name, "passed": self.passed}, indent=2)[:-2]
+        ids = {ident: json.dumps(ident) for ident in {v.identity_id for v in self.violations}}
         items = [
-            '{\n      "identity": ' + json.dumps(v.identity_id)
+            '{\n      "identity": ' + ids[v.identity_id]
             + ',\n      "basis": ' + _json_list([str(i) for i in v.basis_tuple], 8)
             + ',\n      "residual": ' + _json_list(['"' + t + '"' for t in v.residual_text()], 8) + "\n    }"
             for v in self.violations
@@ -285,31 +289,36 @@ def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twist
                 yield i, j, k, r1, r2, r3
 
 
-def _split_violations(t: _Twisted, succ: int, prec: int, signed: bool) -> list[Violation]:
-    """The three split identities of a plain algebra, whose products succ and prec are those at
-    these indices of ``t``, in the order r1, r2, r3 per triple, then twist compatibility of both
-    products.
-
-    ``signed=True`` is the anti-associative splitting (right sides carry a
-    minus), ``signed=False`` the associative one (no minus).
+def _split_violations(t: _Twisted, succ: int, prec: int, sign: int, ids, s=None) -> list[Violation]:
+    """The three split identities of the family whose succ_lam and prec_lam are the products at
+    ``succ + lam`` and ``prec + lam`` of ``t``, then twist compatibility of both; ``sign=-1`` is the
+    anti-associative splitting, ``sign=1`` the associative one.  Each id of ``ids`` ends in the number
+    of its identity, and a triple's violations follow the order of ``ids``.  Over the semigroup ``s`` a
+    basis tuple is prefixed with (lam, omega), or (lam,); without ``s`` (one element) it has no prefix.
     """
-    ids = ("req1", "req2", "req3") if signed else ("den1", "den2", "den3")
+    size, order = s.size if s else 1, [(ident, int(ident[-1]) - 1) for ident in ids]
     violations = []
-    for i, j, k, *resids in _split_residuals(succ, succ, succ, prec, prec, prec, t, -1 if signed else 1):
-        for ident, r in zip(ids, resids):
-            if any(r):
-                violations.append(Violation(ident, (i + 1, j + 1, k + 1), r, t.scale))
-    for p, name in ((succ, "succ"), (prec, "prec")):
-        violations.extend(_multiplicativity_violations(t, p, f"mult_{name}"))
+    for lam in range(size):
+        for omega in range(size):
+            lo, prefix = (s.mul(lam, omega), (lam, omega)) if s else (0, ())
+            products = (succ + lam, succ + omega, succ + lo, prec + lam, prec + omega, prec + lo)
+            for i, j, k, *resids in _split_residuals(*products, t, sign):
+                for ident, at in order:
+                    if any(resids[at]):
+                        violations.append(Violation(ident, (*prefix, i + 1, j + 1, k + 1), resids[at], t.scale))
+    for lam in range(size):
+        for p, name in ((succ + lam, "succ"), (prec + lam, "prec")):
+            violations.extend(_multiplicativity_violations(t, p, f"mult_{name}", (lam,) if s else ()))
     return violations
 
 
 def _split_report(t: _Twisted, signed: bool) -> CheckReport:
     """``check_rhizaform`` (signed) or ``check_dendriform`` on the algebra of the view ``t``."""
-    name = "rhizaform" if signed else "dendriform"
+    name, sign, stem = ("rhizaform", -1, "req") if signed else ("dendriform", 1, "den")
     if "succ" not in t.names:
         raise MissingProduct(f"{name} check needs products succ and prec")
-    return CheckReport.collect(name, _split_violations(t, t.names.index("succ"), t.names.index("prec"), signed))
+    ids = (f"{stem}1", f"{stem}2", f"{stem}3")
+    return CheckReport.collect(name, _split_violations(t, t.names.index("succ"), t.names.index("prec"), sign, ids))
 
 
 def check_rhizaform(a: HomAlgebra) -> CheckReport:

@@ -59,6 +59,7 @@ from .family import (
 )
 from .nilpotency import analyze
 from .operators import (
+    _require_rb_shape,
     check_bimodule,
     check_homomorphism,
     check_o_operator,
@@ -212,6 +213,12 @@ def _needed(args, flag: str, needs: tuple[str, ...], params, a=None) -> argparse
     return argparse.Namespace(**{**vars(args), "params": params, **loaded})
 
 
+def _derivation(a: HomAlgebra, x) -> LinearMap:
+    """--operator as a map on FILE's algebra, refused first, as --kind rota-baxter refuses it, unless it acts there."""
+    _require_rb_shape(x.operator, a)
+    return LinearMap(a.dim, x.operator.matrix)
+
+
 # The route tables.  Each entry names the options it needs and takes them loaded
 # (``x``, see ``_needed``).  Entries look library functions up when they run,
 # so a wrapper later installed on a module attribute sees every call.
@@ -242,8 +249,8 @@ CHECKS = {
     ),
     "derivation": (
         ("operator", "product"),
-        lambda a, x: check_alpha_derivation(LinearMap(x.operator.matrix.rows, x.operator.matrix), a, x.product),
-        lambda a, x: oracle.alpha_derivation(LinearMap(x.operator.matrix.rows, x.operator.matrix), a, x.product),
+        lambda a, x: check_alpha_derivation(_derivation(a, x), a, x.product),
+        lambda a, x: oracle.alpha_derivation(_derivation(a, x), a, x.product),
     ),
     "bimodule": (
         ("bimodule",),

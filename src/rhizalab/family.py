@@ -2,15 +2,14 @@
 
 A finite semigroup is an explicit multiplication table over indices
 0..size-1.  A family algebra carries one (succ, prec) pair per semigroup
-element; the family identities couple the indices through the table.  The
-plain checkers and constructions are the one-element case by construction:
-the split-identity residuals, the anti-associativity residual, the
-O-identity residual and the operator-induced splitting each exist once
-(in ``axioms`` and ``operators``), and the plain code passes its single
-product or operator at every index with an empty violation prefix.  The
-tensor collapse turns an operator family into a single operator on
-dim * size coordinates (basis ordered algebra-index major:
-(i, lam) -> i * size + lam).
+element; the family identities couple the indices through the table.  A
+plain algebra or operator is the one-element family: the split identities'
+report (``axioms._split_violations``), the O-identity's clearing and report
+(``operators._cleared``, ``_o_report``), the anti-associativity residual and
+the induced splitting each exist once, and a plain caller passes no
+semigroup, so its violations carry no index prefix.  The tensor collapse
+turns an operator family into a single operator on dim * size coordinates
+(basis ordered algebra-index major: (i, lam) -> i * size + lam).
 
 Family report identity ids reuse the plain ones (``req1``/``req2``/``req3``,
 ``mult_succ``/``mult_prec``, ``anti_assoc``, ``equivariance``,
@@ -26,19 +25,18 @@ from fractions import Fraction
 from itertools import product
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
-from .algmodel import _combination, _integers, _opposite
+from .algmodel import _combination, _integers
 from .axioms import (
     CheckReport,
     Violation,
     _anti_assoc_violations,
-    _multiplicativity_violations,
     _require_same_dim,
-    _split_residuals,
+    _split_violations,
     _twisted,
 )
 from .errors import DimensionMismatch, NotARotaBaxterOperator
 from .exactlin import Matrix
-from .operators import LinearOperator, _equivariance_violations, _o_violations, _split
+from .operators import LinearOperator, _cleared, _o_report, _split
 
 
 @dataclass(frozen=True)
@@ -147,20 +145,7 @@ def check_rhizaform_family(f: FamilyAlgebra) -> CheckReport:
     s = f.semigroup
     # products 0..size-1 are the succ family, size..2 size-1 the prec family, all cleared by one D
     t = _twisted([f.succ[lam] for lam in range(s.size)] + [f.prec[lam] for lam in range(s.size)], f.alpha)
-    violations = []
-    for lam in range(s.size):
-        for omega in range(s.size):
-            lo = s.mul(lam, omega)
-            triples = _split_residuals(lam, omega, lo, s.size + lam, s.size + omega, s.size + lo, t, -1)
-            for i, j, k, r1, r2, r3 in triples:
-                where = (lam, omega, i + 1, j + 1, k + 1)
-                for ident, r in (("req2", r2), ("req3", r3), ("req1", r1)):
-                    if any(r):
-                        violations.append(Violation(ident, where, r, t.scale))
-    for lam in range(s.size):
-        for name, p in (("succ", lam), ("prec", s.size + lam)):
-            violations.extend(_multiplicativity_violations(t, p, f"mult_{name}", (lam,)))
-    return CheckReport.collect("rhizaform_family", violations)
+    return CheckReport.collect("rhizaform_family", _split_violations(t, 0, s.size, -1, ("req2", "req3", "req1"), s))
 
 
 def check_anti_associative_family(
@@ -209,38 +194,24 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
     """R_lam(x) * R_omega(y) = R_{lam.omega}(R_lam(x) * y + x * R_omega(y)), each R twist-equivariant."""
     mul = a.mul
     _require_family_shape(rf, a)
-    s = rf.semigroup
-    ops = rf.operators
-    (table, twist, *cols), d = _integers(mul, a.alpha.matrix, *(ops[lam].matrix for lam in range(s.size)))
-    violations = []
-    for lam in range(s.size):
-        violations.extend(_equivariance_violations(a.dim, cols[lam], twist, twist, cols[lam], d * d, (lam,)))
-    opposite = _opposite(table)
-    for lam in range(s.size):
-        for omega in range(s.size):
-            r_x, r_y, r_xy = cols[lam], cols[omega], cols[s.mul(lam, omega)]
-            violations.extend(_o_violations("rb_identity", table, table, opposite, r_x, r_y, r_xy, d**3, (lam, omega)))
-    return CheckReport.collect("rb_family", violations)
+    mats = [rf.operators[lam].matrix for lam in range(rf.semigroup.size)]
+    return _o_report("rb_family", "rb_identity", _cleared(mul, a.alpha, mats), rf.semigroup)
 
 
 def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -> FamilyAlgebra:
     """x succ_lam y = R_lam(x) * y and x prec_lam y = x * R_lam(y).
 
-    Over int, with the product and every R_lam cleared by one D, every cell is
-    at D^2.
+    One clearing serves the strict check and the splittings; every cell is at D^2.
     """
     _require_family_shape(rf, a)
-    if strict:
-        rep = check_rb_family(rf, a)
-        if not rep.passed:
-            raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
-    size = rf.semigroup.size
-    (table, *cols), d = _integers(a.mul, *(rf.operators[lam].matrix for lam in range(size)))
-    opposite = _opposite(table)
+    s = rf.semigroup
+    c = _cleared(a.mul, a.alpha, [rf.operators[lam].matrix for lam in range(s.size)])
+    if strict and not (rep := _o_report("rb_family", "rb_identity", c, s)).passed:
+        raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
     succ, prec = {}, {}
-    for lam in range(size):
-        succ[lam], prec[lam] = _split(table, opposite, cols[lam], d * d)
-    return FamilyAlgebra(a.dim, rf.semigroup, succ, prec, a.alpha, dict(a.params))
+    for lam in range(s.size):
+        succ[lam], prec[lam] = _split(c.left, c.right, c.ops[lam], c.d**2)
+    return FamilyAlgebra(a.dim, s, succ, prec, a.alpha, dict(a.params))
 
 
 def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOperator]:

@@ -7,9 +7,11 @@ identification), so double-dualizing returns the original object bit for
 bit.
 
 An averaging (weight-zero Rota-Baxter) operator is the O-operator of the
-regular bimodule (left action the product, right action its opposite), so
-one O-identity residual and one induced splitting serve both, plain and in
-families.  A nondegenerate cyclic form B gives the invertible O-operator
+regular bimodule (left action the product, right action its opposite), and a
+plain operator is the one-element family: one clearing (``_cleared``), one
+report (``_o_report``) and one induced splitting serve every O-operator and
+averaging check and induction, plain and in families.  A strict induction
+checks the clearing it splits.  A nondegenerate cyclic form B gives the invertible O-operator
 (B^T)^-1 of the coregular bimodule, the dual of the regular one (``cocycles``).
 
 Bimodule report identity ids are ``bm1`` .. ``bm5`` in the printed order
@@ -155,11 +157,6 @@ def _products_sum(rows: int, *terms) -> list[list[int]]:
     return out
 
 
-def _equivariance_violations(rows: int, f, g, h, k, scale: int, prefix=()):
-    """The nonzero columns of f g - h k, of ``rows`` rows, for integer columns cleared by one D (D^2 = ``scale``)."""
-    return _column_violations("equivariance", _products_sum(rows, (1, f, g), (-1, h, k)), scale, prefix)
-
-
 def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
     """The five action compatibilities over all algebra basis pairs.
 
@@ -207,42 +204,66 @@ def _require_o_shapes(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> None:
         raise DimensionMismatch("bimodule is over an algebra of different dimension")
 
 
-def _o_violations(ident: str, table, left, right, t_x, t_y, t_xy, scale: int, prefix=()):
-    """Residual T_x(u)*T_y(v) - T_xy(L(T_x(u))v + R(T_y(v))u) on module basis pairs.
+@dataclass(frozen=True)
+class _Cleared:
+    """The product's table (None when not read), alpha, the operators' columns and a bimodule's
+    tables (left[i][w] = L(e_i) e_w) and beta, all cleared by one D, in integer form."""
 
-    ``table`` is the product's integer table, ``left`` and ``right`` those of
-    the actions (left[i][w] = L(e_i) e_w) and the operators integer columns,
-    all cleared by one D, so every term is at ``scale``, D^3.
-    """
-    n, md = len(table), len(t_x)
-    for u in range(md):
-        x_u, e_u = t_x[u], ((u, 1),)
-        for v in range(md):
-            y_v = t_y[v]
-            inner = [0] * md  # L(T_x(u)) e_v + R(T_y(v)) e_u, at D^2
-            _product_into(inner, left, x_u, ((v, 1),))
-            _product_into(inner, right, y_v, e_u)
-            r = [0] * n
-            _product_into(r, table, x_u, y_v)
-            _apply_into(r, t_xy, _sparse(inner), -1)
-            if any(r):
-                yield Violation(ident, (*prefix, u + 1, v + 1), r, scale)
+    table: list | None
+    twist: list
+    ops: list  # ops[lam]: the columns of operator lam, then those of any further matrix
+    left: list
+    right: list
+    beta: list
+    d: int
+
+
+def _cleared(mul: BilinearOp | None, alpha: LinearMap, mats, m: Bimodule | None = None) -> _Cleared:
+    """One clearing of the product ``mul`` (None when not read: an O-operator splitting without its
+    check), ``alpha``, the matrices ``mats`` and the bimodule ``m``, or else the regular bimodule."""
+    k = len(mats)
+    if m is None:
+        (table, twist, *ops), d = _integers(mul, alpha.matrix, *mats)
+        return _Cleared(table, twist, ops, table, _opposite(table), twist, d)
+    n = m.alg_dim
+    parts, d = _integers(*mats, *m.left, *m.right, alpha.matrix, m.beta.matrix, *([] if mul is None else [mul]))
+    twist, beta, *table = parts[k + 2 * n :]
+    return _Cleared(table[0] if table else None, twist, parts[:k], parts[k : k + n], parts[k + n : k + 2 * n], beta, d)
+
+
+def _o_report(name: str, ident: str, c: _Cleared, s=None) -> CheckReport:
+    """T_lam beta = alpha T_lam for each operator, then, as ``ident``, the residual
+    T_lam(u)*T_omega(v) - T_{lam.omega}(L(T_lam(u))v + R(T_omega(v))u) on module basis pairs for
+    each (lam, omega), read off ``c``: both sides of the first are at D^2, of the second at D^3.
+    Over the semigroup ``s`` violations are prefixed with (lam,) and (lam, omega); without one the
+    operator T_0 is the one-element family, with no prefix."""
+    size, n, md = s.size if s else 1, len(c.twist), len(c.beta)
+    violations = []
+    for lam in range(size):
+        cols = _products_sum(n, (1, c.ops[lam], c.beta), (-1, c.twist, c.ops[lam]))  # T_lam beta - alpha T_lam
+        violations.extend(_column_violations("equivariance", cols, c.d**2, (lam,) if s else ()))
+    for lam in range(size):
+        for omega in range(size):
+            lo, prefix = (s.mul(lam, omega), (lam, omega)) if s else (0, ())
+            t_x, t_y, t_xy = c.ops[lam], c.ops[omega], c.ops[lo]
+            for u in range(md):
+                for v in range(md):
+                    inner = [0] * md  # L(T_x(u)) e_v + R(T_y(v)) e_u, at D^2
+                    _product_into(inner, c.left, t_x[u], ((v, 1),))
+                    _product_into(inner, c.right, t_y[v], ((u, 1),))
+                    r = [0] * n
+                    _product_into(r, c.table, t_x[u], t_y[v])
+                    _apply_into(r, t_xy, _sparse(inner), -1)
+                    if any(r):
+                        violations.append(Violation(ident, (*prefix, u + 1, v + 1), r, c.d**3))
+    return CheckReport.collect(name, violations)
 
 
 def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
-    """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs.
-
-    Over int, with the product, T, both twists and the actions cleared by one
-    D, both sides of the first identity are at D^2 and of the second at D^3.
-    """
+    """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs."""
     mul = a.mul
     _require_o_shapes(t, a, m)
-    n = a.dim
-    parts, d = _integers(mul, t.matrix, m.beta.matrix, a.alpha.matrix, *m.left, *m.right)
-    table, images, beta, twist, *actions = parts
-    violations = list(_equivariance_violations(n, images, beta, twist, images, d * d))
-    violations.extend(_o_violations("o_identity", table, actions[:n], actions[n:], images, images, images, d**3))
-    return CheckReport.collect("o_operator", violations)
+    return _o_report("o_operator", "o_identity", _cleared(mul, a.alpha, [t.matrix], m))
 
 
 def _require_rb_shape(r: LinearOperator, a: HomAlgebra) -> None:
@@ -254,10 +275,7 @@ def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     """Weight-zero averaging identity R(x)*R(y) = R(R(x)*y + x*R(y)), with R alpha = alpha R."""
     mul = a.mul
     _require_rb_shape(r, a)
-    (table, cols, twist), d = _integers(mul, r.matrix, a.alpha.matrix)
-    violations = list(_equivariance_violations(a.dim, cols, twist, twist, cols, d * d))
-    violations.extend(_o_violations("rb_identity", table, table, _opposite(table), cols, cols, cols, d**3))
-    return CheckReport.collect("rota_baxter", violations)
+    return _o_report("rota_baxter", "rb_identity", _cleared(mul, a.alpha, [r.matrix]))
 
 
 def _split(left, right, images, scale: int) -> tuple[BilinearOp, BilinearOp]:
@@ -279,30 +297,25 @@ def induced_rhizaform_from_o_operator(
 ) -> HomAlgebra:
     """Split products on the module: u succ v = L(T(u))v, u prec v = R(T(v))u.
 
-    Over int, with T and the actions cleared by one D, every cell is at D^2.
+    One clearing serves the strict check and the splitting; every cell is at D^2.
     """
     _require_o_shapes(t, a, m)
-    if strict:
-        rep = check_o_operator(t, a, m)
-        if not rep.passed:
-            raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
-    n = a.dim
-    (images, *actions), d = _integers(t.matrix, *m.left, *m.right)
-    return HomAlgebra.rhizaform(*_split(actions[:n], actions[n:], images, d * d), m.beta)
+    c = _cleared(a.mul if strict else None, a.alpha, [t.matrix], m)
+    if strict and not (rep := _o_report("o_operator", "o_identity", c)).passed:
+        raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
+    return HomAlgebra.rhizaform(*_split(c.left, c.right, c.ops[0], c.d**2), m.beta)
 
 
 def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = True) -> HomAlgebra:
     """Split products x succ y = R(x)*y and x prec y = x*R(y) on the algebra.
 
-    Over int, with the product and R cleared by one D, every cell is at D^2.
+    One clearing serves the strict check and the splitting; every cell is at D^2.
     """
     _require_rb_shape(r, a)
-    if strict:
-        rep = check_rota_baxter(r, a)
-        if not rep.passed:
-            raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
-    (table, cols), d = _integers(a.mul, r.matrix)
-    return HomAlgebra.rhizaform(*_split(table, _opposite(table), cols, d * d), a.alpha)
+    c = _cleared(a.mul, a.alpha, [r.matrix])
+    if strict and not (rep := _o_report("rota_baxter", "rb_identity", c)).passed:
+        raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
+    return HomAlgebra.rhizaform(*_split(c.left, c.right, c.ops[0], c.d**2), a.alpha)
 
 
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
@@ -318,7 +331,8 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
     names = sorted(a1.products)
     ops = (a.products[name] for a in (a1, a2) for name in names)
     (*tables, images, twist1, twist2), d = _integers(*ops, f.matrix, a1.alpha.matrix, a2.alpha.matrix)
-    violations = list(_equivariance_violations(a2.dim, images, twist1, twist2, images, d * d))
+    cols = _products_sum(a2.dim, (1, images, twist1), (-1, twist2, images))  # f alpha1 - alpha2 f
+    violations = list(_column_violations("equivariance", cols, d * d))
     for p, name in enumerate(names):
         op1, op2 = tables[p], tables[len(names) + p]
         for i in range(a1.dim):
@@ -337,20 +351,17 @@ def compatible_from_invertible_o_operator(
     """Transport the induced splitting along an invertible operator back to the algebra.
 
     x succ y = T(L(x)(T^-1 y)) and x prec y = T(R(y)(T^-1 x)); the sum of the
-    two outputs recovers the original product exactly.  Over int, with T,
-    T^-1 and the actions cleared by one D, every cell is at D^3.
+    two outputs recovers the original product exactly.  One clearing, T^-1
+    included, serves the strict check and the transport; every cell is at D^3.
     """
     if t.source_dim != t.target_dim:
         raise Singular("operator between spaces of different dimension is not invertible")
     t_inv = invert(t.matrix)  # raises Singular when degenerate
     _require_o_shapes(t, a, m)
-    if strict:
-        rep = check_o_operator(t, a, m)
-        if not rep.passed:
-            raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
-    n = a.dim
-    (images, back, *actions), d = _integers(t.matrix, t_inv, *m.left, *m.right)
-    return HomAlgebra.rhizaform(*_transported(actions[:n], actions[n:], images, back, d**3), a.alpha)
+    c = _cleared(a.mul if strict else None, a.alpha, [t.matrix, t_inv], m)
+    if strict and not (rep := _o_report("o_operator", "o_identity", c)).passed:
+        raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
+    return HomAlgebra.rhizaform(*_transported(c.left, c.right, *c.ops, c.d**3), a.alpha)
 
 
 def _transported(left, right, images, back, scale: int) -> tuple[BilinearOp, BilinearOp]:

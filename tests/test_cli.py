@@ -488,6 +488,17 @@ def test_induce_rb_refuses_operator_of_another_shape(a1_sum_file, tmp_path, rows
         assert "must act on the algebra" in err
 
 
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+@pytest.mark.parametrize("rows", [[["1", "0", "0"], ["0", "1", "0"]], [["1"]], [["1", "0"], ["0", "1"], ["0", "1"]]])
+def test_check_derivation_refuses_operator_of_another_shape(a7_file, tmp_path, rows, oracle):
+    """An operator that does not act on the algebra is refused as by --kind rota-baxter, checker and oracle
+    alike, and not as a twist map of its own shape."""
+    op = tmp_path / "d.json"
+    op.write_text(json.dumps({"T": rows}))
+    argv = ("check", "--kind", "derivation", *oracle, "--operator", str(op), "--product", "succ", a7_file)
+    assert run_cli(*argv) == (2, "", "error: operator must act on the algebra\n")
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_family_induce_refuses_family_over_another_dimension(a1_sum_file, tmp_path, dim):
     """With --no-strict too: a family of the wrong dimension exits 2 before anything is printed."""

@@ -11,6 +11,9 @@ counts repeat exactly.
 * ``check_rota_baxter``, ``check_o_operator``, ``check_homomorphism`` and
   ``check_rb_family`` clear every structure they read, equivariance
   included, in one ``_integers`` call, for any semigroup size.
+* The averaging, O-operator, invertible O-operator and family inductions
+  clear once, strict or not: the strict check reads the clearing the
+  splitting reads, without calling the public check.
 * The strict cyclic-form solvers read the working product of a split
   algebra as the sum of its products' integer tables, without building the
   ``Fraction`` sum (``algmodel._combination``), and read the
@@ -41,13 +44,17 @@ from rhizalab.algmodel import BilinearOp, HomAlgebra, _matrix_obj, serialize_alg
 from rhizalab.axioms import check_jacobi_jordan, check_multiplicativity
 from rhizalab.catalog import load_entry, verify_all, verify_entry
 from rhizalab.cocycles import rhizaform_from_cocycle, scalar_cocycle_space, vector_cocycle_space
-from rhizalab.family import RBFamily, Semigroup, check_rb_family
+from rhizalab.family import RBFamily, Semigroup, check_rb_family, induced_family_rhizaform
 from rhizalab.operators import (
     LinearOperator,
     check_homomorphism,
     check_o_operator,
     check_rota_baxter,
+    compatible_from_invertible_o_operator,
+    induced_rhizaform_from_o_operator,
+    induced_rhizaform_from_rb,
     regular_bimodule,
+    rhizaform_bimodule,
 )
 from rhizalab.cli import main
 from tests.conftest import nondegenerate_in_span, skew_4dim
@@ -131,6 +138,31 @@ def test_family_check_clears_once_for_every_semigroup_size(monkeypatch):
     assert [v.basis_tuple[0] for v in expected.violations if v.identity_id == "equivariance"][0] == 1
     calls = count_calls(monkeypatch, "_integers")
     assert check_rb_family(rf, s) == expected
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("what", ["rb", "o-operator", "invertible-o", "family"])
+def test_inductions_clear_once(monkeypatch, what, strict):
+    """On operators that pass: an averaging operator R (R(e1) = e4) of the skew algebra, alone, on its
+    regular bimodule and at both indices of a Z/2 family, and the identity, an invertible O-operator
+    of the split products' bimodule over their sum."""
+    s, split = skew_4dim(), load_entry("d3.A7", ETA)
+    summed = HomAlgebra.mono(sum_product(split), split.alpha)
+    r = LinearOperator.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    regular, split_module = regular_bimodule(s), rhizaform_bimodule(split)
+    family_ops = RBFamily(Semigroup.cyclic(2), {0: r, 1: r})
+    induce = {
+        "rb": lambda: induced_rhizaform_from_rb(r, s, strict=strict),
+        "o-operator": lambda: induced_rhizaform_from_o_operator(r, s, regular, strict=strict),
+        "invertible-o": lambda: compatible_from_invertible_o_operator(
+            LinearOperator.identity(3), summed, split_module, strict=strict
+        ),
+        "family": lambda: induced_family_rhizaform(family_ops, s, strict=strict),
+    }[what]
+    expected = induce()
+    calls = count_calls(monkeypatch, "_integers")
+    assert induce() == expected
     assert len(calls) == 1
 
 
