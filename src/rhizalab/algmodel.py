@@ -187,24 +187,20 @@ def _table_at(op: BilinearOp, d: int, sign: int = 1):
 
 
 def _integers(*parts) -> tuple[list, int]:
-    """The products, matrices and vectors ``parts``, all cleared by one D, in integer form; and D.
+    """The products and matrices ``parts``, all cleared by one D, in integer form; and D.
 
-    D is the lcm of the products' d and the denominators of the matrices and
-    vectors.  A product becomes its integer table at D (``_table_at``), a
-    matrix the list of its sparse integer columns, a vector a sparse integer
-    vector.
+    D is the lcm of the products' d and the denominators of the matrices.  A
+    product becomes its integer table at D (``_table_at``), a matrix the list
+    of its sparse integer columns.  ``axioms._twisted`` is the one caller: every
+    checker and construction reads its clearing through that view.
     """
     ops = [isinstance(p, BilinearOp) for p in parts]
-    vectors = [
-        [] if op else [p.column(j) for j in range(p.cols)] if isinstance(p, Matrix) else [p]
-        for p, op in zip(parts, ops)
-    ]
-    d = lcm(*(p.d for p, op in zip(parts, ops) if op), *(c.denominator for vs in vectors for v in vs for c in v))
-    out = []
-    for p, op, vs in zip(parts, ops, vectors):
-        cols = [_sparse([c.numerator * (d // c.denominator) for c in v]) for v in vs]
-        out.append(_table_at(p, d) if op else cols if isinstance(p, Matrix) else cols[0])
-    return out, d
+    columns = [[] if op else [p.column(j) for j in range(p.cols)] for p, op in zip(parts, ops)]
+    d = lcm(*(p.d for p, op in zip(parts, ops) if op), *(c.denominator for cols in columns for v in cols for c in v))
+    return [
+        _table_at(p, d) if op else [_sparse([c.numerator * (d // c.denominator) for c in v]) for v in cols]
+        for p, op, cols in zip(parts, ops, columns)
+    ], d
 
 
 def _product_into(out: list[int], table, x, y, c: int = 1) -> None:

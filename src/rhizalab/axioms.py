@@ -44,7 +44,7 @@ from .algmodel import (
     _summed,
 )
 from .errors import DimensionMismatch, MissingProduct
-from .exactlin import Vector, _ratio_texts
+from .exactlin import Matrix, Vector, _ratio_texts
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +180,7 @@ class _Twisted:
 
 
 def _twisted(ops, alpha: LinearMap, *mats, names=()) -> _Twisted:
-    """The integer view of ``ops``, ``alpha`` and the matrices ``mats``."""
+    """The integer view of ``ops``, ``alpha`` and the matrices ``mats``: the one ``_integers`` call."""
     parts, d = _integers(*ops, alpha.matrix, *mats)
     return _Twisted(parts[: len(ops)], parts[len(ops)], parts[len(ops) + 1 :], d, names)
 
@@ -230,26 +230,25 @@ def _sum_anti_associative(t: _Twisted) -> bool:
 
 
 def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult") -> CheckReport:
-    """alpha(x o y) = alpha(x) o alpha(y) on all basis pairs.
-
-    The left side is at D^2 and is lifted by D to the right side's D^3.
-    """
+    """alpha(x o y) = alpha(x) o alpha(y) on all basis pairs: alpha is a homomorphism of o."""
     _require_same_dim(op.dim, alpha.dim)
-    violations = _multiplicativity_violations(_twisted([op], alpha), 0, name)
+    t = _twisted([op], alpha)
+    violations = _homomorphism_violations(name, t.twist, t.tables[0], t.left[0], t.d)
     return CheckReport.collect(f"multiplicativity[{name}]", violations)
 
 
-def _multiplicativity_violations(t: _Twisted, p: int, name: str, prefix: tuple[int, ...] = ()):
-    """Residual alpha(x o_p y) - alpha(x) o_p alpha(y) on basis pairs, for product p of ``t``."""
-    n = len(t.twist)
-    table, left = t.tables[p], t.left[p]
-    for i in range(n):
-        for j in range(n):
-            r = [0] * n
-            _apply_into(r, t.twist, table[i][j], t.d)
-            _apply_into(r, left[i], t.twist[j], -1)
+def _homomorphism_violations(ident: str, images, src, dst_left, d: int, prefix: tuple[int, ...] = ()):
+    """Residual f(x o y) - f(x) o' f(y) on basis pairs, for the columns ``images`` of f, the table ``src``
+    of o and the columns ``dst_left[i]`` of f(e_i) o' -, cleared by ``d``; the left side (d^2) is lifted by d
+    to d^3.  Multiplicativity of product p of a view t is f = alpha: ``t.twist``, ``t.left[p]``."""
+    size = len(dst_left[0])
+    for i, row in enumerate(src):
+        for j, cell in enumerate(row):
+            r = [0] * size
+            _apply_into(r, images, cell, d)
+            _apply_into(r, dst_left[i], images[j], -1)
             if any(r):
-                yield Violation(name, (*prefix, i + 1, j + 1), r, t.scale)
+                yield Violation(ident, (*prefix, i + 1, j + 1), r, d**3)
 
 
 def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twisted, sign):
@@ -308,7 +307,8 @@ def _split_violations(t: _Twisted, succ: int, prec: int, sign: int, ids, s=None)
                         violations.append(Violation(ident, (*prefix, i + 1, j + 1, k + 1), resids[at], t.scale))
     for lam in range(size):
         for p, name in ((succ + lam, "succ"), (prec + lam, "prec")):
-            violations.extend(_multiplicativity_violations(t, p, f"mult_{name}", (lam,) if s else ()))
+            mult = _homomorphism_violations(f"mult_{name}", t.twist, t.tables[p], t.left[p], t.d, (lam,) if s else ())
+            violations.extend(mult)
     return violations
 
 
@@ -396,25 +396,24 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
     ``star``:  ad_z(x) = z * x - x * z  with * the working single product;
     ``mixed``: ad_z(x) = z prec x - x succ z  (needs the split products).
 
-    Over int, with the products and z cleared by one D, every column is at
-    D^2.
+    Over int, with the products, alpha and z (a one-column matrix) cleared by
+    one D (``_twisted``), every column is at D^2.
     """
     n = a.dim
     if len(z) != n:
         raise DimensionMismatch("z has wrong length")
-    if convention == "star":  # the working product's table is the sum of the products' tables
-        (*tables, zs), d = _integers(*a.products.values(), z)
-        left = right = _summed(tables, n)
-    elif convention == "mixed":
-        (left, right, zs), d = _integers(a.prec, a.succ, z)
-    else:
+    if convention not in ("star", "mixed"):
         raise ValueError(f"unknown convention {convention!r}; use 'star' or 'mixed'")
+    star = convention == "star"  # the working product's table is the sum of the products' tables
+    t = _twisted([*a.products.values()] if star else [a.prec, a.succ], a.alpha, Matrix(n, 1, z))
+    left, right = [_summed(t.tables, n)] * 2 if star else t.tables
+    ((zs,),) = t.mats
     cols = []
     for i in range(n):
         col = [0] * n
         _product_into(col, left, zs, ((i, 1),))
         _product_into(col, right, ((i, 1),), zs, -1)
-        cols.append([Fraction(v, d * d) for v in col])
+        cols.append([Fraction(v, t.d**2) for v in col])
     return LinearMap.from_columns(cols)
 
 

@@ -176,7 +176,7 @@ def _finish(out, args) -> int:
 
 
 def _parse_vector(text: str, dim: int):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != dim:
         raise RhizalabError(f"--z wants {dim} comma-separated rationals")
     return tuple(rational(p.strip()) for p in parts)

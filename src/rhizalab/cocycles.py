@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .algmodel import BilinearOp, HomAlgebra, _integers, _opposite, _sparse, _summed
+from .algmodel import BilinearOp, HomAlgebra, _opposite, _sparse, _summed
 from .axioms import Violation, _sum_anti_associative, _Twisted, _view
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
@@ -208,9 +208,8 @@ def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
 
 def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
     """The same for an algebra-valued form, with the twist rows: the cyclic residual lists its n components."""
-    (table,), d = _integers(w)
-    form = [dict(cell).get(r, 0) for row in table for cell in row for r in range(w.dim)]
-    return _violations(_view(a), form, d, a.dim, "compat", _twist_rows)
+    form = [dict(cell).get(r, 0) for row in w.table for cell in row for r in range(w.dim)]
+    return _violations(_view(a), form, w.d, a.dim, "compat", _twist_rows)
 
 
 def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algmodel import BilinearOp, HomAlgebra, LinearMap
-from .algmodel import _combination, _integers
+from .algmodel import _combination
 from .axioms import (
     CheckReport,
     Violation,
@@ -230,13 +230,12 @@ def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOper
     def flat(i: int, lam: int) -> int:
         return i * s + lam
 
-    (mul_table,), d = _integers(mul)
     table = [[()] * big for _ in range(big)]
-    for (i, row), lam, mu in product(enumerate(mul_table), range(s), range(s)):
+    for (i, row), lam, mu in product(enumerate(mul.table), range(s), range(s)):
         lm = rf.semigroup.mul(lam, mu)
         for j, cell in enumerate(row):
             table[flat(i, lam)][flat(j, mu)] = tuple((flat(k, lm), c) for k, c in cell)
-    big_mul = BilinearOp._from_table(table, d)
+    big_mul = BilinearOp._from_table(table, mul.d)
 
     def block_diagonal(blocks: list[Matrix]) -> Matrix:
         # block lam acts on the lam slice: entry (k, i) lands at (flat(k, lam), flat(i, lam))

@@ -78,15 +78,15 @@ def read_form(doc) -> ScalarForm:
 
 
 def read_semigroup(doc, where: str) -> Semigroup:
-    """``doc["omega"]``: a ``"table"`` of JSON integers, and a ``"size"`` that, if given, is its row count."""
+    """``doc["omega"]``: a square ``"table"`` of JSON integers, and a ``"size"`` that, if given, is its row count."""
     omega = _field(doc, "omega", where, dict)
     where = f"{where}.omega"
     table = _field(omega, "table", where, list)
     if not table:
         raise ParseError(f"{where}.table has no rows")
     for r, row in enumerate(table):
-        if not isinstance(row, list):
-            raise ParseError(f"{where}.table[{r}] must be a list of entries")
+        if not isinstance(row, list) or len(row) != len(table):
+            raise ParseError(f"{where}.table[{r}] must be a list of {len(table)} entries")
         for c, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ParseError(f"{where}.table[{r}][{c}]: {v!r} is not a JSON integer")

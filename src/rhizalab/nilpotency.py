@@ -33,7 +33,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .algmodel import HomAlgebra, _apply_into, _product_into, _sparse
-from .axioms import CheckReport, Violation, _multiplicativity_violations, _Twisted, _view
+from .axioms import CheckReport, Violation, _homomorphism_violations, _Twisted, _view
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
 
@@ -56,7 +56,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return _span(ambient_dim, [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)])
+        """The whole space: its canonical rows are the identity's."""
+        return cls(ambient_dim, tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
@@ -282,7 +283,7 @@ def check_alpha_stability(a: HomAlgebra) -> CheckReport:
 
 
 def _multiplicative(t: _Twisted) -> bool:
-    return all(next(_multiplicativity_violations(t, p, name), None) is None for p, name in enumerate(t.names))
+    return not any(any(_homomorphism_violations("", t.twist, tb, t.left[p], t.d)) for p, tb in enumerate(t.tables))
 
 
 @dataclass(frozen=True)

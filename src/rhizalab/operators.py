@@ -32,7 +32,6 @@ from .algmodel import (
     HomAlgebra,
     LinearMap,
     _apply_into,
-    _integers,
     _left_columns,
     _opposite,
     _product_into,
@@ -43,6 +42,8 @@ from .axioms import (
     CheckReport,
     Violation,
     _column_violations,
+    _homomorphism_violations,
+    _twisted,
     check_hom_anti_associative,
     check_rhizaform,
 )
@@ -162,17 +163,13 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
 
     Violations are recorded per (algebra pair, module basis vector); the
     basis tuple is (i, j, u) with u the module index, or (i, u) for the
-    twist identities.  Over int the product, the twists and the actions are
-    cleared by one D, so every term of bm1-bm3 is at D^3; in bm4 and bm5,
-    beta l(a) is at D^2 and is lifted by D to l(alpha(a)) beta's D^3.
+    twist identities.  Over int, with the product, the twists and the actions
+    cleared by one D (``_cleared``), every term of bm1-bm3 is at D^3; in bm4
+    and bm5, beta l(a) is at D^2, lifted by D to l(alpha(a)) beta's D^3.
     """
-    mul = a.mul
-    if m.alg_dim != a.dim:
-        raise DimensionMismatch("bimodule is over an algebra of different dimension")
-    n, md = a.dim, m.mod_dim
-    (table, twist, beta, *actions), d = _integers(mul, a.alpha.matrix, m.beta.matrix, *m.left, *m.right)
-    left, right = actions[:n], actions[n:]
-    # left[i][w] is column w of l(e_i), so left is an integer table of the action
+    c = _cleared(a.mul, a.alpha, [], m)
+    n, md, d = a.dim, m.mod_dim, c.d
+    table, twist, left, right, beta = c.table, c.twist, c.left, c.right, c.beta
     l_alpha = [_left_columns(left, twist[i], md) for i in range(n)]  # l(alpha(e_i)), at D^2
     r_alpha = [_left_columns(right, twist[i], md) for i in range(n)]
     scale = d**3
@@ -200,14 +197,12 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
 def _require_o_shapes(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> None:
     if t.source_dim != m.mod_dim or t.target_dim != a.dim:
         raise DimensionMismatch("operator must map the module into the algebra")
-    if m.alg_dim != a.dim:
-        raise DimensionMismatch("bimodule is over an algebra of different dimension")
 
 
 @dataclass(frozen=True)
 class _Cleared:
-    """The product's table (None when not read), alpha, the operators' columns and a bimodule's
-    tables (left[i][w] = L(e_i) e_w) and beta, all cleared by one D, in integer form."""
+    """The product's table (None when not read), alpha, the operators' columns and a bimodule's tables
+    (left[i][w] = L(e_i) e_w) and beta, read off one view (``axioms._twisted``), in integer form."""
 
     table: list | None
     twist: list
@@ -219,16 +214,18 @@ class _Cleared:
 
 
 def _cleared(mul: BilinearOp | None, alpha: LinearMap, mats, m: Bimodule | None = None) -> _Cleared:
-    """One clearing of the product ``mul`` (None when not read: an O-operator splitting without its
-    check), ``alpha``, the matrices ``mats`` and the bimodule ``m``, or else the regular bimodule."""
-    k = len(mats)
+    """One view (``axioms._twisted``) of the product ``mul`` (None when not read: an O-operator
+    splitting without its check), ``alpha``, the matrices ``mats`` and the bimodule ``m``, which must
+    be over an algebra of alpha's dimension, or else the regular bimodule."""
     if m is None:
-        (table, twist, *ops), d = _integers(mul, alpha.matrix, *mats)
-        return _Cleared(table, twist, ops, table, _opposite(table), twist, d)
-    n = m.alg_dim
-    parts, d = _integers(*mats, *m.left, *m.right, alpha.matrix, m.beta.matrix, *([] if mul is None else [mul]))
-    twist, beta, *table = parts[k + 2 * n :]
-    return _Cleared(table[0] if table else None, twist, parts[:k], parts[k : k + n], parts[k + n : k + 2 * n], beta, d)
+        t = _twisted([mul], alpha, *mats)
+        return _Cleared(t.tables[0], t.twist, t.mats, t.tables[0], _opposite(t.tables[0]), t.twist, t.d)
+    if m.alg_dim != alpha.dim:
+        raise DimensionMismatch("bimodule is over an algebra of different dimension")
+    k, n = len(mats), m.alg_dim
+    t = _twisted([] if mul is None else [mul], alpha, *mats, *m.left, *m.right, m.beta.matrix)
+    *ops, beta = t.mats
+    return _Cleared(t.tables[0] if t.tables else None, t.twist, ops[:k], ops[k : k + n], ops[k + n :], beta, t.d)
 
 
 def _o_report(name: str, ident: str, c: _Cleared, s=None) -> CheckReport:
@@ -329,19 +326,13 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
     if set(a1.products) != set(a2.products):
         raise DimensionMismatch("algebras of different kinds admit no product-wise comparison")
     names = sorted(a1.products)
-    ops = (a.products[name] for a in (a1, a2) for name in names)
-    (*tables, images, twist1, twist2), d = _integers(*ops, f.matrix, a1.alpha.matrix, a2.alpha.matrix)
-    cols = _products_sum(a2.dim, (1, images, twist1), (-1, twist2, images))  # f alpha1 - alpha2 f
-    violations = list(_column_violations("equivariance", cols, d * d))
+    t = _twisted([a.products[name] for a in (a1, a2) for name in names], a1.alpha, f.matrix, a2.alpha.matrix)
+    images, twist2 = t.mats
+    cols = _products_sum(a2.dim, (1, images, t.twist), (-1, twist2, images))  # f alpha1 - alpha2 f
+    violations = list(_column_violations("equivariance", cols, t.d**2))
     for p, name in enumerate(names):
-        op1, op2 = tables[p], tables[len(names) + p]
-        for i in range(a1.dim):
-            for j in range(a1.dim):
-                r = [0] * a2.dim
-                _apply_into(r, images, op1[i][j], d)
-                _product_into(r, op2, images[i], images[j], -1)
-                if any(r):
-                    violations.append(Violation(f"product_{name}", (i + 1, j + 1), r, d**3))
+        dst_left = [_left_columns(t.tables[len(names) + p], x, a2.dim) for x in images]
+        violations.extend(_homomorphism_violations(f"product_{name}", images, t.tables[p], dst_left, t.d))
     return CheckReport.collect("homomorphism", violations)
 
 

@@ -22,7 +22,15 @@ from rhizalab.axioms import CheckReport, Violation
 from rhizalab.errors import DimensionMismatch, Singular
 from rhizalab.exactlin import F0, F1, Matrix, invert
 from rhizalab.nilpotency import NilpotencyAnalysis, NilpotencyVerdict, Subspace
-from rhizalab.operators import _require_o_shapes
+from rhizalab.operators import _require_o_shapes as _require_operator_shape
+
+
+def _require_o_shapes(t, a: HomAlgebra, m) -> None:
+    """The library's refusals, in its order: the operator's shape, then a bimodule over another dimension
+    (which the library makes where it clears, ``operators._cleared``)."""
+    _require_operator_shape(t, a, m)
+    if m.alg_dim != a.dim:
+        raise DimensionMismatch("bimodule is over an algebra of different dimension")
 
 
 def eval_product(op: BilinearOp, x, y) -> tuple:

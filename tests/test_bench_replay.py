@@ -8,31 +8,17 @@ and 74 ``check`` commands, two of the catalog ones under ``--oracle``) run
 here through ``cli.main`` in process, on inputs written by
 ``bench/inputs.materialize``, and each must reproduce its recorded exit code
 and digest.  A change that alters output on purpose re-records with
-``bench/record.py``.  Nothing under ``bench/`` is written.
+``bench/record.py``.  ``tests/replay_expected.py`` replays every command the
+same way, without pytest.  Nothing under ``bench/`` is written.
 """
 
-import contextlib
-import hashlib
-import importlib.util
-import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-from rhizalab.cli import main
+from tests.replay_expected import BENCH, load_inputs, outcome
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 SAMPLE = {"solve": 176, "catalog": 4, "check": 74}
-
-
-def load_inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module by name
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("workload", sorted(SAMPLE))
@@ -44,10 +30,7 @@ def test_sampled_benchmark_commands_keep_their_bytes(workload, tmp_path):
     mismatches = []
     for t, idx in sample:
         argv, _ = inputs.materialize(t, idx, tmp_path)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(list(argv))
-        got = {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+        got = outcome(argv)
         if got != expected[f"{t.name}#{idx}"]:
             mismatches.append((f"{t.name}#{idx}", got))
     assert mismatches == []

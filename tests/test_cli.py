@@ -16,11 +16,11 @@ from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, serialize_algeb
 from rhizalab.catalog import load_entry
 from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, OPERATION_COVERAGE, build_parser, main
 from rhizalab.cocycles import ScalarForm, is_nondegenerate, rhizaform_from_cocycle, scalar_cocycle_residuals
-from rhizalab.errors import DimensionMismatch, NotACocycle, Singular
+from rhizalab.errors import DimensionMismatch, MissingProduct, NotACocycle, Singular
 from rhizalab.exactlin import Matrix
 from rhizalab.family import induced_family_rhizaform
 from rhizalab.files import bimodule_obj, load_algebra, load_json, read_bimodule, read_family, read_rb_family
-from rhizalab.operators import regular_bimodule
+from rhizalab.operators import Bimodule, check_bimodule, regular_bimodule
 from tests.conftest import graded_split_algebra
 
 F = Fraction
@@ -181,6 +181,12 @@ def test_induce_inner_derivation(a1_file):
     assert json.loads(out)["D"] == [["0", "0"], ["0", "0"]]
 
 
+@pytest.mark.parametrize("z", ["1,,0", "1,0,", ",1,0", "1, ,0"])
+def test_inner_derivation_counts_empty_z_fields(a1_file, z):
+    """Every comma-separated field of --z is one coordinate, so a 2-dimensional z with an empty one is refused."""
+    assert_rejected(*run_cli("induce", "--what", "inner-derivation", "--z", z, a1_file), "--z wants 2")
+
+
 def test_family_subcommand(tmp_path, a1_sum_file):
     fam = {
         "dim": 2,
@@ -240,6 +246,14 @@ def test_catalog_verify_structured_byte_identical():
 def test_catalog_verify_with_oracle_exits_zero():
     code, out, _ = run_cli("catalog", "verify", "--dim", "2", "--oracle", "--param", "eta=1")
     assert code == 0
+
+
+def test_catalog_verify_reports_oracle_disagreement(monkeypatch):
+    two_nilpotent = rhizalab.oracle.two_nilpotent
+    monkeypatch.setattr(rhizalab.oracle, "two_nilpotent", lambda a: not two_nilpotent(a))
+    code, out, err = run_cli("catalog", "verify", "--id", "d2.A1", "--oracle", "--param", "eta=1")
+    assert code == 1
+    assert err == "oracle disagreement: d2.A1: checker vs oracle on 2-nilpotency\n"
 
 
 @pytest.mark.parametrize("ids", [("d9.A1",), ("nothing",), ("d2.A99",), ("d2.A1", "d9.A1")])
@@ -477,6 +491,18 @@ def test_induce_refuses_bimodule_over_another_dimension(a1_sum_file, tmp_path, w
         assert "different dimension" in err
 
 
+@pytest.mark.parametrize("alg_dim", [1, 3])
+def test_bimodule_check_refuses_bimodule_over_another_dimension(alg_dim):
+    """The library refuses as the CLI does, after reading the algebra's product."""
+    a = load_entry("d2.A1")
+    s = HomAlgebra.mono(sum_product(a), a.alpha)
+    m = Bimodule(alg_dim, 2, (Matrix.identity(2),) * alg_dim, (Matrix.identity(2),) * alg_dim, LinearMap.identity(2))
+    with pytest.raises(DimensionMismatch, match="bimodule is over an algebra of different dimension"):
+        check_bimodule(s, m)
+    with pytest.raises(MissingProduct):
+        check_bimodule(a, m)
+
+
 @pytest.mark.parametrize("rows", [[["1", "0", "0"], ["0", "1", "0"]], [["1"]], [["1", "0"]], [["1", "0"], ["0", "1"], ["0", "1"]]])
 def test_induce_rb_refuses_operator_of_another_shape(a1_sum_file, tmp_path, rows):
     """With --no-strict too: an operator that does not act on the algebra exits 2 before anything is printed."""
@@ -637,6 +663,42 @@ GOOD_FAMILY = {
         ),
         (("family", "--do", "check"), {**GOOD_FAMILY, "params": []}, "family.params"),
         (("family", "--do", "check"), {**GOOD_FAMILY, "params": {"": "1/2"}}, "family.params"),
+        # each shape refusal of a bimodule, operator, form, semigroup or operator family
+        *(
+            (
+                ("check", "--kind", "bimodule", "--bimodule"),
+                {"alg_dim": 2, "mod_dim": mod_dim, "left": [act] * count, "right": [act] * count, "beta": beta},
+                fragment,
+            )
+            for mod_dim, act, count, beta, fragment in (
+                (2, [["1"]], 2, [["1", "0"], ["0", "1"]], "action matrices must be mod_dim x mod_dim"),
+                (1, [["1"]], 1, [["1"]], "need one action matrix per algebra basis vector"),
+                (1, [["1"]], 2, [["1", "0"], ["0", "1"]], "beta must act on the module"),
+            )
+        ),
+        (("induce", "--what", "cocycle", "--form"), {"B": [["1", "0"]]}, "form matrix must be dim x dim"),
+        (("check", "--kind", "rota-baxter", "--operator"), {"X": [["1"]]}, "operator: no operator section ('T')"),
+        (
+            ("family", "--do", "check-rb", "--algebra", "{A}"),
+            {"omega": {"table": []}, "operators": {}},
+            "rb_family.omega.table has no rows",
+        ),
+        (
+            ("family", "--do", "check-rb", "--algebra", "{A}"),
+            {"omega": {"table": [[0]]}, "operators": {"0": [["1", "0"]]}},
+            "family operators must be square and equal-dimensional",
+        ),
+        # a ragged semigroup table is refused at the row that breaks it
+        (
+            ("family", "--do", "check-semigroup"),
+            {"omega": {"table": [[0, 1], [1]]}},
+            "family.omega.table[1] must be a list of 2 entries",
+        ),
+        (
+            ("family", "--do", "check-rb", "--algebra", "{A}"),
+            {"omega": {"table": [[0, 1, 0], [1, 0, 1], [0, 1]]}, "operators": {}},
+            "rb_family.omega.table[2] must be a list of 3 entries",
+        ),
     ],
 )
 def test_malformed_auxiliary_files_exit_2_without_traceback(tmp_path, a1_sum_file, argv, doc, fragment):
@@ -675,6 +737,8 @@ GOOD_ALGEBRA = {"dim": 2, "kind": "mono", "alpha": [["1", "0"], ["0", "1"]], "mu
         # params is an object whose keys are names a coefficient can reference
         *(({**GOOD_ALGEBRA, "params": bad}, "algebra.params") for bad in ([], 0, "", False, None)),
         *(({**GOOD_ALGEBRA, "params": {name: "1"}}, "algebra.params") for name in ("", "-eta", "1x", "e ta")),
+        ({**GOOD_ALGEBRA, "dim": 0}, "algebra.dim: 'dim' must be positive"),
+        ({**GOOD_ALGEBRA, "mul": {}}, "algebra.mul must be a list of [i, j, k, coefficient] entries"),
     ],
 )
 def test_malformed_algebra_files_exit_2_without_traceback(tmp_path, argv, doc, fragment):

@@ -49,6 +49,9 @@ def test_subspace_canonical_form():
     # shuffled generators scaled by negative integers, so the elimination meets negative pivots
     t = span(3, (F(0), F(-2), F(0)), (F(-3), F(-3), F(-3)), (F(-2), F(0), F(-2)))
     assert t == s and t.basis == s.basis
+    # the whole space, built without elimination, has the canonical rows of the identity's span
+    for n in range(7):
+        assert Subspace.full(n) == span(n, *([F(int(i == j)) for j in range(n)] for i in range(n)))
 
 
 def test_subspace_containment():

@@ -25,6 +25,11 @@ counts repeat exactly.
 * The twisted columns are built only where they are read: one
   ``_left_columns`` per basis vector for the checks that read only
   alpha(x) o -, none for the plain solvers.
+* ``_integers`` has one caller, ``axioms._twisted``: on every route that
+  clears, each call comes from it, and there is at most one.
+  ``tensor_collapse`` reads the stored integer table and clears nothing.
+* ``Subspace.full`` builds the identity's rows, already canonical, with no
+  elimination.
 * A product is stored in integer form, and its dense ``Fraction`` tensor
   (``BilinearOp.coeffs``) is built only for the oracle: the catalog, the
   split check, the cyclic-form solvers, the averaging and cocycle
@@ -35,18 +40,27 @@ counts repeat exactly.
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from rhizalab import algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpotency, operators
 from rhizalab.algmodel import BilinearOp, HomAlgebra, _matrix_obj, serialize_algebra, sum_product
-from rhizalab.axioms import check_jacobi_jordan, check_multiplicativity
+from rhizalab.axioms import check_jacobi_jordan, check_multiplicativity, inner_derivation
 from rhizalab.catalog import load_entry, verify_all, verify_entry
-from rhizalab.cocycles import rhizaform_from_cocycle, scalar_cocycle_space, vector_cocycle_space
-from rhizalab.family import RBFamily, Semigroup, check_rb_family, induced_family_rhizaform
+from rhizalab.cocycles import (
+    rhizaform_from_cocycle,
+    scalar_cocycle_space,
+    vector_cocycle_residuals,
+    vector_cocycle_space,
+)
+from rhizalab.family import RBFamily, Semigroup, check_rb_family, induced_family_rhizaform, tensor_collapse
+from rhizalab.nilpotency import Subspace
 from rhizalab.operators import (
     LinearOperator,
+    check_bimodule,
     check_homomorphism,
     check_o_operator,
     check_rota_baxter,
@@ -66,12 +80,12 @@ MODULES = (algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpote
 
 def count_calls(monkeypatch, name: str) -> list:
     """Wrap the library function ``name`` wherever it is looked up; the returned list grows by one
-    entry per call."""
+    entry per call, the name of the function that made it."""
     real = next(getattr(m, name) for m in MODULES if hasattr(m, name))
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(sys._getframe(1).f_code.co_name)
         return real(*args, **kwargs)
 
     for module in MODULES:
@@ -164,6 +178,73 @@ def test_inductions_clear_once(monkeypatch, what, strict):
     calls = count_calls(monkeypatch, "_integers")
     assert induce() == expected
     assert len(calls) == 1
+
+
+def _route_inputs() -> SimpleNamespace:
+    """The sum of d3.A7 (twist not the identity) and d3.A7 itself, the sum of d2.A1 with a map into the
+    former, and the operators of ``test_inductions_clear_once``, which pass."""
+    split, small = load_entry("d3.A7", ETA), load_entry("d2.A1", ETA)
+    cocycle, b = _split_skew()
+    r = LinearOperator.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    return SimpleNamespace(
+        split=split,
+        s=_sum_d3_a7(),
+        summed=HomAlgebra.mono(sum_product(split), split.alpha),
+        skew=skew_4dim(),
+        small=HomAlgebra.mono(sum_product(small), small.alpha),
+        into=LinearOperator.from_rows([[1, 0], [0, F(1, 2)], [0, 0]]),
+        w=vector_cocycle_space(split)[0],
+        cocycle=cocycle,
+        b=b,
+        r=r,
+        family=RBFamily(Semigroup.cyclic(3), {0: LinearOperator.identity(3), 1: R, 2: LinearOperator.zero(3, 3)}),
+        skew_family=RBFamily(Semigroup.cyclic(2), {0: r, 1: r}),
+    )
+
+
+CLEARING_ROUTES = {
+    "check_bimodule": lambda x: check_bimodule(x.s, rhizaform_bimodule(x.split)),
+    "check_homomorphism": lambda x: check_homomorphism(R, x.s, x.s),
+    "check_homomorphism between dimensions": lambda x: check_homomorphism(x.into, x.small, x.s),
+    "inner_derivation star": lambda x: inner_derivation((F(1, 2), 0, -1), x.split, "star"),
+    "inner_derivation mixed": lambda x: inner_derivation((F(1, 2), 0, -1), x.split, "mixed"),
+    "vector_cocycle_residuals": lambda x: vector_cocycle_residuals(x.split, x.w),
+    "tensor_collapse": lambda x: tensor_collapse(x.s, x.family),
+    "check_rota_baxter": lambda x: check_rota_baxter(R, x.s),
+    "check_o_operator": lambda x: check_o_operator(R, x.s, regular_bimodule(x.s)),
+    "check_rb_family": lambda x: check_rb_family(x.family, x.s),
+    "rhizaform_from_cocycle": lambda x: rhizaform_from_cocycle(x.cocycle, x.b),
+    "verify_entry": lambda x: verify_entry("d3.A4", ETA),
+}
+INDUCTIONS = {
+    "induced_rhizaform_from_rb": lambda x, strict: induced_rhizaform_from_rb(x.r, x.skew, strict=strict),
+    "induced_rhizaform_from_o_operator": lambda x, strict: induced_rhizaform_from_o_operator(
+        x.r, x.skew, regular_bimodule(x.skew), strict=strict
+    ),
+    "compatible_from_invertible_o_operator": lambda x, strict: compatible_from_invertible_o_operator(
+        LinearOperator.identity(3), x.summed, rhizaform_bimodule(x.split), strict=strict
+    ),
+    "induced_family_rhizaform": lambda x, strict: induced_family_rhizaform(x.skew_family, x.skew, strict=strict),
+}
+for _name, _induce in INDUCTIONS.items():
+    for _strict in (True, False):
+        CLEARING_ROUTES[f"{_name} strict={_strict}"] = lambda x, induce=_induce, strict=_strict: induce(x, strict)
+
+
+@pytest.mark.parametrize("route", CLEARING_ROUTES)
+def test_every_clearing_is_made_by_the_view(monkeypatch, route):
+    x = _route_inputs()
+    expected = CLEARING_ROUTES[route](x)
+    calls = count_calls(monkeypatch, "_integers")
+    assert CLEARING_ROUTES[route](x) == expected
+    assert calls == ([] if route == "tensor_collapse" else ["_twisted"])
+
+
+def test_full_subspace_runs_no_elimination(monkeypatch):
+    expected = [Subspace.full(n) for n in range(5)]
+    calls = count_calls(monkeypatch, "_echelon")
+    assert [Subspace.full(n) for n in range(5)] == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("solve", [scalar_cocycle_space, vector_cocycle_space])
