@@ -233,20 +233,23 @@ def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult")
     """alpha(x o y) = alpha(x) o alpha(y) on all basis pairs: alpha is a homomorphism of o."""
     _require_same_dim(op.dim, alpha.dim)
     t = _twisted([op], alpha)
-    violations = _homomorphism_violations(name, t.twist, t.tables[0], t.left[0], t.d)
+    violations = _homomorphism_violations(name, t.twist, t.tables[0], [(t.left[0], t.twist)], t.d)
     return CheckReport.collect(f"multiplicativity[{name}]", violations)
 
 
-def _homomorphism_violations(ident: str, images, src, dst_left, d: int, prefix: tuple[int, ...] = ()):
-    """Residual f(x o y) - f(x) o' f(y) on basis pairs, for the columns ``images`` of f, the table ``src``
-    of o and the columns ``dst_left[i]`` of f(e_i) o' -, cleared by ``d``; the left side (d^2) is lifted by d
-    to d^3.  Multiplicativity of product p of a view t is f = alpha: ``t.twist``, ``t.left[p]``."""
-    size = len(dst_left[0])
+def _homomorphism_violations(ident: str, images, src, terms, d: int, prefix: tuple[int, ...] = ()):
+    """Residual f(x o y) - sum_t g_t(x) o' h_t(y) on basis pairs, for the columns ``images`` of f and the
+    table ``src`` of o, cleared by ``d``; the left side (d^2) is lifted by d to d^3.  Each term is a pair
+    (lefts, rights): lefts[i] holds the columns of g_t(e_i) o' -, ``rights`` those of h_t.  A
+    homomorphism f has the one term (f(e_i) o' -, f), so multiplicativity of product p of a view t is
+    ``[(t.left[p], t.twist)]``; the twisted Leibniz rule (``check_alpha_derivation``) has two."""
+    size = len(terms[0][0][0])
     for i, row in enumerate(src):
         for j, cell in enumerate(row):
             r = [0] * size
             _apply_into(r, images, cell, d)
-            _apply_into(r, dst_left[i], images[j], -1)
+            for lefts, rights in terms:
+                _apply_into(r, lefts[i], rights[j], -1)
             if any(r):
                 yield Violation(ident, (*prefix, i + 1, j + 1), r, d**3)
 
@@ -307,7 +310,8 @@ def _split_violations(t: _Twisted, succ: int, prec: int, sign: int, ids, s=None)
                         violations.append(Violation(ident, (*prefix, i + 1, j + 1, k + 1), resids[at], t.scale))
     for lam in range(size):
         for p, name in ((succ + lam, "succ"), (prec + lam, "prec")):
-            mult = _homomorphism_violations(f"mult_{name}", t.twist, t.tables[p], t.left[p], t.d, (lam,) if s else ())
+            terms = [(t.left[p], t.twist)]
+            mult = _homomorphism_violations(f"mult_{name}", t.twist, t.tables[p], terms, t.d, (lam,) if s else ())
             violations.extend(mult)
     return violations
 
@@ -417,23 +421,18 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
     return LinearMap.from_columns(cols)
 
 
-def check_alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> CheckReport:
-    """Twisted Leibniz rule D(x o y) = D(x) o alpha(y) + alpha(x) o D(y).
+def _require_rb_shape(r, a: HomAlgebra) -> None:
+    """Refuse the map ``r`` (a ``LinearMap`` or an ``operators.LinearOperator``) unless its matrix acts on ``a``."""
+    if r.matrix.rows != a.dim or r.matrix.cols != a.dim:
+        raise DimensionMismatch("operator must act on the algebra")
 
-    The left side is at D^2 and is lifted by D to the right side's D^3.
-    """
-    op = a.product(product_name)
-    _require_same_dim(op.dim, d.dim, a.alpha.dim)
-    n = a.dim
-    t = _twisted([op], a.alpha, d.matrix)
-    table, left, right, (dcols,) = t.tables[0], t.left[0], t.right[0], t.mats
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            r = [0] * n
-            _apply_into(r, dcols, table[i][j], t.d)
-            _apply_into(r, right[j], dcols[i], -1)
-            _apply_into(r, left[i], dcols[j], -1)
-            if any(r):
-                violations.append(Violation("leibniz", (i + 1, j + 1), r, t.scale))
+
+def check_alpha_derivation(d, a: HomAlgebra, product_name: str) -> CheckReport:
+    """Twisted Leibniz rule D(x o y) = D(x) o alpha(y) + alpha(x) o D(y), for a map ``d`` on the algebra
+    (``_require_rb_shape``): the two-term homomorphism residual of D (``_homomorphism_violations``)."""
+    _require_rb_shape(d, a)
+    t = _twisted([a.product(product_name)], a.alpha, d.matrix)
+    table, (dcols,) = t.tables[0], t.mats
+    terms = [([_left_columns(table, x, a.dim) for x in dcols], t.twist), (t.left[0], dcols)]
+    violations = _homomorphism_violations("leibniz", dcols, table, terms, t.d)
     return CheckReport.collect(f"alpha_derivation[{product_name}]", violations)

@@ -20,7 +20,6 @@ from . import files, oracle
 from .algmodel import (
     _PARAM_NAME,
     HomAlgebra,
-    LinearMap,
     _matrix_obj,
     _product_obj,
     rational,
@@ -59,7 +58,6 @@ from .family import (
 )
 from .nilpotency import analyze
 from .operators import (
-    _require_rb_shape,
     check_bimodule,
     check_homomorphism,
     check_o_operator,
@@ -213,12 +211,6 @@ def _needed(args, flag: str, needs: tuple[str, ...], params, a=None) -> argparse
     return argparse.Namespace(**{**vars(args), "params": params, **loaded})
 
 
-def _derivation(a: HomAlgebra, x) -> LinearMap:
-    """--operator as a map on FILE's algebra, refused first, as --kind rota-baxter refuses it, unless it acts there."""
-    _require_rb_shape(x.operator, a)
-    return LinearMap(a.dim, x.operator.matrix)
-
-
 # The route tables.  Each entry names the options it needs and takes them loaded
 # (``x``, see ``_needed``).  Entries look library functions up when they run,
 # so a wrapper later installed on a module attribute sees every call.
@@ -249,8 +241,8 @@ CHECKS = {
     ),
     "derivation": (
         ("operator", "product"),
-        lambda a, x: check_alpha_derivation(_derivation(a, x), a, x.product),
-        lambda a, x: oracle.alpha_derivation(_derivation(a, x), a, x.product),
+        lambda a, x: check_alpha_derivation(x.operator, a, x.product),
+        lambda a, x: oracle.alpha_derivation(x.operator, a, x.product),
     ),
     "bimodule": (
         ("bimodule",),
@@ -452,20 +444,18 @@ def cmd_catalog(args) -> int:
         }
         _emit(obj, args)
         return 0
-    if args.action == "verify":
-        summary = cat.verify_all(
-            params=params,
-            dim=args.dim,
-            ids=args.id or None,
-            with_oracle=args.oracle,
-        )
-        _emit(summary.to_obj(), args, summary.to_text)
-        if summary.internal_error:
-            for d in summary.oracle_diffs:
-                print(f"oracle disagreement: {d}", file=sys.stderr)
-            return 1
-        return 0
-    raise RhizalabError(f"unknown catalog action {args.action!r}")
+    summary = cat.verify_all(  # "verify", the last action argparse admits
+        params=params,
+        dim=args.dim,
+        ids=args.id or None,
+        with_oracle=args.oracle,
+    )
+    _emit(summary.to_obj(), args, summary.to_text)
+    if summary.internal_error:
+        for d in summary.oracle_diffs:
+            print(f"oracle disagreement: {d}", file=sys.stderr)
+        return 1
+    return 0
 
 
 @functools.cache

@@ -283,7 +283,8 @@ def check_alpha_stability(a: HomAlgebra) -> CheckReport:
 
 
 def _multiplicative(t: _Twisted) -> bool:
-    return not any(any(_homomorphism_violations("", t.twist, tb, t.left[p], t.d)) for p, tb in enumerate(t.tables))
+    mults = (_homomorphism_violations("", t.twist, tb, [(t.left[p], t.twist)], t.d) for p, tb in enumerate(t.tables))
+    return not any(map(any, mults))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .axioms import (
     Violation,
     _column_violations,
     _homomorphism_violations,
+    _require_rb_shape,
     _twisted,
     check_hom_anti_associative,
     check_rhizaform,
@@ -263,11 +264,6 @@ def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckRepo
     return _o_report("o_operator", "o_identity", _cleared(mul, a.alpha, [t.matrix], m))
 
 
-def _require_rb_shape(r: LinearOperator, a: HomAlgebra) -> None:
-    if r.source_dim != a.dim or r.target_dim != a.dim:
-        raise DimensionMismatch("operator must act on the algebra")
-
-
 def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     """Weight-zero averaging identity R(x)*R(y) = R(R(x)*y + x*R(y)), with R alpha = alpha R."""
     mul = a.mul
@@ -332,7 +328,7 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
     violations = list(_column_violations("equivariance", cols, t.d**2))
     for p, name in enumerate(names):
         dst_left = [_left_columns(t.tables[len(names) + p], x, a2.dim) for x in images]
-        violations.extend(_homomorphism_violations(f"product_{name}", images, t.tables[p], dst_left, t.d))
+        violations.extend(_homomorphism_violations(f"product_{name}", images, t.tables[p], [(dst_left, images)], t.d))
     return CheckReport.collect("homomorphism", violations)
 
 

@@ -112,12 +112,17 @@ def test_cocycles_scalar(a1_sum_file):
     assert doc["basis"][0]["nondegenerate"] is False
 
 
-def test_nilpotency_report(a1_file):
+def test_nilpotency_report(a1_file, tmp_path):
     code, out, _ = run_cli("nilpotency", "--format", "structured", a1_file)
     assert code == 0
     doc = json.loads(out)
     assert doc["nilpotent"]["full"] == {"nilpotent": True, "index": 3}
     assert doc["series_equality"]["passed"] is True
+    # --strict exits 1 when the series disagree, as on d3.A1, and 0 when they agree, as on d2.A1
+    d3_a1 = tmp_path / "d3a1.json"
+    d3_a1.write_text(serialize_algebra(load_entry("d3.A1")))
+    for path, strict_code in ((a1_file, 0), (str(d3_a1), 1)):
+        assert [run_cli("nilpotency", *strict, path)[0] for strict in ((), ("--strict",))] == [0, strict_code]
 
 
 def test_induce_sum_and_check_roundtrip(a1_file, tmp_path):
@@ -215,6 +220,16 @@ def test_family_subcommand(tmp_path, a1_sum_file):
     )
     assert code4 == 0
     assert json.loads(out4)["algebra"]["dim"] == 4
+
+    # the constant Z/2 family of an entry: --strict exits 1 on d3.A7 (eta = 1), which fails, and 0 on d2.A1
+    for entry, strict_code in (("d3.A7", 1), ("d2.A1", 0)):
+        doc = json.loads(serialize_algebra(load_entry(entry, {"eta": F(1)})))
+        const = {**fam, "dim": doc["dim"], "alpha": doc["alpha"]}
+        const.update({side: {"0": doc[side], "1": doc[side]} for side in ("succ", "prec")})
+        const_path = tmp_path / f"const_{entry}.json"
+        const_path.write_text(json.dumps(const))
+        codes = [run_cli("family", "--do", "check", *strict, str(const_path))[0] for strict in ((), ("--strict",))]
+        assert codes == [0, strict_code], entry
 
 
 def test_catalog_list_and_show():
@@ -455,7 +470,7 @@ def test_coverage_routes_parse():
             pytest.fail(f"{key}: route {route!r} does not parse")
 
 
-def test_remaining_check_routes(a7_file, a1_file, tmp_path):
+def test_remaining_check_routes(a7_file, a1_file, a1_sum_file, tmp_path):
     zero_op = tmp_path / "zero.json"
     zero_op.write_text('{"T": [["0", "0"], ["0", "0"]]}')
     code, out, _ = run_cli("check", "--kind", "multiplicativity", "--product", "succ", a7_file)
@@ -470,6 +485,9 @@ def test_remaining_check_routes(a7_file, a1_file, tmp_path):
     assert code == 0
     code, out, _ = run_cli("check", "--kind", "dendriform", a7_file)
     assert code == 0 and "pass" in out
+    for kind in ("rhizaform", "dendriform"):  # a mono FILE has no split products
+        refusal = f"error: {kind} check needs products succ and prec\n"
+        assert run_cli("check", "--kind", kind, a1_sum_file) == (2, "", refusal)
     code, out, _ = run_cli(
         "check", "--kind", "homomorphism", "--operator", str(zero_op), "--target", a7_file, a7_file
     )
@@ -739,6 +757,12 @@ GOOD_ALGEBRA = {"dim": 2, "kind": "mono", "alpha": [["1", "0"], ["0", "1"]], "mu
         *(({**GOOD_ALGEBRA, "params": {name: "1"}}, "algebra.params") for name in ("", "-eta", "1x", "e ta")),
         ({**GOOD_ALGEBRA, "dim": 0}, "algebra.dim: 'dim' must be positive"),
         ({**GOOD_ALGEBRA, "mul": {}}, "algebra.mul must be a list of [i, j, k, coefficient] entries"),
+        (
+            {"dim": 2, "kind": "rhizaform", "alpha": GOOD_ALGEBRA["alpha"], "succ": [[1, 1, 1]], "prec": []},
+            "algebra.succ[0]: [1, 1, 1] is not [i, j, k, coefficient]",
+        ),
+        # a coefficient string too long to read as a number
+        ({**GOOD_ALGEBRA, "mul": [[2, 2, 1, "1" * 5000]]}, "error: algebra.mul[0][3]: bad rational"),
     ],
 )
 def test_malformed_algebra_files_exit_2_without_traceback(tmp_path, argv, doc, fragment):
@@ -1240,6 +1264,11 @@ def test_shapes_independent_by_definition_are_accepted(sized_inputs, tmp_path):
     for head in (("check", "--kind", "o-operator"), ("induce", "--what", "o-operator", "--no-strict")):
         code, _, err = run_cli(*head, "--operator", str(t), "--bimodule", str(wide), two["algebra"])
         assert code == 0, (head, err)
+    # but only an operator between spaces of one dimension can be inverted
+    refusal = "error: operator between spaces of different dimension is not invertible\n"
+    for strict in ((), ("--no-strict",)):
+        argv = ("induce", "--what", "invertible-o", *strict, "--operator", str(t), "--bimodule", str(wide))
+        assert run_cli(*argv, two["algebra"]) == (2, "", refusal)
     code, _, err = run_cli("check", "--kind", "homomorphism", "--operator", str(f), "--target", three["target"], two["algebra"])
     assert code == 0, err
 

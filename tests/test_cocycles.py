@@ -522,7 +522,7 @@ def _fractional_involution(rng, n):
 def test_scalar_rows_match_fraction_rows_with_denominators(n, twist):
     """Structure constants and twist with denominators in {2, 3, 5, 7}, so one
     D != 1 clears the product and the twist together: the cyclic rows are at
-    D^2, and the invariance rows at the square of the twist's own D."""
+    D^2, and the invariance rows, which read only the twist, at the same D^2."""
     rng = random.Random(f"scalar-differential-{n}-{twist.__name__}")
     nontrivial = 0
     for density in (0.0, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.5):

@@ -38,6 +38,7 @@ counts repeat exactly.
 """
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -94,9 +95,10 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+@functools.cache
 def _split_skew():
     """A split algebra (succ the skew 4-dimensional product, prec zero) and a nondegenerate form in
-    its scalar cocycle space."""
+    its scalar cocycle space.  Both are frozen, so one search serves every test."""
     mono = skew_4dim()
     a = HomAlgebra.rhizaform(mono.mul, BilinearOp.zero(4), mono.alpha)
     return a, nondegenerate_in_span(scalar_cocycle_space(a), 4)
