@@ -18,7 +18,10 @@ Product sections list only nonzero structure constants.  A coefficient is a
 rational literal ("p" or "p/q"; no decimals) or a parameter name, optionally
 negated ("-eta"); parameters are resolved to concrete rationals at parse
 time, so downstream code never sees symbols.  A mono-product algebra uses
-``"kind": "mono"`` with a single ``"mul"`` section.
+``"kind": "mono"`` with a single ``"mul"`` section.  A reader resolves each
+distinct coefficient text once per document, in a dict local to that read
+(nothing is kept between reads), and adds each product entry to the
+product's integer cells as it checks it (``_entry_table``).
 
 ``BilinearOp`` and ``LinearMap`` are frozen dataclasses.  A product built
 from products, a signed sum of them with some arguments swapped (the summed
@@ -129,17 +132,24 @@ class BilinearOp:
 
 
 def _entry_table(dim: int, entries) -> tuple[list, int]:
-    """The integer table of the sum of the 0-based (i, j, k, coefficient) entries, and its denominator."""
-    cells: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j, k, co in entries:
+    """The integer table of the sum of the 0-based (i, j, k, coefficient) entries, and a denominator: each
+    entry is added as it is read, over the lcm of the denominators read so far."""
+    cells: dict[tuple[int, int, int], int] = {}
+    d = 1
+    for i, j, k, q in entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise DimensionMismatch(f"index ({i},{j},{k}) outside [0,{dim})")
-        cell, q = cells.setdefault((i, j), {}), rational(co)
-        cell[k] = cell[k] + q if k in cell else q
-    d = lcm(*(q.denominator for cell in cells.values() for q in cell.values()))
+        q = q if type(q) is Fraction else rational(q)
+        c, den = q.numerator, q.denominator
+        if d % den:
+            f = den // gcd(d, den)
+            cells = {ijk: v * f for ijk, v in cells.items()}
+            d *= f
+        cells[i, j, k] = cells.get((i, j, k), 0) + c * (d // den)
     table = [[()] * dim for _ in range(dim)]
-    for (i, j), cell in cells.items():
-        table[i][j] = tuple((k, q.numerator * (d // q.denominator)) for k, q in sorted(cell.items()) if q)
+    for (i, j, k), c in sorted(cells.items()):
+        if c:
+            table[i][j] += ((k, c),)
     return table, d
 
 
@@ -392,79 +402,93 @@ def _field(doc, key: str, where: str, kind: type):
     return doc[key]
 
 
-def _resolve_coefficient(token, params: dict[str, Fraction] | None, where: str, *path: int) -> Fraction:
+def _resolve_coefficient(token, params: dict[str, Fraction] | None, known: dict, where: str, *path: int) -> Fraction:
     """A rational literal or, when ``params`` is given, a parameter name, optionally negated; errors name
-    the cell, ``where`` and then each index of ``path`` in brackets (``algebra.succ[0][3]``)."""
-    s = token.strip() if isinstance(token, str) else ""
+    the cell, ``where`` and then each index of ``path`` in brackets (``algebra.succ[0][3]``).  ``known``
+    holds the str tokens the document has resolved, each with its value; a token is added once resolved."""
+    text = isinstance(token, str)
+    if text and token in known:
+        return known[token]
+    s = token.strip() if text else ""
     if params is not None and _NAME_RE.match(s):
         name = s.lstrip("-")
         if name not in params:
             raise UnboundParameter(name, where + "".join(f"[{i}]" for i in path))
-        return -params[name] if s.startswith("-") else params[name]
-    try:
-        return rational(token)
-    except ParseError as exc:
-        raise ParseError(where + "".join(f"[{i}]" for i in path) + f": {exc}") from None
+        q = -params[name] if s.startswith("-") else params[name]
+    else:
+        try:
+            q = rational(token)
+        except ParseError as exc:
+            raise ParseError(where + "".join(f"[{i}]" for i in path) + f": {exc}") from None
+    if text:
+        known[token] = q
+    return q
 
 
-def _read_matrix(doc, where: str, params: dict[str, Fraction] | None) -> Matrix:
+def _read_matrix(doc, where: str, params: dict[str, Fraction] | None, known: dict) -> Matrix:
     """Rows of coefficients, all of one length; errors name the cell, e.g. ``bimodule.left[1][0][0]``."""
     if not isinstance(doc, list) or not all(isinstance(row, list) and len(row) == len(doc[0]) for row in doc):
         raise ParseError(f"{where} must be a list of rows of equal length")
     return Matrix.from_rows(
-        [[_resolve_coefficient(e, params, where, r, c) for c, e in enumerate(row)] for r, row in enumerate(doc)]
+        [[_resolve_coefficient(e, params, known, where, r, c) for c, e in enumerate(row)] for r, row in enumerate(doc)]
     )
 
 
-def _twist(doc, key: str, where: str, dim: int, params: dict[str, Fraction]) -> LinearMap:
-    m = _read_matrix(_field(doc, key, where, list), f"{where}.{key}", params)
+def _twist(doc, key: str, where: str, dim: int, params: dict[str, Fraction], known: dict) -> LinearMap:
+    m = _read_matrix(_field(doc, key, where, list), f"{where}.{key}", params, known)
     if (m.rows, m.cols) != (dim, dim):
         raise ParseError(f"{where}.{key} must be a {dim}x{dim} array of rows")
     return LinearMap(dim, m)
 
 
-def _parse_product(doc, dim: int, where: str, params: dict[str, Fraction]) -> BilinearOp:
+def _product_entries(doc, dim: int, where: str, params: dict[str, Fraction], known: dict):
+    """The 0-based (i, j, k, coefficient) entries of a product section of 1-based [i, j, k, coefficient]
+    entries, each checked as it is read."""
     if not isinstance(doc, list):
         raise ParseError(f"{where} must be a list of [i, j, k, coefficient] entries")
-    entries = []
     for e, item in enumerate(doc):
         if not isinstance(item, list) or len(item) != 4:
             raise ParseError(f"{where}[{e}]: {item!r} is not [i, j, k, coefficient]")
         i, j, k, co = item
-        if not all(isinstance(t, int) and not isinstance(t, bool) for t in (i, j, k)):
-            raise ParseError(f"{where}[{e}]: {item!r} has non-integer indices")
-        if not all(1 <= t <= dim for t in (i, j, k)):
-            raise ParseError(f"{where}[{e}]: {item!r} outside basis range 1..{dim}")
-        entries.append((i - 1, j - 1, k - 1, _resolve_coefficient(co, params, where, e, 3)))
-    return BilinearOp.from_entries(dim, entries)
+        if not (type(i) is type(j) is type(k) is int and 0 < i <= dim and 0 < j <= dim and 0 < k <= dim):
+            if not all(isinstance(t, int) and not isinstance(t, bool) for t in (i, j, k)):
+                raise ParseError(f"{where}[{e}]: {item!r} has non-integer indices")
+            if not all(1 <= t <= dim for t in (i, j, k)):
+                raise ParseError(f"{where}[{e}]: {item!r} outside basis range 1..{dim}")
+        yield i - 1, j - 1, k - 1, _resolve_coefficient(co, params, known, where, e, 3)
 
 
-def _read_header(doc, where: str, bindings) -> tuple[int, dict[str, Fraction], LinearMap]:
-    """dim, params (the file's literals, then ``bindings``) and alpha of an algebra or family document."""
+def _read_header(doc, where: str, bindings, known: dict) -> tuple[int, dict[str, Fraction], LinearMap]:
+    """dim, params (the file's literals, then ``bindings``) and alpha of an algebra or family document.
+    The params' texts start ``known``: a literal reads alike with or without params."""
     dim = _field(doc, "dim", where, int)
     if dim < 1:
         raise ParseError(f"{where}.dim: 'dim' must be positive")
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict) or not all(map(_PARAM_NAME.fullmatch, params_doc)):
         raise ParseError(f"{where}.params: 'params' must be a JSON object of name: rational")
-    params = {name: _resolve_coefficient(v, None, f"{where}.params.{name}") for name, v in params_doc.items()}
+    params = {name: _resolve_coefficient(v, None, known, f"{where}.params.{name}") for name, v in params_doc.items()}
     params.update((name, rational(v)) for name, v in (bindings or {}).items())
-    return dim, params, _twist(doc, "alpha", where, dim, params)
+    return dim, params, _twist(doc, "alpha", where, dim, params, known)
 
 
 def parse_algebra_obj(doc, bindings: dict[str, Fraction] | None = None) -> HomAlgebra:
     """Build a HomAlgebra from an already-decoded JSON object."""
-    dim, params, alpha = _read_header(doc, "algebra", bindings)
+    known: dict[str, Fraction] = {}
+    dim, params, alpha = _read_header(doc, "algebra", bindings, known)
     kind = doc.get("kind")
     if kind not in ("rhizaform", "mono"):
         raise ParseError(f"algebra.kind: 'kind' must be 'rhizaform' or 'mono', got {kind!r}")
-    beta = None if doc.get("beta") is None else _twist(doc, "beta", "algebra", dim, params)
+    beta = None if doc.get("beta") is None else _twist(doc, "beta", "algebra", dim, params, known)
 
     wanted = ("succ", "prec") if kind == "rhizaform" else ("mul",)
     stray = [n for n in ("succ", "prec", "mul") if n not in wanted and doc.get(n)]
     if stray:
         raise ParseError(f"kind {kind!r} does not take product section(s) {stray}")
-    products = {name: _parse_product(doc.get(name, []), dim, f"algebra.{name}", params) for name in wanted}
+    products = {
+        name: BilinearOp.from_entries(dim, _product_entries(doc.get(name, []), dim, f"algebra.{name}", params, known))
+        for name in wanted
+    }
     return HomAlgebra(dim, products, alpha, params, beta)
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .. import oracle
-from ..algmodel import HomAlgebra, parse_algebra_obj, sum_product
+from ..algmodel import _NAME_RE, HomAlgebra, parse_algebra_obj, sum_product
 from ..axioms import CheckReport, _split_report, _sum_anti_associative, _view
 from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnknownEntry
@@ -56,15 +56,12 @@ class CatalogEntry:
 
     @property
     def parameters(self) -> tuple[str, ...]:
-        """Free parameter names appearing in the stored coefficients."""
-        names = set()
-        for section in ("succ", "prec", "mul"):
-            for *_ijk, co in self.algebra_doc.get(section, []):
-                if isinstance(co, str):
-                    bare = co.lstrip("-")
-                    if bare and not bare[0].isdigit():
-                        names.add(bare)
-        return tuple(sorted(names))
+        """The parameter names the stored twist maps and products hold, read by the parser's rule."""
+        doc = self.algebra_doc
+        tokens = [co for key in ("alpha", "beta") for row in doc.get(key) or [] for co in row]
+        tokens += [entry[-1] for key in ("succ", "prec", "mul") for entry in doc.get(key, [])]
+        texts = (co.strip() for co in tokens if isinstance(co, str))
+        return tuple(sorted({s.lstrip("-") for s in texts if _NAME_RE.match(s)}))
 
     def algebra(self, params: dict[str, Fraction] | None = None) -> HomAlgebra:
         """Fully rational algebra of the entry; raises UnboundParameter when it

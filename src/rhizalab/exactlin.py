@@ -29,24 +29,24 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # README's "p" or "p/q", in AS
 
 def rational(text: str | int | Fraction) -> Fraction:
     """Parse "p" or "p/q" into a Fraction.  Decimal notation is rejected."""
+    if isinstance(text, str):  # before Fraction, whose isinstance check goes through ABCMeta for a str
+        s = text.strip()
+        if not _RATIONAL.fullmatch(s):
+            raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
+        num, _, den = s.partition("/")
+        if den and not den.lstrip("0"):
+            raise ParseError(f"bad rational {text!r}: zero denominator")
+        try:
+            return Fraction(int(num), int(den or 1))
+        except ValueError as exc:  # past int's digit limit
+            raise ParseError(f"bad rational {text!r}: {exc}") from None
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, float):
         raise ParseError(f"bad rational {text!r}; decimal notation is not accepted")
-    if not isinstance(text, str):
-        raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
-    s = text.strip()
-    if not _RATIONAL.fullmatch(s):
-        raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
-    num, _, den = s.partition("/")
-    if den and not den.lstrip("0"):
-        raise ParseError(f"bad rational {text!r}: zero denominator")
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ValueError as exc:  # past int's digit limit
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+    raise ParseError(f"bad rational {text!r}; expected 'p' or 'p/q'")
 
 
 def rational_str(q: Fraction) -> str:

@@ -11,12 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algmodel import (
+    BilinearOp,
     HomAlgebra,
     LinearMap,
     _decode_json,
     _field,
     _matrix_obj,
-    _parse_product,
+    _product_entries,
     _product_obj,
     _read_header,
     _read_matrix,
@@ -50,18 +51,22 @@ def read_operator(doc) -> LinearOperator:
     """``{"T": rows}`` (or ``"R"``, ``"D"``, ``"matrix"``), a target x source matrix."""
     for key in ("T", "R", "D", "matrix"):
         if isinstance(doc, dict) and key in doc:
-            m = _read_matrix(doc[key], f"operator.{key}", None)
+            m = _read_matrix(doc[key], f"operator.{key}", None, {})
             return LinearOperator(m.cols, m.rows, m)
     raise ParseError("operator: no operator section ('T')")
 
 
 def read_bimodule(doc) -> Bimodule:
     """``{"alg_dim": n, "mod_dim": m, "left": [n m x m matrices], "right": [...], "beta": m x m}``."""
+    known: dict[str, Fraction] = {}
     left, right = (
-        tuple(_read_matrix(m, f"bimodule.{side}[{i}]", None) for i, m in enumerate(_field(doc, side, "bimodule", list)))
+        tuple(
+            _read_matrix(m, f"bimodule.{side}[{i}]", None, known)
+            for i, m in enumerate(_field(doc, side, "bimodule", list))
+        )
         for side in ("left", "right")
     )
-    beta = _read_matrix(_field(doc, "beta", "bimodule", list), "bimodule.beta", None)
+    beta = _read_matrix(_field(doc, "beta", "bimodule", list), "bimodule.beta", None, known)
     alg_dim, mod_dim = (_field(doc, key, "bimodule", int) for key in ("alg_dim", "mod_dim"))
     return Bimodule(alg_dim, mod_dim, left, right, LinearMap(beta.rows, beta))
 
@@ -73,7 +78,7 @@ def bimodule_obj(m: Bimodule) -> dict:
 
 def read_form(doc) -> ScalarForm:
     """``{"B": rows}``, the Gram matrix of a scalar form."""
-    m = _read_matrix(_field(doc, "B", "form", list), "form.B", None)
+    m = _read_matrix(_field(doc, "B", "form", list), "form.B", None, {})
     return ScalarForm(m.rows, m)
 
 
@@ -108,10 +113,11 @@ def read_family(doc, bindings: dict[str, Fraction]) -> FamilyAlgebra:
     """An algebra file's ``dim``, ``alpha`` and ``params``, a semigroup ``omega``,
     and ``succ`` and ``prec`` sections holding one product per element."""
     s = read_semigroup(doc, "family")
-    dim, params, alpha = _read_header(doc, "family", bindings)
+    known: dict[str, Fraction] = {}
+    dim, params, alpha = _read_header(doc, "family", bindings, known)
     succ, prec = (
         {
-            lam: _parse_product(p, dim, f"family.{name}.{lam}", params)
+            lam: BilinearOp.from_entries(dim, _product_entries(p, dim, f"family.{name}.{lam}", params, known))
             for lam, p in enumerate(_per_element(doc, name, "family", s.size))
         }
         for name in ("succ", "prec")
@@ -133,8 +139,8 @@ def family_obj(fam: FamilyAlgebra) -> dict:
 def read_rb_family(doc) -> RBFamily:
     """A semigroup ``omega`` and one operator matrix per element in ``operators``."""
     s = read_semigroup(doc, "rb_family")
-    ops = {}
+    ops, known = {}, {}
     for lam, rows in enumerate(_per_element(doc, "operators", "rb_family", s.size)):
-        m = _read_matrix(rows, f"rb_family.operators.{lam}", None)
+        m = _read_matrix(rows, f"rb_family.operators.{lam}", None, known)
         ops[lam] = LinearOperator(m.cols, m.rows, m)
     return RBFamily(s, ops)

@@ -9,7 +9,10 @@ time.  They return the same ``CheckReport`` objects, so a test can require
 ``==`` reports (violation order and residuals) from both routes.  The
 reference constructions at the end are the operator, cocycle and
 inner-derivation constructions as they were on ``Fraction``s; ``combination``
-is the signed sum of products as it was.
+is the signed sum of products as it was.  The readers at the end are the
+file readers as they were before each document remembered its resolved
+coefficient texts: every cell goes through ``_resolve_coefficient``, and a
+product sums its ``Fraction`` entries before it is cleared (``entry_table``).
 """
 
 from __future__ import annotations
@@ -17,11 +20,17 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, neg, sub
 
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, star_product
+from math import lcm
+
+from rhizalab.algmodel import _NAME_RE, _PARAM_NAME, BilinearOp, HomAlgebra, LinearMap, _field, star_product
 from rhizalab.axioms import CheckReport, Violation
-from rhizalab.errors import DimensionMismatch, Singular
-from rhizalab.exactlin import F0, F1, Matrix, invert
+from rhizalab.errors import DimensionMismatch, ParseError, Singular, UnboundParameter
+from rhizalab.exactlin import F0, F1, Matrix, invert, rational
+from rhizalab.family import FamilyAlgebra, RBFamily
+from rhizalab.files import _per_element, read_semigroup
 from rhizalab.nilpotency import NilpotencyAnalysis, NilpotencyVerdict, Subspace
+from rhizalab.cocycles import ScalarForm
+from rhizalab.operators import Bimodule, LinearOperator
 from rhizalab.operators import _require_o_shapes as _require_operator_shape
 
 
@@ -659,3 +668,137 @@ def _alpha_stability(full, alpha: LinearMap) -> CheckReport:
 def alpha_stability(a: HomAlgebra) -> CheckReport:
     """``check_alpha_stability``'s report, from the full series built by ``diamond``."""
     return _alpha_stability(_series(a, "full", [Subspace.full(a.dim)]), a.alpha)
+
+
+# --- readers ----------------------------------------------------------------
+
+
+def entry_table(dim: int, entries) -> tuple[list, int]:
+    """The integer table of the sum of the 0-based (i, j, k, coefficient) entries, and its denominator:
+    each cell summed over Fractions, then cleared by the lcm of the sums' denominators."""
+    cells: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, j, k, co in entries:
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise DimensionMismatch(f"index ({i},{j},{k}) outside [0,{dim})")
+        cell, q = cells.setdefault((i, j), {}), rational(co)
+        cell[k] = cell[k] + q if k in cell else q
+    d = lcm(*(q.denominator for cell in cells.values() for q in cell.values()))
+    table = [[()] * dim for _ in range(dim)]
+    for (i, j), cell in cells.items():
+        table[i][j] = tuple((k, q.numerator * (d // q.denominator)) for k, q in sorted(cell.items()) if q)
+    return table, d
+
+
+def _resolve_coefficient(token, params, where: str, *path: int) -> Fraction:
+    s = token.strip() if isinstance(token, str) else ""
+    if params is not None and _NAME_RE.match(s):
+        name = s.lstrip("-")
+        if name not in params:
+            raise UnboundParameter(name, where + "".join(f"[{i}]" for i in path))
+        return -params[name] if s.startswith("-") else params[name]
+    try:
+        return rational(token)
+    except ParseError as exc:
+        raise ParseError(where + "".join(f"[{i}]" for i in path) + f": {exc}") from None
+
+
+def _read_matrix(doc, where: str, params) -> Matrix:
+    if not isinstance(doc, list) or not all(isinstance(row, list) and len(row) == len(doc[0]) for row in doc):
+        raise ParseError(f"{where} must be a list of rows of equal length")
+    return Matrix.from_rows(
+        [[_resolve_coefficient(e, params, where, r, c) for c, e in enumerate(row)] for r, row in enumerate(doc)]
+    )
+
+
+def _twist(doc, key: str, where: str, dim: int, params) -> LinearMap:
+    m = _read_matrix(_field(doc, key, where, list), f"{where}.{key}", params)
+    if (m.rows, m.cols) != (dim, dim):
+        raise ParseError(f"{where}.{key} must be a {dim}x{dim} array of rows")
+    return LinearMap(dim, m)
+
+
+def _parse_product(doc, dim: int, where: str, params) -> BilinearOp:
+    if not isinstance(doc, list):
+        raise ParseError(f"{where} must be a list of [i, j, k, coefficient] entries")
+    entries = []
+    for e, item in enumerate(doc):
+        if not isinstance(item, list) or len(item) != 4:
+            raise ParseError(f"{where}[{e}]: {item!r} is not [i, j, k, coefficient]")
+        i, j, k, co = item
+        if not all(isinstance(t, int) and not isinstance(t, bool) for t in (i, j, k)):
+            raise ParseError(f"{where}[{e}]: {item!r} has non-integer indices")
+        if not all(1 <= t <= dim for t in (i, j, k)):
+            raise ParseError(f"{where}[{e}]: {item!r} outside basis range 1..{dim}")
+        entries.append((i - 1, j - 1, k - 1, _resolve_coefficient(co, params, where, e, 3)))
+    return BilinearOp._from_table(*entry_table(dim, entries))
+
+
+def _read_header(doc, where: str, bindings):
+    dim = _field(doc, "dim", where, int)
+    if dim < 1:
+        raise ParseError(f"{where}.dim: 'dim' must be positive")
+    params_doc = doc.get("params", {})
+    if not isinstance(params_doc, dict) or not all(map(_PARAM_NAME.fullmatch, params_doc)):
+        raise ParseError(f"{where}.params: 'params' must be a JSON object of name: rational")
+    params = {name: _resolve_coefficient(v, None, f"{where}.params.{name}") for name, v in params_doc.items()}
+    params.update((name, rational(v)) for name, v in (bindings or {}).items())
+    return dim, params, _twist(doc, "alpha", where, dim, params)
+
+
+def parse_algebra_obj(doc, bindings=None) -> HomAlgebra:
+    dim, params, alpha = _read_header(doc, "algebra", bindings)
+    kind = doc.get("kind")
+    if kind not in ("rhizaform", "mono"):
+        raise ParseError(f"algebra.kind: 'kind' must be 'rhizaform' or 'mono', got {kind!r}")
+    beta = None if doc.get("beta") is None else _twist(doc, "beta", "algebra", dim, params)
+    wanted = ("succ", "prec") if kind == "rhizaform" else ("mul",)
+    stray = [n for n in ("succ", "prec", "mul") if n not in wanted and doc.get(n)]
+    if stray:
+        raise ParseError(f"kind {kind!r} does not take product section(s) {stray}")
+    products = {name: _parse_product(doc.get(name, []), dim, f"algebra.{name}", params) for name in wanted}
+    return HomAlgebra(dim, products, alpha, params, beta)
+
+
+def read_operator(doc) -> LinearOperator:
+    for key in ("T", "R", "D", "matrix"):
+        if isinstance(doc, dict) and key in doc:
+            m = _read_matrix(doc[key], f"operator.{key}", None)
+            return LinearOperator(m.cols, m.rows, m)
+    raise ParseError("operator: no operator section ('T')")
+
+
+def read_bimodule(doc) -> Bimodule:
+    left, right = (
+        tuple(_read_matrix(m, f"bimodule.{side}[{i}]", None) for i, m in enumerate(_field(doc, side, "bimodule", list)))
+        for side in ("left", "right")
+    )
+    beta = _read_matrix(_field(doc, "beta", "bimodule", list), "bimodule.beta", None)
+    alg_dim, mod_dim = (_field(doc, key, "bimodule", int) for key in ("alg_dim", "mod_dim"))
+    return Bimodule(alg_dim, mod_dim, left, right, LinearMap(beta.rows, beta))
+
+
+def read_form(doc) -> ScalarForm:
+    m = _read_matrix(_field(doc, "B", "form", list), "form.B", None)
+    return ScalarForm(m.rows, m)
+
+
+def read_family(doc, bindings) -> FamilyAlgebra:
+    s = read_semigroup(doc, "family")
+    dim, params, alpha = _read_header(doc, "family", bindings)
+    succ, prec = (
+        {
+            lam: _parse_product(p, dim, f"family.{name}.{lam}", params)
+            for lam, p in enumerate(_per_element(doc, name, "family", s.size))
+        }
+        for name in ("succ", "prec")
+    )
+    return FamilyAlgebra(dim, s, succ, prec, alpha, params)
+
+
+def read_rb_family(doc) -> RBFamily:
+    s = read_semigroup(doc, "rb_family")
+    ops = {}
+    for lam, rows in enumerate(_per_element(doc, "operators", "rb_family", s.size)):
+        m = _read_matrix(rows, f"rb_family.operators.{lam}", None)
+        ops[lam] = LinearOperator(m.cols, m.rows, m)
+    return RBFamily(s, ops)

@@ -1,16 +1,18 @@
 """Replay every command of ``bench/expected.json`` in process and compare its output.
 
-    PYTHONPATH=src python tests/replay_expected.py
+    PYTHONPATH=src python tests/replay_expected.py [WORKLOAD ...]
 
 ``bench/expected.json`` holds the exit code and structured-stdout SHA-256 of
 every command the benchmark can issue (``bench/inputs.all_items``: 1488 of
 them).  Each one runs here through ``cli.main`` in process, on inputs that
-``bench/inputs.materialize`` writes to a temporary directory.  Every command
-whose exit code or digest differs from its record is printed, and the script
-exits 1 if there is any.  It needs only the standard library, so it runs
-under every supported Python, pytest or not; ``test_bench_replay`` replays a
-sample of the same commands with its loader and runner.  Nothing under
-``bench/`` is written.
+``bench/inputs.materialize`` writes to a temporary directory.  The workloads
+named on the command line (``catalog``, ``solve``, ``check``) are replayed,
+or all of them when none is named.  Every command whose exit code or digest
+differs from its record is printed, and the script exits 1 if there is any
+(2 for a workload with no record).  It needs only the standard library, so
+it runs under every supported Python, pytest or not; ``test_bench_replay``
+replays a sample of the same commands with its loader and runner.  Nothing
+under ``bench/`` is written.
 """
 
 import contextlib
@@ -44,13 +46,18 @@ def outcome(argv) -> dict:
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
 
 
-def replay_all() -> int:
-    """Replay every recorded command; print each mismatch and the totals, and return the exit code."""
+def replay_all(workloads=()) -> int:
+    """Replay every recorded command of ``workloads`` (all when empty); print each mismatch and the
+    totals, and return the exit code."""
     inputs = load_inputs()
     expected = json.loads((BENCH / "expected.json").read_text())
+    unknown = sorted(set(workloads) - set(expected))
+    if unknown:
+        print(f"unknown workload(s) {unknown}; recorded: {sorted(expected)}")
+        return 2
     total = mismatches = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for workload in sorted(expected):
+        for workload in sorted(set(workloads) or expected):
             for t, idx in inputs.all_items(workload):
                 key = f"{t.name}#{idx}"
                 argv, _ = inputs.materialize(t, idx, Path(workdir))
@@ -64,4 +71,4 @@ def replay_all() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(replay_all())
+    sys.exit(replay_all(sys.argv[1:]))

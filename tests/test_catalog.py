@@ -6,6 +6,7 @@ import pytest
 from rhizalab.algmodel import LinearMap, parse_algebra, serialize_algebra, sum_product
 from rhizalab.axioms import _sum_anti_associative, _view, check_hom_anti_associative, check_rhizaform
 from rhizalab.catalog import (
+    CatalogEntry,
     CatalogSummary,
     entry_ids,
     load_catalog_entry,
@@ -64,6 +65,16 @@ def test_parameter_free_entries_need_no_bindings():
 def test_entries_with_parameters():
     with_eta = {eid for eid in entry_ids() if load_catalog_entry(eid).parameters}
     assert with_eta == {"d3.A4", "d3.A6", "d3.A7", "d3.A9"}
+
+
+def test_parameters_are_the_names_the_parser_reads():
+    """Signed and spaced literals are no names; a name in the twist map is one."""
+    doc = {"dim": 1, "kind": "rhizaform", "alpha": [["eta"]], "succ": [[1, 1, 1, "+1"]], "prec": [[1, 1, 1, " 2"]]}
+    entry = CatalogEntry("d2.A0", 1, "test", doc, (), ())
+    assert entry.parameters == ("eta",)
+    with pytest.raises(UnboundParameter):
+        entry.algebra()
+    assert entry.algebra({"eta": F(3)}).alpha == LinearMap.from_rows([[3]])
 
 
 def test_unknown_entry():

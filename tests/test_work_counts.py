@@ -30,6 +30,10 @@ counts repeat exactly.
   ``tensor_collapse`` reads the stored integer table and clears nothing.
 * ``Subspace.full`` builds the identity's rows, already canonical, with no
   elimination.
+* A reader resolves each distinct coefficient text once per document
+  (``exactlin.rational`` is called at most once per text): a dense n = 6
+  algebra file with entries in {-1, 0, 1}, and a family file whose
+  sections, twist map and ``params`` share their texts.
 * A product is stored in integer form, and its dense ``Fraction`` tensor
   (``BilinearOp.coeffs``) is built only for the oracle: the catalog, the
   split check, the cyclic-form solvers, the averaging and cocycle
@@ -41,7 +45,9 @@ import contextlib
 import functools
 import io
 import json
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -79,14 +85,14 @@ ETA = {"eta": F(1)}
 MODULES = (algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpotency, operators)
 
 
-def count_calls(monkeypatch, name: str) -> list:
+def count_calls(monkeypatch, name: str, key=None) -> list:
     """Wrap the library function ``name`` wherever it is looked up; the returned list grows by one
-    entry per call, the name of the function that made it."""
+    entry per call, the name of the function that made it, or ``key`` of the call's arguments."""
     real = next(getattr(m, name) for m in MODULES if hasattr(m, name))
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(sys._getframe(1).f_code.co_name)
+        calls.append(sys._getframe(1).f_code.co_name if key is None else key(*args, **kwargs))
         return real(*args, **kwargs)
 
     for module in MODULES:
@@ -300,6 +306,48 @@ def test_plain_solvers_build_no_twisted_columns(monkeypatch, solve):
     calls = count_calls(monkeypatch, "_left_columns")
     assert solve(a) == expected
     assert calls == []
+
+
+def _dense_mono_text(n: int) -> str:
+    """A mono algebra file listing all n^3 structure constants, each "-1", "0" or "1"."""
+    rng = random.Random(n)
+    basis = range(1, n + 1)
+    entries = [[i, j, k, rng.choice(["-1", "0", "1"])] for i in basis for j in basis for k in basis]
+    alpha = [["1" if r == c else "0" for c in range(n)] for r in range(n)]
+    return json.dumps({"dim": n, "kind": "mono", "alpha": alpha, "mul": entries})
+
+
+def _family_text() -> str:
+    """A family over Z/3 whose six sections, twist map and params share the texts "1/2", "-1", "1" and "eta"."""
+    cells = ["1/2", "-1", "1", "eta", "-eta", "1/2"]
+    sections = {str(lam): [[1 + lam, 2, 1 + (e + lam) % 2, co] for e, co in enumerate(cells)] for lam in range(3)}
+    doc = {
+        "dim": 3,
+        "omega": {"size": 3, "table": [[(a + b) % 3 for b in range(3)] for a in range(3)]},
+        "alpha": [["1", "0", "0"], ["0", "-1", "1/2"], ["0", "0", "eta"]],
+        "params": {"eta": "1/2"},
+    }
+    return json.dumps({**doc, "succ": sections, "prec": sections})
+
+
+READS = {
+    "algebra": (lambda path: files.load_algebra(path, {}), _dense_mono_text(6), {"-1", "0", "1"}),
+    "family": (lambda path: files.read_family(files.load_json(path), {}), _family_text(), {"1/2", "-1", "1", "0"}),
+}
+
+
+@pytest.mark.parametrize("role", READS)
+def test_readers_resolve_each_text_once_per_document(monkeypatch, tmp_path, role):
+    read, text, literals = READS[role]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    expected = read(str(path))
+    calls = count_calls(monkeypatch, "rational", key=lambda token: token)
+    for _ in range(2):  # nothing is kept between documents: a second read resolves its texts again
+        calls.clear()
+        assert read(str(path)) == expected
+        texts = [t for t in calls if isinstance(t, str)]
+        assert sorted(texts) == sorted(literals)
 
 
 def count_dense_reads(monkeypatch) -> list:
