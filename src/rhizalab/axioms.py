@@ -21,6 +21,12 @@ Identity ids used in reports:
 
 A plain split algebra is the one-element family: ``_split_violations`` builds the
 reports of ``check_rhizaform``, ``check_dendriform`` and ``family.check_rhizaform_family``.
+
+Two writers walk the basis tuples.  ``_triple_violations`` writes each degree-3 identity that is a
+list of terms M(e_a) applied to e_b o e_c, for (a, b, c) an order of the triple: the split
+identities, anti-associativity (plain, of a sum, and ``family``'s), Jacobi-Jordan's cyclic identity,
+pre-Jacobi-Jordan and ``nilpotency``'s 2-nilpotency.  ``_homomorphism_violations`` writes the
+map-of-a-product identities over basis pairs: multiplicativity and the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .algmodel import (
     BilinearOp,
@@ -192,33 +199,36 @@ def _view(a: HomAlgebra, *mats) -> _Twisted:
     return _twisted([a.products[name] for name in names], a.alpha, *mats, names=names)
 
 
-def _anti_assoc_violations(first, outer_right, inner, mixed_left, scale: int, prefix=()):
-    """Residual (x first y) outer alpha(z) + alpha(x) mixed (y inner z) on basis triples.
+def _triple_violations(idents, n: int, scale: int, prefix: tuple[int, ...] = ()):
+    """One violation per basis triple x = (i, j, k), in lexicographic order, and identity of ``idents``, in
+    order, whose integer residual r at ``scale`` is nonzero; it is reported at ``prefix + (i+1, j+1, k+1)``.
 
-    ``first`` and ``inner`` are integer tables, ``outer_right`` and
-    ``mixed_left`` the twisted columns of outer and mixed (``_Twisted``).
+    Each of ``idents`` is a pair (ident, terms), and each term a 6-tuple (sign, cols, table, a, b, c): it
+    adds sign cols[x[a]] applied to table[x[b]][x[c]] to r, for the twisted columns ``cols`` of a
+    product (``_Twisted.left`` or ``right``) and an integer table.  A generator, so a caller may stop
+    at the first violation.
     """
-    n = len(first)
-    for i in range(n):
-        m_i = mixed_left[i]
-        for j in range(n):
-            f_ij = first[i][j]
-            for k in range(n):
-                r = [0] * n
-                _apply_into(r, outer_right[k], f_ij)
-                _apply_into(r, m_i, inner[j][k])
-                if any(r):
-                    yield Violation("anti_assoc", (*prefix, i + 1, j + 1, k + 1), r, scale)
+    for x, at in zip(product(range(n), repeat=3), product(range(1, n + 1), repeat=3)):
+        for ident, terms in idents:
+            r = [0] * n
+            for sign, cols, table, a, b, c in terms:
+                _apply_into(r, cols[x[a]], table[x[b]][x[c]], sign)
+            if any(r):
+                yield Violation(ident, prefix + at, r, scale)
+
+
+def _anti_assoc(first, outer_right, inner, mixed_left) -> list:
+    """The one identity (x first y) outer alpha(z) + alpha(x) mixed (y inner z) = 0, for the integer
+    tables ``first`` and ``inner`` and the twisted columns ``outer_right`` and ``mixed_left``."""
+    return [("anti_assoc", [(1, outer_right, first, 2, 0, 1), (1, mixed_left, inner, 0, 1, 2)])]
 
 
 def check_hom_anti_associative(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
     """alpha(x)(yz) = -(xy)alpha(z) on all basis triples."""
     _require_same_dim(mul.dim, alpha.dim)
     t = _twisted([mul], alpha)
-    return CheckReport.collect(
-        "hom_anti_associative",
-        _anti_assoc_violations(t.tables[0], t.right[0], t.tables[0], t.left[0], t.scale),
-    )
+    idents = _anti_assoc(t.tables[0], t.right[0], t.tables[0], t.left[0])
+    return CheckReport.collect("hom_anti_associative", _triple_violations(idents, mul.dim, t.scale))
 
 
 def _sum_anti_associative(t: _Twisted) -> bool:
@@ -226,7 +236,7 @@ def _sum_anti_associative(t: _Twisted) -> bool:
     first failing triple: the sum's table and twisted columns are the sums of the products' own."""
     n = len(t.twist)
     table, left, right = (_summed(grid, n) for grid in (t.tables, t.left, t.right))
-    return next(_anti_assoc_violations(table, right, table, left, t.scale), None) is None
+    return next(_triple_violations(_anti_assoc(table, right, table, left), n, t.scale), None) is None
 
 
 def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult") -> CheckReport:
@@ -254,60 +264,36 @@ def _homomorphism_violations(ident: str, images, src, terms, d: int, prefix: tup
                 yield Violation(ident, (*prefix, i + 1, j + 1), r, d**3)
 
 
-def _split_residuals(succ_l, succ_o, succ_lo, prec_l, prec_o, prec_lo, t: _Twisted, sign):
-    """Yield (i, j, k, r1, r2, r3) over all basis triples for the three split identities.
-
-    The products are indices into ``t``; each r is an integer residual at
-    D^3.  With index-coupled products (lam, omega, lam.omega) the identities
-    read
-
-    * r1: (x prec_omega y + x succ_lam y) succ_{lam.omega} alpha(z)
-      - sign alpha(x) succ_lam (y succ_omega z)
-    * r2: alpha(x) prec_{lam.omega} (y prec_omega z + y succ_lam z)
-      - sign (x prec_lam y) prec_omega alpha(z)
-    * r3: alpha(x) succ_lam (y prec_omega z) - sign (x succ_lam y) prec_omega alpha(z)
-
-    ``sign=-1`` is the anti-associative splitting, ``sign=1`` the associative
-    one; a plain algebra passes its one succ and one prec three times each.
-    """
-    s_l, s_o, p_l, p_o = (t.tables[p] for p in (succ_l, succ_o, prec_l, prec_o))
-    s_lo_right, p_o_right = t.right[succ_lo], t.right[prec_o]
-    s_l_left, p_lo_left = t.left[succ_l], t.left[prec_lo]
-    n = len(s_l)
-    star = _summed([p_o, s_l], n)  # x prec_omega y + x succ_lam y
-    m = -sign
-    for i in range(n):
-        s_l_i, p_lo_i = s_l_left[i], p_lo_left[i]
-        for j in range(n):
-            star_ij, p_l_ij, s_l_ij = star[i][j], p_l[i][j], s_l[i][j]
-            for k in range(n):
-                r1, r2, r3 = [0] * n, [0] * n, [0] * n
-                _apply_into(r1, s_lo_right[k], star_ij)
-                _apply_into(r1, s_l_i, s_o[j][k], m)
-                _apply_into(r2, p_lo_i, star[j][k])
-                _apply_into(r2, p_o_right[k], p_l_ij, m)
-                _apply_into(r3, s_l_i, p_o[j][k])
-                _apply_into(r3, p_o_right[k], s_l_ij, m)
-                yield i, j, k, r1, r2, r3
-
-
 def _split_violations(t: _Twisted, succ: int, prec: int, sign: int, ids, s=None) -> list[Violation]:
     """The three split identities of the family whose succ_lam and prec_lam are the products at
-    ``succ + lam`` and ``prec + lam`` of ``t``, then twist compatibility of both; ``sign=-1`` is the
-    anti-associative splitting, ``sign=1`` the associative one.  Each id of ``ids`` ends in the number
-    of its identity, and a triple's violations follow the order of ``ids``.  Over the semigroup ``s`` a
-    basis tuple is prefixed with (lam, omega), or (lam,); without ``s`` (one element) it has no prefix.
+    ``succ + lam`` and ``prec + lam`` of ``t``, then twist compatibility of both.  With index-coupled
+    products (lam, omega, lam.omega) the identities read
+
+    * 1: (x prec_omega y + x succ_lam y) succ_{lam.omega} alpha(z) - sign alpha(x) succ_lam (y succ_omega z)
+    * 2: alpha(x) prec_{lam.omega} (y prec_omega z + y succ_lam z) - sign (x prec_lam y) prec_omega alpha(z)
+    * 3: alpha(x) succ_lam (y prec_omega z) - sign (x succ_lam y) prec_omega alpha(z)
+
+    ``sign=-1`` is the anti-associative splitting, ``sign=1`` the associative one; each is written by
+    ``_triple_violations``, the star product x prec_omega y + x succ_lam y as one summed table.  Each id
+    of ``ids`` ends in the number of its identity, and a triple's violations follow the order of ``ids``.
+    Over the semigroup ``s`` a basis tuple is prefixed with (lam, omega), or (lam,); without ``s`` (one
+    element, a plain algebra passing its one succ and one prec) it has no prefix.
     """
-    size, order = s.size if s else 1, [(ident, int(ident[-1]) - 1) for ident in ids]
+    size, n, m = s.size if s else 1, len(t.twist), -sign
     violations = []
     for lam in range(size):
         for omega in range(size):
             lo, prefix = (s.mul(lam, omega), (lam, omega)) if s else (0, ())
-            products = (succ + lam, succ + omega, succ + lo, prec + lam, prec + omega, prec + lo)
-            for i, j, k, *resids in _split_residuals(*products, t, sign):
-                for ident, at in order:
-                    if any(resids[at]):
-                        violations.append(Violation(ident, (*prefix, i + 1, j + 1, k + 1), resids[at], t.scale))
+            s_l, s_o, p_l, p_o = (t.tables[p] for p in (succ + lam, succ + omega, prec + lam, prec + omega))
+            star = _summed([p_o, s_l], n)
+            s_l_left, p_o_right = t.left[succ + lam], t.right[prec + omega]
+            terms = (
+                [(1, t.right[succ + lo], star, 2, 0, 1), (m, s_l_left, s_o, 0, 1, 2)],
+                [(1, t.left[prec + lo], star, 0, 1, 2), (m, p_o_right, p_l, 2, 0, 1)],
+                [(1, s_l_left, p_o, 0, 1, 2), (m, p_o_right, s_l, 2, 0, 1)],
+            )
+            idents = [(ident, terms[int(ident[-1]) - 1]) for ident in ids]
+            violations.extend(_triple_violations(idents, n, t.scale, prefix))
     for lam in range(size):
         for p, name in ((succ + lam, "succ"), (prec + lam, "prec")):
             terms = [(t.left[p], t.twist)]
@@ -352,36 +338,19 @@ def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
             _add_into(r, table[j][i], -1)
             if any(r):
                 violations.append(Violation("comm", (i + 1, j + 1), r, t.d))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = [0] * n
-                _apply_into(r, left[i], table[j][k])
-                _apply_into(r, left[j], table[k][i])
-                _apply_into(r, left[k], table[i][j])
-                if any(r):
-                    violations.append(Violation("cyclic", (i + 1, j + 1, k + 1), r, t.scale))
+    cyclic = [(1, left, table, 0, 1, 2), (1, left, table, 1, 2, 0), (1, left, table, 2, 0, 1)]
+    violations.extend(_triple_violations([("cyclic", cyclic)], n, t.scale))
     return CheckReport.collect("jacobi_jordan", violations)
 
 
 def check_pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
     """(xy)alpha(z) + alpha(x)(yz) + (yx)alpha(z) + alpha(y)(xz) = 0."""
     _require_same_dim(mul.dim, alpha.dim)
-    n = mul.dim
     t = _twisted([mul], alpha)
     table, left, right = t.tables[0], t.left[0], t.right[0]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = [0] * n
-                _apply_into(r, right[k], table[i][j])
-                _apply_into(r, left[i], table[j][k])
-                _apply_into(r, right[k], table[j][i])
-                _apply_into(r, left[j], table[i][k])
-                if any(r):
-                    violations.append(Violation("pre_jj", (i + 1, j + 1, k + 1), r, t.scale))
-    return CheckReport.collect("pre_jacobi_jordan", violations)
+    terms = [(1, right, table, 2, 0, 1), (1, left, table, 0, 1, 2)]  # (xy)alpha(z) + alpha(x)(yz)
+    terms += [(1, right, table, 2, 1, 0), (1, left, table, 1, 0, 2)]  # (yx)alpha(z) + alpha(y)(xz)
+    return CheckReport.collect("pre_jacobi_jordan", _triple_violations([("pre_jj", terms)], mul.dim, t.scale))
 
 
 def pre_jacobi_jordan_product(a: HomAlgebra) -> BilinearOp:

@@ -76,7 +76,7 @@ class Matrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        entries = tuple(rational(e) for e in self.entries)
+        entries = tuple(e if type(e) is Fraction else rational(e) for e in self.entries)
         if len(entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(entries)}"
@@ -85,7 +85,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows_) -> Matrix:
-        rows_ = [list(r) for r in rows_]
+        rows_ = list(rows_)
         n = len(rows_)
         m = len(rows_[0]) if rows_ else 0
         for r in rows_:

@@ -5,8 +5,9 @@ A finite semigroup is an explicit multiplication table over indices
 element; the family identities couple the indices through the table.  A
 plain algebra or operator is the one-element family: the split identities'
 report (``axioms._split_violations``), the O-identity's clearing and report
-(``operators._cleared``, ``_o_report``), the anti-associativity residual and
-the induced splitting each exist once, and a plain caller passes no
+(``operators._cleared``, ``_o_report``), the anti-associativity terms
+(``axioms._anti_assoc``, written by ``axioms._triple_violations``) and the
+induced splitting each exist once, and a plain caller passes no
 semigroup, so its violations carry no index prefix.  The tensor collapse
 turns an operator family into a single operator on dim * size coordinates
 (basis ordered algebra-index major: (i, lam) -> i * size + lam).
@@ -29,9 +30,10 @@ from .algmodel import _combination
 from .axioms import (
     CheckReport,
     Violation,
-    _anti_assoc_violations,
+    _anti_assoc,
     _require_same_dim,
     _split_violations,
+    _triple_violations,
     _twisted,
 )
 from .errors import DimensionMismatch, NotARotaBaxterOperator
@@ -159,19 +161,11 @@ def check_anti_associative_family(
     t = _twisted([products[pair] for pair in pairs], alpha)
     index = {pair: p for p, pair in enumerate(pairs)}
     violations = []
-    for lam in range(semigroup.size):
-        for omega in range(semigroup.size):
-            for gam in range(semigroup.size):
-                violations.extend(
-                    _anti_assoc_violations(
-                        t.tables[index[(lam, omega)]],
-                        t.right[index[(semigroup.mul(lam, omega), gam)]],
-                        t.tables[index[(omega, gam)]],
-                        t.left[index[(lam, semigroup.mul(omega, gam))]],
-                        t.scale,
-                        (lam, omega, gam),
-                    )
-                )
+    for lam, omega, gam in product(range(semigroup.size), repeat=3):
+        first, inner = t.tables[index[(lam, omega)]], t.tables[index[(omega, gam)]]
+        outer, mixed = index[(semigroup.mul(lam, omega), gam)], index[(lam, semigroup.mul(omega, gam))]
+        idents = _anti_assoc(first, t.right[outer], inner, t.left[mixed])
+        violations.extend(_triple_violations(idents, alpha.dim, t.scale, (lam, omega, gam)))
     return CheckReport.collect("anti_associative_family", violations)
 
 

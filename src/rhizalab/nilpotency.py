@@ -33,7 +33,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .algmodel import HomAlgebra, _apply_into, _product_into, _sparse
-from .axioms import CheckReport, Violation, _homomorphism_violations, _Twisted, _view
+from .axioms import CheckReport, Violation, _homomorphism_violations, _triple_violations, _Twisted, _view
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
 
@@ -221,21 +221,15 @@ def check_series_equality(a: HomAlgebra) -> CheckReport:
 
 
 def _two_nilpotent(t: _Twisted) -> CheckReport:
-    n = len(t.twist)
+    """(e_i o_p e_j) o_q alpha(e_k) ("out:p,q") and alpha(e_i) o_q (e_j o_p e_k) ("in:p,q") for every pair
+    of products p, q of the view ``t``, each a one-term identity of ``axioms._triple_violations``."""
     violations = []
-    for p, p_name in enumerate(t.names):
-        for q, q_name in enumerate(t.names):
-            for i, j, k in product(range(n), repeat=3):
-                # (e_i o_p e_j) o_q alpha(e_k), then alpha(e_i) o_q (e_j o_p e_k)
-                out_in = (("out", t.right[q][k], t.tables[p][i][j]), ("in", t.left[q][i], t.tables[p][j][k]))
-                for side, cols, x in out_in:
-                    if not x:  # a zero product: nothing to apply
-                        continue
-                    r = [0] * n
-                    _apply_into(r, cols, x)
-                    if any(r):
-                        ident = f"{side}:{p_name},{q_name}"
-                        violations.append(Violation(ident, (i + 1, j + 1, k + 1), r, t.scale))
+    for (p, p_name), (q, q_name) in product(enumerate(t.names), repeat=2):
+        idents = [
+            (f"out:{p_name},{q_name}", [(1, t.right[q], t.tables[p], 2, 0, 1)]),
+            (f"in:{p_name},{q_name}", [(1, t.left[q], t.tables[p], 0, 1, 2)]),
+        ]
+        violations.extend(_triple_violations(idents, len(t.twist), t.scale))
     return CheckReport.collect("2_nilpotent", violations)
 
 

@@ -28,11 +28,15 @@ counts repeat exactly.
 * ``_integers`` has one caller, ``axioms._twisted``: on every route that
   clears, each call comes from it, and there is at most one.
   ``tensor_collapse`` reads the stored integer table and clears nothing.
+* The anti-associativity test of a sum of products stops at the first
+  failing triple: it builds one ``Violation``, which the strict cyclic-form
+  solvers and ``catalog verify --oracle`` rely on.
 * ``Subspace.full`` builds the identity's rows, already canonical, with no
   elimination.
 * A reader resolves each distinct coefficient text once per document
-  (``exactlin.rational`` is called at most once per text): a dense n = 6
-  algebra file with entries in {-1, 0, 1}, and a family file whose
+  (``exactlin.rational`` is called at most once per text, and on nothing
+  but texts: a ``Matrix`` keeps the ``Fraction``s it is given): a dense
+  n = 6 algebra file with entries in {-1, 0, 1}, and a family file whose
   sections, twist map and ``params`` share their texts.
 * A product is stored in integer form, and its dense ``Fraction`` tensor
   (``BilinearOp.coeffs``) is built only for the oracle: the catalog, the
@@ -308,6 +312,16 @@ def test_plain_solvers_build_no_twisted_columns(monkeypatch, solve):
     assert calls == []
 
 
+def test_sum_anti_associative_stops_at_the_first_failing_triple(monkeypatch):
+    # e_i e_j = e_1 and alpha = id: every triple fails, (e_1 e_1) e_1 + e_1 (e_1 e_1) = 2 e_1 first
+    mul = BilinearOp.from_entries(2, [(i, j, 0, F(1)) for i in range(2) for j in range(2)])
+    a = HomAlgebra.mono(mul, algmodel.LinearMap.identity(2))
+    assert len(axioms.check_hom_anti_associative(a.mul, a.alpha).violations) == 8
+    calls = count_calls(monkeypatch, "Violation")
+    assert axioms._sum_anti_associative(axioms._view(a)) is False
+    assert len(calls) == 1
+
+
 def _dense_mono_text(n: int) -> str:
     """A mono algebra file listing all n^3 structure constants, each "-1", "0" or "1"."""
     rng = random.Random(n)
@@ -346,8 +360,8 @@ def test_readers_resolve_each_text_once_per_document(monkeypatch, tmp_path, role
     for _ in range(2):  # nothing is kept between documents: a second read resolves its texts again
         calls.clear()
         assert read(str(path)) == expected
-        texts = [t for t in calls if isinstance(t, str)]
-        assert sorted(texts) == sorted(literals)
+        assert all(isinstance(t, str) for t in calls), [t for t in calls if not isinstance(t, str)]
+        assert sorted(calls) == sorted(literals)
 
 
 def count_dense_reads(monkeypatch) -> list:
