@@ -25,8 +25,10 @@ reports of ``check_rhizaform``, ``check_dendriform`` and ``family.check_rhizafor
 Two writers walk the basis tuples.  ``_triple_violations`` writes each degree-3 identity that is a
 list of terms M(e_a) applied to e_b o e_c, for (a, b, c) an order of the triple: the split
 identities, anti-associativity (plain, of a sum, and ``family``'s), Jacobi-Jordan's cyclic identity,
-pre-Jacobi-Jordan and ``nilpotency``'s 2-nilpotency.  ``_homomorphism_violations`` writes the
-map-of-a-product identities over basis pairs: multiplicativity and the Leibniz rule.
+pre-Jacobi-Jordan and ``nilpotency``'s 2-nilpotency.  ``_homomorphism_violations`` writes each
+identity over basis pairs that is a signed, lifted map of a product against a signed sum of products:
+multiplicativity, the homomorphism identity, the Leibniz rule, commutativity and ``operators``'
+O-identity.  The bimodule identities stay apart: they compose action matrices over (i, j, u).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .algmodel import (
     BilinearOp,
     HomAlgebra,
     LinearMap,
-    _add_into,
     _apply_into,
     _combination,
     _integers,
@@ -183,7 +184,7 @@ class _Twisted:
 
     @cached_property
     def right(self) -> list:  # right[p][k]: the columns of - o_p alpha(e_k)
-        return [[_left_columns(_opposite(t), a_i, len(self.twist)) for a_i in self.twist] for t in self.tables]
+        return [[_left_columns(o, a_i, len(self.twist)) for a_i in self.twist] for o in map(_opposite, self.tables)]
 
 
 def _twisted(ops, alpha: LinearMap, *mats, names=()) -> _Twisted:
@@ -243,25 +244,32 @@ def check_multiplicativity(op: BilinearOp, alpha: LinearMap, name: str = "mult")
     """alpha(x o y) = alpha(x) o alpha(y) on all basis pairs: alpha is a homomorphism of o."""
     _require_same_dim(op.dim, alpha.dim)
     t = _twisted([op], alpha)
-    violations = _homomorphism_violations(name, t.twist, t.tables[0], [(t.left[0], t.twist)], t.d)
-    return CheckReport.collect(f"multiplicativity[{name}]", violations)
+    return CheckReport.collect(f"multiplicativity[{name}]", _mult_violations(t, 0, name))
 
 
-def _homomorphism_violations(ident: str, images, src, terms, d: int, prefix: tuple[int, ...] = ()):
-    """Residual f(x o y) - sum_t g_t(x) o' h_t(y) on basis pairs, for the columns ``images`` of f and the
-    table ``src`` of o, cleared by ``d``; the left side (d^2) is lifted by d to d^3.  Each term is a pair
-    (lefts, rights): lefts[i] holds the columns of g_t(e_i) o' -, ``rights`` those of h_t.  A
-    homomorphism f has the one term (f(e_i) o' -, f), so multiplicativity of product p of a view t is
-    ``[(t.left[p], t.twist)]``; the twisted Leibniz rule (``check_alpha_derivation``) has two."""
-    size = len(terms[0][0][0])
+def _mult_violations(t: _Twisted, p: int, ident: str, prefix: tuple[int, ...] = ()):
+    """Multiplicativity of product p of the view ``t``: the homomorphism residual of alpha, lifted by D."""
+    return _homomorphism_violations(ident, t.twist, t.tables[p], [(-1, t.left[p], t.twist)], t.d, t.scale, prefix)
+
+
+def _homomorphism_violations(ident: str, images, src, terms, lift: int, scale: int, prefix: tuple[int, ...] = ()):
+    """Residual lift f(x o y) + sum_t sign_t g_t(x) o' h_t(y) on basis pairs, in lexicographic order, at
+    ``scale``, for the columns ``images`` of f and the integer table ``src`` of o.  Each term is a triple
+    (sign, lefts, rights): lefts[i] holds the columns of g_t(e_i) o' -, ``rights`` those of h_t.
+
+    A homomorphism f has the one term (-1, f(e_i) o' -, f), its left side at d^2 lifted by d to d^3:
+    multiplicativity (``_mult_violations``) and ``operators.check_homomorphism``.  The twisted Leibniz
+    rule (``check_alpha_derivation``) has two such terms.  Commutativity (``check_jacobi_jordan``) is the
+    identity map into the opposite product, and the O-identity (``operators._o_report``) is T's, from
+    the summed splitting into the product, lifted by -1 so that T(x) * T(y) is read with sign +1."""
     for i, row in enumerate(src):
         for j, cell in enumerate(row):
-            r = [0] * size
-            _apply_into(r, images, cell, d)
-            for lefts, rights in terms:
-                _apply_into(r, lefts[i], rights[j], -1)
+            r = [0] * len(terms[0][1][i])  # the target's dimension
+            _apply_into(r, images, cell, lift)
+            for sign, lefts, rights in terms:
+                _apply_into(r, lefts[i], rights[j], sign)
             if any(r):
-                yield Violation(ident, (*prefix, i + 1, j + 1), r, d**3)
+                yield Violation(ident, (*prefix, i + 1, j + 1), r, scale)
 
 
 def _split_violations(t: _Twisted, succ: int, prec: int, sign: int, ids, s=None) -> list[Violation]:
@@ -296,9 +304,7 @@ def _split_violations(t: _Twisted, succ: int, prec: int, sign: int, ids, s=None)
             violations.extend(_triple_violations(idents, n, t.scale, prefix))
     for lam in range(size):
         for p, name in ((succ + lam, "succ"), (prec + lam, "prec")):
-            terms = [(t.left[p], t.twist)]
-            mult = _homomorphism_violations(f"mult_{name}", t.twist, t.tables[p], terms, t.d, (lam,) if s else ())
-            violations.extend(mult)
+            violations.extend(_mult_violations(t, p, f"mult_{name}", (lam,) if s else ()))
     return violations
 
 
@@ -329,15 +335,8 @@ def check_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
     _require_same_dim(mul.dim, alpha.dim)
     n = mul.dim
     t = _twisted([mul], alpha)
-    table, left = t.tables[0], t.left[0]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            r = [0] * n
-            _add_into(r, table[i][j])
-            _add_into(r, table[j][i], -1)
-            if any(r):
-                violations.append(Violation("comm", (i + 1, j + 1), r, t.d))
+    table, left, units = t.tables[0], t.left[0], [((k, 1),) for k in range(n)]
+    violations = list(_homomorphism_violations("comm", units, table, [(-1, _opposite(table), units)], 1, t.d))
     cyclic = [(1, left, table, 0, 1, 2), (1, left, table, 1, 2, 0), (1, left, table, 2, 0, 1)]
     violations.extend(_triple_violations([("cyclic", cyclic)], n, t.scale))
     return CheckReport.collect("jacobi_jordan", violations)
@@ -402,6 +401,6 @@ def check_alpha_derivation(d, a: HomAlgebra, product_name: str) -> CheckReport:
     _require_rb_shape(d, a)
     t = _twisted([a.product(product_name)], a.alpha, d.matrix)
     table, (dcols,) = t.tables[0], t.mats
-    terms = [([_left_columns(table, x, a.dim) for x in dcols], t.twist), (t.left[0], dcols)]
-    violations = _homomorphism_violations("leibniz", dcols, table, terms, t.d)
+    terms = [(-1, [_left_columns(table, x, a.dim) for x in dcols], t.twist), (-1, t.left[0], dcols)]
+    violations = _homomorphism_violations("leibniz", dcols, table, terms, t.d, t.scale)
     return CheckReport.collect(f"alpha_derivation[{product_name}]", violations)

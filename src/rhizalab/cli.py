@@ -97,7 +97,8 @@ OPERATION_COVERAGE = {
     "operators.induced_rhizaform_from_o_operator": "induce --what o-operator --operator T.json --bimodule M.json FILE",
     "operators.induced_rhizaform_from_rb": "induce --what rb --operator R.json FILE",
     "operators.check_homomorphism": "check --kind homomorphism --operator f.json --target B.json FILE",
-    "operators.compatible_from_invertible_o_operator": "induce --what invertible-o --operator T.json --bimodule M.json FILE",
+    "operators.compatible_from_invertible_o_operator":
+        "induce --what invertible-o --operator T.json --bimodule M.json FILE",
     "cocycles.scalar_cocycle_space": "cocycles --scalar FILE",
     "cocycles.vector_cocycle_space": "cocycles --vector FILE",
     "cocycles.is_nondegenerate": "cocycles --scalar FILE (reported per basis form)",
@@ -122,7 +123,8 @@ OPERATION_COVERAGE = {
     "family.induced_family_rhizaform": "family --do induce --algebra A.json FILE",
     "family.tensor_collapse": "family --do collapse --algebra A.json FILE",
     "catalog.load_entry": "catalog show --id ID (the entry's algebra, read with the entry)",
-    "catalog.verify_entry": "catalog verify --id ID (each entry's report, through the per-entry helper of verify_entry)",
+    "catalog.verify_entry":
+        "catalog verify --id ID (each entry's report, through the per-entry helper of verify_entry)",
     "catalog.verify_all": "catalog verify",
 }
 

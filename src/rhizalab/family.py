@@ -4,10 +4,10 @@ A finite semigroup is an explicit multiplication table over indices
 0..size-1.  A family algebra carries one (succ, prec) pair per semigroup
 element; the family identities couple the indices through the table.  A
 plain algebra or operator is the one-element family: the split identities'
-report (``axioms._split_violations``), the O-identity's clearing and report
-(``operators._cleared``, ``_o_report``), the anti-associativity terms
-(``axioms._anti_assoc``, written by ``axioms._triple_violations``) and the
-induced splitting each exist once, and a plain caller passes no
+report (``axioms._split_violations``), the O-identity's clearing, splitting
+and report (``operators._cleared``, ``_split``, ``_o_report``), the
+anti-associativity terms (``axioms._anti_assoc``, written by
+``axioms._triple_violations``) each exist once, and a plain caller passes no
 semigroup, so its violations carry no index prefix.  The tensor collapse
 turns an operator family into a single operator on dim * size coordinates
 (basis ordered algebra-index major: (i, lam) -> i * size + lam).
@@ -188,8 +188,8 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
     """R_lam(x) * R_omega(y) = R_{lam.omega}(R_lam(x) * y + x * R_omega(y)), each R twist-equivariant."""
     mul = a.mul
     _require_family_shape(rf, a)
-    mats = [rf.operators[lam].matrix for lam in range(rf.semigroup.size)]
-    return _o_report("rb_family", "rb_identity", _cleared(mul, a.alpha, mats), rf.semigroup)
+    c = _cleared(mul, a.alpha, [rf.operators[lam].matrix for lam in range(rf.semigroup.size)])
+    return _o_report("rb_family", "rb_identity", c, [_split(c.left, c.right, op) for op in c.ops], rf.semigroup)
 
 
 def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -> FamilyAlgebra:
@@ -200,11 +200,10 @@ def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -
     _require_family_shape(rf, a)
     s = rf.semigroup
     c = _cleared(a.mul, a.alpha, [rf.operators[lam].matrix for lam in range(s.size)])
-    if strict and not (rep := _o_report("rb_family", "rb_identity", c, s)).passed:
+    splits = [_split(c.left, c.right, op) for op in c.ops]
+    if strict and not (rep := _o_report("rb_family", "rb_identity", c, splits, s)).passed:
         raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
-    succ, prec = {}, {}
-    for lam in range(s.size):
-        succ[lam], prec[lam] = _split(c.left, c.right, c.ops[lam], c.d**2)
+    succ, prec = ({lam: BilinearOp._from_table(split[p], c.d**2) for lam, split in enumerate(splits)} for p in (0, 1))
     return FamilyAlgebra(a.dim, s, succ, prec, a.alpha, dict(a.params))
 
 

@@ -33,7 +33,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .algmodel import HomAlgebra, _apply_into, _product_into, _sparse
-from .axioms import CheckReport, Violation, _homomorphism_violations, _triple_violations, _Twisted, _view
+from .axioms import CheckReport, Violation, _mult_violations, _triple_violations, _Twisted, _view
 from .errors import DimensionMismatch
 from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
 
@@ -277,8 +277,7 @@ def check_alpha_stability(a: HomAlgebra) -> CheckReport:
 
 
 def _multiplicative(t: _Twisted) -> bool:
-    mults = (_homomorphism_violations("", t.twist, tb, [(t.left[p], t.twist)], t.d) for p, tb in enumerate(t.tables))
-    return not any(map(any, mults))
+    return not any(any(_mult_violations(t, p, "")) for p in range(len(t.tables)))
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,19 @@ The dual module is realized concretely by matrix transposition (dual-basis
 identification), so double-dualizing returns the original object bit for
 bit.
 
-An averaging (weight-zero Rota-Baxter) operator is the O-operator of the
-regular bimodule (left action the product, right action its opposite), and a
-plain operator is the one-element family: one clearing (``_cleared``), one
-report (``_o_report``) and one induced splitting serve every O-operator and
-averaging check and induction, plain and in families.  A strict induction
-checks the clearing it splits.  A nondegenerate cyclic form B gives the invertible O-operator
-(B^T)^-1 of the coregular bimodule, the dual of the regular one (``cocycles``).
+An averaging (weight-zero Rota-Baxter) operator is the O-operator of the regular bimodule (left
+action the product, right action its opposite), and a plain operator is the one-element family: one
+clearing (``_cleared``), one induced splitting (``_split``) and one report (``_o_report``) serve
+every O-operator and averaging check and induction, plain and in families.  The O-identity is the
+homomorphism residual (``axioms._homomorphism_violations``) of T from the summed splitting into the
+algebra, so a strict induction checks the tables it outputs.  A nondegenerate cyclic form B gives the
+invertible O-operator (B^T)^-1 of the coregular bimodule, the dual of the regular one (``cocycles``).
 
-Bimodule report identity ids are ``bm1`` .. ``bm5`` in the printed order
-(left-left, right-right, mixed, twist-left, twist-right), plus
-``bm3_swapped`` for the mixed identity with the two algebra arguments
-exchanged: the source states the mixed compatibility with two different
-placements of the twist, so both readings' residuals are recorded (over all
-basis pairs they coincide).
+Bimodule report identity ids are ``bm1`` .. ``bm5`` in the printed order (left-left, right-right,
+mixed, twist-left, twist-right), plus ``bm3_swapped`` for the mixed identity with the two algebra
+arguments exchanged: the source states the mixed compatibility with two different placements of the
+twist, so both readings' residuals are recorded.  Over all basis pairs they coincide: ``bm3_swapped``
+at (i, j) is ``bm3`` at (j, i).
 """
 
 from __future__ import annotations
@@ -34,13 +33,12 @@ from .algmodel import (
     _apply_into,
     _left_columns,
     _opposite,
-    _product_into,
     _sparse,
+    _summed,
     sum_product,
 )
 from .axioms import (
     CheckReport,
-    Violation,
     _column_violations,
     _homomorphism_violations,
     _require_rb_shape,
@@ -174,20 +172,21 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
     l_alpha = [_left_columns(left, twist[i], md) for i in range(n)]  # l(alpha(e_i)), at D^2
     r_alpha = [_left_columns(right, twist[i], md) for i in range(n)]
     scale = d**3
+    # bm3: l(alpha(a)) r(b) = -r(alpha(b)) l(a); with the two algebra slots exchanged it is bm3 at (b, a)
+    bm3 = [[_products_sum(md, (1, l_alpha[i], right[j]), (1, r_alpha[j], left[i])) for j in range(n)] for i in range(n)]
     violations = []
     for i in range(n):
         for j in range(n):
             l_star = _left_columns(left, table[i][j], md)  # l(e_i * e_j), at D^2
             r_star = _left_columns(right, table[i][j], md)
-            for ident, terms in (
+            for ident, cols in (
                 # bm1: l(alpha(a)) l(b) = -l(a*b) beta ;  bm2: r(alpha(b)) r(a) = -r(a*b) beta
-                ("bm1", ((1, l_alpha[i], left[j]), (1, l_star, beta))),
-                ("bm2", ((1, r_alpha[j], right[i]), (1, r_star, beta))),
-                # bm3: l(alpha(a)) r(b) = -r(alpha(b)) l(a), then with the two algebra slots exchanged
-                ("bm3", ((1, l_alpha[i], right[j]), (1, r_alpha[j], left[i]))),
-                ("bm3_swapped", ((1, r_alpha[i], left[j]), (1, l_alpha[j], right[i]))),
+                ("bm1", _products_sum(md, (1, l_alpha[i], left[j]), (1, l_star, beta))),
+                ("bm2", _products_sum(md, (1, r_alpha[j], right[i]), (1, r_star, beta))),
+                ("bm3", bm3[i][j]),
+                ("bm3_swapped", bm3[j][i]),
             ):
-                violations.extend(_column_violations(ident, _products_sum(md, *terms), scale, (i + 1, j + 1)))
+                violations.extend(_column_violations(ident, cols, scale, (i + 1, j + 1)))
         # bm4: beta l(a) = l(alpha(a)) beta ;  bm5: beta r(a) = r(alpha(a)) beta
         for ident, act, act_alpha in (("bm4", left[i], l_alpha[i]), ("bm5", right[i], r_alpha[i])):
             cols = _products_sum(md, (d, beta, act), (-1, act_alpha, beta))
@@ -229,31 +228,24 @@ def _cleared(mul: BilinearOp | None, alpha: LinearMap, mats, m: Bimodule | None 
     return _Cleared(t.tables[0] if t.tables else None, t.twist, ops[:k], ops[k : k + n], ops[k + n :], beta, t.d)
 
 
-def _o_report(name: str, ident: str, c: _Cleared, s=None) -> CheckReport:
-    """T_lam beta = alpha T_lam for each operator, then, as ``ident``, the residual
-    T_lam(u)*T_omega(v) - T_{lam.omega}(L(T_lam(u))v + R(T_omega(v))u) on module basis pairs for
-    each (lam, omega), read off ``c``: both sides of the first are at D^2, of the second at D^3.
-    Over the semigroup ``s`` violations are prefixed with (lam,) and (lam, omega); without one the
-    operator T_0 is the one-element family, with no prefix."""
+def _o_report(name: str, ident: str, c: _Cleared, splits, s=None) -> CheckReport:
+    """T_lam beta = alpha T_lam for each operator (at D^2), then, as ``ident``, for each (lam, omega) the
+    O-identity T_lam(u)*T_omega(v) - T_{lam.omega}(u succ_lam v + u prec_omega v) on module basis pairs
+    (at D^3): the homomorphism residual of T_{lam.omega}, lifted by -1, read off ``c`` and ``splits``
+    (splits[lam]: the tables of succ_lam and prec_lam, ``_split``).  Over the semigroup ``s`` violations
+    are prefixed with (lam,) and (lam, omega); without one T_0 is the one-element family, no prefix."""
     size, n, md = s.size if s else 1, len(c.twist), len(c.beta)
     violations = []
     for lam in range(size):
         cols = _products_sum(n, (1, c.ops[lam], c.beta), (-1, c.twist, c.ops[lam]))  # T_lam beta - alpha T_lam
         violations.extend(_column_violations("equivariance", cols, c.d**2, (lam,) if s else ()))
+    t_left = [[_left_columns(c.table, x, n) for x in c.ops[lam]] for lam in range(size)]  # T_lam(e_u) * -
     for lam in range(size):
         for omega in range(size):
             lo, prefix = (s.mul(lam, omega), (lam, omega)) if s else (0, ())
-            t_x, t_y, t_xy = c.ops[lam], c.ops[omega], c.ops[lo]
-            for u in range(md):
-                for v in range(md):
-                    inner = [0] * md  # L(T_x(u)) e_v + R(T_y(v)) e_u, at D^2
-                    _product_into(inner, c.left, t_x[u], ((v, 1),))
-                    _product_into(inner, c.right, t_y[v], ((u, 1),))
-                    r = [0] * n
-                    _product_into(r, c.table, t_x[u], t_y[v])
-                    _apply_into(r, t_xy, _sparse(inner), -1)
-                    if any(r):
-                        violations.append(Violation(ident, (*prefix, u + 1, v + 1), r, c.d**3))
+            src = _summed([splits[lam][0], splits[omega][1]], md)
+            terms = [(1, t_left[lam], c.ops[omega])]
+            violations.extend(_homomorphism_violations(ident, c.ops[lo], src, terms, -1, c.d**3, prefix))
     return CheckReport.collect(name, violations)
 
 
@@ -261,28 +253,28 @@ def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckRepo
     """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs."""
     mul = a.mul
     _require_o_shapes(t, a, m)
-    return _o_report("o_operator", "o_identity", _cleared(mul, a.alpha, [t.matrix], m))
+    c = _cleared(mul, a.alpha, [t.matrix], m)
+    return _o_report("o_operator", "o_identity", c, [_split(c.left, c.right, c.ops[0])])
 
 
 def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
     """Weight-zero averaging identity R(x)*R(y) = R(R(x)*y + x*R(y)), with R alpha = alpha R."""
     mul = a.mul
     _require_rb_shape(r, a)
-    return _o_report("rota_baxter", "rb_identity", _cleared(mul, a.alpha, [r.matrix]))
+    c = _cleared(mul, a.alpha, [r.matrix])
+    return _o_report("rota_baxter", "rb_identity", c, [_split(c.left, c.right, c.ops[0])])
 
 
-def _split(left, right, images, scale: int) -> tuple[BilinearOp, BilinearOp]:
-    """u succ v = L(T(u))v and u prec v = R(T(v))u on the module, for the integer tables of
-    the two actions (left[i][w] = L(e_i) e_w) and the integer columns of T; every cell is at
-    ``scale``.  Row u of succ holds the columns of L(T(u)), column v of prec those of R(T(v)).
+def _split(left, right, images) -> tuple[list, list]:
+    """The integer tables, at D^2, of u succ v = L(T(u))v and u prec v = R(T(v))u on the module, for
+    the integer tables of the two actions (left[i][w] = L(e_i) e_w) and the integer columns of T, all
+    at D.  Row u of succ holds the columns of L(T(u)), column v of prec those of R(T(v)).
 
     On the regular bimodule, with left the product's table and right its opposite, this is
     the averaging-operator splitting x succ y = R(x)*y, x prec y = x*R(y).
     """
     md = len(images)
-    succ = [_left_columns(left, x, md) for x in images]
-    prec = _opposite([_left_columns(right, x, md) for x in images])
-    return BilinearOp._from_table(succ, scale), BilinearOp._from_table(prec, scale)
+    return [_left_columns(left, x, md) for x in images], _opposite([_left_columns(right, x, md) for x in images])
 
 
 def induced_rhizaform_from_o_operator(
@@ -294,9 +286,10 @@ def induced_rhizaform_from_o_operator(
     """
     _require_o_shapes(t, a, m)
     c = _cleared(a.mul if strict else None, a.alpha, [t.matrix], m)
-    if strict and not (rep := _o_report("o_operator", "o_identity", c)).passed:
+    split = _split(c.left, c.right, c.ops[0])
+    if strict and not (rep := _o_report("o_operator", "o_identity", c, [split])).passed:
         raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
-    return HomAlgebra.rhizaform(*_split(c.left, c.right, c.ops[0], c.d**2), m.beta)
+    return HomAlgebra.rhizaform(*(BilinearOp._from_table(tb, c.d**2) for tb in split), m.beta)
 
 
 def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = True) -> HomAlgebra:
@@ -306,9 +299,10 @@ def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = T
     """
     _require_rb_shape(r, a)
     c = _cleared(a.mul, a.alpha, [r.matrix])
-    if strict and not (rep := _o_report("rota_baxter", "rb_identity", c)).passed:
+    split = _split(c.left, c.right, c.ops[0])
+    if strict and not (rep := _o_report("rota_baxter", "rb_identity", c, [split])).passed:
         raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
-    return HomAlgebra.rhizaform(*_split(c.left, c.right, c.ops[0], c.d**2), a.alpha)
+    return HomAlgebra.rhizaform(*(BilinearOp._from_table(tb, c.d**2) for tb in split), a.alpha)
 
 
 def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
@@ -328,7 +322,8 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
     violations = list(_column_violations("equivariance", cols, t.d**2))
     for p, name in enumerate(names):
         dst_left = [_left_columns(t.tables[len(names) + p], x, a2.dim) for x in images]
-        violations.extend(_homomorphism_violations(f"product_{name}", images, t.tables[p], [(dst_left, images)], t.d))
+        terms = [(-1, dst_left, images)]
+        violations.extend(_homomorphism_violations(f"product_{name}", images, t.tables[p], terms, t.d, t.scale))
     return CheckReport.collect("homomorphism", violations)
 
 
@@ -346,7 +341,7 @@ def compatible_from_invertible_o_operator(
     t_inv = invert(t.matrix)  # raises Singular when degenerate
     _require_o_shapes(t, a, m)
     c = _cleared(a.mul if strict else None, a.alpha, [t.matrix, t_inv], m)
-    if strict and not (rep := _o_report("o_operator", "o_identity", c)).passed:
+    if strict and not (rep := _o_report("o_operator", "o_identity", c, [_split(c.left, c.right, c.ops[0])])).passed:
         raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     return HomAlgebra.rhizaform(*_transported(c.left, c.right, *c.ops, c.d**3), a.alpha)
 

@@ -1,0 +1,49 @@
+"""Rules on the package source itself, read as text.
+
+* Every ``import`` in ``src/rhizalab`` names a module of the standard
+  library (``sys.stdlib_module_names``) or the package itself: the runtime
+  dependencies stay ``dependencies = []``.
+* No source line is over 120 characters.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rhizalab").rglob("*.py"))
+MAX_LINE = 120
+
+
+def _imported_roots(tree: ast.AST) -> set[str]:
+    """The top-level module of every absolute import in ``tree``; a relative import is the package's own."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_the_rules_read_the_whole_package():
+    names = {path.name for path in SOURCES}
+    assert {"__init__.py", "axioms.py", "operators.py", "cli.py"} <= names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_are_the_standard_library_or_the_package(path):
+    roots = _imported_roots(ast.parse(path.read_text(), str(path)))
+    assert roots - set(sys.stdlib_module_names) - {"rhizalab"} == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_line_is_over_the_limit(path):
+    long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
+    assert long == []
+
+
+def test_the_import_rule_refuses_a_third_party_module():
+    tree = ast.parse("import json\nfrom . import axioms\nfrom numpy.linalg import solve\nimport rhizalab.cli")
+    assert _imported_roots(tree) - set(sys.stdlib_module_names) - {"rhizalab"} == {"numpy"}
