@@ -166,7 +166,7 @@ def _entry_table(dim: int, entries) -> tuple[list, int]:
 
 
 def _sparse(v) -> tuple[tuple[int, int], ...]:
-    return tuple((i, c) for i, c in enumerate(v) if c)
+    return tuple([(i, c) for i, c in enumerate(v) if c])
 
 
 def _add_into(out: list[int], x, c: int = 1) -> None:
@@ -245,7 +245,9 @@ def _left_columns(table, x, size: int) -> list:
     cols = []
     for w in range(size):
         col = [0] * size
-        _product_into(col, table, x, ((w, 1),))
+        for i, xi in x:
+            for k, t in table[i][w]:
+                col[k] += xi * t
         cols.append(_sparse(col))
     return cols
 

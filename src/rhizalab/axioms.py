@@ -116,23 +116,31 @@ class CheckReport:
         }
 
     def to_text(self) -> str:
-        """``json.dumps(self.to_obj(), indent=2)``, each violation written from its parts (a residual
-        text holds only digits, ``-`` and ``/``, which JSON writes unescaped)."""
+        """``json.dumps(self.to_obj(), indent=2)``, each violation written by one ``%`` format string: a
+        template per (basis length, residual length) shape, built on first use, with a ``%s`` for the
+        identity's JSON text, each basis index and each residual text (which holds only digits, ``-``
+        and ``/``, so JSON writes it unescaped).  A residual at scale 1 goes in as it is, since ``str``
+        of an int or a Fraction is its text; any other through ``exactlin._ratio_texts``."""
         head = json.dumps({"structure": self.structure_name, "passed": self.passed}, indent=2)[:-2]
+        if not self.violations:
+            return head + ',\n  "violations": []\n}'
         ids = {ident: json.dumps(ident) for ident in {v.identity_id for v in self.violations}}
-        items = [
-            '{\n      "identity": ' + ids[v.identity_id]
-            + ',\n      "basis": ' + _json_list([str(i) for i in v.basis_tuple], 8)
-            + ',\n      "residual": ' + _json_list(['"' + t + '"' for t in v.residual_text()], 8) + "\n    }"
-            for v in self.violations
-        ]
-        return head + ',\n  "violations": ' + _json_list(items, 4) + "\n}"
+        templates, items = {}, []
+        for v in self.violations:
+            values = v.values if v.scale == 1 else _ratio_texts(v.values, v.scale)
+            shape = len(v.basis_tuple), len(values)
+            if (template := templates.get(shape)) is None:
+                template = templates[shape] = _violation_template(*shape)
+            items.append(template % (ids[v.identity_id], *v.basis_tuple, *values))
+        return head + ',\n  "violations": [\n    ' + ",\n    ".join(items) + "\n  ]\n}"
 
 
-def _json_list(items: list[str], depth: int) -> str:
-    """The JSON list of the written ``items`` as ``json.dumps(..., indent=2)`` lays it out, items at ``depth``."""
-    pad = "\n" + " " * depth
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
+def _violation_template(basis: int, residual: int) -> str:
+    """A violation's text at depth 4 of ``json.dumps(..., indent=2)``, with ``%s`` for its fields."""
+    def cells(cell: str, k: int) -> str:
+        return "[" + ",".join(["\n        " + cell] * k) + "\n      ]" if k else "[]"
+    return ('{\n      "identity": %s,\n      "basis": ' + cells("%s", basis)
+            + ',\n      "residual": ' + cells('"%s"', residual) + "\n    }")
 
 
 def _require_same_dim(*dims: int):

@@ -1,6 +1,8 @@
+import io
 import json
 import random
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd
 
@@ -18,8 +20,8 @@ from rhizalab.algmodel import (
     serialize_algebra,
     sum_product,
 )
-from rhizalab.axioms import CheckReport, Violation, pre_jacobi_jordan_product, subadjacent_bracket
-from rhizalab.cli import _json_text
+from rhizalab.axioms import CheckReport, Violation, check_rhizaform, pre_jacobi_jordan_product, subadjacent_bracket
+from rhizalab.cli import _json_text, main
 from rhizalab.cocycles import VectorForm
 from rhizalab.errors import (
     DimensionMismatch,
@@ -28,9 +30,10 @@ from rhizalab.errors import (
     UnboundParameter,
 )
 from rhizalab.exactlin import vec_zero
-from rhizalab.family import FamilyAlgebra, Semigroup, associated_family
+from rhizalab.family import FamilyAlgebra, Semigroup, associated_family, check_rhizaform_family
+from rhizalab.nilpotency import analyze
 from tests import fraction_checkers as ref
-from tests.conftest import catalog_algebras, random_map, random_tensor
+from tests.conftest import catalog_algebras, graded_split_algebra, random_map, random_split_algebra, random_tensor
 from tests.fraction_checkers import apply, basis_vec, eval_product, scaled
 
 F = Fraction
@@ -266,8 +269,33 @@ _NILPOTENCY_LIKE = {
 }
 
 
+# Reports that reuse the writer's per-shape templates and identity texts: every basis length 0, 1, 3, 5
+# with residual lengths 0 and 4; an identity needing escapes, repeated; integral quotients at scale 4; and
+# one residual given as a tuple and as a list.
+_SHAPES = CheckReport.collect(
+    "shapes", [Violation("s", tuple(range(1, b + 1)), (3, -1, 0, 2)[:r]) for r in (0, 4) for b in (0, 1, 3, 5, 1, 0)]
+)
+_ESCAPE = 'a"\\\n\x00é\ud800'
+_ESCAPED_ID = CheckReport.collect(
+    "esc",
+    [Violation(_ESCAPE, (1,), (1,)), Violation(_ESCAPE, (2,), (2,)), Violation("b", (3,), ())]
+    + [Violation(_ESCAPE, (), ())],
+)
+_INTEGRAL_QUOTIENTS = CheckReport.collect(
+    "quotients", [Violation("q", (1, 2), (8, -4, 0, 6, 10**40), 4), Violation("q", (2, 1), (4, 12), 4)]
+)
+_TUPLE_AND_LIST = CheckReport.collect(
+    "sequences",
+    [Violation("t", (1, 2), (F(1, 2), 3)), Violation("t", (1, 2), [F(1, 2), 3]), Violation("t", (2,), [6, 9], 6)],
+)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(_REPORTS, _DOCS, st.dictionaries(_TEXT, st.one_of(_DOCS, _REPORTS), max_size=5)))
+@example(_SHAPES)
+@example(_ESCAPED_ID)
+@example(_INTEGRAL_QUOTIENTS)
+@example(_TUPLE_AND_LIST)
 @example(_NILPOTENCY_LIKE)
 @example(CheckReport.collect("semigroup", [Violation("assoc", (), ())]))
 @example(CheckReport.collect("empty", []))
@@ -288,6 +316,33 @@ def test_json_writer_refuses_other_types(leaf):
     for doc in (leaf, [leaf], {"x": leaf}, ("y", leaf), {"x": leaf, "r": report}):
         with pytest.raises(TypeError):
             _json_text(doc)
+
+
+def test_large_reports_match_stdlib(tmp_path):
+    """Real reports: a dense n = 5 rhizaform report, a dense n = 5 Z/2 family report (over 1000
+    violations, at scale 8), and the nilpotency document that nests three failing reports."""
+    rng = random.Random(3)
+    succ = {lam: random_tensor(rng, 5) for lam in range(2)}
+    prec = {lam: scaled(random_tensor(rng, 5), F(1, 2)) for lam in range(2)}
+    family = FamilyAlgebra(5, Semigroup.cyclic(2), succ, prec, random_map(rng, 5, 0))
+    reports = [check_rhizaform(random_split_algebra(rng, 5)), check_rhizaform_family(family)]
+    assert [len(r.violations) for r in reports] == [425, 1600] and {v.scale for v in reports[1].violations} == {8}
+    for report in reports:
+        assert report.to_text() == json.dumps(report.to_obj(), indent=2)
+    graded = graded_split_algebra(random.Random(5), 5)
+    path = tmp_path / "graded.json"
+    path.write_text(serialize_algebra(graded))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["nilpotency", "--format", "structured", str(path)]) == 0
+    doc = json.loads(out.getvalue())
+    r = analyze(graded)
+    nested = [r.series_equality, r.onesided, r.two_nilpotent]
+    assert [doc[key] for key in ("series_equality", "onesided_theorem", "two_nilpotent")] == [
+        x.to_obj() for x in nested
+    ]
+    assert [len(x.violations) for x in nested] == [26, 0, 183]
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 # --- products in integer form -------------------------------------------------

@@ -13,15 +13,32 @@ from hypothesis import strategies as st
 import rhizalab
 import rhizalab.cli
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, serialize_algebra, sum_product
+from rhizalab.axioms import check_alpha_derivation
 from rhizalab.catalog import load_entry
 from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, OPERATION_COVERAGE, build_parser, main
 from rhizalab.cocycles import ScalarForm, is_nondegenerate, rhizaform_from_cocycle, scalar_cocycle_residuals
 from rhizalab.errors import DimensionMismatch, MissingProduct, NotACocycle, Singular
 from rhizalab.exactlin import Matrix
-from rhizalab.family import induced_family_rhizaform
-from rhizalab.files import bimodule_obj, load_algebra, load_json, read_bimodule, read_family, read_rb_family
+from rhizalab.family import (
+    FamilyAlgebra,
+    Semigroup,
+    associated_family,
+    check_anti_associative_family,
+    induced_family_rhizaform,
+)
+from rhizalab.files import (
+    bimodule_obj,
+    family_obj,
+    load_algebra,
+    load_json,
+    read_bimodule,
+    read_family,
+    read_operator,
+    read_rb_family,
+)
 from rhizalab.operators import Bimodule, check_bimodule, regular_bimodule
-from tests.conftest import graded_split_algebra
+from tests.conftest import graded_split_algebra, random_map, random_tensor
+from tests.fraction_checkers import scaled
 
 F = Fraction
 
@@ -622,6 +639,30 @@ def test_remaining_family_routes(tmp_path, a1_sum_file):
         "family", "--do", "induce", "--algebra", a1_sum_file, "--format", "structured", str(rb_path)
     )
     assert code == 0 and json.loads(out)["succ"]["0"] == []
+
+
+def test_report_routes_outside_the_benchmark_print_their_reports(tmp_path, a7_file):
+    """``check --kind derivation`` and ``family --do check-anti``, on inputs they fail, print
+    ``json.dumps(report.to_obj(), indent=2)`` and exit 0, or 1 under --strict."""
+    op_path = tmp_path / "d.json"
+    op_path.write_text('{"T": [["1/2", "1"], ["0", "1/3"]]}')
+    rng = random.Random(11)
+    succ = {lam: random_tensor(rng, 3) for lam in range(2)}
+    prec = {lam: scaled(random_tensor(rng, 3), F(1, 2)) for lam in range(2)}
+    fam = FamilyAlgebra(3, Semigroup.cyclic(2), succ, prec, random_map(rng, 3, 0))
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(family_obj(fam)))
+    derivation = check_alpha_derivation(read_operator(load_json(str(op_path))), load_algebra(a7_file, {}), "succ")
+    anti = check_anti_associative_family(associated_family(fam), fam.alpha, fam.semigroup)
+    routes = [
+        (("check", "--kind", "derivation", "--operator", str(op_path), "--product", "succ", a7_file), derivation),
+        (("family", "--do", "check-anti", str(fam_path)), anti),
+    ]
+    for argv, report in routes:
+        assert not report.passed and any(v.scale != 1 for v in report.violations)
+        printed = json.dumps(report.to_obj(), indent=2) + "\n"
+        for strict, code in (((), 0), (("--strict",), 1)):
+            assert run_cli(*argv, "--format", "structured", *strict) == (code, printed, ""), (argv, strict)
 
 
 GOOD_FAMILY = {
