@@ -13,11 +13,12 @@ form one second condition.  The two readings are the two widths:
   reading the low-dimensional tables follow.
 
 Each condition is stated once, as integer rows in the form's unknowns and
-the scale they carry: ``_cyclic_rows``, ``_invariance_rows`` and
-``_twist_rows``.  One solver, ``_solved``, and one residual check,
-``_violations``, read them for either width; the public functions only set
-the width, the second condition and the output shape.  With ``strict``, the
-solvers first require the working product to be anti-associative.
+the scale they carry: ``_cyclic_rows`` (one per rotation orbit of (i, j, k)),
+``_invariance_rows`` and ``_twist_rows``.  One solver, ``_solved``, over int
+from the rows to the forms, and one residual check, ``_violations``, read
+them for either width; the public functions only set the width, the second
+condition and the output shape.  With ``strict``, the solvers first require
+the working product to be anti-associative.
 
 The splitting from a nondegenerate scalar form B is the coregular case of
 the O-operator code, as an averaging operator is the regular case: the
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 
 from .algmodel import BilinearOp, HomAlgebra, _opposite, _sparse, _summed
@@ -73,24 +75,23 @@ def _add_form_terms(row: list[int], u, w, n: int, stride: int = 1, offset: int =
             row[(p * n + q) * stride + offset] += up * wq
 
 
-def _cyclic_rows(view: _Twisted, strict: bool = False) -> tuple[list[list[int]], int]:
-    """The scalar cyclic condition of the working product at each (i, j, k), lexicographic, in the
-    unknowns B[p][q]; at D^2.  The working product is the sum of the products of ``view``
-    (``star_product``), so its integer table is the sum of theirs.  With ``strict``, it must be
-    anti-associative, read off the same view."""
+def _cyclic_rows(view: _Twisted, strict: bool = False) -> tuple[dict[tuple[int, int, int], list[int]], int]:
+    """The scalar cyclic condition of the working product in the unknowns B[p][q], at D^2, at each
+    rotation orbit {(i, j, k), (j, k, i), (k, i, j)}, on which its three terms rotate into one row:
+    (n^3 + 2n)/3 rows, keyed by the orbit's least triple, lexicographic.  The working product is the
+    sum of the products of ``view`` (``star_product``), so its integer table is the sum of theirs.
+    With ``strict``, it must be anti-associative, read off the same view."""
     n = len(view.twist)
     if strict and not _sum_anti_associative(view):
         raise NotAntiAssociative("the working product is not anti-associative")
     table, images = _summed(view.tables, n), view.twist
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [0] * (n * n)
-                _add_form_terms(row, table[i][j], images[k], n)
-                _add_form_terms(row, table[j][k], images[i], n)
-                _add_form_terms(row, table[k][i], images[j], n)
-                rows.append(row)
+    rows = {}
+    for i, j, k in product(range(n), repeat=3):
+        if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
+            row = rows[i, j, k] = [0] * (n * n)
+            _add_form_terms(row, table[i][j], images[k], n)
+            _add_form_terms(row, table[j][k], images[i], n)
+            _add_form_terms(row, table[k][i], images[j], n)
     return rows, view.d * view.d
 
 
@@ -130,15 +131,18 @@ def _twist_rows(view: _Twisted) -> tuple[list[list[int]], int]:
 def _violations(view: _Twisted, flat, d: int, width: int, ident: str, second) -> list[Violation]:
     """Direct substitution of one flat form (column (p*n + q)*width + s), ``flat`` over ``d`` (its
     entries ints or Fractions, cleared once), into the rows of ``view``: the cyclic rows go to each
-    of its ``width`` components, the rows of ``second`` (named ``ident``) to the whole form.  The
-    rows of one basis tuple, in lexicographic order, give its residual."""
+    of its ``width`` components, each triple reading its orbit's row, the rows of ``second`` (named
+    ``ident``) to the whole form.  The rows of one basis tuple, in lexicographic order, give its
+    residual."""
     n = len(view.twist)
     if len(flat) != n * n * width:
         raise DimensionMismatch("form and algebra dimensions differ")
     (form,), d_flat = _cleared([flat])
+    orbits, scale = _cyclic_rows(view)
+    cyclic = [orbits[min(t, t[1:] + t[:1], t[2:] + t[:2])] for t in product(range(n), repeat=3)], scale
     out = []
     for name, (rows, scale), forms, arity in (
-        ("cyclic", _cyclic_rows(view), [form[s::width] for s in range(width)], 3),
+        ("cyclic", cyclic, [form[s::width] for s in range(width)], 3),
         (ident, second(view), [form], 2),
     ):
         tuples = list(product(range(n), repeat=arity))
@@ -150,23 +154,32 @@ def _violations(view: _Twisted, flat, d: int, width: int, ident: str, second) ->
     return out
 
 
+def _spread(flat: list[int], sparse: list, width: int, size: int) -> list[int]:
+    """The size*width vector with sum_a flat[a*width + s] * y at column b*width + s, over (b, y) in
+    ``sparse[a]``: each strided column of ``flat`` times the sparse rows, from its nonzero entries."""
+    out = [0] * (size * width)
+    for col, x in enumerate(flat):
+        if x:
+            a, s = divmod(col, width)
+            for b, y in sparse[a]:
+                out[b * width + s] += x * y
+    return out
+
+
 def _reduced_system(view: _Twisted, strict: bool, width: int, second) -> tuple[int, list, int, list[list[int]]]:
-    """For the kernel b_1..b_d of the scalar cyclic rows of ``view``, cleared as one block by one D: d,
-    the block's columns (the nonzero (t, b_t[pq]) for each pq) and D; and the rows of ``second`` in the
-    d*width unknowns c[t][s] (column t*width + s); see ``_solved``.  Strict needs anti-associativity."""
+    """For the kernel b_1..b_d of the scalar cyclic rows of ``view``, cleared as one block by the lcm D
+    of the D_t that ``_kernel`` clears each b_t by: d, the block's sparse rows (the nonzero (pq, b_t[pq])
+    for each t) and D; and the rows of ``second`` in the d*width unknowns c[t][s] (column t*width + s);
+    see ``_solved``.  Strict needs anti-associativity."""
     n = len(view.twist)
-    block, d = _cleared(_kernel(_cyclic_rows(view, strict)[0], n * n))
-    at = [[(t, b[pq]) for t, b in enumerate(block) if b[pq]] for pq in range(n * n)]  # column pq of the block
-    rows = []
-    for second_row in second(view)[0]:
-        row = [0] * (len(block) * width)
-        for col, x in enumerate(second_row):
-            if x:
-                pq, s = divmod(col, width)
-                for t, bpq in at[pq]:
-                    row[t * width + s] += x * bpq
-        rows.append(row)
-    return len(block), at, d, rows
+    kernel = _kernel(list(_cyclic_rows(view, strict)[0].values()), n * n)
+    d = lcm(*(d_t for _, d_t in kernel))
+    block = [[(pq, x * (d // d_t)) for pq, x in enumerate(b) if x] for b, d_t in kernel]
+    at = [[] for _ in range(n * n)]  # column pq of the block: the nonzero (t, b_t[pq])
+    for t, b in enumerate(block):
+        for pq, x in b:
+            at[pq].append((t, x))
+    return len(block), block, d, [_spread(row, at, width, len(block)) for row in second(view)[0]]
 
 
 def _solved(view: _Twisted, strict: bool, width: int, second) -> list[tuple[list[int], int]]:
@@ -177,12 +190,12 @@ def _solved(view: _Twisted, strict: bool, width: int, second) -> list[tuple[list
     (one form per free column, in column order), found by two smaller
     eliminations.  Component s of the cyclic condition is the scalar one on
     B[.][.][s], so B is cyclic exactly when B[.][.][s] = sum_t c[t][s] b_t,
-    with unique c, for the kernel b_1..b_d of one n^3 x n^2 system.  The rows
-    of ``second`` are then solved in the d*width unknowns c[t][s] (column
-    t*width + s): the coefficient x of B[p][q][s] becomes x b_t[p][q] on
-    c[t][s].  The b_t are cleared as one block, by one D, which scales every
-    row alike; clearing each b_t by its own D would rescale the columns of c
-    and change its canonical basis.
+    with unique c, for the kernel b_1..b_d of one (n^3 + 2n)/3 x n^2
+    system.  The rows of ``second`` are then solved in the d*width unknowns
+    c[t][s] (column t*width + s): the coefficient x of B[p][q][s] becomes
+    x b_t[p][q] on c[t][s].  The b_t are cleared as one block, by one D,
+    which scales every row alike; clearing each b_t by its own D would
+    rescale the columns of c and change its canonical basis.
 
     The injective map c -> B carries the kernel in c onto the solution space,
     and its canonical basis onto the canonical one: b_t is 1 at its free
@@ -190,15 +203,13 @@ def _solved(view: _Twisted, strict: bool, width: int, second) -> list[tuple[list
     with t.  So B is c[t][s] at column f_t*width + s, its last nonzero entry
     is the image of c's, and t*width + s -> f_t*width + s keeps column order;
     a basis that is 1 at its own free column and 0 at the others and past it
-    is unique.  Summed over int from the block and c cleared by its own D_c,
-    each B is at D D_c.
+    is unique.  Each c comes from ``_kernel`` cleared by its own D_c, and B,
+    spread over int from each nonzero c[t][s] times the sparse row of b_t,
+    is at D D_c.
     """
-    size, at, d, rows = _reduced_system(view, strict, width, second)
-    forms = [_cleared([c]) for c in _kernel(rows, size * width)]
-    return [
-        ([sum(c[t * width + s] * b for t, b in column) for column in at for s in range(width)], d * d_c)
-        for (c,), d_c in forms
-    ]
+    size, block, d, rows = _reduced_system(view, strict, width, second)
+    n2 = len(view.twist) ** 2
+    return [(_spread(c, block, width, n2), d * d_c) for c, d_c in _kernel(rows, size * width)]
 
 
 def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:

@@ -3,7 +3,8 @@
 Nothing in this package ever touches floating point.  The public functions
 take and return ``fractions.Fraction`` values; row reduction itself runs over
 ``int`` (fraction-free, see ``_echelon``), and the solvers whose conditions
-are integer rows hand them to ``_kernel`` directly.  Every result is read
+are integer rows hand them to ``_kernel`` directly and read its kernel over
+``int``.  Every result is read
 from the reduced row echelon form, which depends only on the row space and
 not on the order in which rows are reduced, so every function here is
 deterministic and safe to use for golden-file regressions.  ``Matrix`` is a
@@ -186,20 +187,20 @@ def _rref_rows(rows: list[list[int]]) -> list[list[Fraction]]:
     return [[F0 if x == 0 else Fraction(x, row[c]) for x in row] for row, c in zip(*_echelon(rows))]
 
 
-def _kernel(rows: list[list[int]], cols: int) -> list[Vector]:
-    """The kernel basis ``nullspace_basis`` gives, for integer rows of length ``cols``."""
+def _kernel(rows: list[list[int]], cols: int) -> list[tuple[list[int], int]]:
+    """The kernel basis ``nullspace_basis`` gives, for integer rows of length ``cols``, over int: each
+    vector v (1 at its free column f, -row[f]/row[pc] at each pivot column pc) as (v*d, d), d the lcm
+    of its denominators, the pair ``_cleared([v])`` gives unnested."""
     reduced, pivots = _echelon(rows)
-    pivot_set = set(pivots)
     basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [F0] * cols
-        v[free] = F1
-        for row, pc in zip(reduced, pivots):
-            if row[free]:
-                v[pc] = Fraction(-row[free], row[pc])
-        basis.append(tuple(v))
+    for free in sorted(set(range(cols)).difference(pivots)):
+        at = [(pc, row[free], row[pc]) for row, pc in zip(reduced, pivots) if row[free]]
+        d = lcm(*(p // gcd(x, p) for _, x, p in at))
+        v = [0] * cols
+        v[free] = d
+        for pc, x, p in at:
+            v[pc] = -x * d // p
+        basis.append((v, d))
     return basis
 
 
@@ -215,8 +216,8 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace_basis(m: Matrix) -> list[Vector]:
-    """Deterministic kernel basis: one vector per free column, in column order."""
-    return _kernel(_cleared(m.to_rows())[0], m.cols)
+    """Deterministic kernel basis: one vector per free column, in column order, from ``_kernel``'s pairs."""
+    return [tuple(Fraction(x, d) for x in v) for v, d in _kernel(_cleared(m.to_rows())[0], m.cols)]
 
 
 def invert(m: Matrix) -> Matrix:

@@ -38,6 +38,7 @@ from tests.conftest import (
     skew_subspace,
     zero_product_mono,
 )
+from tests import fraction_checkers as ref
 from tests.fraction_checkers import apply, basis_vec, eval_product, form_value, times
 
 F = Fraction
@@ -387,9 +388,9 @@ def test_vector_solver_matches_dense_on_n4_direct_sums(parts):
 
 def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     """A count check: every system the n=4 solve reduces is at most n^3 = 64
-    rows by 64 columns (the one dense system was 320 x 64), and the
-    elimination reads one row per rotation orbit of the cyclic system: at
-    most (n^3 + 2n)/3 = 24 distinct rows, all 24 on a dense algebra."""
+    rows by 64 columns (the one dense system was 320 x 64), and the first
+    is the cyclic system with one row per rotation orbit: (n^3 + 2n)/3 = 24
+    rows, all 24 distinct on a dense algebra."""
     rng = random.Random("dense-n4")
     dense = HomAlgebra.rhizaform(_sparse_tensor(rng, 4, 0.5), _sparse_tensor(rng, 4, 0.5), _dense_twist(rng, 4))
     cases = [(direct_sum(load_entry("d2.A1"), load_entry("d2.A7")), 9, 20), (dense, 24, 0)]
@@ -405,27 +406,71 @@ def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
         shapes.clear()
         assert len(vector_cocycle_space(a)) == dim
         assert all(rows <= 64 and cols <= 64 for rows, _, cols in shapes), shapes
-        assert shapes[0] == (64, cyclic_rows, 16), shapes
+        assert shapes[0] == (24, cyclic_rows, 16), shapes
+
+
+def fraction_cyclic_rows(a: HomAlgebra) -> dict[tuple[int, int, int], list[Fraction]]:
+    """Reference: the scalar cyclic row at every (i, j, k) over Fractions, unscaled."""
+    star, n = star_product(a), a.dim
+    images = [a.alpha.image_of_basis(i) for i in range(n)]
+    rows = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        row = [F0] * (n * n)
+        for u, w in ((star.entry(i, j), images[k]), (star.entry(j, k), images[i]), (star.entry(k, i), images[j])):
+            for p, q in itertools.product(range(n), repeat=2):
+                if u[p] and w[q]:
+                    row[p * n + q] += u[p] * w[q]
+        rows[i, j, k] = row
+    return rows
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cyclic_rows_are_equal_along_rotation_orbits(n):
     """The cyclic condition at (i, j, k), (j, k, i) and (k, i, j) is one
-    integer row, so a solve reads at most (n^3 + 2n)/3 distinct cyclic rows."""
+    row, at every one of the n^3 triples, so a solve reads one integer row
+    per rotation orbit, (n^3 + 2n)/3 rows keyed by the orbit's least triple:
+    the Fraction row there at D^2."""
     rng = random.Random(f"cyclic-orbits-{n}")
     for density in (0.1, 0.5, 1.0):
         for tensor in (_sparse_tensor, _fractional_tensor):
             for twist in (_dense_twist, _fractional_involution):
                 a = HomAlgebra.rhizaform(tensor(rng, n, density), tensor(rng, n, density), twist(rng, n))
-                rows = _cyclic_rows(_view(a))[0]
-                assert len(rows) == n**3
-
-                def at(i, j, k):
-                    return rows[(i * n + j) * n + k]
-
+                reference = fraction_cyclic_rows(a)
                 for i, j, k in itertools.product(range(n), repeat=3):
-                    assert at(i, j, k) == at(j, k, i) == at(k, i, j), (n, density, i, j, k)
-                assert len(set(map(tuple, rows))) <= (n**3 + 2 * n) // 3
+                    assert reference[i, j, k] == reference[j, k, i] == reference[k, i, j], (n, density, i, j, k)
+                rows, scale = _cyclic_rows(_view(a))
+                assert list(rows) == [t for t in reference if t == min(t, t[1:] + t[:1], t[2:] + t[:2])]
+                assert len(rows) == (n**3 + 2 * n) // 3
+                assert all([F(x, scale) for x in row] == reference[t] for t, row in rows.items()), (n, density)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cyclic_residuals_are_reported_at_every_rotation(n):
+    """The residual check reads each triple's orbit row, not only the orbit's
+    least triple: a form that is not a cocycle fails the cyclic condition at
+    (i, j, k), (j, k, i) and (k, i, j) with one residual, reported at each,
+    in lexicographic order, as the Fraction reference reports it."""
+    rng = random.Random(f"cyclic-residuals-{n}")
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    for tensor in (_sparse_tensor, _fractional_tensor):
+        a = HomAlgebra.rhizaform(tensor(rng, n, 0.5), tensor(rng, n, 0.5), _dense_twist(rng, n))
+        b = ScalarForm(n, Matrix(n, n, [entry() for _ in range(n * n)]))
+        w = VectorForm(n, [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+        for got, want in (
+            (scalar_cocycle_residuals(a, b), ref.scalar_cocycle_residuals(a, b)),
+            (vector_cocycle_residuals(a, w), ref.vector_cocycle_residuals(a, w)),
+        ):
+            assert got == want, (n, tensor.__name__)
+            cyclic = [v for v in got if v.identity_id == "cyclic"]
+            bases = [v.basis_tuple for v in cyclic]
+            assert bases == sorted(set(bases))
+            at = {v.basis_tuple: v.residual for v in cyclic}
+            assert any(len(set(t)) == 3 for t in at)  # an orbit of three triples
+            for (i, j, k), r in at.items():
+                assert at.get((j, k, i)) == at.get((k, i, j)) == r, (n, tensor.__name__, i, j, k)
 
 
 # --- the integer scalar row builder against the Fraction one ----------------

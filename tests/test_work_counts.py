@@ -31,6 +31,9 @@ counts repeat exactly.
 * The anti-associativity test of a sum of products stops at the first
   failing triple: it builds one ``Violation``, which the strict cyclic-form
   solvers and ``catalog verify --oracle`` rely on.
+* The cyclic-form solvers build one cyclic row per rotation orbit,
+  (n^3 + 2n)/3 rows, once per solve, and stay over int from the kernel to
+  the form: they call ``exactlin._cleared`` for nothing.
 * ``Subspace.full`` builds the identity's rows, already canonical, with no
   elimination.
 * A reader resolves each distinct coefficient text once per document
@@ -83,6 +86,7 @@ from rhizalab.operators import (
 )
 from rhizalab.cli import main
 from tests.conftest import nondegenerate_in_span, skew_4dim
+from tests.test_cocycles import _dense_twist, _sparse_tensor, direct_sum
 
 F = Fraction
 ETA = {"eta": F(1)}
@@ -280,6 +284,27 @@ def test_strict_solvers_clear_as_often_as_plain_ones(monkeypatch, entry, solve, 
         calls.clear()
         assert solve(a, strict=strict) == expected[strict]
         assert len(calls) == clearings, strict
+
+
+@pytest.mark.parametrize("solve", [scalar_cocycle_space, vector_cocycle_space])
+def test_solvers_build_one_cyclic_row_per_orbit_and_clear_nothing(monkeypatch, solve):
+    rng = random.Random("dense-n4")  # the n = 4 algebras of test_vector_solver_builds_no_system_beyond_n_cubed
+    dense = HomAlgebra.rhizaform(_sparse_tensor(rng, 4, 0.5), _sparse_tensor(rng, 4, 0.5), _dense_twist(rng, 4))
+    algebras = [dense, direct_sum(load_entry("d2.A1"), load_entry("d2.A7"))]
+    expected = [solve(a) for a in algebras]
+    clearings = count_calls(monkeypatch, "_cleared")
+    built = []
+    real = cocycles._cyclic_rows
+
+    def recording(*args, **kwargs):
+        rows, scale = real(*args, **kwargs)
+        built.append(len(rows))
+        return rows, scale
+
+    monkeypatch.setattr(cocycles, "_cyclic_rows", recording)
+    assert [solve(a) for a in algebras] == expected
+    assert clearings == []
+    assert built == [(4**3 + 2 * 4) // 3] * len(algebras)
 
 
 @pytest.mark.parametrize("with_oracle", [False, True])
