@@ -214,15 +214,18 @@ def _triple_violations(idents, n: int, scale: int, prefix: tuple[int, ...] = ())
 
     Each of ``idents`` is a pair (ident, terms), and each term a 6-tuple (sign, cols, table, a, b, c): it
     adds sign cols[x[a]] applied to table[x[b]][x[c]] to r, for the twisted columns ``cols`` of a
-    product (``_Twisted.left`` or ``right``) and an integer table.  A generator, so a caller may stop
-    at the first violation.
+    product (``_Twisted.left`` or ``right``) and an integer table.  A term whose cell table[x[b]][x[c]]
+    is empty adds nothing and is skipped; where no term is live, r = 0 and no list is built for it.
+    A generator, so a caller may stop at the first violation.
     """
     for x, at in zip(product(range(n), repeat=3), product(range(1, n + 1), repeat=3)):
         for ident, terms in idents:
-            r = [0] * n
+            r = None
             for sign, cols, table, a, b, c in terms:
-                _apply_into(r, cols[x[a]], table[x[b]][x[c]], sign)
-            if any(r):
+                if cell := table[x[b]][x[c]]:
+                    r = r or [0] * n
+                    _apply_into(r, cols[x[a]], cell, sign)
+            if r and any(r):
                 yield Violation(ident, prefix + at, r, scale)
 
 

@@ -15,7 +15,8 @@ Each entry is cleared once: one integer view of its algebra
 dimension of its algebra-valued cyclic-form space, which comes from two
 ranks, without building the basis.  Under ``--oracle`` the checker's verdict
 on the anti-associativity of the summed product is read off the same view.
-``verify_entry`` and ``verify_all`` build each report through one helper.
+``verify_entry`` and ``verify_all`` build each report through one helper,
+and ``verify_all`` resolves the data directory once for all its entries.
 Nothing is kept between calls: every call reads and verifies its entries
 afresh, so a one-shot ``rhizalab catalog verify`` saves as much per entry as
 a process that verifies the catalog many times.
@@ -79,8 +80,15 @@ def _sort_key(entry_id: str) -> tuple[int, int]:
     return int(m.group("dim")), int(m.group("num"))
 
 
+def _data_root():
+    return resources.files(_DATA_PACKAGE).joinpath(_DATA_DIR)
+
+
 def entry_ids() -> list[str]:
-    root = resources.files(_DATA_PACKAGE).joinpath(_DATA_DIR)
+    return _entry_ids(_data_root())
+
+
+def _entry_ids(root) -> list[str]:
     ids = []
     for item in root.iterdir():
         if item.name.endswith(".json"):
@@ -89,8 +97,12 @@ def entry_ids() -> list[str]:
 
 
 def load_catalog_entry(entry_id: str) -> CatalogEntry:
-    name = entry_id.replace(".", "_") + ".json"
-    path = resources.files(_DATA_PACKAGE).joinpath(_DATA_DIR).joinpath(name)
+    return _catalog_entry(_data_root(), entry_id)
+
+
+def _catalog_entry(root, entry_id: str) -> CatalogEntry:
+    """``load_catalog_entry`` from the data directory ``root``."""
+    path = root.joinpath(entry_id.replace(".", "_") + ".json")
     if not _ID_RE.match(entry_id) or not path.is_file():
         raise UnknownEntry(f"no catalog entry {entry_id!r}")
     doc = json.loads(path.read_text())
@@ -181,13 +193,13 @@ class EntryReport:
 
 def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> EntryReport:
     """Run every structural check on one entry and bundle the outcomes."""
-    return _verified(entry_id, params, False)[0]
+    return _verified(_data_root(), entry_id, params, False)[0]
 
 
-def _verified(entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, list[str]]:
-    """The report on one entry and, ``with_oracle``, its disagreements with the oracle, all read
-    from one integer view of its algebra (``axioms._view``)."""
-    entry = load_catalog_entry(entry_id)
+def _verified(root, entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, list[str]]:
+    """The report on one entry of the data directory ``root`` and, ``with_oracle``, its disagreements
+    with the oracle, all read from one integer view of its algebra (``axioms._view``)."""
+    entry = _catalog_entry(root, entry_id)
     a = entry.algebra(params)
     view = _view(a)
     rhiza = _split_report(view, True)  # check_rhizaform
@@ -276,8 +288,9 @@ def verify_all(
     with_oracle: bool = False,
 ) -> CatalogSummary:
     """Verify the selected entries (all by default), ordered by id; an id not in
-    the catalog raises UnknownEntry."""
-    selected = entry_ids()
+    the catalog raises UnknownEntry.  The data directory is resolved once."""
+    root = _data_root()
+    selected = _entry_ids(root)
     if ids is not None:
         wanted = set(ids)
         unknown = sorted(wanted.difference(selected))
@@ -290,7 +303,7 @@ def verify_all(
     findings: list[str] = []
     diffs: list[str] = []
     for entry_id in selected:
-        report, entry_diffs = _verified(entry_id, params, with_oracle)
+        report, entry_diffs = _verified(root, entry_id, params, with_oracle)
         reports.append(report)
         findings.extend(report.findings())
         diffs.extend(entry_diffs)

@@ -130,27 +130,26 @@ def _twist_rows(view: _Twisted) -> tuple[list[list[int]], int]:
 
 def _violations(view: _Twisted, flat, d: int, width: int, ident: str, second) -> list[Violation]:
     """Direct substitution of one flat form (column (p*n + q)*width + s), ``flat`` over ``d`` (its
-    entries ints or Fractions, cleared once), into the rows of ``view``: the cyclic rows go to each
-    of its ``width`` components, each triple reading its orbit's row, the rows of ``second`` (named
-    ``ident``) to the whole form.  The rows of one basis tuple, in lexicographic order, give its
-    residual."""
+    entries ints or Fractions, cleared once), into the rows of ``view``: each cyclic row goes to each
+    of the form's ``width`` components once per rotation orbit, and its residual is reported at each
+    triple of the orbit; the rows of ``second`` (named ``ident``) go to the whole form.  The rows of
+    one basis tuple, in lexicographic order, give its residual."""
     n = len(view.twist)
     if len(flat) != n * n * width:
         raise DimensionMismatch("form and algebra dimensions differ")
     (form,), d_flat = _cleared([flat])
-    orbits, scale = _cyclic_rows(view)
-    cyclic = [orbits[min(t, t[1:] + t[:1], t[2:] + t[:2])] for t in product(range(n), repeat=3)], scale
+    orbits, cyclic_scale = _cyclic_rows(view)
+    components = [form[s::width] for s in range(width)]
+    by_orbit = {t: [sum(map(mul, row, f)) for f in components] for t, row in orbits.items()}
+    cyclic = [by_orbit[min(t, t[1:] + t[:1], t[2:] + t[:2])] for t in product(range(n), repeat=3)]
+    rows, second_scale = second(view)
+    per = len(rows) // (n * n)
+    pairs = [[sum(map(mul, row, form)) for row in rows[t * per : (t + 1) * per]] for t in range(n * n)]
     out = []
-    for name, (rows, scale), forms, arity in (
-        ("cyclic", cyclic, [form[s::width] for s in range(width)], 3),
-        (ident, second(view), [form], 2),
-    ):
-        tuples = list(product(range(n), repeat=arity))
-        per = len(rows) // len(tuples)
-        for t, where in enumerate(tuples):
-            r = [sum(map(mul, row, f)) for row in rows[t * per : (t + 1) * per] for f in forms]
+    for name, residuals, scale, arity in (("cyclic", cyclic, cyclic_scale, 3), (ident, pairs, second_scale, 2)):
+        for where, r in zip(product(range(1, n + 1), repeat=arity), residuals):
             if any(r):
-                out.append(Violation(name, tuple(i + 1 for i in where), r, scale * d * d_flat))
+                out.append(Violation(name, where, r, scale * d * d_flat))
     return out
 
 

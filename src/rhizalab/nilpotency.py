@@ -5,6 +5,14 @@ row echelon form, each row cleared of denominators, so equality is a plain
 comparison of rows.  The diamond of two subspaces is the span of all
 products of their rows under every named product of the algebra.
 
+Within one call (``analyze`` or a public series or check) every product of
+rows is built once: a dict of the call maps each (table, m, n) to the nonzero
+products of the rows of m and n under that table, and each list of pairs to
+its span.  So R_2 = L_2 = F_2 is one span, F_3 reads the products that R_3
+and L_3 built, and a one-product reduct reads its table's rows; each term is
+still one elimination.  The dict ends with the call: nothing is kept between
+calls.
+
 Three series are computed:
 
 * right:  S_1 = A,  S_{k+1} = S_k <> A
@@ -101,43 +109,47 @@ def diamond(m: Subspace, n: Subspace, a: HomAlgebra) -> Subspace:
     """Span of all products of basis vectors, over every named product."""
     if m.ambient_dim != a.dim or n.ambient_dim != a.dim:
         raise DimensionMismatch("subspace ambient dimension differs from the algebra")
-    return _products_span([(m, n)], _view(a).tables)
+    return _products_span([(m, n)], _view(a).tables, {})
 
 
-def _products_span(pairs, tables) -> Subspace:
+def _products_span(pairs, tables, spans: dict) -> Subspace:
     """Span of the products of the rows of m and n, over every (m, n) in ``pairs`` and every integer
-    product table; the tables are the products times D, which leaves the span unchanged."""
-    dim = len(tables[0])
-    out = []
-    for m, n in pairs:
-        for u in m._sparse_rows:
-            for v in n._sparse_rows:
-                for table in tables:
+    product table; the tables are the products times D, which leaves the span unchanged.  ``spans``
+    is the call's dict (module doc), keyed by the tables' identities and the subspaces' rows."""
+    key = tuple(map(id, tables)), tuple([(m.rows, n.rows) for m, n in pairs])
+    if (span := spans.get(key)) is None:
+        dim, out = len(tables[0]), []
+        for (m, n), table in product(pairs, tables):
+            if (rows := spans.get((id(table), m.rows, n.rows))) is None:
+                rows = spans[id(table), m.rows, n.rows] = []
+                for u, v in product(m._sparse_rows, n._sparse_rows):
                     w = [0] * dim
                     _product_into(w, table, u, v)
                     if any(w):
-                        out.append(w)
-    return _span(dim, out)
+                        rows.append(w)
+            out += rows
+        span = spans[key] = _span(dim, out)
+    return span
 
 
 # Series over integer product tables: all of an algebra's, or one for a reduct, cleared once.
 _KINDS = ("right", "left", "full")
 
 
-def _next_term(tables, kind: str, terms) -> Subspace:
+def _next_term(tables, kind: str, terms, spans: dict) -> Subspace:
     """The term after ``terms`` (S_1, ..., S_k) of the "right", "left" or "full" series."""
     if kind == "right":
-        return _products_span([(terms[-1], terms[0])], tables)
+        return _products_span([(terms[-1], terms[0])], tables, spans)
     if kind == "left":
-        return _products_span([(terms[0], terms[-1])], tables)
-    return _products_span([(terms[i - 1], terms[-i]) for i in range(1, len(terms) + 1)], tables)
+        return _products_span([(terms[0], terms[-1])], tables, spans)
+    return _products_span([(terms[i - 1], terms[-i]) for i in range(1, len(terms) + 1)], tables, spans)
 
 
-def _until_stable(tables, kind: str) -> tuple[Subspace, ...]:
+def _until_stable(tables, kind: str, spans: dict) -> tuple[Subspace, ...]:
     """Terms up to zero or the first repeat of the stable term (the stop rule in the module doc)."""
     terms = [Subspace.full(len(tables[0]))]
     while True:
-        terms.append(_next_term(tables, kind, terms))
+        terms.append(_next_term(tables, kind, terms, spans))
         k = len(terms)
         last = terms[-1]
         if last.is_zero():
@@ -148,15 +160,15 @@ def _until_stable(tables, kind: str) -> tuple[Subspace, ...]:
 
 
 def right_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_view(a).tables, "right"))
+    return list(_until_stable(_view(a).tables, "right", {}))
 
 
 def left_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_view(a).tables, "left"))
+    return list(_until_stable(_view(a).tables, "left", {}))
 
 
 def full_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_view(a).tables, "full"))
+    return list(_until_stable(_view(a).tables, "full", {}))
 
 
 def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
@@ -165,7 +177,7 @@ def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
         raise ValueError("series terms are 1-based")
     if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    terms = _until_stable(_view(a).tables, kind)
+    terms = _until_stable(_view(a).tables, kind, {})
     return terms[min(g, len(terms)) - 1]  # constant from the last term on (module doc)
 
 
@@ -216,8 +228,8 @@ def _series_equality(series: dict) -> CheckReport:
 
 def check_series_equality(a: HomAlgebra) -> CheckReport:
     """Termwise comparison of the three series up to common stabilization."""
-    tables = _view(a).tables
-    return _series_equality({kind: _until_stable(tables, kind) for kind in _KINDS})
+    tables, spans = _view(a).tables, {}
+    return _series_equality({kind: _until_stable(tables, kind, spans) for kind in _KINDS})
 
 
 def _two_nilpotent(t: _Twisted) -> CheckReport:
@@ -238,10 +250,10 @@ def check_2_nilpotent(a: HomAlgebra) -> CheckReport:
     return _two_nilpotent(_view(a))
 
 
-def _onesided(tables, full) -> CheckReport:
+def _onesided(tables, full, spans: dict) -> CheckReport:
     """Whole algebra (full series ``full``) nilpotent iff every single-product reduct is; a
     reduct's full series is over its own table, so a mono algebra is its own reduct."""
-    reducts = [full] if len(tables) == 1 else (_until_stable([table], "full") for table in tables)
+    reducts = [full] if len(tables) == 1 else (_until_stable([table], "full", spans) for table in tables)
     parts = all(_verdict(terms).nilpotent for terms in reducts)
     violations = [] if _verdict(full).nilpotent == parts else [Violation("biconditional", (), ())]
     return CheckReport.collect("onesided_nilpotency", violations)
@@ -249,8 +261,8 @@ def _onesided(tables, full) -> CheckReport:
 
 def check_onesided_nilpotency_theorem(a: HomAlgebra) -> CheckReport:
     """Whole algebra nilpotent iff every single-product reduct is nilpotent."""
-    tables = _view(a).tables
-    return _onesided(tables, _until_stable(tables, "full"))
+    tables, spans = _view(a).tables, {}
+    return _onesided(tables, _until_stable(tables, "full", spans), spans)
 
 
 def _alpha_stability(full, twist) -> CheckReport:
@@ -273,7 +285,7 @@ def check_alpha_stability(a: HomAlgebra) -> CheckReport:
     """alpha(S_k) inside S_k along the full series; meaningful when the twist is multiplicative
     for every product (``axioms.check_multiplicativity``), which the caller checks."""
     t = _view(a)
-    return _alpha_stability(_until_stable(t.tables, "full"), t.twist)
+    return _alpha_stability(_until_stable(t.tables, "full", {}), t.twist)
 
 
 def _multiplicative(t: _Twisted) -> bool:
@@ -301,12 +313,13 @@ def analyze(a: HomAlgebra) -> NilpotencyAnalysis:
 
 
 def _analysis(t: _Twisted) -> NilpotencyAnalysis:
-    """``analyze`` on the integer view ``t`` of an algebra (``axioms._view``)."""
-    series = {kind: _until_stable(t.tables, kind) for kind in _KINDS}
+    """``analyze`` on the integer view ``t`` of an algebra (``axioms._view``), with one dict of spans."""
+    spans = {}
+    series = {kind: _until_stable(t.tables, kind, spans) for kind in _KINDS}
     return NilpotencyAnalysis(
         series=series,
         series_equality=_series_equality(series),
-        onesided=_onesided(t.tables, series["full"]),
+        onesided=_onesided(t.tables, series["full"], spans),
         two_nilpotent=_two_nilpotent(t),
         alpha_stability=_alpha_stability(series["full"], t.twist) if _multiplicative(t) else None,
     )

@@ -42,7 +42,9 @@ def _table(op: BilinearOp):
 
 
 def _product(c, x, y) -> dict:
-    """x o y for the bilinear map with basis products c[i][j]."""
+    """x o y for the bilinear map with basis products c[i][j]; {} at once when x or y is {}."""
+    if not x or not y:
+        return {}
     out = {}
     get = out.get
     for i, xi in x.items():

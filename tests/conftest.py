@@ -224,3 +224,27 @@ def negated_split_fixture(n: int = 2) -> HomAlgebra:
     """prec = -succ with a two-step product; splits sum to zero."""
     succ = BilinearOp.from_entries(n, [(0, 0, 1, F(1))])
     return HomAlgebra.rhizaform(succ, scaled(succ, -1), LinearMap.identity(n))
+
+
+def block_sum(x: HomAlgebra, y: HomAlgebra) -> HomAlgebra:
+    """x and y side by side: each product (of the same names) and the twist block-diagonal."""
+    m, n = x.dim, y.dim
+
+    def entries(name):
+        shifted = [(m + i, m + j, m + k, c) for i, j, k, c in y.products[name].nonzero_entries()]
+        return x.products[name].nonzero_entries() + shifted
+
+    rows = [[*x.alpha.matrix.row(r), *[F(0)] * n] for r in range(m)]
+    rows += [[*[F(0)] * m, *y.alpha.matrix.row(r)] for r in range(n)]
+    products = {name: BilinearOp.from_entries(m + n, entries(name)) for name in x.products}
+    return HomAlgebra(m + n, products, LinearMap.from_rows(rows))
+
+
+def sparse_edge_algebras() -> list[tuple[str, HomAlgebra]]:
+    """Split algebras on which the checkers meet whole triples with no live term and the oracle
+    multiplies zero vectors: prec all zero, a zero twist, and a block-diagonal sum of d2.A1 and d3.A7."""
+    rng = random.Random(3601)
+    zero_prec = HomAlgebra.rhizaform(random_tensor(rng, 3), BilinearOp.zero(3), random_map(rng, 3, 0))
+    zero_twist = HomAlgebra.rhizaform(random_tensor(rng, 3), random_tensor(rng, 3), LinearMap.from_rows([[0] * 3] * 3))
+    blocks = block_sum(load_entry("d2.A1", ETA_DEFAULT), load_entry("d3.A7", ETA_DEFAULT))
+    return [("zero-prec", zero_prec), ("zero-twist", zero_twist), ("block-sum", blocks)]

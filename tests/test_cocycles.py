@@ -1,11 +1,12 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from rhizalab import exactlin
+from rhizalab import cocycles, exactlin
 from rhizalab.algmodel import (
     BilinearOp,
     HomAlgebra,
@@ -13,7 +14,7 @@ from rhizalab.algmodel import (
     star_product,
     sum_product,
 )
-from rhizalab.axioms import _view, check_rhizaform
+from rhizalab.axioms import Violation, _view, check_rhizaform
 from rhizalab.catalog import load_entry
 from rhizalab.cocycles import (
     ScalarForm,
@@ -471,6 +472,86 @@ def test_cyclic_residuals_are_reported_at_every_rotation(n):
             assert any(len(set(t)) == 3 for t in at)  # an orbit of three triples
             for (i, j, k), r in at.items():
                 assert at.get((j, k, i)) == at.get((k, i, j)) == r, (n, tensor.__name__, i, j, k)
+
+
+def parent_violations(view, flat, d: int, width: int, ident: str, second) -> list:
+    """The residual check that computes the cyclic residual once per triple, reading its orbit's row:
+    the reference for ``cocycles._violations``, which computes it once per orbit."""
+    n = len(view.twist)
+    if len(flat) != n * n * width:
+        raise DimensionMismatch("form and algebra dimensions differ")
+    (form,), d_flat = exactlin._cleared([flat])
+    orbits, scale = _cyclic_rows(view)
+    cyclic = [orbits[min(t, t[1:] + t[:1], t[2:] + t[:2])] for t in itertools.product(range(n), repeat=3)], scale
+    out = []
+    for name, (rows, scale), forms, arity in (
+        ("cyclic", cyclic, [form[s::width] for s in range(width)], 3),
+        (ident, second(view), [form], 2),
+    ):
+        tuples = list(itertools.product(range(n), repeat=arity))
+        per = len(rows) // len(tuples)
+        for t, where in enumerate(tuples):
+            r = [sum(map(operator.mul, row, f)) for row in rows[t * per : (t + 1) * per] for f in forms]
+            if any(r):
+                out.append(Violation(name, tuple(i + 1 for i in where), r, scale * d * d_flat))
+    return out
+
+
+def _one_orbit_forms():
+    """e1 e1 = e1 with the identity twist, and B(e1, e2) = 1 (w(e1, e2) = e1) as the only entry: the
+    cyclic condition fails at the one orbit {(1, 1, 2), (1, 2, 1), (2, 1, 1)}, with residual 1."""
+    a = HomAlgebra.mono(BilinearOp.from_entries(2, [(0, 0, 0, F(1))]), LinearMap.identity(2))
+    b = ScalarForm(2, Matrix.from_rows([[0, 1], [0, 0]]))
+    w = VectorForm.from_entries(2, [(0, 1, 0, F(1))])
+    return a, b, w
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except (NotACocycle, Singular) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_orbit_residuals_match_the_per_triple_check(monkeypatch):
+    """The residual check computes each orbit's cyclic residual once and reports it at each of the
+    orbit's triples: both residual checks equal the per-triple reference on seeded forms that are
+    not cocycles, and the strict cocycle splitting refuses (or accepts) exactly as it does."""
+    rng = random.Random("orbit-residuals")
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    a, b, w = _one_orbit_forms()
+    cases = [(a, b, w)]
+    for n in (2, 3, 4):
+        for tensor in (_sparse_tensor, _fractional_tensor):
+            split = HomAlgebra.rhizaform(tensor(rng, n, 0.5), tensor(rng, n, 0.5), _dense_twist(rng, n))
+            b = ScalarForm(n, Matrix(n, n, [entry() for _ in range(n * n)]))
+            w = VectorForm(n, [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+            cases.append((split, b, w))
+    for a, b, w in cases:
+        view = _view(a)
+        scalar = parent_violations(view, b.matrix.entries, 1, 1, "invariance", cocycles._invariance_rows)
+        form = [dict(cell).get(r, 0) for row in w.table for cell in row for r in range(w.dim)]
+        vector = parent_violations(view, form, w.d, a.dim, "compat", cocycles._twist_rows)
+        assert scalar and vector
+        assert scalar_cocycle_residuals(a, b) == scalar
+        assert vector_cocycle_residuals(a, w) == vector
+    split_cases = [(a, b) for a, b, _ in cases if len(a.products) == 2]
+    got = [_outcome(lambda: rhizaform_from_cocycle(a, b, strict=True)) for a, b in split_cases]
+    monkeypatch.setattr(cocycles, "_violations", parent_violations)
+    assert got == [_outcome(lambda: rhizaform_from_cocycle(a, b, strict=True)) for a, b in split_cases]
+    assert {kind for kind, _ in got} == {"NotACocycle"}
+
+
+def test_a_form_failing_one_orbit_reports_it_at_its_three_triples():
+    a, b, w = _one_orbit_forms()
+    at = [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    scalar, vector = scalar_cocycle_residuals(a, b), vector_cocycle_residuals(a, w)
+    assert [(v.identity_id, v.basis_tuple, v.residual) for v in scalar] == [("cyclic", t, (1,)) for t in at]
+    assert [(v.identity_id, v.basis_tuple, v.residual) for v in vector] == [("cyclic", t, (1, 0)) for t in at]
+    assert scalar == ref.scalar_cocycle_residuals(a, b) and vector == ref.vector_cocycle_residuals(a, w)
 
 
 # --- the integer scalar row builder against the Fraction one ----------------

@@ -61,7 +61,7 @@ from rhizalab.operators import (
     rhizaform_bimodule,
 )
 from tests import fraction_checkers as ref
-from tests.conftest import catalog_algebras, graded_split_algebra
+from tests.conftest import catalog_algebras, graded_split_algebra, sparse_edge_algebras
 
 F = Fraction
 VALUES = [F(p, q) for q in (1, 2, 3, 5, 7) for p in range(-3, 4) if p]
@@ -114,7 +114,8 @@ def _fractional_catalog():
 
 def _split_inputs():
     out = catalog_algebras() + catalog_algebras({"eta": F(-3, 2)}) + _fractional_catalog()
-    return out + [(f"random{seed}", _random_split(seed, 3 + seed % 3)) for seed in range(6)]
+    out += [(f"random{seed}", _random_split(seed, 3 + seed % 3)) for seed in range(6)]
+    return out + sparse_edge_algebras()
 
 
 SPLIT_INPUTS = _split_inputs()

@@ -25,7 +25,13 @@ from rhizalab.axioms import check_rhizaform
 from rhizalab.exactlin import Matrix, invert
 from rhizalab.operators import rhizaform_bimodule
 from tests import parent_oracle
-from tests.conftest import catalog_algebras, graded_split_algebra, random_map, random_split_algebra
+from tests.conftest import (
+    catalog_algebras,
+    graded_split_algebra,
+    random_map,
+    random_split_algebra,
+    sparse_edge_algebras,
+)
 from tests.fraction_checkers import apply, eval_product, times
 
 F = Fraction
@@ -73,7 +79,8 @@ def standard_maps(rng: random.Random, n: int) -> list[LinearMap]:
 
 
 def differential_inputs():
-    """The catalog at every eta (an entry without eta once), then seeded algebras."""
+    """The catalog at every eta (an entry without eta once), seeded algebras, then the sparse edge
+    cases."""
     seen = set()
     for eta in ETAS:
         rng = random.Random(f"catalog-{eta}")
@@ -87,6 +94,9 @@ def differential_inputs():
         n = 2 + trial % 3
         yield f"random{trial}", random_split_algebra(rng, n), standard_maps(rng, n)
         yield f"graded{trial}", graded_split_algebra(rng, n), standard_maps(rng, n)
+    rng = random.Random("sparse-edge")
+    for label, a in sparse_edge_algebras():
+        yield label, a, standard_maps(rng, a.dim)
 
 
 def test_oracle_matches_parent_route():

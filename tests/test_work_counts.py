@@ -36,6 +36,11 @@ counts repeat exactly.
   the form: they call ``exactlin._cleared`` for nothing.
 * ``Subspace.full`` builds the identity's rows, already canonical, with no
   elimination.
+* One nilpotency analysis builds each product of subspace rows once, shared
+  by its three series and the one-product reducts.
+* The degree-3 residual writer makes no call for a term whose table cell is
+  empty.
+* ``catalog.verify_all`` resolves the data directory once for all entries.
 * A reader resolves each distinct coefficient text once per document
   (``exactlin.rational`` is called at most once per text, and on nothing
   but texts: a ``Matrix`` keeps the ``Fraction``s it is given): a dense
@@ -56,6 +61,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 from types import SimpleNamespace
 
 import pytest
@@ -317,6 +323,43 @@ def test_catalog_reports_clear_each_entry_once(monkeypatch, with_oracle):
     calls.clear()
     assert verify_entry("d3.A4", ETA) == expected.reports[2]
     assert len(calls) == 1
+
+
+def test_catalog_verify_resolves_the_data_directory_once(monkeypatch):
+    expected = verify_all(ETA)
+    real, calls = resources.files, []
+
+    def files(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(resources, "files", files)
+    assert verify_all(ETA) == expected
+    assert calls == [("rhizalab.catalog",)]
+
+
+def test_one_analysis_builds_each_subspace_product_once(monkeypatch):
+    """Over the 23 entries at eta = 1, the right, left and full series and the one-product reducts
+    of one analysis share their product rows and spans: at most 1144 subspace-row products, against
+    2194 when each series and reduct builds its own, and no more eliminations (271)."""
+    algebras = [load_entry(eid, ETA) for eid in catalog.entry_ids()]
+    expected = [nilpotency.analyze(a) for a in algebras]
+    products = count_calls(monkeypatch, "_product_into")
+    eliminations = count_calls(monkeypatch, "_echelon")
+    assert [nilpotency.analyze(a) for a in algebras] == expected
+    assert len(algebras) == 23
+    assert len(products) <= 1144
+    assert len(eliminations) <= 271
+
+
+def test_residual_writer_skips_empty_cells(monkeypatch):
+    """A term of the degree-3 writer whose table cell is empty adds nothing and makes no call: the
+    split check of d3.A16 applies 108 twisted columns, against 198 with one call per term."""
+    a = load_entry("d3.A16", ETA)
+    expected = axioms.check_rhizaform(a)
+    calls = count_calls(monkeypatch, "_apply_into")
+    assert axioms.check_rhizaform(a) == expected
+    assert len(calls) == 108
 
 
 @pytest.mark.parametrize("check", [check_jacobi_jordan, check_multiplicativity])
