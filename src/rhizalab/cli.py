@@ -72,7 +72,7 @@ from .operators import (
 
 # Why each public operation is reachable from the command line; audited by tests.
 OPERATION_COVERAGE = {
-    "exactlin.rref": "cocycles --vector FILE (its elimination, _echelon, backs every solve)",
+    "exactlin.rref": "cocycles --vector FILE (its forward elimination, _forward, backs every solve)",
     "exactlin.nullspace_basis": "cocycles --scalar FILE (and --vector, through the same _kernel)",
     "exactlin.invert": "induce --what cocycle --form B.json FILE (and --what invertible-o)",
     "algmodel.parse_algebra": "check --kind rhizaform FILE (every algebra-file load)",

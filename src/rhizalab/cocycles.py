@@ -37,7 +37,7 @@ from operator import mul
 from .algmodel import BilinearOp, HomAlgebra, _opposite, _sparse, _summed
 from .axioms import Violation, _sum_anti_associative, _Twisted, _view
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
-from .exactlin import F0, Matrix, _cleared, _echelon, _kernel, invert, rank
+from .exactlin import F0, Matrix, _cleared, _forward, _kernel, invert, rank
 from .operators import _transported, _transposed
 
 
@@ -242,7 +242,7 @@ def _vector_cocycle_dim(view: _Twisted) -> int:
     map c -> B of ``_solved`` is injective, so the space has the dimension of the kernel in c."""
     n = len(view.twist)
     size, _, _, rows = _reduced_system(view, False, n, _twist_rows)
-    return size * n - len(_echelon(rows)[1])
+    return size * n - len(_forward(rows))
 
 
 def is_nondegenerate(b: ScalarForm) -> bool:

@@ -2,11 +2,13 @@
 
 Nothing in this package ever touches floating point.  The public functions
 take and return ``fractions.Fraction`` values; row reduction itself runs over
-``int`` (fraction-free, see ``_echelon``), and the solvers whose conditions
-are integer rows hand them to ``_kernel`` directly and read its kernel over
-``int``.  Every result is read
-from the reduced row echelon form, which depends only on the row space and
-not on the order in which rows are reduced, so every function here is
+``int``, fraction-free, in two passes: a forward pass (``_forward``) that
+gives the pivots and so the rank, and a back-substitution
+(``_back_substitute``) run only where the reduced rows are read.  The
+solvers whose conditions are integer rows hand them to ``_kernel`` directly
+and read its kernel over ``int``.  Every result is read from the pivots or
+the reduced row echelon form, which depend only on the row space and not on
+the order in which rows are reduced, so every function here is
 deterministic and safe to use for golden-file regressions.  ``Matrix`` is a
 frozen dataclass, like the package's other value types.
 """
@@ -146,40 +148,58 @@ def _cleared(vectors) -> tuple[list[list[int]], int]:
     return [[c.numerator * (d // c.denominator) for c in v] for v in vectors], d
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free reduction of integer rows: the primitive pivot rows, and their pivot columns.
+def _eliminate(r: list[int], prow: list[int], c: int, f: int) -> list[int]:
+    """The row r, whose entry f at column c is nonzero, with that entry cleared by the pivot row
+    ``prow`` (pivot p at c): (p/g) r - (f/g) prow for g = gcd(p, f), divided by its content."""
+    g = gcd(prow[c], f)
+    pg, fg = prow[c] // g, f // g
+    return _primitive([pg * x - fg * y for x, y in zip(r, prow)])
 
-    Row by row.  Exact duplicate rows are read once.  Each row is reduced
-    against the pivot rows found so far with r <- (p/g) r - (f/g) pivot_row
-    (p the pivot, f the entry of r, g = gcd(p, f)), divided by its content
-    after every step; a row that is still nonzero becomes a pivot row at its
-    first nonzero column, which is then cleared from the older pivot rows
-    the same way.  Reading stops once every column has a pivot, since every
-    further row lies in the span.  Each pivot row is zero in every other
-    pivot column, so dividing it by its pivot gives the row of the reduced
-    row echelon form, which depends only on the row space; each is returned
-    with a positive pivot, as that row times the lcm of its denominators.
+
+def _forward(rows: list[list[int]]) -> dict[int, list[int]]:
+    """Fraction-free forward elimination of integer rows: each pivot column and its primitive row.
+
+    Exact duplicate rows are read once.  A row is reduced (``_eliminate``,
+    which keeps it primitive) only while its leading column already has a
+    pivot row, and is stored at the first leading column that has none yet.
+    Reading stops once every column has a pivot: every further row lies in
+    the span.  The pivots are those of the reduced row echelon form, so a
+    caller that reads only them or the rank stops here.
     """
-    pivot_rows = {}  # pivot column -> pivot row
-
-    def eliminate(r, prow, c):
-        g = gcd(prow[c], r[c])
-        pg, fg = prow[c] // g, r[c] // g
-        return _primitive([pg * x - fg * y for x, y in zip(r, prow)])
-
+    pivot_rows = {}  # pivot column -> primitive row, zero before it
     for row in dict.fromkeys(map(tuple, rows)):
-        if len(pivot_rows) == len(row):
+        width = len(row)
+        if len(pivot_rows) == width:
             break
-        r = _primitive(list(row))
-        for c, prow in pivot_rows.items():
-            if r[c]:
-                r = eliminate(r, prow, c)
-        col = next((c for c, x in enumerate(r) if x), None)
-        if col is not None:
-            pivot_rows = {c: eliminate(prow, r, col) if prow[col] else prow for c, prow in pivot_rows.items()}
-            pivot_rows[col] = r
+        r = row
+        for c in range(width):  # r is zero before c
+            if f := r[c]:
+                if (prow := pivot_rows.get(c)) is None:
+                    pivot_rows[c] = _primitive(list(r)) if r is row else r
+                    break
+                r = _eliminate(r, prow, c, f)
+    return pivot_rows
+
+
+def _back_substitute(pivot_rows: dict[int, list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The forward pivot rows cleared above each pivot, right to left, in pivot-column order, and the
+    pivots: each row primitive, with a positive pivot and zero in every other pivot column, so it is
+    its row of the reduced row echelon form (unique) times the lcm of that row's denominators."""
     pivots = sorted(pivot_rows)
-    return [pivot_rows[c] if pivot_rows[c][c] > 0 else [-x for x in pivot_rows[c]] for c in pivots], pivots
+    done = []  # (pivot column, finished row), right to left
+    for c in reversed(pivots):
+        r = pivot_rows[c]
+        for d, prow in done:
+            if f := r[d]:
+                r = _eliminate(r, prow, d, f)
+        done.append((c, r if r[c] > 0 else [-x for x in r]))
+    return [r for _, r in reversed(done)], pivots
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The primitive rows of the reduced row echelon form of integer rows, with positive pivots, and
+    their pivot columns: ``_back_substitute`` of ``_forward``."""
+    return _back_substitute(_forward(rows))
 
 
 def _rref_rows(rows: list[list[int]]) -> list[list[Fraction]]:
@@ -190,8 +210,12 @@ def _rref_rows(rows: list[list[int]]) -> list[list[Fraction]]:
 def _kernel(rows: list[list[int]], cols: int) -> list[tuple[list[int], int]]:
     """The kernel basis ``nullspace_basis`` gives, for integer rows of length ``cols``, over int: each
     vector v (1 at its free column f, -row[f]/row[pc] at each pivot column pc) as (v*d, d), d the lcm
-    of its denominators, the pair ``_cleared([v])`` gives unnested."""
-    reduced, pivots = _echelon(rows)
+    of its denominators, the pair ``_cleared([v])`` gives unnested.  With a pivot in every column
+    the kernel is empty, read off the forward pass with no back-substitution."""
+    pivot_rows = _forward(rows)
+    if len(pivot_rows) == cols:
+        return []
+    reduced, pivots = _back_substitute(pivot_rows)
     basis = []
     for free in sorted(set(range(cols)).difference(pivots)):
         at = [(pc, row[free], row[pc]) for row, pc in zip(reduced, pivots) if row[free]]
@@ -212,7 +236,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(_cleared(m.to_rows())[0])[1])
+    return len(_forward(_cleared(m.to_rows())[0]))
 
 
 def nullspace_basis(m: Matrix) -> list[Vector]:
@@ -227,7 +251,8 @@ def invert(m: Matrix) -> Matrix:
     n = m.rows
     rows, d = _cleared(m.to_rows())
     # [D m | D I] reduces to [I | m^-1] exactly when every pivot is in the left block
-    reduced, pivots = _echelon([row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
+    pivot_rows = _forward([row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(rows)])
+    if any(c >= n for c in pivot_rows):
         raise Singular(f"matrix of rank < {n}")
+    reduced, _ = _back_substitute(pivot_rows)
     return Matrix(n, n, [Fraction(x, row[i]) for i, row in enumerate(reduced) for x in row[n:]])

@@ -43,7 +43,7 @@ from typing import NamedTuple
 from .algmodel import HomAlgebra, _apply_into, _product_into, _sparse
 from .axioms import CheckReport, Violation, _mult_violations, _triple_violations, _Twisted, _view
 from .errors import DimensionMismatch
-from .exactlin import Matrix, Vector, _cleared, _echelon, _rref_rows
+from .exactlin import Matrix, Vector, _cleared, _echelon, _forward, _rref_rows
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class Subspace:
     def contains(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("subspaces of different ambient dimensions")
-        return len(_echelon([*self.rows, *other.rows])[1]) == self.dim
+        return len(_forward([*self.rows, *other.rows])) == self.dim
 
 
 def _span(ambient_dim: int, rows) -> Subspace:
@@ -209,7 +209,7 @@ def _difference_witness(x: Subspace, y: Subspace) -> tuple[tuple[int, ...], int]
     """A basis vector of x missing from y, or vice versa (x != y): its integer echelon row and that
     row's pivot, whose quotient is its reduced echelon row."""
     for row, other in [(row, y) for row in x.rows] + [(row, x) for row in y.rows]:
-        if len(_echelon([*other.rows, row])[1]) > other.dim:
+        if len(_forward([*other.rows, row])) > other.dim:
             return row, next(v for v in row if v)
 
 

@@ -94,9 +94,18 @@ def sum_mono(a: HomAlgebra) -> HomAlgebra:
     return HomAlgebra.mono(sum_product(a), a.alpha)
 
 
+def cancelling_split_algebra() -> HomAlgebra:
+    """A 2-dimensional split algebra on which req1, req3, den1 and den3 hold while sums in the
+    oracle's products cancel to zero, so an oracle that keeps a cancelled zero misjudges them."""
+    succ = BilinearOp.from_entries(2, [(0, 0, 0, 1), (0, 1, 0, -1), (1, 0, 0, -1)])
+    prec = BilinearOp.from_entries(2, [(0, 0, 0, 1), (0, 1, 0, -1)])
+    return HomAlgebra.rhizaform(succ, prec, LinearMap.from_rows([[-1, 1], [-1, 1]]))
+
+
 def test_criterion_01_oracle_equivalence():
     """Every checker verdict equals the brute-force evaluator's, exactly,
-    on all 23 entries and 200 random structure tensors (dims 2-3)."""
+    on all 23 entries, 200 random structure tensors (dims 2-3) and one
+    algebra whose identities hold through cancelling sums."""
     mismatches = []
 
     def compare(label: str, a: HomAlgebra):
@@ -142,9 +151,10 @@ def test_criterion_01_oracle_equivalence():
     rng = random.Random(20260810)
     for trial in range(200):
         compare(f"rand{trial}", random_split_algebra(rng, 2 + trial % 2))
+    compare("cancelling", cancelling_split_algebra())
 
     ok = not mismatches
-    verdict(1, "oracle equivalence (23 entries + 200 random tensors)", ok,
+    verdict(1, "oracle equivalence (23 entries + 200 random tensors + 1 cancelling)", ok,
             f"{len(mismatches)} mismatches")
     assert ok, mismatches
 

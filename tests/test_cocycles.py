@@ -391,18 +391,19 @@ def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     """A count check: every system the n=4 solve reduces is at most n^3 = 64
     rows by 64 columns (the one dense system was 320 x 64), and the first
     is the cyclic system with one row per rotation orbit: (n^3 + 2n)/3 = 24
-    rows, all 24 distinct on a dense algebra."""
+    rows, all 24 distinct on a dense algebra.  Every elimination starts with
+    the forward pass, so its inputs are the systems reduced."""
     rng = random.Random("dense-n4")
     dense = HomAlgebra.rhizaform(_sparse_tensor(rng, 4, 0.5), _sparse_tensor(rng, 4, 0.5), _dense_twist(rng, 4))
     cases = [(direct_sum(load_entry("d2.A1"), load_entry("d2.A7")), 9, 20), (dense, 24, 0)]
     shapes = []
-    real_echelon = exactlin._echelon
+    real_forward = exactlin._forward
 
-    def recording_echelon(rows):
+    def recording_forward(rows):
         shapes.append((len(rows), len(set(map(tuple, rows))), len(rows[0]) if rows else 0))
-        return real_echelon(rows)
+        return real_forward(rows)
 
-    monkeypatch.setattr(exactlin, "_echelon", recording_echelon)
+    monkeypatch.setattr(exactlin, "_forward", recording_forward)
     for a, cyclic_rows, dim in cases:
         shapes.clear()
         assert len(vector_cocycle_space(a)) == dim

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhizalab.algmodel import BilinearOp, LinearMap
+from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap
+from rhizalab.axioms import _view
+from rhizalab.catalog import load_entry
 from rhizalab.cli import main
-from rhizalab.cocycles import VectorForm
+from rhizalab.cocycles import VectorForm, _cyclic_rows
 from rhizalab.errors import DimensionMismatch, ParseError, Singular
 from rhizalab.exactlin import (
     Matrix,
     _cleared,
     _echelon,
+    _forward,
     _kernel,
     _rref_rows,
     invert,
@@ -24,6 +27,7 @@ from rhizalab.exactlin import (
     rref,
 )
 from tests.fraction_checkers import apply, times
+from tests.test_cocycles import _dense_twist, _sparse_tensor, direct_sum
 
 F = Fraction
 
@@ -352,3 +356,120 @@ def test_rref_matches_reference_property(m, data):
     rows = [_cleared([m.row(i)])[0][0] for i in range(m.rows)]
     repeats = data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
     assert _rref_rows(data.draw(st.permutations(rows + repeats))) == _rref_rows(rows), m
+
+
+# --- the two-pass elimination against the one-pass Gauss-Jordan loop ---------
+
+
+def parent_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reference: the one-pass fraction-free Gauss-Jordan loop, which clears each new pivot column
+    from every older pivot row at once."""
+    pivot_rows = {}
+
+    def eliminate(r, prow, c):
+        g = gcd(prow[c], r[c])
+        pg, fg = prow[c] // g, r[c] // g
+        row = [pg * x - fg * y for x, y in zip(r, prow)]
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    for row in dict.fromkeys(map(tuple, rows)):
+        if len(pivot_rows) == len(row):
+            break
+        g = gcd(*row)
+        r = [x // g for x in row] if g > 1 else list(row)
+        for c, prow in pivot_rows.items():
+            if r[c]:
+                r = eliminate(r, prow, c)
+        col = next((c for c, x in enumerate(r) if x), None)
+        if col is not None:
+            pivot_rows = {c: eliminate(prow, r, col) if prow[col] else prow for c, prow in pivot_rows.items()}
+            pivot_rows[col] = r
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] if pivot_rows[c][c] > 0 else [-x for x in pivot_rows[c]] for c in pivots], pivots
+
+
+def parent_kernel(rows: list[list[int]], cols: int) -> list[tuple[list[int], int]]:
+    """Reference: the kernel pairs read off ``parent_echelon``, one per free column."""
+    reduced, pivots = parent_echelon(rows)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[free] = F(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = F(-row[free], row[pc])
+        (w,), d = _cleared([v])
+        basis.append((w, d))
+    return basis
+
+
+def _assert_matches_parent(rows, cols, label):
+    expected = parent_echelon(rows)
+    assert _echelon(rows) == expected, label
+    assert len(_forward(rows)) == len(expected[1]), label
+    assert _kernel(rows, cols) == parent_kernel(rows, cols), label
+
+
+def _integer_rows(rng, rows, cols, density, height):
+    return [[rng.randint(-height, height) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+
+
+def test_two_passes_match_the_one_pass_loop_on_full_rank_systems():
+    """Dense 45x25 systems of full column rank, the shape of the dense n = 5 scalar cyclic system, at
+    heights 1 to 2^40; and that cyclic system itself, whose kernel is empty."""
+    rng = random.Random("two-pass-full-rank")
+    for height in (1, 7, 2**12, 2**40):
+        rows = _integer_rows(rng, 45, 25, 1.0, height)
+        assert len(parent_echelon(rows)[1]) == 25
+        _assert_matches_parent(rows, 25, ("dense", height))
+    a = HomAlgebra.rhizaform(_sparse_tensor(rng, 5, 0.5), _sparse_tensor(rng, 5, 0.5), _dense_twist(rng, 5))
+    cyclic = list(_cyclic_rows(_view(a))[0].values())
+    assert (len(cyclic), len(parent_echelon(cyclic)[1])) == (45, 25)
+    _assert_matches_parent(cyclic, 25, "cyclic n = 5")
+
+
+def test_two_passes_match_the_one_pass_loop_on_rank_deficient_sparse_systems():
+    """The cyclic systems of direct sums of catalog entries, and sparse products of a tall and a wide
+    factor, whose rank is at most the inner dimension."""
+    for left, right in (("d2.A1", "d2.A7"), ("d2.A7", "d3.A4"), ("d3.A16", "d2.A1")):
+        a = direct_sum(load_entry(left, {"eta": F(1)}), load_entry(right, {"eta": F(1)}))
+        rows = list(_cyclic_rows(_view(a))[0].values())
+        assert len(parent_echelon(rows)[1]) < a.dim**2
+        _assert_matches_parent(rows, a.dim**2, (left, right))
+    rng = random.Random("two-pass-rank-deficient")
+    for height in (1, 7, 2**12, 2**40):
+        for rk, cols in ((1, 9), (4, 16), (9, 25), (20, 36)):
+            tall = _integer_rows(rng, 3 * rk, rk, 0.6, 3)
+            wide = _integer_rows(rng, rk, cols, 0.2, height)
+            rows = [[sum(x * w[c] for x, w in zip(t, wide)) for c in range(cols)] for t in tall]
+            assert len(parent_echelon(rows)[1]) <= rk
+            _assert_matches_parent(rows, cols, ("sparse", rk, cols, height))
+
+
+def test_two_passes_match_the_one_pass_loop_on_repeated_zero_and_empty_rows():
+    rng = random.Random("two-pass-degenerate")
+    for height in (1, 2**40):
+        few = _integer_rows(rng, 3, 6, 0.7, height)
+        _assert_matches_parent([few[rng.randrange(3)] for _ in range(20)], 6, ("duplicates", height))
+        zeros = [[0] * 6 for _ in range(4)]
+        _assert_matches_parent(zeros + few + zeros + few, 6, ("zeros", height))
+    for shape in ((0, 0), (0, 4), (1, 0), (5, 0), (3, 3)):
+        _assert_matches_parent([[0] * shape[1] for _ in range(shape[0])], shape[1], shape)
+
+
+integer_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**40), 2**40))
+
+
+@st.composite
+def integer_systems(draw):
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 8))
+    return [draw(st.lists(integer_entries, min_size=cols, max_size=cols)) for _ in range(rows)], cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_systems(), st.data())
+def test_two_passes_match_the_one_pass_loop_property(system, data):
+    """On any integer rows, repeated ones included."""
+    rows, cols = system
+    repeats = data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    _assert_matches_parent(rows + repeats, cols, system)

@@ -272,6 +272,7 @@ def kept_sign(x):
         ("_table", transposed_table),
         ("_images", dropped_twist),
         ("_product", kept_zeros),
+        ("_product", kept_cancelled_zeros),
         ("_exact", dropped_denominator),
         ("_neg", kept_sign),
     ],
@@ -286,8 +287,9 @@ def test_criterion_01_catches_evaluator_mutants(monkeypatch, name, mutant):
 
 
 def test_near_misses_catch_a_product_that_keeps_cancelled_zeros(monkeypatch):
-    """Criterion 01 has no input on which an identity holds while one of its products cancels, so it
-    misses a ``_product`` that keeps the zeros its sums cancel to; the transported entries have many."""
+    """The near misses see a ``_product`` that keeps the zeros its sums cancel to: the transported
+    entries have many identities that hold while a product cancels (criterion 01 has one such input,
+    ``cancelling_split_algebra``)."""
     monkeypatch.setattr(oracle, "_product", kept_cancelled_zeros)
     assert any(
         getattr(oracle, name)(*args) != getattr(parent_oracle, name)(*args)

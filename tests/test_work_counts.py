@@ -36,6 +36,13 @@ counts repeat exactly.
   the form: they call ``exactlin._cleared`` for nothing.
 * ``Subspace.full`` builds the identity's rows, already canonical, with no
   elimination.
+* Elimination back-substitutes only where reduced rows are read: ``rank``,
+  ``is_nondegenerate``, the catalog's cyclic-form dimension
+  (``_vector_cocycle_dim``), ``Subspace.contains`` and the series witness
+  (``_difference_witness``) read the forward pass alone (the dimension
+  back-substitutes once, for the scalar kernel whose basis it reads), and a
+  kernel with a pivot in every column, as the dense n = 5 scalar cyclic
+  system has, is empty without one.
 * One nilpotency analysis builds each product of subspace rows once, shared
   by its three series and the one-product reducts.
 * The degree-3 residual writer makes no call for a term whose table cell is
@@ -267,6 +274,38 @@ def test_full_subspace_runs_no_elimination(monkeypatch):
     calls = count_calls(monkeypatch, "_echelon")
     assert [Subspace.full(n) for n in range(5)] == expected
     assert calls == []
+
+
+def test_rank_readers_run_no_back_substitution(monkeypatch):
+    rng = random.Random("dense-n5")
+    dense = HomAlgebra.rhizaform(_sparse_tensor(rng, 5, 0.5), _sparse_tensor(rng, 5, 0.5), _dense_twist(rng, 5))
+    view = axioms._view(dense)
+    assert exactlin.rank(exactlin.Matrix.from_rows(cocycles._cyclic_rows(view)[0].values())) == 25
+    a, b = _split_skew()
+    m = exactlin.Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, F(1, 2)]])
+    x = Subspace.from_vectors(3, [[1, 2, 3], [0, 1, 1]])
+    y = Subspace.from_vectors(3, [[1, 2, 3], [0, 0, 1]])
+    z = Subspace.from_vectors(3, [[1, 3, 4]])
+    reads = {
+        "scalar_cocycle_space": lambda: scalar_cocycle_space(dense),
+        "rank": lambda: exactlin.rank(m),
+        "is_nondegenerate": lambda: cocycles.is_nondegenerate(b),
+        "_vector_cocycle_dim": lambda: cocycles._vector_cocycle_dim(axioms._view(a)),
+        "contains": lambda: (x.contains(y), y.contains(Subspace.zero(3)), x.contains(z)),
+        "_difference_witness": lambda: nilpotency._difference_witness(x, y),
+    }
+    expected = {name: read() for name, read in reads.items()}
+    assert expected["scalar_cocycle_space"] == [] and expected["rank"] == 2 and expected["is_nondegenerate"]
+    assert expected["contains"] == (False, True, True)
+    forward = count_calls(monkeypatch, "_forward")
+    back = count_calls(monkeypatch, "_back_substitute")
+    for name, read in reads.items():
+        forward.clear()
+        back.clear()
+        assert read() == expected[name], name
+        assert forward, name
+        # the cyclic-form dimension reads the basis of the scalar kernel, and only the rank after it
+        assert back == (["_kernel"] if name == "_vector_cocycle_dim" else []), name
 
 
 @pytest.mark.parametrize("solve", [scalar_cocycle_space, vector_cocycle_space])
