@@ -13,12 +13,15 @@ form one second condition.  The two readings are the two widths:
   reading the low-dimensional tables follow.
 
 Each condition is stated once, as integer rows in the form's unknowns and
-the scale they carry: ``_cyclic_rows`` (one per rotation orbit of (i, j, k)),
-``_invariance_rows`` and ``_twist_rows``.  One solver, ``_solved``, over int
-from the rows to the forms, and one residual check, ``_violations``, read
-them for either width; the public functions only set the width, the second
-condition and the output shape.  With ``strict``, the solvers first require
-the working product to be anti-associative.
+the scale they carry: ``_cyclic_rows`` (one dense row per rotation orbit of
+(i, j, k)), and ``_invariance_rows`` and ``_twist_rows`` (sparse rows, the
+(column, value) pairs of their nonzero entries).  One solver, ``_solved``,
+over int from the rows to the forms, and one residual check,
+``_violations``, read them for either width; the public functions only set
+the width, the second condition and the output shape.  Every cyclic row lies
+in R^n (x) im(alpha), so the solver stops the cyclic elimination at
+n * rank(alpha) pivots.  With ``strict``, the solvers first require the
+working product to be anti-associative.
 
 The splitting from a nondegenerate scalar form B is the coregular case of
 the O-operator code, as an averaging operator is the regular case: the
@@ -64,15 +67,17 @@ class VectorForm(BilinearOp):
 # cleared by one D, so every row is an integer row, at D to the condition's
 # degree; the rows that read only alpha carry it at D^2 too.  Scaling a row by
 # a nonzero constant leaves the kernel unchanged, and with it the canonical
-# basis.
+# basis.  The cyclic rows go to the elimination as they are, dense; the second
+# condition's rows are sparse, since they are only spread into the kernel's
+# coordinates (``_spread``) or substituted into (``_violations``).
 
 
-def _add_form_terms(row: list[int], u, w, n: int, stride: int = 1, offset: int = 0) -> None:
-    """Add to ``row`` the coefficient of B[p][q] (column (p*n + q)*stride + offset) in B(u, w), for
-    sparse integer vectors u and w."""
+def _add_form_terms(row: list[int], u, w, n: int) -> None:
+    """Add to ``row`` the coefficient of B[p][q] (column p*n + q) in B(u, w), for sparse integer vectors
+    u and w."""
     for p, up in u:
         for q, wq in w:
-            row[(p * n + q) * stride + offset] += up * wq
+            row[p * n + q] += up * wq
 
 
 def _cyclic_rows(view: _Twisted, strict: bool = False) -> tuple[dict[tuple[int, int, int], list[int]], int]:
@@ -95,37 +100,44 @@ def _cyclic_rows(view: _Twisted, strict: bool = False) -> tuple[dict[tuple[int, 
     return rows, view.d * view.d
 
 
-def _invariance_rows(view: _Twisted) -> tuple[list[list[int]], int]:
-    """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), in the unknowns B[p][q]; at D^2."""
+def _invariance_rows(view: _Twisted) -> tuple[list[list[tuple[int, int]]], int]:
+    """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), as sparse rows in the unknowns B[p][q]; at D^2.
+    Of the terms of B(alpha e_i, alpha e_j), only the one at B[i][j] meets -B[i][j]."""
     n, images, dd = len(view.twist), view.twist, view.d * view.d
+    diag = [dict(image).get(i, 0) for i, image in enumerate(images)]  # component i of alpha(e_i)
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [0] * (n * n)
-            _add_form_terms(row, images[i], images[j], n)
-            row[i * n + j] -= dd
+            row = [(p * n + q, x * y) for p, x in images[i] for q, y in images[j] if p != i or q != j]
+            if own := diag[i] * diag[j] - dd:
+                row.append((i * n + j, own))
             rows.append(row)
     return rows, dd
 
 
-def _twist_rows(view: _Twisted) -> tuple[list[list[int]], int]:
+def _twist_rows(view: _Twisted) -> tuple[list[list[tuple[int, int]]], int]:
     """Component c of alpha(w(e_i, e_j)) - w(alpha e_i, alpha e_j) at each (i, j, c), lexicographic,
-    in the unknowns w[p][q][r] (column (p*n + q)*n + r); at D^2."""
-    n, images = len(view.twist), view.twist
-    lifted = [[0] * n for _ in range(n)]  # lifted[c][r]: component c of alpha(e_r), at D^2
+    as sparse rows in the unknowns w[p][q][r] (column (p*n + q)*n + r); at D^2.  The two parts meet
+    only at w[i][j][c]."""
+    n, images, d = len(view.twist), view.twist, view.d
+    diag = [dict(image).get(i, 0) for i, image in enumerate(images)]  # component i of alpha(e_i)
+    lifted = [[] for _ in range(n)]  # lifted[c]: the nonzero (r, component c of alpha(e_r)) for r != c, at D^2
     for r, image in enumerate(images):
         for c, x in image:
-            lifted[c][r] = x * view.d
+            if c != r:
+                lifted[c].append((r, x * d))
     rows = []
     for i in range(n):
-        minus_image = [(p, -x) for p, x in images[i]]
         for j in range(n):
+            cell = (i * n + j) * n
+            minus = [((p * n + q) * n, -x * y) for p, x in images[i] for q, y in images[j] if p != i or q != j]
             for c in range(n):
-                row = [0] * (n * n * n)
-                row[(i * n + j) * n : (i * n + j + 1) * n] = lifted[c]
-                _add_form_terms(row, minus_image, images[j], n, n, c)
+                row = [(cell + r, x) for r, x in lifted[c]]
+                row += [(col + c, x) for col, x in minus]
+                if own := diag[c] * d - diag[i] * diag[j]:
+                    row.append((cell + c, own))
                 rows.append(row)
-    return rows, view.d * view.d
+    return rows, d * d
 
 
 def _violations(view: _Twisted, flat, d: int, width: int, ident: str, second) -> list[Violation]:
@@ -144,7 +156,7 @@ def _violations(view: _Twisted, flat, d: int, width: int, ident: str, second) ->
     cyclic = [by_orbit[min(t, t[1:] + t[:1], t[2:] + t[:2])] for t in product(range(n), repeat=3)]
     rows, second_scale = second(view)
     per = len(rows) // (n * n)
-    pairs = [[sum(map(mul, row, form)) for row in rows[t * per : (t + 1) * per]] for t in range(n * n)]
+    pairs = [[sum(form[col] * x for col, x in row) for row in rows[t * per : (t + 1) * per]] for t in range(n * n)]
     out = []
     for name, residuals, scale, arity in (("cyclic", cyclic, cyclic_scale, 3), (ident, pairs, second_scale, 2)):
         for where, r in zip(product(range(1, n + 1), repeat=arity), residuals):
@@ -153,11 +165,12 @@ def _violations(view: _Twisted, flat, d: int, width: int, ident: str, second) ->
     return out
 
 
-def _spread(flat: list[int], sparse: list, width: int, size: int) -> list[int]:
-    """The size*width vector with sum_a flat[a*width + s] * y at column b*width + s, over (b, y) in
-    ``sparse[a]``: each strided column of ``flat`` times the sparse rows, from its nonzero entries."""
+def _spread(entries, sparse: list, width: int, size: int) -> list[int]:
+    """The size*width vector with sum_a x[a*width + s] * y at column b*width + s, over (b, y) in
+    ``sparse[a]``, for the (column, x) pairs ``entries`` of a vector x: each strided column of x times
+    the sparse rows, from its nonzero entries."""
     out = [0] * (size * width)
-    for col, x in enumerate(flat):
+    for col, x in entries:
         if x:
             a, s = divmod(col, width)
             for b, y in sparse[a]:
@@ -169,9 +182,13 @@ def _reduced_system(view: _Twisted, strict: bool, width: int, second) -> tuple[i
     """For the kernel b_1..b_d of the scalar cyclic rows of ``view``, cleared as one block by the lcm D
     of the D_t that ``_kernel`` clears each b_t by: d, the block's sparse rows (the nonzero (pq, b_t[pq])
     for each t) and D; and the rows of ``second`` in the d*width unknowns c[t][s] (column t*width + s);
-    see ``_solved``.  Strict needs anti-associativity."""
+    see ``_solved``.  Strict needs anti-associativity.
+
+    Each cyclic row is a sum of u (x) alpha(e_k) over the columns p*n + q, so it lies in
+    R^n (x) im(alpha), and the system has rank at most n * rank(alpha): its forward pass stops there."""
     n = len(view.twist)
-    kernel = _kernel(list(_cyclic_rows(view, strict)[0].values()), n * n)
+    twist_rank = len(_forward([[dict(image).get(c, 0) for c in range(n)] for image in view.twist]))
+    kernel = _kernel(list(_cyclic_rows(view, strict)[0].values()), n * n, n * twist_rank)
     d = lcm(*(d_t for _, d_t in kernel))
     block = [[(pq, x * (d // d_t)) for pq, x in enumerate(b) if x] for b, d_t in kernel]
     at = [[] for _ in range(n * n)]  # column pq of the block: the nonzero (t, b_t[pq])
@@ -208,7 +225,7 @@ def _solved(view: _Twisted, strict: bool, width: int, second) -> list[tuple[list
     """
     size, block, d, rows = _reduced_system(view, strict, width, second)
     n2 = len(view.twist) ** 2
-    return [(_spread(c, block, width, n2), d * d_c) for c, d_c in _kernel(rows, size * width)]
+    return [(_spread(enumerate(c), block, width, n2), d * d_c) for c, d_c in _kernel(rows, size * width)]
 
 
 def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
@@ -233,7 +250,8 @@ def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm
     """Kernel basis of the algebra-valued cyclic + twist conditions (n^3 unknowns, column (p*n + q)*n + r)."""
     n = a.dim
     forms = _solved(_view(a), strict, n, _twist_rows)
-    cells = [([_sparse(v[pq * n : (pq + 1) * n]) for pq in range(n * n)], d) for v, d in forms]
+    # each flat form cut into its n^2 cells of n
+    cells = [([_sparse(cell) if any(cell) else () for cell in zip(*[iter(v)] * n)], d) for v, d in forms]
     return [VectorForm._from_table([c[p * n : (p + 1) * n] for p in range(n)], d) for c, d in cells]
 
 

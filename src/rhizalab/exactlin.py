@@ -5,12 +5,13 @@ take and return ``fractions.Fraction`` values; row reduction itself runs over
 ``int``, fraction-free, in two passes: a forward pass (``_forward``) that
 gives the pivots and so the rank, and a back-substitution
 (``_back_substitute``) run only where the reduced rows are read.  The
-solvers whose conditions are integer rows hand them to ``_kernel`` directly
-and read its kernel over ``int``.  Every result is read from the pivots or
-the reduced row echelon form, which depend only on the row space and not on
-the order in which rows are reduced, so every function here is
-deterministic and safe to use for golden-file regressions.  ``Matrix`` is a
-frozen dataclass, like the package's other value types.
+solvers whose conditions are integer rows hand them to ``_kernel`` directly,
+with a bound on their rank where they have proven one (it stops the forward
+pass early), and read its kernel over ``int``.  Every result is read from
+the pivots or the reduced row echelon form, which depend only on the row
+space and not on the order in which rows are reduced, so every function
+here is deterministic and safe to use for golden-file regressions.
+``Matrix`` is a frozen dataclass, like the package's other value types.
 """
 
 from __future__ import annotations
@@ -156,21 +157,25 @@ def _eliminate(r: list[int], prow: list[int], c: int, f: int) -> list[int]:
     return _primitive([pg * x - fg * y for x, y in zip(r, prow)])
 
 
-def _forward(rows: list[list[int]]) -> dict[int, list[int]]:
+def _forward(rows: list[list[int]], bound: int | None = None) -> dict[int, list[int]]:
     """Fraction-free forward elimination of integer rows: each pivot column and its primitive row.
 
-    Exact duplicate rows are read once.  A row is reduced (``_eliminate``,
-    which keeps it primitive) only while its leading column already has a
-    pivot row, and is stored at the first leading column that has none yet.
-    Reading stops once every column has a pivot: every further row lies in
-    the span.  The pivots are those of the reduced row echelon form, so a
-    caller that reads only them or the rank stops here.
+    Exact duplicate rows are read once, and a zero row is skipped.  A row is
+    reduced (``_eliminate``, which keeps it primitive) only while its leading
+    column already has a pivot row, and is stored at the first leading
+    column that has none yet.  Reading stops once there are ``bound`` pivots,
+    a bound on the rank that the caller has proven, or, with no bound, once
+    every column has one: every further row lies in the span.  The pivots
+    are those of the reduced row echelon form, so a caller that reads only
+    them or the rank stops here.
     """
     pivot_rows = {}  # pivot column -> primitive row, zero before it
     for row in dict.fromkeys(map(tuple, rows)):
         width = len(row)
-        if len(pivot_rows) == width:
+        if len(pivot_rows) == (width if bound is None else bound):
             break
+        if not any(row):
+            continue
         r = row
         for c in range(width):  # r is zero before c
             if f := r[c]:
@@ -207,12 +212,13 @@ def _rref_rows(rows: list[list[int]]) -> list[list[Fraction]]:
     return [[F0 if x == 0 else Fraction(x, row[c]) for x in row] for row, c in zip(*_echelon(rows))]
 
 
-def _kernel(rows: list[list[int]], cols: int) -> list[tuple[list[int], int]]:
+def _kernel(rows: list[list[int]], cols: int, bound: int | None = None) -> list[tuple[list[int], int]]:
     """The kernel basis ``nullspace_basis`` gives, for integer rows of length ``cols``, over int: each
     vector v (1 at its free column f, -row[f]/row[pc] at each pivot column pc) as (v*d, d), d the lcm
-    of its denominators, the pair ``_cleared([v])`` gives unnested.  With a pivot in every column
-    the kernel is empty, read off the forward pass with no back-substitution."""
-    pivot_rows = _forward(rows)
+    of its denominators, the pair ``_cleared([v])`` gives unnested.  A proven ``bound`` on the rank
+    stops the forward pass there (``_forward``); the pivots, and so the kernel, are the same.  With a
+    pivot in every column the kernel is empty, read off the forward pass with no back-substitution."""
+    pivot_rows = _forward(rows, bound)
     if len(pivot_rows) == cols:
         return []
     reduced, pivots = _back_substitute(pivot_rows)

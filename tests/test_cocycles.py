@@ -361,6 +361,17 @@ def _dense_twist(rng, n):
         return LinearMap(n, times(times(p, d), p_inv))
 
 
+def _twist_of_rank(rng, n, r):
+    """A twist of rank exactly r: the product of an n x r and an r x n matrix with entries in {-1, 0, 1, 2}."""
+    while True:
+        left = [[rng.choice((F(-1), F0, F(1), F(2))) for _ in range(r)] for _ in range(n)]
+        right = [[rng.choice((F(-1), F0, F(1), F(2))) for _ in range(n)] for _ in range(r)]
+        entries = [[sum((left[i][t] * right[t][j] for t in range(r)), F0) for j in range(n)] for i in range(n)]
+        alpha = Matrix.from_rows(entries)
+        if exactlin.rank(alpha) == r:
+            return LinearMap(n, alpha)
+
+
 TWISTS = {
     "identity": lambda rng, n: LinearMap.identity(n),
     "diagonal": _diagonal_twist,
@@ -389,8 +400,9 @@ def test_vector_solver_matches_dense_on_n4_direct_sums(parts):
 
 def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     """A count check: every system the n=4 solve reduces is at most n^3 = 64
-    rows by 64 columns (the one dense system was 320 x 64), and the first
-    is the cyclic system with one row per rotation orbit: (n^3 + 2n)/3 = 24
+    rows by 64 columns (the one dense system was 320 x 64).  The first is
+    the n x n twist, whose rank bounds the cyclic system's, and the second
+    the cyclic system with one row per rotation orbit: (n^3 + 2n)/3 = 24
     rows, all 24 distinct on a dense algebra.  Every elimination starts with
     the forward pass, so its inputs are the systems reduced."""
     rng = random.Random("dense-n4")
@@ -399,16 +411,18 @@ def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     shapes = []
     real_forward = exactlin._forward
 
-    def recording_forward(rows):
+    def recording_forward(rows, bound=None):
         shapes.append((len(rows), len(set(map(tuple, rows))), len(rows[0]) if rows else 0))
-        return real_forward(rows)
+        return real_forward(rows, bound)
 
     monkeypatch.setattr(exactlin, "_forward", recording_forward)
+    monkeypatch.setattr(cocycles, "_forward", recording_forward)
     for a, cyclic_rows, dim in cases:
         shapes.clear()
         assert len(vector_cocycle_space(a)) == dim
         assert all(rows <= 64 and cols <= 64 for rows, _, cols in shapes), shapes
-        assert shapes[0] == (24, cyclic_rows, 16), shapes
+        assert (shapes[0][0], shapes[0][2]) == (4, 4), shapes
+        assert shapes[1] == (24, cyclic_rows, 16), shapes
 
 
 def fraction_cyclic_rows(a: HomAlgebra) -> dict[tuple[int, int, int], list[Fraction]]:
@@ -476,18 +490,25 @@ def test_cyclic_residuals_are_reported_at_every_rotation(n):
 
 
 def parent_violations(view, flat, d: int, width: int, ident: str, second) -> list:
-    """The residual check that computes the cyclic residual once per triple, reading its orbit's row:
-    the reference for ``cocycles._violations``, which computes it once per orbit."""
+    """The residual check that computes the cyclic residual once per triple, reading its orbit's row,
+    and reads the sparse rows of ``second`` densified: the reference for ``cocycles._violations``,
+    which computes it once per orbit and reads the second condition's rows by their nonzeros."""
     n = len(view.twist)
     if len(flat) != n * n * width:
         raise DimensionMismatch("form and algebra dimensions differ")
     (form,), d_flat = exactlin._cleared([flat])
     orbits, scale = _cyclic_rows(view)
     cyclic = [orbits[min(t, t[1:] + t[:1], t[2:] + t[:2])] for t in itertools.product(range(n), repeat=3)], scale
+    sparse_rows, second_scale = second(view)
+    dense_rows = []
+    for sparse_row in sparse_rows:
+        dense_rows.append([0] * len(form))
+        for col, x in sparse_row:
+            dense_rows[-1][col] += x
     out = []
     for name, (rows, scale), forms, arity in (
         ("cyclic", cyclic, [form[s::width] for s in range(width)], 3),
-        (ident, second(view), [form], 2),
+        (ident, (dense_rows, second_scale), [form], 2),
     ):
         tuples = list(itertools.product(range(n), repeat=arity))
         per = len(rows) // len(tuples)

@@ -27,7 +27,7 @@ from rhizalab.exactlin import (
     rref,
 )
 from tests.fraction_checkers import apply, times
-from tests.test_cocycles import _dense_twist, _sparse_tensor, direct_sum
+from tests.test_cocycles import _dense_twist, _sparse_tensor, _twist_of_rank, direct_sum
 
 F = Fraction
 
@@ -473,3 +473,43 @@ def test_two_passes_match_the_one_pass_loop_property(system, data):
     rows, cols = system
     repeats = data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
     _assert_matches_parent(rows + repeats, cols, system)
+
+
+# --- a proven rank bound stops the forward pass, and changes nothing ---------
+
+
+def _assert_bound_changes_nothing(rows, cols, label):
+    """Every bound from the rank up to ``cols`` gives the unbounded forward pass and kernel."""
+    pivot_rows, kernel = _forward(rows), _kernel(rows, cols)
+    for bound in range(len(pivot_rows), cols + 1):
+        assert _forward(rows, bound) == pivot_rows, (label, bound)
+        assert _kernel(rows, cols, bound) == kernel, (label, bound)
+
+
+def test_a_rank_bound_leaves_the_kernel_unchanged():
+    """Products of a tall and a wide factor, whose rank is at most the inner dimension, at every
+    inner dimension; and the cyclic systems of dense algebras with a twist of every rank r, whose rank
+    is at most n * r, the bound the solvers pass."""
+    rng = random.Random("rank-bound")
+    for height in (1, 7, 2**40):
+        for cols in (1, 4, 9, 16):
+            for rk in range(cols + 1):
+                tall = _integer_rows(rng, 2 * rk + 3, rk, 0.6, 3)
+                wide = _integer_rows(rng, rk, cols, 0.5, height)
+                rows = [[sum(x * w[c] for x, w in zip(t, wide)) for c in range(cols)] for t in tall]
+                assert len(_forward(rows)) <= rk
+                _assert_bound_changes_nothing(rows, cols, (height, cols, rk))
+    for n in (2, 3, 4, 5):
+        for r in range(n + 1):
+            twist = _twist_of_rank(rng, n, r)
+            a = HomAlgebra.rhizaform(_sparse_tensor(rng, n, 0.5), _sparse_tensor(rng, n, 0.5), twist)
+            rows = list(_cyclic_rows(_view(a))[0].values())
+            assert len(_forward(rows)) <= n * r
+            assert _kernel(rows, n * n, n * r) == _kernel(rows, n * n) == parent_kernel(rows, n * n), (n, r)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_systems())
+def test_a_rank_bound_leaves_the_kernel_unchanged_property(system):
+    rows, cols = system
+    _assert_bound_changes_nothing(rows, cols, system)
