@@ -1,7 +1,7 @@
 """Machine-readable low-dimensional representatives plus a verification harness.
 
-Each entry ships as a JSON file under ``data/v1`` carrying the split
-products, the twist map, the expected free-constant layout of its
+Each entry ships as a JSON file in ``data/v1`` beside this module, carrying
+the split products, the twist map, the expected free-constant layout of its
 algebra-valued cyclic forms, and notes about oddities in the source tables
 (unlisted twist images are encoded as zero and flagged).
 
@@ -16,10 +16,10 @@ dimension of its algebra-valued cyclic-form space, which comes from two
 ranks, without building the basis.  Under ``--oracle`` the checker's verdict
 on the anti-associativity of the summed product is read off the same view.
 ``verify_entry`` and ``verify_all`` build each report through one helper,
-and ``verify_all`` resolves the data directory once for all its entries.
-Nothing is kept between calls: every call reads and verifies its entries
-afresh, so a one-shot ``rhizalab catalog verify`` saves as much per entry as
-a process that verifies the catalog many times.
+which reads its entry with ``load_catalog_entry``.  Nothing is kept between
+calls: every call reads and verifies its entries afresh, so a one-shot
+``rhizalab catalog verify`` saves as much per entry as a process that
+verifies the catalog many times.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 
 from .. import oracle
 from ..algmodel import _NAME_RE, HomAlgebra, parse_algebra_obj, sum_product
@@ -37,8 +37,7 @@ from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnknownEntry
 from ..nilpotency import NilpotencyVerdict, _analysis
 
-_DATA_PACKAGE = "rhizalab.catalog"
-_DATA_DIR = "data/v1"
+_DATA = Path(__file__).parent / "data" / "v1"
 _ID_RE = re.compile(r"d(?P<dim>[23])\.A(?P<num>\d+)$")
 
 
@@ -80,29 +79,16 @@ def _sort_key(entry_id: str) -> tuple[int, int]:
     return int(m.group("dim")), int(m.group("num"))
 
 
-def _data_root():
-    return resources.files(_DATA_PACKAGE).joinpath(_DATA_DIR)
-
-
 def entry_ids() -> list[str]:
-    return _entry_ids(_data_root())
-
-
-def _entry_ids(root) -> list[str]:
     ids = []
-    for item in root.iterdir():
+    for item in _DATA.iterdir():
         if item.name.endswith(".json"):
             ids.append(item.name[:-5].replace("_", "."))
     return sorted(ids, key=_sort_key)
 
 
 def load_catalog_entry(entry_id: str) -> CatalogEntry:
-    return _catalog_entry(_data_root(), entry_id)
-
-
-def _catalog_entry(root, entry_id: str) -> CatalogEntry:
-    """``load_catalog_entry`` from the data directory ``root``."""
-    path = root.joinpath(entry_id.replace(".", "_") + ".json")
+    path = _DATA / (entry_id.replace(".", "_") + ".json")
     if not _ID_RE.match(entry_id) or not path.is_file():
         raise UnknownEntry(f"no catalog entry {entry_id!r}")
     doc = json.loads(path.read_text())
@@ -193,13 +179,13 @@ class EntryReport:
 
 def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> EntryReport:
     """Run every structural check on one entry and bundle the outcomes."""
-    return _verified(_data_root(), entry_id, params, False)[0]
+    return _verified(entry_id, params, False)[0]
 
 
-def _verified(root, entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, list[str]]:
-    """The report on one entry of the data directory ``root`` and, ``with_oracle``, its disagreements
-    with the oracle, all read from one integer view of its algebra (``axioms._view``)."""
-    entry = _catalog_entry(root, entry_id)
+def _verified(entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, list[str]]:
+    """The report on one entry and, ``with_oracle``, its disagreements with the oracle, all read
+    from one integer view of its algebra (``axioms._view``)."""
+    entry = load_catalog_entry(entry_id)
     a = entry.algebra(params)
     view = _view(a)
     rhiza = _split_report(view, True)  # check_rhizaform
@@ -288,9 +274,8 @@ def verify_all(
     with_oracle: bool = False,
 ) -> CatalogSummary:
     """Verify the selected entries (all by default), ordered by id; an id not in
-    the catalog raises UnknownEntry.  The data directory is resolved once."""
-    root = _data_root()
-    selected = _entry_ids(root)
+    the catalog raises UnknownEntry."""
+    selected = entry_ids()
     if ids is not None:
         wanted = set(ids)
         unknown = sorted(wanted.difference(selected))
@@ -303,7 +288,7 @@ def verify_all(
     findings: list[str] = []
     diffs: list[str] = []
     for entry_id in selected:
-        report, entry_diffs = _verified(root, entry_id, params, with_oracle)
+        report, entry_diffs = _verified(entry_id, params, with_oracle)
         reports.append(report)
         findings.extend(report.findings())
         diffs.extend(entry_diffs)

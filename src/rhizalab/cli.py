@@ -70,65 +70,6 @@ from .operators import (
     rhizaform_bimodule,
 )
 
-# Why each public operation is reachable from the command line; audited by tests.
-OPERATION_COVERAGE = {
-    "exactlin.rref": "cocycles --vector FILE (its forward elimination, _forward, backs every solve)",
-    "exactlin.nullspace_basis": "cocycles --scalar FILE (and --vector, through the same _kernel)",
-    "exactlin.invert": "induce --what cocycle --form B.json FILE (and --what invertible-o)",
-    "algmodel.parse_algebra": "check --kind rhizaform FILE (every algebra-file load)",
-    "algmodel.serialize_algebra": "induce --what sum FILE (output path)",
-    "algmodel.sum_product": "induce --what sum FILE",
-    "axioms.check_hom_anti_associative": "check --kind anti-associative FILE",
-    "axioms.check_multiplicativity": "check --kind multiplicativity --product succ FILE",
-    "axioms.check_rhizaform": "check --kind rhizaform FILE",
-    "axioms.check_dendriform": "check --kind dendriform FILE",
-    "axioms.check_jacobi_jordan": "check --kind jacobi-jordan FILE",
-    "axioms.check_pre_jacobi_jordan": "check --kind pre-jacobi-jordan FILE",
-    "axioms.pre_jacobi_jordan_product": "induce --what pre-jacobi-jordan FILE",
-    "axioms.subadjacent_bracket": "induce --what bracket FILE",
-    "axioms.check_alpha_derivation": "check --kind derivation --operator D.json --product succ FILE",
-    "axioms.inner_derivation": "induce --what inner-derivation --z 0,1 FILE",
-    "operators.check_bimodule": "check --kind bimodule --bimodule M.json FILE",
-    "operators.regular_bimodule": "induce --what regular-bimodule FILE",
-    "operators.rhizaform_bimodule": "induce --what rhizaform-bimodule FILE",
-    "operators.dual_bimodule": "induce --what dual-bimodule --bimodule M.json FILE",
-    "operators.check_o_operator": "check --kind o-operator --operator T.json --bimodule M.json FILE",
-    "operators.check_rota_baxter": "check --kind rota-baxter --operator R.json FILE",
-    "operators.induced_rhizaform_from_o_operator": "induce --what o-operator --operator T.json --bimodule M.json FILE",
-    "operators.induced_rhizaform_from_rb": "induce --what rb --operator R.json FILE",
-    "operators.check_homomorphism": "check --kind homomorphism --operator f.json --target B.json FILE",
-    "operators.compatible_from_invertible_o_operator":
-        "induce --what invertible-o --operator T.json --bimodule M.json FILE",
-    "cocycles.scalar_cocycle_space": "cocycles --scalar FILE",
-    "cocycles.vector_cocycle_space": "cocycles --vector FILE",
-    "cocycles.is_nondegenerate": "cocycles --scalar FILE (reported per basis form)",
-    "cocycles.rhizaform_from_cocycle": "induce --what cocycle --form B.json FILE (invertible-o, coregular bimodule)",
-    "nilpotency.analyze": "nilpotency FILE (the whole report, from one clearing of the products)",
-    "nilpotency.diamond": "nilpotency FILE (series construction, in analyze)",
-    "nilpotency.right_series": "nilpotency FILE (the right series of analyze)",
-    "nilpotency.left_series": "nilpotency FILE (the left series of analyze)",
-    "nilpotency.full_series": "nilpotency FILE (the full series of analyze)",
-    "nilpotency.is_nilpotent": "nilpotency FILE (the full verdict, read from the series)",
-    "nilpotency.is_right_nilpotent": "nilpotency FILE (the right verdict, read from the series)",
-    "nilpotency.is_left_nilpotent": "nilpotency FILE (the left verdict, read from the series)",
-    "nilpotency.check_series_equality": "nilpotency FILE (series equality, in analyze)",
-    "nilpotency.check_2_nilpotent": "nilpotency FILE (2-nilpotency, in analyze)",
-    "nilpotency.check_onesided_nilpotency_theorem": "nilpotency FILE (one-sided theorem, in analyze)",
-    "nilpotency.check_alpha_stability": "nilpotency FILE (twist stability, in analyze, when multiplicative)",
-    "family.check_semigroup": "family --do check-semigroup FILE",
-    "family.check_rhizaform_family": "family --do check FILE",
-    "family.check_anti_associative_family": "family --do check-anti FILE",
-    "family.associated_family": "family --do associated FILE",
-    "family.check_rb_family": "family --do check-rb --algebra A.json FILE",
-    "family.induced_family_rhizaform": "family --do induce --algebra A.json FILE",
-    "family.tensor_collapse": "family --do collapse --algebra A.json FILE",
-    "catalog.load_entry": "catalog show --id ID (the entry's algebra, read with the entry)",
-    "catalog.verify_entry":
-        "catalog verify --id ID (each entry's report, through the per-entry helper of verify_entry)",
-    "catalog.verify_all": "catalog verify",
-}
-
-
 def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for item in items or []:
@@ -433,10 +374,9 @@ def cmd_catalog(args) -> int:
         _emit({"entries": ids}, args, lambda: "\n".join(ids))
         return 0
     if args.action == "show":
-        entries = [cat.load_catalog_entry(entry_id) for entry_id in args.id or ()]
-        if len(entries) != 1:
+        if len(args.id or ()) != 1:
             raise RhizalabError("catalog show wants exactly one --id")
-        (entry,) = entries
+        entry = cat.load_catalog_entry(args.id[0])
         obj = {
             "id": entry.entry_id,
             "tag": entry.tag,

@@ -47,7 +47,9 @@ counts repeat exactly.
   by its three series and the one-product reducts.
 * The degree-3 residual writer makes no call for a term whose table cell is
   empty.
-* ``catalog.verify_all`` resolves the data directory once for all entries.
+* ``catalog.verify_all`` lists the catalog once with ``entry_ids`` and reads
+  each selected entry once with ``load_catalog_entry``, with or without the
+  oracle.
 * A reader resolves each distinct coefficient text once per document
   (``exactlin.rational`` is called at most once per text, and on nothing
   but texts: a ``Matrix`` keeps the ``Fraction``s it is given): a dense
@@ -68,7 +70,6 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 from types import SimpleNamespace
 
 import pytest
@@ -389,17 +390,17 @@ def test_catalog_reports_clear_each_entry_once(monkeypatch, with_oracle):
     assert len(calls) == 1
 
 
-def test_catalog_verify_resolves_the_data_directory_once(monkeypatch):
-    expected = verify_all(ETA)
-    real, calls = resources.files, []
-
-    def files(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(resources, "files", files)
-    assert verify_all(ETA) == expected
-    assert calls == [("rhizalab.catalog",)]
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_catalog_verify_reads_entries_through_the_public_loaders(monkeypatch, with_oracle):
+    selected = [eid for eid in catalog.entry_ids() if eid.startswith("d3.")]
+    expected = verify_all(ETA, dim=3, with_oracle=with_oracle)
+    listings = count_calls(monkeypatch, "entry_ids")
+    loads = count_calls(monkeypatch, "load_catalog_entry", key=lambda entry_id: entry_id)
+    clearings = count_calls(monkeypatch, "_integers")
+    assert verify_all(ETA, dim=3, with_oracle=with_oracle) == expected
+    assert len(listings) == 1
+    assert loads == selected
+    assert len(clearings) == len(selected)
 
 
 def test_one_analysis_builds_each_subspace_product_once(monkeypatch):
