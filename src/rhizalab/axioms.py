@@ -55,11 +55,14 @@ from .errors import DimensionMismatch, MissingProduct
 from .exactlin import Matrix, Vector, _ratio_texts
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Violation:
     """A failed instance of an identity: its residual at ``basis_tuple`` is ``values`` over ``scale``
     (a checker's integer residual at D^degree).  Equality and hashing go through the normalized
-    ``residual``, so one built from those Fractions at scale 1 is equal."""
+    ``residual``, so one built from those Fractions at scale 1 is equal.
+
+    A plain slotted record: no instance ``__dict__``, and not frozen, so building one costs four
+    slot stores rather than four ``object.__setattr__`` calls.  Nothing mutates a violation."""
 
     identity_id: str
     basis_tuple: tuple[int, ...]

@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import io
 import json
 import random
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -531,12 +533,11 @@ def test_every_public_operation_is_covered():
     }
     assert expected_keys == set(OPERATION_COVERAGE)
     # every registered operation resolves to a real attribute
-    import importlib
-
     for key in OPERATION_COVERAGE:
         module_name, op_name = key.split(".")
         mod = importlib.import_module(f"rhizalab.{module_name}")
         assert hasattr(mod, op_name), key
+    assert REACHED_THROUGH_A_HELPER <= {k for k, route in OPERATION_COVERAGE.items() if "(" in route}
 
 
 def test_coverage_routes_parse():
@@ -548,6 +549,73 @@ def test_coverage_routes_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"{key}: route {route!r} does not parse")
+
+
+# Keys whose route reaches the operation only through the helper its text names in parentheses, so
+# the operation itself is never called from the command line.
+REACHED_THROUGH_A_HELPER = {
+    "exactlin.rref",
+    "exactlin.nullspace_basis",
+    "algmodel.serialize_algebra",
+    "nilpotency.diamond",
+    "nilpotency.right_series",
+    "nilpotency.left_series",
+    "nilpotency.full_series",
+    "nilpotency.is_nilpotent",
+    "nilpotency.is_right_nilpotent",
+    "nilpotency.is_left_nilpotent",
+    "nilpotency.check_series_equality",
+    "nilpotency.check_2_nilpotent",
+    "nilpotency.check_onesided_nilpotency_theorem",
+    "nilpotency.check_alpha_stability",
+    "catalog.load_entry",
+    "catalog.verify_entry",
+}
+# route words whose FILE must be a mono algebra (the rest read a split one)
+MONO_ROUTE_WORDS = {"bimodule", "o-operator", "invertible-o", "rota-baxter", "rb", "homomorphism", "regular-bimodule"}
+
+
+def _route_argv(route: str, files: dict) -> list[str]:
+    """The route as a command line on ``route_files``: operators are R, a bimodule M, a form B, an
+    algebra option S, a catalog id d2.A1; FILE is a family, an operator family, S or A."""
+    words = re.sub(r"\([^)]*\)", "", route).split()
+    if words[0] == "family":
+        file_role = "RBF" if "--algebra" in words else "FAM"
+    else:
+        file_role = "S" if MONO_ROUTE_WORDS & set(words) else "A"
+    placeholders = {"T.json": "R", "R.json": "R", "D.json": "R", "f.json": "R", "M.json": "M", "A.json": "S"}
+    argv = []
+    for before, word in zip(["", *words], words):
+        if word == "FILE":
+            word = files[file_role]
+        elif word == "B.json":
+            word = files["B" if before == "--form" else "S"]
+        elif word in placeholders:
+            word = files[placeholders[word]]
+        elif word == "ID":
+            word = "d2.A1"
+        argv.append(word)
+    return argv
+
+
+@pytest.mark.parametrize("key", sorted(set(OPERATION_COVERAGE) - REACHED_THROUGH_A_HELPER))
+def test_coverage_route_calls_its_operation(monkeypatch, route_files, key):
+    """Audit: running the key's route once calls the operation it names, wrapped wherever a
+    ``rhizalab`` module binds it."""
+    module_name, op_name = key.split(".")
+    real = getattr(importlib.import_module(f"rhizalab.{module_name}"), op_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(op_name)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "rhizalab" or name.startswith("rhizalab.")) and getattr(module, op_name, None) is real:
+            monkeypatch.setattr(module, op_name, counted)
+    argv = _route_argv(OPERATION_COVERAGE[key], route_files)
+    code, _, err = run_cli(*argv)
+    assert calls, f"{key}: {argv} exited {code} without calling it ({err.strip()})"
 
 
 def test_remaining_check_routes(a7_file, a1_file, a1_sum_file, tmp_path):

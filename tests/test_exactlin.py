@@ -196,7 +196,11 @@ VALUE_TYPES = {
 @pytest.mark.parametrize("kind", sorted(VALUE_TYPES))
 def test_value_types_are_immutable(kind):
     """Assigning a field or a new name raises AttributeError, equal values hash equal (a
-    VectorForm equals the BilinearOp with its coefficients), and the repr is pinned."""
+    VectorForm equals the BilinearOp with its coefficients), and the repr is pinned.
+
+    ``axioms.Violation`` is left out of ``VALUE_TYPES`` on purpose: it is a slotted record, not
+    frozen, so that a failing check builds each of its many violations with four slot stores.
+    Nothing mutates a violation; its record contract is tested in ``test_residual_reports``."""
     value, fields, equal, text = VALUE_TYPES[kind]
     assert type(value).__name__ == kind
     for name in (*fields, "new_name"):

@@ -11,6 +11,7 @@ the reference in ``fraction_checkers``, and every value it stores must be an
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -58,6 +59,21 @@ def test_residual_text_is_rational_str_of_each_fraction(d):
         assert w.to_obj() == v.to_obj()
         if any(fractions):
             assert v != Violation("req1", (1, 2, 3), values, 2 * d)
+
+
+def test_violation_is_a_slotted_record():
+    """A violation holds its four fields in slots, with no instance ``__dict__``;
+    ``dataclasses.replace`` still builds a new record, and equality and hashing still go
+    through the normalized residual."""
+    v = Violation("req1", (1, 2, 3), [3, -6, 0], 6)
+    assert not hasattr(v, "__dict__")
+    assert Violation.__slots__ == ("identity_id", "basis_tuple", "values", "scale")
+    w = dataclasses.replace(v, identity_id="req2")
+    assert (w.identity_id, w.basis_tuple, w.residual) == ("req2", (1, 2, 3), v.residual)
+    assert v.identity_id == "req1"
+    same = Violation("req1", (1, 2, 3), (F(1, 2), F(-1), F(0)))
+    assert v == same and hash(v) == hash(same) and v.to_obj() == same.to_obj()
+    assert v != w and v != Violation("req1", (1, 2, 3), [3, -6, 0], 12)
 
 
 def _conjugate(a: HomAlgebra, p: Matrix, alpha: Matrix | None = None) -> HomAlgebra:
