@@ -34,7 +34,7 @@ from .. import oracle
 from ..algmodel import _NAME_RE, HomAlgebra, parse_algebra_obj, sum_product
 from ..axioms import CheckReport, _split_report, _sum_anti_associative, _view
 from ..cocycles import _vector_cocycle_dim
-from ..errors import ParseError, UnknownEntry
+from ..errors import ParseError, UnboundParameter, UnknownEntry
 from ..nilpotency import NilpotencyVerdict, _analysis
 
 _DATA = Path(__file__).parent / "data" / "v1"
@@ -64,10 +64,12 @@ class CatalogEntry:
         return tuple(sorted({s.lstrip("-") for s in texts if _NAME_RE.match(s)}))
 
     def algebra(self, params: dict[str, Fraction] | None = None) -> HomAlgebra:
-        """Fully rational algebra of the entry; raises UnboundParameter when it
-        references a symbol the caller did not bind."""
+        """Fully rational algebra of the entry; raises UnboundParameter, prefixed with the entry like a
+        ParseError, when it references a symbol the caller did not bind."""
         try:
             return parse_algebra_obj(self.algebra_doc, bindings=params)
+        except UnboundParameter as exc:
+            raise UnboundParameter(exc.name, f"catalog entry {self.entry_id}: {exc.where}") from None
         except ParseError as exc:
             raise ParseError(f"catalog entry {self.entry_id}: {exc}") from None
 

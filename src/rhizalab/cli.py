@@ -368,7 +368,7 @@ def cmd_nilpotency(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    params = _parse_params(getattr(args, "param", None))
+    params = _parse_params(args.param)
     if args.action == "list":
         ids = cat.entry_ids()
         _emit({"entries": ids}, args, lambda: "\n".join(ids))

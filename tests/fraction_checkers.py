@@ -6,10 +6,13 @@ the vector helpers.  The reference checkers are the checkers as they were
 before the integer residual engine: every residual is assembled from
 ``eval_product`` and ``Fraction`` matrix arithmetic, one basis tuple at a
 time.  They return the same ``CheckReport`` objects, so a test can require
-``==`` reports (violation order and residuals) from both routes.  The
-reference constructions at the end are the operator, cocycle and
-inner-derivation constructions as they were on ``Fraction``s; ``combination``
-is the signed sum of products as it was.  The readers at the end are the
+``==`` reports (violation order and residuals) from both routes, and their
+verdicts are the reference for the oracle's.  ``nilpotency_analysis`` is the
+reference for the series, and ``scalar_cocycle_space`` and
+``vector_cocycle_space`` for the cyclic-form spaces.  The reference
+constructions at the end are the operator, cocycle and inner-derivation
+constructions as they were on ``Fraction``s; ``combination`` is the signed
+sum of products as it was.  The readers at the end are the
 file readers as they were before each document remembered its resolved
 coefficient texts: every cell goes through ``_resolve_coefficient``, and a
 product sums its ``Fraction`` entries before it is cleared (``entry_table``).
@@ -18,6 +21,7 @@ product sums its ``Fraction`` entries before it is cleared (``entry_table``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import add, neg, sub
 
 from math import lcm
@@ -25,11 +29,11 @@ from math import lcm
 from rhizalab.algmodel import _NAME_RE, _PARAM_NAME, BilinearOp, HomAlgebra, LinearMap, _field, star_product
 from rhizalab.axioms import CheckReport, Violation
 from rhizalab.errors import DimensionMismatch, ParseError, Singular, UnboundParameter
-from rhizalab.exactlin import F0, F1, Matrix, invert, rational
+from rhizalab.exactlin import F0, F1, Matrix, _cleared, _kernel, invert, rational
 from rhizalab.family import FamilyAlgebra, RBFamily
 from rhizalab.files import _per_element, read_semigroup
 from rhizalab.nilpotency import NilpotencyAnalysis, NilpotencyVerdict, Subspace
-from rhizalab.cocycles import ScalarForm
+from rhizalab.cocycles import ScalarForm, VectorForm
 from rhizalab.operators import Bimodule, LinearOperator
 from rhizalab.operators import _require_o_shapes as _require_operator_shape
 
@@ -510,7 +514,9 @@ def nilpotency_analysis(a: HomAlgebra) -> tuple[NilpotencyAnalysis, dict[str, Ni
     analysis = NilpotencyAnalysis(
         series=series,
         series_equality=CheckReport.collect("series_equality", violations),
-        onesided=CheckReport.collect("onesided_nilpotency", [] if whole == parts else [Violation("biconditional", (), ())]),
+        onesided=CheckReport.collect(
+            "onesided_nilpotency", [] if whole == parts else [Violation("biconditional", (), ())]
+        ),
         two_nilpotent=two_nilpotent(a),
         alpha_stability=stability,
     )
@@ -561,6 +567,116 @@ def vector_cocycle_residuals(a: HomAlgebra, w: BilinearOp) -> list[Violation]:
             if not vec_is_zero(r):
                 out.append(Violation("compat", (i + 1, j + 1), r))
     return out
+
+
+# --- cyclic-form spaces ---------------------------------------------------------
+# The whole cyclic system, a row at every triple with no rank bound, and the second condition
+# (invariance or the twist) as dense rows, all over int from the working product and the twist
+# cleared by one D.  Stacked for an algebra-valued form, the two are n^4 + n^3 rows; so the second
+# condition is solved in the coordinates c[t][s] of the cyclic kernel b_1..b_d (B[.][.][s] =
+# sum_t c[t][s] b_t), a map that carries the canonical kernel basis in c onto the stacked system's.
+
+
+def _add_form_terms(row, u, w, n: int, width: int = 1, s: int = 0) -> None:
+    """Add to ``row`` the coefficient of B[p][q][s] (column (p*n + q)*width + s) in B(u, w)."""
+    for p, up in enumerate(u):
+        if up:
+            for q, wq in enumerate(w):
+                if wq:
+                    row[(p * n + q) * width + s] += up * wq
+
+
+def _cleared_algebra(a: HomAlgebra) -> tuple[list[list[int]], list[list[int]], int]:
+    """The twist's images alpha e_i and the working product's cells e_i*e_j (at i*n + j), as integer
+    vectors cleared by one D; and D."""
+    n, star = a.dim, star_product(a)
+    columns = [a.alpha.image_of_basis(i) for i in range(n)]
+    vectors, d = _cleared(columns + [star.entry(i, j) for i in range(n) for j in range(n)])
+    return vectors[:n], vectors[n:], d
+
+
+def cyclic_rows(a: HomAlgebra) -> tuple[dict[tuple[int, int, int], list[int]], int]:
+    """The scalar cyclic row B(e_i*e_j, alpha e_k) + B(e_j*e_k, alpha e_i) + B(e_k*e_i, alpha e_j) at every
+    (i, j, k), in the unknowns B[p][q] (column p*n + q), as an integer row; and its scale D^2."""
+    images, cells, d = _cleared_algebra(a)
+    n = a.dim
+    rows = {}
+    for i, j, k in product(range(n), repeat=3):
+        row = rows[i, j, k] = [0] * (n * n)
+        for u, w in ((cells[i * n + j], images[k]), (cells[j * n + k], images[i]), (cells[k * n + i], images[j])):
+            _add_form_terms(row, u, w, n)
+    return rows, d * d
+
+
+def _invariance_rows(images: list[list[int]], d: int) -> list[list[int]]:
+    """B(alpha e_i, alpha e_j) - B[i][j] at each (i, j), at D^2, for the images alpha e_i at D."""
+    n = len(images)
+    rows = []
+    for i, j in product(range(n), repeat=2):
+        row = [0] * (n * n)
+        _add_form_terms(row, images[i], images[j], n)
+        row[i * n + j] -= d * d
+        rows.append(row)
+    return rows
+
+
+def _twist_rows(images: list[list[int]], d: int) -> list[list[int]]:
+    """Component c of alpha(w(e_i, e_j)) - w(alpha e_i, alpha e_j) at each (i, j, c), at D^2, in the unknowns
+    w[p][q][r] (column (p*n + q)*n + r)."""
+    n = len(images)
+    rows = []
+    for i, j, c in product(range(n), repeat=3):
+        row = [0] * n**3
+        for r in range(n):
+            row[(i * n + j) * n + r] = images[r][c] * d
+        _add_form_terms(row, [-x for x in images[i]], images[j], n, n, c)
+        rows.append(row)
+    return rows
+
+
+def _cocycle_forms(a: HomAlgebra, width: int, second) -> list[tuple[list[int], int]]:
+    """The kernel basis of the cyclic condition on each of ``width`` components and of the rows
+    ``second(images, D)``, as flat integer forms (column (p*n + q)*width + s) and their scales.  The b_t
+    are cleared as one block, by one D: each by its own would rescale the columns of c."""
+    n2 = a.dim**2
+    kernel = _kernel(list(cyclic_rows(a)[0].values()), n2)
+    d = lcm(*(d_t for _, d_t in kernel))
+    block = [[x * (d // d_t) for x in b] for b, d_t in kernel]
+    size = len(block) * width
+    images, _, d_twist = _cleared_algebra(a)
+    reduced = []  # each row of ``second`` in the unknowns c[t][s] (column t*width + s)
+    for row in second(images, d_twist):
+        reduced.append([0] * size)
+        for col, x in enumerate(row):
+            if x:
+                pq, s = divmod(col, width)
+                for t, b in enumerate(block):
+                    reduced[-1][t * width + s] += x * b[pq]
+    forms = []
+    for c, d_c in _kernel(reduced, size):
+        form = [0] * (n2 * width)
+        for col, x in enumerate(c):
+            if x:
+                t, s = divmod(col, width)
+                for pq, y in enumerate(block[t]):
+                    form[pq * width + s] += x * y
+        forms.append((form, d * d_c))
+    return forms
+
+
+def scalar_cocycle_space(a: HomAlgebra) -> list[ScalarForm]:
+    n = a.dim
+    forms = _cocycle_forms(a, 1, _invariance_rows)
+    return [ScalarForm(n, Matrix(n, n, [Fraction(x, d) for x in form])) for form, d in forms]
+
+
+def vector_cocycle_space(a: HomAlgebra) -> list[VectorForm]:
+    n = a.dim
+    tables = []
+    for form, d in _cocycle_forms(a, n, _twist_rows):
+        cells = [tuple((r, x) for r, x in enumerate(form[pq * n : (pq + 1) * n]) if x) for pq in range(n * n)]
+        tables.append(VectorForm._from_table([cells[p * n : (p + 1) * n] for p in range(n)], d))
+    return tables
 
 
 # --- reference constructions --------------------------------------------------

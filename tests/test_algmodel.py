@@ -299,7 +299,9 @@ _TUPLE_AND_LIST = CheckReport.collect(
 @example(_NILPOTENCY_LIKE)
 @example(CheckReport.collect("semigroup", [Violation("assoc", (), ())]))
 @example(CheckReport.collect("empty", []))
-@example({"": [{}, [], (), "", "\ud800", "\x00\x1f\x7f\"\\", "é€😀", True, 1, False, 0, None, 2**64, -(2**64), 10**40]})
+@example(
+    {"": [{}, [], (), "", "\ud800", "\x00\x1f\x7f\"\\", "é€😀", True, 1, False, 0, None, 2**64, -(2**64), 10**40]}
+)
 @example({})
 @example(())
 @example(True)

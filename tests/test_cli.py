@@ -308,6 +308,18 @@ def test_catalog_show_takes_exactly_one_id():
     assert (code, out, err) == (2, "", "error: catalog show wants exactly one --id\n")
 
 
+@pytest.mark.parametrize("argv", [("verify",), ("show", "--id", "d3.A4")], ids=("verify", "show"))
+def test_catalog_without_param_names_the_entry_and_the_option(argv):
+    """An entry that reads eta, bound by no --param, is an input error that names the entry and
+    says how to bind it; nothing reaches stdout."""
+    code, out, err = run_cli("catalog", *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: catalog entry d3.A4: algebra.prec[1][3]: parameter 'eta' has no rational binding;"
+        " bind it with --param eta=P/Q\n"
+    )
+
+
 def test_catalog_verify_empty_selection_is_not_an_error():
     code, out, _ = run_cli("catalog", "verify", "--format", "structured", "--dim", "3", "--id", "d2.A1")
     assert code == 0
@@ -318,25 +330,64 @@ def test_catalog_verify_empty_selection_is_not_an_error():
 # were built on one nilpotency analysis per algebra.
 STRUCTURED_DIGESTS = [
     (("catalog", "verify", "--param", "eta=1"), "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad"),
-    (("catalog", "verify", "--oracle", "--param", "eta=1"), "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad"),
+    (
+        ("catalog", "verify", "--oracle", "--param", "eta=1"),
+        "9bf4f41444cf8eb14707ea913e0d34d2bfbe2e37bc2a442c8cef3aa747352aad",
+    ),
     (("nilpotency", "{d2.A1}"), "46738a6b885e13544dffc0608af9d8e5e667b3fffd232d22e453e5ad94577634"),
     (("nilpotency", "{graded-n5}"), "ced0d4a1e8627f8c3a19cb2914a9a38105438215ba449c15ff75a5a8d2e727a2"),
     # routes no benchmark command reaches, recorded before subspaces were held as integer rows;
     # {A}, {S}, {R}, {M}, {FAM} and {RBF} are the ``route_files``
-    (("check", "--kind", "derivation", "--operator", "{R}", "--product", "succ", "{A}"), "8e269e8de42e7a8fb443da3fc4fdf47943048133a0c2554123122ce2597cd0e2"),
-    (("check", "--kind", "o-operator", "--operator", "{R}", "--bimodule", "{M}", "{S}"), "0ee35dc3a0c4ae29744ce0f1fe08fde0c6297d4df02979f6cc50f34922b062ec"),
-    (("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{S}", "{S}"), "4462c07b6e96ca7f6230608b369bc447692d5d32a26a014ecae5a1bef799b3da"),
-    (("induce", "--what", "inner-derivation", "--z", "1,0,-1,0,1", "--convention", "star", "{graded-n5}"), "d3482cd47d4f254815b36b899e0be19f7a32d561ec101108ff8ea7ce0401de3c"),
-    (("induce", "--what", "inner-derivation", "--z", "1,0,-1,0,1", "--convention", "mixed", "{graded-n5}"), "ba52b01e319710399c359d16c7472d223605b8dbcd7da4b32077670bbfa5fb6e"),
-    (("induce", "--what", "o-operator", "--no-strict", "--operator", "{R}", "--bimodule", "{M}", "{S}"), "e97a5de59fef4a2ed92fc6806bac7f65052ed0b3aa29e6cc35575f08c05387e7"),
-    (("induce", "--what", "invertible-o", "--no-strict", "--operator", "{R}", "--bimodule", "{M}", "{S}"), "e97a5de59fef4a2ed92fc6806bac7f65052ed0b3aa29e6cc35575f08c05387e7"),
-    (("induce", "--what", "rhizaform-bimodule", "{A}"), "6cc40db6478d815a443f22885b3f18a1afecb1ef325182ab1c8fbd911701eba2"),
-    (("induce", "--what", "dual-bimodule", "--bimodule", "{M}", "{S}"), "e97b2029ba5c450a903d3597debfbbe1767967670795c3a7ef752f3a43547083"),
+    (
+        ("check", "--kind", "derivation", "--operator", "{R}", "--product", "succ", "{A}"),
+        "8e269e8de42e7a8fb443da3fc4fdf47943048133a0c2554123122ce2597cd0e2",
+    ),
+    (
+        ("check", "--kind", "o-operator", "--operator", "{R}", "--bimodule", "{M}", "{S}"),
+        "0ee35dc3a0c4ae29744ce0f1fe08fde0c6297d4df02979f6cc50f34922b062ec",
+    ),
+    (
+        ("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{S}", "{S}"),
+        "4462c07b6e96ca7f6230608b369bc447692d5d32a26a014ecae5a1bef799b3da",
+    ),
+    (
+        ("induce", "--what", "inner-derivation", "--z", "1,0,-1,0,1", "--convention", "star", "{graded-n5}"),
+        "d3482cd47d4f254815b36b899e0be19f7a32d561ec101108ff8ea7ce0401de3c",
+    ),
+    (
+        ("induce", "--what", "inner-derivation", "--z", "1,0,-1,0,1", "--convention", "mixed", "{graded-n5}"),
+        "ba52b01e319710399c359d16c7472d223605b8dbcd7da4b32077670bbfa5fb6e",
+    ),
+    (
+        ("induce", "--what", "o-operator", "--no-strict", "--operator", "{R}", "--bimodule", "{M}", "{S}"),
+        "e97a5de59fef4a2ed92fc6806bac7f65052ed0b3aa29e6cc35575f08c05387e7",
+    ),
+    (
+        ("induce", "--what", "invertible-o", "--no-strict", "--operator", "{R}", "--bimodule", "{M}", "{S}"),
+        "e97a5de59fef4a2ed92fc6806bac7f65052ed0b3aa29e6cc35575f08c05387e7",
+    ),
+    (
+        ("induce", "--what", "rhizaform-bimodule", "{A}"),
+        "6cc40db6478d815a443f22885b3f18a1afecb1ef325182ab1c8fbd911701eba2",
+    ),
+    (
+        ("induce", "--what", "dual-bimodule", "--bimodule", "{M}", "{S}"),
+        "e97b2029ba5c450a903d3597debfbbe1767967670795c3a7ef752f3a43547083",
+    ),
     (("family", "--do", "check-anti", "{FAM}"), "26c587740522bdba7ed8b44e83f5be43623ea33f0126acc575a8d8f3a53f1d4a"),
     (("family", "--do", "associated", "{FAM}"), "d63ad34aa55529ccdabf211b03c98f84bf29be8129fbd13d87cdf281a3903573"),
-    (("family", "--do", "check-semigroup", "{FAM}"), "c4696fe90564d0e68d49e95d0280e69d10a115883299d5e2f8d8001993a550ab"),
-    (("family", "--do", "induce", "--algebra", "{S}", "{RBF}"), "ddcedcf9f7125b0ca670ce38d29e802219dad8db4503401b6f7f39d1b5087add"),
-    (("catalog", "show", "--id", "d3.A4", "--param", "eta=1/4"), "482edb8b9339c98d02a56c032bdb30d5f288efc7c32f0233717e43299bc63297"),
+    (
+        ("family", "--do", "check-semigroup", "{FAM}"),
+        "c4696fe90564d0e68d49e95d0280e69d10a115883299d5e2f8d8001993a550ab",
+    ),
+    (
+        ("family", "--do", "induce", "--algebra", "{S}", "{RBF}"),
+        "ddcedcf9f7125b0ca670ce38d29e802219dad8db4503401b6f7f39d1b5087add",
+    ),
+    (
+        ("catalog", "show", "--id", "d3.A4", "--param", "eta=1/4"),
+        "482edb8b9339c98d02a56c032bdb30d5f288efc7c32f0233717e43299bc63297",
+    ),
 ]
 
 
@@ -344,7 +395,9 @@ def _direct_sum(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
     """The split algebra on A + B whose products and twist act on each summand alone."""
     n, m = a.dim + b.dim, a.dim
     products = [
-        BilinearOp.from_entries(n, [*x.nonzero_entries(), *((i + m, j + m, k + m, c) for i, j, k, c in y.nonzero_entries())])
+        BilinearOp.from_entries(
+            n, [*x.nonzero_entries(), *((i + m, j + m, k + m, c) for i, j, k, c in y.nonzero_entries())]
+        )
         for x, y in ((a.succ, b.succ), (a.prec, b.prec))
     ]
     blocks = [[a.alpha.matrix.at(i, j) for j in range(m)] + [0] * b.dim for i in range(m)]
@@ -382,7 +435,10 @@ TABLE_DIGESTS = [
     (("cocycles", "--vector", "{d2.A1}"), "a9a7e6dbe796dbb1d47abddfe3078133367cfddf0d478c704857da3da1faf8e7"),
     (("nilpotency", "{graded-n5}"), "315d92140b2fda678e71b70344a865648da7c9ccc4708afb71a53301d5e6f212"),
     # 90 violations: the first 20, then "... 70 more violations"
-    (("check", "--kind", "rhizaform", "{graded-n5}"), "e1941c2ee11eaf56972019cd4176edbabd023bc1067563f7a5a532e5314672a5"),
+    (
+        ("check", "--kind", "rhizaform", "{graded-n5}"),
+        "e1941c2ee11eaf56972019cd4176edbabd023bc1067563f7a5a532e5314672a5",
+    ),
     (("catalog", "verify", "--param", "eta=1"), "07ac894847d723c2379802d1365be53a5f6bef070483805bb11f7d5c032b12c7"),
     # 21 violations, residuals such as -3/2, -3/4 and 1/2 among the first 20
     (("check", "--kind", "dendriform", "{sum-n6}"), "8cf055a899ebda6f0aa251f05959e075387ee2b2a2a1c731ecc45431fc9de3ee"),
@@ -648,11 +704,15 @@ def test_induce_refuses_bimodule_over_another_dimension(a1_sum_file, tmp_path, w
     """With --no-strict too: a shape error exits 2 before anything is printed."""
     one = [["1", "0"], ["0", "1"]]
     bim = tmp_path / "bim.json"
-    bim.write_text(json.dumps({"alg_dim": alg_dim, "mod_dim": 2, "left": [one] * alg_dim, "right": [one] * alg_dim, "beta": one}))
+    bim.write_text(
+        json.dumps({"alg_dim": alg_dim, "mod_dim": 2, "left": [one] * alg_dim, "right": [one] * alg_dim, "beta": one})
+    )
     ident = tmp_path / "id.json"
     ident.write_text(json.dumps({"T": one}))
     for strict in ((), ("--no-strict",)):
-        code, out, err = run_cli("induce", "--what", what, *strict, "--operator", str(ident), "--bimodule", str(bim), a1_sum_file)
+        code, out, err = run_cli(
+            "induce", "--what", what, *strict, "--operator", str(ident), "--bimodule", str(bim), a1_sum_file
+        )
         assert (code, out) == (2, ""), strict
         assert "different dimension" in err
 
@@ -669,7 +729,9 @@ def test_bimodule_check_refuses_bimodule_over_another_dimension(alg_dim):
         check_bimodule(a, m)
 
 
-@pytest.mark.parametrize("rows", [[["1", "0", "0"], ["0", "1", "0"]], [["1"]], [["1", "0"]], [["1", "0"], ["0", "1"], ["0", "1"]]])
+@pytest.mark.parametrize(
+    "rows", [[["1", "0", "0"], ["0", "1", "0"]], [["1"]], [["1", "0"]], [["1", "0"], ["0", "1"], ["0", "1"]]]
+)
 def test_induce_rb_refuses_operator_of_another_shape(a1_sum_file, tmp_path, rows):
     """With --no-strict too: an operator that does not act on the algebra exits 2 before anything is printed."""
     op = tmp_path / "r.json"
@@ -696,7 +758,9 @@ def test_family_induce_refuses_family_over_another_dimension(a1_sum_file, tmp_pa
     """With --no-strict too: a family of the wrong dimension exits 2 before anything is printed."""
     zero = [["0"] * dim for _ in range(dim)]
     rb_path = tmp_path / "rbfam.json"
-    rb_path.write_text(json.dumps({"omega": {"size": 2, "table": [[0, 1], [1, 0]]}, "operators": {"0": zero, "1": zero}}))
+    rb_path.write_text(
+        json.dumps({"omega": {"size": 2, "table": [[0, 1], [1, 0]]}, "operators": {"0": zero, "1": zero}})
+    )
     for strict in ((), ("--no-strict",)):
         code, out, err = run_cli("family", "--do", "induce", *strict, "--algebra", a1_sum_file, str(rb_path))
         assert (code, out) == (2, ""), strict
@@ -841,12 +905,19 @@ GOOD_FAMILY = {
         (("family", "--do", "check-semigroup"), {"omega": {"table": [[0, 1], [1, "0"]]}}, "family.omega.table[1][1]"),
         (("family", "--do", "check"), {**GOOD_FAMILY, "omega": {"size": 7, "table": [[0]]}}, "family.omega.size"),
         # per-element sections are keyed exactly "0".."s-1"
-        (("family", "--do", "check"), {**GOOD_FAMILY, "succ": {"0": [], "5": [[1, 1, 1, "1"]]}}, "family.succ: key '5'"),
+        (
+            ("family", "--do", "check"),
+            {**GOOD_FAMILY, "succ": {"0": [], "5": [[1, 1, 1, "1"]]}},
+            "family.succ: key '5'",
+        ),
         (("family", "--do", "check"), {**GOOD_FAMILY, "prec": {"0": [], "x": 3}}, "family.prec: key 'x'"),
         *(
             (
                 ("family", "--do", "check-rb", "--algebra", "{A}"),
-                {"omega": {"table": [[0]]}, "operators": {"0": [["0", "0"], ["0", "0"]], alias: [["1", "0"], ["0", "1"]]}},
+                {
+                    "omega": {"table": [[0]]},
+                    "operators": {"0": [["0", "0"], ["0", "0"]], alias: [["1", "0"], ["0", "1"]]},
+                },
                 f"rb_family.operators: key {alias!r}",
             )
             for alias in ("00", " 0")
@@ -1020,7 +1091,11 @@ def fuzzed_algebra_docs(draw):
 def test_fuzzed_algebra_files_keep_the_exit_code_contract(tmp_path, doc):
     path = tmp_path / "fuzzed.json"
     path.write_text(json.dumps(doc))
-    for argv in (("check", "--kind", "anti-associative"), ("check", "--kind", "anti-associative", "--strict"), ("cocycles", "--scalar")):
+    for argv in (
+        ("check", "--kind", "anti-associative"),
+        ("check", "--kind", "anti-associative", "--strict"),
+        ("cocycles", "--scalar"),
+    ):
         code, out, err = run_cli(*argv, str(path))
         assert code in (0, 1, 2), (argv, doc, err)
         assert "Traceback" not in err
@@ -1097,7 +1172,9 @@ ROLE_FILES = {
     "--algebra": "S",
 }
 KEYS = st.one_of(
-    st.sampled_from(["dim", "alpha", "params", "succ", "T", "left", "beta", "alg_dim", "B", "omega", "table", "size", "0"]),
+    st.sampled_from(
+        ["dim", "alpha", "params", "succ", "T", "left", "beta", "alg_dim", "B", "omega", "table", "size", "0"]
+    ),
     st.text(max_size=3),
 )
 ANY_JSON = st.recursive(
@@ -1147,9 +1224,13 @@ def fuzzed_slots(route_files):
     return out
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(fuzzed=st.sampled_from(sorted(set(ROLE_FILES.values()))), junk=ANY_JSON, data=st.data())
-def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(tmp_path, route_files, fuzzed_slots, fuzzed, junk, data):
+def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(
+    tmp_path, route_files, fuzzed_slots, fuzzed, junk, data
+):
     """Arbitrary JSON as the whole of one valid file, or in place of one value of it, read in
     every file slot that holds that file on every route (``every_route``)."""
     with open(route_files[fuzzed]) as fh:
@@ -1256,7 +1337,11 @@ NEEDS = [
 
 @pytest.mark.parametrize(
     "argv, options, missing",
-    [pytest.param(argv, options, name, id=f"{argv[0]} {argv[2]} without {name}") for argv, options in NEEDS for name in options],
+    [
+        pytest.param(argv, options, name, id=f"{argv[0]} {argv[2]} without {name}")
+        for argv, options in NEEDS
+        for name in options
+    ],
 )
 def test_missing_option_exits_2_naming_it(route_files, argv, options, missing):
     given = [a for name, value in options.items() if name != missing for a in (name, value)]
@@ -1325,7 +1410,9 @@ def test_oracle_runs_only_under_the_flag_and_reports_disagreement(monkeypatch, r
 
 def test_homomorphism_has_no_oracle(route_files):
     code, out, err = run_cli(
-        *fill(("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{S}", "--oracle", "{S}"), route_files)
+        *fill(
+            ("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{S}", "--oracle", "{S}"), route_files
+        )
     )
     assert code == 0 and "pass" in out
     assert "note: no independent oracle for kind 'homomorphism'" in err
@@ -1427,7 +1514,9 @@ def test_shapes_independent_by_definition_are_accepted(sized_inputs, tmp_path):
     a homomorphism joins algebras of two dimensions (target x source): these shapes run."""
     zero = [["0"] * 3 for _ in range(3)]
     wide = tmp_path / "wide_bimodule.json"
-    wide.write_text(json.dumps({"alg_dim": 2, "mod_dim": 3, "left": [zero] * 2, "right": [zero] * 2, "beta": identity(3)}))
+    wide.write_text(
+        json.dumps({"alg_dim": 2, "mod_dim": 3, "left": [zero] * 2, "right": [zero] * 2, "beta": identity(3)})
+    )
     t = tmp_path / "t.json"
     t.write_text(json.dumps({"T": identity(3)[:2]}))
     f = tmp_path / "f.json"
@@ -1441,7 +1530,9 @@ def test_shapes_independent_by_definition_are_accepted(sized_inputs, tmp_path):
     for strict in ((), ("--no-strict",)):
         argv = ("induce", "--what", "invertible-o", *strict, "--operator", str(t), "--bimodule", str(wide))
         assert run_cli(*argv, two["algebra"]) == (2, "", refusal)
-    code, _, err = run_cli("check", "--kind", "homomorphism", "--operator", str(f), "--target", three["target"], two["algebra"])
+    code, _, err = run_cli(
+        "check", "--kind", "homomorphism", "--operator", str(f), "--target", three["target"], two["algebra"]
+    )
     assert code == 0, err
 
 

@@ -1,117 +1,35 @@
-"""The cyclic-form solvers against the pipeline that reads the whole cyclic system.
+"""The cyclic-form solvers against the reference that reads the whole cyclic system.
 
 Every cyclic row lies in R^n (x) im(alpha), so the solvers stop the forward
 pass over the cyclic system at n * rank(alpha) pivots, and they read the rows
 of the second condition (invariance or the twist) as sparse (column, value)
-pairs.  The reference here is the pipeline without either: the cyclic kernel
-from every row, with no bound, and the second condition built as dense rows
-and spread entry by entry.  Both give the same forms, in the same order, on
-twists of every rank 0..n (n = 2-5) over dense, sparse and direct-sum
-algebras, and on every catalog entry at eta = 1, 0 and -1/3.
+pairs.  The reference, ``fraction_checkers.scalar_cocycle_space`` and
+``vector_cocycle_space``, has neither: it builds the cyclic row at every
+triple, with no bound, and the second condition as dense rows.  Both give the
+same forms, in the same order, on twists of every rank 0..n (n = 2-5) over
+dense, sparse and direct-sum algebras, and on every catalog entry at eta = 1,
+0 and -1/3.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
 from rhizalab import exactlin
-from rhizalab.algmodel import HomAlgebra, _sparse
+from rhizalab.algmodel import HomAlgebra
 from rhizalab.axioms import _view
-from rhizalab.cocycles import (
-    ScalarForm,
-    VectorForm,
-    _cyclic_rows,
-    _vector_cocycle_dim,
-    scalar_cocycle_space,
-    vector_cocycle_space,
-)
-from rhizalab.exactlin import Matrix
+from rhizalab.cocycles import _cyclic_rows, _vector_cocycle_dim, scalar_cocycle_space, vector_cocycle_space
+from tests import fraction_checkers as ref
 from tests.conftest import catalog_algebras
 from tests.test_cocycles import _sparse_tensor, _twist_of_rank, direct_sum
 
 F = Fraction
 
 
-def add_form_terms(row, u, w, n, stride=1, offset=0):
-    for p, up in u:
-        for q, wq in w:
-            row[(p * n + q) * stride + offset] += up * wq
-
-
-def dense_invariance_rows(view):
-    n, images, dd = len(view.twist), view.twist, view.d * view.d
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            add_form_terms(row, images[i], images[j], n)
-            row[i * n + j] -= dd
-            rows.append(row)
-    return rows
-
-
-def dense_twist_rows(view):
-    n, images = len(view.twist), view.twist
-    lifted = [[0] * n for _ in range(n)]
-    for r, image in enumerate(images):
-        for c, x in image:
-            lifted[c][r] = x * view.d
-    rows = []
-    for i in range(n):
-        minus_image = [(p, -x) for p, x in images[i]]
-        for j in range(n):
-            for c in range(n):
-                row = [0] * (n * n * n)
-                row[(i * n + j) * n : (i * n + j + 1) * n] = lifted[c]
-                add_form_terms(row, minus_image, images[j], n, n, c)
-                rows.append(row)
-    return rows
-
-
-def dense_spread(flat, sparse, width, size):
-    out = [0] * (size * width)
-    for col, x in enumerate(flat):
-        if x:
-            a, s = divmod(col, width)
-            for b, y in sparse[a]:
-                out[b * width + s] += x * y
-    return out
-
-
-def reference_forms(a: HomAlgebra, width: int, second) -> list[tuple[list[int], int]]:
-    """The flat integer forms and their scales, from the whole cyclic system and dense second rows."""
-    view = _view(a)
-    n = len(view.twist)
-    kernel = exactlin._kernel(list(_cyclic_rows(view)[0].values()), n * n)
-    d = lcm(*(d_t for _, d_t in kernel))
-    block = [[(pq, x * (d // d_t)) for pq, x in enumerate(b) if x] for b, d_t in kernel]
-    at = [[] for _ in range(n * n)]
-    for t, b in enumerate(block):
-        for pq, x in b:
-            at[pq].append((t, x))
-    rows = [dense_spread(row, at, width, len(block)) for row in second(view)]
-    size = len(block) * width
-    return [(dense_spread(c, block, width, n * n), d * d_c) for c, d_c in exactlin._kernel(rows, size)]
-
-
-def reference_scalar_space(a: HomAlgebra) -> list[ScalarForm]:
-    n = a.dim
-    forms = reference_forms(a, 1, dense_invariance_rows)
-    return [ScalarForm(n, Matrix(n, n, [Fraction(x, d) for x in v])) for v, d in forms]
-
-
-def reference_vector_space(a: HomAlgebra) -> list[VectorForm]:
-    n = a.dim
-    forms = reference_forms(a, n, dense_twist_rows)
-    cells = [([_sparse(v[pq * n : (pq + 1) * n]) for pq in range(n * n)], d) for v, d in forms]
-    return [VectorForm._from_table([c[p * n : (p + 1) * n] for p in range(n)], d) for c, d in cells]
-
-
 def assert_same_spaces(a: HomAlgebra, label) -> None:
-    scalar, vector = reference_scalar_space(a), reference_vector_space(a)
-    assert scalar_cocycle_space(a) == scalar, label
+    vector = ref.vector_cocycle_space(a)
+    assert scalar_cocycle_space(a) == ref.scalar_cocycle_space(a), label
     assert vector_cocycle_space(a) == vector, label
     assert _vector_cocycle_dim(_view(a)) == len(vector), label
 

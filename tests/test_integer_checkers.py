@@ -61,7 +61,8 @@ from rhizalab.operators import (
     rhizaform_bimodule,
 )
 from tests import fraction_checkers as ref
-from tests.conftest import catalog_algebras, graded_split_algebra, sparse_edge_algebras
+from tests.conftest import catalog_algebras, graded_split_algebra, random_split_algebra, sparse_edge_algebras
+from tests.test_cocycles import direct_sum
 
 F = Fraction
 VALUES = [F(p, q) for q in (1, 2, 3, 5, 7) for p in range(-3, 4) if p]
@@ -95,7 +96,9 @@ def _conjugate(a: HomAlgebra, p: Matrix) -> HomAlgebra:
     n = a.dim
     cols = [p.column(i) for i in range(n)]
     products = {
-        name: BilinearOp(n, [[ref.apply(p_inv, ref.eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)])
+        name: BilinearOp(
+            n, [[ref.apply(p_inv, ref.eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)]
+        )
         for name, op in a.products.items()
     }
     return HomAlgebra(n, products, LinearMap(n, ref.times(ref.times(p_inv, a.alpha.matrix), p)))
@@ -235,21 +238,39 @@ def test_diamond_matches_fraction_reference():
 
 
 def _analysis_inputs():
-    """The split inputs, the summed mono algebra of every catalog entry at both values of eta,
-    and graded algebras of n = 3-5, whose series descend through several terms."""
-    catalog = catalog_algebras() + catalog_algebras({"eta": F(-3, 2)})
-    sums = [(f"{eid}+", HomAlgebra.mono(sum_product(a), a.alpha)) for eid, a in catalog]
+    """The split inputs; the summed mono algebra of every catalog entry at both values of eta, and
+    every entry at four more; graded algebras of n = 3-5, whose series descend through several terms;
+    seeded dense, graded and direct-sum algebras of n = 3-6; a graded mono algebra, which is its own
+    reduct; and a split algebra whose reducts are nilpotent while it is not."""
+    yield from SPLIT_INPUTS
+    for eid, a in catalog_algebras() + catalog_algebras({"eta": F(-3, 2)}):
+        yield f"{eid}+", HomAlgebra.mono(sum_product(a), a.alpha)
+    for eta in (F(1), F(0), F(-1, 3), F(2)):
+        for eid, a in catalog_algebras({"eta": eta}):
+            yield f"{eid}@{eta}", a
     rng = random.Random(43)
-    graded = [(f"graded-n{n}", graded_split_algebra(rng, n)) for n in (3, 4, 5) for _ in range(2)]
-    # e1 succ e1 = e2 and e2 prec e2 = e1/2: each product alone is nilpotent, their sum is not
-    succ = BilinearOp.from_entries(2, [(0, 0, 1, F(1))])
-    prec = BilinearOp.from_entries(2, [(1, 1, 0, F(1, 2))])
-    reducts = ("nilpotent-reducts", HomAlgebra.rhizaform(succ, prec, LinearMap.identity(2)))
-    return SPLIT_INPUTS + sums + graded + [reducts]
+    for n in (3, 4, 5):
+        for _ in range(2):
+            yield f"graded-n{n}", graded_split_algebra(rng, n)
+    rng = random.Random(3606)
+    entries = dict(catalog_algebras())
+    for n in (3, 4, 5, 6):
+        yield f"dense-n{n}", random_split_algebra(rng, n)
+        yield f"graded-n{n}", graded_split_algebra(rng, n)
+    for x, y in (("d2.A1", "d2.A5"), ("d2.A7", "d3.A4"), ("d3.A7", "d3.A16")):
+        yield f"{x}+{y}", direct_sum(entries[x], entries[y])
+    graded = graded_split_algebra(rng, 5)
+    yield "graded-mono", HomAlgebra.mono(graded.succ, graded.alpha)
+    # e1 succ e1 = e2 and e2 prec e2 = e1/2: each product alone is nilpotent and their sum is not, so a
+    # reduct must not read the whole's spans
+    succ, prec = BilinearOp.from_entries(2, [(0, 0, 1, F(1))]), BilinearOp.from_entries(2, [(1, 1, 0, F(1, 2))])
+    yield "nilpotent-reducts", HomAlgebra.rhizaform(succ, prec, LinearMap.identity(2))
 
 
 def test_analysis_matches_fraction_reference():
-    """One clearing of the products serves every series, reduct and check of ``analyze``."""
+    """One clearing of the products, and one dict of spans shared among the right, left and full
+    series and the reducts, serve every series, reduct and check of ``analyze``: each equals that of
+    ``fraction_checkers``, which builds every series and reduct on its own, product by product."""
     for label, a in _analysis_inputs():
         got = nilpotency.analyze(a)
         want, verdicts = ref.nilpotency_analysis(a)

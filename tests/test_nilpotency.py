@@ -3,20 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, _product_into
-from rhizalab.axioms import CheckReport, Violation, _view, check_multiplicativity
+from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap
+from rhizalab.axioms import check_multiplicativity
 from rhizalab.errors import DimensionMismatch
 from rhizalab.exactlin import Matrix
 from rhizalab.nilpotency import (
-    NilpotencyAnalysis,
     Subspace,
-    _alpha_stability,
-    _multiplicative,
-    _series_equality,
-    _span,
-    _two_nilpotent,
-    _verdict,
-    analyze,
     check_2_nilpotent,
     check_alpha_stability,
     check_onesided_nilpotency_theorem,
@@ -30,6 +22,7 @@ from rhizalab.nilpotency import (
     right_series,
     series_term,
 )
+from tests import fraction_checkers as ref
 from tests.conftest import (
     catalog_algebras,
     graded_split_algebra,
@@ -37,7 +30,6 @@ from tests.conftest import (
     random_split_algebra,
     rhizaform_passing_entries,
 )
-from tests.test_cocycles import direct_sum
 
 F = Fraction
 
@@ -234,7 +226,7 @@ def test_series_descend_and_stabilize_on_randoms():
         if not terms[-1].is_zero():
             f = terms.index(terms[-1]) + 1
             k = max(f + 1, 2 * f - 1)
-            recurrence = _recurrence(a, "full", k)
+            recurrence = ref._series(a, "full", [Subspace.full(a.dim)], k)
             assert recurrence[: len(terms)] == terms
             assert all(t == terms[-1] for t in recurrence[f - 1 :]), [t.dim for t in recurrence]
 
@@ -243,28 +235,6 @@ def test_alpha_stability_on_multiplicative_entries():
     for eid, a in catalog_algebras():
         if all(check_multiplicativity(op, a.alpha).passed for op in a.products.values()):
             assert check_alpha_stability(a).passed, eid
-
-
-def _recurrence(a, kind: str, count: int) -> list[Subspace]:
-    """The first ``count`` terms, each spanned from the products of earlier terms."""
-    full = Subspace.full(a.dim)
-    terms = [full]
-    while len(terms) < count:
-        k = len(terms) + 1
-        if kind == "right":
-            pairs = [(terms[-1], full)]
-        elif kind == "left":
-            pairs = [(full, terms[-1])]
-        else:
-            pairs = [(terms[i - 1], terms[k - i - 1]) for i in range(1, k)]
-        products = [
-            diamond(Subspace.from_vectors(a.dim, [u]), Subspace.from_vectors(a.dim, [v]), a)
-            for m, n in pairs
-            for u in m.vectors()
-            for v in n.vectors()
-        ]
-        terms.append(Subspace.from_vectors(a.dim, [w for p in products for w in p.vectors()]))
-    return terms
 
 
 def test_series_terms_match_recurrence_past_stabilization():
@@ -277,7 +247,8 @@ def test_series_terms_match_recurrence_past_stabilization():
         # the equality check compares the same terms, up to the longest stable prefix
         length = max(len(fn(a)) for fn in (right_series, left_series, full_series))
         count = max(a.dim + 4, length)
-        expected = {kind: _recurrence(a, kind, count) for kind in ("right", "left", "full")}
+        # the first ``count`` terms, each spanned from the products of earlier terms
+        expected = {kind: ref._series(a, kind, [Subspace.full(a.dim)], count) for kind in ("right", "left", "full")}
         for kind, terms in expected.items():
             for g in range(1, count + 1):
                 assert series_term(a, kind, g) == terms[g - 1], (eid, kind, g)
@@ -311,89 +282,3 @@ def test_graded_algebras_are_nilpotent():
             assert nilpotent, (seed, n)
             assert series_term(a, "full", index).is_zero(), (seed, n)
             assert not series_term(a, "full", index - 1).is_zero(), (seed, n)
-
-
-# --- the unshared series, kept as the reference for the shared spans ---------
-# ``parent_products_span`` and ``parent_until_stable`` build every product of every term of every
-# series and reduct again, as the series did before one analysis shared its spans.
-
-
-def parent_products_span(pairs, tables) -> Subspace:
-    dim = len(tables[0])
-    out = []
-    for m, n in pairs:
-        for u in m._sparse_rows:
-            for v in n._sparse_rows:
-                for table in tables:
-                    w = [0] * dim
-                    _product_into(w, table, u, v)
-                    if any(w):
-                        out.append(w)
-    return _span(dim, out)
-
-
-def parent_until_stable(tables, kind: str) -> tuple[Subspace, ...]:
-    terms = [Subspace.full(len(tables[0]))]
-    while True:
-        if kind == "right":
-            pairs = [(terms[-1], terms[0])]
-        elif kind == "left":
-            pairs = [(terms[0], terms[-1])]
-        else:
-            pairs = [(terms[i - 1], terms[-i]) for i in range(1, len(terms) + 1)]
-        terms.append(parent_products_span(pairs, tables))
-        k = len(terms)
-        last = terms[-1]
-        if last.is_zero():
-            return tuple(terms)
-        since = k - 1 if kind != "full" else (k + 1) // 2
-        if all(term == last for term in terms[since - 1 :]):
-            return tuple(terms[: terms.index(last) + 2])
-
-
-def parent_analysis(a: HomAlgebra) -> NilpotencyAnalysis:
-    """``analyze`` with every series and reduct built by the unshared reference."""
-    t = _view(a)
-    series = {kind: parent_until_stable(t.tables, kind) for kind in ("right", "left", "full")}
-    reducts = [series["full"]] if len(t.tables) == 1 else [parent_until_stable([table], "full") for table in t.tables]
-    parts = all(_verdict(terms).nilpotent for terms in reducts)
-    onesided = [] if _verdict(series["full"]).nilpotent == parts else [Violation("biconditional", (), ())]
-    return NilpotencyAnalysis(
-        series=series,
-        series_equality=_series_equality(series),
-        onesided=CheckReport.collect("onesided_nilpotency", onesided),
-        two_nilpotent=_two_nilpotent(t),
-        alpha_stability=_alpha_stability(series["full"], t.twist) if _multiplicative(t) else None,
-    )
-
-
-def _shared_span_inputs():
-    """Every catalog entry at four values of eta, seeded dense, graded and direct-sum algebras of
-    n = 3-6, a graded mono algebra, which is its own reduct, and a split algebra whose reducts are
-    nilpotent while it is not."""
-    for eta in (F(1), F(0), F(-1, 3), F(2)):
-        for eid, a in catalog_algebras({"eta": eta}):
-            yield f"{eid}@{eta}", a
-    rng = random.Random(3606)
-    entries = dict(catalog_algebras())
-    for n in (3, 4, 5, 6):
-        yield f"dense-n{n}", random_split_algebra(rng, n)
-        yield f"graded-n{n}", graded_split_algebra(rng, n)
-    for x, y in (("d2.A1", "d2.A5"), ("d2.A7", "d3.A4"), ("d3.A7", "d3.A16")):
-        yield f"{x}+{y}", direct_sum(entries[x], entries[y])
-    graded = graded_split_algebra(rng, 5)
-    yield "graded-mono", HomAlgebra.mono(graded.succ, graded.alpha)
-    # each product alone is nilpotent and their sum is not: a reduct must not read the whole's spans
-    succ, prec = BilinearOp.from_entries(2, [(0, 0, 1, F(1))]), BilinearOp.from_entries(2, [(1, 1, 0, F(1, 2))])
-    yield "nilpotent-reducts", HomAlgebra.rhizaform(succ, prec, LinearMap.identity(2))
-
-
-def test_shared_spans_match_the_unshared_series():
-    """One analysis shares its product rows and spans among the right, left and full series and
-    the reducts; every series, verdict and report equals the unshared reference's."""
-    for label, a in _shared_span_inputs():
-        got, want = analyze(a), parent_analysis(a)
-        assert got.series == want.series, label
-        assert got.verdicts == want.verdicts, label
-        for field in ("series_equality", "onesided", "two_nilpotent", "alpha_stability"):
-            assert getattr(got, field) == getattr(want, field), (label, field)

@@ -1,11 +1,10 @@
-"""The oracle against its parent route and against mutants of its evaluator.
+"""The oracle against the ``Fraction`` reference checkers and against mutants of its evaluator.
 
-``tests/parent_oracle.py`` keeps the oracle as it was before it owned its
-evaluator (every product through ``eval_product``, every twist recomputed
-inside the loops).  Both must give the same verdict on every input, also on
-inputs whose coefficients cancel exactly and on near misses of the catalog.
-The mutant tests show that criterion 01's comparison, or the near misses,
-would notice a wrong evaluator.
+Every public oracle function must give the verdict of the matching report of
+``tests/fraction_checkers.py`` (``REFERENCE``) on every input, also on inputs
+whose coefficients cancel exactly and on near misses of the catalog.  The
+mutant tests show that criterion 01's comparison, or the near misses, would
+notice a wrong evaluator.
 """
 
 import ast
@@ -23,8 +22,8 @@ from rhizalab import oracle
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import check_rhizaform
 from rhizalab.exactlin import Matrix, invert
-from rhizalab.operators import rhizaform_bimodule
-from tests import parent_oracle
+from rhizalab.operators import Bimodule, LinearOperator, rhizaform_bimodule
+from tests import fraction_checkers as ref
 from tests.conftest import (
     catalog_algebras,
     graded_split_algebra,
@@ -35,21 +34,41 @@ from tests.conftest import (
 from tests.fraction_checkers import apply, eval_product, times
 
 F = Fraction
-PUBLIC = (
-    "rhizaform_identities",
-    "rhizaform",
-    "dendriform_identities",
-    "dendriform",
-    "anti_associative",
-    "multiplicative",
-    "jacobi_jordan",
-    "pre_jacobi_jordan",
-    "alpha_derivation",
-    "two_nilpotent",
-    "bimodule",
-    "rota_baxter",
-    "o_operator",
-)
+
+
+def _identities(report, ids) -> dict[str, bool]:
+    failed = {v.identity_id for v in report.violations}
+    return {ident: ident not in failed for ident in (*ids, "mult_succ", "mult_prec")}
+
+
+def _module(mul, left, right, beta) -> Bimodule:
+    return Bimodule(mul.dim, beta.dim, left, right, beta)
+
+
+def _operator(m: Matrix) -> LinearOperator:
+    return LinearOperator(m.cols, m.rows, m)
+
+
+# each public oracle function, on its raw arguments, as the verdict of the matching reference report
+REFERENCE = {
+    "rhizaform_identities": lambda a: _identities(ref.rhizaform(a), ("req1", "req2", "req3")),
+    "rhizaform": lambda a: ref.rhizaform(a).passed,
+    "dendriform_identities": lambda a: _identities(ref.dendriform(a), ("den1", "den2", "den3")),
+    "dendriform": lambda a: ref.dendriform(a).passed,
+    "anti_associative": lambda mul, alpha: ref.hom_anti_associative(mul, alpha).passed,
+    "multiplicative": lambda op, alpha: ref.multiplicativity(op, alpha).passed,
+    "jacobi_jordan": lambda mul, alpha: ref.jacobi_jordan(mul, alpha).passed,
+    "pre_jacobi_jordan": lambda mul, alpha: ref.pre_jacobi_jordan(mul, alpha).passed,
+    "alpha_derivation": lambda d, a, name: ref.alpha_derivation(d, a, name).passed,
+    "two_nilpotent": lambda a: ref.two_nilpotent(a).passed,
+    "bimodule": lambda mul, alpha, left, right, beta: ref.bimodule(
+        HomAlgebra.mono(mul, alpha), _module(mul, left, right, beta)
+    ).passed,
+    "rota_baxter": lambda r, mul, alpha: ref.rota_baxter(_operator(r), HomAlgebra.mono(mul, alpha)).passed,
+    "o_operator": lambda t, mul, alpha, left, right, beta: ref.o_operator(
+        _operator(t), HomAlgebra.mono(mul, alpha), _module(mul, left, right, beta)
+    ).passed,
+}
 ETAS = (F(0), F(1), F(-1, 2), F(1024, 81))
 
 
@@ -100,19 +119,19 @@ def differential_inputs():
 
 
 def test_oracle_matches_parent_route():
-    """Every public function gives the parent's verdict on the catalog at four
+    """Every public function gives the reference report's verdict on the catalog at four
     etas and on seeded random and graded algebras with n = 2-4."""
     public = {
         name
         for name, f in vars(oracle).items()
         if inspect.isfunction(f) and f.__module__ == oracle.__name__ and not name.startswith("_")
     }
-    assert public == set(PUBLIC)
-    mismatches, seen = [], {name: set() for name in PUBLIC}
+    assert public == set(REFERENCE)
+    mismatches, seen = [], {name: set() for name in REFERENCE}
     for label, a, maps in differential_inputs():
         for name, args in calls(a, maps):
             got = getattr(oracle, name)(*args)
-            if got != getattr(parent_oracle, name)(*args):
+            if got != REFERENCE[name](*args):
                 mismatches.append(f"{label}:{name}")
             seen[name].update(got.values() if isinstance(got, dict) else (got,))
     assert mismatches == []
@@ -209,14 +228,14 @@ def near_miss_inputs():
 
 
 def test_oracle_matches_parent_route_on_cancellations_and_near_misses():
-    """All 13 public functions give the parent's verdict where coefficients cancel exactly, so a
+    """All 13 public functions give the reference's verdict where coefficients cancel exactly, so a
     zero left in a vector or a wrong int/Fraction mix would show, and on near misses of the
     catalog; each function gives both verdicts."""
-    mismatches, seen = [], {name: set() for name in PUBLIC}
+    mismatches, seen = [], {name: set() for name in REFERENCE}
     for label, a, maps in near_miss_inputs():
         for name, args in calls(a, maps):
             got = getattr(oracle, name)(*args)
-            if got != getattr(parent_oracle, name)(*args):
+            if got != REFERENCE[name](*args):
                 mismatches.append(f"{label}:{name}")
             seen[name].update(got.values() if isinstance(got, dict) else (got,))
     assert mismatches == []
@@ -292,7 +311,7 @@ def test_near_misses_catch_a_product_that_keeps_cancelled_zeros(monkeypatch):
     ``cancelling_split_algebra``)."""
     monkeypatch.setattr(oracle, "_product", kept_cancelled_zeros)
     assert any(
-        getattr(oracle, name)(*args) != getattr(parent_oracle, name)(*args)
+        getattr(oracle, name)(*args) != REFERENCE[name](*args)
         for _, a, maps in near_miss_inputs()
         for name, args in calls(a, maps)
     )

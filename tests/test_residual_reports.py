@@ -83,7 +83,9 @@ def _conjugate(a: HomAlgebra, p: Matrix, alpha: Matrix | None = None) -> HomAlge
     n = a.dim
     cols = [p.column(i) for i in range(n)]
     products = {
-        name: BilinearOp(n, [[ref.apply(p_inv, ref.eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)])
+        name: BilinearOp(
+            n, [[ref.apply(p_inv, ref.eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)]
+        )
         for name, op in a.products.items()
     }
     return HomAlgebra(n, products, LinearMap(n, alpha or ref.times(ref.times(p_inv, a.alpha.matrix), p)))
@@ -91,7 +93,8 @@ def _conjugate(a: HomAlgebra, p: Matrix, alpha: Matrix | None = None) -> HomAlge
 
 def _matrix(rng: random.Random, rows: int, cols: int, unit_diagonal: bool = False) -> Matrix:
     entries = [F(1, 2), F(-2, 3), F(3, 5), F(1), F(0), F(0)]
-    return Matrix(rows, cols, [F(1) if unit_diagonal and i == j else rng.choice(entries) for i in range(rows) for j in range(cols)])
+    values = [F(1) if unit_diagonal and i == j else rng.choice(entries) for i in range(rows) for j in range(cols)]
+    return Matrix(rows, cols, values)
 
 
 GRADED = graded_split_algebra(random.Random(5), 5)

@@ -3,7 +3,7 @@
 * Every ``import`` in ``src/rhizalab`` names a module of the standard
   library (``sys.stdlib_module_names``) or the package itself: the runtime
   dependencies stay ``dependencies = []``.
-* No source line is over 120 characters.
+* No line of the package or of ``tests/*.py`` is over 120 characters.
 """
 
 import ast
@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rhizalab").rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "rhizalab").rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 MAX_LINE = 120
 
 
@@ -38,7 +40,9 @@ def test_imports_are_the_standard_library_or_the_package(path):
     assert roots - set(sys.stdlib_module_names) - {"rhizalab"} == set()
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=lambda path: path.name if path in SOURCES else f"tests/{path.name}"
+)
 def test_no_line_is_over_the_limit(path):
     long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
     assert long == []
