@@ -46,7 +46,7 @@ from .cocycles import (
     scalar_cocycle_space,
     vector_cocycle_space,
 )
-from .errors import DimensionMismatch, RhizalabError
+from .errors import DimensionMismatch, RhizalabError, UnboundParameter
 from .family import (
     associated_family,
     check_anti_associative_family,
@@ -492,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (RhizalabError, OSError) as exc:  # bad input, or a file that cannot be read
-        print(f"error: {exc}", file=sys.stderr)
+        hint = f"; bind it with --param {exc.name}=P/Q" if isinstance(exc, UnboundParameter) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
 
 

@@ -30,7 +30,7 @@ class ParseError(RhizalabError):
 class UnboundParameter(RhizalabError):
     def __init__(self, name: str, where: str):
         self.name, self.where = name, where
-        super().__init__(f"{where}: parameter {name!r} has no rational binding; bind it with --param {name}=P/Q")
+        super().__init__(f"{where}: parameter {name!r} has no rational binding")
 
 
 class UnknownEntry(RhizalabError):

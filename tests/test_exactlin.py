@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -257,9 +256,14 @@ def _low_rank(rng, rows, cols, rk, density, height):
     return times(_random_matrix(rng, rows, rk, 1.0, 3), _random_matrix(rng, rk, cols, density, height))
 
 
+def fraction_pivots(reduced: Matrix, rk: int) -> list[int]:
+    """The pivot column of each nonzero row of a reduced matrix."""
+    return [next(c for c in range(reduced.cols) if reduced.at(r, c)) for r in range(rk)]
+
+
 def fraction_kernel(reduced: Matrix, rk: int) -> list[tuple[Fraction, ...]]:
     """Reference: one kernel vector per free column of a reduced matrix, 1 there."""
-    pivots = [next(c for c in range(reduced.cols) if reduced.at(r, c)) for r in range(rk)]
+    pivots = fraction_pivots(reduced, rk)
     basis = []
     for free in (c for c in range(reduced.cols) if c not in pivots):
         v = [F(0)] * reduced.cols
@@ -281,9 +285,9 @@ def _assert_matches_reference(m, label) -> int:
     assert nullspace_basis(m) == kernel, label
     # the integer entry points, on rows each cleared by its own denominator
     rows = [_cleared([m.row(i)])[0][0] for i in range(m.rows)]
-    pivot_rows, pivots = _echelon(rows)
-    assert all(gcd(*row) == 1 for row in pivot_rows), label
-    assert [[F(x, row[c]) for x in row] for row, c in zip(pivot_rows, pivots)] == expected.to_rows()[:rk], label
+    # each reference row (pivot 1) times the lcm of its denominators: primitive, with a positive pivot
+    expected_rows = [_cleared([r])[0][0] for r in expected.to_rows()[:rk]]
+    assert _echelon(rows) == (expected_rows, fraction_pivots(expected, rk)), label
     assert _kernel(rows, m.cols) == [(w, d) for (w,), d in (_cleared([v]) for v in kernel)], label
     return rk
 

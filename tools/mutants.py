@@ -1,5 +1,7 @@
 """Source mutants of the library, and a runner that checks that the Tier-1 suite catches each.
 
+The oracle's mutants are not here: ``tests/test_oracle.py`` applies them itself on every run.
+
     python tools/mutants.py CHECKOUT DEST [NAME ...]
 
 Copies the checkout CHECKOUT to DEST, which must not exist yet, then for each mutant (all of them,
@@ -22,20 +24,9 @@ import sys
 from pathlib import Path
 
 AXIOMS, COCYCLES, EXACTLIN = "src/rhizalab/axioms.py", "src/rhizalab/cocycles.py", "src/rhizalab/exactlin.py"
-NILPOTENCY, OPERATORS, ORACLE = "src/rhizalab/nilpotency.py", "src/rhizalab/operators.py", "src/rhizalab/oracle.py"
+NILPOTENCY, OPERATORS = "src/rhizalab/nilpotency.py", "src/rhizalab/operators.py"
 
 MEMORY, TIMEOUT = 3 * 2**29, 900
-
-# the loop of the oracle's ``_product``, which two mutants keep
-_PRODUCT_LOOP = """\
-    get = out.get
-    for i, xi in x.items():
-        row = c[i]
-        for j, yj in y.items():
-            s = xi * yj
-            for k, ck in row[j].items():
-                out[k] = get(k, 0) + s * ck
-"""
 
 # name: (file, snippet, replacement)
 MUTANTS = {
@@ -59,6 +50,11 @@ MUTANTS = {
         EXACTLIN,
         "        for d, prow in done:\n",
         "        for d, prow in done[1:]:\n",
+    ),
+    "back-substitution-keeps-a-negative-pivot": (
+        EXACTLIN,
+        "done.append((c, r if r[c] > 0 else [-x for x in r]))",
+        "done.append((c, r))",
     ),
     "products-span-drops-a-product": (
         NILPOTENCY,
@@ -90,30 +86,6 @@ MUTANTS = {
         "terms = [(1, t_left[lam], c.ops[omega])]",
         "terms = [(-1, t_left[lam], c.ops[omega])]",
     ),
-    "oracle-transposed-table": (
-        ORACLE,
-        "return [[_vector(cell) for cell in row] for row in op.coeffs]",
-        "return [[_vector(cell) for cell in column] for column in zip(*op.coeffs)]",
-    ),
-    "oracle-dropped-twist": (
-        ORACLE,
-        "return [_vector(m.entries[i :: m.cols]) for i in range(m.cols)]",
-        "return [{i: 1} for i in range(m.cols)]",
-    ),
-    "oracle-kept-zeros": (
-        ORACLE,
-        "    if not x or not y:\n        return {}\n    out = {}\n"
-        + _PRODUCT_LOOP
-        + "    return {k: v for k, v in out.items() if v}\n",
-        "    out = dict.fromkeys(range(len(c[0])), 0)\n" + _PRODUCT_LOOP + "    return out\n",
-    ),
-    "oracle-kept-cancelled-zeros": (
-        ORACLE,
-        _PRODUCT_LOOP + "    return {k: v for k, v in out.items() if v}\n",
-        _PRODUCT_LOOP + "    return out\n",
-    ),
-    "oracle-dropped-denominator": (ORACLE, "return v.numerator if v.denominator == 1 else v", "return v.numerator"),
-    "oracle-kept-sign": (ORACLE, "return {k: -v for k, v in x.items()}", "return dict(x)"),
 }
 
 
