@@ -29,8 +29,10 @@ product, the circle product, the bracket, the family products), is one
 ``_combination`` of its terms, a sum of their integer tables.
 
 JSON passes through one decoder, ``_decode_json``, on the way in; every
-document rhizalab prints is ``json.dumps(obj, indent=2)``, written by the
-stdlib (a check report's violations by ``axioms.CheckReport.to_text``).
+document rhizalab prints is the text of ``json.dumps(obj, indent=2)``.  The
+stdlib writes it, except a check report, whose text ``axioms.CheckReport.chunks``
+writes in pieces of a bounded number of violations, each sent to stdout as
+it comes (``cli._emit``).
 """
 
 from __future__ import annotations

@@ -90,6 +90,9 @@ class Violation:
         return {"identity": self.identity_id, "basis": list(self.basis_tuple), "residual": self.residual_text()}
 
 
+_CHUNK = 256  # the most violations one piece of ``CheckReport.chunks`` holds
+
+
 @dataclass(frozen=True)
 class CheckReport:
     structure_name: str
@@ -119,31 +122,50 @@ class CheckReport:
         }
 
     def to_text(self) -> str:
-        """``json.dumps(self.to_obj(), indent=2)``, each violation written by one ``%`` format string: a
-        template per (basis length, residual length) shape, built on first use, with a ``%s`` for the
-        identity's JSON text, each basis index and each residual text (which holds only digits, ``-``
-        and ``/``, so JSON writes it unescaped).  A residual at scale 1 goes in as it is, since ``str``
-        of an int or a Fraction is its text; any other through ``exactlin._ratio_texts``."""
-        head = json.dumps({"structure": self.structure_name, "passed": self.passed}, indent=2)[:-2]
-        if not self.violations:
-            return head + ',\n  "violations": []\n}'
-        ids = {ident: json.dumps(ident) for ident in {v.identity_id for v in self.violations}}
-        templates, items = {}, []
-        for v in self.violations:
-            values = v.values if v.scale == 1 else _ratio_texts(v.values, v.scale)
-            shape = len(v.basis_tuple), len(values)
-            if (template := templates.get(shape)) is None:
-                template = templates[shape] = _violation_template(*shape)
-            items.append(template % (ids[v.identity_id], *v.basis_tuple, *values))
-        return head + ',\n  "violations": [\n    ' + ",\n    ".join(items) + "\n  ]\n}"
+        """``json.dumps(self.to_obj(), indent=2)``: the pieces of ``chunks`` joined."""
+        return "".join(self.chunks())
+
+    def chunks(self, depth: int = 0):
+        """``json.dumps(self.to_obj(), indent=2)`` written ``depth`` levels deep (every line after the
+        first indented by 2 * depth more spaces), in pieces of at most ``_CHUNK`` violations each, so a
+        writer holds one piece of text however many violations the report has.
+
+        Each violation is written by one ``%`` format string: a template per (basis length, residual
+        length) shape, built on first use, with a ``%s`` for the identity's JSON text, each basis index
+        and each residual text (which holds only digits, ``-`` and ``/``, so JSON writes it
+        unescaped).  A residual at scale 1 goes in as it is, since ``str`` of an int or a Fraction is
+        its text; any other through ``exactlin._ratio_texts``."""
+        pad = "\n" + "  " * depth
+        head = (
+            f'{{{pad}  "structure": {json.dumps(self.structure_name)},'
+            f'{pad}  "passed": {json.dumps(self.passed)},{pad}  "violations": '
+        )
+        vs = self.violations
+        if not vs:
+            yield head + "[]" + pad + "}"
+            return
+        ids = {ident: json.dumps(ident) for ident in {v.identity_id for v in vs}}
+        templates, sep = {}, "," + pad + "    "
+        for start in range(0, len(vs), _CHUNK):
+            items = []
+            for v in vs[start : start + _CHUNK]:
+                values = v.values if v.scale == 1 else _ratio_texts(v.values, v.scale)
+                shape = len(v.basis_tuple), len(values)
+                if (template := templates.get(shape)) is None:
+                    template = templates[shape] = _violation_template(*shape, pad)
+                items.append(template % (ids[v.identity_id], *v.basis_tuple, *values))
+            lead = head + "[" + pad + "    " if start == 0 else sep
+            tail = pad + "  ]" + pad + "}" if start + _CHUNK >= len(vs) else ""
+            yield lead + sep.join(items) + tail
 
 
-def _violation_template(basis: int, residual: int) -> str:
-    """A violation's text at depth 4 of ``json.dumps(..., indent=2)``, with ``%s`` for its fields."""
+def _violation_template(basis: int, residual: int, pad: str) -> str:
+    """A violation's text at depth 4 of ``json.dumps(..., indent=2)``, each line break followed by
+    ``pad`` (a newline and the report's own indent), with ``%s`` for its fields."""
     def cells(cell: str, k: int) -> str:
-        return "[" + ",".join(["\n        " + cell] * k) + "\n      ]" if k else "[]"
-    return ('{\n      "identity": %s,\n      "basis": ' + cells("%s", basis)
-            + ',\n      "residual": ' + cells('"%s"', residual) + "\n    }")
+        return "[" + ",".join([pad + "        " + cell] * k) + pad + "      ]" if k else "[]"
+    return ("{" + pad + '      "identity": %s,' + pad + '      "basis": ' + cells("%s", basis)
+            + "," + pad + '      "residual": ' + cells('"%s"', residual) + pad + "    }")
 
 
 def _require_same_dim(*dims: int):

@@ -4,7 +4,7 @@ Reports go to stdout, diagnostics to stderr.  ``--format structured`` emits
 a single JSON document with stable key order and no timestamps, so repeated
 runs on the same inputs are byte-identical.  Exit status: 0 = ran to
 completion, 1 = check failed under --strict (or an oracle disagreement),
-2 = usage or input error.
+2 = usage or input error, 141 = stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -80,22 +81,45 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
     return out
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``, where a CheckReport, ``doc`` itself or a value of the dict
-    ``doc``, stands for its ``to_obj()`` and writes its own text (``CheckReport.to_text``)."""
+def _json_chunks(doc):
+    """``json.dumps(doc, indent=2)`` in pieces, where a CheckReport, ``doc`` itself or a value of the
+    dict ``doc``, stands for its ``to_obj()`` and writes its own pieces (``CheckReport.chunks``), so
+    no piece holds more than one chunk of a report's violations.  Every other value is written by
+    ``json.dumps``: one a level deep as the one item of a dict, without the braces, so the stdlib
+    indents it."""
     if isinstance(doc, CheckReport):
-        return doc.to_text()
-    if not (isinstance(doc, dict) and any(isinstance(v, CheckReport) for v in doc.values())):
-        return json.dumps(doc, indent=2)
-    # JSON text never holds a raw newline inside a string (json.dumps writes it as \n), so every
-    # newline in a value's text is a line break, and indenting after each one nests the value a level.
-    items = [json.dumps(key) + ": " + _json_text(value).replace("\n", "\n  ") for key, value in doc.items()]
-    return "{\n  " + ",\n  ".join(items) + "\n}"
+        yield from doc.chunks()
+    elif isinstance(doc, dict) and any(isinstance(v, CheckReport) for v in doc.values()):
+        lead = "{\n  "
+        for key, value in doc.items():
+            if isinstance(value, CheckReport):
+                yield lead + json.dumps(key) + ": "
+                yield from value.chunks(depth=1)
+            else:
+                yield lead + json.dumps({key: value}, indent=2)[4:-2]
+            lead = ",\n  "
+        yield "\n}"
+    else:
+        yield json.dumps(doc, indent=2)
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, with each CheckReport read as its ``to_obj()``: the pieces of
+    ``_json_chunks`` joined."""
+    return "".join(_json_chunks(doc))
 
 
 def _emit(doc, args, table=None) -> None:
-    """Print ``doc`` as JSON; under --format table, the text ``table()`` builds instead, when given."""
-    print(table() if args.format == "table" and table is not None else _json_text(doc))
+    """Print ``doc`` as JSON, written to stdout piece by piece (``_json_chunks``), so the text in
+    flight is one chunk of a report however large it is; under --format table, print the text
+    ``table()`` builds instead, when given."""
+    if args.format == "table" and table is not None:
+        print(table())
+        return
+    write = sys.stdout.write
+    for chunk in _json_chunks(doc):
+        write(chunk)
+    write("\n")
 
 
 def _report_human(rep: CheckReport) -> str:
@@ -490,7 +514,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout: not bad input.  Stop as a process killed by SIGPIPE would, with no
+        # message, and point stdout at the null device so flushing it at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (RhizalabError, OSError) as exc:  # bad input, or a file that cannot be read
         hint = f"; bind it with --param {exc.name}=P/Q" if isinstance(exc, UnboundParameter) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)

@@ -55,3 +55,7 @@ class NotACocycle(PreconditionFailed):
 
 class NotAntiAssociative(PreconditionFailed):
     pass
+
+
+class InternalError(RuntimeError):
+    """A bound the program proves did not hold: a fault in rhizalab, not in its input."""

@@ -31,6 +31,14 @@ occur.  It stops at the first k where S_k = 0 or S_m = ... = S_k with
 m = ceil(k/2).  Then S_{k+1} = S_k: in a pair (i, j) of S_k, i + j = k, the
 larger index i lies in [m, k-1], so S_i = S_{i+1} and S_i <> S_j lies in
 S_{k+1}; and S_{k+1} lies in S_k.  So the whole run from S_m on is constant.
+
+Each series stops within a proven number of terms, and exceeding it raises ``InternalError`` rather
+than running on.  A right or left term lies in the one before it (S_{k+1} = S_k <> A lies in
+S_{k-1} <> A = S_k), so while the series runs on, S_1, ..., S_k strictly decrease and S_k is nonzero:
+k <= dim, and the series stops by k = dim + 2 (dim + 1 once dim >= 1).  The full series runs on at k
+only if some S_{j-1} != S_j with ceil(k/2) < j <= k, a drop of at least one dimension inside
+(k/2, k].  The intervals (2^(r-1), 2^r] for r = 1, 2, ... are disjoint, so running on at every
+k = 2, 4, ..., 2^(dim+1) would need dim + 1 drops from dimension dim; it stops by k = 2^(dim+1).
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import NamedTuple
 
 from .algmodel import HomAlgebra, _apply_into, _product_into, _sparse
 from .axioms import CheckReport, Violation, _mult_violations, _triple_violations, _Twisted, _view
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalError
 from .exactlin import Matrix, Vector, _cleared, _echelon, _forward, _rref_rows
 
 
@@ -146,8 +154,11 @@ def _next_term(tables, kind: str, terms, spans: dict) -> Subspace:
 
 
 def _until_stable(tables, kind: str, spans: dict) -> tuple[Subspace, ...]:
-    """Terms up to zero or the first repeat of the stable term (the stop rule in the module doc)."""
-    terms = [Subspace.full(len(tables[0]))]
+    """Terms up to zero or the first repeat of the stable term (the stop rule in the module doc);
+    ``InternalError`` past the length the module doc proves."""
+    dim = len(tables[0])
+    limit = dim + 2 if kind != "full" else 2 ** (dim + 1)
+    terms = [Subspace.full(dim)]
     while True:
         terms.append(_next_term(tables, kind, terms, spans))
         k = len(terms)
@@ -157,6 +168,8 @@ def _until_stable(tables, kind: str, spans: dict) -> tuple[Subspace, ...]:
         since = k - 1 if kind != "full" else (k + 1) // 2  # S_since = ... = S_k proves stability
         if all(term == last for term in terms[since - 1 :]):
             return tuple(terms[: terms.index(last) + 2])
+        if k >= limit:
+            raise InternalError(f"the {kind} series of a dimension-{dim} algebra ran past {limit} terms")
 
 
 def right_series(a: HomAlgebra) -> list[Subspace]:

@@ -37,8 +37,11 @@ def _vector(coords) -> dict:
 
 
 def _table(op: BilinearOp):
-    """The basis products: c[i][j] holds the vector e_i o e_j."""
-    return [[_vector(cell) for cell in row] for row in op.coeffs]
+    """The basis products: c[i][j] holds the vector e_i o e_j, read off the nonzero structure constants."""
+    c = [[{} for _ in range(op.dim)] for _ in range(op.dim)]
+    for i, j, k, v in op.nonzero_entries():
+        c[i][j][k] = _exact(v)
+    return c
 
 
 def _product(c, x, y) -> dict:
@@ -104,7 +107,11 @@ def anti_associative(mul: BilinearOp, alpha: LinearMap) -> bool:
 
 
 def multiplicative(op: BilinearOp, alpha: LinearMap) -> bool:
-    c, al, n = _table(op), _images(alpha.matrix), op.dim
+    return _multiplicative(_table(op), _images(alpha.matrix), op.dim)
+
+
+def _multiplicative(c, al, n: int) -> bool:
+    """alpha(e_i o e_j) = alpha(e_i) o alpha(e_j) for the basis products c and the images al of alpha."""
     for i in range(n):
         for j in range(n):
             if _apply(al, c[i][j]) != _product(c, al[i], al[j]):
@@ -127,8 +134,8 @@ def _split_identities(a: HomAlgebra, ids: tuple[str, str, str], sign) -> dict[st
                     out[ids[1]] = False
                 if out[ids[2]] and _product(s, al[i], p[j][k]) != sign(_product(p, s[i][j], al[k])):
                     out[ids[2]] = False
-    out["mult_succ"] = multiplicative(a.succ, a.alpha)
-    out["mult_prec"] = multiplicative(a.prec, a.alpha)
+    out["mult_succ"] = _multiplicative(s, al, n)
+    out["mult_prec"] = _multiplicative(p, al, n)
     return out
 
 

@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import importlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 import rhizalab
 import rhizalab.cli
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, serialize_algebra, sum_product
-from rhizalab.axioms import check_alpha_derivation
+from rhizalab.axioms import _CHUNK, CheckReport, Violation, check_alpha_derivation
 from rhizalab.catalog import load_entry
 from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, build_parser, main
 from rhizalab.cocycles import ScalarForm, is_nondegenerate, rhizaform_from_cocycle, scalar_cocycle_residuals
@@ -38,8 +41,9 @@ from rhizalab.files import (
     read_operator,
     read_rb_family,
 )
+from rhizalab.nilpotency import analyze
 from rhizalab.operators import Bimodule, check_bimodule, regular_bimodule
-from tests.conftest import graded_split_algebra, random_map, random_tensor
+from tests.conftest import graded_split_algebra, random_map, random_split_algebra, random_tensor
 from tests.fraction_checkers import scaled
 
 F = Fraction
@@ -1044,6 +1048,73 @@ def test_family_loader_keeps_params(tmp_path):
     assert fam.params == {"eta": F(1, 2)}
     assert fam.succ[0].entry(1, 1) == (F(1, 2), F(0))
     assert read_family(load_json(str(path)), {"eta": F(3)}).params == {"eta": F(3)}
+
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the text of every ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _violations_per_write(writes):
+    return [text.count('"identity": ') for text in writes]
+
+
+@pytest.mark.parametrize("count", [256, 257, 600])
+def test_reports_are_written_in_bounded_chunks(count):
+    """``_emit`` writes a report in pieces of at most ``_CHUNK`` violations, and together they are
+    ``json.dumps`` of the report with the newline ``print`` would add."""
+    report = CheckReport.collect(
+        "chunked", [Violation("x", (i, 1, 2), (i, -i, 0), 3 if i % 2 else 1) for i in range(1, count + 1)]
+    )
+    out = _Writes()
+    with redirect_stdout(out):
+        rhizalab.cli._emit(report, argparse.Namespace(format="structured"))
+    per_write = _violations_per_write(out.writes)
+    assert max(per_write) <= _CHUNK and sum(per_write) == count
+    assert len([n for n in per_write if n]) == -(-count // _CHUNK)
+    assert out.getvalue() == json.dumps(report.to_obj(), indent=2) + "\n"
+
+
+def test_nested_reports_are_written_in_bounded_chunks(tmp_path):
+    """Under ``nilpotency`` the 2-nilpotent report, one level deep, spans several chunks; each write
+    holds at most ``_CHUNK`` violations and the document is ``json.dumps`` of it."""
+    a = random_split_algebra(random.Random(1), 5)
+    path = tmp_path / "dense.json"
+    path.write_text(serialize_algebra(a))
+    out = _Writes()
+    with redirect_stdout(out):
+        assert main(["nilpotency", "--format", "structured", str(path)]) == 0
+    per_write = _violations_per_write(out.writes)
+    assert max(per_write) <= _CHUNK and sum(per_write) == 1000
+    doc = json.loads(out.getvalue())
+    assert doc["two_nilpotent"] == analyze(a).two_nilpotent.to_obj()
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    """A reader that closed stdout before the command wrote (``rhizalab ... | head``) is not bad
+    input: the command exits 128 + SIGPIPE and prints nothing on stderr, at exit included."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rhizalab", "catalog", "list"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 # --- exit-code contract under fuzzed numeric slots --------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap
 from rhizalab.axioms import check_multiplicativity
-from rhizalab.errors import DimensionMismatch
+from rhizalab import nilpotency
+from rhizalab.errors import DimensionMismatch, InternalError
 from rhizalab.exactlin import Matrix
 from rhizalab.nilpotency import (
     Subspace,
@@ -282,3 +284,20 @@ def test_graded_algebras_are_nilpotent():
             assert nilpotent, (seed, n)
             assert series_term(a, "full", index).is_zero(), (seed, n)
             assert not series_term(a, "full", index - 1).is_zero(), (seed, n)
+
+
+@pytest.mark.parametrize("series", [right_series, left_series, full_series])
+def test_series_past_its_proven_length_raises(monkeypatch, series):
+    """A span that is not canonical (its rows scaled by a new factor on every call) never repeats, so
+    no series stabilizes; each raises once it passes the length the module doc proves, instead of
+    running on."""
+    real, factors = nilpotency._span, itertools.count(2)
+
+    def scaled_span(dim, rows):
+        c = next(factors)
+        return Subspace(dim, tuple(tuple(c * x for x in row) for row in real(dim, rows).rows))
+
+    monkeypatch.setattr(nilpotency, "_span", scaled_span)
+    idempotents = BilinearOp.from_entries(3, [(i, i, i, 1) for i in range(3)])  # S_k = A for every k
+    with pytest.raises(InternalError, match="ran past"):
+        series(HomAlgebra.mono(idempotents, LinearMap.identity(3)))

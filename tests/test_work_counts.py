@@ -56,10 +56,11 @@ counts repeat exactly.
   n = 6 algebra file with entries in {-1, 0, 1}, and a family file whose
   sections, twist map and ``params`` share their texts.
 * A product is stored in integer form, and its dense ``Fraction`` tensor
-  (``BilinearOp.coeffs``) is built only for the oracle: the catalog, the
-  split check, the cyclic-form solvers, the averaging and cocycle
-  splittings and the product bimodules, from file to printed output, read
-  it for no product.
+  (``BilinearOp.coeffs``) is built only for ``BilinearOp.entry``: the
+  catalog, the split check, the oracle (which reads the nonzero structure
+  constants), the cyclic-form solvers, the averaging and cocycle splittings
+  and the product bimodules, from file to printed output, read it for no
+  product.
 """
 
 import contextlib
@@ -531,6 +532,8 @@ def _route_files(tmp_path) -> dict:
 ROUTES = [
     ("catalog", "verify", "--param", "eta=1"),
     ("check", "--kind", "rhizaform", "{A}"),
+    ("check", "--oracle", "--kind", "rhizaform", "{A}"),
+    ("catalog", "verify", "--oracle", "--param", "eta=1"),
     ("cocycles", "--scalar", "{S}"),
     ("cocycles", "--vector", "{A}"),
     ("induce", "--what", "rb", "--operator", "{R}", "{S}"),
@@ -553,10 +556,9 @@ def test_integer_routes_build_no_dense_tensor(monkeypatch, tmp_path, route, fmt)
     assert expected[0] == 0 and reads == []
 
 
-def test_oracle_reads_the_dense_tensor(monkeypatch, tmp_path):
-    """The counter sees reads: the oracle evaluates the Fraction tensors."""
-    argv = ["check", "--kind", "rhizaform", "--oracle", _route_files(tmp_path)["{A}"]]
+def test_the_counter_sees_dense_reads(monkeypatch):
+    """The counter sees reads: ``BilinearOp.entry`` reads the Fraction tensor."""
+    a = load_entry("d3.A7", ETA)
     reads = count_dense_reads(monkeypatch)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
+    assert a.succ.entry(0, 0) == tuple(a.succ.coeffs[0][0])
     assert set(reads) == {"BilinearOp"}

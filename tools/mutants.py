@@ -86,6 +86,12 @@ MUTANTS = {
         "terms = [(1, t_left[lam], c.ops[omega])]",
         "terms = [(-1, t_left[lam], c.ops[omega])]",
     ),
+    "report-chunks-drop-a-separator": (
+        AXIOMS,
+        'lead = head + "[" + pad + "    " if start == 0 else sep',
+        'lead = head + "[" + pad + "    " if start == 0 else ""',
+    ),
+    "nested-report-drops-its-pad": (AXIOMS, 'pad = "\\n" + "  " * depth', 'pad = "\\n"'),
 }
 
 
