@@ -326,10 +326,6 @@ class HomAlgebra:
     def kind(self) -> str:
         return "rhizaform" if "succ" in self.products else "mono"
 
-    @property
-    def is_rhizaform(self) -> bool:
-        return "succ" in self.products
-
     def product(self, name: str) -> BilinearOp:
         try:
             return self.products[name]

@@ -121,10 +121,6 @@ class CheckReport:
             "violations": [v.to_obj() for v in self.violations],
         }
 
-    def to_text(self) -> str:
-        """``json.dumps(self.to_obj(), indent=2)``: the pieces of ``chunks`` joined."""
-        return "".join(self.chunks())
-
     def chunks(self, depth: int = 0):
         """``json.dumps(self.to_obj(), indent=2)`` written ``depth`` levels deep (every line after the
         first indented by 2 * depth more spaces), in pieces of at most ``_CHUNK`` violations each, so a

@@ -103,12 +103,6 @@ def _json_chunks(doc):
         yield json.dumps(doc, indent=2)
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``, with each CheckReport read as its ``to_obj()``: the pieces of
-    ``_json_chunks`` joined."""
-    return "".join(_json_chunks(doc))
-
-
 def _emit(doc, args, table=None) -> None:
     """Print ``doc`` as JSON, written to stdout piece by piece (``_json_chunks``), so the text in
     flight is one chunk of a report however large it is; under --format table, print the text

@@ -67,10 +67,6 @@ def _ratio_texts(values, d: int) -> list[str]:
     return [str(v // g) if (g := gcd(v, d)) == d else f"{v // g}/{d // g}" for v in values]
 
 
-def vec_zero(n: int) -> Vector:
-    return (F0,) * n
-
-
 @dataclass(frozen=True, repr=False)
 class Matrix:
     """Dense rows x cols grid of Fractions, row-major, immutable."""

@@ -1,9 +1,11 @@
-"""Shared fixtures: deterministic random structures and small searched examples."""
+"""Shared fixtures: deterministic random structures, small searched examples, and a call counter."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,9 @@ from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import check_hom_anti_associative
 from rhizalab.catalog import entry_ids, load_entry
 from rhizalab.cocycles import ScalarForm, is_nondegenerate
-from rhizalab.exactlin import Matrix
+from rhizalab.exactlin import Matrix, invert
 from rhizalab.operators import LinearOperator, check_rota_baxter
-from tests.fraction_checkers import basis_vec, eval_product, scaled, vec_add, vec_is_zero
+from tests.fraction_checkers import apply, basis_vec, eval_product, scaled, times, vec_add, vec_is_zero
 
 F = Fraction
 SMALL = (F(-1), F(0), F(1))
@@ -47,6 +49,44 @@ def graded_split_algebra(rng: random.Random, n: int) -> HomAlgebra:
     return HomAlgebra.rhizaform(tensor(), tensor(), LinearMap.identity(n))
 
 
+def sum_mono(a: HomAlgebra) -> HomAlgebra:
+    """The mono algebra of a split algebra's summed product, with its twist."""
+    return HomAlgebra.mono(sum_product(a), a.alpha)
+
+
+def conjugate(a: HomAlgebra, p: Matrix, alpha: Matrix | None = None) -> HomAlgebra:
+    """The algebra carried along the basis change p (x o' y = p^-1 (p x o p y)), with the twist
+    ``alpha`` when given, else p^-1 alpha p."""
+    p_inv = invert(p)
+    n = a.dim
+    cols = [p.column(i) for i in range(n)]
+    products = {
+        name: BilinearOp(n, [[apply(p_inv, eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)])
+        for name, op in a.products.items()
+    }
+    return HomAlgebra(n, products, LinearMap(n, alpha or times(times(p_inv, a.alpha.matrix), p)))
+
+
+def count_calls(monkeypatch, qualified: str, key=None) -> list:
+    """Wrap the library function ``qualified`` ("module.name", e.g. "algmodel._integers") in every
+    loaded ``rhizalab`` module that binds it: modules import by name (``from .exactlin import
+    invert``), so a wrapper on the defining module alone would miss their calls.  The returned list
+    grows by one entry per call, the name of the function that made it, or ``key`` of the call's
+    arguments."""
+    module_name, name = qualified.rsplit(".", 1)
+    real = getattr(importlib.import_module(f"rhizalab.{module_name}"), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name if key is None else key(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    for loaded, module in list(sys.modules.items()):
+        if (loaded == "rhizalab" or loaded.startswith("rhizalab.")) and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def catalog_algebras(params=None) -> list[tuple[str, HomAlgebra]]:
     params = ETA_DEFAULT if params is None else params
     return [(eid, load_entry(eid, params)) for eid in entry_ids()]
@@ -54,9 +94,7 @@ def catalog_algebras(params=None) -> list[tuple[str, HomAlgebra]]:
 
 def catalog_sums(params=None) -> list[tuple[str, HomAlgebra]]:
     """Mono algebras carrying the summed product of every entry."""
-    return [
-        (eid, HomAlgebra.mono(sum_product(a), a.alpha)) for eid, a in catalog_algebras(params)
-    ]
+    return [(eid, sum_mono(a)) for eid, a in catalog_algebras(params)]
 
 
 def anti_associative_sums(params=None) -> list[tuple[str, HomAlgebra]]:

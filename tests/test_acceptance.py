@@ -76,6 +76,7 @@ from tests.conftest import (
     random_split_algebra,
     rb_grid,
     rhizaform_passing_entries,
+    sum_mono,
     z2_rb_family_fixture,
     zero_product_mono,
 )
@@ -88,10 +89,6 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     mark = "PASS" if ok else "FAIL"
     suffix = f"  [{detail}]" if detail else ""
     print(f"ACCEPTANCE {num:>2} {name}: {mark}{suffix}")
-
-
-def sum_mono(a: HomAlgebra) -> HomAlgebra:
-    return HomAlgebra.mono(sum_product(a), a.alpha)
 
 
 def cancelling_split_algebra() -> HomAlgebra:

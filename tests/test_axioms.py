@@ -264,6 +264,6 @@ def test_checkers_agree_with_oracle_on_randoms():
 
 def test_report_serialization_is_stable(a_d2_a1):
     rep = check_rhizaform(a_d2_a1)
-    assert rep.to_text() == rep.to_text()
+    assert "".join(rep.chunks()) == "".join(rep.chunks())
     obj = rep.to_obj()
     assert list(obj) == ["structure", "passed", "violations"]

@@ -1,6 +1,18 @@
+"""The command line: reports, exit codes and refusals on every route.
+
+The route-driven tests read the routes from the CLI's own tables (``cli.CHECKS``, ``cli.INDUCTIONS``
+and ``cli.FAMILY_OPS``, through ``table_routes`` and ``every_route``).  The ``role_inputs`` fixture
+writes one valid input per role (``ROLE_DOCS``) at dimensions 2 and 3, the ``routes`` fixture gives
+each route its slots, and ``command`` builds its command line.  So the missing-option, dimension,
+fuzzed, unreadable and repeated-key tests, the checker lookup, the oracle test and the coverage audit
+run a new route with no edit here.  The audit derives the public operations from the library modules;
+``OPERATION_COVERAGE`` records why each is reachable from the command line.
+"""
+
 import argparse
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -17,7 +29,7 @@ from hypothesis import strategies as st
 
 import rhizalab
 import rhizalab.cli
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, serialize_algebra, sum_product
+from rhizalab.algmodel import LinearMap, serialize_algebra, serialize_algebra_obj
 from rhizalab.axioms import _CHUNK, CheckReport, Violation, check_alpha_derivation
 from rhizalab.catalog import load_entry
 from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, build_parser, main
@@ -43,7 +55,15 @@ from rhizalab.files import (
 )
 from rhizalab.nilpotency import analyze
 from rhizalab.operators import Bimodule, check_bimodule, regular_bimodule
-from tests.conftest import graded_split_algebra, random_map, random_split_algebra, random_tensor
+from tests.conftest import (
+    block_sum,
+    count_calls,
+    graded_split_algebra,
+    random_map,
+    random_split_algebra,
+    random_tensor,
+    sum_mono,
+)
 from tests.fraction_checkers import scaled
 
 F = Fraction
@@ -74,7 +94,7 @@ def a1_file(tmp_path):
 def a1_sum_file(tmp_path):
     a = load_entry("d2.A1")
     path = tmp_path / "a1sum.json"
-    path.write_text(serialize_algebra(HomAlgebra.mono(sum_product(a), a.alpha)))
+    path.write_text(serialize_algebra(sum_mono(a)))
     return str(path)
 
 
@@ -341,7 +361,7 @@ STRUCTURED_DIGESTS = [
     (("nilpotency", "{d2.A1}"), "46738a6b885e13544dffc0608af9d8e5e667b3fffd232d22e453e5ad94577634"),
     (("nilpotency", "{graded-n5}"), "ced0d4a1e8627f8c3a19cb2914a9a38105438215ba449c15ff75a5a8d2e727a2"),
     # routes no benchmark command reaches, recorded before subspaces were held as integer rows;
-    # {A}, {S}, {R}, {M}, {FAM} and {RBF} are the ``route_files``
+    # {A}, {S}, {R}, {M}, {FAM} and {RBF} are inputs of ``role_inputs`` (``report_paths``)
     (
         ("check", "--kind", "derivation", "--operator", "{R}", "--product", "succ", "{A}"),
         "8e269e8de42e7a8fb443da3fc4fdf47943048133a0c2554123122ce2597cd0e2",
@@ -395,30 +415,25 @@ STRUCTURED_DIGESTS = [
 ]
 
 
-def _direct_sum(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
-    """The split algebra on A + B whose products and twist act on each summand alone."""
-    n, m = a.dim + b.dim, a.dim
-    products = [
-        BilinearOp.from_entries(
-            n, [*x.nonzero_entries(), *((i + m, j + m, k + m, c) for i, j, k, c in y.nonzero_entries())]
-        )
-        for x, y in ((a.succ, b.succ), (a.prec, b.prec))
-    ]
-    blocks = [[a.alpha.matrix.at(i, j) for j in range(m)] + [0] * b.dim for i in range(m)]
-    blocks += [[0] * m + [b.alpha.matrix.at(i, j) for j in range(b.dim)] for i in range(b.dim)]
-    return HomAlgebra.rhizaform(*products, LinearMap.from_rows(blocks))
-
-
 @pytest.fixture()
-def report_paths(tmp_path, route_files):
-    """The path of each file a digest's argv names: the ``route_files``, {d2.A1}, {graded-n5} and
-    {sum-n6}."""
+def report_paths(tmp_path, role_inputs):
+    """The path of each file a digest's argv names: {A}, {S}, {R}, {M}, {FAM} and {RBF}, the split and
+    the mono algebra, operator, bimodule, family and operator family of ``role_inputs`` at dimension 2;
+    {d2.A1}, {graded-n5} and {sum-n6}."""
+    two = role_inputs[2]
+    paths = {
+        "{A}": two["split"],
+        "{S}": two["mono"],
+        "{R}": two["operator"],
+        "{M}": two["bimodule"],
+        "{FAM}": two["family"],
+        "{RBF}": two["rb_family"],
+    }
     files = {
         "{d2.A1}": load_entry("d2.A1"),
         "{graded-n5}": graded_split_algebra(random.Random(5), 5),
-        "{sum-n6}": _direct_sum(*(load_entry(eid, {"eta": Fraction(-3, 2)}) for eid in ("d3.A9", "d3.A4"))),
+        "{sum-n6}": block_sum(*(load_entry(eid, {"eta": Fraction(-3, 2)}) for eid in ("d3.A9", "d3.A4"))),
     }
-    paths = {f"{{{role}}}": path for role, path in route_files.items()}
     for name, a in files.items():
         (tmp_path / name).write_text(serialize_algebra(a))
         paths[name] = str(tmp_path / name)
@@ -528,75 +543,37 @@ OPERATION_COVERAGE = {
 }
 
 
+# Public functions of the audited modules that need no route of their own, each with the reason.
+EXEMPT = {
+    "exactlin.rational": "reads every coefficient text of every file",
+    "exactlin.rational_str": "writes every coefficient of every output",
+    "exactlin.rank": "the rank is_nondegenerate reads",
+    "algmodel.parse_algebra_obj": "the document reader parse_algebra and the catalog's entries share",
+    "algmodel.serialize_algebra_obj": "the document serialize_algebra dumps, which the CLI nests in its own",
+    "algmodel.star_product": "the working product of either kind, which the single-product check routes read",
+    "operators.rhizaform_equivalence_verdict": "the split check beside the sum's checks, each a check route",
+    "cocycles.scalar_cocycle_residuals": "checks one given form; the CLI solves for the whole space",
+    "cocycles.vector_cocycle_residuals": "checks one given algebra-valued form; the CLI solves for the whole space",
+    "nilpotency.series_term": "one term of a series, which nilpotency prints whole",
+    "catalog.entry_ids": "the catalog's listing, which catalog list prints and verify_all selects from",
+    "catalog.load_catalog_entry": "the entry reader that load_entry and verify_entry wrap",
+    "catalog.oracle_disagreements": "verify_entry's comparison with the oracle, under catalog verify --oracle",
+}
+
+
 def test_every_public_operation_is_covered():
-    """Audit: each public library operation maps to a CLI route."""
-    public_ops = {
-        "exactlin": ["rref", "nullspace_basis", "invert"],
-        "algmodel": ["parse_algebra", "serialize_algebra", "sum_product"],
-        "axioms": [
-            "check_hom_anti_associative",
-            "check_multiplicativity",
-            "check_rhizaform",
-            "check_dendriform",
-            "check_jacobi_jordan",
-            "check_pre_jacobi_jordan",
-            "pre_jacobi_jordan_product",
-            "subadjacent_bracket",
-            "check_alpha_derivation",
-            "inner_derivation",
-        ],
-        "operators": [
-            "check_bimodule",
-            "regular_bimodule",
-            "rhizaform_bimodule",
-            "dual_bimodule",
-            "check_o_operator",
-            "check_rota_baxter",
-            "induced_rhizaform_from_o_operator",
-            "induced_rhizaform_from_rb",
-            "check_homomorphism",
-            "compatible_from_invertible_o_operator",
-        ],
-        "cocycles": [
-            "scalar_cocycle_space",
-            "vector_cocycle_space",
-            "is_nondegenerate",
-            "rhizaform_from_cocycle",
-        ],
-        "nilpotency": [
-            "analyze",
-            "diamond",
-            "right_series",
-            "left_series",
-            "full_series",
-            "is_nilpotent",
-            "is_right_nilpotent",
-            "is_left_nilpotent",
-            "check_series_equality",
-            "check_2_nilpotent",
-            "check_onesided_nilpotency_theorem",
-            "check_alpha_stability",
-        ],
-        "family": [
-            "check_semigroup",
-            "check_rhizaform_family",
-            "check_anti_associative_family",
-            "associated_family",
-            "check_rb_family",
-            "induced_family_rhizaform",
-            "tensor_collapse",
-        ],
-        "catalog": ["load_entry", "verify_entry", "verify_all"],
-    }
-    expected_keys = {
-        f"{module}.{op}" for module, ops in public_ops.items() for op in ops
-    }
-    assert expected_keys == set(OPERATION_COVERAGE)
-    # every registered operation resolves to a real attribute
-    for key in OPERATION_COVERAGE:
-        module_name, op_name = key.split(".")
-        mod = importlib.import_module(f"rhizalab.{module_name}")
-        assert hasattr(mod, op_name), key
+    """Audit: each public function the library modules define maps to a CLI route, or is exempt with
+    its reason, so a new public function fails here until it is given one or the other."""
+    public = set()
+    for name in ("exactlin", "algmodel", "axioms", "operators", "cocycles", "nilpotency", "family", "catalog"):
+        module = importlib.import_module(f"rhizalab.{name}")
+        public |= {
+            f"{name}.{op}"
+            for op, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__ and not op.startswith("_")
+        }
+    assert set(OPERATION_COVERAGE) == public - set(EXEMPT)
+    assert set(EXEMPT) <= public
     assert REACHED_THROUGH_A_HELPER <= {k for k, route in OPERATION_COVERAGE.items() if "(" in route}
 
 
@@ -631,49 +608,19 @@ REACHED_THROUGH_A_HELPER = {
     "catalog.load_entry",
     "catalog.verify_entry",
 }
-# route words whose FILE must be a mono algebra (the rest read a split one)
-MONO_ROUTE_WORDS = {"bimodule", "o-operator", "invertible-o", "rota-baxter", "rb", "homomorphism", "regular-bimodule"}
-
-
-def _route_argv(route: str, files: dict) -> list[str]:
-    """The route as a command line on ``route_files``: operators are R, a bimodule M, a form B, an
-    algebra option S, a catalog id d2.A1; FILE is a family, an operator family, S or A."""
-    words = re.sub(r"\([^)]*\)", "", route).split()
-    if words[0] == "family":
-        file_role = "RBF" if "--algebra" in words else "FAM"
-    else:
-        file_role = "S" if MONO_ROUTE_WORDS & set(words) else "A"
-    placeholders = {"T.json": "R", "R.json": "R", "D.json": "R", "f.json": "R", "M.json": "M", "A.json": "S"}
-    argv = []
-    for before, word in zip(["", *words], words):
-        if word == "FILE":
-            word = files[file_role]
-        elif word == "B.json":
-            word = files["B" if before == "--form" else "S"]
-        elif word in placeholders:
-            word = files[placeholders[word]]
-        elif word == "ID":
-            word = "d2.A1"
-        argv.append(word)
-    return argv
 
 
 @pytest.mark.parametrize("key", sorted(set(OPERATION_COVERAGE) - REACHED_THROUGH_A_HELPER))
-def test_coverage_route_calls_its_operation(monkeypatch, route_files, key):
-    """Audit: running the key's route once calls the operation it names, wrapped wherever a
-    ``rhizalab`` module binds it."""
-    module_name, op_name = key.split(".")
-    real = getattr(importlib.import_module(f"rhizalab.{module_name}"), op_name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(op_name)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "rhizalab" or name.startswith("rhizalab.")) and getattr(module, op_name, None) is real:
-            monkeypatch.setattr(module, op_name, counted)
-    argv = _route_argv(OPERATION_COVERAGE[key], route_files)
+def test_coverage_route_calls_its_operation(monkeypatch, routes, role_inputs, key):
+    """Audit: running the key's route once calls the operation it names.  The route is the one of
+    ``routes`` its command and selector name, on valid inputs; a catalog route runs as written."""
+    words = re.sub(r"\([^)]*\)", "", OPERATION_COVERAGE[key]).split()
+    if words[0] == "catalog":
+        argv = words
+    else:
+        head = next(head for head in routes if words[: len(head[:3])] == list(head[:3]))
+        argv = command(head, routes[head], role_inputs[2])
+    calls = count_calls(monkeypatch, key)
     code, _, err = run_cli(*argv)
     assert calls, f"{key}: {argv} exited {code} without calling it ({err.strip()})"
 
@@ -725,7 +672,7 @@ def test_induce_refuses_bimodule_over_another_dimension(a1_sum_file, tmp_path, w
 def test_bimodule_check_refuses_bimodule_over_another_dimension(alg_dim):
     """The library refuses as the CLI does, after reading the algebra's product."""
     a = load_entry("d2.A1")
-    s = HomAlgebra.mono(sum_product(a), a.alpha)
+    s = sum_mono(a)
     m = Bimodule(alg_dim, 2, (Matrix.identity(2),) * alg_dim, (Matrix.identity(2),) * alg_dim, LinearMap.identity(2))
     with pytest.raises(DimensionMismatch, match="bimodule is over an algebra of different dimension"):
         check_bimodule(s, m)
@@ -1174,50 +1121,108 @@ def test_fuzzed_algebra_files_keep_the_exit_code_contract(tmp_path, doc):
             assert out == "" and err.startswith("error: ")
 
 
-# --- every route: unreadable files, missing options, the oracle --------------
+# --- every route: the CLI's route tables, on one valid input per role ----------
 
 
-@pytest.fixture()
-def route_files(tmp_path, a7_file, a1_sum_file):
-    """One valid file per role, all of dimension 2: A a split algebra, S a
-    mono algebra, R the identity operator, M the regular bimodule of S, B a
-    form, FAM a family and RBF an operator family."""
-    a = load_entry("d2.A1")
-    docs = {
-        "R": {"T": [["1", "0"], ["0", "1"]]},
-        "M": bimodule_obj(regular_bimodule(HomAlgebra.mono(sum_product(a), a.alpha))),
-        "B": {"B": [["1", "0"], ["0", "1"]]},
-        "FAM": GOOD_FAMILY,
-        "RBF": {"omega": {"size": 1, "table": [[0]]}, "operators": {"0": [["0", "0"], ["0", "0"]]}},
-    }
-    files = {"A": a7_file, "S": a1_sum_file}
-    for role, doc in docs.items():
-        path = tmp_path / f"{role}.json"
-        path.write_text(json.dumps(doc))
-        files[role] = str(path)
-    return files
+def table_routes():
+    """(argv before FILE, what FILE holds, the options it needs) of every route in the CLI's
+    tables; inductions and family actions under --no-strict, so that only a shape stops them."""
+    for kind, (needs, _, _) in CHECKS.items():
+        yield ("check", "--kind", kind), "algebra", needs
+    for what, (needs, _) in INDUCTIONS.items():
+        yield ("induce", "--what", what, "--no-strict"), "algebra", needs
+    for do, (role, needs, _) in FAMILY_OPS.items():
+        yield ("family", "--do", do, "--no-strict"), role, needs
 
 
-def fill(argv, files):
-    return [files[a[1:-1]] if a.startswith("{") else a for a in argv]
+def every_route():
+    """``table_routes`` and the routes outside the tables: both cyclic-form readings and nilpotency."""
+    yield from table_routes()
+    for head in (("cocycles", "--scalar"), ("cocycles", "--vector"), ("nilpotency",)):
+        yield head, "algebra", ()
 
 
-# argv per file role; the role's file is {X}, every other file is valid
-FILE_ROLES = {
-    "algebra": ("check", "--kind", "rhizaform", "{X}"),
-    "--operator": ("check", "--kind", "rota-baxter", "--operator", "{X}", "{S}"),
-    "--bimodule": ("check", "--kind", "bimodule", "--bimodule", "{X}", "{S}"),
-    "--form": ("induce", "--what", "cocycle", "--form", "{X}", "{S}"),
-    "--target": ("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{X}", "{S}"),
-    "family": ("family", "--do", "check", "{X}"),
-    "rb family": ("family", "--do", "check-rb", "--algebra", "{S}", "{X}"),
-    "--algebra": ("family", "--do", "check-rb", "--algebra", "{X}", "{RBF}"),
+def identity(n):
+    return [["1" if r == c else "0" for c in range(n)] for r in range(n)]
+
+
+# per dimension, the catalog entries of the split algebra and of the one whose summed product is the mono algebra
+ENTRIES = {2: ("d2.A7", "d2.A1"), 3: ("d3.A1", "d3.A1")}
+
+
+# The role table.  Each role of the CLI's tables (an option, or a family route's FILE) and a FILE
+# algebra, split or mono, has a valid input of every dimension n: a file written from ROLE_DOCS, the
+# file of another role (SAME_FILE), or a text (ROLE_TEXTS).
+ROLE_DOCS = {
+    "split": lambda n: serialize_algebra_obj(load_entry(ENTRIES[n][0])),
+    "mono": lambda n: serialize_algebra_obj(sum_mono(load_entry(ENTRIES[n][1]))),
+    "operator": lambda n: {"T": identity(n)},
+    "bimodule": lambda n: bimodule_obj(regular_bimodule(sum_mono(load_entry(ENTRIES[n][1])))),
+    "form": lambda n: {"B": identity(n)},
+    "family": lambda n: {**GOOD_FAMILY, "dim": n, "alpha": identity(n)},
+    "rb_family": lambda n: {"omega": {"size": 1, "table": [[0]]}, "operators": {"0": [["0"] * n for _ in range(n)]}},
 }
+SAME_FILE = {"target": "mono", "algebra": "mono", "semigroup": "family"}
+ROLE_TEXTS = {"product": lambda n: "succ", "z": lambda n: ",".join(["1"] + ["0"] * (n - 1))}
+
+
+@pytest.fixture(scope="session")
+def role_inputs(tmp_path_factory):
+    """Dimension (2 or 3) -> role -> its valid input: the path of its file, or its text."""
+    out = {}
+    for n in (2, 3):
+        folder = tmp_path_factory.mktemp(f"inputs{n}")
+        out[n] = {role: text(n) for role, text in ROLE_TEXTS.items()}
+        for role, doc in ROLE_DOCS.items():
+            (folder / f"{role}.json").write_text(json.dumps(doc(n)))
+            out[n][role] = str(folder / f"{role}.json")
+        out[n].update((role, out[n][other]) for role, other in SAME_FILE.items())
+    return out
+
+
+def command(head, slots, inputs, swap=None):
+    """The command line of a route: ``head``, the flag and input of each option slot, then FILE's
+    input (the last slot).  A slot's input is its role's in ``inputs``, or ``swap``'s by slot index."""
+    argv = [*head]
+    for i, (name, role) in enumerate(slots):
+        value = (swap or {}).get(i, inputs[role])
+        argv += [name, value] if name.startswith("--") else [value]
+    return argv
+
+
+@pytest.fixture(scope="session")
+def routes(role_inputs):
+    """The head of every route (``every_route``) -> its slots, each (name, role): (--option, role)
+    for each option it needs, then (what FILE holds, the role whose input it reads).  A FILE that
+    holds an algebra reads the split or the mono one, the first the route runs on at dimension 2;
+    every route must run on one of them."""
+    out = {}
+    for head, role, needs in every_route():
+        options = [(f"--{name}", name) for name in needs]
+        for file in ("split", "mono") if role == "algebra" else (role,):
+            if run_cli(*command(head, [*options, (role, file)], role_inputs[2]))[0] != 2:
+                out[head] = [*options, (role, file)]
+                break
+        else:
+            pytest.fail(f"{head} runs on neither valid algebra")
+    return out
+
+
+# every slot of the tables' routes that reads a file: an option, or FILE by what it holds
+FILE_SLOTS = sorted(
+    {f"--{name}" for _, _, needs in table_routes() for name in needs if name not in ROLE_TEXTS}
+    | {role for _, role, _ in table_routes()}
+)
+
+
+def first_slot(routes, name):
+    """(head, slots, index of the slot) of the first route with a slot ``name``."""
+    return next((head, slots, i) for head, slots in routes.items() for i, slot in enumerate(slots) if slot[0] == name)
 
 
 @pytest.mark.parametrize("unreadable", ["directory", "not UTF-8", "nested too deeply"])
-@pytest.mark.parametrize("role", sorted(FILE_ROLES))
-def test_unreadable_files_exit_2_in_every_role(tmp_path, route_files, role, unreadable):
+@pytest.mark.parametrize("role", FILE_SLOTS, ids=lambda name: name.replace("_", " "))
+def test_unreadable_files_exit_2_in_every_role(tmp_path, routes, role_inputs, role, unreadable):
     if unreadable == "directory":
         bad = tmp_path / "a_directory"
         bad.mkdir()
@@ -1227,21 +1232,11 @@ def test_unreadable_files_exit_2_in_every_role(tmp_path, route_files, role, unre
     else:  # beyond the decoder's recursion limit
         bad = tmp_path / "deep.json"
         bad.write_text("[" * 100_000)
-    code, out, err = run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(bad)}))
+    head, slots, i = first_slot(routes, role)
+    code, out, err = run_cli(*command(head, slots, role_inputs[2], {i: str(bad)}))
     assert_rejected(code, out, err, "nested too deeply" if unreadable == "nested too deeply" else str(bad))
 
 
-# the valid file of each role in FILE_ROLES
-ROLE_FILES = {
-    "algebra": "A",
-    "--operator": "R",
-    "--bimodule": "M",
-    "--form": "B",
-    "--target": "S",
-    "family": "FAM",
-    "rb family": "RBF",
-    "--algebra": "S",
-}
 KEYS = st.one_of(
     st.sampled_from(
         ["dim", "alpha", "params", "succ", "T", "left", "beta", "alg_dim", "B", "omega", "table", "size", "0"]
@@ -1253,60 +1248,25 @@ ANY_JSON = st.recursive(
 )
 
 
-def slots(doc):
+def values_below(doc):
     """(container, key) of every value below the root of a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
     for key, child in items:
         yield doc, key
-        yield from slots(child)
-
-
-# the valid input of each role a route reads: a route_files key, or a literal option value
-ROUTE_INPUTS = {
-    "operator": "{R}",
-    "bimodule": "{M}",
-    "form": "{B}",
-    "target": "{S}",
-    "algebra": "{S}",
-    "family": "{FAM}",
-    "rb_family": "{RBF}",
-    "semigroup": "{FAM}",
-    "product": "succ",
-    "z": "1,0",
-}
-
-
-@pytest.fixture()
-def fuzzed_slots(route_files):
-    """(argv with {X} in one file slot, the route_files key of that slot's valid file) for every
-    file slot of every route, with FILE a split (A) or a mono (S) algebra, the first the route
-    runs on; every route must run on one of them."""
-    out = []
-    for head, role, needs in every_route():
-        flags = [f"--{name}" for name in needs] + [None]
-        for file_input in ("{A}", "{S}") if role == "algebra" else (ROUTE_INPUTS[role],):
-            inputs = [ROUTE_INPUTS[name] for name in needs] + [file_input]
-            argv = [*head, *(x for flag, value in zip(flags, inputs) for x in (flag, value) if x)]
-            if run_cli(*fill(argv, route_files))[0] != 2:
-                break
-        else:
-            pytest.fail(f"{head} runs on neither valid algebra")
-        out += [([*argv[:i], "{X}", *argv[i + 1 :]], x[1:-1]) for i, x in enumerate(argv) if x.startswith("{")]
-    return out
+        yield from values_below(child)
 
 
 @settings(
     max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(fuzzed=st.sampled_from(sorted(set(ROLE_FILES.values()))), junk=ANY_JSON, data=st.data())
-def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(
-    tmp_path, route_files, fuzzed_slots, fuzzed, junk, data
-):
+@given(fuzzed=st.sampled_from(sorted(ROLE_DOCS)), junk=ANY_JSON, data=st.data())
+def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(tmp_path, routes, role_inputs, fuzzed, junk, data):
     """Arbitrary JSON as the whole of one valid file, or in place of one value of it, read in
-    every file slot that holds that file on every route (``every_route``)."""
-    with open(route_files[fuzzed]) as fh:
+    every slot that reads that file on every route (``every_route``)."""
+    valid = role_inputs[2][fuzzed]
+    with open(valid) as fh:
         doc = json.load(fh)
-    places = list(slots(doc))
+    places = list(values_below(doc))
     place = data.draw(st.integers(-1, len(places) - 1))
     if place < 0:
         doc = junk
@@ -1315,24 +1275,27 @@ def test_fuzzed_files_keep_the_exit_code_contract_in_every_role(
         container[key] = junk
     path = tmp_path / "fuzzed.json"
     path.write_text(json.dumps(doc))
-    for argv, valid in fuzzed_slots:
-        if valid == fuzzed:
-            code, out, err = run_cli(*fill(argv, {**route_files, "X": str(path)}))
-            assert code in (0, 1, 2), (argv, doc, err)
-            assert "Traceback" not in err
-            if code == 2:
-                assert out == "" and err.startswith("error: ")
+    for head, slots in routes.items():
+        for i, (_, role) in enumerate(slots):
+            if role_inputs[2][role] == valid:
+                argv = command(head, slots, role_inputs[2], {i: str(path)})
+                code, out, err = run_cli(*argv)
+                assert code in (0, 1, 2), (argv, doc, err)
+                assert "Traceback" not in err
+                if code == 2:
+                    assert out == "" and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("role", sorted(FILE_ROLES))
-def test_repeated_keys_exit_2_in_every_role(tmp_path, route_files, role):
+@pytest.mark.parametrize("role", FILE_SLOTS, ids=lambda name: name.replace("_", " "))
+def test_repeated_keys_exit_2_in_every_role(tmp_path, routes, role_inputs, role):
     """A repeated object key would silently drop its first value; every role refuses it."""
-    with open(route_files[ROLE_FILES[role]]) as fh:
+    head, slots, i = first_slot(routes, role)
+    with open(role_inputs[2][slots[i][1]]) as fh:
         doc = json.load(fh)
     key = next(iter(doc))
     path = tmp_path / "repeated.json"
     path.write_text("{" + json.dumps(key) + ": " + json.dumps(doc[key]) + ", " + json.dumps(doc)[1:])
-    assert_rejected(*run_cli(*fill(FILE_ROLES[role], {**route_files, "X": str(path)})), f"repeated key {key!r}")
+    assert_rejected(*run_cli(*command(head, slots, role_inputs[2], {i: str(path)})), f"repeated key {key!r}")
 
 
 @pytest.mark.parametrize(
@@ -1358,10 +1321,10 @@ def test_repeated_nested_keys_exit_2(tmp_path, argv, text, key):
     assert_rejected(*run_cli(*argv, str(path)), f"repeated key {key!r}")
 
 
-def test_written_files_read_back_equal(route_files, tmp_path):
+def test_written_files_read_back_equal(a1_sum_file, tmp_path):
     """A bimodule written by induce and a family written by family --do induce read back as the same value."""
-    s = load_algebra(route_files["S"], {})
-    code, out, _ = run_cli("induce", "--what", "regular-bimodule", "--format", "structured", route_files["S"])
+    s = load_algebra(a1_sum_file, {})
+    code, out, _ = run_cli("induce", "--what", "regular-bimodule", "--format", "structured", a1_sum_file)
     assert code == 0 and read_bimodule(json.loads(out)["bimodule"]) == regular_bimodule(s)
 
     rbf = {
@@ -1370,7 +1333,7 @@ def test_written_files_read_back_equal(route_files, tmp_path):
     }
     path = tmp_path / "rbf2.json"
     path.write_text(json.dumps(rbf))
-    argv = ("family", "--do", "induce", "--no-strict", "--algebra", route_files["S"], "--format", "structured")
+    argv = ("family", "--do", "induce", "--no-strict", "--algebra", a1_sum_file, "--format", "structured")
     code, out, _ = run_cli(*argv, str(path))
     assert code == 0
     want = induced_family_rhizaform(read_rb_family(rbf), s, strict=False)
@@ -1385,88 +1348,70 @@ def test_written_files_read_back_equal(route_files, tmp_path):
     )
 
 
-# every route that needs options: (argv without them, the options and their files);
-# --no-strict lets the inductions run on operators and forms that fail their premise
-NEEDS = [
-    (("check", "--kind", "multiplicativity", "{A}"), {"--product": "succ"}),
-    (("check", "--kind", "derivation", "{A}"), {"--operator": "{R}", "--product": "succ"}),
-    (("check", "--kind", "bimodule", "{S}"), {"--bimodule": "{M}"}),
-    (("check", "--kind", "o-operator", "{S}"), {"--operator": "{R}", "--bimodule": "{M}"}),
-    (("check", "--kind", "rota-baxter", "{S}"), {"--operator": "{R}"}),
-    (("check", "--kind", "homomorphism", "{S}"), {"--operator": "{R}", "--target": "{S}"}),
-    (("induce", "--what", "inner-derivation", "{A}"), {"--z": "0,1"}),
-    (("induce", "--what", "rb", "--no-strict", "{S}"), {"--operator": "{R}"}),
-    (("induce", "--what", "o-operator", "--no-strict", "{S}"), {"--operator": "{R}", "--bimodule": "{M}"}),
-    (("induce", "--what", "invertible-o", "--no-strict", "{S}"), {"--operator": "{R}", "--bimodule": "{M}"}),
-    (("induce", "--what", "cocycle", "--no-strict", "{S}"), {"--form": "{B}"}),
-    (("induce", "--what", "dual-bimodule", "{S}"), {"--bimodule": "{M}"}),
-    (("family", "--do", "check-rb", "{RBF}"), {"--algebra": "{S}"}),
-    (("family", "--do", "induce", "{RBF}"), {"--algebra": "{S}"}),
-    (("family", "--do", "collapse", "{RBF}"), {"--algebra": "{S}"}),
-]
-
-
 @pytest.mark.parametrize(
-    "argv, options, missing",
+    "head, missing",
     [
-        pytest.param(argv, options, name, id=f"{argv[0]} {argv[2]} without {name}")
-        for argv, options in NEEDS
-        for name in options
+        pytest.param(head, f"--{name}", id=f"{head[0]} {head[2]} without --{name}")
+        for head, _, needs in table_routes()
+        for name in needs
     ],
 )
-def test_missing_option_exits_2_naming_it(route_files, argv, options, missing):
-    given = [a for name, value in options.items() if name != missing for a in (name, value)]
-    *head, file = argv
-    code, out, err = run_cli(*fill([*head, *given, file], route_files))
-    assert_rejected(code, out, err, missing)
+def test_missing_option_exits_2_naming_it(routes, role_inputs, head, missing):
+    slots = routes[head]
+    given = [slot for slot in slots if slot[0] != missing]
+    assert_rejected(*run_cli(*command(head, given, role_inputs[2])), missing)
     # with every option given, the route runs
-    every = [a for name, value in options.items() for a in (name, value)]
-    code, _, err = run_cli(*fill([*head, *every, file], route_files))
+    code, _, err = run_cli(*command(head, slots, role_inputs[2]))
     assert code == 0, err
 
 
-# check kind -> (its checker as named in rhizalab.cli, its function in rhizalab.oracle, argv after --kind)
-CHECK_ROUTES = {
-    "rhizaform": ("check_rhizaform", "rhizaform", ("{A}",)),
-    "dendriform": ("check_dendriform", "dendriform", ("{A}",)),
-    "anti-associative": ("check_hom_anti_associative", "anti_associative", ("{S}",)),
-    "jacobi-jordan": ("check_jacobi_jordan", "jacobi_jordan", ("{S}",)),
-    "pre-jacobi-jordan": ("check_pre_jacobi_jordan", "pre_jacobi_jordan", ("{S}",)),
-    "multiplicativity": ("check_multiplicativity", "multiplicative", ("--product", "succ", "{A}")),
-    "derivation": ("check_alpha_derivation", "alpha_derivation", ("--operator", "{R}", "--product", "succ", "{A}")),
-    "bimodule": ("check_bimodule", "bimodule", ("--bimodule", "{M}", "{S}")),
-    "o-operator": ("check_o_operator", "o_operator", ("--operator", "{R}", "--bimodule", "{M}", "{S}")),
-    "rota-baxter": ("check_rota_baxter", "rota_baxter", ("--operator", "{R}", "{S}")),
-    "homomorphism": ("check_homomorphism", None, ("--operator", "{R}", "--target", "{S}", "{S}")),
-}
-ORACLE_KINDS = sorted(kind for kind, (_, name, _) in CHECK_ROUTES.items() if name)
+def _checker(kind):
+    """The name in ``rhizalab.cli`` of the checker ``check --kind kind`` runs, as OPERATION_COVERAGE
+    records it."""
+    return next(
+        op
+        for key, route in OPERATION_COVERAGE.items()
+        if route.split()[:3] == ["check", "--kind", kind] and (op := key.split(".")[1]).startswith("check_")
+    )
 
 
-def test_every_check_kind_is_routed():
-    assert set(CHECK_ROUTES) == set(CHECKS)
-
-
-@pytest.mark.parametrize("kind", sorted(CHECK_ROUTES))
-def test_checker_is_looked_up_when_the_command_runs(monkeypatch, route_files, kind):
+@pytest.mark.parametrize("kind", sorted(CHECKS))
+def test_checker_is_looked_up_when_the_command_runs(monkeypatch, routes, role_inputs, kind):
     """A wrapper installed on the module attribute after import (as a tracer
     does) sees the call, so the route table holds no captured function."""
-    name, _, rest = CHECK_ROUTES[kind]
+    name = _checker(kind)
     checker = getattr(rhizalab.cli, name)
     calls = []
     monkeypatch.setattr(rhizalab.cli, name, lambda *args, **kwargs: calls.append(1) or checker(*args, **kwargs))
-    code, _, err = run_cli("check", "--kind", kind, *fill(rest, route_files))
+    head = ("check", "--kind", kind)
+    code, _, err = run_cli(*command(head, routes[head], role_inputs[2]))
     assert (code, len(calls)) == (0, 1), err
 
 
-@pytest.mark.parametrize("kind", ORACLE_KINDS)
-def test_oracle_runs_only_under_the_flag_and_reports_disagreement(monkeypatch, route_files, kind):
-    _, name, rest = CHECK_ROUTES[kind]
-    argv = ["check", "--kind", kind, "--format", "structured", *fill(rest, route_files)]
+# check kind -> its function in rhizalab.oracle, which the oracle test replaces by name
+ORACLES = {
+    "rhizaform": "rhizaform",
+    "dendriform": "dendriform",
+    "anti-associative": "anti_associative",
+    "jacobi-jordan": "jacobi_jordan",
+    "pre-jacobi-jordan": "pre_jacobi_jordan",
+    "multiplicativity": "multiplicative",
+    "derivation": "alpha_derivation",
+    "bimodule": "bimodule",
+    "o-operator": "o_operator",
+    "rota-baxter": "rota_baxter",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(kind for kind, (_, _, second_opinion) in CHECKS.items() if second_opinion))
+def test_oracle_runs_only_under_the_flag_and_reports_disagreement(monkeypatch, routes, role_inputs, kind):
+    head = ("check", "--kind", kind)
+    argv = [*command(head, routes[head], role_inputs[2]), "--format", "structured"]
     code, out, err = run_cli(*argv, "--oracle")
     assert (code, err) == (0, "")
     passed = json.loads(out)["passed"]
 
-    monkeypatch.setattr(rhizalab.oracle, name, lambda *args, **kwargs: not passed)
+    monkeypatch.setattr(rhizalab.oracle, ORACLES[kind], lambda *args, **kwargs: not passed)
     code, out_disagreeing, err = run_cli(*argv, "--oracle")
     assert code == 1
     assert f"ORACLE DISAGREEMENT on {kind}" in err
@@ -1475,16 +1420,13 @@ def test_oracle_runs_only_under_the_flag_and_reports_disagreement(monkeypatch, r
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran without --oracle")
 
-    monkeypatch.setattr(rhizalab.oracle, name, refuse)
+    monkeypatch.setattr(rhizalab.oracle, ORACLES[kind], refuse)
     assert run_cli(*argv) == (0, out, "")
 
 
-def test_homomorphism_has_no_oracle(route_files):
-    code, out, err = run_cli(
-        *fill(
-            ("check", "--kind", "homomorphism", "--operator", "{R}", "--target", "{S}", "--oracle", "{S}"), route_files
-        )
-    )
+def test_homomorphism_has_no_oracle(routes, role_inputs):
+    head = ("check", "--kind", "homomorphism")
+    code, out, err = run_cli(*command(head, routes[head], role_inputs[2]), "--oracle")
     assert code == 0 and "pass" in out
     assert "note: no independent oracle for kind 'homomorphism'" in err
 
@@ -1492,95 +1434,32 @@ def test_homomorphism_has_no_oracle(route_files):
 # --- every route: one input of another dimension ------------------------------
 
 
-def table_routes():
-    """(argv before FILE, what FILE holds, the options it needs) of every route in the CLI's
-    tables; inductions and family actions under --no-strict, so that only a shape stops them."""
-    for kind, (needs, _, _) in CHECKS.items():
-        yield ("check", "--kind", kind), "algebra", needs
-    for what, (needs, _) in INDUCTIONS.items():
-        yield ("induce", "--what", what, "--no-strict"), "algebra", needs
-    for do, (role, needs, _) in FAMILY_OPS.items():
-        yield ("family", "--do", do, "--no-strict"), role, needs
-
-
-def every_route():
-    """``table_routes`` and the routes outside the tables: both cyclic-form readings and nilpotency."""
-    yield from table_routes()
-    for head in (("cocycles", "--scalar"), ("cocycles", "--vector"), ("nilpotency",)):
-        yield head, "algebra", ()
-
-
 DIMENSIONLESS = {"product", "semigroup"}
 # the routes that read two inputs with a dimension, so that the two can differ
 MIXED_ROUTES = [
-    pytest.param(head, (role, *needs), id=" ".join(head[:3]))
+    pytest.param(head, id=" ".join(head[:3]))
     for head, role, needs in table_routes()
     if len([r for r in (role, *needs) if r not in DIMENSIONLESS]) > 1
 ]
 
 
-def identity(n):
-    return [["1" if r == c else "0" for c in range(n)] for r in range(n)]
-
-
-@pytest.fixture()
-def sized_inputs(tmp_path):
-    """Dimension -> role -> a valid input of that dimension: a split ("split") and a mono
-    algebra (d2.A1 or d3.A1 and their sums), identity operator and form, the regular
-    bimodule, families with zero products and operators, a --z vector; and the roles
-    that carry no dimension."""
-    out = {}
-    for n, entry in ((2, "d2.A1"), (3, "d3.A1")):
-        split = load_entry(entry)
-        mono = HomAlgebra.mono(sum_product(split), split.alpha)
-        zeros = {"0": [["0"] * n for _ in range(n)]}
-        one = {"size": 1, "table": [[0]]}
-        docs = {
-            "split": json.loads(serialize_algebra(split)),
-            "algebra": json.loads(serialize_algebra(mono)),
-            "target": json.loads(serialize_algebra(mono)),
-            "operator": {"T": identity(n)},
-            "bimodule": bimodule_obj(regular_bimodule(mono)),
-            "form": {"B": identity(n)},
-            "family": {"dim": n, "omega": one, "alpha": identity(n), "succ": {"0": []}, "prec": {"0": []}},
-            "rb_family": {"omega": one, "operators": zeros},
-            "semigroup": one,
-        }
-        out[n] = {"z": ",".join(["1"] + ["0"] * (n - 1)), "product": "succ"}
-        for role, doc in docs.items():
-            path = tmp_path / f"{role}{n}.json"
-            path.write_text(json.dumps(doc))
-            out[n][role] = str(path)
-    return out
-
-
-@pytest.mark.parametrize("head, roles", MIXED_ROUTES)
-def test_an_input_of_another_dimension_exits_2_on_every_route(sized_inputs, head, roles):
+@pytest.mark.parametrize("head", MIXED_ROUTES)
+def test_an_input_of_another_dimension_exits_2_on_every_route(routes, role_inputs, head):
     """Every route runs with all its inputs of dimension 2, and with all of dimension 3; with
     any one input of dimension 3 among inputs of dimension 2, it exits 2 before anything is
     printed.  The routes come from the CLI's tables, so a new route is covered here."""
-    file_role, *needs = roles
-    if "product" in needs:  # --product names a split product
-        file_role = "split"
-    slots = [(f"--{name}", name) for name in needs] + [(None, file_role)]
-
-    def run(dims):
-        argv = [*head]
-        for (flag, role), n in zip(slots, dims):
-            argv += [flag, sized_inputs[n][role]] if flag else [sized_inputs[n][role]]
-        return run_cli(*argv)
-
+    slots = routes[head]
     for n in (2, 3):
-        code, _, err = run([n] * len(slots))
+        code, _, err = run_cli(*command(head, slots, role_inputs[n]))
         assert code == 0, (n, err)
-    for i, (flag, role) in enumerate(slots):
+    for i, (name, role) in enumerate(slots):
         if role not in DIMENSIONLESS:
-            code, out, err = run([3 if j == i else 2 for j in range(len(slots))])
-            assert (code, out) == (2, ""), (flag or "FILE", err)
+            code, out, err = run_cli(*command(head, slots, role_inputs[2], {i: role_inputs[3][role]}))
+            assert (code, out) == (2, ""), (name, err)
             assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_shapes_independent_by_definition_are_accepted(sized_inputs, tmp_path):
+def test_shapes_independent_by_definition_are_accepted(role_inputs, tmp_path):
     """An O-operator maps a module of any dimension into the algebra (alg_dim x mod_dim), and
     a homomorphism joins algebras of two dimensions (target x source): these shapes run."""
     zero = [["0"] * 3 for _ in range(3)]
@@ -1592,17 +1471,17 @@ def test_shapes_independent_by_definition_are_accepted(sized_inputs, tmp_path):
     t.write_text(json.dumps({"T": identity(3)[:2]}))
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"T": [row[:2] for row in identity(3)]}))
-    two, three = sized_inputs[2], sized_inputs[3]
+    two, three = role_inputs[2], role_inputs[3]
     for head in (("check", "--kind", "o-operator"), ("induce", "--what", "o-operator", "--no-strict")):
-        code, _, err = run_cli(*head, "--operator", str(t), "--bimodule", str(wide), two["algebra"])
+        code, _, err = run_cli(*head, "--operator", str(t), "--bimodule", str(wide), two["mono"])
         assert code == 0, (head, err)
     # but only an operator between spaces of one dimension can be inverted
     refusal = "error: operator between spaces of different dimension is not invertible\n"
     for strict in ((), ("--no-strict",)):
         argv = ("induce", "--what", "invertible-o", *strict, "--operator", str(t), "--bimodule", str(wide))
-        assert run_cli(*argv, two["algebra"]) == (2, "", refusal)
+        assert run_cli(*argv, two["mono"]) == (2, "", refusal)
     code, _, err = run_cli(
-        "check", "--kind", "homomorphism", "--operator", str(f), "--target", three["target"], two["algebra"]
+        "check", "--kind", "homomorphism", "--operator", str(f), "--target", three["target"], two["mono"]
     )
     assert code == 0, err
 
@@ -1655,4 +1534,4 @@ def test_cocycle_splitting_raises_in_order():
     assert scalar_cocycle_residuals(a, identity)
     with pytest.raises(NotACocycle):
         rhizaform_from_cocycle(a, identity)
-    assert rhizaform_from_cocycle(a, identity, strict=False).is_rhizaform
+    assert rhizaform_from_cocycle(a, identity, strict=False).kind == "rhizaform"

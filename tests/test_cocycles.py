@@ -31,21 +31,19 @@ from rhizalab.errors import DimensionMismatch, NotACocycle, NotAntiAssociative, 
 from rhizalab.exactlin import F0, Matrix, invert
 from tests.conftest import (
     antisym_3dim,
+    block_sum,
     catalog_algebras,
     catalog_sums,
     nondegenerate_in_span,
     skew_4dim,
     skew_subspace,
+    sum_mono,
     zero_product_mono,
 )
 from tests import fraction_checkers as ref
 from tests.fraction_checkers import apply, basis_vec, eval_product, form_value, times
 
 F = Fraction
-
-
-def sum_mono(a):
-    return HomAlgebra.mono(sum_product(a), a.alpha)
 
 
 def test_scalar_space_zero_product_full():
@@ -243,22 +241,7 @@ def assert_same_basis(a: HomAlgebra, label) -> int:
     return len(got)
 
 
-def direct_sum(x: HomAlgebra, y: HomAlgebra) -> HomAlgebra:
-    """Block-diagonal product and twist of two algebras' working products."""
-    m, n = x.dim, y.dim
-    entries = [(i, j, k, c) for i, j, k, c in star_product(x).nonzero_entries()]
-    entries += [(m + i, m + j, m + k, c) for i, j, k, c in star_product(y).nonzero_entries()]
-    alpha = [[F0] * (m + n) for _ in range(m + n)]
-    for r in range(m):
-        for c in range(m):
-            alpha[r][c] = x.alpha.matrix.at(r, c)
-    for r in range(n):
-        for c in range(n):
-            alpha[m + r][m + c] = y.alpha.matrix.at(r, c)
-    return HomAlgebra.mono(BilinearOp.from_entries(m + n, entries), LinearMap.from_rows(alpha))
-
-
-def test_vector_solver_matches_dense_when_kernel_denominators_differ():
+def test_vector_solver_matches_fraction_reference_when_kernel_denominators_differ():
     """The scalar cyclic kernel here is (1/3, 1, 0, 0), (2, 0, 1, 0), (-2/3, 0, 0, 1).  Clearing
     each vector by its own lcm would rescale the columns of the twist system and change its
     canonical basis; the kernel is cleared as one block."""
@@ -267,7 +250,7 @@ def test_vector_solver_matches_dense_when_kernel_denominators_differ():
     assert assert_same_basis(a, "kernel denominators 3, 1, 3") == 2
 
 
-def test_vector_solver_matches_dense_on_catalog():
+def test_vector_solver_matches_fraction_reference_on_catalog():
     """Same basis, same order, on every entry; the eta entries at two bindings."""
     first = dict(catalog_algebras({"eta": F(1)}))
     for eid, a in first.items():
@@ -332,7 +315,7 @@ TWISTS = {
 
 
 @pytest.mark.parametrize("twist", sorted(TWISTS))
-def test_vector_solver_matches_dense_on_random_split_algebras(twist):
+def test_vector_solver_matches_fraction_reference_on_random_split_algebras(twist):
     rng = random.Random(f"vector-differential-{twist}")
     dims = []
     for density in (0.0, 0.05, 0.1, 0.1, 0.2, 0.6):
@@ -344,8 +327,8 @@ def test_vector_solver_matches_dense_on_random_split_algebras(twist):
 
 
 @pytest.mark.parametrize("parts", [("d2.A1", "d2.A7"), ("d2.A3", "d2.A5")])
-def test_vector_solver_matches_dense_on_n4_direct_sums(parts):
-    a = direct_sum(load_entry(parts[0]), load_entry(parts[1]))
+def test_vector_solver_matches_fraction_reference_on_n4_direct_sums(parts):
+    a = block_sum(sum_mono(load_entry(parts[0])), sum_mono(load_entry(parts[1])))
     assert assert_same_basis(a, parts) > 10
 
 
@@ -358,7 +341,7 @@ def test_vector_solver_builds_no_system_beyond_n_cubed(monkeypatch):
     the forward pass, so its inputs are the systems reduced."""
     rng = random.Random("dense-n4")
     dense = HomAlgebra.rhizaform(_sparse_tensor(rng, 4, 0.5), _sparse_tensor(rng, 4, 0.5), _dense_twist(rng, 4))
-    cases = [(direct_sum(load_entry("d2.A1"), load_entry("d2.A7")), 9, 20), (dense, 24, 0)]
+    cases = [(block_sum(sum_mono(load_entry("d2.A1")), sum_mono(load_entry("d2.A7"))), 9, 20), (dense, 24, 0)]
     shapes = []
     real_forward = exactlin._forward
 

@@ -21,8 +21,8 @@ from rhizalab.algmodel import HomAlgebra
 from rhizalab.axioms import _view
 from rhizalab.cocycles import _cyclic_rows, _vector_cocycle_dim, scalar_cocycle_space, vector_cocycle_space
 from tests import fraction_checkers as ref
-from tests.conftest import catalog_algebras
-from tests.test_cocycles import _sparse_tensor, _twist_of_rank, direct_sum
+from tests.conftest import block_sum, catalog_algebras, sum_mono
+from tests.test_cocycles import _sparse_tensor, _twist_of_rank
 
 F = Fraction
 
@@ -49,7 +49,7 @@ def _rank_cases(n: int):
             for k, rk in ((m, r1), (n - m, r - r1)):
                 succ, prec = _sparse_tensor(rng, k, 0.5), _sparse_tensor(rng, k, 0.5)
                 parts.append(HomAlgebra.rhizaform(succ, prec, _twist_of_rank(rng, k, rk)))
-            yield (r, "sum"), direct_sum(*parts)
+            yield (r, "sum"), block_sum(*map(sum_mono, parts))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -26,7 +26,8 @@ from rhizalab.exactlin import (
     rref,
 )
 from tests.fraction_checkers import apply, times
-from tests.test_cocycles import _dense_twist, _sparse_tensor, _twist_of_rank, direct_sum
+from tests.conftest import block_sum, sum_mono
+from tests.test_cocycles import _dense_twist, _sparse_tensor, _twist_of_rank
 
 F = Fraction
 
@@ -401,7 +402,7 @@ def test_two_passes_match_the_one_pass_loop_on_rank_deficient_sparse_systems():
     """The cyclic systems of direct sums of catalog entries, and sparse products of a tall and a wide
     factor, whose rank is at most the inner dimension."""
     for left, right in (("d2.A1", "d2.A7"), ("d2.A7", "d3.A4"), ("d3.A16", "d2.A1")):
-        a = direct_sum(load_entry(left, {"eta": F(1)}), load_entry(right, {"eta": F(1)}))
+        a = block_sum(*(sum_mono(load_entry(eid, {"eta": F(1)})) for eid in (left, right)))
         rows = list(_cyclic_rows(_view(a))[0].values())
         assert _assert_two_passes_match_reference(rows, a.dim**2, (left, right)) < a.dim**2
     rng = random.Random("two-pass-rank-deficient")

@@ -29,6 +29,7 @@ from tests.conftest import (
     random_split_algebra,
     random_tensor,
     rb_grid,
+    sum_mono,
     z2_rb_family_fixture,
 )
 from tests.fraction_checkers import apply, basis_vec, eval_product, vec_add, vec_is_zero
@@ -36,10 +37,6 @@ from tests.fraction_checkers import apply, basis_vec, eval_product, vec_add, vec
 F = Fraction
 Z2 = Semigroup.cyclic(2)
 SMALL = (F(-1), F(0), F(1))
-
-
-def sum_mono(a):
-    return HomAlgebra.mono(sum_product(a), a.alpha)
 
 
 def test_semigroup_trivial_and_cyclic():

@@ -61,8 +61,15 @@ from rhizalab.operators import (
     rhizaform_bimodule,
 )
 from tests import fraction_checkers as ref
-from tests.conftest import catalog_algebras, graded_split_algebra, random_split_algebra, sparse_edge_algebras
-from tests.test_cocycles import direct_sum
+from tests.conftest import (
+    block_sum,
+    catalog_algebras,
+    conjugate,
+    graded_split_algebra,
+    random_split_algebra,
+    sparse_edge_algebras,
+    sum_mono,
+)
 
 F = Fraction
 VALUES = [F(p, q) for q in (1, 2, 3, 5, 7) for p in range(-3, 4) if p]
@@ -90,20 +97,6 @@ def _invertible(rng, n) -> Matrix:
             continue
 
 
-def _conjugate(a: HomAlgebra, p: Matrix) -> HomAlgebra:
-    """The algebra carried along the basis change p: x o' y = p^-1 (p x o p y), alpha' = p^-1 alpha p."""
-    p_inv = invert(p)
-    n = a.dim
-    cols = [p.column(i) for i in range(n)]
-    products = {
-        name: BilinearOp(
-            n, [[ref.apply(p_inv, ref.eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)]
-        )
-        for name, op in a.products.items()
-    }
-    return HomAlgebra(n, products, LinearMap(n, ref.times(ref.times(p_inv, a.alpha.matrix), p)))
-
-
 def _random_split(seed: int, n: int) -> HomAlgebra:
     rng = random.Random(seed)
     twist = LinearMap(n, _matrix(rng, n, n))
@@ -112,7 +105,7 @@ def _random_split(seed: int, n: int) -> HomAlgebra:
 
 def _fractional_catalog():
     rng = random.Random(81)
-    return [(f"{eid}^P", _conjugate(a, _invertible(rng, a.dim))) for eid, a in catalog_algebras()]
+    return [(f"{eid}^P", conjugate(a, _invertible(rng, a.dim))) for eid, a in catalog_algebras()]
 
 
 def _split_inputs():
@@ -140,7 +133,7 @@ def test_mono_checkers_match_fraction_reference():
             assert check_hom_anti_associative(mul, a.alpha) == ref.hom_anti_associative(mul, a.alpha), label
             assert check_jacobi_jordan(mul, a.alpha) == ref.jacobi_jordan(mul, a.alpha), label
             assert check_pre_jacobi_jordan(mul, a.alpha) == ref.pre_jacobi_jordan(mul, a.alpha), label
-        mono = HomAlgebra.mono(sum_product(a), a.alpha)
+        mono = sum_mono(a)
         assert check_2_nilpotent(mono) == ref.two_nilpotent(mono), label
 
 
@@ -162,7 +155,7 @@ def _random_bimodule(rng, n, m) -> Bimodule:
 def test_bimodule_checker_matches_fraction_reference():
     rng = random.Random(11)
     for label, a in SPLIT_INPUTS:
-        mono = HomAlgebra.mono(sum_product(a), a.alpha)
+        mono = sum_mono(a)
         modules = [rhizaform_bimodule(a), regular_bimodule(mono)]
         if label.startswith("random") or label.endswith("^P"):
             modules.append(_random_bimodule(rng, a.dim, rng.randint(2, 4)))
@@ -173,7 +166,7 @@ def test_bimodule_checker_matches_fraction_reference():
 def test_operator_checkers_match_fraction_reference():
     rng = random.Random(13)
     for label, a in SPLIT_INPUTS:
-        mono = HomAlgebra.mono(sum_product(a), a.alpha)
+        mono = sum_mono(a)
         n = a.dim
         r = LinearOperator(n, n, _matrix(rng, n, n))
         assert check_rota_baxter(r, mono) == ref.rota_baxter(r, mono), label
@@ -244,7 +237,7 @@ def _analysis_inputs():
     reduct; and a split algebra whose reducts are nilpotent while it is not."""
     yield from SPLIT_INPUTS
     for eid, a in catalog_algebras() + catalog_algebras({"eta": F(-3, 2)}):
-        yield f"{eid}+", HomAlgebra.mono(sum_product(a), a.alpha)
+        yield f"{eid}+", sum_mono(a)
     for eta in (F(1), F(0), F(-1, 3), F(2)):
         for eid, a in catalog_algebras({"eta": eta}):
             yield f"{eid}@{eta}", a
@@ -258,7 +251,7 @@ def _analysis_inputs():
         yield f"dense-n{n}", random_split_algebra(rng, n)
         yield f"graded-n{n}", graded_split_algebra(rng, n)
     for x, y in (("d2.A1", "d2.A5"), ("d2.A7", "d3.A4"), ("d3.A7", "d3.A16")):
-        yield f"{x}+{y}", direct_sum(entries[x], entries[y])
+        yield f"{x}+{y}", block_sum(sum_mono(entries[x]), sum_mono(entries[y]))
     graded = graded_split_algebra(rng, 5)
     yield "graded-mono", HomAlgebra.mono(graded.succ, graded.alpha)
     # e1 succ e1 = e2 and e2 prec e2 = e1/2: each product alone is nilpotent and their sum is not, so a
@@ -285,7 +278,7 @@ def test_cocycle_residuals_match_fraction_reference():
     rng = random.Random(19)
     for label, a in SPLIT_INPUTS:
         n = a.dim
-        mono = HomAlgebra.mono(sum_product(a), a.alpha)
+        mono = sum_mono(a)
         scalars = scalar_cocycle_space(mono)[:2] + [ScalarForm(n, _matrix(rng, n, n))]
         for b in scalars:
             assert scalar_cocycle_residuals(mono, b) == ref.scalar_cocycle_residuals(mono, b), label

@@ -31,14 +31,11 @@ from tests.conftest import (
     random_tensor,
     rb_grid,
     rhizaform_passing_entries,
+    sum_mono,
 )
 from tests.fraction_checkers import apply, basis_vec, scaled
 
 F = Fraction
-
-
-def sum_algebra(a: HomAlgebra) -> HomAlgebra:
-    return HomAlgebra.mono(sum_product(a), a.alpha)
 
 
 def zero_bimodule(n: int, m: int) -> Bimodule:
@@ -56,7 +53,7 @@ def test_zero_actions_form_bimodule():
 
 
 def test_regular_bimodule_of_d2_a1_sum(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     reg = regular_bimodule(s)
     # left action of e2 sends e2 to 2 e1
     assert apply(reg.left[1], basis_vec(2, 1)) == (F(2), F(0))
@@ -64,7 +61,7 @@ def test_regular_bimodule_of_d2_a1_sum(a_d2_a1):
 
 
 def test_regular_bimodule_of_d2_a7_sum(a_d2_a7):
-    s = sum_algebra(a_d2_a7)
+    s = sum_mono(a_d2_a7)
     reg = regular_bimodule(s)
     assert apply(reg.left[0], basis_vec(2, 0)) == (F(0), F(2))
 
@@ -100,7 +97,7 @@ def test_bimodule_checker_agrees_with_oracle_on_randoms():
     rng = random.Random(43)
     for _ in range(40):
         a = random_split_algebra(rng, 2)
-        s = sum_algebra(a)
+        s = sum_mono(a)
         m = rhizaform_bimodule(a)
         assert check_bimodule(s, m).passed == oracle.bimodule(
             s.mul, s.alpha, m.left, m.right, m.beta
@@ -120,7 +117,7 @@ def test_double_dual_is_identity_everywhere():
 
 def test_dual_closure_with_invertible_twist(a_d2_a1, a_d2_a7):
     for a in (a_d2_a1, a_d2_a7):
-        s = sum_algebra(a)
+        s = sum_mono(a)
         reg = regular_bimodule(s)
         assert check_bimodule(s, reg).passed
         assert check_bimodule(s, dual_bimodule(reg)).passed
@@ -132,7 +129,7 @@ def test_dual_closure_counterexample_with_nilpotent_twist():
     nilpotent and the dual fails the transposed twist identity."""
     from rhizalab.catalog import load_entry
 
-    s = sum_algebra(load_entry("d2.A2"))
+    s = sum_mono(load_entry("d2.A2"))
     reg = regular_bimodule(s)
     assert check_bimodule(s, reg).passed
     dual_rep = check_bimodule(s, dual_bimodule(reg))
@@ -141,7 +138,7 @@ def test_dual_closure_counterexample_with_nilpotent_twist():
 
 
 def test_o_operator_zero_passes(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
     assert check_o_operator(LinearOperator.zero(2, 2), s, m).passed
 
@@ -149,7 +146,7 @@ def test_o_operator_zero_passes(a_d2_a1):
 def test_o_operator_rejects_bimodule_over_other_dimension(a_d2_a1):
     """Actions of a 1- or 3-dim algebra cannot act through a 2-dim algebra's operator images,
     whether or not the inductions check their preconditions."""
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     t = LinearOperator.identity(2)
     for alg_dim in (1, 3):
         m = Bimodule(alg_dim, 2, (Matrix.identity(2),) * alg_dim, (Matrix.zero(2, 2),) * alg_dim, LinearMap.identity(2))
@@ -164,7 +161,7 @@ def test_o_operator_rejects_bimodule_over_other_dimension(a_d2_a1):
 def test_rb_rejects_operator_of_another_shape(a_d2_a1, shape):
     """An operator that does not act on the 2-dim algebra is refused by the checker and by the
     induction, whether or not the induction checks its precondition."""
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     rows, cols = shape
     r = LinearOperator.from_rows([[F(int(i == j)) for j in range(cols)] for i in range(rows)])
     with pytest.raises(DimensionMismatch):
@@ -176,13 +173,13 @@ def test_rb_rejects_operator_of_another_shape(a_d2_a1, shape):
 
 def test_identity_is_o_operator_on_split_actions():
     for eid, a in rhizaform_passing_entries():
-        s = sum_algebra(a)
+        s = sum_mono(a)
         m = rhizaform_bimodule(a)
         assert check_o_operator(LinearOperator.identity(a.dim), s, m).passed, eid
 
 
 def test_identity_fails_on_regular_actions(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     rep = check_o_operator(LinearOperator.identity(2), s, regular_bimodule(s))
     assert not rep.passed
     bad = [v for v in rep.violations if v.identity_id == "o_identity"]
@@ -191,18 +188,18 @@ def test_identity_fails_on_regular_actions(a_d2_a1):
 
 
 def test_rota_baxter_zero_passes(a_d2_a1):
-    assert check_rota_baxter(LinearOperator.zero(2, 2), sum_algebra(a_d2_a1)).passed
+    assert check_rota_baxter(LinearOperator.zero(2, 2), sum_mono(a_d2_a1)).passed
 
 
 def test_rota_baxter_identity_fails_on_nonzero_product(a_d2_a1):
-    rep = check_rota_baxter(LinearOperator.identity(2), sum_algebra(a_d2_a1))
+    rep = check_rota_baxter(LinearOperator.identity(2), sum_mono(a_d2_a1))
     assert not rep.passed
 
 
 def test_rota_baxter_grid_on_d2_a7(a_d2_a7):
     """Frozen shape of the searched solutions: no e1-component in the image
     of e2, and the e1-coefficient is 0 or twice the e2-diagonal."""
-    s = sum_algebra(a_d2_a7)
+    s = sum_mono(a_d2_a7)
     found = rb_grid(s)
     assert len(found) == 35
     for op in found:
@@ -225,7 +222,7 @@ def test_rb_equals_o_operator_on_regular_actions():
 
 
 def test_induced_from_zero_operator(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     ind = induced_rhizaform_from_rb(LinearOperator.zero(2, 2), s)
     assert ind.succ.is_zero() and ind.prec.is_zero()
 
@@ -237,11 +234,11 @@ def test_induction_chain_from_grid():
         for op in rb_grid(s):
             ind = induced_rhizaform_from_rb(op, s)
             assert check_rhizaform(ind).passed, eid
-            assert check_homomorphism(op, sum_algebra(ind), s).passed, eid
+            assert check_homomorphism(op, sum_mono(ind), s).passed, eid
 
 
 def test_rb_scaling_scales_induced_products(a_d2_a7):
-    s = sum_algebra(a_d2_a7)
+    s = sum_mono(a_d2_a7)
     op = rb_grid(s)[-1]
     doubled = LinearOperator.from_rows(
         [[2 * op.matrix.at(i, j) for j in range(2)] for i in range(2)]
@@ -254,7 +251,7 @@ def test_rb_scaling_scales_induced_products(a_d2_a7):
 
 
 def test_induced_strict_mode_raises(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     with pytest.raises(NotARotaBaxterOperator):
         induced_rhizaform_from_rb(LinearOperator.identity(2), s)
     with pytest.raises(NotAnOOperator):
@@ -264,7 +261,7 @@ def test_induced_strict_mode_raises(a_d2_a1):
 
 
 def test_identity_o_operator_reproduces_split(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
     ind = induced_rhizaform_from_o_operator(LinearOperator.identity(2), s, m)
     assert ind.succ == a_d2_a1.succ
@@ -273,7 +270,7 @@ def test_identity_o_operator_reproduces_split(a_d2_a1):
 
 def test_o_operator_induction_on_module_of_different_dimension(a_d2_a7):
     """Zero operator from a 3-dim module still produces a passing algebra."""
-    s = sum_algebra(a_d2_a7)
+    s = sum_mono(a_d2_a7)
     m = zero_bimodule(2, 3)
     t = LinearOperator.zero(3, 2)
     assert check_o_operator(t, s, m).passed
@@ -288,7 +285,7 @@ def test_homomorphism_identity_and_zero(a_d2_a1):
 
 
 def test_homomorphism_flags_noncompatible_map(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     doubler = LinearOperator.from_rows([[2, 0], [0, 2]])
     rep = check_homomorphism(doubler, s, s)
     assert not rep.passed
@@ -296,7 +293,7 @@ def test_homomorphism_flags_noncompatible_map(a_d2_a1):
 
 
 def test_compatible_from_identity_operator(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
     out = compatible_from_invertible_o_operator(LinearOperator.identity(2), s, m)
     assert out.succ == a_d2_a1.succ
@@ -304,7 +301,7 @@ def test_compatible_from_identity_operator(a_d2_a1):
 
 
 def test_compatible_requires_invertible(a_d2_a1):
-    s = sum_algebra(a_d2_a1)
+    s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
     with pytest.raises(Singular):
         compatible_from_invertible_o_operator(LinearOperator.zero(2, 2), s, m)
@@ -312,7 +309,7 @@ def test_compatible_requires_invertible(a_d2_a1):
 
 def test_compatible_sum_recovers_product():
     for eid, a in rhizaform_passing_entries():
-        s = sum_algebra(a)
+        s = sum_mono(a)
         m = rhizaform_bimodule(a)
         out = compatible_from_invertible_o_operator(LinearOperator.identity(a.dim), s, m)
         assert check_rhizaform(out).passed, eid
@@ -324,7 +321,7 @@ def test_bimodule_swapped_mixed_identity_matches_printed_one():
     rng = random.Random(53)
     for _ in range(30):
         a = random_split_algebra(rng, 2)
-        s = sum_algebra(a)
+        s = sum_mono(a)
         rep = check_bimodule(s, rhizaform_bimodule(a))
         assert rep.identity_passed("bm3") == rep.identity_passed("bm3_swapped")
 

@@ -118,7 +118,7 @@ def differential_inputs():
         yield label, a, standard_maps(rng, a.dim)
 
 
-def test_oracle_matches_parent_route():
+def test_oracle_matches_fraction_reference():
     """Every public function gives the reference report's verdict on the catalog at four
     etas and on seeded random and graded algebras with n = 2-4."""
     public = {
@@ -227,7 +227,7 @@ def near_miss_inputs():
                     yield f"{label}~", perturbed(rng, b), standard_maps(rng, a.dim)
 
 
-def test_oracle_matches_parent_route_on_cancellations_and_near_misses():
+def test_oracle_matches_fraction_reference_on_cancellations_and_near_misses():
     """All 13 public functions give the reference's verdict where coefficients cancel exactly, so a
     zero left in a vector or a wrong int/Fraction mix would show, and on near misses of the
     catalog; each function gives both verdicts."""

@@ -17,15 +17,15 @@ from fractions import Fraction
 
 import pytest
 
-from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
+from rhizalab.algmodel import HomAlgebra, LinearMap
 from rhizalab.axioms import Violation, check_dendriform, check_rhizaform
 from rhizalab.cocycles import VectorForm, vector_cocycle_residuals
-from rhizalab.exactlin import Matrix, invert, rational_str
+from rhizalab.exactlin import Matrix, rational_str
 from rhizalab.family import FamilyAlgebra, Semigroup, check_rhizaform_family
 from rhizalab.nilpotency import check_2_nilpotent, check_alpha_stability, check_series_equality
 from rhizalab.operators import LinearOperator, check_o_operator, regular_bimodule
 from tests import fraction_checkers as ref
-from tests.conftest import graded_split_algebra
+from tests.conftest import conjugate, graded_split_algebra, sum_mono
 
 F = Fraction
 # 1, a prime, a power of 2, composites, and a large prime
@@ -76,21 +76,6 @@ def test_violation_is_a_slotted_record():
     assert v != w and v != Violation("req1", (1, 2, 3), [3, -6, 0], 12)
 
 
-def _conjugate(a: HomAlgebra, p: Matrix, alpha: Matrix | None = None) -> HomAlgebra:
-    """The algebra carried along the basis change p (x o' y = p^-1 (p x o p y)), with the twist
-    ``alpha`` when given, else p^-1 alpha p."""
-    p_inv = invert(p)
-    n = a.dim
-    cols = [p.column(i) for i in range(n)]
-    products = {
-        name: BilinearOp(
-            n, [[ref.apply(p_inv, ref.eval_product(op, cols[i], cols[j])) for j in range(n)] for i in range(n)]
-        )
-        for name, op in a.products.items()
-    }
-    return HomAlgebra(n, products, LinearMap(n, alpha or ref.times(ref.times(p_inv, a.alpha.matrix), p)))
-
-
 def _matrix(rng: random.Random, rows: int, cols: int, unit_diagonal: bool = False) -> Matrix:
     entries = [F(1, 2), F(-2, 3), F(3, 5), F(1), F(0), F(0)]
     values = [F(1) if unit_diagonal and i == j else rng.choice(entries) for i in range(rows) for j in range(cols)]
@@ -101,7 +86,7 @@ GRADED = graded_split_algebra(random.Random(5), 5)
 BASIS = _matrix(random.Random(4), 5, 5, unit_diagonal=True)
 # the graded algebra in a fractional basis: residuals at scales other than 1, and series
 # witnesses that are not unit vectors
-CONJUGATED = _conjugate(GRADED, BASIS)
+CONJUGATED = conjugate(GRADED, BASIS)
 
 
 def _family() -> FamilyAlgebra:
@@ -112,7 +97,7 @@ def _family() -> FamilyAlgebra:
 
 
 def _o_operator_case():
-    mono = HomAlgebra.mono(sum_product(CONJUGATED), CONJUGATED.alpha)
+    mono = sum_mono(CONJUGATED)
     return LinearOperator(5, 5, _matrix(random.Random(31), 5, 5)), mono, regular_bimodule(mono)
 
 
@@ -123,7 +108,7 @@ def _form() -> VectorForm:
 
 def _twisted() -> HomAlgebra:
     """CONJUGATED with a fractional twist that is not multiplicative, so alpha(S_k) leaves S_k."""
-    return _conjugate(GRADED, BASIS, _matrix(random.Random(41), 5, 5))
+    return conjugate(GRADED, BASIS, _matrix(random.Random(41), 5, 5))
 
 
 # label -> (the library's report, the reference report), built on failing inputs

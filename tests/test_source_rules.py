@@ -4,6 +4,8 @@
   library (``sys.stdlib_module_names``) or the package itself: the runtime
   dependencies stay ``dependencies = []``.
 * No line of the package or of ``tests/*.py`` is over 120 characters.
+* No two modules of ``tests/*.py`` define a top-level function alike (the
+  same name and the same ``ast.dump``): one helper per test input.
 """
 
 import ast
@@ -51,3 +53,25 @@ def test_no_line_is_over_the_limit(path):
 def test_the_import_rule_refuses_a_third_party_module():
     tree = ast.parse("import json\nfrom . import axioms\nfrom numpy.linalg import solve\nimport rhizalab.cli")
     assert _imported_roots(tree) - set(sys.stdlib_module_names) - {"rhizalab"} == {"numpy"}
+
+
+def _copies(sources: dict[str, str]) -> set[str]:
+    """The name of each top-level function that two of ``sources`` (file name -> text) define alike."""
+    first, copies = {}, set()
+    for name, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef) and first.setdefault(ast.dump(node), name) != name:
+                copies.add(node.name)
+    return copies
+
+
+def test_no_test_module_copies_another_ones_function():
+    assert _copies({path.name: path.read_text() for path in TESTS}) == set()
+
+
+def test_the_copy_rule_refuses_a_planted_copy():
+    sources = {path.name: path.read_text() for path in TESTS}
+    conftest = sources["conftest.py"]
+    helper = next(node for node in ast.parse(conftest).body if getattr(node, "name", None) == "sum_mono")
+    sources["planted.py"] = "import json\n\n\n" + ast.get_source_segment(conftest, helper)
+    assert _copies(sources) == {"sum_mono"}

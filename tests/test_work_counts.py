@@ -1,33 +1,29 @@
 """Work counts of the integer routes: how often a call inverts, clears or builds a Fraction product.
 
-Each test installs a counting wrapper on a library function with
-``monkeypatch``, in every ``rhizalab`` module that holds it: modules import
-by name (``from .exactlin import invert``), so a wrapper on the defining
-module alone would miss their calls.  Times on a shared host drift; these
-counts repeat exactly.
+Each test counts the calls of a library function with ``conftest.count_calls``, which wraps it in
+every loaded ``rhizalab`` module that binds it.  Times on a shared host drift; these counts repeat
+exactly.
 
 * ``rhizaform_from_cocycle`` inverts B^T once and hands B^T itself on as
   T^-1.
-* ``check_rota_baxter``, ``check_o_operator``, ``check_homomorphism`` and
-  ``check_rb_family`` clear every structure they read, equivariance
-  included, in one ``_integers`` call, for any semigroup size.
-* The averaging, O-operator, invertible O-operator and family inductions
-  clear once, strict or not: the strict check reads the clearing the
-  splitting reads, without calling the public check.
+* Every route that clears (``CLEARING_ROUTES``) clears once, by its one
+  ``_integers`` call from ``axioms._twisted``: ``check_rota_baxter``,
+  ``check_o_operator``, ``check_homomorphism`` and ``check_rb_family``
+  clear every structure they read, equivariance included (it fails on
+  their inputs), for any semigroup size; the averaging, O-operator,
+  invertible O-operator and family inductions and the cocycle splitting,
+  strict or not, because the strict check reads the clearing the splitting
+  reads, without calling the public check.  ``tensor_collapse`` reads the
+  stored integer table and clears nothing.
 * The strict cyclic-form solvers read the working product of a split
   algebra as the sum of its products' integer tables, without building the
   ``Fraction`` sum (``algmodel._combination``), and read the
   anti-associativity test and every row off one clearing: they clear once,
   as the plain solvers do.
-* The cocycle splitting clears once, strict or not: its residual check and
-  the splitting read one view of the algebra with B^T and its inverse.
 * A catalog report clears its entry once, with or without the oracle.
 * The twisted columns are built only where they are read: one
   ``_left_columns`` per basis vector for the checks that read only
   alpha(x) o -, none for the plain solvers.
-* ``_integers`` has one caller, ``axioms._twisted``: on every route that
-  clears, each call comes from it, and there is at most one.
-  ``tensor_collapse`` reads the stored integer table and clears nothing.
 * The anti-associativity test of a sum of products stops at the first
   failing triple: it builds one ``Violation``, which the strict cyclic-form
   solvers and ``catalog verify --oracle`` rely on.
@@ -69,14 +65,13 @@ import io
 import json
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from rhizalab import algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpotency, operators
-from rhizalab.algmodel import BilinearOp, HomAlgebra, _matrix_obj, serialize_algebra, sum_product
+from rhizalab import algmodel, axioms, catalog, cocycles, exactlin, files, nilpotency
+from rhizalab.algmodel import BilinearOp, HomAlgebra, _matrix_obj, serialize_algebra
 from rhizalab.axioms import check_jacobi_jordan, check_multiplicativity, inner_derivation
 from rhizalab.catalog import load_entry, verify_all, verify_entry
 from rhizalab.cocycles import (
@@ -100,28 +95,11 @@ from rhizalab.operators import (
     rhizaform_bimodule,
 )
 from rhizalab.cli import main
-from tests.conftest import nondegenerate_in_span, skew_4dim
-from tests.test_cocycles import _dense_twist, _singular_twist, _sparse_tensor, direct_sum
+from tests.conftest import block_sum, count_calls, nondegenerate_in_span, skew_4dim, sum_mono
+from tests.test_cocycles import _dense_twist, _singular_twist, _sparse_tensor
 
 F = Fraction
 ETA = {"eta": F(1)}
-MODULES = (algmodel, axioms, catalog, cocycles, exactlin, family, files, nilpotency, operators)
-
-
-def count_calls(monkeypatch, name: str, key=None) -> list:
-    """Wrap the library function ``name`` wherever it is looked up; the returned list grows by one
-    entry per call, the name of the function that made it, or ``key`` of the call's arguments."""
-    real = next(getattr(m, name) for m in MODULES if hasattr(m, name))
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(sys._getframe(1).f_code.co_name if key is None else key(*args, **kwargs))
-        return real(*args, **kwargs)
-
-    for module in MODULES:
-        if getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 @functools.cache
@@ -137,92 +115,34 @@ def _split_skew():
 def test_cocycle_splitting_inverts_once(monkeypatch, strict):
     a, b = _split_skew()
     expected = rhizaform_from_cocycle(a, b, strict=strict)
-    calls = count_calls(monkeypatch, "invert")
-    assert rhizaform_from_cocycle(a, b, strict=strict) == expected
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("strict", [True, False])
-def test_cocycle_splitting_clears_once(monkeypatch, strict):
-    a, b = _split_skew()
-    expected = rhizaform_from_cocycle(a, b, strict=strict)
-    calls = count_calls(monkeypatch, "_integers")
+    calls = count_calls(monkeypatch, "exactlin.invert")
     assert rhizaform_from_cocycle(a, b, strict=strict) == expected
     assert len(calls) == 1
 
 
 def _sum_d3_a7():
     """A mono algebra whose twist is not the identity, so equivariance can fail."""
-    a = load_entry("d3.A7", {"eta": F(1)})
-    return HomAlgebra.mono(sum_product(a), a.alpha)
+    return sum_mono(load_entry("d3.A7", ETA))
 
 
 R = LinearOperator.from_rows([[F(1, 2), 0, 0], [1, 3, 0], [0, 1, 1]])
 
 
-@pytest.mark.parametrize("kind", ["rota-baxter", "o-operator", "homomorphism"])
-def test_operator_checks_clear_once(monkeypatch, kind):
-    s = _sum_d3_a7()
-    check = {
-        "rota-baxter": lambda: check_rota_baxter(R, s),
-        "o-operator": lambda: check_o_operator(R, s, regular_bimodule(s)),
-        "homomorphism": lambda: check_homomorphism(R, s, s),
-    }[kind]
-    expected = check()
-    assert expected.failed_ids()[0] == "equivariance"
-    calls = count_calls(monkeypatch, "_integers")
-    assert check() == expected
-    assert len(calls) == 1
-
-
-def test_family_check_clears_once_for_every_semigroup_size(monkeypatch):
-    s = _sum_d3_a7()
-    ops = {0: LinearOperator.identity(3), 1: R, 2: LinearOperator.zero(3, 3)}
-    rf = RBFamily(Semigroup.cyclic(3), ops)
-    expected = check_rb_family(rf, s)
-    assert [v.basis_tuple[0] for v in expected.violations if v.identity_id == "equivariance"][0] == 1
-    calls = count_calls(monkeypatch, "_integers")
-    assert check_rb_family(rf, s) == expected
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("strict", [True, False])
-@pytest.mark.parametrize("what", ["rb", "o-operator", "invertible-o", "family"])
-def test_inductions_clear_once(monkeypatch, what, strict):
-    """On operators that pass: an averaging operator R (R(e1) = e4) of the skew algebra, alone, on its
-    regular bimodule and at both indices of a Z/2 family, and the identity, an invertible O-operator
-    of the split products' bimodule over their sum."""
-    s, split = skew_4dim(), load_entry("d3.A7", ETA)
-    summed = HomAlgebra.mono(sum_product(split), split.alpha)
-    r = LinearOperator.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
-    regular, split_module = regular_bimodule(s), rhizaform_bimodule(split)
-    family_ops = RBFamily(Semigroup.cyclic(2), {0: r, 1: r})
-    induce = {
-        "rb": lambda: induced_rhizaform_from_rb(r, s, strict=strict),
-        "o-operator": lambda: induced_rhizaform_from_o_operator(r, s, regular, strict=strict),
-        "invertible-o": lambda: compatible_from_invertible_o_operator(
-            LinearOperator.identity(3), summed, split_module, strict=strict
-        ),
-        "family": lambda: induced_family_rhizaform(family_ops, s, strict=strict),
-    }[what]
-    expected = induce()
-    calls = count_calls(monkeypatch, "_integers")
-    assert induce() == expected
-    assert len(calls) == 1
-
-
 def _route_inputs() -> SimpleNamespace:
     """The sum of d3.A7 (twist not the identity) and d3.A7 itself, the sum of d2.A1 with a map into the
-    former, and the operators of ``test_inductions_clear_once``, which pass."""
+    former, the operator R and a Z/3 family with R at index 1, which fail, and operators that pass: an
+    averaging operator r (r(e1) = e4) of the skew algebra, alone, on its regular bimodule and at both
+    indices of a Z/2 family, and the identity, an invertible O-operator of the split products' bimodule
+    over their sum."""
     split, small = load_entry("d3.A7", ETA), load_entry("d2.A1", ETA)
     cocycle, b = _split_skew()
     r = LinearOperator.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
     return SimpleNamespace(
         split=split,
         s=_sum_d3_a7(),
-        summed=HomAlgebra.mono(sum_product(split), split.alpha),
+        summed=sum_mono(split),
         skew=skew_4dim(),
-        small=HomAlgebra.mono(sum_product(small), small.alpha),
+        small=sum_mono(small),
         into=LinearOperator.from_rows([[1, 0], [0, F(1, 2)], [0, 0]]),
         w=vector_cocycle_space(split)[0],
         cocycle=cocycle,
@@ -245,6 +165,7 @@ CLEARING_ROUTES = {
     "check_o_operator": lambda x: check_o_operator(R, x.s, regular_bimodule(x.s)),
     "check_rb_family": lambda x: check_rb_family(x.family, x.s),
     "rhizaform_from_cocycle": lambda x: rhizaform_from_cocycle(x.cocycle, x.b),
+    "rhizaform_from_cocycle strict=False": lambda x: rhizaform_from_cocycle(x.cocycle, x.b, strict=False),
     "verify_entry": lambda x: verify_entry("d3.A4", ETA),
 }
 INDUCTIONS = {
@@ -266,14 +187,18 @@ for _name, _induce in INDUCTIONS.items():
 def test_every_clearing_is_made_by_the_view(monkeypatch, route):
     x = _route_inputs()
     expected = CLEARING_ROUTES[route](x)
-    calls = count_calls(monkeypatch, "_integers")
+    if route in ("check_rota_baxter", "check_o_operator", "check_homomorphism"):
+        assert expected.failed_ids()[0] == "equivariance"  # so the twist is cleared with the rest
+    if route == "check_rb_family":
+        assert [v.basis_tuple[0] for v in expected.violations if v.identity_id == "equivariance"][0] == 1
+    calls = count_calls(monkeypatch, "algmodel._integers")
     assert CLEARING_ROUTES[route](x) == expected
     assert calls == ([] if route == "tensor_collapse" else ["_twisted"])
 
 
 def test_full_subspace_runs_no_elimination(monkeypatch):
     expected = [Subspace.full(n) for n in range(5)]
-    calls = count_calls(monkeypatch, "_echelon")
+    calls = count_calls(monkeypatch, "exactlin._echelon")
     assert [Subspace.full(n) for n in range(5)] == expected
     assert calls == []
 
@@ -299,8 +224,8 @@ def test_rank_readers_run_no_back_substitution(monkeypatch):
     expected = {name: read() for name, read in reads.items()}
     assert expected["scalar_cocycle_space"] == [] and expected["rank"] == 2 and expected["is_nondegenerate"]
     assert expected["contains"] == (False, True, True)
-    forward = count_calls(monkeypatch, "_forward")
-    back = count_calls(monkeypatch, "_back_substitute")
+    forward = count_calls(monkeypatch, "exactlin._forward")
+    back = count_calls(monkeypatch, "exactlin._back_substitute")
     for name, read in reads.items():
         forward.clear()
         back.clear()
@@ -340,7 +265,7 @@ def test_strict_solvers_build_no_fraction_sum(monkeypatch, solve):
     a = load_entry("d2.A7", {"eta": F(1)})  # split, and its sum is anti-associative
     expected = solve(a, strict=True)
     assert expected
-    calls = count_calls(monkeypatch, "_combination")
+    calls = count_calls(monkeypatch, "algmodel._combination")
     assert solve(a, strict=True) == expected
     assert calls == []
 
@@ -351,7 +276,7 @@ def test_strict_solvers_clear_as_often_as_plain_ones(monkeypatch, entry, solve, 
     a = load_entry(entry, {"eta": F(1)})
     expected = {strict: solve(a, strict=strict) for strict in (True, False)}
     assert expected[True] == expected[False]
-    calls = count_calls(monkeypatch, "_integers")
+    calls = count_calls(monkeypatch, "algmodel._integers")
     for strict in (True, False):
         calls.clear()
         assert solve(a, strict=strict) == expected[strict]
@@ -362,9 +287,9 @@ def test_strict_solvers_clear_as_often_as_plain_ones(monkeypatch, entry, solve, 
 def test_solvers_build_one_cyclic_row_per_orbit_and_clear_nothing(monkeypatch, solve):
     rng = random.Random("dense-n4")  # the n = 4 algebras of test_vector_solver_builds_no_system_beyond_n_cubed
     dense = HomAlgebra.rhizaform(_sparse_tensor(rng, 4, 0.5), _sparse_tensor(rng, 4, 0.5), _dense_twist(rng, 4))
-    algebras = [dense, direct_sum(load_entry("d2.A1"), load_entry("d2.A7"))]
+    algebras = [dense, block_sum(sum_mono(load_entry("d2.A1")), sum_mono(load_entry("d2.A7")))]
     expected = [solve(a) for a in algebras]
-    clearings = count_calls(monkeypatch, "_cleared")
+    clearings = count_calls(monkeypatch, "exactlin._cleared")
     built = []
     real = cocycles._cyclic_rows
 
@@ -383,7 +308,7 @@ def test_solvers_build_one_cyclic_row_per_orbit_and_clear_nothing(monkeypatch, s
 def test_catalog_reports_clear_each_entry_once(monkeypatch, with_oracle):
     ids = ["d2.A1", "d2.A7", "d3.A4", "d3.A16"]
     expected = verify_all(ETA, ids=ids, with_oracle=with_oracle)
-    calls = count_calls(monkeypatch, "_integers")
+    calls = count_calls(monkeypatch, "algmodel._integers")
     assert verify_all(ETA, ids=ids, with_oracle=with_oracle) == expected
     assert len(calls) == len(ids)
     calls.clear()
@@ -395,9 +320,9 @@ def test_catalog_reports_clear_each_entry_once(monkeypatch, with_oracle):
 def test_catalog_verify_reads_entries_through_the_public_loaders(monkeypatch, with_oracle):
     selected = [eid for eid in catalog.entry_ids() if eid.startswith("d3.")]
     expected = verify_all(ETA, dim=3, with_oracle=with_oracle)
-    listings = count_calls(monkeypatch, "entry_ids")
-    loads = count_calls(monkeypatch, "load_catalog_entry", key=lambda entry_id: entry_id)
-    clearings = count_calls(monkeypatch, "_integers")
+    listings = count_calls(monkeypatch, "catalog.entry_ids")
+    loads = count_calls(monkeypatch, "catalog.load_catalog_entry", key=lambda entry_id: entry_id)
+    clearings = count_calls(monkeypatch, "algmodel._integers")
     assert verify_all(ETA, dim=3, with_oracle=with_oracle) == expected
     assert len(listings) == 1
     assert loads == selected
@@ -412,8 +337,8 @@ def test_one_analysis_builds_each_subspace_product_once(monkeypatch):
     run alone, so the forward passes are counted."""
     algebras = [load_entry(eid, ETA) for eid in catalog.entry_ids()]
     expected = [nilpotency.analyze(a) for a in algebras]
-    products = count_calls(monkeypatch, "_product_into")
-    eliminations = count_calls(monkeypatch, "_forward")
+    products = count_calls(monkeypatch, "algmodel._product_into")
+    eliminations = count_calls(monkeypatch, "exactlin._forward")
     assert [nilpotency.analyze(a) for a in algebras] == expected
     assert len(algebras) == 23
     assert len(products) <= 1144
@@ -425,7 +350,7 @@ def test_residual_writer_skips_empty_cells(monkeypatch):
     split check of d3.A16 applies 108 twisted columns, against 198 with one call per term."""
     a = load_entry("d3.A16", ETA)
     expected = axioms.check_rhizaform(a)
-    calls = count_calls(monkeypatch, "_apply_into")
+    calls = count_calls(monkeypatch, "algmodel._apply_into")
     assert axioms.check_rhizaform(a) == expected
     assert len(calls) == 108
 
@@ -434,7 +359,7 @@ def test_residual_writer_skips_empty_cells(monkeypatch):
 def test_single_sided_checks_build_only_the_left_columns(monkeypatch, check):
     s = _sum_d3_a7()
     expected = check(s.mul, s.alpha)
-    calls = count_calls(monkeypatch, "_left_columns")
+    calls = count_calls(monkeypatch, "algmodel._left_columns")
     assert check(s.mul, s.alpha) == expected
     assert len(calls) == s.dim
 
@@ -443,7 +368,7 @@ def test_single_sided_checks_build_only_the_left_columns(monkeypatch, check):
 def test_plain_solvers_build_no_twisted_columns(monkeypatch, solve):
     a = load_entry("d3.A16", ETA)
     expected = solve(a)
-    calls = count_calls(monkeypatch, "_left_columns")
+    calls = count_calls(monkeypatch, "algmodel._left_columns")
     assert solve(a) == expected
     assert calls == []
 
@@ -453,7 +378,7 @@ def test_sum_anti_associative_stops_at_the_first_failing_triple(monkeypatch):
     mul = BilinearOp.from_entries(2, [(i, j, 0, F(1)) for i in range(2) for j in range(2)])
     a = HomAlgebra.mono(mul, algmodel.LinearMap.identity(2))
     assert len(axioms.check_hom_anti_associative(a.mul, a.alpha).violations) == 8
-    calls = count_calls(monkeypatch, "Violation")
+    calls = count_calls(monkeypatch, "axioms.Violation")
     assert axioms._sum_anti_associative(axioms._view(a)) is False
     assert len(calls) == 1
 
@@ -492,7 +417,7 @@ def test_readers_resolve_each_text_once_per_document(monkeypatch, tmp_path, role
     path = tmp_path / "doc.json"
     path.write_text(text)
     expected = read(str(path))
-    calls = count_calls(monkeypatch, "rational", key=lambda token: token)
+    calls = count_calls(monkeypatch, "exactlin.rational", key=lambda token: token)
     for _ in range(2):  # nothing is kept between documents: a second read resolves its texts again
         calls.clear()
         assert read(str(path)) == expected

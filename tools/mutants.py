@@ -25,6 +25,7 @@ from pathlib import Path
 
 AXIOMS, COCYCLES, EXACTLIN = "src/rhizalab/axioms.py", "src/rhizalab/cocycles.py", "src/rhizalab/exactlin.py"
 NILPOTENCY, OPERATORS = "src/rhizalab/nilpotency.py", "src/rhizalab/operators.py"
+CLI = "src/rhizalab/cli.py"
 
 MEMORY, TIMEOUT = 3 * 2**29, 900
 
@@ -92,6 +93,12 @@ MUTANTS = {
         'lead = head + "[" + pad + "    " if start == 0 else ""',
     ),
     "nested-report-drops-its-pad": (AXIOMS, 'pad = "\\n" + "  " * depth', 'pad = "\\n"'),
+    "route-miswired": (
+        CLI,
+        '"dendriform": ((), lambda a, x: check_dendriform(a),',
+        '"dendriform": ((), lambda a, x: check_rhizaform(a),',
+    ),
+    "route-needs-dropped": (CLI, '"rb": (\n        ("operator",),', '"rb": (\n        (),'),
 }
 
 
