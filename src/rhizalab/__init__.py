@@ -55,20 +55,7 @@ from .family import (
     induced_family_rhizaform,
     tensor_collapse,
 )
-from .nilpotency import (
-    Subspace,
-    analyze,
-    check_2_nilpotent,
-    check_onesided_nilpotency_theorem,
-    check_series_equality,
-    diamond,
-    full_series,
-    is_left_nilpotent,
-    is_nilpotent,
-    is_right_nilpotent,
-    left_series,
-    right_series,
-)
+from .nilpotency import Subspace, analyze, diamond
 from .operators import (
     Bimodule,
     LinearOperator,

@@ -15,11 +15,11 @@ Each entry is cleared once: one integer view of its algebra
 dimension of its algebra-valued cyclic-form space, which comes from two
 ranks, without building the basis.  Under ``--oracle`` the checker's verdict
 on the anti-associativity of the summed product is read off the same view.
-``verify_entry`` and ``verify_all`` build each report through one helper,
-which reads its entry with ``load_catalog_entry``.  Nothing is kept between
-calls: every call reads and verifies its entries afresh, so a one-shot
-``rhizalab catalog verify`` saves as much per entry as a process that
-verifies the catalog many times.
+``verify_all`` builds each report through one helper, which reads its
+entry with ``load_catalog_entry``.  Nothing is kept between calls: every
+call reads and verifies its entries afresh, so a one-shot ``rhizalab
+catalog verify`` saves as much per entry as a process that verifies the
+catalog many times.
 """
 
 from __future__ import annotations
@@ -177,11 +177,6 @@ class EntryReport:
             "notes": list(self.notes),
             "findings": self.findings(),
         }
-
-
-def verify_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> EntryReport:
-    """Run every structural check on one entry and bundle the outcomes."""
-    return _verified(entry_id, params, False)[0]
 
 
 def _verified(entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, list[str]]:

@@ -5,13 +5,13 @@ row echelon form, each row cleared of denominators, so equality is a plain
 comparison of rows.  The diamond of two subspaces is the span of all
 products of their rows under every named product of the algebra.
 
-Within one call (``analyze`` or a public series or check) every product of
-rows is built once: a dict of the call maps each (table, m, n) to the nonzero
-products of the rows of m and n under that table, and each list of pairs to
-its span.  So R_2 = L_2 = F_2 is one span, F_3 reads the products that R_3
-and L_3 built, and a one-product reduct reads its table's rows; each term is
-still one elimination.  The dict ends with the call: nothing is kept between
-calls.
+``analyze`` is the one entry point of the series, their verdicts and their
+checks.  Within one call every product of rows is built once: a dict of the
+call maps each (table, m, n) to the nonzero products of the rows of m and n
+under that table, and each list of pairs to its span.  So R_2 = L_2 = F_2 is
+one span, F_3 reads the products that R_3 and L_3 built, and a one-product
+reduct reads its table's rows; each term is still one elimination.  The
+dict ends with the call: nothing is kept between calls.
 
 Three series are computed:
 
@@ -22,8 +22,8 @@ Three series are computed:
 * full:   S_1 = A,  S_{k+1} = sum over i+j = k+1 of S_i <> S_j
 
 Each series is extended until it hits zero or provably stops changing, and
-the returned list ends at the first repeat of its stable term, so
-stabilization is visible, and every later term equals its last one.  A
+the terms returned end at the first repeat of its stable term, so
+stabilization is visible, and every later term equals the last one.  A
 right or left term that equals the one before it equals every later one.  The full series is decreasing (by induction: a
 pair (i, j) of S_{k+1} has, say, i >= 2, and S_i <> S_j lies in S_{i-1} <> S_j,
 a pair of S_k), but one repeat does not settle it: dimensions 5, 4, 3, 3, 2
@@ -172,28 +172,6 @@ def _until_stable(tables, kind: str, spans: dict) -> tuple[Subspace, ...]:
             raise InternalError(f"the {kind} series of a dimension-{dim} algebra ran past {limit} terms")
 
 
-def right_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_view(a).tables, "right", {}))
-
-
-def left_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_view(a).tables, "left", {}))
-
-
-def full_series(a: HomAlgebra) -> list[Subspace]:
-    return list(_until_stable(_view(a).tables, "full", {}))
-
-
-def series_term(a: HomAlgebra, kind: str, g: int) -> Subspace:
-    """g-th term (1-based) of the named series, extending past stabilization."""
-    if g < 1:
-        raise ValueError("series terms are 1-based")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown series kind {kind!r}")
-    terms = _until_stable(_view(a).tables, kind, {})
-    return terms[min(g, len(terms)) - 1]  # constant from the last term on (module doc)
-
-
 class NilpotencyVerdict(NamedTuple):
     nilpotent: bool
     index: int | None
@@ -204,18 +182,6 @@ def _verdict(series) -> NilpotencyVerdict:
         if term.is_zero():
             return NilpotencyVerdict(True, g)
     return NilpotencyVerdict(False, None)
-
-
-def is_nilpotent(a: HomAlgebra) -> NilpotencyVerdict:
-    return _verdict(full_series(a))
-
-
-def is_right_nilpotent(a: HomAlgebra) -> NilpotencyVerdict:
-    return _verdict(right_series(a))
-
-
-def is_left_nilpotent(a: HomAlgebra) -> NilpotencyVerdict:
-    return _verdict(left_series(a))
 
 
 def _difference_witness(x: Subspace, y: Subspace) -> tuple[tuple[int, ...], int]:
@@ -239,12 +205,6 @@ def _series_equality(series: dict) -> CheckReport:
     return CheckReport.collect("series_equality", violations)
 
 
-def check_series_equality(a: HomAlgebra) -> CheckReport:
-    """Termwise comparison of the three series up to common stabilization."""
-    tables, spans = _view(a).tables, {}
-    return _series_equality({kind: _until_stable(tables, kind, spans) for kind in _KINDS})
-
-
 def _two_nilpotent(t: _Twisted) -> CheckReport:
     """(e_i o_p e_j) o_q alpha(e_k) ("out:p,q") and alpha(e_i) o_q (e_j o_p e_k) ("in:p,q") for every pair
     of products p, q of the view ``t``, each a one-term identity of ``axioms._triple_violations``."""
@@ -258,11 +218,6 @@ def _two_nilpotent(t: _Twisted) -> CheckReport:
     return CheckReport.collect("2_nilpotent", violations)
 
 
-def check_2_nilpotent(a: HomAlgebra) -> CheckReport:
-    """All out/in bracketings of two products vanish under every operation choice."""
-    return _two_nilpotent(_view(a))
-
-
 def _onesided(tables, full, spans: dict) -> CheckReport:
     """Whole algebra (full series ``full``) nilpotent iff every single-product reduct is; a
     reduct's full series is over its own table, so a mono algebra is its own reduct."""
@@ -270,12 +225,6 @@ def _onesided(tables, full, spans: dict) -> CheckReport:
     parts = all(_verdict(terms).nilpotent for terms in reducts)
     violations = [] if _verdict(full).nilpotent == parts else [Violation("biconditional", (), ())]
     return CheckReport.collect("onesided_nilpotency", violations)
-
-
-def check_onesided_nilpotency_theorem(a: HomAlgebra) -> CheckReport:
-    """Whole algebra nilpotent iff every single-product reduct is nilpotent."""
-    tables, spans = _view(a).tables, {}
-    return _onesided(tables, _until_stable(tables, "full", spans), spans)
 
 
 def _alpha_stability(full, twist) -> CheckReport:
@@ -292,13 +241,6 @@ def _alpha_stability(full, twist) -> CheckReport:
         if not term.contains(image):
             violations.append(Violation("alpha_stability", (g,), *_difference_witness(image, term)))
     return CheckReport.collect("alpha_stability", violations)
-
-
-def check_alpha_stability(a: HomAlgebra) -> CheckReport:
-    """alpha(S_k) inside S_k along the full series; meaningful when the twist is multiplicative
-    for every product (``axioms.check_multiplicativity``), which the caller checks."""
-    t = _view(a)
-    return _alpha_stability(_until_stable(t.tables, "full", {}), t.twist)
 
 
 def _multiplicative(t: _Twisted) -> bool:

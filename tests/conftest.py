@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from rhizalab import nilpotency
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
-from rhizalab.axioms import check_hom_anti_associative
+from rhizalab.axioms import CheckReport, _view, check_hom_anti_associative
 from rhizalab.catalog import entry_ids, load_entry
 from rhizalab.cocycles import ScalarForm, is_nondegenerate
 from rhizalab.exactlin import Matrix, invert
@@ -112,6 +113,19 @@ def rhizaform_passing_entries(params=None) -> list[tuple[str, HomAlgebra]]:
 
 
 GRID_VALUES = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
+
+
+def alpha_stability(a: HomAlgebra) -> CheckReport:
+    """The alpha-stability report along the full series of ``analyze(a)``, for any twist.  ``analyze``
+    reports it only where the twist is multiplicative for every product, and there it cannot fail:
+    alpha(S_1) lies in S_1 = A, and alpha(S_i <> S_j) in alpha(S_i) <> alpha(S_j), so in S_i <> S_j."""
+    return nilpotency._alpha_stability(nilpotency.analyze(a).series["full"], _view(a).twist)
+
+
+def padded_term(terms, g: int):
+    """The g-th term (1-based) of a series given up to stabilization: past its end, its last term,
+    which every later term equals (the stop rule in the ``nilpotency`` module doc)."""
+    return terms[min(g, len(terms)) - 1]
 
 
 def rb_grid(algebra: HomAlgebra, values=GRID_VALUES) -> list[LinearOperator]:

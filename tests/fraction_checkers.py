@@ -782,7 +782,7 @@ def _alpha_stability(full, alpha: LinearMap) -> CheckReport:
 
 
 def alpha_stability(a: HomAlgebra) -> CheckReport:
-    """``check_alpha_stability``'s report, from the full series built by ``diamond``."""
+    """The alpha-stability report along the full series built by ``diamond``, for any twist."""
     return _alpha_stability(_series(a, "full", [Subspace.full(a.dim)]), a.alpha)
 
 

@@ -34,7 +34,7 @@ from rhizalab.axioms import (
     pre_jacobi_jordan_product,
     subadjacent_bracket,
 )
-from rhizalab.catalog import entry_ids, load_entry
+from rhizalab.catalog import load_entry
 from rhizalab.cli import main as cli_main
 from rhizalab.cocycles import (
     rhizaform_from_cocycle,
@@ -42,17 +42,9 @@ from rhizalab.cocycles import (
     vector_cocycle_space,
 )
 from rhizalab.exactlin import Matrix
-from rhizalab.family import FamilyAlgebra, RBFamily, Semigroup, associated_family
-from rhizalab.family import check_anti_associative_family, check_rb_family
+from rhizalab.family import FamilyAlgebra, Semigroup, check_anti_associative_family
 from rhizalab.family import check_rhizaform_family, tensor_collapse
-from rhizalab.nilpotency import (
-    check_2_nilpotent,
-    check_onesided_nilpotency_theorem,
-    check_series_equality,
-    diamond,
-    is_nilpotent,
-    series_term,
-)
+from rhizalab.nilpotency import analyze, diamond
 from rhizalab.operators import (
     LinearOperator,
     check_bimodule,
@@ -66,12 +58,11 @@ from rhizalab.operators import (
     rhizaform_equivalence_verdict,
 )
 from tests.conftest import (
-    ETA_DEFAULT,
     anti_associative_sums,
     catalog_algebras,
-    catalog_sums,
     negated_split_fixture,
     nondegenerate_in_span,
+    padded_term,
     plain_family_identities_hold,
     random_split_algebra,
     rb_grid,
@@ -122,7 +113,7 @@ def test_criterion_01_oracle_equivalence():
              oracle.jacobi_jordan(s, a.alpha)),
             ("pre_jacobi_jordan", check_pre_jacobi_jordan(s, a.alpha).passed,
              oracle.pre_jacobi_jordan(s, a.alpha)),
-            ("two_nilpotent", check_2_nilpotent(a).passed, oracle.two_nilpotent(a)),
+            ("two_nilpotent", analyze(a).two_nilpotent.passed, oracle.two_nilpotent(a)),
         ]
         summed = HomAlgebra.mono(s, a.alpha)
         m = rhizaform_bimodule(a)
@@ -198,7 +189,7 @@ def test_checker_verdicts_equal_oracle_per_identity(structures):
         ("anti_assoc", check_hom_anti_associative(s, a.alpha).passed, oracle.anti_associative(s, a.alpha)),
         ("jacobi_jordan", check_jacobi_jordan(s, a.alpha).passed, oracle.jacobi_jordan(s, a.alpha)),
         ("pre_jacobi_jordan", check_pre_jacobi_jordan(s, a.alpha).passed, oracle.pre_jacobi_jordan(s, a.alpha)),
-        ("two_nilpotent", check_2_nilpotent(a).passed, oracle.two_nilpotent(a)),
+        ("two_nilpotent", analyze(a).two_nilpotent.passed, oracle.two_nilpotent(a)),
         ("bimodule", check_bimodule(summed, m).passed, oracle.bimodule(s, a.alpha, m.left, m.right, m.beta)),
         ("rota_baxter", check_rota_baxter(r, summed).passed, oracle.rota_baxter(r.matrix, s, a.alpha)),
         (
@@ -530,31 +521,27 @@ def test_criterion_07_cocycle_construction():
 
 def test_criterion_08_nilpotency_package():
     bad = []
-    a1 = load_entry("d2.A1")
-    if is_nilpotent(a1) != (True, 3):
+    if analyze(load_entry("d2.A1")).verdicts["full"] != (True, 3):
         bad.append("d2.A1 index")
-    if is_nilpotent(load_entry("d2.A5")).nilpotent:
+    if analyze(load_entry("d2.A5")).verdicts["full"].nilpotent:
         bad.append("d2.A5 should not be nilpotent")
     passing = rhizaform_passing_entries()
     for eid, a in passing:
-        if not check_series_equality(a).passed:
+        nil = analyze(a)
+        if not nil.series_equality.passed:
             bad.append(f"{eid}:series-equality")
-        right_terms = {g: series_term(a, "right", g) for g in range(1, 9)}
-        full_terms = {g: series_term(a, "full", g) for g in range(1, 9)}
-        for g in range(1, 5):
-            for h in range(1, 5):
-                if not right_terms[g + h].contains(diamond(right_terms[g], right_terms[h], a)):
-                    bad.append(f"{eid}:right-inclusion:{g},{h}")
-                if not full_terms[g + h].contains(diamond(full_terms[g], full_terms[h], a)):
-                    bad.append(f"{eid}:full-inclusion:{g},{h}")
+        for kind, g, h in itertools.product(("right", "full"), range(1, 5), range(1, 5)):
+            terms = nil.series[kind]
+            if not padded_term(terms, g + h).contains(diamond(padded_term(terms, g), padded_term(terms, h), a)):
+                bad.append(f"{eid}:{kind}-inclusion:{g},{h}")
     for eid, a in catalog_algebras():
-        if not check_onesided_nilpotency_theorem(a).passed:
+        if not analyze(a).onesided.passed:
             bad.append(f"{eid}:onesided")
     for n in (2, 3):
         fixture = negated_split_fixture(n)
         if not check_rhizaform(fixture).passed:
             bad.append(f"negated{n}:not-split")
-        if not check_2_nilpotent(fixture).passed:
+        if not analyze(fixture).two_nilpotent.passed:
             bad.append(f"negated{n}:2-nilpotent")
     ok = not bad
     verdict(8, "nilpotency verdicts, series equality, inclusions", ok, "; ".join(bad[:4]))

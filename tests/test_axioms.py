@@ -20,7 +20,6 @@ from rhizalab.axioms import (
 from rhizalab.exactlin import Matrix
 from tests.conftest import (
     catalog_algebras,
-    random_map,
     random_split_algebra,
     random_tensor,
     rhizaform_passing_entries,

@@ -12,7 +12,6 @@ from rhizalab.catalog import (
     load_catalog_entry,
     load_entry,
     verify_all,
-    verify_entry,
 )
 from rhizalab.cocycles import vector_cocycle_space
 from rhizalab.errors import ParseError, UnboundParameter, UnknownEntry
@@ -20,7 +19,6 @@ from rhizalab.exactlin import Matrix
 from rhizalab.nilpotency import analyze
 from rhizalab.operators import LinearOperator, check_homomorphism
 from tests.conftest import catalog_algebras, random_split_algebra
-from tests.fraction_checkers import basis_vec
 
 F = Fraction
 ETA = {"eta": F(1)}
@@ -102,7 +100,7 @@ def test_expected_cocycle_counts():
 
 
 def test_verify_entry_d2_a7():
-    rep = verify_entry("d2.A7")
+    (rep,) = verify_all(ids=["d2.A7"]).reports
     assert rep.rhizaform.passed
     assert rep.multiplicative == {"succ": True, "prec": True}
     assert rep.tag_agrees
@@ -111,7 +109,7 @@ def test_verify_entry_d2_a7():
 
 
 def test_verify_entry_d2_a1():
-    rep = verify_entry("d2.A1")
+    (rep,) = verify_all(ids=["d2.A1"]).reports
     assert rep.cocycle_dim == 2 and rep.cocycle_agrees
     assert rep.nilpotent == (True, 3)
     assert rep.series_equality.passed and rep.onesided.passed
@@ -119,7 +117,7 @@ def test_verify_entry_d2_a1():
 
 
 def test_verify_entry_d2_a5():
-    rep = verify_entry("d2.A5")
+    (rep,) = verify_all(ids=["d2.A5"]).reports
     assert not rep.nilpotent.nilpotent
     assert rep.nilpotent.index is None
     assert not rep.rhizaform.passed
@@ -127,7 +125,7 @@ def test_verify_entry_d2_a5():
 
 
 def test_verify_entry_d2_a4_tag_finding():
-    rep = verify_entry("d2.A4")
+    (rep,) = verify_all(ids=["d2.A4"]).reports
     assert rep.rhizaform.passed
     assert not rep.tag_agrees
     assert any("tagged" in f for f in rep.findings())
@@ -186,7 +184,7 @@ def test_entry_reports_equal_the_public_checks(eta):
     for report in verify_all(params=params).reports:
         a = load_entry(report.entry_id, params)
         nil = analyze(a)
-        assert report == verify_entry(report.entry_id, params)
+        assert verify_all(params, ids=[report.entry_id]).reports == (report,)
         assert report.rhizaform == check_rhizaform(a), report.entry_id
         assert report.cocycle_dim == len(vector_cocycle_space(a)), report.entry_id
         assert report.nilpotent == nil.verdicts["full"], report.entry_id
@@ -218,7 +216,7 @@ def test_a_bad_binding_is_refused_whichever_entries_are_selected():
     with pytest.raises(ParseError):
         verify_all(params={"eta": 0.5}, dim=2)
     with pytest.raises(ParseError):
-        verify_entry("d2.A1", {"eta": 0.5})
+        verify_all(params={"eta": 0.5}, ids=["d2.A1"])
 
 
 def test_findings_mention_cocycle_deltas():

@@ -483,15 +483,10 @@ def test_param_name_must_be_referenceable(a7_file, item):
         assert_rejected(*run_cli(*argv, f"--param={item}"), "--param wants name=p/q")
 
 
-# Why each public operation is reachable from the command line.  Where a route reaches the operation
-# only through the private helper it shares with it, the note names that helper.
+# The command line that calls each public operation, with a note in parentheses where it helps.
 OPERATION_COVERAGE = {
-    "exactlin.rref": "cocycles --vector FILE (_kernel: the _forward and _back_substitute passes rref is made of)",
-    "exactlin.nullspace_basis": "cocycles --scalar FILE (_kernel, the integer kernel nullspace_basis converts)",
     "exactlin.invert": "induce --what cocycle --form B.json FILE (and --what invertible-o)",
     "algmodel.parse_algebra": "check --kind rhizaform FILE (every algebra-file load)",
-    "algmodel.serialize_algebra":
-        "induce --what sum FILE (serialize_algebra_obj, the document serialize_algebra dumps)",
     "algmodel.sum_product": "induce --what sum FILE",
     "axioms.check_hom_anti_associative": "check --kind anti-associative FILE",
     "axioms.check_multiplicativity": "check --kind multiplicativity --product succ FILE",
@@ -519,17 +514,6 @@ OPERATION_COVERAGE = {
     "cocycles.is_nondegenerate": "cocycles --scalar FILE (reported per basis form)",
     "cocycles.rhizaform_from_cocycle": "induce --what cocycle --form B.json FILE (invertible-o, coregular bimodule)",
     "nilpotency.analyze": "nilpotency FILE (the whole report, from one clearing of the products)",
-    "nilpotency.diamond": "nilpotency FILE (_products_span, the span diamond returns, in analyze)",
-    "nilpotency.right_series": "nilpotency FILE (_until_stable on the right series, in analyze)",
-    "nilpotency.left_series": "nilpotency FILE (_until_stable on the left series, in analyze)",
-    "nilpotency.full_series": "nilpotency FILE (_until_stable on the full series, in analyze)",
-    "nilpotency.is_nilpotent": "nilpotency FILE (_verdict on the full series of analyze)",
-    "nilpotency.is_right_nilpotent": "nilpotency FILE (_verdict on the right series of analyze)",
-    "nilpotency.is_left_nilpotent": "nilpotency FILE (_verdict on the left series of analyze)",
-    "nilpotency.check_series_equality": "nilpotency FILE (_series_equality on the series of analyze)",
-    "nilpotency.check_2_nilpotent": "nilpotency FILE (_two_nilpotent, in analyze)",
-    "nilpotency.check_onesided_nilpotency_theorem": "nilpotency FILE (_onesided, in analyze)",
-    "nilpotency.check_alpha_stability": "nilpotency FILE (_alpha_stability, in analyze, when multiplicative)",
     "family.check_semigroup": "family --do check-semigroup FILE",
     "family.check_rhizaform_family": "family --do check FILE",
     "family.check_anti_associative_family": "family --do check-anti FILE",
@@ -537,33 +521,36 @@ OPERATION_COVERAGE = {
     "family.check_rb_family": "family --do check-rb --algebra A.json FILE",
     "family.induced_family_rhizaform": "family --do induce --algebra A.json FILE",
     "family.tensor_collapse": "family --do collapse --algebra A.json FILE",
-    "catalog.load_entry": "catalog show --id ID (load_catalog_entry, then the entry's algebra, as load_entry does)",
-    "catalog.verify_entry": "catalog verify --id ID (_verified, the per-entry helper verify_entry wraps)",
     "catalog.verify_all": "catalog verify",
 }
 
 
-# Public functions of the audited modules that need no route of their own, each with the reason.
+# Public functions of the audited modules that no route calls by name, each with the reason.
 EXEMPT = {
     "exactlin.rational": "reads every coefficient text of every file",
     "exactlin.rational_str": "writes every coefficient of every output",
     "exactlin.rank": "the rank is_nondegenerate reads",
+    "exactlin.rref": "reduced rows as a Matrix; cocycles --vector runs the _forward and _back_substitute it is",
+    "exactlin.nullspace_basis": "the kernel as Fractions; cocycles --scalar reads the integer _kernel it converts",
     "algmodel.parse_algebra_obj": "the document reader parse_algebra and the catalog's entries share",
+    "algmodel.serialize_algebra": "an algebra file's text; induce --what sum nests the serialize_algebra_obj it dumps",
     "algmodel.serialize_algebra_obj": "the document serialize_algebra dumps, which the CLI nests in its own",
     "algmodel.star_product": "the working product of either kind, which the single-product check routes read",
     "operators.rhizaform_equivalence_verdict": "the split check beside the sum's checks, each a check route",
     "cocycles.scalar_cocycle_residuals": "checks one given form; the CLI solves for the whole space",
     "cocycles.vector_cocycle_residuals": "checks one given algebra-valued form; the CLI solves for the whole space",
-    "nilpotency.series_term": "one term of a series, which nilpotency prints whole",
+    "nilpotency.diamond": "one product span, for criterion 08's inclusions; analyze spans by _products_span",
     "catalog.entry_ids": "the catalog's listing, which catalog list prints and verify_all selects from",
-    "catalog.load_catalog_entry": "the entry reader that load_entry and verify_entry wrap",
-    "catalog.oracle_disagreements": "verify_entry's comparison with the oracle, under catalog verify --oracle",
+    "catalog.load_catalog_entry": "the entry reader of load_entry, catalog show and verify_all",
+    "catalog.load_entry": "an entry's algebra, for the benchmark; catalog show reads load_catalog_entry as it does",
+    "catalog.oracle_disagreements": "verify_all's comparison with the oracle, under catalog verify --oracle",
 }
 
 
 def test_every_public_operation_is_covered():
-    """Audit: each public function the library modules define maps to a CLI route, or is exempt with
-    its reason, so a new public function fails here until it is given one or the other."""
+    """Audit: each public function the library modules define has a CLI route that calls it
+    (``OPERATION_COVERAGE``, every route of which ``test_coverage_route_calls_its_operation`` runs), or
+    is exempt with its reason, so a new public function fails here until it is given one or the other."""
     public = set()
     for name in ("exactlin", "algmodel", "axioms", "operators", "cocycles", "nilpotency", "family", "catalog"):
         module = importlib.import_module(f"rhizalab.{name}")
@@ -574,7 +561,6 @@ def test_every_public_operation_is_covered():
         }
     assert set(OPERATION_COVERAGE) == public - set(EXEMPT)
     assert set(EXEMPT) <= public
-    assert REACHED_THROUGH_A_HELPER <= {k for k, route in OPERATION_COVERAGE.items() if "(" in route}
 
 
 def test_coverage_routes_parse():
@@ -588,29 +574,7 @@ def test_coverage_routes_parse():
             pytest.fail(f"{key}: route {route!r} does not parse")
 
 
-# Keys whose route reaches the operation only through the helper its text names in parentheses, so
-# the operation itself is never called from the command line.
-REACHED_THROUGH_A_HELPER = {
-    "exactlin.rref",
-    "exactlin.nullspace_basis",
-    "algmodel.serialize_algebra",
-    "nilpotency.diamond",
-    "nilpotency.right_series",
-    "nilpotency.left_series",
-    "nilpotency.full_series",
-    "nilpotency.is_nilpotent",
-    "nilpotency.is_right_nilpotent",
-    "nilpotency.is_left_nilpotent",
-    "nilpotency.check_series_equality",
-    "nilpotency.check_2_nilpotent",
-    "nilpotency.check_onesided_nilpotency_theorem",
-    "nilpotency.check_alpha_stability",
-    "catalog.load_entry",
-    "catalog.verify_entry",
-}
-
-
-@pytest.mark.parametrize("key", sorted(set(OPERATION_COVERAGE) - REACHED_THROUGH_A_HELPER))
+@pytest.mark.parametrize("key", sorted(OPERATION_COVERAGE))
 def test_coverage_route_calls_its_operation(monkeypatch, routes, role_inputs, key):
     """Audit: running the key's route once calls the operation it names.  The route is the one of
     ``routes`` its command and selector name, on valid inputs; a catalog route runs as written."""

@@ -32,7 +32,7 @@ from tests.conftest import (
     sum_mono,
     z2_rb_family_fixture,
 )
-from tests.fraction_checkers import apply, basis_vec, eval_product, vec_add, vec_is_zero
+from tests.fraction_checkers import apply, basis_vec, eval_product, vec_add
 
 F = Fraction
 Z2 = Semigroup.cyclic(2)

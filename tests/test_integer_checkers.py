@@ -49,7 +49,7 @@ from rhizalab.family import (
     check_rb_family,
     check_rhizaform_family,
 )
-from rhizalab.nilpotency import Subspace, check_2_nilpotent
+from rhizalab.nilpotency import Subspace, analyze
 from rhizalab.operators import (
     Bimodule,
     LinearOperator,
@@ -121,7 +121,7 @@ def test_split_and_twist_checkers_match_fraction_reference():
     for label, a in SPLIT_INPUTS:
         assert check_rhizaform(a) == ref.rhizaform(a), label
         assert check_dendriform(a) == ref.dendriform(a), label
-        assert check_2_nilpotent(a) == ref.two_nilpotent(a), label
+        assert analyze(a).two_nilpotent == ref.two_nilpotent(a), label
         for name in ("succ", "prec"):
             op = a.product(name)
             assert check_multiplicativity(op, a.alpha, name) == ref.multiplicativity(op, a.alpha, name), label
@@ -134,7 +134,7 @@ def test_mono_checkers_match_fraction_reference():
             assert check_jacobi_jordan(mul, a.alpha) == ref.jacobi_jordan(mul, a.alpha), label
             assert check_pre_jacobi_jordan(mul, a.alpha) == ref.pre_jacobi_jordan(mul, a.alpha), label
         mono = sum_mono(a)
-        assert check_2_nilpotent(mono) == ref.two_nilpotent(mono), label
+        assert analyze(mono).two_nilpotent == ref.two_nilpotent(mono), label
 
 
 def test_derivation_checker_matches_fraction_reference():
@@ -265,7 +265,7 @@ def test_analysis_matches_fraction_reference():
     series and the reducts, serve every series, reduct and check of ``analyze``: each equals that of
     ``fraction_checkers``, which builds every series and reduct on its own, product by product."""
     for label, a in _analysis_inputs():
-        got = nilpotency.analyze(a)
+        got = analyze(a)
         want, verdicts = ref.nilpotency_analysis(a)
         assert got.series == want.series, label
         assert got.verdicts == verdicts, label

@@ -1,3 +1,11 @@
+"""The series, verdicts and checks of ``nilpotency.analyze``, the module's one entry point.
+
+Each test reads the field of ``analyze(a)`` it is about: ``series[kind]`` (the terms up to
+stabilization, padded past it by ``conftest.padded_term``), ``verdicts[kind]``, ``series_equality``,
+``onesided``, ``two_nilpotent`` or ``alpha_stability``, so every test runs the path the CLI and the
+catalog read.
+"""
+
 import itertools
 import random
 from fractions import Fraction
@@ -9,26 +17,13 @@ from rhizalab.axioms import check_multiplicativity
 from rhizalab import nilpotency
 from rhizalab.errors import DimensionMismatch, InternalError
 from rhizalab.exactlin import Matrix
-from rhizalab.nilpotency import (
-    Subspace,
-    check_2_nilpotent,
-    check_alpha_stability,
-    check_onesided_nilpotency_theorem,
-    check_series_equality,
-    diamond,
-    full_series,
-    is_left_nilpotent,
-    is_nilpotent,
-    is_right_nilpotent,
-    left_series,
-    right_series,
-    series_term,
-)
+from rhizalab.nilpotency import Subspace, analyze, diamond
 from tests import fraction_checkers as ref
 from tests.conftest import (
     catalog_algebras,
     graded_split_algebra,
     negated_split_fixture,
+    padded_term,
     random_split_algebra,
     rhizaform_passing_entries,
 )
@@ -92,60 +87,58 @@ def test_diamond_d2_a5():
 
 
 def test_series_zero_products():
-    a = zero_split()
-    for fn in (right_series, left_series, full_series):
-        terms = fn(a)
+    nil = analyze(zero_split())
+    for terms in nil.series.values():
         assert len(terms) == 2
         assert terms[0] == Subspace.full(2)
         assert terms[1].is_zero()
-    assert is_nilpotent(a) == (True, 2)
+    assert nil.verdicts["full"] == (True, 2)
 
 
 def test_series_d2_a1(a_d2_a1):
-    terms = full_series(a_d2_a1)
+    nil = analyze(a_d2_a1)
+    terms = nil.series["full"]
     assert [t.dim for t in terms] == [2, 1, 0]
     assert terms[1] == span(2, (F(1), F(0)))
-    assert is_nilpotent(a_d2_a1) == (True, 3)
-    assert is_right_nilpotent(a_d2_a1) == (True, 3)
-    assert is_left_nilpotent(a_d2_a1) == (True, 3)
+    assert nil.verdicts == {"right": (True, 3), "left": (True, 3), "full": (True, 3)}
 
 
 def test_series_d2_a5_stabilizes():
     from rhizalab.catalog import load_entry
 
-    a = load_entry("d2.A5")
-    terms = full_series(a)
+    nil = analyze(load_entry("d2.A5"))
+    terms = nil.series["full"]
     assert terms[1] == span(2, (F(0), F(1)))
     assert terms[-1] == terms[-2]  # visible stabilization
-    verdict = is_nilpotent(a)
+    verdict = nil.verdicts["full"]
     assert not verdict.nilpotent and verdict.index is None
 
 
 def test_series_equality_zero():
-    assert check_series_equality(zero_split()).passed
+    assert analyze(zero_split()).series_equality.passed
 
 
 def test_series_equality_on_passing_entries():
     for eid, a in rhizaform_passing_entries():
-        assert check_series_equality(a).passed, eid
+        assert analyze(a).series_equality.passed, eid
 
 
 def test_series_equality_negative_control():
     # succ: e1e1=e2, e2e1=e3; prec = 0; not a valid splitting
     succ = BilinearOp.from_entries(3, [(0, 0, 1, F(1)), (1, 0, 2, F(1))])
     a = HomAlgebra.rhizaform(succ, BilinearOp.zero(3), LinearMap.identity(3))
-    rep = check_series_equality(a)
-    assert not rep.passed
-    assert series_term(a, "right", 3) == span(3, (F(0), F(0), F(1)))
-    assert series_term(a, "left", 3).is_zero()
+    nil = analyze(a)
+    assert not nil.series_equality.passed
+    assert padded_term(nil.series["right"], 3) == span(3, (F(0), F(0), F(1)))
+    assert padded_term(nil.series["left"], 3).is_zero()
 
 
 def test_2_nilpotent_zero():
-    assert check_2_nilpotent(zero_split()).passed
+    assert analyze(zero_split()).two_nilpotent.passed
 
 
 def test_2_nilpotent_d2_a7(a_d2_a7):
-    assert check_2_nilpotent(a_d2_a7).passed
+    assert analyze(a_d2_a7).two_nilpotent.passed
 
 
 def test_2_nilpotent_negated_split_fixtures():
@@ -154,55 +147,68 @@ def test_2_nilpotent_negated_split_fixtures():
         from rhizalab.axioms import check_rhizaform
 
         assert check_rhizaform(a).passed
-        assert check_2_nilpotent(a).passed
+        assert analyze(a).two_nilpotent.passed
 
 
 def test_2_nilpotent_flags_nonvanishing_triple(a_d2_a1):
-    rep = check_2_nilpotent(a_d2_a1)
+    rep = analyze(a_d2_a1).two_nilpotent
     assert rep.passed  # products of A1 do annihilate
     # d2.A5 is 2-nilpotent without being nilpotent: twisted triples vanish
     from rhizalab.catalog import load_entry
 
-    a5 = load_entry("d2.A5")
-    assert check_2_nilpotent(a5).passed
-    assert not is_nilpotent(a5).nilpotent
+    a5 = analyze(load_entry("d2.A5"))
+    assert a5.two_nilpotent.passed
+    assert not a5.verdicts["full"].nilpotent
     # a unital-ish square does not annihilate
     bad = HomAlgebra.rhizaform(
         BilinearOp.from_entries(2, [(0, 0, 0, F(1))]), BilinearOp.zero(2), LinearMap.identity(2)
     )
-    rep_bad = check_2_nilpotent(bad)
+    rep_bad = analyze(bad).two_nilpotent
     assert not rep_bad.passed
     assert any(v.identity_id == "out:succ,succ" for v in rep_bad.violations)
 
 
 def test_onesided_theorem_on_all_entries():
     for eid, a in catalog_algebras():
-        assert check_onesided_nilpotency_theorem(a).passed, eid
+        assert analyze(a).onesided.passed, eid
 
 
 def test_onesided_theorem_zero_and_a5():
-    assert check_onesided_nilpotency_theorem(zero_split()).passed
+    assert analyze(zero_split()).onesided.passed
     from rhizalab.catalog import load_entry
 
     a5 = load_entry("d2.A5")
-    assert check_onesided_nilpotency_theorem(a5).passed
-    assert not is_nilpotent(HomAlgebra.mono(a5.succ, a5.alpha)).nilpotent
-    assert not is_nilpotent(HomAlgebra.mono(a5.prec, a5.alpha)).nilpotent
+    assert analyze(a5).onesided.passed
+    assert not analyze(HomAlgebra.mono(a5.succ, a5.alpha)).verdicts["full"].nilpotent
+    assert not analyze(HomAlgebra.mono(a5.prec, a5.alpha)).verdicts["full"].nilpotent
+
+
+@pytest.mark.parametrize(
+    "entries, verdicts",
+    [
+        ([(1, 0, 1, 1)], {"right": (False, None), "left": (True, 3), "full": (False, None)}),  # e2 succ e1 = e2
+        ([(0, 1, 1, 1)], {"right": (True, 3), "left": (False, None), "full": (False, None)}),  # e1 succ e2 = e2
+    ],
+    ids=["left-nilpotent", "right-nilpotent"],
+)
+def test_onesided_theorem_reads_the_full_series(entries, verdicts):
+    """One one-sided series reaches zero and the full series does not, nor does the succ reduct (the
+    algebra itself, prec being zero): the biconditional holds on the full series' verdict and fails
+    on that one-sided series' verdict."""
+    nil = analyze(HomAlgebra.rhizaform(BilinearOp.from_entries(2, entries), BilinearOp.zero(2), LinearMap.identity(2)))
+    assert nil.verdicts == verdicts
+    assert nil.onesided.passed
 
 
 def test_power_inclusions_up_to_four():
     # one-sided inclusions are a lemma about valid split algebras; the
     # summed-series inclusion holds for any algebra by construction
-    for eid, a in rhizaform_passing_entries():
-        terms = {g: series_term(a, "right", g) for g in range(1, 9)}
-        for g in range(1, 5):
-            for h in range(1, 5):
-                assert terms[g + h].contains(diamond(terms[g], terms[h], a)), (eid, g, h)
-    for eid, a in catalog_algebras():
-        terms = {g: series_term(a, "full", g) for g in range(1, 9)}
-        for g in range(1, 5):
-            for h in range(1, 5):
-                assert terms[g + h].contains(diamond(terms[g], terms[h], a)), (eid, g, h)
+    cases = [(eid, a, "right") for eid, a in rhizaform_passing_entries()]
+    for eid, a, kind in cases + [(eid, a, "full") for eid, a in catalog_algebras()]:
+        terms = analyze(a).series[kind]
+        for g, h in itertools.product(range(1, 5), repeat=2):
+            product = diamond(padded_term(terms, g), padded_term(terms, h), a)
+            assert padded_term(terms, g + h).contains(product), (eid, kind, g, h)
 
 
 def test_series_descend_and_stabilize_on_randoms():
@@ -215,28 +221,30 @@ def test_series_descend_and_stabilize_on_randoms():
     inputs = [random_split_algebra(rng, rng.choice([2, 3])) for _ in range(40)]
     inputs += [graded_split_algebra(rng, n) for n in (3, 4, 5) for _ in range(4)]
     for a in inputs:
-        for fn in (right_series, left_series, full_series):
-            terms = fn(a)
+        series = analyze(a).series
+        for terms in series.values():
             for earlier, later in zip(terms, terms[1:]):
                 assert earlier.contains(later)
             assert terms[-1].is_zero() or terms[-1] == terms[-2]
-        for fn in (right_series, left_series):
-            dims = [t.dim for t in fn(a)]
+        for kind in ("right", "left"):
+            dims = [t.dim for t in series[kind]]
             assert all(x > y for x, y in zip(dims, dims[1:-1])), dims
             assert len(dims) <= a.dim + 1, dims
-        terms = full_series(a)
+        terms = series["full"]
         if not terms[-1].is_zero():
             f = terms.index(terms[-1]) + 1
             k = max(f + 1, 2 * f - 1)
             recurrence = ref._series(a, "full", [Subspace.full(a.dim)], k)
-            assert recurrence[: len(terms)] == terms
+            assert tuple(recurrence[: len(terms)]) == terms
             assert all(t == terms[-1] for t in recurrence[f - 1 :]), [t.dim for t in recurrence]
 
 
 def test_alpha_stability_on_multiplicative_entries():
+    """Reported, and passing, exactly where the twist is multiplicative for every product."""
     for eid, a in catalog_algebras():
-        if all(check_multiplicativity(op, a.alpha).passed for op in a.products.values()):
-            assert check_alpha_stability(a).passed, eid
+        report = analyze(a).alpha_stability
+        multiplicative = all(check_multiplicativity(op, a.alpha).passed for op in a.products.values())
+        assert report.passed if multiplicative else report is None, eid
 
 
 def test_series_terms_match_recurrence_past_stabilization():
@@ -246,14 +254,15 @@ def test_series_terms_match_recurrence_past_stabilization():
         inputs.append((f"random-n{n}", random_split_algebra(rng, n)))
         inputs.append((f"graded-n{n}", graded_split_algebra(rng, n)))
     for eid, a in inputs:
+        nil = analyze(a)
         # the equality check compares the same terms, up to the longest stable prefix
-        length = max(len(fn(a)) for fn in (right_series, left_series, full_series))
+        length = max(map(len, nil.series.values()))
         count = max(a.dim + 4, length)
         # the first ``count`` terms, each spanned from the products of earlier terms
         expected = {kind: ref._series(a, kind, [Subspace.full(a.dim)], count) for kind in ("right", "left", "full")}
         for kind, terms in expected.items():
             for g in range(1, count + 1):
-                assert series_term(a, kind, g) == terms[g - 1], (eid, kind, g)
+                assert padded_term(nil.series[kind], g) == terms[g - 1], (eid, kind, g)
         r, l, f = (expected[kind] for kind in ("right", "left", "full"))
         flagged = [
             (ident, (g,))
@@ -261,36 +270,36 @@ def test_series_terms_match_recurrence_past_stabilization():
             for ident, x, y in (("right_ne_full", r, f), ("left_ne_full", l, f), ("right_ne_left", r, l))
             if x[g - 1] != y[g - 1]
         ]
-        rep = check_series_equality(a)
+        rep = nil.series_equality
         assert [(v.identity_id, v.basis_tuple) for v in rep.violations] == flagged, eid
 
 
 def test_full_series_runs_past_a_false_repeat():
     """5, 4, 3, 3 repeats a term, but the full series goes on down to zero at index 17."""
     a = graded_split_algebra(random.Random(5), 5)
-    terms = full_series(a)
-    assert [t.dim for t in terms] == [5, 4, 3, 3, 2, 2, 2, 2] + [1] * 8 + [0]
-    assert terms == [series_term(a, "full", g) for g in range(1, 18)]
-    assert is_nilpotent(a) == (True, 17)
+    nil = analyze(a)
+    assert [t.dim for t in nil.series["full"]] == [5, 4, 3, 3, 2, 2, 2, 2] + [1] * 8 + [0]
+    assert list(nil.series["full"]) == ref._series(a, "full", [Subspace.full(5)], 17)
+    assert nil.verdicts["full"] == (True, 17)
 
 
 def test_graded_algebras_are_nilpotent():
     """Products land in strictly higher basis indices, so every full series reaches zero; its
-    index is the first zero term of ``series_term``."""
+    index is the first zero term of the series."""
     for seed in range(25):
         for n in (3, 4, 5, 6):
-            a = graded_split_algebra(random.Random(seed), n)
-            nilpotent, index = is_nilpotent(a)
+            nil = analyze(graded_split_algebra(random.Random(seed), n))
+            (nilpotent, index), terms = nil.verdicts["full"], nil.series["full"]
             assert nilpotent, (seed, n)
-            assert series_term(a, "full", index).is_zero(), (seed, n)
-            assert not series_term(a, "full", index - 1).is_zero(), (seed, n)
+            assert terms[index - 1].is_zero(), (seed, n)
+            assert not terms[index - 2].is_zero(), (seed, n)
 
 
-@pytest.mark.parametrize("series", [right_series, left_series, full_series])
-def test_series_past_its_proven_length_raises(monkeypatch, series):
+@pytest.mark.parametrize("kind", ["right", "left", "full"])
+def test_series_past_its_proven_length_raises(monkeypatch, kind):
     """A span that is not canonical (its rows scaled by a new factor on every call) never repeats, so
     no series stabilizes; each raises once it passes the length the module doc proves, instead of
-    running on."""
+    running on.  ``analyze`` builds only the series of ``kind`` here, so each kind is reached."""
     real, factors = nilpotency._span, itertools.count(2)
 
     def scaled_span(dim, rows):
@@ -298,6 +307,7 @@ def test_series_past_its_proven_length_raises(monkeypatch, series):
         return Subspace(dim, tuple(tuple(c * x for x in row) for row in real(dim, rows).rows))
 
     monkeypatch.setattr(nilpotency, "_span", scaled_span)
+    monkeypatch.setattr(nilpotency, "_KINDS", (kind,))
     idempotents = BilinearOp.from_entries(3, [(i, i, i, 1) for i in range(3)])  # S_k = A for every k
-    with pytest.raises(InternalError, match="ran past"):
-        series(HomAlgebra.mono(idempotents, LinearMap.identity(3)))
+    with pytest.raises(InternalError, match=f"the {kind} series .* ran past"):
+        analyze(HomAlgebra.mono(idempotents, LinearMap.identity(3)))

@@ -5,7 +5,7 @@ import pytest
 
 from rhizalab import oracle
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
-from rhizalab.axioms import check_hom_anti_associative, check_rhizaform
+from rhizalab.axioms import check_rhizaform
 from rhizalab.errors import DimensionMismatch, NotAnOOperator, NotARotaBaxterOperator, Singular
 from rhizalab.exactlin import Matrix
 from rhizalab.operators import (

@@ -22,10 +22,10 @@ from rhizalab.axioms import Violation, check_dendriform, check_rhizaform
 from rhizalab.cocycles import VectorForm, vector_cocycle_residuals
 from rhizalab.exactlin import Matrix, rational_str
 from rhizalab.family import FamilyAlgebra, Semigroup, check_rhizaform_family
-from rhizalab.nilpotency import check_2_nilpotent, check_alpha_stability, check_series_equality
+from rhizalab.nilpotency import analyze
 from rhizalab.operators import LinearOperator, check_o_operator, regular_bimodule
 from tests import fraction_checkers as ref
-from tests.conftest import conjugate, graded_split_algebra, sum_mono
+from tests.conftest import alpha_stability, conjugate, graded_split_algebra, sum_mono
 
 F = Fraction
 # 1, a prime, a power of 2, composites, and a large prime
@@ -110,7 +110,6 @@ def _twisted() -> HomAlgebra:
     """CONJUGATED with a fractional twist that is not multiplicative, so alpha(S_k) leaves S_k."""
     return conjugate(GRADED, BASIS, _matrix(random.Random(41), 5, 5))
 
-
 # label -> (the library's report, the reference report), built on failing inputs
 CASES = {
     **{
@@ -119,7 +118,7 @@ CASES = {
         for name, check, want in (
             ("rhizaform", check_rhizaform, ref.rhizaform),
             ("dendriform", check_dendriform, ref.dendriform),
-            ("2-nilpotent", check_2_nilpotent, ref.two_nilpotent),
+            ("2-nilpotent", lambda a: analyze(a).two_nilpotent, ref.two_nilpotent),
         )
     },
     "rhizaform family": (lambda: check_rhizaform_family(_family()), lambda: ref.rhizaform_family(_family())),
@@ -129,10 +128,10 @@ CASES = {
         lambda: ref.vector_cocycle_residuals(CONJUGATED, _form()),
     ),
     "series equality": (
-        lambda: check_series_equality(CONJUGATED),
+        lambda: analyze(CONJUGATED).series_equality,
         lambda: ref.nilpotency_analysis(CONJUGATED)[0].series_equality,
     ),
-    "alpha stability": (lambda: check_alpha_stability(_twisted()), lambda: ref.alpha_stability(_twisted())),
+    "alpha stability": (lambda: alpha_stability(_twisted()), lambda: ref.alpha_stability(_twisted())),
 }
 WITNESSES = ("series equality", "alpha stability")
 

@@ -6,6 +6,9 @@
 * No line of the package or of ``tests/*.py`` is over 120 characters.
 * No two modules of ``tests/*.py`` define a top-level function alike (the
   same name and the same ``ast.dump``): one helper per test input.
+* Every name an import binds in the package or in ``tests/*.py`` is read in
+  its module, except ``from __future__`` and the re-exports of the package
+  ``__init__``.
 """
 
 import ast
@@ -29,6 +32,17 @@ def _imported_roots(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
     return roots
+
+
+def _unread_imports(tree: ast.AST) -> set[str]:
+    """The names the imports of ``tree`` bind (``import a.b`` binds ``a``) that no expression reads."""
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return bound - read
 
 
 def test_the_rules_read_the_whole_package():
@@ -75,3 +89,16 @@ def test_the_copy_rule_refuses_a_planted_copy():
     helper = next(node for node in ast.parse(conftest).body if getattr(node, "name", None) == "sum_mono")
     sources["planted.py"] = "import json\n\n\n" + ast.get_source_segment(conftest, helper)
     assert _copies(sources) == {"sum_mono"}
+
+
+def test_every_imported_name_is_read():
+    init = ROOT / "src" / "rhizalab" / "__init__.py"
+    paths = [path for path in SOURCES + TESTS if path != init]
+    unread = {str(path.relative_to(ROOT)): _unread_imports(ast.parse(path.read_text())) for path in paths}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_the_import_rule_refuses_a_planted_unused_import():
+    conftest = (ROOT / "tests" / "conftest.py").read_text()
+    planted = conftest + "\nimport os.path, json\nfrom math import gcd as g, lcm\n\nos.sep, g\n"
+    assert _unread_imports(ast.parse(planted)) == {"json", "lcm"}

@@ -73,7 +73,7 @@ import pytest
 from rhizalab import algmodel, axioms, catalog, cocycles, exactlin, files, nilpotency
 from rhizalab.algmodel import BilinearOp, HomAlgebra, _matrix_obj, serialize_algebra
 from rhizalab.axioms import check_jacobi_jordan, check_multiplicativity, inner_derivation
-from rhizalab.catalog import load_entry, verify_all, verify_entry
+from rhizalab.catalog import load_entry, verify_all
 from rhizalab.cocycles import (
     rhizaform_from_cocycle,
     scalar_cocycle_space,
@@ -166,7 +166,7 @@ CLEARING_ROUTES = {
     "check_rb_family": lambda x: check_rb_family(x.family, x.s),
     "rhizaform_from_cocycle": lambda x: rhizaform_from_cocycle(x.cocycle, x.b),
     "rhizaform_from_cocycle strict=False": lambda x: rhizaform_from_cocycle(x.cocycle, x.b, strict=False),
-    "verify_entry": lambda x: verify_entry("d3.A4", ETA),
+    "verify_all": lambda x: verify_all(ETA, ids=["d3.A4"]),
 }
 INDUCTIONS = {
     "induced_rhizaform_from_rb": lambda x, strict: induced_rhizaform_from_rb(x.r, x.skew, strict=strict),
@@ -312,7 +312,7 @@ def test_catalog_reports_clear_each_entry_once(monkeypatch, with_oracle):
     assert verify_all(ETA, ids=ids, with_oracle=with_oracle) == expected
     assert len(calls) == len(ids)
     calls.clear()
-    assert verify_entry("d3.A4", ETA) == expected.reports[2]
+    assert verify_all(ETA, ids=["d3.A4"]).reports == expected.reports[2:3]
     assert len(calls) == 1
 
 

@@ -67,6 +67,16 @@ MUTANTS = {
         "key = tuple(map(id, tables)), tuple([(m.rows, n.rows) for m, n in pairs])",
         "key = tuple([(m.rows, n.rows) for m, n in pairs])",
     ),
+    "analysis-onesided-reads-left-series": (
+        NILPOTENCY,
+        'onesided=_onesided(t.tables, series["full"], spans),',
+        'onesided=_onesided(t.tables, series["left"], spans),',
+    ),
+    "analysis-onesided-reads-right-series": (
+        NILPOTENCY,
+        'onesided=_onesided(t.tables, series["full"], spans),',
+        'onesided=_onesided(t.tables, series["right"], spans),',
+    ),
     "full-series-stop-rule": (
         NILPOTENCY,
         'since = k - 1 if kind != "full" else (k + 1) // 2',
