@@ -24,7 +24,6 @@ from .axioms import (
     subadjacent_bracket,
 )
 from .cocycles import (
-    ScalarForm,
     VectorForm,
     is_nondegenerate,
     rhizaform_from_cocycle,
@@ -58,7 +57,6 @@ from .family import (
 from .nilpotency import Subspace, analyze, diamond
 from .operators import (
     Bimodule,
-    LinearOperator,
     check_bimodule,
     check_homomorphism,
     check_o_operator,

@@ -275,10 +275,6 @@ class LinearMap:
         m = Matrix.from_rows(rows)
         return cls(m.rows, m)
 
-    @classmethod
-    def from_columns(cls, columns) -> LinearMap:
-        return cls.from_rows(Matrix.from_rows(columns).transpose().to_rows())
-
     def image_of_basis(self, i: int) -> Vector:
         return self.matrix.column(i)
 

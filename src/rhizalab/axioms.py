@@ -394,7 +394,7 @@ def subadjacent_bracket(a: HomAlgebra) -> BilinearOp:
     return _combination((1, a.succ, False), (1, a.prec, False), (1, a.succ, True), (1, a.prec, True))
 
 
-def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> LinearMap:
+def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Matrix:
     """Matrix of ad_z under either printed convention.
 
     ``star``:  ad_z(x) = z * x - x * z  with * the working single product;
@@ -418,20 +418,20 @@ def inner_derivation(z: Vector, a: HomAlgebra, convention: str = "star") -> Line
         _product_into(col, left, zs, ((i, 1),))
         _product_into(col, right, ((i, 1),), zs, -1)
         cols.append([Fraction(v, t.d**2) for v in col])
-    return LinearMap.from_columns(cols)
+    return Matrix.from_rows(cols).transpose()
 
 
-def _require_rb_shape(r, a: HomAlgebra) -> None:
-    """Refuse the map ``r`` (a ``LinearMap`` or an ``operators.LinearOperator``) unless its matrix acts on ``a``."""
-    if r.matrix.rows != a.dim or r.matrix.cols != a.dim:
+def _require_rb_shape(r: Matrix, a: HomAlgebra) -> None:
+    """Refuse the map ``r`` unless it acts on ``a``."""
+    if r.rows != a.dim or r.cols != a.dim:
         raise DimensionMismatch("operator must act on the algebra")
 
 
-def check_alpha_derivation(d, a: HomAlgebra, product_name: str) -> CheckReport:
+def check_alpha_derivation(d: Matrix, a: HomAlgebra, product_name: str) -> CheckReport:
     """Twisted Leibniz rule D(x o y) = D(x) o alpha(y) + alpha(x) o D(y), for a map ``d`` on the algebra
     (``_require_rb_shape``): the two-term homomorphism residual of D (``_homomorphism_violations``)."""
     _require_rb_shape(d, a)
-    t = _twisted([a.product(product_name)], a.alpha, d.matrix)
+    t = _twisted([a.product(product_name)], a.alpha, d)
     table, (dcols,) = t.tables[0], t.mats
     terms = [(-1, [_left_columns(table, x, a.dim) for x in dcols], t.twist), (-1, t.left[0], dcols)]
     violations = _homomorphism_violations("leibniz", dcols, table, terms, t.d, t.scale)

@@ -31,11 +31,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .. import oracle
-from ..algmodel import _NAME_RE, HomAlgebra, parse_algebra_obj, sum_product
+from ..algmodel import HomAlgebra, parse_algebra_obj, sum_product
 from ..axioms import CheckReport, _split_report, _sum_anti_associative, _view
 from ..cocycles import _vector_cocycle_dim
 from ..errors import ParseError, UnboundParameter, UnknownEntry
-from ..nilpotency import NilpotencyVerdict, _analysis
+from ..nilpotency import NilpotencyAnalysis, _analysis
 
 _DATA = Path(__file__).parent / "data" / "v1"
 _ID_RE = re.compile(r"d(?P<dim>[23])\.A(?P<num>\d+)$")
@@ -53,15 +53,6 @@ class CatalogEntry:
     @property
     def expected_cocycle_dim(self) -> int:
         return len({name for *_ijk, name in self.expected_components})
-
-    @property
-    def parameters(self) -> tuple[str, ...]:
-        """The parameter names the stored twist maps and products hold, read by the parser's rule."""
-        doc = self.algebra_doc
-        tokens = [co for key in ("alpha", "beta") for row in doc.get(key) or [] for co in row]
-        tokens += [entry[-1] for key in ("succ", "prec", "mul") for entry in doc.get(key, [])]
-        texts = (co.strip() for co in tokens if isinstance(co, str))
-        return tuple(sorted({s.lstrip("-") for s in texts if _NAME_RE.match(s)}))
 
     def algebra(self, params: dict[str, Fraction] | None = None) -> HomAlgebra:
         """Fully rational algebra of the entry; raises UnboundParameter, prefixed with the entry like a
@@ -115,66 +106,67 @@ def load_entry(entry_id: str, params: dict[str, Fraction] | None = None) -> HomA
 
 @dataclass(frozen=True)
 class EntryReport:
-    entry_id: str
-    dim: int
-    tag: str
+    """One entry's report: the entry, its split report, the dimension of its algebra-valued
+    cyclic-form space and its nilpotency analysis, which every other reading is derived from."""
+
+    entry: CatalogEntry
     rhizaform: CheckReport
-    multiplicative: dict[str, bool]
-    tag_agrees: bool
     cocycle_dim: int
-    expected_cocycle_dim: int
-    nilpotent: NilpotencyVerdict
-    series_equality: CheckReport
-    onesided: CheckReport
-    two_nilpotent: CheckReport
-    alpha_stability: CheckReport | None
-    notes: tuple[str, ...]
+    nilpotency: NilpotencyAnalysis
+
+    @property
+    def multiplicative(self) -> dict[str, bool]:
+        return {name: self.rhizaform.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
+
+    @property
+    def tag_agrees(self) -> bool:
+        return (self.entry.tag == "m") == all(self.multiplicative.values())
 
     @property
     def cocycle_agrees(self) -> bool:
-        return self.cocycle_dim == self.expected_cocycle_dim
+        return self.cocycle_dim == self.entry.expected_cocycle_dim
 
     def findings(self) -> list[str]:
-        out = []
+        out, eid, nil = [], self.entry.entry_id, self.nilpotency
         ids = self.rhizaform.failed_ids()
         if ids:
-            out.append(f"{self.entry_id}: split identities failing: {', '.join(ids)}")
+            out.append(f"{eid}: split identities failing: {', '.join(ids)}")
         if not self.tag_agrees:
-            claimed = "multiplicative" if self.tag == "m" else "non-multiplicative"
-            out.append(
-                f"{self.entry_id}: tagged {claimed} but computed "
-                f"succ={self.multiplicative['succ']}, prec={self.multiplicative['prec']}"
-            )
+            claimed = "multiplicative" if self.entry.tag == "m" else "non-multiplicative"
+            mult = self.multiplicative
+            out.append(f"{eid}: tagged {claimed} but computed succ={mult['succ']}, prec={mult['prec']}")
         if not self.cocycle_agrees:
             out.append(
-                f"{self.entry_id}: cyclic-form space has dimension {self.cocycle_dim}, "
-                f"table lists {self.expected_cocycle_dim} free constants"
+                f"{eid}: cyclic-form space has dimension {self.cocycle_dim}, "
+                f"table lists {self.entry.expected_cocycle_dim} free constants"
             )
-        if not self.series_equality.passed:
-            out.append(f"{self.entry_id}: power series disagree termwise")
-        if not self.onesided.passed:
-            out.append(f"{self.entry_id}: one-sided nilpotency biconditional fails")
+        if not nil.series_equality.passed:
+            out.append(f"{eid}: power series disagree termwise")
+        if not nil.onesided.passed:
+            out.append(f"{eid}: one-sided nilpotency biconditional fails")
         return out
 
     def to_obj(self) -> dict:
+        entry, nil = self.entry, self.nilpotency
+        full = nil.verdicts["full"]
         return {
-            "id": self.entry_id,
-            "dim": self.dim,
-            "tag": self.tag,
+            "id": entry.entry_id,
+            "dim": entry.dim,
+            "tag": entry.tag,
             "rhizaform_passed": self.rhizaform.passed,
             "rhizaform_failed_ids": list(self.rhizaform.failed_ids()),
-            "multiplicative": {k: self.multiplicative[k] for k in sorted(self.multiplicative)},
+            "multiplicative": dict(sorted(self.multiplicative.items())),
             "tag_agrees": self.tag_agrees,
             "cocycle_dim": self.cocycle_dim,
-            "cocycle_expected": self.expected_cocycle_dim,
+            "cocycle_expected": entry.expected_cocycle_dim,
             "cocycle_agrees": self.cocycle_agrees,
-            "nilpotent": self.nilpotent.nilpotent,
-            "nilpotency_index": self.nilpotent.index,
-            "series_equality": self.series_equality.passed,
-            "onesided_theorem": self.onesided.passed,
-            "two_nilpotent": self.two_nilpotent.passed,
-            "alpha_stable": None if self.alpha_stability is None else self.alpha_stability.passed,
-            "notes": list(self.notes),
+            "nilpotent": full.nilpotent,
+            "nilpotency_index": full.index,
+            "series_equality": nil.series_equality.passed,
+            "onesided_theorem": nil.onesided.passed,
+            "two_nilpotent": nil.two_nilpotent.passed,
+            "alpha_stable": None if nil.alpha_stability is None else nil.alpha_stability.passed,
+            "notes": list(entry.notes),
             "findings": self.findings(),
         }
 
@@ -185,40 +177,22 @@ def _verified(entry_id: str, params, with_oracle: bool) -> tuple[EntryReport, li
     entry = load_catalog_entry(entry_id)
     a = entry.algebra(params)
     view = _view(a)
-    rhiza = _split_report(view, True)  # check_rhizaform
-    multiplicative = {name: rhiza.identity_passed(f"mult_{name}") for name in ("succ", "prec")}
-    nil = _analysis(view)  # analyze
-    report = EntryReport(
-        entry_id=entry.entry_id,
-        dim=entry.dim,
-        tag=entry.tag,
-        rhizaform=rhiza,
-        multiplicative=multiplicative,
-        tag_agrees=(entry.tag == "m") == all(multiplicative.values()),
-        cocycle_dim=_vector_cocycle_dim(view),
-        expected_cocycle_dim=entry.expected_cocycle_dim,
-        nilpotent=nil.verdicts["full"],
-        series_equality=nil.series_equality,
-        onesided=nil.onesided,
-        two_nilpotent=nil.two_nilpotent,
-        alpha_stability=nil.alpha_stability,
-        notes=entry.notes,
-    )
-    return report, oracle_disagreements(entry_id, a, report, view) if with_oracle else []
+    # check_rhizaform and analyze
+    report = EntryReport(entry, _split_report(view, True), _vector_cocycle_dim(view), _analysis(view))
+    return report, _oracle_disagreements(a, report, view) if with_oracle else []
 
 
-def oracle_disagreements(entry_id: str, a: HomAlgebra, report: EntryReport, view) -> list[str]:
+def _oracle_disagreements(a: HomAlgebra, report: EntryReport, view) -> list[str]:
     """Diff harness verdicts against the brute-force evaluator; ``view`` is the integer view of
     ``a`` (``axioms._view``) that ``report`` was made from."""
-    out = []
-    oracle_ids = oracle.rhizaform_identities(a)
-    for ident, ok in oracle_ids.items():
+    out, eid = [], report.entry.entry_id
+    for ident, ok in oracle.rhizaform_identities(a).items():
         if report.rhizaform.identity_passed(ident) != ok:
-            out.append(f"{entry_id}: checker vs oracle on {ident}")
+            out.append(f"{eid}: checker vs oracle on {ident}")
     if _sum_anti_associative(view) != oracle.anti_associative(sum_product(a), a.alpha):
-        out.append(f"{entry_id}: checker vs oracle on anti_assoc(sum)")
-    if report.two_nilpotent.passed != oracle.two_nilpotent(a):
-        out.append(f"{entry_id}: checker vs oracle on 2-nilpotency")
+        out.append(f"{eid}: checker vs oracle on anti_assoc(sum)")
+    if report.nilpotency.two_nilpotent.passed != oracle.two_nilpotent(a):
+        out.append(f"{eid}: checker vs oracle on 2-nilpotency")
     return out
 
 
@@ -246,12 +220,13 @@ class CatalogSummary:
         )
         lines = [header, "-" * len(header)]
         for r in self.reports:
-            nil = f"yes(idx {r.nilpotent.index})" if r.nilpotent.nilpotent else "no"
-            coc = f"{r.cocycle_dim} vs {r.expected_cocycle_dim}"
+            full, nil = r.nilpotency.verdicts["full"], r.nilpotency
+            verdict = f"yes(idx {full.index})" if full.nilpotent else "no"
+            coc = f"{r.cocycle_dim} vs {r.entry.expected_cocycle_dim}"
             lines.append(
-                f"{r.entry_id:<8} {r.tag:<4} {str(r.rhizaform.passed):<6} "
+                f"{r.entry.entry_id:<8} {r.entry.tag:<4} {str(r.rhizaform.passed):<6} "
                 f"{str(all(r.multiplicative.values())):<5} {coc:<12} "
-                f"{nil:<12} {str(r.series_equality.passed):<7} {str(r.onesided.passed):<8}"
+                f"{verdict:<12} {str(nil.series_equality.passed):<7} {str(nil.onesided.passed):<8}"
             )
         if self.findings:
             lines.append("")

@@ -75,9 +75,12 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for item in items or []:
         name, eq, value = item.partition("=")
-        if not eq or not _PARAM_NAME.fullmatch(name.strip()):
+        name = name.strip()
+        if not eq or not _PARAM_NAME.fullmatch(name):
             raise RhizalabError(f"--param wants name=p/q, got {item!r}")
-        out[name.strip()] = rational(value.strip())
+        if name in out:  # a second binding would silently replace the first
+            raise RhizalabError(f"--param {name} given twice")
+        out[name] = rational(value.strip())
     return out
 
 
@@ -214,13 +217,13 @@ CHECKS = {
         ("operator", "bimodule"),
         lambda a, x: check_o_operator(x.operator, a, x.bimodule),
         lambda a, x: oracle.o_operator(
-            x.operator.matrix, a.mul, a.alpha, x.bimodule.left, x.bimodule.right, x.bimodule.beta
+            x.operator, a.mul, a.alpha, x.bimodule.left, x.bimodule.right, x.bimodule.beta
         ),
     ),
     "rota-baxter": (
         ("operator",),
         lambda a, x: check_rota_baxter(x.operator, a),
-        lambda a, x: oracle.rota_baxter(x.operator.matrix, a.mul, a.alpha),
+        lambda a, x: oracle.rota_baxter(x.operator, a.mul, a.alpha),
     ),
     "homomorphism": (("operator", "target"), lambda a, x: check_homomorphism(x.operator, a, x.target), None),
 }
@@ -237,7 +240,7 @@ INDUCTIONS = {
     "bracket": ((), lambda a, x: _algebra_out(HomAlgebra.mono(subadjacent_bracket(a), a.alpha))),
     "inner-derivation": (
         ("z",),
-        lambda a, x: {"D": _matrix_obj(inner_derivation(x.z, a, convention=x.convention).matrix)},
+        lambda a, x: {"D": _matrix_obj(inner_derivation(x.z, a, convention=x.convention))},
     ),
     "rb": (
         ("operator",),
@@ -268,7 +271,7 @@ def _family_associated(f, x) -> dict:
 
 def _family_collapse(rf, x) -> dict:
     big, big_r = tensor_collapse(x.algebra, rf)
-    return {"algebra": serialize_algebra_obj(big), "T": _matrix_obj(big_r.matrix)}
+    return {"algebra": serialize_algebra_obj(big), "T": _matrix_obj(big_r)}
 
 
 # --do -> (what FILE holds, options it needs, action on (FILE loaded, x) giving a report or an output document).
@@ -328,13 +331,13 @@ def cmd_cocycles(args) -> int:
         obj = {
             "kind": "scalar",
             "dimension": len(basis),
-            "basis": [{"B": _matrix_obj(b.matrix), "nondegenerate": nd} for b, nd in zip(basis, nondegenerate)],
+            "basis": [{"B": _matrix_obj(b), "nondegenerate": nd} for b, nd in zip(basis, nondegenerate)],
         }
 
         def table():
             lines = [f"scalar cyclic-form space: dimension {len(basis)}"]
             for idx, (b, nd) in enumerate(zip(basis, nondegenerate)):
-                lines.append(f"  basis[{idx}] nondegenerate={nd}: {b.matrix!r}")
+                lines.append(f"  basis[{idx}] nondegenerate={nd}: {b!r}")
             return "\n".join(lines)
     else:
         basis = vector_cocycle_space(a, strict=args.strict)

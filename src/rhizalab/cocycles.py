@@ -5,9 +5,10 @@ components must satisfy the cyclic condition
 B(x*y, alpha(z)) + B(y*z, alpha(x)) + B(z*x, alpha(y)) = 0, and the whole
 form one second condition.  The two readings are the two widths:
 
-* ``ScalarForm`` (w = 1), valued in the ground field, with invariance
-  B(alpha(x), alpha(y)) = B(x, y).  This is the reading that supports
-  nondegeneracy and hence the induced splitting.
+* A scalar form (w = 1), valued in the ground field, with invariance
+  B(alpha(x), alpha(y)) = B(x, y).  It is its Gram ``Matrix``,
+  B[p][q] = B(e_p, e_q).  This is the reading that supports nondegeneracy
+  and hence the induced splitting.
 * ``VectorForm`` (w = n), valued in the algebra, with the twist
   compatibility alpha(w(x, y)) = w(alpha(x), alpha(y)).  This is the
   reading the low-dimensional tables follow.
@@ -42,18 +43,6 @@ from .axioms import Violation, _sum_anti_associative, _Twisted, _view
 from .errors import DimensionMismatch, NotACocycle, NotAntiAssociative
 from .exactlin import F0, Matrix, _cleared, _forward, _kernel, invert, rank
 from .operators import _transported, _transposed
-
-
-@dataclass(frozen=True)
-class ScalarForm:
-    """Field-valued bilinear form; B(e_i, e_j) = matrix[i][j]."""
-
-    dim: int
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
-            raise DimensionMismatch("form matrix must be dim x dim")
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -228,9 +217,11 @@ def _solved(view: _Twisted, strict: bool, width: int, second) -> list[tuple[list
     return [(_spread(enumerate(c), block, width, n2), d * d_c) for c, d_c in _kernel(rows, size * width)]
 
 
-def scalar_cocycle_residuals(a: HomAlgebra, b: ScalarForm) -> list[Violation]:
-    """Direct substitution of one form into the cyclic and invariance rows."""
-    return _violations(_view(a), b.matrix.entries, 1, 1, "invariance", _invariance_rows)
+def scalar_cocycle_residuals(a: HomAlgebra, b: Matrix) -> list[Violation]:
+    """Direct substitution of one form, its Gram matrix ``b``, into the cyclic and invariance rows."""
+    if b.rows != b.cols:  # n^2 entries in another shape are no form on the algebra
+        raise DimensionMismatch("form and algebra dimensions differ")
+    return _violations(_view(a), b.entries, 1, 1, "invariance", _invariance_rows)
 
 
 def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
@@ -239,11 +230,12 @@ def vector_cocycle_residuals(a: HomAlgebra, w: VectorForm) -> list[Violation]:
     return _violations(_view(a), form, w.d, a.dim, "compat", _twist_rows)
 
 
-def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[ScalarForm]:
-    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns, column p*n + q)."""
+def scalar_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[Matrix]:
+    """Kernel basis of the scalar cyclic + invariance conditions (n^2 unknowns, column p*n + q), as Gram
+    matrices."""
     n = a.dim
     forms = _solved(_view(a), strict, 1, _invariance_rows)
-    return [ScalarForm(n, Matrix(n, n, [Fraction(x, d) if x else F0 for x in v])) for v, d in forms]
+    return [Matrix(n, n, [Fraction(x, d) if x else F0 for x in v]) for v, d in forms]
 
 
 def vector_cocycle_space(a: HomAlgebra, strict: bool = False) -> list[VectorForm]:
@@ -263,12 +255,12 @@ def _vector_cocycle_dim(view: _Twisted) -> int:
     return size * n - len(_forward(rows))
 
 
-def is_nondegenerate(b: ScalarForm) -> bool:
-    """True exactly when the form matrix has full rank."""
-    return rank(b.matrix) == b.dim
+def is_nondegenerate(b: Matrix) -> bool:
+    """True exactly when the Gram matrix ``b`` is square and has full rank."""
+    return b.rows == b.cols == rank(b)
 
 
-def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) -> HomAlgebra:
+def rhizaform_from_cocycle(a: HomAlgebra, b: Matrix, strict: bool = True) -> HomAlgebra:
     """Solve B(x succ y, z) = B(y, z*x) and B(x prec y, z) = B(x, y*z) for the splits.
 
     Needs b nondegenerate (Singular otherwise); in strict mode b must lie in
@@ -282,12 +274,12 @@ def rhizaform_from_cocycle(a: HomAlgebra, b: ScalarForm, strict: bool = True) ->
     (``operators._transposed``), and every cell is at D^3.
     """
     n = a.dim
-    if b.dim != n:
+    if (b.rows, b.cols) != (n, n):
         raise DimensionMismatch("form and algebra dimensions differ")
-    bt = b.matrix.transpose()
+    bt = b.transpose()
     t = _view(a, bt, invert(bt))  # Singular for degenerate forms
     if strict:
-        bad = _violations(t, b.matrix.entries, 1, 1, "invariance", _invariance_rows)
+        bad = _violations(t, b.entries, 1, 1, "invariance", _invariance_rows)
         if bad:
             raise NotACocycle(f"form violates {sorted({v.identity_id for v in bad})}")
     back, images = t.mats

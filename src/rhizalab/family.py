@@ -38,7 +38,7 @@ from .axioms import (
 )
 from .errors import DimensionMismatch, NotARotaBaxterOperator
 from .exactlin import Matrix
-from .operators import LinearOperator, _cleared, _o_report, _split
+from .operators import _cleared, _o_report, _split
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,18 @@ class RBFamily:
     """One weight-zero averaging operator per semigroup element."""
 
     semigroup: Semigroup
-    operators: dict[int, LinearOperator]
+    operators: dict[int, Matrix]
 
     def __post_init__(self):
         if set(self.operators) != set(range(self.semigroup.size)):
             raise DimensionMismatch("need one operator per semigroup element")
-        dims = {(t.source_dim, t.target_dim) for t in self.operators.values()}
+        dims = {(t.rows, t.cols) for t in self.operators.values()}
         if len(dims) > 1 or any(s != t for s, t in dims):
             raise DimensionMismatch("family operators must be square and equal-dimensional")
 
     @property
     def dim(self) -> int:
-        return next(iter(self.operators.values())).source_dim
+        return next(iter(self.operators.values())).cols
 
 
 def check_rhizaform_family(f: FamilyAlgebra) -> CheckReport:
@@ -188,7 +188,7 @@ def check_rb_family(rf: RBFamily, a: HomAlgebra) -> CheckReport:
     """R_lam(x) * R_omega(y) = R_{lam.omega}(R_lam(x) * y + x * R_omega(y)), each R twist-equivariant."""
     mul = a.mul
     _require_family_shape(rf, a)
-    c = _cleared(mul, a.alpha, [rf.operators[lam].matrix for lam in range(rf.semigroup.size)])
+    c = _cleared(mul, a.alpha, [rf.operators[lam] for lam in range(rf.semigroup.size)])
     return _o_report("rb_family", "rb_identity", c, [_split(c.left, c.right, op) for op in c.ops], rf.semigroup)
 
 
@@ -199,7 +199,7 @@ def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -
     """
     _require_family_shape(rf, a)
     s = rf.semigroup
-    c = _cleared(a.mul, a.alpha, [rf.operators[lam].matrix for lam in range(s.size)])
+    c = _cleared(a.mul, a.alpha, [rf.operators[lam] for lam in range(s.size)])
     splits = [_split(c.left, c.right, op) for op in c.ops]
     if strict and not (rep := _o_report("rb_family", "rb_identity", c, splits, s)).passed:
         raise NotARotaBaxterOperator(f"family fails {rep.failed_ids()}")
@@ -207,7 +207,7 @@ def induced_family_rhizaform(rf: RBFamily, a: HomAlgebra, strict: bool = True) -
     return FamilyAlgebra(a.dim, s, succ, prec, a.alpha, dict(a.params))
 
 
-def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOperator]:
+def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, Matrix]:
     """One algebra on dim * size coordinates plus the stacked operator.
 
     Basis (i, lam) maps to index i * size + lam; the product multiplies
@@ -241,5 +241,5 @@ def tensor_collapse(a: HomAlgebra, rf: RBFamily) -> tuple[HomAlgebra, LinearOper
         return Matrix.from_rows(rows)
 
     big_alpha = LinearMap(big, block_diagonal([a.alpha.matrix] * s))
-    big_r = LinearOperator(big, big, block_diagonal([rf.operators[lam].matrix for lam in range(s)]))
+    big_r = block_diagonal([rf.operators[lam] for lam in range(s)])
     return HomAlgebra.mono(big_mul, big_alpha, dict(a.params)), big_r

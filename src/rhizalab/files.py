@@ -23,10 +23,10 @@ from .algmodel import (
     _read_matrix,
     parse_algebra,
 )
-from .cocycles import ScalarForm
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .family import FamilyAlgebra, RBFamily, Semigroup
-from .operators import Bimodule, LinearOperator
+from .exactlin import Matrix
+from .operators import Bimodule
 
 
 def _read_text(path: str) -> str:
@@ -47,12 +47,11 @@ def load_algebra(path: str, bindings: dict[str, Fraction]) -> HomAlgebra:
     return parse_algebra(_read_text(path), bindings)
 
 
-def read_operator(doc) -> LinearOperator:
+def read_operator(doc) -> Matrix:
     """``{"T": rows}`` (or ``"R"``, ``"D"``, ``"matrix"``), a target x source matrix."""
     for key in ("T", "R", "D", "matrix"):
         if isinstance(doc, dict) and key in doc:
-            m = _read_matrix(doc[key], f"operator.{key}", None, {})
-            return LinearOperator(m.cols, m.rows, m)
+            return _read_matrix(doc[key], f"operator.{key}", None, {})
     raise ParseError("operator: no operator section ('T')")
 
 
@@ -76,10 +75,12 @@ def bimodule_obj(m: Bimodule) -> dict:
     return {"alg_dim": m.alg_dim, "mod_dim": m.mod_dim, **sides, "beta": _matrix_obj(m.beta.matrix)}
 
 
-def read_form(doc) -> ScalarForm:
-    """``{"B": rows}``, the Gram matrix of a scalar form."""
+def read_form(doc) -> Matrix:
+    """``{"B": rows}``, the Gram matrix of a scalar form, which must be square."""
     m = _read_matrix(_field(doc, "B", "form", list), "form.B", None, {})
-    return ScalarForm(m.rows, m)
+    if m.rows != m.cols:
+        raise DimensionMismatch("form matrix must be dim x dim")
+    return m
 
 
 def read_semigroup(doc, where: str) -> Semigroup:
@@ -141,6 +142,5 @@ def read_rb_family(doc) -> RBFamily:
     s = read_semigroup(doc, "rb_family")
     ops, known = {}, {}
     for lam, rows in enumerate(_per_element(doc, "operators", "rb_family", s.size)):
-        m = _read_matrix(rows, f"rb_family.operators.{lam}", None, known)
-        ops[lam] = LinearOperator(m.cols, m.rows, m)
+        ops[lam] = _read_matrix(rows, f"rb_family.operators.{lam}", None, known)
     return RBFamily(s, ops)

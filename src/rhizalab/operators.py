@@ -56,35 +56,6 @@ from .exactlin import F0, Matrix, invert
 
 
 @dataclass(frozen=True)
-class LinearOperator:
-    """Linear map between (possibly different) spaces; matrix is target x source."""
-
-    source_dim: int
-    target_dim: int
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target_dim or self.matrix.cols != self.source_dim:
-            raise DimensionMismatch(
-                f"operator matrix must be {self.target_dim}x{self.source_dim}, "
-                f"got {self.matrix.rows}x{self.matrix.cols}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows) -> LinearOperator:
-        m = Matrix.from_rows(rows)
-        return cls(m.cols, m.rows, m)
-
-    @classmethod
-    def identity(cls, dim: int) -> LinearOperator:
-        return cls(dim, dim, Matrix.identity(dim))
-
-    @classmethod
-    def zero(cls, source_dim: int, target_dim: int) -> LinearOperator:
-        return cls(source_dim, target_dim, Matrix.zero(target_dim, source_dim))
-
-
-@dataclass(frozen=True)
 class Bimodule:
     """Module data (M, left, right, beta) over an algebra of dimension alg_dim."""
 
@@ -194,8 +165,8 @@ def check_bimodule(a: HomAlgebra, m: Bimodule) -> CheckReport:
     return CheckReport.collect("bimodule", violations)
 
 
-def _require_o_shapes(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> None:
-    if t.source_dim != m.mod_dim or t.target_dim != a.dim:
+def _require_o_shapes(t: Matrix, a: HomAlgebra, m: Bimodule) -> None:
+    if t.cols != m.mod_dim or t.rows != a.dim:
         raise DimensionMismatch("operator must map the module into the algebra")
 
 
@@ -249,19 +220,19 @@ def _o_report(name: str, ident: str, c: _Cleared, splits, s=None) -> CheckReport
     return CheckReport.collect(name, violations)
 
 
-def check_o_operator(t: LinearOperator, a: HomAlgebra, m: Bimodule) -> CheckReport:
+def check_o_operator(t: Matrix, a: HomAlgebra, m: Bimodule) -> CheckReport:
     """T beta = alpha T and T(u)*T(v) = T(L(T(u))v + R(T(v))u) on module pairs."""
     mul = a.mul
     _require_o_shapes(t, a, m)
-    c = _cleared(mul, a.alpha, [t.matrix], m)
+    c = _cleared(mul, a.alpha, [t], m)
     return _o_report("o_operator", "o_identity", c, [_split(c.left, c.right, c.ops[0])])
 
 
-def check_rota_baxter(r: LinearOperator, a: HomAlgebra) -> CheckReport:
+def check_rota_baxter(r: Matrix, a: HomAlgebra) -> CheckReport:
     """Weight-zero averaging identity R(x)*R(y) = R(R(x)*y + x*R(y)), with R alpha = alpha R."""
     mul = a.mul
     _require_rb_shape(r, a)
-    c = _cleared(mul, a.alpha, [r.matrix])
+    c = _cleared(mul, a.alpha, [r])
     return _o_report("rota_baxter", "rb_identity", c, [_split(c.left, c.right, c.ops[0])])
 
 
@@ -278,45 +249,45 @@ def _split(left, right, images) -> tuple[list, list]:
 
 
 def induced_rhizaform_from_o_operator(
-    t: LinearOperator, a: HomAlgebra, m: Bimodule, strict: bool = True
+    t: Matrix, a: HomAlgebra, m: Bimodule, strict: bool = True
 ) -> HomAlgebra:
     """Split products on the module: u succ v = L(T(u))v, u prec v = R(T(v))u.
 
     One clearing serves the strict check and the splitting; every cell is at D^2.
     """
     _require_o_shapes(t, a, m)
-    c = _cleared(a.mul if strict else None, a.alpha, [t.matrix], m)
+    c = _cleared(a.mul if strict else None, a.alpha, [t], m)
     split = _split(c.left, c.right, c.ops[0])
     if strict and not (rep := _o_report("o_operator", "o_identity", c, [split])).passed:
         raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     return HomAlgebra.rhizaform(*(BilinearOp._from_table(tb, c.d**2) for tb in split), m.beta)
 
 
-def induced_rhizaform_from_rb(r: LinearOperator, a: HomAlgebra, strict: bool = True) -> HomAlgebra:
+def induced_rhizaform_from_rb(r: Matrix, a: HomAlgebra, strict: bool = True) -> HomAlgebra:
     """Split products x succ y = R(x)*y and x prec y = x*R(y) on the algebra.
 
     One clearing serves the strict check and the splitting; every cell is at D^2.
     """
     _require_rb_shape(r, a)
-    c = _cleared(a.mul, a.alpha, [r.matrix])
+    c = _cleared(a.mul, a.alpha, [r])
     split = _split(c.left, c.right, c.ops[0])
     if strict and not (rep := _o_report("rota_baxter", "rb_identity", c, [split])).passed:
         raise NotARotaBaxterOperator(f"operator fails {rep.failed_ids()}")
     return HomAlgebra.rhizaform(*(BilinearOp._from_table(tb, c.d**2) for tb in split), a.alpha)
 
 
-def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
+def check_homomorphism(f: Matrix, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
     """f(x o1 y) = f(x) o2 f(y) for every named product, and alpha2 f = f alpha1.
 
     Over int, with both algebras' products and twists and f cleared by one D,
     f(x o1 y) is at D^2 and is lifted by D to the right side's D^3.
     """
-    if f.source_dim != a1.dim or f.target_dim != a2.dim:
+    if f.cols != a1.dim or f.rows != a2.dim:
         raise DimensionMismatch("map endpoints do not match the two algebras")
     if set(a1.products) != set(a2.products):
         raise DimensionMismatch("algebras of different kinds admit no product-wise comparison")
     names = sorted(a1.products)
-    t = _twisted([a.products[name] for a in (a1, a2) for name in names], a1.alpha, f.matrix, a2.alpha.matrix)
+    t = _twisted([a.products[name] for a in (a1, a2) for name in names], a1.alpha, f, a2.alpha.matrix)
     images, twist2 = t.mats
     cols = _products_sum(a2.dim, (1, images, t.twist), (-1, twist2, images))  # f alpha1 - alpha2 f
     violations = list(_column_violations("equivariance", cols, t.d**2))
@@ -328,7 +299,7 @@ def check_homomorphism(f: LinearOperator, a1: HomAlgebra, a2: HomAlgebra) -> Che
 
 
 def compatible_from_invertible_o_operator(
-    t: LinearOperator, a: HomAlgebra, m: Bimodule, strict: bool = True
+    t: Matrix, a: HomAlgebra, m: Bimodule, strict: bool = True
 ) -> HomAlgebra:
     """Transport the induced splitting along an invertible operator back to the algebra.
 
@@ -336,11 +307,11 @@ def compatible_from_invertible_o_operator(
     two outputs recovers the original product exactly.  One clearing, T^-1
     included, serves the strict check and the transport; every cell is at D^3.
     """
-    if t.source_dim != t.target_dim:
+    if t.rows != t.cols:
         raise Singular("operator between spaces of different dimension is not invertible")
-    t_inv = invert(t.matrix)  # raises Singular when degenerate
+    t_inv = invert(t)  # raises Singular when degenerate
     _require_o_shapes(t, a, m)
-    c = _cleared(a.mul if strict else None, a.alpha, [t.matrix, t_inv], m)
+    c = _cleared(a.mul if strict else None, a.alpha, [t, t_inv], m)
     if strict and not (rep := _o_report("o_operator", "o_identity", c, [_split(c.left, c.right, c.ops[0])])).passed:
         raise NotAnOOperator(f"operator fails {rep.failed_ids()}")
     return HomAlgebra.rhizaform(*_transported(c.left, c.right, *c.ops, c.d**3), a.alpha)

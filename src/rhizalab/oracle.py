@@ -188,8 +188,8 @@ def pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> bool:
     return True
 
 
-def alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> bool:
-    c, al, di, n = _table(a.product(product_name)), _images(a.alpha.matrix), _images(d.matrix), a.dim
+def alpha_derivation(d: Matrix, a: HomAlgebra, product_name: str) -> bool:
+    c, al, di, n = _table(a.product(product_name)), _images(a.alpha.matrix), _images(d), a.dim
     for i in range(n):
         for j in range(n):
             lhs = _apply(di, c[i][j])

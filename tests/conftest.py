@@ -14,9 +14,9 @@ from rhizalab import nilpotency
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import CheckReport, _view, check_hom_anti_associative
 from rhizalab.catalog import entry_ids, load_entry
-from rhizalab.cocycles import ScalarForm, is_nondegenerate
+from rhizalab.cocycles import is_nondegenerate
 from rhizalab.exactlin import Matrix, invert
-from rhizalab.operators import LinearOperator, check_rota_baxter
+from rhizalab.operators import check_rota_baxter
 from tests.fraction_checkers import apply, basis_vec, eval_product, scaled, times, vec_add, vec_is_zero
 
 F = Fraction
@@ -128,12 +128,12 @@ def padded_term(terms, g: int):
     return terms[min(g, len(terms)) - 1]
 
 
-def rb_grid(algebra: HomAlgebra, values=GRID_VALUES) -> list[LinearOperator]:
+def rb_grid(algebra: HomAlgebra, values=GRID_VALUES) -> list[Matrix]:
     """All 2x2 operators over the value grid passing the averaging identity."""
     assert algebra.dim == 2
     found = []
     for e in itertools.product(values, repeat=4):
-        op = LinearOperator.from_rows([[e[0], e[1]], [e[2], e[3]]])
+        op = Matrix.from_rows([[e[0], e[1]], [e[2], e[3]]])
         if check_rota_baxter(op, algebra).passed:
             found.append(op)
     return found
@@ -146,7 +146,7 @@ def z2_rb_family_fixture(algebra: HomAlgebra, values=SMALL):
 
     z2 = Semigroup.cyclic(2)
     mats = [
-        LinearOperator.from_rows([[e[0], e[1]], [e[2], e[3]]])
+        Matrix.from_rows([[e[0], e[1]], [e[2], e[3]]])
         for e in itertools.product(values, repeat=4)
     ]
     singles = [m for m in mats if check_rota_baxter(m, algebra).passed]
@@ -193,26 +193,26 @@ def plain_family_identities_hold(f) -> bool:
     return True
 
 
-def skew_subspace(space: list[ScalarForm], dim: int) -> list[ScalarForm]:
+def skew_subspace(space: list[Matrix], dim: int) -> list[Matrix]:
     """Basis of the antisymmetric part of a solved form space."""
     if not space:
         return []
     rows = []
     for p in range(dim):
         for q in range(p, dim):
-            rows.append([b.matrix.at(p, q) + b.matrix.at(q, p) for b in space])
+            rows.append([b.at(p, q) + b.at(q, p) for b in space])
     from rhizalab.exactlin import nullspace_basis
 
-    return [ScalarForm(dim, form_combination(y, space)) for y in nullspace_basis(Matrix.from_rows(rows))]
+    return [form_combination(y, space) for y in nullspace_basis(Matrix.from_rows(rows))]
 
 
-def form_combination(coeffs, space: list[ScalarForm]) -> Matrix:
-    """sum_t coeffs[t] * space[t].matrix"""
-    n = space[0].dim
-    return Matrix(n, n, [sum(c * b.matrix.entries[e] for c, b in zip(coeffs, space)) for e in range(n * n)])
+def form_combination(coeffs, space: list[Matrix]) -> Matrix:
+    """sum_t coeffs[t] * space[t]"""
+    n = space[0].rows
+    return Matrix(n, n, [sum(c * b.entries[e] for c, b in zip(coeffs, space)) for e in range(n * n)])
 
 
-def nondegenerate_in_span(space: list[ScalarForm], dim: int) -> ScalarForm | None:
+def nondegenerate_in_span(space: list[Matrix]) -> Matrix | None:
     """Deterministic search for a nondegenerate form in a solution space."""
     if not space:
         return None
@@ -220,11 +220,11 @@ def nondegenerate_in_span(space: list[ScalarForm], dim: int) -> ScalarForm | Non
         if is_nondegenerate(b):
             return b
     for b1, b2 in itertools.combinations(space, 2):
-        cand = ScalarForm(dim, form_combination((1, 1), (b1, b2)))
+        cand = form_combination((1, 1), (b1, b2))
         if is_nondegenerate(cand):
             return cand
     for coeffs in itertools.product((F(-1), F(1), F(2)), repeat=len(space)):
-        cand = ScalarForm(dim, form_combination(coeffs, space))
+        cand = form_combination(coeffs, space)
         if is_nondegenerate(cand):
             return cand
     return None

@@ -33,8 +33,8 @@ from rhizalab.exactlin import F0, F1, Matrix, _cleared, _kernel, invert, rationa
 from rhizalab.family import FamilyAlgebra, RBFamily
 from rhizalab.files import _per_element, read_semigroup
 from rhizalab.nilpotency import NilpotencyAnalysis, NilpotencyVerdict, Subspace
-from rhizalab.cocycles import ScalarForm, VectorForm
-from rhizalab.operators import Bimodule, LinearOperator
+from rhizalab.cocycles import VectorForm
+from rhizalab.operators import Bimodule
 from rhizalab.operators import _require_o_shapes as _require_operator_shape
 
 
@@ -67,7 +67,7 @@ def eval_product(op: BilinearOp, x, y) -> tuple:
 
 
 def apply(f, x) -> tuple:
-    """Matrix-vector product, for a Matrix or a LinearMap or LinearOperator (through its matrix)."""
+    """Matrix-vector product, for a Matrix or a LinearMap (through its matrix)."""
     m = getattr(f, "matrix", f)
     if len(x) != m.cols:
         raise DimensionMismatch(f"cannot apply {m.rows}x{m.cols} to len-{len(x)} vector")
@@ -98,11 +98,11 @@ def times(p: Matrix, q: Matrix) -> Matrix:
 
 
 def form_value(b, x, y) -> Fraction:
-    """B(x, y) for a ScalarForm b."""
+    """B(x, y) for the Gram matrix b of a scalar form."""
     out = F0
     for i, xi in enumerate(x):
         if xi:
-            row = b.matrix.row(i)
+            row = b.row(i)
             for j, yj in enumerate(y):
                 if yj:
                     out += xi * yj * row[j]
@@ -283,17 +283,17 @@ def pre_jacobi_jordan(mul: BilinearOp, alpha: LinearMap) -> CheckReport:
     return CheckReport.collect("pre_jacobi_jordan", violations)
 
 
-def alpha_derivation(d: LinearMap, a: HomAlgebra, product_name: str) -> CheckReport:
+def alpha_derivation(d: Matrix, a: HomAlgebra, product_name: str) -> CheckReport:
     op = a.product(product_name)
     n = a.dim
     violations = []
     for i in range(n):
-        di = d.image_of_basis(i)
+        di = d.column(i)
         ai = a.alpha.image_of_basis(i)
         for j in range(n):
             rhs = vec_add(
                 eval_product(op, di, a.alpha.image_of_basis(j)),
-                eval_product(op, ai, d.image_of_basis(j)),
+                eval_product(op, ai, d.column(j)),
             )
             resid = vec_sub(apply(d, op.entry(i, j)), rhs)
             if not vec_is_zero(resid):
@@ -330,7 +330,7 @@ def bimodule(a: HomAlgebra, m) -> CheckReport:
 def o_operator(t, a: HomAlgebra, m) -> CheckReport:
     mul = a.mul
     md = m.mod_dim
-    violations = list(_equivariance(t.matrix, m.beta.matrix, a.alpha.matrix, t.matrix))
+    violations = list(_equivariance(t, m.beta.matrix, a.alpha.matrix, t))
     for u in range(md):
         tu = apply(t, basis_vec(md, u))
         for v in range(md):
@@ -358,13 +358,13 @@ def _rb_violations(mul: BilinearOp, r_x, r_y, r_xy, prefix=()):
 
 
 def rota_baxter(r, a: HomAlgebra) -> CheckReport:
-    violations = list(_equivariance(r.matrix, a.alpha.matrix, a.alpha.matrix, r.matrix))
+    violations = list(_equivariance(r, a.alpha.matrix, a.alpha.matrix, r))
     violations.extend(_rb_violations(a.mul, r, r, r))
     return CheckReport.collect("rota_baxter", violations)
 
 
 def homomorphism(f, a1: HomAlgebra, a2: HomAlgebra) -> CheckReport:
-    violations = list(_equivariance(f.matrix, a1.alpha.matrix, a2.alpha.matrix, f.matrix))
+    violations = list(_equivariance(f, a1.alpha.matrix, a2.alpha.matrix, f))
     for name in sorted(a1.products):
         op1, op2 = a1.products[name], a2.products[name]
         for i in range(a1.dim):
@@ -418,7 +418,7 @@ def rb_family(rf, a: HomAlgebra) -> CheckReport:
     s, ops = rf.semigroup, rf.operators
     violations = []
     for lam in range(s.size):
-        violations.extend(_equivariance(ops[lam].matrix, a.alpha.matrix, a.alpha.matrix, ops[lam].matrix, (lam,)))
+        violations.extend(_equivariance(ops[lam], a.alpha.matrix, a.alpha.matrix, ops[lam], (lam,)))
     for lam in range(s.size):
         for omega in range(s.size):
             violations.extend(_rb_violations(a.mul, ops[lam], ops[omega], ops[s.mul(lam, omega)], (lam, omega)))
@@ -538,7 +538,7 @@ def scalar_cocycle_residuals(a: HomAlgebra, b) -> list[Violation]:
                     out.append(Violation("cyclic", (i + 1, j + 1, k + 1), (r,)))
     for i in range(n):
         for j in range(n):
-            r = form_value(b, alpha.image_of_basis(i), alpha.image_of_basis(j)) - b.matrix.at(i, j)
+            r = form_value(b, alpha.image_of_basis(i), alpha.image_of_basis(j)) - b.at(i, j)
             if r:
                 out.append(Violation("invariance", (i + 1, j + 1), (r,)))
     return out
@@ -664,10 +664,9 @@ def _cocycle_forms(a: HomAlgebra, width: int, second) -> list[tuple[list[int], i
     return forms
 
 
-def scalar_cocycle_space(a: HomAlgebra) -> list[ScalarForm]:
+def scalar_cocycle_space(a: HomAlgebra) -> list[Matrix]:
     n = a.dim
-    forms = _cocycle_forms(a, 1, _invariance_rows)
-    return [ScalarForm(n, Matrix(n, n, [Fraction(x, d) for x in form])) for form, d in forms]
+    return [Matrix(n, n, [Fraction(x, d) for x in form]) for form, d in _cocycle_forms(a, 1, _invariance_rows)]
 
 
 def vector_cocycle_space(a: HomAlgebra) -> list[VectorForm]:
@@ -718,9 +717,9 @@ def induced_rhizaform_from_o_operator(t, a: HomAlgebra, m) -> HomAlgebra:
 
 def compatible_from_invertible_o_operator(t, a: HomAlgebra, m) -> HomAlgebra:
     """x succ y = T(L(x)(T^-1 y)) and x prec y = T(R(y)(T^-1 x))."""
-    if t.source_dim != t.target_dim:
+    if t.rows != t.cols:
         raise Singular("operator between spaces of different dimension is not invertible")
-    t_inv = invert(t.matrix)  # raises Singular when degenerate
+    t_inv = invert(t)  # raises Singular when degenerate
     _require_o_shapes(t, a, m)
     n = a.dim
     back = [t_inv.column(j) for j in range(n)]
@@ -733,9 +732,9 @@ def rhizaform_from_cocycle(a: HomAlgebra, b) -> HomAlgebra:
     """Solve B(x succ y, z) = B(y, z*x) and B(x prec y, z) = B(x, y*z) for the splits."""
     star = star_product(a)
     n = a.dim
-    if b.dim != n:
+    if (b.rows, b.cols) != (n, n):
         raise DimensionMismatch("form and algebra dimensions differ")
-    bt_inv = invert(b.matrix.transpose())  # Singular for degenerate forms
+    bt_inv = invert(b.transpose())  # Singular for degenerate forms
     basis = [basis_vec(n, i) for i in range(n)]
     succ = BilinearOp(n, [
         [apply(bt_inv, tuple(form_value(b, basis[j], star.entry(k, i)) for k in range(n))) for j in range(n)]
@@ -748,7 +747,7 @@ def rhizaform_from_cocycle(a: HomAlgebra, b) -> HomAlgebra:
     return HomAlgebra.rhizaform(succ, prec, a.alpha)
 
 
-def inner_derivation(z, a: HomAlgebra, convention: str = "star") -> LinearMap:
+def inner_derivation(z, a: HomAlgebra, convention: str = "star") -> Matrix:
     """Matrix of ad_z: z * x - x * z (``star``) or z prec x - x succ z (``mixed``)."""
     n = a.dim
     if len(z) != n:
@@ -769,7 +768,7 @@ def inner_derivation(z, a: HomAlgebra, convention: str = "star") -> LinearMap:
         ]
     else:
         raise ValueError(f"unknown convention {convention!r}; use 'star' or 'mixed'")
-    return LinearMap.from_columns(cols)
+    return Matrix.from_rows(cols).transpose()
 
 
 def _alpha_stability(full, alpha: LinearMap) -> CheckReport:
@@ -875,11 +874,10 @@ def parse_algebra_obj(doc, bindings=None) -> HomAlgebra:
     return HomAlgebra(dim, products, alpha, params, beta)
 
 
-def read_operator(doc) -> LinearOperator:
+def read_operator(doc) -> Matrix:
     for key in ("T", "R", "D", "matrix"):
         if isinstance(doc, dict) and key in doc:
-            m = _read_matrix(doc[key], f"operator.{key}", None)
-            return LinearOperator(m.cols, m.rows, m)
+            return _read_matrix(doc[key], f"operator.{key}", None)
     raise ParseError("operator: no operator section ('T')")
 
 
@@ -893,9 +891,11 @@ def read_bimodule(doc) -> Bimodule:
     return Bimodule(alg_dim, mod_dim, left, right, LinearMap(beta.rows, beta))
 
 
-def read_form(doc) -> ScalarForm:
+def read_form(doc) -> Matrix:
     m = _read_matrix(_field(doc, "B", "form", list), "form.B", None)
-    return ScalarForm(m.rows, m)
+    if m.rows != m.cols:
+        raise DimensionMismatch("form matrix must be dim x dim")
+    return m
 
 
 def read_family(doc, bindings) -> FamilyAlgebra:
@@ -915,6 +915,5 @@ def read_rb_family(doc) -> RBFamily:
     s = read_semigroup(doc, "rb_family")
     ops = {}
     for lam, rows in enumerate(_per_element(doc, "operators", "rb_family", s.size)):
-        m = _read_matrix(rows, f"rb_family.operators.{lam}", None)
-        ops[lam] = LinearOperator(m.cols, m.rows, m)
+        ops[lam] = _read_matrix(rows, f"rb_family.operators.{lam}", None)
     return RBFamily(s, ops)

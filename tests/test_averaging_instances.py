@@ -27,7 +27,6 @@ from rhizalab.axioms import check_rhizaform
 from rhizalab.catalog import load_entry
 from rhizalab.exactlin import Matrix, invert, nullspace_basis, rank
 from rhizalab.operators import (
-    LinearOperator,
     check_o_operator,
     check_rota_baxter,
     induced_rhizaform_from_rb,
@@ -68,7 +67,7 @@ def derivation_rows(s: HomAlgebra) -> list[list[Fraction]]:
     return rows
 
 
-def averaging_operators(eid: str) -> tuple[HomAlgebra, int, list[LinearOperator]]:
+def averaging_operators(eid: str) -> tuple[HomAlgebra, int, list[Matrix]]:
     """The summed algebra of ``eid`` at eta = 1, the dimension of its alpha-commuting derivations, and
     R = D^-1 for the invertible D among ten seeded integer combinations of their kernel basis."""
     a = load_entry(eid, {"eta": F(1)})
@@ -81,17 +80,17 @@ def averaging_operators(eid: str) -> tuple[HomAlgebra, int, list[LinearOperator]
         coeffs = [rng.randint(-3, 3) for _ in kernel]
         d = Matrix(n, n, [sum(x * b[q] for x, b in zip(coeffs, kernel)) for q in range(n * n)])
         if rank(d) == n:
-            found.append(LinearOperator(n, n, invert(d)))
+            found.append(invert(d))
     return s, len(kernel), found
 
 
-def verdicts(r: LinearOperator, s: HomAlgebra) -> tuple[bool, bool]:
+def verdicts(r: Matrix, s: HomAlgebra) -> tuple[bool, bool]:
     """The checkers' verdicts on R as an averaging operator and as an O-operator on the regular
     bimodule, each asserted equal to the oracle's."""
     m = regular_bimodule(s)
     rb, o = check_rota_baxter(r, s).passed, check_o_operator(r, s, m).passed
-    assert rb == oracle.rota_baxter(r.matrix, s.mul, s.alpha)
-    assert o == oracle.o_operator(r.matrix, s.mul, s.alpha, m.left, m.right, m.beta)
+    assert rb == oracle.rota_baxter(r, s.mul, s.alpha)
+    assert o == oracle.o_operator(r, s.mul, s.alpha, m.left, m.right, m.beta)
     return rb, o
 
 
@@ -131,10 +130,10 @@ def test_one_coefficient_perturbations_fail_unless_central(eid):
     outcomes = []
     for r in operators:
         for q in range(n * n):
-            entries = list(r.matrix.entries)
+            entries = list(r.entries)
             entries[q] += 1
-            perturbed = LinearOperator(n, n, Matrix(n, n, entries))
+            perturbed = Matrix(n, n, entries)
             expected = central(s, *divmod(q, n))
-            assert verdicts(perturbed, s) == (expected, expected), (r.matrix, divmod(q, n))
+            assert verdicts(perturbed, s) == (expected, expected), (r, divmod(q, n))
             outcomes.append(expected)
     assert outcomes.count(False) > outcomes.count(True)

@@ -33,7 +33,7 @@ from rhizalab.algmodel import LinearMap, serialize_algebra, serialize_algebra_ob
 from rhizalab.axioms import _CHUNK, CheckReport, Violation, check_alpha_derivation
 from rhizalab.catalog import load_entry
 from rhizalab.cli import CHECKS, FAMILY_OPS, INDUCTIONS, build_parser, main
-from rhizalab.cocycles import ScalarForm, is_nondegenerate, rhizaform_from_cocycle, scalar_cocycle_residuals
+from rhizalab.cocycles import is_nondegenerate, rhizaform_from_cocycle, scalar_cocycle_residuals
 from rhizalab.errors import DimensionMismatch, MissingProduct, NotACocycle, Singular
 from rhizalab.exactlin import Matrix
 from rhizalab.family import (
@@ -483,6 +483,12 @@ def test_param_name_must_be_referenceable(a7_file, item):
         assert_rejected(*run_cli(*argv, f"--param={item}"), "--param wants name=p/q")
 
 
+def test_a_repeated_param_name_is_refused(a7_file):
+    """A second binding of one name would silently replace the first, as a repeated file key would."""
+    for argv in (("catalog", "verify", "--id", "d3.A4"), ("check", "--kind", "rhizaform", a7_file)):
+        assert_rejected(*run_cli(*argv, "--param", "eta=1", "--param", " eta=2"), "--param eta given twice")
+
+
 # The command line that calls each public operation, with a note in parentheses where it helps.
 OPERATION_COVERAGE = {
     "exactlin.invert": "induce --what cocycle --form B.json FILE (and --what invertible-o)",
@@ -543,7 +549,6 @@ EXEMPT = {
     "catalog.entry_ids": "the catalog's listing, which catalog list prints and verify_all selects from",
     "catalog.load_catalog_entry": "the entry reader of load_entry, catalog show and verify_all",
     "catalog.load_entry": "an entry's algebra, for the benchmark; catalog show reads load_catalog_entry as it does",
-    "catalog.oracle_disagreements": "verify_all's comparison with the oracle, under catalog verify --oracle",
 }
 
 
@@ -1489,12 +1494,12 @@ def test_cocycle_splitting_raises_in_order():
     """DimensionMismatch before Singular before NotACocycle, each on a form that also has the later faults."""
     a = load_entry("d2.A1")
     with pytest.raises(DimensionMismatch):
-        rhizaform_from_cocycle(a, ScalarForm(3, Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])))
-    singular = ScalarForm(2, Matrix.from_rows([[1, 1], [1, 1]]))
+        rhizaform_from_cocycle(a, Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]]))
+    singular = Matrix.from_rows([[1, 1], [1, 1]])
     assert not is_nondegenerate(singular) and scalar_cocycle_residuals(a, singular)
     with pytest.raises(Singular):
         rhizaform_from_cocycle(a, singular)
-    identity = ScalarForm(2, Matrix.identity(2))
+    identity = Matrix.identity(2)
     assert scalar_cocycle_residuals(a, identity)
     with pytest.raises(NotACocycle):
         rhizaform_from_cocycle(a, identity)

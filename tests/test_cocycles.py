@@ -16,7 +16,6 @@ from rhizalab.algmodel import (
 from rhizalab.axioms import _view, check_rhizaform
 from rhizalab.catalog import load_entry
 from rhizalab.cocycles import (
-    ScalarForm,
     VectorForm,
     _cyclic_rows,
     _vector_cocycle_dim,
@@ -56,15 +55,15 @@ def test_scalar_space_d2_a1_regression(a_d2_a1):
     assert len(space) == 1
     b = space[0]
     # only the e2-e2 slot survives the cyclic and invariance conditions
-    assert b.matrix.at(0, 0) == 0 and b.matrix.at(0, 1) == 0 and b.matrix.at(1, 0) == 0
-    assert b.matrix.at(1, 1) != 0
+    assert b.at(0, 0) == 0 and b.at(0, 1) == 0 and b.at(1, 0) == 0
+    assert b.at(1, 1) != 0
 
 
 def test_scalar_space_d2_a7_regression(a_d2_a7):
     space = scalar_cocycle_space(sum_mono(a_d2_a7))
     assert len(space) == 2
     for b in space:
-        assert b.matrix.at(1, 0) == 0 and b.matrix.at(1, 1) == 0
+        assert b.at(1, 0) == 0 and b.at(1, 1) == 0
 
 
 def test_scalar_strict_requires_anti_associativity():
@@ -110,11 +109,11 @@ def test_solution_spaces_resubstitute_to_zero():
 
 @pytest.mark.parametrize(
     "form",
-    [ScalarForm(3, Matrix.identity(3)), ScalarForm(1, Matrix.identity(1)), VectorForm.zero(3), VectorForm.zero(1)],
-    ids=["scalar 3x3", "scalar 1x1", "vector dim 3", "vector dim 1"],
+    [Matrix.identity(3), Matrix.identity(1), Matrix.from_rows([[1, 0, 0, 1]]), VectorForm.zero(3), VectorForm.zero(1)],
+    ids=["scalar 3x3", "scalar 1x1", "scalar 1x4", "vector dim 3", "vector dim 1"],
 )
 def test_residuals_refuse_a_form_of_another_dimension(a_d2_a1, form):
-    residuals = scalar_cocycle_residuals if isinstance(form, ScalarForm) else vector_cocycle_residuals
+    residuals = scalar_cocycle_residuals if isinstance(form, Matrix) else vector_cocycle_residuals
     with pytest.raises(DimensionMismatch, match="form and algebra dimensions differ"):
         residuals(a_d2_a1, form)
 
@@ -141,28 +140,37 @@ def test_vector_dimension_is_permutation_invariant(a_d2_a1):
 
 
 def test_nondegeneracy():
-    assert is_nondegenerate(ScalarForm(2, Matrix.identity(2)))
-    assert not is_nondegenerate(ScalarForm(2, Matrix.zero(2, 2)))
-    assert is_nondegenerate(ScalarForm(2, Matrix.from_rows([[0, 1], [-1, 0]])))
+    assert is_nondegenerate(Matrix.identity(2))
+    assert not is_nondegenerate(Matrix.zero(2, 2))
+    assert is_nondegenerate(Matrix.from_rows([[0, 1], [-1, 0]]))
+    wide = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])  # of full row rank, but no form's Gram matrix
+    assert not is_nondegenerate(wide) and not is_nondegenerate(wide.transpose())
 
 
 def test_construction_zero_product_identity_form():
     a = zero_product_mono(2)
-    out = rhizaform_from_cocycle(a, ScalarForm(2, Matrix.identity(2)))
+    out = rhizaform_from_cocycle(a, Matrix.identity(2))
     assert out.succ.is_zero() and out.prec.is_zero()
     assert check_rhizaform(out).passed
+
+
+def test_construction_rejects_a_non_square_form():
+    wide = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    for b in (wide, wide.transpose()):
+        with pytest.raises(DimensionMismatch):
+            rhizaform_from_cocycle(zero_product_mono(2), b)
 
 
 def test_construction_rejects_degenerate_form():
     a = zero_product_mono(2)
     with pytest.raises(Singular):
-        rhizaform_from_cocycle(a, ScalarForm(2, Matrix.zero(2, 2)))
+        rhizaform_from_cocycle(a, Matrix.zero(2, 2))
 
 
 def test_construction_strict_rejects_noncocycle(a_d2_a1):
     s = sum_mono(a_d2_a1)
     with pytest.raises(NotACocycle):
-        rhizaform_from_cocycle(s, ScalarForm(2, Matrix.identity(2)), strict=True)
+        rhizaform_from_cocycle(s, Matrix.identity(2), strict=True)
 
 
 def _defining_equations_hold(a, b, out) -> bool:
@@ -189,7 +197,7 @@ def test_construction_on_skew_paired_fixture():
     space = scalar_cocycle_space(a, strict=True)
     skew = skew_subspace(space, 4)
     assert skew, "no antisymmetric solutions"
-    b = nondegenerate_in_span(skew, 4)
+    b = nondegenerate_in_span(skew)
     assert b is not None
     out = rhizaform_from_cocycle(a, b, strict=True)
     assert check_rhizaform(out).passed
@@ -203,9 +211,9 @@ def test_construction_generic_solution_can_break_compatibility():
     theorem's proof silently assumes a skew pairing."""
     a = skew_4dim()
     space = scalar_cocycle_space(a, strict=True)
-    b = nondegenerate_in_span(space, 4)
+    b = nondegenerate_in_span(space)
     assert b is not None
-    assert b.matrix.entries != tuple(-e for e in b.matrix.transpose().entries)  # the search hit a non-skew one
+    assert b.entries != tuple(-e for e in b.transpose().entries)  # the search hit a non-skew one
     out = rhizaform_from_cocycle(a, b, strict=True)
     assert _defining_equations_hold(a, b, out)
     assert sum_product(out) != a.mul
@@ -219,7 +227,7 @@ def test_construction_on_antisym_3dim_satisfies_equations_but_not_sum():
     a = antisym_3dim()
     space = scalar_cocycle_space(a, strict=True)
     assert len(space) == 8
-    b = nondegenerate_in_span(space, 3)
+    b = nondegenerate_in_span(space)
     assert b is not None
     out = rhizaform_from_cocycle(a, b, strict=True)
     assert _defining_equations_hold(a, b, out)
@@ -279,7 +287,7 @@ def _diagonal_twist(rng, n):
 def _singular_twist(rng, n):
     """The last column is the sum of the others: rank below n."""
     cols = [[rng.choice((F(-1), F0, F(1))) for _ in range(n)] for _ in range(n - 1)]
-    return LinearMap.from_columns(cols + [[sum(col[r] for col in cols) for r in range(n)]])
+    return LinearMap(n, Matrix.from_rows(cols + [[sum(col[r] for col in cols) for r in range(n)]]).transpose())
 
 
 def _dense_twist(rng, n):
@@ -393,7 +401,7 @@ def test_cyclic_residuals_are_reported_at_every_rotation(n):
 
     for tensor in (_sparse_tensor, _fractional_tensor):
         a = HomAlgebra.rhizaform(tensor(rng, n, 0.5), tensor(rng, n, 0.5), _dense_twist(rng, n))
-        b = ScalarForm(n, Matrix(n, n, [entry() for _ in range(n * n)]))
+        b = Matrix(n, n, [entry() for _ in range(n * n)])
         w = VectorForm(n, [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)])
         for got, want in (
             (scalar_cocycle_residuals(a, b), ref.scalar_cocycle_residuals(a, b)),
@@ -413,7 +421,7 @@ def _one_orbit_forms():
     """e1 e1 = e1 with the identity twist, and B(e1, e2) = 1 (w(e1, e2) = e1) as the only entry: the
     cyclic condition fails at the one orbit {(1, 1, 2), (1, 2, 1), (2, 1, 1)}, with residual 1."""
     a = HomAlgebra.mono(BilinearOp.from_entries(2, [(0, 0, 0, F(1))]), LinearMap.identity(2))
-    b = ScalarForm(2, Matrix.from_rows([[0, 1], [0, 0]]))
+    b = Matrix.from_rows([[0, 1], [0, 0]])
     w = VectorForm.from_entries(2, [(0, 1, 0, F(1))])
     return a, b, w
 
@@ -433,7 +441,7 @@ def test_orbit_residuals_match_the_per_triple_check():
     for n in (2, 3, 4):
         for tensor in (_sparse_tensor, _fractional_tensor):
             split = HomAlgebra.rhizaform(tensor(rng, n, 0.5), tensor(rng, n, 0.5), _dense_twist(rng, n))
-            b = ScalarForm(n, Matrix(n, n, [entry() for _ in range(n * n)]))
+            b = Matrix(n, n, [entry() for _ in range(n * n)])
             w = VectorForm(n, [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)])
             cases.append((split, b, w))
     for a, b, w in cases:

@@ -187,7 +187,7 @@ VALUE_TYPES = {
     "LinearMap": (
         LinearMap.identity(2),
         ("dim", "matrix"),
-        LinearMap.from_columns([[1, 0], [0, "2/2"]]),
+        LinearMap.from_rows([[1, 0], [0, "2/2"]]),
         "LinearMap(Matrix(2x2: 1 0; 0 1))",
     ),
 }

@@ -8,6 +8,7 @@ import pytest
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.axioms import check_hom_anti_associative, check_rhizaform
 from rhizalab.errors import DimensionMismatch, NotARotaBaxterOperator
+from rhizalab.exactlin import Matrix
 from rhizalab.family import (
     FamilyAlgebra,
     RBFamily,
@@ -20,7 +21,7 @@ from rhizalab.family import (
     induced_family_rhizaform,
     tensor_collapse,
 )
-from rhizalab.operators import LinearOperator, check_rota_baxter
+from rhizalab.operators import check_rota_baxter
 from tests.conftest import (
     anti_associative_sums,
     catalog_algebras,
@@ -129,7 +130,7 @@ def test_anti_associative_family_trivial_reduction(a_d2_a1):
 
 def test_rb_family_zero_passes(a_d2_a1):
     s = sum_mono(a_d2_a1)
-    rf = RBFamily(Z2, {0: LinearOperator.zero(2, 2), 1: LinearOperator.zero(2, 2)})
+    rf = RBFamily(Z2, {0: Matrix.zero(2, 2), 1: Matrix.zero(2, 2)})
     assert check_rb_family(rf, s).passed
 
 
@@ -138,7 +139,7 @@ def test_rb_family_trivial_reduction_matches_single_operator(a_d2_a7):
     for op in rb_grid(s)[:6]:
         rf = RBFamily(Semigroup.trivial(), {0: op})
         assert check_rb_family(rf, s).passed == check_rota_baxter(op, s).passed
-    bad = LinearOperator.identity(2)
+    bad = Matrix.identity(2)
     rf = RBFamily(Semigroup.trivial(), {0: bad})
     assert check_rb_family(rf, s).passed == check_rota_baxter(bad, s).passed
 
@@ -147,7 +148,7 @@ def test_z2_rb_family_grid_fixture(a_d2_a1):
     s = sum_mono(a_d2_a1)
     fams = z2_rb_family_fixture(s)
     assert len(fams) == 9
-    assert sum(1 for rf in fams if not rf.operators[1].matrix.is_zero()) >= 1
+    assert sum(1 for rf in fams if not rf.operators[1].is_zero()) >= 1
     for rf in fams:
         # direct re-evaluation of the coupled identity, no checker code
         mul = s.mul
@@ -169,7 +170,7 @@ def test_z2_rb_family_grid_fixture(a_d2_a1):
 
 def test_induced_family_from_zero_is_zero(a_d2_a1):
     s = sum_mono(a_d2_a1)
-    rf = RBFamily(Z2, {0: LinearOperator.zero(2, 2), 1: LinearOperator.zero(2, 2)})
+    rf = RBFamily(Z2, {0: Matrix.zero(2, 2), 1: Matrix.zero(2, 2)})
     fam = induced_family_rhizaform(rf, s)
     assert all(op.is_zero() for op in (*fam.succ.values(), *fam.prec.values()))
 
@@ -201,7 +202,7 @@ def test_induced_families_pass_family_check(a_d2_a1):
 
 def test_induced_family_strict_mode(a_d2_a1):
     s = sum_mono(a_d2_a1)
-    rf = RBFamily(Z2, {0: LinearOperator.identity(2), 1: LinearOperator.identity(2)})
+    rf = RBFamily(Z2, {0: Matrix.identity(2), 1: Matrix.identity(2)})
     with pytest.raises(NotARotaBaxterOperator):
         induced_family_rhizaform(rf, s)
 
@@ -210,7 +211,7 @@ def test_induced_family_strict_mode(a_d2_a1):
 def test_rb_family_over_another_dimension_is_refused(a_d2_a1, dim):
     """Whether or not the induction checks its precondition."""
     s = sum_mono(a_d2_a1)
-    rf = RBFamily(Z2, {0: LinearOperator.identity(dim), 1: LinearOperator.zero(dim, dim)})
+    rf = RBFamily(Z2, {0: Matrix.identity(dim), 1: Matrix.zero(dim, dim)})
     with pytest.raises(DimensionMismatch):
         check_rb_family(rf, s)
     with pytest.raises(DimensionMismatch):
@@ -228,15 +229,15 @@ def test_collapse_trivial_monoid_is_isomorphic_copy(a_d2_a7):
     assert big.dim == 2
     assert big.mul == s.mul
     assert big.alpha == s.alpha
-    assert big_r.matrix == op.matrix
+    assert big_r == op
 
 
 def test_collapse_zero_family(a_d2_a1):
     s = sum_mono(a_d2_a1)
-    rf = RBFamily(Z2, {0: LinearOperator.zero(2, 2), 1: LinearOperator.zero(2, 2)})
+    rf = RBFamily(Z2, {0: Matrix.zero(2, 2), 1: Matrix.zero(2, 2)})
     big, big_r = tensor_collapse(s, rf)
     assert big.dim == 4
-    assert big_r.matrix.is_zero()
+    assert big_r.is_zero()
     assert check_rota_baxter(big_r, big).passed
 
 
@@ -251,7 +252,7 @@ def test_collapse_of_passing_families_passes_rb(a_d2_a1):
 def test_collapse_product_layout(a_d2_a1):
     """(e_i ; lam) lives at index i*size + lam and labels multiply mod 2."""
     s = sum_mono(a_d2_a1)
-    rf = RBFamily(Z2, {0: LinearOperator.zero(2, 2), 1: LinearOperator.zero(2, 2)})
+    rf = RBFamily(Z2, {0: Matrix.zero(2, 2), 1: Matrix.zero(2, 2)})
     big, _ = tensor_collapse(s, rf)
     # e2*e2 = 2e1 in the base; (e2;1)*(e2;1) -> 2(e1;0)
     out = big.mul.entry(1 * 2 + 1, 1 * 2 + 1)
@@ -300,8 +301,8 @@ def test_rota_baxter_report_equals_one_element_family_report():
     failing = 0
     for eid, s in _mono_inputs():
         n = s.dim
-        ops = [LinearOperator.zero(n, n), LinearOperator.identity(n)] + [
-            LinearOperator.from_rows([[rng.choice(SMALL) for _ in range(n)] for _ in range(n)])
+        ops = [Matrix.zero(n, n), Matrix.identity(n)] + [
+            Matrix.from_rows([[rng.choice(SMALL) for _ in range(n)] for _ in range(n)])
             for _ in range(3)
         ]
         for op in ops:
@@ -311,7 +312,7 @@ def test_rota_baxter_report_equals_one_element_family_report():
             prefix = lambda ident: 1 if ident == "equivariance" else 2  # noqa: E731
             assert all(set(v.basis_tuple[: prefix(v.identity_id)]) == {0} for v in fam.violations)
             stripped = _entries(fam, prefix)
-            assert stripped == _entries(plain, lambda ident: 0), (eid, op.matrix)
+            assert stripped == _entries(plain, lambda ident: 0), (eid, op)
             failing += not plain.passed
     assert failing > 20
 

@@ -16,13 +16,12 @@ from fractions import Fraction
 
 from rhizalab.algmodel import HomAlgebra, LinearMap, star_product
 from rhizalab.axioms import inner_derivation
-from rhizalab.cocycles import ScalarForm, rhizaform_from_cocycle
+from rhizalab.cocycles import rhizaform_from_cocycle
 from rhizalab.errors import RhizalabError, Singular
 from rhizalab.exactlin import Matrix
 from rhizalab.family import RBFamily, Semigroup, induced_family_rhizaform
 from rhizalab.operators import (
     Bimodule,
-    LinearOperator,
     check_rota_baxter,
     compatible_from_invertible_o_operator,
     induced_rhizaform_from_o_operator,
@@ -76,7 +75,7 @@ def test_rb_splitting_equals_reference():
     for a in INPUTS:
         s = HomAlgebra.mono(star_product(a), a.alpha)
         for _ in range(2):
-            r = LinearOperator(a.dim, a.dim, _matrix(rng, a.dim, a.dim))
+            r = _matrix(rng, a.dim, a.dim)
             averaging += check_rota_baxter(r, s).passed
             assert isinstance(_same(induced_rhizaform_from_rb, ref.induced_rhizaform_from_rb, r, s), HomAlgebra)
     assert averaging < len(INPUTS) // 4
@@ -86,7 +85,7 @@ def test_family_induction_equals_reference_at_each_index():
     rng = random.Random(2)
     for a in INPUTS:
         s = HomAlgebra.mono(star_product(a), a.alpha)
-        ops = {lam: LinearOperator(a.dim, a.dim, _matrix(rng, a.dim, a.dim)) for lam in range(3)}
+        ops = {lam: _matrix(rng, a.dim, a.dim) for lam in range(3)}
         fam = induced_family_rhizaform(RBFamily(Semigroup.cyclic(3), ops), s, strict=False)
         for lam, r in ops.items():
             assert (fam.succ[lam], fam.prec[lam]) == ref.rb_splitting(r, s.mul)
@@ -102,10 +101,10 @@ def test_o_operator_induction_equals_reference():
     for a in INPUTS:
         s = HomAlgebra.mono(star_product(a), a.alpha)
         for md in (1, a.dim, a.dim + 1):
-            t = LinearOperator(md, a.dim, _matrix(rng, a.dim, md))
+            t = _matrix(rng, a.dim, md)
             m = _bimodule(rng, a.dim, md)
             _same(induced_rhizaform_from_o_operator, ref.induced_rhizaform_from_o_operator, t, s, m)
-        t = LinearOperator(a.dim, a.dim, _matrix(rng, a.dim, a.dim))
+        t = _matrix(rng, a.dim, a.dim)
         _same(induced_rhizaform_from_o_operator, ref.induced_rhizaform_from_o_operator, t, s, regular_bimodule(s))
 
 
@@ -116,7 +115,7 @@ def test_invertible_o_operator_transport_equals_reference():
         s = HomAlgebra.mono(star_product(a), a.alpha)
         for m in (regular_bimodule(s), _bimodule(rng, a.dim, a.dim)):
             for rank in (None, a.dim - 1):
-                t = LinearOperator(a.dim, a.dim, _matrix(rng, a.dim, a.dim, rank))
+                t = _matrix(rng, a.dim, a.dim, rank)
                 got = _same(compatible_from_invertible_o_operator, ref.compatible_from_invertible_o_operator, t, s, m)
                 outcomes.append(got is Singular)
     assert any(outcomes) and not all(outcomes)
@@ -127,7 +126,7 @@ def test_cocycle_splitting_equals_reference():
     outcomes = []
     for a in INPUTS:
         for rank in (None, None, a.dim - 1):
-            b = ScalarForm(a.dim, _matrix(rng, a.dim, a.dim, rank))
+            b = _matrix(rng, a.dim, a.dim, rank)
             outcomes.append(_same(rhizaform_from_cocycle, ref.rhizaform_from_cocycle, a, b) is Singular)
     assert any(outcomes) and not all(outcomes)
 

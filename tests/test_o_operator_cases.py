@@ -17,10 +17,9 @@ import random
 from dataclasses import replace
 
 from rhizalab.algmodel import HomAlgebra
-from rhizalab.cocycles import ScalarForm, is_nondegenerate
+from rhizalab.cocycles import is_nondegenerate
 from rhizalab.exactlin import Matrix, invert
 from rhizalab.operators import (
-    LinearOperator,
     check_o_operator,
     check_rota_baxter,
     dual_bimodule,
@@ -48,7 +47,7 @@ def test_averaging_operator_is_the_o_operator_of_the_regular_bimodule():
     for s in _algebras():
         reg = regular_bimodule(s)
         for _ in range(4):
-            r = LinearOperator(s.dim, s.dim, _matrix(rng, s.dim))
+            r = _matrix(rng, s.dim)
             averaging, o_operator = check_rota_baxter(r, s), check_o_operator(r, s, reg)
             renamed = tuple(
                 replace(v, identity_id="o_identity") if v.identity_id == "rb_identity" else v
@@ -69,10 +68,10 @@ def test_cyclic_form_splitting_is_the_compatible_splitting_on_the_coregular_bimo
     for s in _algebras():
         coregular = dual_bimodule(regular_bimodule(s))
         for _ in range(4):
-            b = ScalarForm(s.dim, _matrix(rng, s.dim))
+            b = _matrix(rng, s.dim)
             if not is_nondegenerate(b):
                 continue
-            t = LinearOperator(s.dim, s.dim, invert(b.matrix.transpose()))
+            t = invert(b.transpose())
             assert ref.rhizaform_from_cocycle(s, b) == ref.compatible_from_invertible_o_operator(t, s, coregular)
             compared += 1
     assert compared >= 80

@@ -10,7 +10,6 @@ from rhizalab.errors import DimensionMismatch, NotAnOOperator, NotARotaBaxterOpe
 from rhizalab.exactlin import Matrix
 from rhizalab.operators import (
     Bimodule,
-    LinearOperator,
     check_bimodule,
     check_homomorphism,
     check_o_operator,
@@ -140,14 +139,14 @@ def test_dual_closure_counterexample_with_nilpotent_twist():
 def test_o_operator_zero_passes(a_d2_a1):
     s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
-    assert check_o_operator(LinearOperator.zero(2, 2), s, m).passed
+    assert check_o_operator(Matrix.zero(2, 2), s, m).passed
 
 
 def test_o_operator_rejects_bimodule_over_other_dimension(a_d2_a1):
     """Actions of a 1- or 3-dim algebra cannot act through a 2-dim algebra's operator images,
     whether or not the inductions check their preconditions."""
     s = sum_mono(a_d2_a1)
-    t = LinearOperator.identity(2)
+    t = Matrix.identity(2)
     for alg_dim in (1, 3):
         m = Bimodule(alg_dim, 2, (Matrix.identity(2),) * alg_dim, (Matrix.zero(2, 2),) * alg_dim, LinearMap.identity(2))
         with pytest.raises(DimensionMismatch):
@@ -163,7 +162,7 @@ def test_rb_rejects_operator_of_another_shape(a_d2_a1, shape):
     induction, whether or not the induction checks its precondition."""
     s = sum_mono(a_d2_a1)
     rows, cols = shape
-    r = LinearOperator.from_rows([[F(int(i == j)) for j in range(cols)] for i in range(rows)])
+    r = Matrix.from_rows([[F(int(i == j)) for j in range(cols)] for i in range(rows)])
     with pytest.raises(DimensionMismatch):
         check_rota_baxter(r, s)
     for strict in (True, False):
@@ -175,12 +174,12 @@ def test_identity_is_o_operator_on_split_actions():
     for eid, a in rhizaform_passing_entries():
         s = sum_mono(a)
         m = rhizaform_bimodule(a)
-        assert check_o_operator(LinearOperator.identity(a.dim), s, m).passed, eid
+        assert check_o_operator(Matrix.identity(a.dim), s, m).passed, eid
 
 
 def test_identity_fails_on_regular_actions(a_d2_a1):
     s = sum_mono(a_d2_a1)
-    rep = check_o_operator(LinearOperator.identity(2), s, regular_bimodule(s))
+    rep = check_o_operator(Matrix.identity(2), s, regular_bimodule(s))
     assert not rep.passed
     bad = [v for v in rep.violations if v.identity_id == "o_identity"]
     assert bad and bad[0].basis_tuple == (2, 2)
@@ -188,11 +187,11 @@ def test_identity_fails_on_regular_actions(a_d2_a1):
 
 
 def test_rota_baxter_zero_passes(a_d2_a1):
-    assert check_rota_baxter(LinearOperator.zero(2, 2), sum_mono(a_d2_a1)).passed
+    assert check_rota_baxter(Matrix.zero(2, 2), sum_mono(a_d2_a1)).passed
 
 
 def test_rota_baxter_identity_fails_on_nonzero_product(a_d2_a1):
-    rep = check_rota_baxter(LinearOperator.identity(2), sum_mono(a_d2_a1))
+    rep = check_rota_baxter(Matrix.identity(2), sum_mono(a_d2_a1))
     assert not rep.passed
 
 
@@ -203,10 +202,9 @@ def test_rota_baxter_grid_on_d2_a7(a_d2_a7):
     found = rb_grid(s)
     assert len(found) == 35
     for op in found:
-        m = op.matrix
-        assert m.at(0, 1) == 0
-        assert m.at(0, 0) == 0 or m.at(0, 0) == 2 * m.at(1, 1)
-        assert check_rota_baxter(op, s).passed == oracle.rota_baxter(m, s.mul, s.alpha)
+        assert op.at(0, 1) == 0
+        assert op.at(0, 0) == 0 or op.at(0, 0) == 2 * op.at(1, 1)
+        assert check_rota_baxter(op, s).passed == oracle.rota_baxter(op, s.mul, s.alpha)
 
 
 def test_rb_equals_o_operator_on_regular_actions():
@@ -215,7 +213,7 @@ def test_rb_equals_o_operator_on_regular_actions():
     for _ in range(60):
         a = HomAlgebra.mono(random_tensor(rng, 2), random_map(rng, 2))
         reg = regular_bimodule(a)
-        op = LinearOperator.from_rows(
+        op = Matrix.from_rows(
             [[rng.choice(vals), rng.choice(vals)], [rng.choice(vals), rng.choice(vals)]]
         )
         assert check_rota_baxter(op, a).passed == check_o_operator(op, a, reg).passed
@@ -223,7 +221,7 @@ def test_rb_equals_o_operator_on_regular_actions():
 
 def test_induced_from_zero_operator(a_d2_a1):
     s = sum_mono(a_d2_a1)
-    ind = induced_rhizaform_from_rb(LinearOperator.zero(2, 2), s)
+    ind = induced_rhizaform_from_rb(Matrix.zero(2, 2), s)
     assert ind.succ.is_zero() and ind.prec.is_zero()
 
 
@@ -240,9 +238,7 @@ def test_induction_chain_from_grid():
 def test_rb_scaling_scales_induced_products(a_d2_a7):
     s = sum_mono(a_d2_a7)
     op = rb_grid(s)[-1]
-    doubled = LinearOperator.from_rows(
-        [[2 * op.matrix.at(i, j) for j in range(2)] for i in range(2)]
-    )
+    doubled = Matrix.from_rows([[2 * op.at(i, j) for j in range(2)] for i in range(2)])
     if check_rota_baxter(doubled, s).passed:
         a1 = induced_rhizaform_from_rb(op, s)
         a2 = induced_rhizaform_from_rb(doubled, s)
@@ -253,17 +249,17 @@ def test_rb_scaling_scales_induced_products(a_d2_a7):
 def test_induced_strict_mode_raises(a_d2_a1):
     s = sum_mono(a_d2_a1)
     with pytest.raises(NotARotaBaxterOperator):
-        induced_rhizaform_from_rb(LinearOperator.identity(2), s)
+        induced_rhizaform_from_rb(Matrix.identity(2), s)
     with pytest.raises(NotAnOOperator):
         induced_rhizaform_from_o_operator(
-            LinearOperator.identity(2), s, regular_bimodule(s)
+            Matrix.identity(2), s, regular_bimodule(s)
         )
 
 
 def test_identity_o_operator_reproduces_split(a_d2_a1):
     s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
-    ind = induced_rhizaform_from_o_operator(LinearOperator.identity(2), s, m)
+    ind = induced_rhizaform_from_o_operator(Matrix.identity(2), s, m)
     assert ind.succ == a_d2_a1.succ
     assert ind.prec == a_d2_a1.prec
 
@@ -272,7 +268,7 @@ def test_o_operator_induction_on_module_of_different_dimension(a_d2_a7):
     """Zero operator from a 3-dim module still produces a passing algebra."""
     s = sum_mono(a_d2_a7)
     m = zero_bimodule(2, 3)
-    t = LinearOperator.zero(3, 2)
+    t = Matrix.zero(2, 3)
     assert check_o_operator(t, s, m).passed
     ind = induced_rhizaform_from_o_operator(t, s, m)
     assert ind.dim == 3
@@ -280,13 +276,13 @@ def test_o_operator_induction_on_module_of_different_dimension(a_d2_a7):
 
 
 def test_homomorphism_identity_and_zero(a_d2_a1):
-    assert check_homomorphism(LinearOperator.identity(2), a_d2_a1, a_d2_a1).passed
-    assert check_homomorphism(LinearOperator.zero(2, 2), a_d2_a1, a_d2_a1).passed
+    assert check_homomorphism(Matrix.identity(2), a_d2_a1, a_d2_a1).passed
+    assert check_homomorphism(Matrix.zero(2, 2), a_d2_a1, a_d2_a1).passed
 
 
 def test_homomorphism_flags_noncompatible_map(a_d2_a1):
     s = sum_mono(a_d2_a1)
-    doubler = LinearOperator.from_rows([[2, 0], [0, 2]])
+    doubler = Matrix.from_rows([[2, 0], [0, 2]])
     rep = check_homomorphism(doubler, s, s)
     assert not rep.passed
     assert "product_mul" in rep.failed_ids()
@@ -295,7 +291,7 @@ def test_homomorphism_flags_noncompatible_map(a_d2_a1):
 def test_compatible_from_identity_operator(a_d2_a1):
     s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
-    out = compatible_from_invertible_o_operator(LinearOperator.identity(2), s, m)
+    out = compatible_from_invertible_o_operator(Matrix.identity(2), s, m)
     assert out.succ == a_d2_a1.succ
     assert out.prec == a_d2_a1.prec
 
@@ -304,14 +300,14 @@ def test_compatible_requires_invertible(a_d2_a1):
     s = sum_mono(a_d2_a1)
     m = rhizaform_bimodule(a_d2_a1)
     with pytest.raises(Singular):
-        compatible_from_invertible_o_operator(LinearOperator.zero(2, 2), s, m)
+        compatible_from_invertible_o_operator(Matrix.zero(2, 2), s, m)
 
 
 def test_compatible_sum_recovers_product():
     for eid, a in rhizaform_passing_entries():
         s = sum_mono(a)
         m = rhizaform_bimodule(a)
-        out = compatible_from_invertible_o_operator(LinearOperator.identity(a.dim), s, m)
+        out = compatible_from_invertible_o_operator(Matrix.identity(a.dim), s, m)
         assert check_rhizaform(out).passed, eid
         assert sum_product(out) == s.mul, eid
 

@@ -23,7 +23,7 @@ from rhizalab.cocycles import VectorForm, vector_cocycle_residuals
 from rhizalab.exactlin import Matrix, rational_str
 from rhizalab.family import FamilyAlgebra, Semigroup, check_rhizaform_family
 from rhizalab.nilpotency import analyze
-from rhizalab.operators import LinearOperator, check_o_operator, regular_bimodule
+from rhizalab.operators import check_o_operator, regular_bimodule
 from tests import fraction_checkers as ref
 from tests.conftest import alpha_stability, conjugate, graded_split_algebra, sum_mono
 
@@ -98,7 +98,7 @@ def _family() -> FamilyAlgebra:
 
 def _o_operator_case():
     mono = sum_mono(CONJUGATED)
-    return LinearOperator(5, 5, _matrix(random.Random(31), 5, 5)), mono, regular_bimodule(mono)
+    return _matrix(random.Random(31), 5, 5), mono, regular_bimodule(mono)
 
 
 def _form() -> VectorForm:

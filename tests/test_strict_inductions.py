@@ -16,9 +16,9 @@ from rhizalab import family, operators
 from rhizalab.algmodel import BilinearOp, HomAlgebra, LinearMap, sum_product
 from rhizalab.catalog import load_entry
 from rhizalab.errors import NotAnOOperator, NotARotaBaxterOperator
+from rhizalab.exactlin import Matrix
 from rhizalab.family import RBFamily, Semigroup, induced_family_rhizaform
 from rhizalab.operators import (
-    LinearOperator,
     compatible_from_invertible_o_operator,
     induced_rhizaform_from_o_operator,
     induced_rhizaform_from_rb,
@@ -32,7 +32,7 @@ def _sum_and_r(entry: str):
     a = load_entry(entry, {"eta": F(1)})
     n = a.dim
     rows = [[F(1, 2) if i == j else 1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
-    return HomAlgebra.mono(sum_product(a), a.alpha), LinearOperator.from_rows(rows)
+    return HomAlgebra.mono(sum_product(a), a.alpha), Matrix.from_rows(rows)
 
 
 INDUCTIONS = {
@@ -40,7 +40,7 @@ INDUCTIONS = {
     "o-operator": lambda s, r: induced_rhizaform_from_o_operator(r, s, regular_bimodule(s)),
     "invertible-o": lambda s, r: compatible_from_invertible_o_operator(r, s, regular_bimodule(s)),
     "family": lambda s, r: induced_family_rhizaform(
-        RBFamily(Semigroup.cyclic(2), {0: LinearOperator.identity(s.dim), 1: r}), s
+        RBFamily(Semigroup.cyclic(2), {0: Matrix.identity(s.dim), 1: r}), s
     ),
 }
 REFUSALS = {
@@ -76,7 +76,7 @@ def test_strict_induction_checks_the_splitting_it_returns(monkeypatch):
     # the identity operator on the zero algebra with alpha = id passes the averaging identity and, on
     # the regular bimodule, the O-identity: both sides vanish, so only the tampered cell can fail
     z = HomAlgebra.mono(BilinearOp.zero(2), LinearMap.identity(2))
-    r = LinearOperator.identity(2)
+    r = Matrix.identity(2)
     rf = RBFamily(Semigroup.cyclic(2), {0: r, 1: r})
     induced_rhizaform_from_rb(r, z)
     induced_rhizaform_from_o_operator(r, z, regular_bimodule(z))

@@ -80,10 +80,10 @@ from rhizalab.cocycles import (
     vector_cocycle_residuals,
     vector_cocycle_space,
 )
+from rhizalab.exactlin import Matrix
 from rhizalab.family import RBFamily, Semigroup, check_rb_family, induced_family_rhizaform, tensor_collapse
 from rhizalab.nilpotency import Subspace
 from rhizalab.operators import (
-    LinearOperator,
     check_bimodule,
     check_homomorphism,
     check_o_operator,
@@ -108,7 +108,7 @@ def _split_skew():
     its scalar cocycle space.  Both are frozen, so one search serves every test."""
     mono = skew_4dim()
     a = HomAlgebra.rhizaform(mono.mul, BilinearOp.zero(4), mono.alpha)
-    return a, nondegenerate_in_span(scalar_cocycle_space(a), 4)
+    return a, nondegenerate_in_span(scalar_cocycle_space(a))
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -125,7 +125,7 @@ def _sum_d3_a7():
     return sum_mono(load_entry("d3.A7", ETA))
 
 
-R = LinearOperator.from_rows([[F(1, 2), 0, 0], [1, 3, 0], [0, 1, 1]])
+R = Matrix.from_rows([[F(1, 2), 0, 0], [1, 3, 0], [0, 1, 1]])
 
 
 def _route_inputs() -> SimpleNamespace:
@@ -136,19 +136,19 @@ def _route_inputs() -> SimpleNamespace:
     over their sum."""
     split, small = load_entry("d3.A7", ETA), load_entry("d2.A1", ETA)
     cocycle, b = _split_skew()
-    r = LinearOperator.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    r = Matrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
     return SimpleNamespace(
         split=split,
         s=_sum_d3_a7(),
         summed=sum_mono(split),
         skew=skew_4dim(),
         small=sum_mono(small),
-        into=LinearOperator.from_rows([[1, 0], [0, F(1, 2)], [0, 0]]),
+        into=Matrix.from_rows([[1, 0], [0, F(1, 2)], [0, 0]]),
         w=vector_cocycle_space(split)[0],
         cocycle=cocycle,
         b=b,
         r=r,
-        family=RBFamily(Semigroup.cyclic(3), {0: LinearOperator.identity(3), 1: R, 2: LinearOperator.zero(3, 3)}),
+        family=RBFamily(Semigroup.cyclic(3), {0: Matrix.identity(3), 1: R, 2: Matrix.zero(3, 3)}),
         skew_family=RBFamily(Semigroup.cyclic(2), {0: r, 1: r}),
     )
 
@@ -174,7 +174,7 @@ INDUCTIONS = {
         x.r, x.skew, regular_bimodule(x.skew), strict=strict
     ),
     "compatible_from_invertible_o_operator": lambda x, strict: compatible_from_invertible_o_operator(
-        LinearOperator.identity(3), x.summed, rhizaform_bimodule(x.split), strict=strict
+        Matrix.identity(3), x.summed, rhizaform_bimodule(x.split), strict=strict
     ),
     "induced_family_rhizaform": lambda x, strict: induced_family_rhizaform(x.skew_family, x.skew, strict=strict),
 }
@@ -447,7 +447,7 @@ def _route_files(tmp_path) -> dict:
         "S": serialize_algebra(skew_4dim()),
         "R": '{"R": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["1", "0", "0", "0"]]}',
         "SPLIT": serialize_algebra(split),
-        "B": json.dumps({"B": _matrix_obj(b.matrix)}),
+        "B": json.dumps({"B": _matrix_obj(b)}),
     }
     for name, text in docs.items():
         (tmp_path / f"{name}.json").write_text(text)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 AXIOMS, COCYCLES, EXACTLIN = "src/rhizalab/axioms.py", "src/rhizalab/cocycles.py", "src/rhizalab/exactlin.py"
 NILPOTENCY, OPERATORS = "src/rhizalab/nilpotency.py", "src/rhizalab/operators.py"
-CLI = "src/rhizalab/cli.py"
+CLI, FAMILY = "src/rhizalab/cli.py", "src/rhizalab/family.py"
 
 MEMORY, TIMEOUT = 3 * 2**29, 900
 
@@ -103,6 +103,22 @@ MUTANTS = {
         'lead = head + "[" + pad + "    " if start == 0 else ""',
     ),
     "nested-report-drops-its-pad": (AXIOMS, 'pad = "\\n" + "  " * depth', 'pad = "\\n"'),
+    "o-shapes-swapped": (
+        OPERATORS,
+        "if t.cols != m.mod_dim or t.rows != a.dim:",
+        "if t.rows != m.mod_dim or t.cols != a.dim:",
+    ),
+    "homomorphism-endpoints-swapped": (
+        OPERATORS,
+        "if f.cols != a1.dim or f.rows != a2.dim:",
+        "if f.rows != a1.dim or f.cols != a2.dim:",
+    ),
+    "invertible-o-square-check-dropped": (OPERATORS, "    if t.rows != t.cols:\n", "    if False:\n"),
+    "rb-family-square-check-dropped": (
+        FAMILY,
+        "if len(dims) > 1 or any(s != t for s, t in dims):",
+        "if len(dims) > 1:",
+    ),
     "route-miswired": (
         CLI,
         '"dendriform": ((), lambda a, x: check_dendriform(a),',
